@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dcfail_bench::bench_dataset;
 use dcfail_core::{
-    age, availability, capacity, class_mix, consolidation, interfailure, onoff, prediction, rates,
-    recurrence, repair, spatial, usage, ClassSource,
+    age, availability, capacity, class_mix, consolidation, interfailure, onoff, panel, prediction,
+    rates, recurrence, repair, spatial, usage, ClassSource,
 };
 use dcfail_model::machine::MachineKind;
 use dcfail_model::telemetry::OnOffLog;
@@ -70,8 +70,8 @@ fn bench_artifacts(c: &mut Criterion) {
         b.iter(|| consolidation::rate_by_consolidation(&ds))
     });
     g.bench_function("fig10_onoff", |b| b.iter(|| onoff::rate_by_onoff(&ds)));
-    g.bench_function("fig10_rate_and_share_single_pass", |b| {
-        b.iter(|| onoff::fig10_parts(&ds))
+    g.bench_function("fig8_10_panels_single_pass", |b| {
+        b.iter(|| panel::observe_dataset(&ds, panel::Panel::reads_telemetry))
     });
     g.bench_function("extra_availability", |b| {
         b.iter(|| availability::by_kind(&ds, MachineKind::Pm))

@@ -51,8 +51,9 @@
 //!   scale/thread count and exits 1 when it regressed by more than 15% (or
 //!   when no baseline exists) — the CI perf gate.
 //! * `metrics` — run the full pipeline (synth → audit → chaos + recovery →
-//!   classification → every report runner) under an enabled `dcfail-obs`
-//!   collection window and print the aggregated span/counter/histogram tree.
+//!   classification → every report runner; `--scale` defaults to 0.2 here)
+//!   under an enabled `dcfail-obs` collection window and print the
+//!   aggregated span/counter/histogram tree.
 //!   `--json` prints the schema-versioned JSON export instead; `--smoke`
 //!   validates the export (schema version, every pipeline stage span
 //!   present, disabled-path overhead under 2%) and exits nonzero otherwise.
@@ -69,7 +70,8 @@
 //!   uninterrupted run. `--resume` additionally *requires* `DIR` to hold a
 //!   checkpoint (guards against resuming a mistyped path as a fresh run).
 //! * `crashtest` — the crash-matrix self-test: run the checkpointed sharded
-//!   pipeline against an in-memory filesystem, hard-kill it at every I/O
+//!   pipeline (`--scale` defaults to 0.02 here) against an in-memory
+//!   filesystem, hard-kill it at every I/O
 //!   operation (`--smoke`: three spread kill points), resume each killed
 //!   run, and verify every resume converges to the digest of an
 //!   uninterrupted run. Also proves transient `EIO`/`ENOSPC` faults
@@ -165,7 +167,10 @@ const USAGE: &str = "usage: repro [--scale S] [--seed N] [--classify] [--csv DIR
 // CLI flags are naturally independent booleans.
 #[allow(clippy::struct_excessive_bools)]
 struct Options {
-    scale: f64,
+    /// `--scale`: the population scale; `None` when the flag is absent, so
+    /// each subcommand applies its own default. An explicit value is never
+    /// rewritten.
+    scale: Option<f64>,
     seed: u64,
     rate: f64,
     classify: bool,
@@ -209,7 +214,7 @@ enum Parsed {
 #[allow(clippy::too_many_lines)] // one match arm per flag; splitting obscures the grammar
 fn parse_args() -> Result<Parsed, String> {
     let mut opts = Options {
-        scale: 1.0,
+        scale: None,
         seed: 42,
         rate: 0.05,
         classify: false,
@@ -241,7 +246,7 @@ fn parse_args() -> Result<Parsed, String> {
         match arg.as_str() {
             "--scale" => {
                 let v = args.next().ok_or("--scale needs a value")?;
-                opts.scale = v.parse().map_err(|_| format!("bad scale '{v}'"))?;
+                opts.scale = Some(v.parse().map_err(|_| format!("bad scale '{v}'"))?);
             }
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
@@ -381,11 +386,12 @@ fn audit_report(opts: &Options) -> Result<(AuditReport, DegradationReport), Stri
         return Ok((report, degradation));
     }
     // Self-check mode: audit a freshly generated scenario.
+    let scale = opts.scale.unwrap_or(1.0);
     eprintln!(
-        "auditing generated paper scenario (seed {}, scale {}) ...",
-        opts.seed, opts.scale
+        "auditing generated paper scenario (seed {}, scale {scale}) ...",
+        opts.seed
     );
-    let out = Scenario::paper().seed(opts.seed).scale(opts.scale).build();
+    let out = Scenario::paper().seed(opts.seed).scale(scale).build();
     Ok((
         dcfail_audit::audit_dataset(out.dataset()),
         DegradationReport::default(),
@@ -483,9 +489,9 @@ fn print_robust(recovered: &FailureDataset) {
 fn run_chaos(opts: &Options) -> Result<ExitCode, String> {
     // The smoke run is a CI gate: pin a small scale so it stays fast.
     let scale = if opts.smoke {
-        opts.scale.min(0.2)
+        opts.scale.unwrap_or(1.0).min(0.2)
     } else {
-        opts.scale
+        opts.scale.unwrap_or(1.0)
     };
     eprintln!(
         "chaos: generating clean paper scenario (seed {}, scale {scale}) ...",
@@ -549,7 +555,7 @@ fn run_chaos(opts: &Options) -> Result<ExitCode, String> {
 
 fn run_ablate(opts: &Options) -> ExitCode {
     // Ablations run several full simulations; cap the scale for speed.
-    let scale = opts.scale.min(0.3);
+    let scale = opts.scale.unwrap_or(1.0).min(0.3);
     println!("== ablation suite (seed {}, scale {scale}) ==\n", opts.seed);
     for a in ablation::run_all(opts.seed, scale) {
         println!(
@@ -575,9 +581,9 @@ fn run_bench(opts: &Options) -> Result<ExitCode, String> {
     // full fleet at the untouched default (1.0), which the columnar report
     // paths now finish in well under a second.
     let scale = if opts.smoke {
-        opts.scale.min(0.05)
+        opts.scale.unwrap_or(1.0).min(0.05)
     } else {
-        opts.scale
+        opts.scale.unwrap_or(1.0)
     };
     eprintln!(
         "bench: timing scenario build + report runners (seed {}, scale {scale}, {} threads) ...",
@@ -791,14 +797,12 @@ const REQUIRED_STAGES: &[&str] = &[
 // The smoke gates are a checklist, not control flow worth extracting.
 #[allow(clippy::too_many_lines)]
 fn run_metrics(opts: &Options) -> Result<ExitCode, String> {
-    // Same scale policy as `bench`: smoke stays small for CI, the untouched
-    // default drops to something that finishes quickly, explicit wins.
+    // Smoke stays small for CI; without `--scale` the run defaults to
+    // something that finishes quickly; an explicit scale is honoured.
     let scale = if opts.smoke {
-        opts.scale.min(0.05)
-    } else if opts.scale == 1.0 {
-        0.2
+        opts.scale.unwrap_or(1.0).min(0.05)
     } else {
-        opts.scale
+        opts.scale.unwrap_or(0.2)
     };
 
     // The disabled-cost probe must run before the window opens.
@@ -970,7 +974,7 @@ fn run_shard(opts: &Options) -> Result<ExitCode, String> {
                 .map_err(|_| format!("bad --machines fleet size '{arg}'"))?;
             scale_for_fleet(opts.seed, target)?
         }
-        None => opts.scale,
+        None => opts.scale.unwrap_or(1.0),
     };
     let config = Scenario::paper()
         .seed(opts.seed)
@@ -1094,9 +1098,9 @@ fn crashtest_store(
 /// checkpointed run killed at any I/O operation resumes to the digest of an
 /// uninterrupted run, and that transient faults are absorbed by retry.
 fn run_crashtest(opts: &Options) -> Result<ExitCode, String> {
-    // The sweep reruns the pipeline once per kill point; cap the default
-    // scale so the full matrix stays in CI territory.
-    let scale = if opts.scale == 1.0 { 0.02 } else { opts.scale };
+    // The sweep reruns the pipeline once per kill point; without `--scale`
+    // the default stays small so the full matrix stays in CI territory.
+    let scale = opts.scale.unwrap_or(0.02);
     let config = Scenario::paper()
         .seed(opts.seed)
         .scale(scale)
@@ -1230,9 +1234,9 @@ fn run_stream(opts: &Options) -> Result<ExitCode, String> {
         );
     }
     let scale = if opts.smoke {
-        opts.scale.min(0.05)
+        opts.scale.unwrap_or(1.0).min(0.05)
     } else {
-        opts.scale
+        opts.scale.unwrap_or(1.0)
     };
     let slack_minutes = opts.slack_minutes;
     eprintln!(
@@ -1418,13 +1422,13 @@ fn run_serve(opts: &Options) -> Result<ExitCode, String> {
         workers: opts.workers.unwrap_or(4),
         queue: opts.queue.unwrap_or(64),
         seed: opts.seed,
-        scale: opts.scale,
+        scale: opts.scale.unwrap_or(1.0),
         metrics: true,
         ingest: true,
     };
     eprintln!(
         "serve: building paper scenario (seed {}, scale {}) ...",
-        opts.seed, opts.scale
+        opts.seed, config.scale
     );
     let handle = serve(config).map_err(|e| format!("cannot start server: {e}"))?;
     println!("serving on http://{}", handle.addr());
@@ -1459,7 +1463,7 @@ fn run_serve_smoke(opts: &Options) -> Result<ExitCode, String> {
         Ok(ExitCode::from(EXIT_FINDINGS))
     };
     // The smoke run is a CI gate: pin a small scale so it stays fast.
-    let scale = opts.scale.min(0.05);
+    let scale = opts.scale.unwrap_or(1.0).min(0.05);
     let workers = opts.workers.unwrap_or(2);
     let queue = opts.queue.unwrap_or(2);
     eprintln!(
@@ -1657,13 +1661,14 @@ fn run_experiments(opts: &Options) -> Result<ExitCode, String> {
         ids
     };
 
+    let scale = opts.scale.unwrap_or(1.0);
     eprintln!(
-        "generating paper scenario (seed {}, scale {}) ...",
-        opts.seed, opts.scale
+        "generating paper scenario (seed {}, scale {scale}) ...",
+        opts.seed
     );
     let mut dataset = Scenario::paper()
         .seed(opts.seed)
-        .scale(opts.scale)
+        .scale(scale)
         .build()
         .into_dataset();
 

@@ -2,7 +2,8 @@
 //! usage errors (exit 2) with a diagnostic on stderr, never panics and never
 //! silently-clamped values.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -123,4 +124,36 @@ fn usage_errors_keep_stdout_empty() {
     // The diagnostic goes to stderr; stdout stays clean for pipelines.
     let out = repro(&["shard", "--shards", "0"]);
     assert!(out.stdout.is_empty(), "usage error wrote to stdout");
+}
+
+/// The first line `repro args` writes to stderr — the run's echo of its
+/// resolved settings — after which the run is stopped.
+fn first_stderr_line(args: &[&str]) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro binary spawns");
+    let mut line = String::new();
+    BufReader::new(child.stderr.take().expect("stderr is piped"))
+        .read_line(&mut line)
+        .expect("stderr is readable");
+    // The run may already be over; either way it is reaped.
+    let _ = child.kill();
+    let _ = child.wait();
+    line
+}
+
+#[test]
+fn explicit_scale_is_honoured_and_defaults_apply_only_when_absent() {
+    for (args, echo) in [
+        (&["metrics", "--scale", "1.0"][..], "scale 1,"),
+        (&["metrics"][..], "scale 0.2,"),
+        (&["crashtest", "--scale", "1.0"][..], "scale 1.0000)"),
+        (&["crashtest"][..], "scale 0.0200)"),
+    ] {
+        let line = first_stderr_line(args);
+        assert!(line.contains(echo), "{args:?} must echo {echo:?}: {line}");
+    }
 }

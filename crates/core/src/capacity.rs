@@ -4,57 +4,29 @@
 //! number of disks (d). CPU and memory exist for PMs and VMs; the paper has
 //! no PM disk data, so the disk panels are VM-only.
 
-use crate::curve::{weekly_rate_by_machine, AttributeCurve};
+use crate::curve::AttributeCurve;
+use crate::panel::{panel_curve, Constant, Source};
 use dcfail_model::prelude::*;
-use dcfail_stats::binning::Bins;
-
-/// CPU-count bins per machine kind (the paper's x-axes).
-fn cpu_bins(kind: MachineKind) -> Bins {
-    match kind {
-        MachineKind::Pm => Bins::discrete(&[1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 64.0]),
-        MachineKind::Vm => Bins::discrete(&[1.0, 2.0, 4.0, 8.0]),
-    }
-}
-
-/// Memory bins in GB per machine kind.
-fn memory_bins(kind: MachineKind) -> Bins {
-    match kind {
-        MachineKind::Pm => Bins::discrete(&[2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]),
-        MachineKind::Vm => Bins::discrete(&[0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
-    }
-}
 
 /// Fig. 7(a): weekly failure rate vs number of (v)CPUs.
 pub fn rate_by_cpu(dataset: &FailureDataset, kind: MachineKind) -> AttributeCurve {
-    weekly_rate_by_machine(dataset, "cpu count", &cpu_bins(kind), kind, |m| {
-        Some(m.capacity().cpus() as f64)
-    })
+    panel_curve(dataset, kind, Source::Constant(Constant::Cpus)).curve
 }
 
 /// Fig. 7(b): weekly failure rate vs memory size (GB).
 pub fn rate_by_memory(dataset: &FailureDataset, kind: MachineKind) -> AttributeCurve {
-    weekly_rate_by_machine(dataset, "memory GB", &memory_bins(kind), kind, |m| {
-        Some(m.capacity().memory_gb())
-    })
+    panel_curve(dataset, kind, Source::Constant(Constant::MemoryGb)).curve
 }
 
 /// Fig. 7(c): weekly VM failure rate vs total disk capacity (GB). VM-only:
 /// the dataset carries no PM disk attributes, matching the paper.
 pub fn rate_by_disk_capacity(dataset: &FailureDataset) -> AttributeCurve {
-    let bins = Bins::discrete(&[
-        8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0,
-    ]);
-    weekly_rate_by_machine(dataset, "disk GB", &bins, MachineKind::Vm, |m| {
-        Some(m.capacity().disk_gb() as f64)
-    })
+    panel_curve(dataset, MachineKind::Vm, Source::Constant(Constant::DiskGb)).curve
 }
 
 /// Fig. 7(d): weekly VM failure rate vs number of virtual disks.
 pub fn rate_by_disk_count(dataset: &FailureDataset) -> AttributeCurve {
-    let bins = Bins::discrete(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-    weekly_rate_by_machine(dataset, "disk count", &bins, MachineKind::Vm, |m| {
-        Some(m.capacity().disks() as f64)
-    })
+    panel_curve(dataset, MachineKind::Vm, Source::Constant(Constant::Disks)).curve
 }
 
 #[cfg(test)]

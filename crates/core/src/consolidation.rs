@@ -4,45 +4,20 @@
 //! platform; since it drifts with power-cycling and migration, the paper
 //! (and we) use the average monthly level over the year.
 
-use crate::curve::{rate_and_share_by_machine, AttributeCurve};
+use crate::curve::AttributeCurve;
+use crate::panel::{panel_curve, Constant, Source};
 use dcfail_model::prelude::*;
-use dcfail_stats::binning::Bins;
 
-/// Bins for consolidation levels 1, 2, 4, ..., 32 with geometric-midpoint
-/// edges: a VM whose co-residents are occasionally off still lands in its
-/// box's nominal level (e.g. a yearly mean of 29.7 on a 32-VM box maps to
-/// the "32" bin, not "16").
-pub fn level_bins() -> Bins {
-    // Open-ended top bin: a mean level above the old 100.0 cap is a "32"
-    // machine, not a silently dropped one.
-    Bins::open_last(vec![1.0, 1.5, 3.0, 6.0, 12.0, 24.0]).with_labels(vec![
-        "1".into(),
-        "2".into(),
-        "4".into(),
-        "8".into(),
-        "16".into(),
-        "32".into(),
-    ])
-}
-
-/// Both Fig. 9 panels — the rate curve and the VM population shares — from
-/// one pass: each VM's mean consolidation level is computed and binned
-/// exactly once.
-pub fn fig9_parts(dataset: &FailureDataset) -> (AttributeCurve, Vec<(String, f64)>) {
-    let bins = level_bins();
-    rate_and_share_by_machine(dataset, "consolidation", &bins, MachineKind::Vm, |m| {
-        dataset.telemetry().mean_consolidation(m.id())
-    })
-}
+const SOURCE: Source = Source::Constant(Constant::Consolidation);
 
 /// Fig. 9: weekly VM failure rate vs average consolidation level.
 pub fn rate_by_consolidation(dataset: &FailureDataset) -> AttributeCurve {
-    fig9_parts(dataset).0
+    panel_curve(dataset, MachineKind::Vm, SOURCE).curve
 }
 
 /// Distribution of VMs across consolidation-level bins: `(label, share)`.
 pub fn vm_share_by_level(dataset: &FailureDataset) -> Vec<(String, f64)> {
-    fig9_parts(dataset).1
+    panel_curve(dataset, MachineKind::Vm, SOURCE).shares
 }
 
 #[cfg(test)]

@@ -22,6 +22,9 @@
 //! | [`consolidation`] | Fig. 9 (rate vs consolidation level) |
 //! | [`onoff`] | Fig. 10 (rate vs on/off frequency) |
 //!
+//! Figs. 7–10 share one estimator: [`panel`] declares their fourteen panels
+//! as a table and holds the one driver that bins machines into them.
+//!
 //! Beyond the paper's artifacts, [`availability`] turns the failure record
 //! into availability/"nines" (the paper's motivating metric) and
 //! [`prediction`] evaluates a week-ahead failure predictor built on the
@@ -51,6 +54,7 @@ pub mod degradation;
 pub mod followon;
 pub mod interfailure;
 pub mod onoff;
+pub mod panel;
 pub mod prediction;
 pub mod rates;
 pub mod recurrence;

@@ -4,40 +4,20 @@
 //! two-month telemetry window (the paper's March–April slice) and assumed
 //! representative of the whole year.
 
-use crate::curve::{rate_and_share_by_machine, AttributeCurve};
+use crate::curve::AttributeCurve;
+use crate::panel::{panel_curve, Constant, Source};
 use dcfail_model::prelude::*;
-use dcfail_stats::binning::Bins;
 
-/// Bins for monthly on/off transition counts (Fig. 10). The top bin is
-/// genuinely open-ended: a VM cycling more than 64 times a month is an "8+"
-/// machine, not a silently dropped one.
-pub fn onoff_bins() -> Bins {
-    Bins::open_last(vec![0.0, 1.0, 2.0, 4.0, 8.0])
-}
-
-/// Both Fig. 10 panels — the rate curve and the VM population shares — from
-/// one pass: per-VM transition rates come from the telemetry store's single
-/// bulk pass and each VM is binned exactly once.
-pub fn fig10_parts(dataset: &FailureDataset) -> (AttributeCurve, Vec<(String, f64)>) {
-    let bins = onoff_bins();
-    let rates = dataset.telemetry().monthly_transition_rates();
-    rate_and_share_by_machine(dataset, "on/off per month", &bins, MachineKind::Vm, |m| {
-        // The bulk pass is sorted by machine id.
-        rates
-            .binary_search_by_key(&m.id(), |&(id, _)| id)
-            .ok()
-            .map(|i| rates[i].1)
-    })
-}
+const SOURCE: Source = Source::Constant(Constant::OnOff);
 
 /// Fig. 10: weekly VM failure rate vs monthly on/off frequency.
 pub fn rate_by_onoff(dataset: &FailureDataset) -> AttributeCurve {
-    fig10_parts(dataset).0
+    panel_curve(dataset, MachineKind::Vm, SOURCE).curve
 }
 
 /// Distribution of VMs across on/off-frequency bins: `(label, share)`.
 pub fn vm_share_by_onoff(dataset: &FailureDataset) -> Vec<(String, f64)> {
-    fig10_parts(dataset).1
+    panel_curve(dataset, MachineKind::Vm, SOURCE).shares
 }
 
 #[cfg(test)]

@@ -6,68 +6,29 @@
 //! utilization (c, VM-only) and network volume in Kbps (d, VM-only) — the
 //! paper has no PM disk/network usage either.
 
-use crate::curve::{weekly_rate_by, AttributeCurve};
+use crate::curve::AttributeCurve;
+use crate::panel::{panel_curve, Source, Usage};
 use dcfail_model::prelude::*;
-use dcfail_stats::binning::Bins;
-
-/// Utilization-percentage bins (0–100 in 10-point steps) shared by the
-/// Fig. 8 CPU/memory/disk panels.
-pub fn util_bins() -> Bins {
-    Bins::linear(0.0, 100.0, 10)
-}
-
-/// Network-volume bins (power-of-two Kbps over the paper's 2 Kbps – 8 Mbps
-/// range) for Fig. 8(d).
-pub fn net_bins() -> Bins {
-    Bins::log2(1, 13) // 2 Kbps .. 8192 Kbps
-}
 
 /// Fig. 8(a): weekly failure rate vs CPU utilization (10-point bins).
 pub fn rate_by_cpu_util(dataset: &FailureDataset, kind: MachineKind) -> AttributeCurve {
-    weekly_rate_by(dataset, "cpu util %", &util_bins(), kind, |m, w| {
-        dataset
-            .telemetry()
-            .usage_in_week(m.id(), w)
-            .map(|u| u.cpu_pct as f64)
-    })
+    panel_curve(dataset, kind, Source::Weekly(Usage::Cpu)).curve
 }
 
 /// Fig. 8(b): weekly failure rate vs memory utilization.
 pub fn rate_by_mem_util(dataset: &FailureDataset, kind: MachineKind) -> AttributeCurve {
-    weekly_rate_by(dataset, "mem util %", &util_bins(), kind, |m, w| {
-        dataset
-            .telemetry()
-            .usage_in_week(m.id(), w)
-            .map(|u| u.mem_pct as f64)
-    })
+    panel_curve(dataset, kind, Source::Weekly(Usage::Mem)).curve
 }
 
 /// Fig. 8(c): weekly VM failure rate vs disk-space utilization.
 pub fn rate_by_disk_util(dataset: &FailureDataset) -> AttributeCurve {
-    weekly_rate_by(
-        dataset,
-        "disk util %",
-        &util_bins(),
-        MachineKind::Vm,
-        |m, w| {
-            dataset
-                .telemetry()
-                .usage_in_week(m.id(), w)
-                .map(|u| u.disk_pct as f64)
-        },
-    )
+    panel_curve(dataset, MachineKind::Vm, Source::Weekly(Usage::Disk)).curve
 }
 
 /// Fig. 8(d): weekly VM failure rate vs network volume (Kbps, power-of-two
 /// bins over the paper's 2 Kbps – 8 Mbps range).
 pub fn rate_by_network(dataset: &FailureDataset) -> AttributeCurve {
-    let bins = net_bins();
-    weekly_rate_by(dataset, "net kbps", &bins, MachineKind::Vm, |m, w| {
-        dataset
-            .telemetry()
-            .usage_in_week(m.id(), w)
-            .map(|u| u.net_kbps as f64)
-    })
+    panel_curve(dataset, MachineKind::Vm, Source::Weekly(Usage::Net)).curve
 }
 
 #[cfg(test)]

@@ -13,10 +13,9 @@
 //! [`WhatIf::baseline_vm_rate`] vs actual-rate calibration check quantifies
 //! how well the bucket model explains the fleet in the first place.
 
-use crate::consolidation::rate_by_consolidation;
-use crate::curve::AttributeCurve;
-use crate::onoff::rate_by_onoff;
+use crate::panel::{observe_dataset, Constant, MachineAttrs, PanelCurve, Source};
 use dcfail_model::prelude::*;
+use dcfail_stats::merge::Mergeable;
 use serde::{Deserialize, Serialize};
 
 /// A policy intervention on the VM fleet.
@@ -64,88 +63,50 @@ impl WhatIfOutcome {
     }
 }
 
+impl Intervention {
+    /// The VM attribute the intervention acts on.
+    fn attribute(self) -> Constant {
+        match self {
+            Self::RaiseConsolidation { .. } => Constant::Consolidation,
+            Self::LimitPowerCycling { .. } => Constant::OnOff,
+            Self::ConsolidateDisks { .. } => Constant::Disks,
+        }
+    }
+
+    /// The attribute's value after the intervention.
+    fn apply(self, value: f64) -> f64 {
+        match self {
+            Self::RaiseConsolidation { min_level } => value.max(min_level),
+            Self::LimitPowerCycling { max_per_month } => value.min(max_per_month),
+            Self::ConsolidateDisks { max_disks } => value.min(f64::from(max_disks.max(1))),
+        }
+    }
+}
+
 /// A curve-based counterfactual model of the VM fleet.
 #[derive(Debug, Clone)]
 pub struct WhatIf<'a> {
     dataset: &'a FailureDataset,
-    consolidation: AttributeCurve,
-    onoff: AttributeCurve,
-    disks: AttributeCurve,
+    attrs: MachineAttrs<'a>,
+    /// The Fig. 7(d), Fig. 9 and Fig. 10 panels.
+    panels: Vec<PanelCurve>,
 }
 
 impl<'a> WhatIf<'a> {
     /// Measures the relevant curves from a dataset.
     pub fn from_dataset(dataset: &'a FailureDataset) -> Self {
+        let panels = observe_dataset(dataset, |p| {
+            p.kind == MachineKind::Vm
+                && matches!(
+                    p.source,
+                    Source::Constant(Constant::Disks | Constant::Consolidation | Constant::OnOff)
+                )
+        })
+        .finalize();
         Self {
-            consolidation: rate_by_consolidation(dataset),
-            onoff: rate_by_onoff(dataset),
-            disks: crate::capacity::rate_by_disk_count(dataset),
             dataset,
-        }
-    }
-
-    fn consolidation_bucket(level: f64) -> &'static str {
-        match level {
-            l if l < 1.5 => "1",
-            l if l < 3.0 => "2",
-            l if l < 6.0 => "4",
-            l if l < 12.0 => "8",
-            l if l < 24.0 => "16",
-            _ => "32",
-        }
-    }
-
-    fn onoff_bucket(rate: f64) -> &'static str {
-        match rate {
-            r if r < 1.0 => "0-1",
-            r if r < 2.0 => "1-2",
-            r if r < 4.0 => "2-4",
-            r if r < 8.0 => "4-8",
-            _ => "8+",
-        }
-    }
-
-    fn disk_bucket(disks: u32) -> String {
-        disks.clamp(1, 6).to_string()
-    }
-
-    /// The VM attribute relevant to `intervention`, before and after.
-    fn buckets_for(
-        &self,
-        machine: &Machine,
-        intervention: Intervention,
-    ) -> Option<(String, String)> {
-        let telemetry = self.dataset.telemetry();
-        match intervention {
-            Intervention::RaiseConsolidation { min_level } => {
-                let level = telemetry.mean_consolidation(machine.id())?;
-                let after = level.max(min_level);
-                Some((
-                    Self::consolidation_bucket(level).to_string(),
-                    Self::consolidation_bucket(after).to_string(),
-                ))
-            }
-            Intervention::LimitPowerCycling { max_per_month } => {
-                let rate = telemetry.onoff(machine.id())?.monthly_transition_rate()?;
-                let after = rate.min(max_per_month);
-                Some((
-                    Self::onoff_bucket(rate).to_string(),
-                    Self::onoff_bucket(after).to_string(),
-                ))
-            }
-            Intervention::ConsolidateDisks { max_disks } => {
-                let disks = machine.capacity().disks();
-                let after = disks.min(max_disks.max(1));
-                Some((Self::disk_bucket(disks), Self::disk_bucket(after)))
-            }
-        }
-    }
-
-    fn curve_for(&self, intervention: Intervention) -> &AttributeCurve {
-        match intervention {
-            Intervention::RaiseConsolidation { .. } => &self.consolidation,
-            Intervention::LimitPowerCycling { .. } => &self.onoff,
-            Intervention::ConsolidateDisks { .. } => &self.disks,
+            attrs: MachineAttrs::new(dataset.telemetry()),
+            panels,
         }
     }
 
@@ -159,25 +120,38 @@ impl<'a> WhatIf<'a> {
 
     /// Evaluates an intervention.
     pub fn predict(&self, intervention: Intervention) -> WhatIfOutcome {
-        let curve = self.curve_for(intervention);
+        let attribute = intervention.attribute();
+        let PanelCurve { panel, curve, .. } = self
+            .panels
+            .iter()
+            .find(|p| p.panel.source == Source::Constant(attribute))
+            .expect("from_dataset measures every intervention's panel");
+        // Buckets are the panel's bins; a value the bins reject is an
+        // unobserved bucket.
+        let bins = panel.bins();
+        let rate_of = |bin: usize| curve.mean_of(bins.label(bin));
         let mut baseline_sum = 0.0;
         let mut counterfactual_sum = 0.0;
         let mut n = 0usize;
         let mut moved = 0usize;
         for m in self.dataset.machines_of_kind(MachineKind::Vm) {
-            let Some((before, after)) = self.buckets_for(m, intervention) else {
+            let Some(value) = self.attrs.value(m, attribute) else {
                 continue;
             };
-            let Some(rate_before) = curve.mean_of(&before) else {
+            let Some(before) = bins.index_of(value) else {
                 continue;
             };
+            let Some(rate_before) = rate_of(before) else {
+                continue;
+            };
+            let after = bins.index_of(intervention.apply(value));
             // If the target bucket was never observed, fall back to the
             // machine's own bucket (no information → no predicted change).
-            let rate_after = curve.mean_of(&after).unwrap_or(rate_before);
+            let rate_after = after.and_then(rate_of).unwrap_or(rate_before);
             baseline_sum += rate_before;
             counterfactual_sum += rate_after;
             n += 1;
-            if before != after {
+            if after != Some(before) {
                 moved += 1;
             }
         }

@@ -216,11 +216,6 @@ impl Telemetry {
         self.usage.get(&machine).map(Vec::as_slice)
     }
 
-    /// Usage of a machine in a specific observation week.
-    pub fn usage_in_week(&self, machine: MachineId, week: usize) -> Option<WeeklyUsage> {
-        self.usage.get(&machine)?.get(week).copied()
-    }
-
     /// Mean usage of a machine over all recorded weeks.
     pub fn mean_usage(&self, machine: MachineId) -> Option<WeeklyUsage> {
         let weeks = self.usage.get(&machine)?;
@@ -492,8 +487,8 @@ mod tests {
 
         assert_eq!(t.num_usage_series(), 1);
         assert_eq!(t.num_onoff_logs(), 1);
-        assert_eq!(t.usage_in_week(m, 1).unwrap().cpu_pct, 30.0);
-        assert_eq!(t.usage_in_week(m, 2), None);
+        assert_eq!(t.usage(m).unwrap()[1].cpu_pct, 30.0);
+        assert_eq!(t.usage(m).unwrap().get(2), None);
         let mean = t.mean_usage(m).unwrap();
         assert!((mean.cpu_pct - 20.0).abs() < 1e-6);
         assert!((mean.net_kbps - 96.0).abs() < 1e-6);

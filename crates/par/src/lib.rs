@@ -220,9 +220,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests that run parallel work: the metrics window and
+    /// the thread override are process-global, so a concurrent test's
+    /// workers would land in another test's window.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn map_index_matches_sequential() {
+        let _serial = serial();
         let par = par_map_index(1000, |i| i * 3 + 1);
         let seq: Vec<usize> = (0..1000).map(|i| i * 3 + 1).collect();
         assert_eq!(par, seq);
@@ -230,6 +240,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
+        let _serial = serial();
         let empty: Vec<usize> = par_map_index(0, |i| i);
         assert!(empty.is_empty());
         assert_eq!(par_map_index(1, |i| i + 7), vec![7]);
@@ -240,6 +251,7 @@ mod tests {
 
     #[test]
     fn map_reduce_folds_in_index_order() {
+        let _serial = serial();
         let concat = par_map_reduce(
             200,
             |i| i.to_string(),
@@ -260,6 +272,7 @@ mod tests {
 
     #[test]
     fn metrics_window_sees_jobs_and_worker_utilization() {
+        let _serial = serial();
         let Some(handle) = dcfail_obs::ObsHandle::install() else {
             // Another test in this process holds the (exclusive) handle;
             // the instrumentation itself is covered wherever it won.

@@ -5,12 +5,12 @@
 //! and emits a CSV series for plotting.
 
 use crate::table::{fmt2, fmt_opt, fmt_pct, fmt_rate, TextTable};
-use dcfail_core::{
-    age, capacity, class_mix, consolidation, interfailure, onoff, rates, recurrence, repair,
-    spatial, usage, ClassSource,
-};
+use dcfail_core::curve::AttributeCurve;
+use dcfail_core::panel::{self, PanelCurve};
+use dcfail_core::{age, class_mix, interfailure, rates, recurrence, repair, spatial, ClassSource};
 use dcfail_model::prelude::*;
 use dcfail_stats::fit::Family;
+use dcfail_stats::merge::Mergeable;
 use std::fmt::Write as _;
 
 /// A rendered experiment report.
@@ -456,7 +456,7 @@ pub(crate) fn fig6_impl(dataset: &FailureDataset) -> Rendered {
     }
 }
 
-fn curve_table(curves: &[(&str, &dcfail_core::curve::AttributeCurve)]) -> String {
+fn curve_table(curves: &[(&str, &AttributeCurve)]) -> String {
     let mut out = String::new();
     for (label, curve) in curves {
         let mut t = TextTable::new(vec!["bucket", "mean", "p25", "p75", "mach-wks", "events"]);
@@ -480,7 +480,7 @@ fn curve_table(curves: &[(&str, &dcfail_core::curve::AttributeCurve)]) -> String
     out
 }
 
-fn curves_csv(curves: &[(&str, &dcfail_core::curve::AttributeCurve)]) -> String {
+fn curves_csv(curves: &[(&str, &AttributeCurve)]) -> String {
     let mut t = TextTable::new(vec!["panel", "bucket", "mean", "p25", "p75"]);
     for (label, curve) in curves {
         for p in &curve.points {
@@ -496,140 +496,100 @@ fn curves_csv(curves: &[(&str, &dcfail_core::curve::AttributeCurve)]) -> String 
     t.to_csv()
 }
 
+/// Renders figure `figure` from finalized panels (any set holding its
+/// panels): the curve tables, then the population shares of a share panel
+/// after `share_label`, then the paper reference.
+fn render_figure(
+    panels: &[PanelCurve],
+    figure: u8,
+    title: &str,
+    share_label: &str,
+    reference: &str,
+) -> Rendered {
+    let panels: Vec<&PanelCurve> = panels.iter().filter(|p| p.panel.figure == figure).collect();
+    let curves: Vec<(&str, &AttributeCurve)> =
+        panels.iter().map(|p| (p.panel.name, &p.curve)).collect();
+    let mut text = curve_table(&curves);
+    text.push_str(share_label);
+    for (label, share) in panels.iter().flat_map(|p| &p.shares) {
+        let _ = write!(text, "{label}: {:.1}%  ", 100.0 * share);
+    }
+    text.push_str(reference);
+    Rendered {
+        title: title.into(),
+        csv: Some(curves_csv(&curves)),
+        text,
+    }
+}
+
+/// The finalized `figure` panels of `dataset`.
+fn figure_panels(dataset: &FailureDataset, figure: u8) -> Vec<PanelCurve> {
+    panel::observe_dataset(dataset, |p| p.figure == figure).finalize()
+}
+
 /// Fig. 7: failure rate vs resource capacity (four panels).
 pub(crate) fn fig7_impl(dataset: &FailureDataset) -> Rendered {
-    let pm_cpu = capacity::rate_by_cpu(dataset, MachineKind::Pm);
-    let vm_cpu = capacity::rate_by_cpu(dataset, MachineKind::Vm);
-    let pm_mem = capacity::rate_by_memory(dataset, MachineKind::Pm);
-    let vm_mem = capacity::rate_by_memory(dataset, MachineKind::Vm);
-    let disk_gb = capacity::rate_by_disk_capacity(dataset);
-    let disk_n = capacity::rate_by_disk_count(dataset);
-    let curves = [
-        ("7a PM cpu", &pm_cpu),
-        ("7a VM cpu", &vm_cpu),
-        ("7b PM mem", &pm_mem),
-        ("7b VM mem", &vm_mem),
-        ("7c VM disk GB", &disk_gb),
-        ("7d VM disk count", &disk_n),
-    ];
-    let text = format!(
-        "{}paper reference: PM cpu peaks at 24 (5.5x) then drops at 32/64; \
+    render_figure(
+        &figure_panels(dataset, 7),
+        7,
+        "Fig. 7 — weekly failure rate vs resource capacity",
+        "",
+        "paper reference: PM cpu peaks at 24 (5.5x) then drops at 32/64; \
          VM cpu 2.5x; memory bathtub; disk count 10x, disk capacity flat >= 32 GB\n",
-        curve_table(&curves)
-    );
-    Rendered {
-        title: "Fig. 7 — weekly failure rate vs resource capacity".into(),
-        csv: Some(curves_csv(&curves)),
-        text,
-    }
+    )
 }
 
-/// The six Fig. 8 panel curves, in rendering order.
-#[derive(Debug, Clone)]
-pub struct Fig8Curves {
-    /// 8(a) PM CPU utilization.
-    pub pm_cpu: dcfail_core::curve::AttributeCurve,
-    /// 8(a) VM CPU utilization.
-    pub vm_cpu: dcfail_core::curve::AttributeCurve,
-    /// 8(b) PM memory utilization.
-    pub pm_mem: dcfail_core::curve::AttributeCurve,
-    /// 8(b) VM memory utilization.
-    pub vm_mem: dcfail_core::curve::AttributeCurve,
-    /// 8(c) VM disk utilization.
-    pub disk: dcfail_core::curve::AttributeCurve,
-    /// 8(d) VM network volume.
-    pub net: dcfail_core::curve::AttributeCurve,
-}
-
-/// Renders Fig. 8 from already-computed panel curves — the path a shard
-/// coordinator takes after merging per-shard curve counts.
-pub fn render_fig8(curves: &Fig8Curves) -> Rendered {
-    let curves = [
-        ("8a PM cpu util", &curves.pm_cpu),
-        ("8a VM cpu util", &curves.vm_cpu),
-        ("8b PM mem util", &curves.pm_mem),
-        ("8b VM mem util", &curves.vm_mem),
-        ("8c VM disk util", &curves.disk),
-        ("8d VM net kbps", &curves.net),
-    ];
-    let text = format!(
-        "{}paper reference: VM rate rises with cpu util, PM falls (0-30%); \
+/// Renders Fig. 8 from finalized panels (any set holding the Fig. 8 ones) —
+/// the path shard and stream runs take after counting the panels
+/// themselves.
+pub fn render_fig8(panels: &[PanelCurve]) -> Rendered {
+    render_figure(
+        panels,
+        8,
+        "Fig. 8 — weekly failure rate vs resource usage",
+        "",
+        "paper reference: VM rate rises with cpu util, PM falls (0-30%); \
          memory inverted bathtub (PM strongest); disk mild rise; network peaks at 64 Kbps\n",
-        curve_table(&curves)
-    );
-    Rendered {
-        title: "Fig. 8 — weekly failure rate vs resource usage".into(),
-        csv: Some(curves_csv(&curves)),
-        text,
-    }
+    )
 }
 
 /// Fig. 8: failure rate vs resource usage (four panels).
 pub(crate) fn fig8_impl(dataset: &FailureDataset) -> Rendered {
-    render_fig8(&Fig8Curves {
-        pm_cpu: usage::rate_by_cpu_util(dataset, MachineKind::Pm),
-        vm_cpu: usage::rate_by_cpu_util(dataset, MachineKind::Vm),
-        pm_mem: usage::rate_by_mem_util(dataset, MachineKind::Pm),
-        vm_mem: usage::rate_by_mem_util(dataset, MachineKind::Vm),
-        disk: usage::rate_by_disk_util(dataset),
-        net: usage::rate_by_network(dataset),
-    })
+    render_fig8(&figure_panels(dataset, 8))
 }
 
-/// Renders Fig. 9 from an already-computed curve and population shares.
-pub fn render_fig9(
-    curve: &dcfail_core::curve::AttributeCurve,
-    shares: &[(String, f64)],
-) -> Rendered {
-    let curves = [("9 consolidation", curve)];
-    let mut text = curve_table(&curves);
-    text.push_str("VM share per level: ");
-    for (label, share) in shares {
-        let _ = write!(text, "{label}: {:.1}%  ", 100.0 * share);
-    }
-    text.push_str(
+/// Renders Fig. 9 from finalized panels (any set holding the Fig. 9 one).
+pub fn render_fig9(panels: &[PanelCurve]) -> Rendered {
+    render_figure(
+        panels,
+        9,
+        "Fig. 9 — weekly failure rate vs VM consolidation",
+        "VM share per level: ",
         "\npaper reference: rate decreases significantly with consolidation; \
          population skews to levels 16-32\n",
-    );
-    Rendered {
-        title: "Fig. 9 — weekly failure rate vs VM consolidation".into(),
-        csv: Some(curves_csv(&curves)),
-        text,
-    }
+    )
 }
 
 /// Fig. 9: failure rate vs consolidation level.
 pub(crate) fn fig9_impl(dataset: &FailureDataset) -> Rendered {
-    let (curve, shares) = consolidation::fig9_parts(dataset);
-    render_fig9(&curve, &shares)
+    render_fig9(&figure_panels(dataset, 9))
 }
 
-/// Renders Fig. 10 from an already-computed curve and population shares.
-pub fn render_fig10(
-    curve: &dcfail_core::curve::AttributeCurve,
-    shares: &[(String, f64)],
-) -> Rendered {
-    let curves = [("10 on/off per month", curve)];
-    let mut text = curve_table(&curves);
-    text.push_str("VM share per bucket: ");
-    for (label, share) in shares {
-        let _ = write!(text, "{label}: {:.1}%  ", 100.0 * share);
-    }
-    text.push_str(
+/// Renders Fig. 10 from finalized panels (any set holding the Fig. 10 one).
+pub fn render_fig10(panels: &[PanelCurve]) -> Rendered {
+    render_figure(
+        panels,
+        10,
+        "Fig. 10 — weekly failure rate vs on/off frequency",
+        "VM share per bucket: ",
         "\npaper reference: rate rises from 0 to ~2 cycles/month, no clear trend beyond; \
          60% of VMs cycle at most once a month\n",
-    );
-    Rendered {
-        title: "Fig. 10 — weekly failure rate vs on/off frequency".into(),
-        csv: Some(curves_csv(&curves)),
-        text,
-    }
+    )
 }
 
 /// Fig. 10: failure rate vs on/off frequency.
 pub(crate) fn fig10_impl(dataset: &FailureDataset) -> Rendered {
-    let (curve, shares) = onoff::fig10_parts(dataset);
-    render_fig10(&curve, &shares)
+    render_fig10(&figure_panels(dataset, 10))
 }
 
 /// Convenience: the gamma/log-normal fit families a rendered fit line uses.

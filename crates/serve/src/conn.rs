@@ -41,6 +41,22 @@ impl Listener {
         let (stream, _peer) = self.inner.accept()?;
         Conn::adopt(stream)
     }
+
+    /// Takes every connection already waiting in the listen backlog without
+    /// blocking. The accepted sockets themselves stay blocking.
+    pub fn accept_pending(&self) -> Vec<Conn> {
+        let mut pending = Vec::new();
+        if self.inner.set_nonblocking(true).is_ok() {
+            while let Ok((stream, _peer)) = self.inner.accept() {
+                pending.extend(Conn::adopt(stream));
+            }
+            // Left non-blocking, the acceptor would spin on `accept`.
+            self.inner
+                .set_nonblocking(false)
+                .expect("listener returns to blocking mode");
+        }
+        pending
+    }
 }
 
 /// One accepted (or dialed) connection.
@@ -179,9 +195,9 @@ pub fn post_request(path: &str, body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-/// Dials and immediately hangs up — used to wake a blocked acceptor during
-/// shutdown. Errors are ignored: if the listener is already gone, the
-/// acceptor is not blocked.
+/// Dials and immediately hangs up — used to wake a blocked acceptor.
+/// Errors are ignored: if the listener is already gone, the acceptor is
+/// not blocked.
 pub fn poke(addr: SocketAddr) {
     let _ = TcpStream::connect(addr);
 }

@@ -51,6 +51,7 @@ pub mod router;
 pub mod state;
 
 pub use http::{Request, Response};
+use state::WorkerGate;
 pub use state::{AlertsState, AppState};
 
 use dcfail_obs::{MetricsReport, ObsHandle};
@@ -133,9 +134,17 @@ impl ServerHandle {
         self.state.gate.pause();
     }
 
-    /// Releases a held worker pool.
+    /// Releases a held worker pool once the acceptor has decided every
+    /// connection made before this call: requests sent while the pool was
+    /// held meet the held queue, however the threads happen to be
+    /// scheduled.
     pub fn release_workers(&self) {
-        self.state.gate.resume();
+        let gate = &self.state.gate;
+        gate.release_requested.store(true, Ordering::SeqCst);
+        // Wakes the acceptor if it is parked in accept(); the poke queues
+        // behind every earlier connection.
+        conn::poke(self.addr);
+        gate.wait_if_paused();
     }
 
     /// Builds and publishes the next snapshot (data version + 1) and hands
@@ -252,8 +261,9 @@ pub fn serve_toolkit(
     };
 
     let accept_stop = Arc::clone(&stop);
+    let accept_state = Arc::clone(&state);
     let acceptor = std::thread::spawn(move || {
-        accept_loop(&listener, &conn_tx, &accept_stop);
+        accept_loop(&listener, &conn_tx, &accept_stop, &accept_state.gate);
     });
 
     Ok(ServerHandle {
@@ -268,7 +278,12 @@ pub fn serve_toolkit(
 }
 
 /// Acceptor: take connections, enqueue them, shed load when full.
-fn accept_loop(listener: &conn::Listener, queue: &SyncSender<conn::Conn>, stop: &AtomicBool) {
+fn accept_loop(
+    listener: &conn::Listener,
+    queue: &SyncSender<conn::Conn>,
+    stop: &AtomicBool,
+    gate: &WorkerGate,
+) {
     loop {
         let Ok(accepted) = listener.accept() else {
             if stop.load(Ordering::SeqCst) {
@@ -285,20 +300,37 @@ fn accept_loop(listener: &conn::Listener, queue: &SyncSender<conn::Conn>, stop: 
             );
             break;
         }
-        match queue.try_send(accepted) {
-            Ok(()) => dcfail_obs::add("serve.accepted", 1),
-            Err(TrySendError::Full(shed)) => {
-                dcfail_obs::add("serve.backpressure_429", 1);
-                respond_inline(
-                    shed,
-                    &Response::error(
-                        429,
-                        "queue_full",
-                        "bounded request queue is full; retry later",
-                    ),
-                );
+        // A pending release first takes every connection made before it,
+        // so each meets the held queue; then the workers may drain it.
+        let releasing = gate.release_requested.swap(false, Ordering::SeqCst);
+        let pending = if releasing {
+            listener.accept_pending()
+        } else {
+            Vec::new()
+        };
+        let mut open = true;
+        for conn in std::iter::once(accepted).chain(pending) {
+            match queue.try_send(conn) {
+                Ok(()) => dcfail_obs::add("serve.accepted", 1),
+                Err(TrySendError::Full(shed)) => {
+                    dcfail_obs::add("serve.backpressure_429", 1);
+                    respond_inline(
+                        shed,
+                        &Response::error(
+                            429,
+                            "queue_full",
+                            "bounded request queue is full; retry later",
+                        ),
+                    );
+                }
+                Err(TrySendError::Disconnected(_)) => open = false,
             }
-            Err(TrySendError::Disconnected(_)) => break,
+        }
+        if releasing {
+            gate.resume();
+        }
+        if !open {
+            break;
         }
     }
     // Dropping `queue` here lets workers drain what was accepted, then exit.

@@ -12,6 +12,7 @@
 use dcfail_obs::ObsHandle;
 use dcfail_report::{RunConfig, Toolkit};
 use dcfail_stream::Alert;
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -38,6 +39,9 @@ pub struct AlertsState {
 #[derive(Debug, Default)]
 pub struct WorkerGate {
     paused: Mutex<bool>,
+    /// A release waiting for the acceptor to catch up (see
+    /// `ServerHandle::release_workers`).
+    pub(crate) release_requested: AtomicBool,
     cv: Condvar,
 }
 

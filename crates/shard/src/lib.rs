@@ -26,15 +26,18 @@
 //! 3. **Spatial incidents** — one global, telemetry-free sequential stream,
 //!    exactly as the monolithic `incidents::simulate` runs it.
 //! 4. **Pass 2: per-shard generation + analysis** — each shard regenerates
-//!    its telemetry, builds its slice of the hazard table, folds its
-//!    machines into the telemetry-curve accumulators (Figs. 8–10), then
-//!    drops the telemetry *before* walking per-machine incident streams.
+//!    its telemetry, builds its slice of the hazard table, walks the
+//!    per-machine incident streams, then bins its machine range into the
+//!    Fig. 8–10 panels with the batch runners' own driver
+//!    ([`observe`](dcfail_core::panel::observe)), attributing the shard's
+//!    events, and drops the telemetry.
 //! 5. **Merge + assemble** — per-shard incident specs concatenate in shard
 //!    order (= machine order, matching the monolithic extend) and sort on
 //!    the canonical `(time, first machine)` key; ticket/event assembly then
 //!    walks the spec list with sequential streams, byte-identical to the
 //!    monolithic dataset. The merged dataset carries **no telemetry** —
-//!    telemetry-dependent figures come from the merged accumulators instead.
+//!    Figs. 8–10 render from the merged
+//!    [`PanelCounts`](dcfail_core::panel::PanelCounts) instead.
 //!
 //! Shards fan out across threads via `dcfail-par`; results merge in shard
 //! index order, so output is independent of the schedule. Peak residency is
@@ -53,15 +56,13 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-mod accum;
 pub mod plan;
 pub mod resume;
 
-pub use accum::ShardedCurves;
 pub use plan::shard_ranges;
 pub use resume::{config_digest, resume_sharded};
 
-use accum::CurveAccums;
+use dcfail_core::panel::{self, Panel, PanelCounts, PanelCurve};
 use dcfail_model::prelude::*;
 use dcfail_report::experiments::{self, ExperimentId, RunConfig};
 use dcfail_report::runners::{render_fig10, render_fig8, render_fig9, Rendered};
@@ -75,17 +76,17 @@ use dcfail_synth::{population, scenario, telemetry_gen, ScenarioConfig};
 pub(crate) struct ShardYield {
     /// Individual incident specs of the shard's machines, in machine order.
     pub(crate) specs: Vec<IncidentSpec>,
-    /// The shard's telemetry-curve counts (Figs. 8–10).
-    pub(crate) curves: CurveAccums,
+    /// The shard's Fig. 8–10 panel counts.
+    pub(crate) panels: PanelCounts,
 }
 
 /// The merged result of a sharded build: the (telemetry-free) dataset plus
-/// the merged telemetry-curve statistics.
+/// the merged Fig. 8–10 panels.
 pub struct ShardedOutput {
     config: ScenarioConfig,
     num_shards: usize,
     dataset: FailureDataset,
-    curves: ShardedCurves,
+    panels: Vec<PanelCurve>,
 }
 
 /// Generates the scenario shard-by-shard and merges the results.
@@ -94,7 +95,7 @@ pub struct ShardedOutput {
 /// `Scenario::from_config(config).build().into_dataset()` in machines,
 /// topology, incidents, events and tickets — but carries an empty telemetry
 /// store. Reports that need telemetry (Figs. 8–10) are served from the
-/// merged accumulators via [`ShardedOutput::report`].
+/// merged panel counts via [`ShardedOutput::report`].
 ///
 /// # Panics
 ///
@@ -173,8 +174,9 @@ pub(crate) fn norms_shard(
 }
 
 /// Pass-2 worker: regenerates one shard's telemetry, builds its hazard
-/// slice and curve counts, drops the telemetry, then walks the per-machine
-/// incident streams. Shared by [`build_sharded`] and
+/// slice, walks the per-machine incident streams, then bins its machines
+/// into the Fig. 8–10 panels with the batch runners' driver, attributing the
+/// shard's events. Shared by [`build_sharded`] and
 /// [`resume::resume_sharded`].
 pub(crate) fn pass2_shard(
     config: &ScenarioConfig,
@@ -190,14 +192,6 @@ pub(crate) fn pass2_shard(
     let machines = &pop.machines[range.clone()];
     let telemetry = telemetry_gen::generate_range(config, pop, range.clone(), rng);
     let hazard = HazardModel::for_range(config, pop, &telemetry, range.clone(), norms);
-    let mut curves = CurveAccums::new(weeks);
-    let assigns: Vec<_> = machines
-        .iter()
-        .map(|m| curves.observe(m, &telemetry))
-        .collect();
-    // The dominant O(shard) term dies here; the incident walk below
-    // needs only the hazard slice and the spatial hit-days.
-    drop(telemetry);
     // dlint::allow(D05): StreamRng is immutable; individual_incidents_for forks per machine id
     let per_machine = dcfail_par::par_map(machines, |local, m| {
         incidents::individual_incidents_for(
@@ -209,22 +203,21 @@ pub(crate) fn pass2_shard(
             rng,
         )
     });
-    let count_spec = |curves: &mut CurveAccums, spec: &IncidentSpec| {
-        let Some(week) = config.horizon.week_of(spec.at) else {
-            return;
-        };
-        for mid in &spec.machines {
-            if range.contains(&mid.index()) {
-                curves.count_event(&assigns[mid.index() - range.start], week);
-            }
-        }
-    };
-    for spec in per_machine.iter().flatten().chain(spatial_specs) {
-        count_spec(&mut curves, spec);
-    }
+    // Spatial specs name machines of every shard; the driver ignores the
+    // ones outside this range.
+    let events = per_machine
+        .iter()
+        .flatten()
+        .chain(spatial_specs)
+        .filter_map(|spec| {
+            let week = config.horizon.week_of(spec.at)?;
+            Some(spec.machines.iter().map(move |&machine| (machine, week)))
+        })
+        .flatten();
+    let panels = panel::observe(Panel::reads_telemetry, machines, &telemetry, weeks, events);
     ShardYield {
         specs: per_machine.into_iter().flatten().collect(),
-        curves,
+        panels,
     }
 }
 
@@ -242,10 +235,10 @@ pub(crate) fn merge_and_assemble(
     // reproduces the monolithic pre-sort spec sequence, and the stable sort
     // lands every spec in the exact monolithic position.
     let mut specs = spatial_specs;
-    let mut curves = CurveAccums::identity();
+    let mut panels = PanelCounts::identity();
     for y in yields {
         specs.extend(y.specs);
-        curves.absorb(&y.curves);
+        panels.absorb(&y.panels);
     }
     specs.sort_by_key(|i| (i.at, i.machines[0]));
 
@@ -266,7 +259,7 @@ pub(crate) fn merge_and_assemble(
         config: config.clone(),
         num_shards,
         dataset,
-        curves: curves.finalize(),
+        panels: panels.finalize(),
     }
 }
 
@@ -286,14 +279,9 @@ impl ShardedOutput {
         self.num_shards
     }
 
-    /// The merged telemetry-curve statistics (Figs. 8–10).
-    pub fn curves(&self) -> &ShardedCurves {
-        &self.curves
-    }
-
     /// Runs one experiment against the sharded results.
     ///
-    /// Figures 8–10 render from the merged accumulators; every other
+    /// Figures 8–10 render from the merged panel counts; every other
     /// experiment delegates to
     /// [`report::run`](dcfail_report::experiments::run) on the merged
     /// dataset. Output is byte-identical to the monolithic path for every
@@ -311,11 +299,9 @@ impl ShardedOutput {
                     .metrics
                     .then(|| dcfail_obs::span_labeled("report", id.key()));
                 match id {
-                    ExperimentId::Fig8 => render_fig8(&self.curves.fig8),
-                    ExperimentId::Fig9 => {
-                        render_fig9(&self.curves.fig9_curve, &self.curves.fig9_shares)
-                    }
-                    _ => render_fig10(&self.curves.fig10_curve, &self.curves.fig10_shares),
+                    ExperimentId::Fig8 => render_fig8(&self.panels),
+                    ExperimentId::Fig9 => render_fig9(&self.panels),
+                    _ => render_fig10(&self.panels),
                 }
             }
             ExperimentId::Whatif => {

@@ -1,7 +1,7 @@
 //! Crash-safe, resumable variant of [`crate::build_sharded`].
 //!
 //! [`resume_sharded`] runs the same five-stage pipeline, but persists each
-//! per-shard result (pass-1 [`NormAccum`], pass-2 incident specs + curve
+//! per-shard result (pass-1 [`NormAccum`], pass-2 incident specs + panel
 //! counts) as a checksummed segment through a
 //! [`dcfail_ckpt::CheckpointStore`] and, on restart, reloads every segment
 //! that validates instead of recomputing it. The population build, the
@@ -30,11 +30,11 @@
 //! so the I/O operation index is schedule-independent — which is what makes
 //! `repro crashtest`'s kill-at-op-K sweep reproducible at any thread count.
 
-use crate::accum::{CurveAccums, CurveState};
 use crate::{
     merge_and_assemble, norms_shard, pass2_shard, shard_ranges, ShardYield, ShardedOutput,
 };
 use dcfail_ckpt::{fnv64, CheckpointStore, CkptError};
+use dcfail_core::panel::PanelCounts;
 use dcfail_report::experiments::RunConfig;
 use dcfail_stats::merge::Mergeable;
 use dcfail_stats::rng::StreamRng;
@@ -44,11 +44,11 @@ use dcfail_synth::{population, ScenarioConfig};
 use serde::{Deserialize, Serialize};
 
 /// Payload of one pass-2 segment: the shard's incident specs plus its
-/// telemetry-curve counts.
+/// Fig. 8–10 panel counts.
 #[derive(Serialize, Deserialize)]
 struct Pass2Segment {
     specs: Vec<IncidentSpec>,
-    curves: CurveState,
+    panels: PanelCounts,
 }
 
 /// FNV-64 digest identifying a (configuration, pipeline-layout) pair.
@@ -161,7 +161,8 @@ pub fn resume_sharded(
         incidents::spatial_stage(config, &pop, &rng)
     };
 
-    // Pass 2 — per-shard specs + curves, same load-else-recompute shape.
+    // Pass 2 — per-shard specs + panel counts, same load-else-recompute
+    // shape.
     let yields = {
         let _s = dcfail_obs::span("shard.fanout");
         let mut yields: Vec<Option<ShardYield>> = Vec::with_capacity(ranges.len());
@@ -172,7 +173,7 @@ pub fn resume_sharded(
                 .and_then(|bytes| decode_payload::<Pass2Segment>(&name, &bytes))
                 .map(|seg| ShardYield {
                     specs: seg.specs,
-                    curves: CurveAccums::from_state(seg.curves),
+                    panels: seg.panels,
                 });
             yields.push(loaded);
         }
@@ -192,14 +193,14 @@ pub fn resume_sharded(
         for (&s, shard_yield) in missing.iter().zip(computed) {
             let segment = Pass2Segment {
                 specs: shard_yield.specs,
-                curves: shard_yield.curves.to_state(),
+                panels: shard_yield.panels,
             };
             let payload = serde_json::to_string(&segment)
                 .expect("Pass2Segment is a closed tree of serializable fields");
             store.write_segment(&mut manifest, &segment_name("pass2", s), payload.as_bytes())?;
             yields[s] = Some(ShardYield {
                 specs: segment.specs,
-                curves: CurveAccums::from_state(segment.curves),
+                panels: segment.panels,
             });
         }
         yields.into_iter().flatten().collect()
@@ -230,5 +231,73 @@ impl ShardedOutput {
             }
         }
         hash
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcfail_ckpt::{decode_segment, MemFs};
+    use dcfail_stats::merge::CountMatrix;
+    use dcfail_synth::Scenario;
+
+    /// A pass-2 payload in the shape earlier releases wrote: the shard's
+    /// specs plus per-figure curve counts under `curves`.
+    fn legacy_payload(specs: &[IncidentSpec], weeks: usize) -> String {
+        let matrix = serde_json::to_string(&CountMatrix::zeros(10, weeks)).unwrap();
+        let counts = |attribute: &str| {
+            format!(
+                r#"{{"attribute":"{attribute}","events":{matrix},"labels":[],"population":{matrix},"weeks":{weeks}}}"#
+            )
+        };
+        let shares = r#"{"counts":[0,0,0,0,0,0]}"#;
+        format!(
+            r#"{{"curves":{{"consolidation":{},"level_shares":{shares},"onoff":{},"onoff_shares":{shares},"pm_cpu":{},"pm_mem":{},"vm_cpu":{},"vm_disk":{},"vm_mem":{},"vm_net":{}}},"specs":{}}}"#,
+            counts("consolidation"),
+            counts("on/off per month"),
+            counts("cpu util %"),
+            counts("mem util %"),
+            counts("cpu util %"),
+            counts("disk util %"),
+            counts("mem util %"),
+            counts("net kbps"),
+            serde_json::to_string(specs).unwrap(),
+        )
+    }
+
+    #[test]
+    fn undecodable_pass2_payload_is_recomputed_not_ingested() {
+        let config = Scenario::paper().seed(42).scale(0.015).config().clone();
+        let run = RunConfig::default();
+        let mem = MemFs::new();
+        let store = CheckpointStore::new(Box::new(mem.clone()), "ckpt");
+        let golden = resume_sharded(&config, 2, &store)
+            .unwrap()
+            .paper_digest(&run);
+
+        // Swap shard 0's pass-2 payload for the legacy shape, published
+        // through the store so envelope, checksum and manifest all agree.
+        let name = segment_name("pass2", 0);
+        let path = format!("ckpt/{name}");
+        let current = mem.snapshot(&path).unwrap();
+        let segment: Pass2Segment =
+            decode_payload(&name, decode_segment(&current).unwrap()).unwrap();
+        let legacy = legacy_payload(&segment.specs, config.horizon.num_weeks());
+        assert!(decode_payload::<Pass2Segment>(&name, legacy.as_bytes()).is_none());
+        let mut manifest = store.open(config_digest(&config), 2).unwrap();
+        store
+            .write_segment(&mut manifest, &name, legacy.as_bytes())
+            .unwrap();
+        let loaded = store.load_segment(&mut manifest, &name).unwrap();
+        assert_eq!(loaded.as_deref(), Some(legacy.as_bytes()), "checksum holds");
+
+        let resumed = resume_sharded(&config, 2, &store).unwrap();
+        assert_eq!(resumed.paper_digest(&run), golden);
+        // The segment was recomputed and republished in the current shape.
+        let rewritten = mem.snapshot(&path).unwrap();
+        let payload = decode_segment(&rewritten).unwrap();
+        assert_ne!(payload, legacy.as_bytes());
+        assert!(decode_payload::<Pass2Segment>(&name, payload).is_some());
+        assert_eq!(rewritten, current);
     }
 }

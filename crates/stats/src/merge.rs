@@ -10,7 +10,7 @@
 //!
 //! Two families of accumulators live here:
 //!
-//! * **Exactly mergeable** — integer counters ([`Counter`], [`CountVec`],
+//! * **Exactly mergeable** — integer counters ([`Counter`],
 //!   [`CountMatrix`], [`FixedHistogram`]) and the error-free float
 //!   accumulator [`ExactSum`]. Their merged result equals the monolithic
 //!   result bit-for-bit.
@@ -165,67 +165,6 @@ impl Mergeable for Counter {
 
     fn finalize(self) -> u64 {
         self.0
-    }
-}
-
-/// A dense vector of counters (e.g. events per failure class).
-///
-/// The identity is the empty vector; the first non-empty absorb fixes the
-/// length, and subsequent absorbs must match it.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CountVec {
-    counts: Vec<u64>,
-}
-
-impl CountVec {
-    /// A zeroed vector of `len` counters.
-    pub fn zeros(len: usize) -> Self {
-        Self {
-            counts: vec![0; len],
-        }
-    }
-
-    /// Increments counter `i` by `by`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn add(&mut self, i: usize, by: u64) {
-        self.counts[i] += by;
-    }
-
-    /// The counter values.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-}
-
-impl Mergeable for CountVec {
-    type Output = Vec<u64>;
-
-    fn identity() -> Self {
-        Self::default()
-    }
-
-    fn absorb(&mut self, other: &Self) {
-        if other.counts.is_empty() {
-            return;
-        }
-        if self.counts.is_empty() {
-            self.counts = vec![0; other.counts.len()];
-        }
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "CountVec dimensions must match"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
-
-    fn finalize(self) -> Vec<u64> {
-        self.counts
     }
 }
 
@@ -645,14 +584,6 @@ mod tests {
         assert_eq!(whole.len(), 32);
     }
 
-    #[test]
-    #[should_panic(expected = "dimensions must match")]
-    fn mismatched_countvec_rejected() {
-        let mut a = CountVec::zeros(2);
-        let b = CountVec::zeros(3);
-        a.absorb(&b);
-    }
-
     // ---- Mergeable laws: associativity, commutativity, identity ----------
 
     /// Checks absorb associativity/commutativity and identity neutrality,
@@ -708,17 +639,6 @@ mod tests {
             prop::collection::vec(0.0f64..100.0, 0..20), 3..4))
         {
             law_check(&parts, |vals| Counter(vals.len() as u64), Clone::clone);
-        }
-
-        #[test]
-        fn count_vec_laws(parts in prop::collection::vec(
-            prop::collection::vec(0.0f64..8.0, 0..20), 3..4))
-        {
-            law_check(&parts, |vals| {
-                let mut c = CountVec::zeros(8);
-                for &v in vals { c.add(v as usize, 1); }
-                c
-            }, Clone::clone);
         }
 
         #[test]
@@ -792,15 +712,10 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_countvec_finalize() {
+    fn counter_and_count_matrix_finalize() {
         let mut c = Counter::identity();
         c.absorb(&Counter(3));
         assert_eq!(c.finalize(), 3);
-        let mut v = CountVec::identity();
-        let mut w = CountVec::zeros(2);
-        w.add(1, 5);
-        v.absorb(&w);
-        assert_eq!(v.finalize(), vec![0, 5]);
         let m = CountMatrix::zeros(2, 2);
         assert_eq!(m.finalize().get(1, 1), 0);
     }

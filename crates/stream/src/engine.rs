@@ -3,19 +3,21 @@
 //! [`StreamEngine`] consumes a boundedly-reordered feed of
 //! [`FeedPayload`]-shaped events and maintains the Fig. 8/9/10 estimators
 //! incrementally: a slack-bounded reorder buffer canonicalizes arrivals back
-//! into `(at, seq)` order, tumbling per-week windows absorb the ordered
-//! events, and each window flushes into the global mergeable curve counts
-//! when the watermark passes its end. Because arrivals are canonicalized
-//! *before* they touch any estimator, a streamed run is byte-identical to
-//! the batch run by construction — at any thread count and any legal
-//! reordering within the slack bound.
+//! into `(at, seq)` order, and each applied event goes straight into the
+//! shared panel counts through the batch driver's per-machine steps — an
+//! `Attrs` payload bins the machine's constants, a `Usage` payload bins one
+//! machine-week, a failure is attributed through the machine's bin row.
+//! Tumbling per-week windows only count failures for the burst detector and
+//! close when the watermark passes their end. Because arrivals are
+//! canonicalized *before* they touch any estimator, a streamed run is
+//! byte-identical to the batch run by construction — at any thread count and
+//! any legal reordering within the slack bound.
 
 use crate::detect::{Alert, BurstDetector, DetectorConfig};
-use crate::window::{PanelBins, WindowAccum, NUM_PANELS};
-use dcfail_core::curve::{share_from_counts, CurveCounts, NO_BIN};
-use dcfail_core::{consolidation, onoff, usage};
+use dcfail_core::panel::{Constant, Panel, PanelCounts, PanelCurve, Usage, NO_BIN};
 use dcfail_model::prelude::*;
-use dcfail_report::runners::{render_fig10, render_fig8, render_fig9, Fig8Curves, Rendered};
+use dcfail_report::experiments::{self, ExperimentId, RunConfig};
+use dcfail_report::runners::{render_fig10, render_fig8, render_fig9, Rendered};
 use dcfail_stats::merge::Mergeable;
 use dcfail_synth::feed::{FeedEvent, FeedPayload};
 use serde::Serialize;
@@ -100,26 +102,25 @@ pub struct StreamStats {
     pub peak_open_windows: usize,
 }
 
-/// Week-invariant attribute bins of one announced machine.
-#[derive(Debug, Clone, Copy)]
-struct MachineBins {
-    cons_bin: u16,
-    onoff_bin: u16,
+/// The bins of one machine seen in the feed, as bin rows of the engine's
+/// panel counts.
+#[derive(Debug, Clone)]
+struct MachineRows {
+    /// Whether an `Attrs` payload announced the machine.
+    announced: bool,
+    /// Bins of the constant (Fig. 9/10) panels, set on announcement.
+    constants: Vec<u8>,
+    /// The week `weekly` describes: the machine's latest usage rollup.
+    usage_week: Option<usize>,
+    /// Bins of the weekly (Fig. 8) panels in `usage_week`.
+    weekly: Vec<u8>,
 }
 
 /// The figures and telemetry produced by a completed streamed run.
 #[derive(Debug, Clone)]
 pub struct StreamOutput {
-    /// The six Fig. 8 panel curves.
-    pub fig8: Fig8Curves,
-    /// Fig. 9 rate curve.
-    pub fig9: dcfail_core::curve::AttributeCurve,
-    /// Fig. 9 population-share panel.
-    pub fig9_shares: Vec<(String, f64)>,
-    /// Fig. 10 rate curve.
-    pub fig10: dcfail_core::curve::AttributeCurve,
-    /// Fig. 10 population-share panel.
-    pub fig10_shares: Vec<(String, f64)>,
+    /// The finalized Fig. 8, 9 and 10 panels, in table order.
+    pub panels: Vec<PanelCurve>,
     /// Burst alerts in deterministic (window-close) order.
     pub alerts: Vec<Alert>,
     /// Ingest and window-lifecycle counters.
@@ -131,9 +132,9 @@ impl StreamOutput {
     /// pipeline uses, keyed like the experiment registry.
     pub fn rendered(&self) -> [(&'static str, Rendered); 3] {
         [
-            ("fig8", render_fig8(&self.fig8)),
-            ("fig9", render_fig9(&self.fig9, &self.fig9_shares)),
-            ("fig10", render_fig10(&self.fig10, &self.fig10_shares)),
+            ("fig8", render_fig8(&self.panels)),
+            ("fig9", render_fig9(&self.panels)),
+            ("fig10", render_fig10(&self.panels)),
         ]
     }
 
@@ -160,22 +161,19 @@ pub fn figure_digest(reports: &[(&'static str, Rendered)]) -> u64 {
 
 /// The batch pipeline's Fig. 8/9/10 renders for `dataset`, keyed like
 /// [`StreamOutput::rendered`] — the comparison target of the stream==batch
-/// determinism contract.
+/// determinism contract. Computed by the batch runners over the dataset,
+/// never through the engine.
 pub fn batch_rendered(dataset: &FailureDataset) -> [(&'static str, Rendered); 3] {
-    let fig8 = Fig8Curves {
-        pm_cpu: usage::rate_by_cpu_util(dataset, MachineKind::Pm),
-        vm_cpu: usage::rate_by_cpu_util(dataset, MachineKind::Vm),
-        pm_mem: usage::rate_by_mem_util(dataset, MachineKind::Pm),
-        vm_mem: usage::rate_by_mem_util(dataset, MachineKind::Vm),
-        disk: usage::rate_by_disk_util(dataset),
-        net: usage::rate_by_network(dataset),
+    let run = |id: ExperimentId| {
+        (
+            id.key(),
+            experiments::run(id, dataset, &RunConfig::default()),
+        )
     };
-    let (fig9, fig9_shares) = consolidation::fig9_parts(dataset);
-    let (fig10, fig10_shares) = onoff::fig10_parts(dataset);
     [
-        ("fig8", render_fig8(&fig8)),
-        ("fig9", render_fig9(&fig9, &fig9_shares)),
-        ("fig10", render_fig10(&fig10, &fig10_shares)),
+        run(ExperimentId::Fig8),
+        run(ExperimentId::Fig9),
+        run(ExperimentId::Fig10),
     ]
 }
 
@@ -188,9 +186,6 @@ pub fn batch_digest(dataset: &FailureDataset) -> u64 {
 pub struct StreamEngine {
     horizon: Horizon,
     config: StreamConfig,
-    panel_bins: PanelBins,
-    fig9_bins: dcfail_stats::binning::Bins,
-    fig10_bins: dcfail_stats::binning::Bins,
     /// Slack-bounded reorder buffer: arrivals wait here until the watermark
     /// proves their canonical slot, then replay in `(at, seq)` order.
     buffer: BTreeMap<(SimTime, u64), FeedPayload>,
@@ -198,13 +193,13 @@ pub struct StreamEngine {
     /// Exclusive watermark: every event strictly before it has been applied.
     applied_through: Option<SimTime>,
     next_close: usize,
-    open: BTreeMap<usize, WindowAccum>,
-    registry: BTreeMap<MachineId, MachineBins>,
-    fig8: [CurveCounts; NUM_PANELS],
-    fig9: CurveCounts,
-    fig9_per_bin: Vec<u64>,
-    fig10: CurveCounts,
-    fig10_per_bin: Vec<u64>,
+    /// Failure events per open tumbling window (week) — the detector's
+    /// input.
+    open: BTreeMap<usize, u64>,
+    /// Bin rows of every machine seen in the feed.
+    machines: BTreeMap<MachineId, MachineRows>,
+    /// The Fig. 8–10 panel counts.
+    counts: PanelCounts,
     detector: BurstDetector,
     alerts: Vec<Alert>,
     stats: StreamStats,
@@ -213,37 +208,17 @@ pub struct StreamEngine {
 impl StreamEngine {
     /// Fresh engine over `horizon`.
     pub fn new(horizon: Horizon, config: StreamConfig) -> Self {
-        let weeks = horizon.num_weeks();
-        let panel_bins = PanelBins::paper();
-        let fig9_bins = consolidation::level_bins();
-        let fig10_bins = onoff::onoff_bins();
-        // Panel order and attribute names mirror the batch Fig. 8 path.
-        let fig8 = [
-            CurveCounts::new("cpu util %", &panel_bins.util, weeks),
-            CurveCounts::new("cpu util %", &panel_bins.util, weeks),
-            CurveCounts::new("mem util %", &panel_bins.util, weeks),
-            CurveCounts::new("mem util %", &panel_bins.util, weeks),
-            CurveCounts::new("disk util %", &panel_bins.util, weeks),
-            CurveCounts::new("net kbps", &panel_bins.net, weeks),
-        ];
         Self {
-            fig9: CurveCounts::new("consolidation", &fig9_bins, weeks),
-            fig9_per_bin: vec![0; fig9_bins.len()],
-            fig10: CurveCounts::new("on/off per month", &fig10_bins, weeks),
-            fig10_per_bin: vec![0; fig10_bins.len()],
+            counts: PanelCounts::new(Panel::reads_telemetry, horizon.num_weeks()),
             detector: BurstDetector::new(config.detector),
             horizon,
             config,
-            panel_bins,
-            fig9_bins,
-            fig10_bins,
             buffer: BTreeMap::new(),
             max_seen: None,
             applied_through: None,
             next_close: 0,
             open: BTreeMap::new(),
-            registry: BTreeMap::new(),
-            fig8,
+            machines: BTreeMap::new(),
             alerts: Vec::new(),
             stats: StreamStats::default(),
         }
@@ -324,6 +299,22 @@ impl StreamEngine {
         self.horizon.start() + SimDuration::from_days(7 * (week as i64 + 1))
     }
 
+    /// The bin rows of `machine`, `width` slots each, created on first
+    /// sight. An associated function for the same disjoint-borrow reason as
+    /// [`Self::window`].
+    fn machine_in(
+        machines: &mut BTreeMap<MachineId, MachineRows>,
+        width: usize,
+        machine: MachineId,
+    ) -> &mut MachineRows {
+        machines.entry(machine).or_insert_with(|| MachineRows {
+            announced: false,
+            constants: vec![NO_BIN; width],
+            usage_week: None,
+            weekly: vec![NO_BIN; width],
+        })
+    }
+
     /// Applies one canonically-ordered event to the estimators.
     fn apply(&mut self, at: SimTime, payload: FeedPayload) {
         match payload {
@@ -333,34 +324,23 @@ impl StreamEngine {
                 consolidation,
                 onoff_rate,
             } => {
-                if self.registry.contains_key(&machine) {
+                let bins = Self::machine_in(&mut self.machines, self.counts.width(), machine);
+                if bins.announced {
                     self.stats.duplicate_attrs += 1;
                     return;
                 }
-                // Only VMs carry the Fig. 9/10 attributes; the constant
-                // observe path counts the machine into every week at once,
-                // exactly like the batch per-machine fast path.
-                let mut bins = MachineBins {
-                    cons_bin: NO_BIN,
-                    onoff_bin: NO_BIN,
-                };
-                if kind == MachineKind::Vm {
-                    if let Some(bin) = self
-                        .fig9
-                        .observe_machine_constant(&self.fig9_bins, consolidation)
-                    {
-                        bins.cons_bin = bin as u16;
-                        self.fig9_per_bin[bin] += 1;
-                    }
-                    if let Some(bin) = self
-                        .fig10
-                        .observe_machine_constant(&self.fig10_bins, onoff_rate)
-                    {
-                        bins.onoff_bin = bin as u16;
-                        self.fig10_per_bin[bin] += 1;
-                    }
-                }
-                self.registry.insert(machine, bins);
+                bins.announced = true;
+                // The constant step counts the machine into every week at
+                // once, exactly like the batch driver.
+                self.counts.observe_machine(
+                    kind,
+                    |constant| match constant {
+                        Constant::Consolidation => consolidation,
+                        Constant::OnOff => onoff_rate,
+                        _ => None,
+                    },
+                    &mut bins.constants,
+                );
                 self.stats.machines += 1;
             }
             FeedPayload::Usage {
@@ -376,102 +356,80 @@ impl StreamEngine {
                     self.stats.duplicate_usage += 1;
                     return;
                 }
-                let accum = Self::window(&mut self.open, &mut self.stats, &self.panel_bins, week);
-                if !accum.record_usage(machine, kind, [cpu, mem, disk, net], &self.panel_bins) {
+                Self::window(&mut self.open, &mut self.stats, week);
+                let bins = Self::machine_in(&mut self.machines, self.counts.width(), machine);
+                // Canonical order delivers a machine's weeks in order, so a
+                // week at or before its latest one is a repeat.
+                if bins.usage_week.is_some_and(|latest| latest >= week) {
                     self.stats.duplicate_usage += 1;
+                    return;
                 }
+                bins.usage_week = Some(week);
+                self.counts.observe_week(
+                    kind,
+                    week,
+                    |column| match column {
+                        Usage::Cpu => cpu,
+                        Usage::Mem => mem,
+                        Usage::Disk => disk,
+                        Usage::Net => net,
+                    },
+                    &mut bins.weekly,
+                );
             }
             FeedPayload::Failure { machine } => {
                 let Some(week) = self.horizon.week_of(at) else {
                     return;
                 };
                 debug_assert!(week >= self.next_close, "failure behind the close line");
-                Self::window(&mut self.open, &mut self.stats, &self.panel_bins, week)
-                    .record_failure(machine);
+                *Self::window(&mut self.open, &mut self.stats, week) += 1;
                 self.stats.failures += 1;
+                if let Some(bins) = self.machines.get(&machine) {
+                    self.counts.add_event(&bins.constants, week);
+                    if bins.usage_week == Some(week) {
+                        self.counts.add_event(&bins.weekly, week);
+                    }
+                }
             }
             FeedPayload::Ticket { machine: _ } => {
                 let Some(week) = self.horizon.week_of(at) else {
                     return;
                 };
-                Self::window(&mut self.open, &mut self.stats, &self.panel_bins, week)
-                    .record_ticket();
+                Self::window(&mut self.open, &mut self.stats, week);
                 self.stats.tickets += 1;
             }
         }
     }
 
-    /// The open accumulator for `week`, created on first touch. An
-    /// associated function over disjoint fields so callers can keep
-    /// borrowing `panel_bins` while holding the returned accumulator.
+    /// The failure count of the open window for `week`, opened on first
+    /// touch. An associated function over disjoint fields so callers can
+    /// keep borrowing the rest of the engine.
     fn window<'a>(
-        open: &'a mut BTreeMap<usize, WindowAccum>,
+        open: &'a mut BTreeMap<usize, u64>,
         stats: &mut StreamStats,
-        panel_bins: &PanelBins,
         week: usize,
-    ) -> &'a mut WindowAccum {
+    ) -> &'a mut u64 {
         if let std::collections::btree_map::Entry::Vacant(slot) = open.entry(week) {
             stats.windows_opened += 1;
             dcfail_obs::add("stream.windows_opened", 1);
-            slot.insert(WindowAccum::new(week, panel_bins));
+            slot.insert(0);
             stats.peak_open_windows = stats.peak_open_windows.max(open.len());
         }
         open.get_mut(&week).expect("window just ensured")
     }
 
-    /// Closes the next tumbling window in dense week order (synthesizing an
-    /// empty accumulator for eventless weeks, so the detector sees a dense
-    /// series): joins the window's failures against its usage bins and the
-    /// attribute registry, flushes one column per bin into the global curve
-    /// counts, and feeds the detector.
+    /// Closes the next tumbling window in dense week order (an eventless
+    /// week closes with zero failures, so the detector sees a dense series)
+    /// and feeds its failure count to the detector.
     fn close_next_window(&mut self) {
         let week = self.next_close;
         self.next_close += 1;
-        let accum = self
-            .open
-            .remove(&week)
-            .unwrap_or_else(|| WindowAccum::new(week, &self.panel_bins));
-
-        let mut panel_events: [Vec<u64>; NUM_PANELS] =
-            std::array::from_fn(|p| vec![0u64; self.panel_bins.len(p)]);
-        let mut fig9_events = vec![0u64; self.fig9_bins.len()];
-        let mut fig10_events = vec![0u64; self.fig10_bins.len()];
-        for (machine, &count) in accum.failures() {
-            if let Some(bins) = accum.bins_of().get(machine) {
-                for (p, &bin) in bins.iter().enumerate() {
-                    if bin != NO_BIN {
-                        panel_events[p][bin as usize] += count;
-                    }
-                }
-            }
-            if let Some(bins) = self.registry.get(machine) {
-                if bins.cons_bin != NO_BIN {
-                    fig9_events[bins.cons_bin as usize] += count;
-                }
-                if bins.onoff_bin != NO_BIN {
-                    fig10_events[bins.onoff_bin as usize] += count;
-                }
-            }
-        }
-        for (p, counts) in panel_events.iter().enumerate() {
-            let pop = accum.population(p);
-            for (bin, &event_count) in counts.iter().enumerate() {
-                self.fig8[p].add_window_column(bin, week, pop[bin], event_count);
-            }
-        }
-        for (bin, &event_count) in fig9_events.iter().enumerate() {
-            self.fig9.add_window_column(bin, week, 0, event_count);
-        }
-        for (bin, &event_count) in fig10_events.iter().enumerate() {
-            self.fig10.add_window_column(bin, week, 0, event_count);
-        }
-
+        let failures = self.open.remove(&week).unwrap_or(0);
         let end = self.window_end(week);
-        let window_stats = accum.finalize();
         self.stats.windows_closed += 1;
         dcfail_obs::add("stream.windows_closed", 1);
-        dcfail_obs::observe("stream.window_failures", window_stats.failures as f64);
-        if let Some(alert) = self.detector.observe(week, end, window_stats.failures) {
+        dcfail_obs::observe("stream.window_failures", failures as f64);
+        if let Some(alert) = self.detector.observe(week, end, failures) {
             dcfail_obs::add("stream.alerts", 1);
             self.alerts.push(alert);
         }
@@ -494,20 +452,8 @@ impl StreamEngine {
         while self.next_close < self.horizon.num_weeks() {
             self.close_next_window();
         }
-        let [pm_cpu, vm_cpu, pm_mem, vm_mem, disk, net] = self.fig8;
         StreamOutput {
-            fig8: Fig8Curves {
-                pm_cpu: pm_cpu.finalize(),
-                vm_cpu: vm_cpu.finalize(),
-                pm_mem: pm_mem.finalize(),
-                vm_mem: vm_mem.finalize(),
-                disk: disk.finalize(),
-                net: net.finalize(),
-            },
-            fig9: self.fig9.finalize(),
-            fig9_shares: share_from_counts(&self.fig9_bins, &self.fig9_per_bin),
-            fig10: self.fig10.finalize(),
-            fig10_shares: share_from_counts(&self.fig10_bins, &self.fig10_per_bin),
+            panels: self.counts.finalize(),
             alerts: self.alerts,
             stats: self.stats,
         }

@@ -2,9 +2,9 @@
 //!
 //! Streaming ingest for the failure-analysis pipeline: tickets and
 //! telemetry arrive as a time-ordered (or boundedly-reordered) event feed,
-//! and the Fig. 8/9/10 estimators update incrementally over per-week
-//! *tumbling* windows, with an online burst detector riding a *sliding*
-//! window of closed-window failure counts.
+//! and the Fig. 8/9/10 estimators update incrementally as each event is
+//! applied, with an online burst detector riding a *sliding* window of
+//! per-week (*tumbling*) failure counts.
 //!
 //! ## The determinism contract
 //!
@@ -15,14 +15,16 @@
 //! arrivals in a slack-bounded reorder buffer keyed by `(at, seq)` and only
 //! replays them once the watermark (newest arrival minus slack) proves
 //! their canonical slot, so every estimator sees events in exactly the
-//! order the batch pipeline iterates them. Windows are
-//! [`Mergeable`](dcfail_stats::merge::Mergeable) accumulators
-//! ([`window::WindowAccum`]) that absorb events while open and flush into
-//! the global [`dcfail_core::curve::CurveCounts`] columns on close.
+//! order the batch pipeline iterates them. The estimators are the batch
+//! runners' own: each replayed `Attrs` or `Usage` payload goes through the
+//! per-machine steps of [`dcfail_core::panel::PanelCounts`], and each
+//! failure is attributed through the machine's bin rows.
 //!
-//! Memory is O(open windows + announced machines): the reorder buffer holds
-//! at most a slack's worth of events, and closed windows release their
-//! state into the shared curve counts.
+//! Memory is O(machines seen + open weeks): the reorder buffer holds at
+//! most a slack's worth of events, each machine keeps one constant and one
+//! weekly bin row (its latest usage week — canonical order delivers a
+//! machine's weeks in order and every failure after its week's rollup), and
+//! an open week is one failure count.
 //!
 //! ```
 //! use dcfail_model::prelude::*;
@@ -51,7 +53,6 @@
 
 pub mod detect;
 pub mod engine;
-pub mod window;
 
 pub use dcfail_synth::feed::{FeedEvent, FeedPayload};
 pub use detect::{Alert, BurstDetector, DetectorConfig};
@@ -59,4 +60,3 @@ pub use engine::{
     batch_digest, batch_rendered, figure_digest, StreamConfig, StreamEngine, StreamError,
     StreamOutput, StreamStats,
 };
-pub use window::{PanelBins, WindowAccum, WindowStats};
