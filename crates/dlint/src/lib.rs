@@ -61,7 +61,7 @@ dcfail_findings::rule_catalog! {
     /// Serializes as the rule code (`"D01"` … `"D16"`). D01–D10 are the
     /// published catalog; D11/D12 police the escape hatches themselves;
     /// D13 guards the crash-safety boundary around checkpoint I/O; D14
-    /// guards the fleet-scale perf contract on telemetry scans; D15 guards
+    /// guards the fleet-scale perf contract on whole-input scans; D15 guards
     /// the O(slack) memory bound of the streaming ingest engine; D16
     /// confines raw socket I/O to the serve daemon's connection module.
     LintRule, domain = "dlint" {
@@ -104,10 +104,11 @@ dcfail_findings::rule_catalog! {
         /// Ambient filesystem writes dodge fault injection and crash testing.
         D13 = ("D13", Error,
             "no direct std::fs mutation (fs::write, File::create, OpenOptions, rename, remove, create_dir) in library crates; route writes through dcfail_ckpt::FaultFs");
-        /// Per-log telemetry scans are linear in the sample window; a loop
-        /// over them is the quadratic fleet-scale path all over again.
+        /// Per-log telemetry scans are linear in the sample window and
+        /// `score_week` in the event count; a loop over them is a quadratic
+        /// fleet-scale path all over again.
         D14 = ("D14", Error,
-            "no samples_15min/monthly_transition_rate calls inside loops in library code; hoist the scan or use the bulk Telemetry::monthly_transition_rates pass");
+            "no samples_15min/monthly_transition_rate/score_week calls inside loops in library code; hoist the scan, or use the bulk Telemetry::monthly_transition_rates pass or prediction::evaluate's sweep");
         /// A growable event backlog silently voids the O(slack) bound.
         D15 = ("D15", Error,
             "no growable buffering of feed events (Vec push of event-like values) in stream library code; park arrivals in the slack-bounded reorder buffer");

@@ -92,7 +92,9 @@ const ENV_ALLOWLIST: &[&str] = &["crates/par/src/lib.rs"];
 const F64_CRATES: &[&str] = &["core", "shard", "stats", "stream"];
 
 /// …except the TF-IDF/k-means feature-vector pipeline, which uses `f32`
-/// deliberately (memory-bound, order-insensitive distances).
+/// deliberately for memory-bound feature vectors. Its distance bits are
+/// order-sensitive, so the k-means kernels keep `sq_dist`'s add order per
+/// (point, centroid) pair; inertia and centroid sums accumulate in f64.
 const F32_ALLOWLIST: &[&str] = &["crates/stats/src/text.rs", "crates/stats/src/kmeans.rs"];
 
 /// Ambient time / randomness constructors (D03).
@@ -116,11 +118,20 @@ const FS_WRITE_TOKENS: &[&str] = &[
     "fs::create_dir_all",
 ];
 
-/// Per-log telemetry scans that cost O(window samples) per call (D14).
-/// Calling one per machine rebuilds the quadratic fleet × samples hot path
-/// the columnar report rewrite removed; the bulk
-/// `Telemetry::monthly_transition_rates` pass exists so nothing has to.
-const HOT_SCAN_TOKENS: &[&str] = &["samples_15min", "monthly_transition_rate"];
+/// Calls that scan a whole input per call (D14), each with its fix-it.
+/// The per-log telemetry scans cost O(window samples): calling one per
+/// machine rebuilds the quadratic fleet × samples hot path the columnar
+/// report rewrite removed, and the bulk `Telemetry::monthly_transition_rates`
+/// pass exists so nothing has to. `score_week` replays every event from
+/// t=0: calling it per week rebuilds the quadratic walk-forward that
+/// `prediction::evaluate`'s one sweep replaced.
+const HOT_SCAN_TOKENS: &[(&str, &str)] = &[
+    ("samples_15min", TELEMETRY_SCAN_HINT),
+    ("monthly_transition_rate", TELEMETRY_SCAN_HINT),
+    ("score_week", "rescans every event from t=0 per call; a per-week loop over it rebuilds the quadratic walk-forward — use evaluate's sweep"),
+];
+
+const TELEMETRY_SCAN_HINT: &str = "is O(window samples) per call; a loop over it rebuilds the quadratic telemetry path — hoist the scan or use the bulk Telemetry::monthly_transition_rates pass";
 
 /// Entry points whose closures must fork their RNG per item (D05).
 const PAR_ENTRY_POINTS: &[&str] = &["par_map_reduce", "par_map_index", "par_map"];
@@ -337,12 +348,13 @@ fn names_event(region: &str) -> bool {
     false
 }
 
-/// D14: an O(window) telemetry scan (`samples_15min`,
-/// `monthly_transition_rate`) called inside a `for`/`while`/`loop` body in
-/// library code. Per-machine loops over these scans are exactly the
-/// quadratic hot path the columnar report rewrite removed — hoist the call
-/// or use the bulk `monthly_transition_rates` pass (whose own loop is the
-/// one sanctioned, `dlint::allow`ed site).
+/// D14: a whole-input scan ([`HOT_SCAN_TOKENS`]: the O(window) telemetry
+/// scans `samples_15min` and `monthly_transition_rate`, and the O(events)
+/// `score_week`) called inside a `for`/`while`/`loop` body in library code.
+/// Loops over these scans are exactly the quadratic hot paths the columnar
+/// report rewrite and the predictor sweep removed — hoist the call, use the
+/// bulk `monthly_transition_rates` pass (whose own loop is the one
+/// sanctioned, `dlint::allow`ed site) or `evaluate`'s sweep.
 ///
 /// The walk is lexical: brace depth plus a stack of the depths at which a
 /// loop body opened. `for` counts as a loop header only when followed by an
@@ -355,7 +367,7 @@ fn lint_hot_loops(file: &ScannedFile, findings: &mut Vec<RawFinding>) {
         Close,
         Semi,
         LoopKw,
-        Hot(&'static str),
+        Hot(&'static str, &'static str),
     }
     let mut depth = 0usize;
     let mut loop_depths: Vec<usize> = Vec::new();
@@ -380,9 +392,9 @@ fn lint_hot_loops(file: &ScannedFile, findings: &mut Vec<RawFinding>) {
                 events.push((pos, Ev::LoopKw));
             }
         }
-        for tok in HOT_SCAN_TOKENS {
+        for &(tok, hint) in HOT_SCAN_TOKENS {
             for pos in token_positions(line, tok) {
-                events.push((pos, Ev::Hot(tok)));
+                events.push((pos, Ev::Hot(tok, hint)));
             }
         }
         // Cold path (one pass per source line) and positions are unique per
@@ -405,13 +417,13 @@ fn lint_hot_loops(file: &ScannedFile, findings: &mut Vec<RawFinding>) {
                 }
                 Ev::Semi => pending = false,
                 Ev::LoopKw => pending = true,
-                Ev::Hot(tok) => {
+                Ev::Hot(tok, hint) => {
                     if !loop_depths.is_empty() && !file.is_test_line(idx) {
                         findings.push(RawFinding::new(
                             LintRule::D14,
                             file,
                             idx,
-                            format!("{tok} is O(window samples) per call; a loop over it rebuilds the quadratic telemetry path — hoist the scan or use the bulk Telemetry::monthly_transition_rates pass"),
+                            format!("{tok} {hint}"),
                         ));
                     }
                 }

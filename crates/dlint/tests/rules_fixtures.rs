@@ -1,5 +1,5 @@
-//! Fixture-based rule tests: every token rule (D01–D10, D13–D16) has one minimal
-//! source file that fires it and one suppressed twin that does not.
+//! Fixture-based rule tests: every token rule (D01–D10, D13–D16) has at least
+//! one minimal source file that fires it and a suppressed twin that does not.
 //!
 //! The fixtures live under `tests/fixtures/` (excluded from the workspace
 //! walk) and are linted via [`dcfail_dlint::lint_source`] under a virtual
@@ -90,6 +90,12 @@ const CASES: &[Case] = &[
         suppressed: include_str!("fixtures/d14_suppressed.rs"),
     },
     Case {
+        rule: LintRule::D14,
+        virtual_path: "crates/core/src/fixture.rs",
+        fire: include_str!("fixtures/d14_walk_forward_fire.rs"),
+        suppressed: include_str!("fixtures/d14_walk_forward_suppressed.rs"),
+    },
+    Case {
         rule: LintRule::D15,
         virtual_path: "crates/stream/src/fixture.rs",
         fire: include_str!("fixtures/d15_fire.rs"),
@@ -146,6 +152,46 @@ fn suppressed_twin_is_silent() {
             r.render_text()
         );
     }
+}
+
+#[test]
+fn d14_names_the_fix_for_each_scan() {
+    let telemetry = lint_source(
+        "crates/core/src/fixture.rs",
+        include_str!("fixtures/d14_fire.rs"),
+    );
+    let d = telemetry
+        .report
+        .find(LintRule::D14)
+        .expect("finding present");
+    assert!(
+        d.message.contains("monthly_transition_rates"),
+        "{}",
+        d.message
+    );
+    let walk = lint_source(
+        "crates/core/src/fixture.rs",
+        include_str!("fixtures/d14_walk_forward_fire.rs"),
+    );
+    let d = walk.report.find(LintRule::D14).expect("finding present");
+    assert!(d.message.starts_with("score_week "), "{}", d.message);
+    assert!(d.message.contains("evaluate's sweep"), "{}", d.message);
+}
+
+#[test]
+fn d14_exempts_examples_benches_and_tests() {
+    let fire = include_str!("fixtures/d14_walk_forward_fire.rs");
+    for path in [
+        "examples/failure_prediction.rs",
+        "crates/bench/benches/analysis.rs",
+        "crates/core/tests/fixture.rs",
+    ] {
+        let r = lint_source(path, fire);
+        assert!(!r.report.has(LintRule::D14), "{path}:\n{}", r.render_text());
+    }
+    let in_cfg_test = format!("#[cfg(test)]\nmod oracle {{\n{fire}}}\n");
+    let r = lint_source("crates/core/src/fixture.rs", &in_cfg_test);
+    assert!(!r.report.has(LintRule::D14), "{}", r.render_text());
 }
 
 #[test]

@@ -45,7 +45,8 @@ impl KMeans {
     /// # Errors
     ///
     /// Returns [`StatsError::NotEnoughData`] if there are fewer points than
-    /// clusters, and [`StatsError::InvalidParameter`] if `k == 0`.
+    /// clusters, [`StatsError::InvalidParameter`] if `k == 0`, and
+    /// [`StatsError::DimensionMismatch`] if the points differ in dimension.
     pub fn fit(points: &[Vec<f32>], config: KMeansConfig, rng: &mut StreamRng) -> Result<Self> {
         if config.k == 0 {
             return Err(StatsError::InvalidParameter {
@@ -60,9 +61,18 @@ impl KMeans {
                 got: points.len(),
             });
         }
+        let dim = points[0].len();
+        if let Some(p) = points.iter().find(|p| p.len() != dim) {
+            return Err(StatsError::DimensionMismatch {
+                what: "k-means",
+                expected: dim,
+                got: p.len(),
+            });
+        }
+        let reps = Reps::of(points, dim);
         let mut best: Option<KMeans> = None;
         for _ in 0..config.restarts.max(1) {
-            let run = Self::fit_once(points, config, rng);
+            let run = Self::fit_once(points, &reps, config, rng);
             if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
                 best = Some(run);
             }
@@ -70,42 +80,28 @@ impl KMeans {
         Ok(best.expect("at least one restart ran"))
     }
 
-    fn fit_once(points: &[Vec<f32>], config: KMeansConfig, rng: &mut StreamRng) -> KMeans {
-        let mut centroids = kmeans_plus_plus(points, config.k, rng);
+    fn fit_once(
+        points: &[Vec<f32>],
+        reps: &Reps,
+        config: KMeansConfig,
+        rng: &mut StreamRng,
+    ) -> KMeans {
+        let mut centroids = kmeans_plus_plus(points, reps, config.k, rng);
         let mut assignments = vec![0usize; points.len()];
         let mut inertia = f64::INFINITY;
         let mut iterations = 0;
         for iter in 0..config.max_iter {
             iterations = iter + 1;
-            // Assignment step. Each point's nearest-centroid search is pure,
-            // so this parallelizes with bit-identical results; the inertia
-            // sum is folded in point order to keep float addition exact.
-            let nearest_per_point = dcfail_par::par_map(points, |_, p| nearest(&centroids, p));
+            // Assignment step: one lane-kernel search per distinct vector,
+            // scattered to every point. Each search is pure, so this
+            // parallelizes with bit-identical results; the inertia sum is
+            // folded in point order to keep float addition exact.
             let mut new_inertia = 0.0;
-            for (i, &(c, d2)) in nearest_per_point.iter().enumerate() {
+            for (i, (c, d2)) in reps.nearest(&centroids).into_iter().enumerate() {
                 assignments[i] = c;
                 new_inertia += d2 as f64;
             }
-            // Update step.
-            let dim = points[0].len();
-            let mut sums = vec![vec![0.0f64; dim]; config.k];
-            let mut counts = vec![0usize; config.k];
-            for (p, &a) in points.iter().zip(&assignments) {
-                counts[a] += 1;
-                for (s, &x) in sums[a].iter_mut().zip(p) {
-                    *s += x as f64;
-                }
-            }
-            for (c, (sum, &count)) in centroids.iter_mut().zip(sums.iter().zip(&counts)) {
-                if count > 0 {
-                    for (cc, &s) in c.iter_mut().zip(sum) {
-                        *cc = (s / count as f64) as f32;
-                    }
-                } else {
-                    // Re-seed an empty cluster at a random point.
-                    c.clone_from(&points[rng.below(points.len())]);
-                }
-            }
+            update_centroids(points, &assignments, &mut centroids, rng);
             let improved = inertia.is_infinite()
                 || (inertia - new_inertia) > config.tol * inertia.abs().max(1.0);
             inertia = new_inertia;
@@ -152,6 +148,35 @@ impl KMeans {
     }
 }
 
+/// Update step: each centroid moves to its members' mean, summed in f64 in
+/// point order; an empty cluster is re-seeded at a random point.
+fn update_centroids(
+    points: &[Vec<f32>],
+    assignments: &[usize],
+    centroids: &mut [Vec<f32>],
+    rng: &mut StreamRng,
+) {
+    let dim = points[0].len();
+    let mut sums = vec![vec![0.0f64; dim]; centroids.len()];
+    let mut counts = vec![0usize; centroids.len()];
+    for (p, &a) in points.iter().zip(assignments) {
+        counts[a] += 1;
+        for (s, &x) in sums[a].iter_mut().zip(p) {
+            *s += x as f64;
+        }
+    }
+    for (c, (sum, &count)) in centroids.iter_mut().zip(sums.iter().zip(&counts)) {
+        if count > 0 {
+            for (cc, &s) in c.iter_mut().zip(sum) {
+                *cc = (s / count as f64) as f32;
+            }
+        } else {
+            // Re-seed an empty cluster at a random point.
+            c.clone_from(&points[rng.below(points.len())]);
+        }
+    }
+}
+
 fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
 }
@@ -167,13 +192,115 @@ fn nearest(centroids: &[Vec<f32>], p: &[f32]) -> (usize, f32) {
     best
 }
 
+/// Vectors per block of the lane kernel: one independent f32 add chain per
+/// lane, so a distance search is bound by add throughput, not latency.
+const LANES: usize = 16;
+
+/// A fit's points, prepared once for every restart: each distinct bit
+/// pattern once, laid out for the lane kernel. A point's distances are a
+/// pure function of its bits, so the assignment step and the k-means++ D²
+/// update measure each representative once and scatter the result.
+struct Reps {
+    /// Per point: the index of its bit pattern among the representatives.
+    rep_of: Vec<usize>,
+    dim: usize,
+    /// Blocks of [`LANES`] representatives, the last one zero-padded.
+    blocks: usize,
+    /// Row `b * dim + d` holds dimension `d` of representatives
+    /// `b * LANES ..`: dimension-major, one lane per representative.
+    rows: Vec<[f32; LANES]>,
+}
+
+impl Reps {
+    fn of(points: &[Vec<f32>], dim: usize) -> Self {
+        let bits = |i: usize| points[i].iter().map(|x| x.to_bits());
+        let mut order: Vec<usize> = (0..points.len()).collect();
+        // Index breaks ties, so the key is total and each run of equal
+        // vectors starts at its first point.
+        order.sort_unstable_by(|&a, &b| bits(a).cmp(bits(b)).then(a.cmp(&b)));
+        let mut reps: Vec<&[f32]> = Vec::new();
+        let mut rep_of = vec![0; points.len()];
+        for (pos, &i) in order.iter().enumerate() {
+            if pos == 0 || bits(order[pos - 1]).ne(bits(i)) {
+                reps.push(&points[i]);
+            }
+            rep_of[i] = reps.len() - 1;
+        }
+        let blocks = reps.len().div_ceil(LANES);
+        let mut rows = vec![[0.0; LANES]; blocks * dim];
+        for (r, rep) in reps.iter().enumerate() {
+            for (row, &x) in rows[r / LANES * dim..][..dim].iter_mut().zip(*rep) {
+                row[r % LANES] = x;
+            }
+        }
+        Reps {
+            rep_of,
+            dim,
+            blocks,
+            rows,
+        }
+    }
+
+    /// Every point's [`nearest`] centroid and squared distance.
+    fn nearest(&self, centroids: &[Vec<f32>]) -> Vec<(usize, f32)> {
+        let per_block =
+            dcfail_par::par_map_index(self.blocks, |b| self.nearest_in_block(b, centroids));
+        let per_rep: Vec<(usize, f32)> = per_block.into_iter().flatten().collect();
+        self.rep_of.iter().map(|&r| per_rep[r]).collect()
+    }
+
+    /// Every point's squared distance to `c`.
+    fn sq_dists(&self, c: &[f32]) -> Vec<f32> {
+        let per_rep: Vec<f32> = (0..self.blocks)
+            .flat_map(|b| self.block_sq_dists(b, c))
+            .collect();
+        self.rep_of.iter().map(|&r| per_rep[r]).collect()
+    }
+
+    /// `sq_dist` of each of block `b`'s representatives to `q`, bit for
+    /// bit: each lane adds the same terms in the same dimension order from
+    /// the same start (`-0.0`, the f32 `Sum` identity), and `(x - q)²`
+    /// equals `(q - x)²` exactly. Padding lanes measure the zero vector;
+    /// callers drop them.
+    fn block_sq_dists(&self, b: usize, q: &[f32]) -> [f32; LANES] {
+        let mut sums = [-0.0f32; LANES];
+        for (row, &y) in self.rows[b * self.dim..][..self.dim].iter().zip(q) {
+            for (s, &x) in sums.iter_mut().zip(row) {
+                let d = x - y;
+                *s += d * d;
+            }
+        }
+        sums
+    }
+
+    /// [`nearest`] for each of block `b`'s representatives: centroids are
+    /// scanned in order with a strict `<`, so ties go to the lowest index.
+    fn nearest_in_block(&self, b: usize, centroids: &[Vec<f32>]) -> [(usize, f32); LANES] {
+        let mut best = [(0usize, f32::INFINITY); LANES];
+        for (c, centroid) in centroids.iter().enumerate() {
+            for (slot, d) in best.iter_mut().zip(self.block_sq_dists(b, centroid)) {
+                if d < slot.1 {
+                    *slot = (c, d);
+                }
+            }
+        }
+        best
+    }
+}
+
 /// K-means++ seeding: first centroid uniform, subsequent ones D²-weighted.
-fn kmeans_plus_plus(points: &[Vec<f32>], k: usize, rng: &mut StreamRng) -> Vec<Vec<f32>> {
+fn kmeans_plus_plus(
+    points: &[Vec<f32>],
+    reps: &Reps,
+    k: usize,
+    rng: &mut StreamRng,
+) -> Vec<Vec<f32>> {
     let mut centroids = Vec::with_capacity(k);
     centroids.push(points[rng.below(points.len())].clone());
-    let mut d2: Vec<f64> = points
-        .iter()
-        .map(|p| sq_dist(p, &centroids[0]) as f64)
+    let mut d2: Vec<f64> = reps
+        .sq_dists(&centroids[0])
+        .into_iter()
+        .map(f64::from)
         .collect();
     while centroids.len() < k {
         let total: f64 = d2.iter().sum();
@@ -192,17 +319,238 @@ fn kmeans_plus_plus(points: &[Vec<f32>], k: usize, rng: &mut StreamRng) -> Vec<V
             }
             points[chosen].clone()
         };
-        for (d, p) in d2.iter_mut().zip(points) {
-            *d = d.min(sq_dist(p, &next) as f64);
+        for (d, nd) in d2.iter_mut().zip(reps.sq_dists(&next)) {
+            *d = d.min(nd as f64);
         }
         centroids.push(next);
     }
     centroids
 }
 
+/// The scalar fit, the oracle for the lane kernel and the distinct-vector
+/// scatter: one `nearest` per point per iteration.
+#[cfg(test)]
+mod oracle {
+    use super::{nearest, sq_dist, update_centroids, KMeans, KMeansConfig};
+    use crate::rng::StreamRng;
+
+    pub fn fit(points: &[Vec<f32>], config: KMeansConfig, rng: &mut StreamRng) -> KMeans {
+        let mut best: Option<KMeans> = None;
+        for _ in 0..config.restarts.max(1) {
+            let run = fit_once(points, config, rng);
+            if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
+                best = Some(run);
+            }
+        }
+        best.expect("at least one restart ran")
+    }
+
+    fn fit_once(points: &[Vec<f32>], config: KMeansConfig, rng: &mut StreamRng) -> KMeans {
+        let mut centroids = kmeans_plus_plus(points, config.k, rng);
+        let mut assignments = vec![0usize; points.len()];
+        let mut inertia = f64::INFINITY;
+        let mut iterations = 0;
+        for iter in 0..config.max_iter {
+            iterations = iter + 1;
+            let mut new_inertia = 0.0;
+            for (i, p) in points.iter().enumerate() {
+                let (c, d2) = nearest(&centroids, p);
+                assignments[i] = c;
+                new_inertia += d2 as f64;
+            }
+            update_centroids(points, &assignments, &mut centroids, rng);
+            let improved = inertia.is_infinite()
+                || (inertia - new_inertia) > config.tol * inertia.abs().max(1.0);
+            inertia = new_inertia;
+            if !improved {
+                break;
+            }
+        }
+        KMeans {
+            centroids,
+            assignments,
+            inertia,
+            iterations,
+        }
+    }
+
+    fn kmeans_plus_plus(points: &[Vec<f32>], k: usize, rng: &mut StreamRng) -> Vec<Vec<f32>> {
+        let mut centroids = Vec::with_capacity(k);
+        centroids.push(points[rng.below(points.len())].clone());
+        let mut d2: Vec<f64> = points
+            .iter()
+            .map(|p| sq_dist(p, &centroids[0]) as f64)
+            .collect();
+        while centroids.len() < k {
+            let total: f64 = d2.iter().sum();
+            let next = if total <= 0.0 {
+                points[rng.below(points.len())].clone()
+            } else {
+                let mut x = rng.uniform() * total;
+                let mut chosen = points.len() - 1;
+                for (i, &d) in d2.iter().enumerate() {
+                    x -= d;
+                    if x < 0.0 {
+                        chosen = i;
+                        break;
+                    }
+                }
+                points[chosen].clone()
+            };
+            for (d, p) in d2.iter_mut().zip(points) {
+                *d = d.min(sq_dist(p, &next) as f64);
+            }
+            centroids.push(next);
+        }
+        centroids
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A value from a small palette (exact ties, signed zeros) or a normal.
+    fn coordinate(rng: &mut StreamRng) -> f32 {
+        const PALETTE: [f32; 6] = [0.0, -0.0, 0.5, 1.0, -1.0, 0.1];
+        match rng.below(PALETTE.len() + 1) {
+            i if i < PALETTE.len() => PALETTE[i],
+            _ => rng.standard_normal() as f32,
+        }
+    }
+
+    fn vectors(n: usize, dim: usize, rng: &mut StreamRng) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|_| (0..dim).map(|_| coordinate(rng)).collect())
+            .collect()
+    }
+
+    /// Sparse TF-IDF-like vectors drawn from `templates` distinct ones, so
+    /// most points duplicate another.
+    fn templated(n: usize, templates: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
+        let mut rng = StreamRng::new(seed);
+        let distinct: Vec<Vec<f32>> = (0..templates)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| {
+                        if rng.below(4) == 0 {
+                            rng.uniform() as f32
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        (0..n)
+            .map(|_| distinct[rng.below(templates)].clone())
+            .collect()
+    }
+
+    /// Bit-level equality: `KMeans`' `PartialEq` would equate 0.0 and -0.0.
+    fn assert_same_fit(got: &KMeans, want: &KMeans) {
+        let bits = |km: &KMeans| -> Vec<Vec<u32>> {
+            km.centroids()
+                .iter()
+                .map(|c| c.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(got), bits(want));
+        assert_eq!(got.assignments(), want.assignments());
+        assert_eq!(got.inertia().to_bits(), want.inertia().to_bits());
+        assert_eq!(got.iterations(), want.iterations());
+    }
+
+    /// `fit` equals the scalar oracle on every point, RNG state included.
+    fn assert_fit_matches_oracle(points: &[Vec<f32>], config: KMeansConfig, seed: u64) {
+        let (mut rng, mut oracle_rng) = (StreamRng::new(seed), StreamRng::new(seed));
+        let got = KMeans::fit(points, config, &mut rng).unwrap();
+        assert_same_fit(&got, &oracle::fit(points, config, &mut oracle_rng));
+        assert_eq!(rng.uniform().to_bits(), oracle_rng.uniform().to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The lane kernel returns `nearest`'s index and distance bits for
+        /// every point, across the 16-lane block edge in both the point and
+        /// the centroid count, with tied centroids and repeated points.
+        fn lane_kernel_matches_scalar_nearest(
+            seed in 0u64..1_000_000,
+            k in 1usize..=40,
+            n in 1usize..=40,
+            dim in 0usize..=64,
+        ) {
+            let mut rng = StreamRng::new(seed);
+            let mut centroids = vectors(k, dim, &mut rng);
+            // Duplicate a few centroids: ties must go to the lowest index.
+            for _ in 0..k / 3 {
+                let (from, to) = (rng.below(k), rng.below(k));
+                centroids[to] = centroids[from].clone();
+            }
+            let mut points = vectors(n, dim, &mut rng);
+            points.extend(centroids.iter().take(3).cloned());
+            points.push(points[0].clone());
+            let reps = Reps::of(&points, dim);
+            let q = &centroids[0];
+            let per_point = reps.nearest(&centroids).into_iter().zip(reps.sq_dists(q));
+            for (p, ((gi, gd), gq)) in points.iter().zip(per_point) {
+                let (wi, wd) = nearest(&centroids, p);
+                prop_assert_eq!((gi, gd.to_bits()), (wi, wd.to_bits()));
+                prop_assert_eq!(gq.to_bits(), sq_dist(p, q).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn fit_matches_scalar_oracle_with_and_without_duplicates() {
+        let config = KMeansConfig::new(10);
+        // Mostly duplicates, as templated ticket text gives.
+        assert_fit_matches_oracle(&templated(400, 60, 48, 11), config, 1);
+        // No duplicates at all.
+        let mut rng = StreamRng::new(12);
+        assert_fit_matches_oracle(&vectors(300, 20, &mut rng), config, 2);
+        assert_fit_matches_oracle(&blobs(), KMeansConfig::new(3), 3);
+        // Coinciding points take the uniform-pick and empty-cluster reseeds.
+        assert_fit_matches_oracle(&vec![vec![1.0f32, 1.0]; 10], KMeansConfig::new(3), 4);
+    }
+
+    #[test]
+    fn reps_group_equal_bit_patterns() {
+        let pts = vec![
+            vec![1.0f32, 0.0],
+            vec![0.0, 1.0],
+            vec![1.0, 0.0],
+            vec![1.0, -0.0],
+            vec![0.0, 1.0],
+        ];
+        let reps = Reps::of(&pts, 2);
+        assert_eq!(reps.rep_of[0], reps.rep_of[2]);
+        assert_eq!(reps.rep_of[1], reps.rep_of[4]);
+        let mut distinct = reps.rep_of.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct, [0, 1, 2], "-0.0 and 0.0 differ in bits");
+        // The scattered distances are every point's own.
+        let q = [0.5f32, 0.25];
+        for (p, d) in pts.iter().zip(reps.sq_dists(&q)) {
+            assert_eq!(d.to_bits(), sq_dist(p, &q).to_bits());
+        }
+    }
+
+    #[test]
+    fn rejects_ragged_input() {
+        let pts = vec![vec![1.0f32, 0.0], vec![0.0, 1.0, 5.0]];
+        let mut rng = StreamRng::new(8);
+        assert_eq!(
+            KMeans::fit(&pts, KMeansConfig::new(2), &mut rng),
+            Err(StatsError::DimensionMismatch {
+                what: "k-means",
+                expected: 2,
+                got: 3,
+            })
+        );
+    }
 
     fn blobs() -> Vec<Vec<f32>> {
         // Three well-separated 2-D blobs, 30 points each.

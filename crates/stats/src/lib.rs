@@ -88,6 +88,15 @@ pub enum StatsError {
         /// What was being estimated.
         what: &'static str,
     },
+    /// Input vectors that must share one dimension did not.
+    DimensionMismatch {
+        /// What was being computed.
+        what: &'static str,
+        /// Dimension of the first vector.
+        expected: usize,
+        /// Dimension of the first vector that differs.
+        got: usize,
+    },
 }
 
 impl fmt::Display for StatsError {
@@ -104,6 +113,13 @@ impl fmt::Display for StatsError {
             }
             StatsError::NoConvergence { what } => {
                 write!(f, "{what} did not converge")
+            }
+            StatsError::DimensionMismatch {
+                what,
+                expected,
+                got,
+            } => {
+                write!(f, "{what} needs vectors of dimension {expected}, got {got}")
             }
         }
     }
@@ -141,6 +157,12 @@ mod tests {
         assert!(e.to_string().contains("out-of-support"));
         let e = StatsError::NoConvergence { what: "newton" };
         assert_eq!(e.to_string(), "newton did not converge");
+        let e = StatsError::DimensionMismatch {
+            what: "k-means",
+            expected: 2,
+            got: 3,
+        };
+        assert_eq!(e.to_string(), "k-means needs vectors of dimension 2, got 3");
     }
 
     #[test]
