@@ -19,6 +19,7 @@ use dcfail_model::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// How an ingest boundary treats defective input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -387,8 +388,9 @@ struct RecTicket {
     incident: Option<IncidentId>,
     opened: SimTime,
     closed: SimTime,
-    description: String,
-    resolution: String,
+    /// The source ticket's shared text, carried without copying.
+    description: Arc<str>,
+    resolution: Arc<str>,
     true_class: Option<FailureClass>,
     /// The window itself was repaired, so it is not a trustworthy source for
     /// restoring a disagreeing event.
@@ -506,17 +508,53 @@ fn recover_horizon(parts: &RawDatasetParts, report: &mut DegradationReport) -> H
     }
 }
 
+/// Raw machine id → recovered machine id.
+///
+/// A well-formed trace numbers its machines `0..machines.len()`, so the table
+/// is dense over that range. Raw ids at or above it — only non-dense or
+/// hostile input has them — go to a sorted map instead, so an outside `u32`
+/// never sizes an allocation.
+struct MachineRemap {
+    dense: Vec<Option<MachineId>>,
+    sparse: BTreeMap<u32, MachineId>,
+}
+
+impl MachineRemap {
+    fn new(num_machines: usize) -> Self {
+        Self {
+            dense: vec![None; num_machines],
+            sparse: BTreeMap::new(),
+        }
+    }
+
+    fn get(&self, raw: MachineId) -> Option<MachineId> {
+        match self.dense.get(raw.index()) {
+            Some(&slot) => slot,
+            None => self.sparse.get(&raw.raw()).copied(),
+        }
+    }
+
+    fn insert(&mut self, raw: MachineId, recovered: MachineId) {
+        match self.dense.get_mut(raw.index()) {
+            Some(slot) => *slot = Some(recovered),
+            None => {
+                self.sparse.insert(raw.raw(), recovered);
+            }
+        }
+    }
+}
+
 /// Re-densifies machine ids and repairs placements; returns the kept machines
 /// and the raw-id → new-id remap.
 fn recover_machines(
     parts: &RawDatasetParts,
     report: &mut DegradationReport,
-) -> (Vec<Machine>, BTreeMap<u32, MachineId>) {
+) -> (Vec<Machine>, MachineRemap) {
     let num_boxes = parts.topology.num_boxes();
     let mut out: Vec<Machine> = Vec::with_capacity(parts.machines.len());
-    let mut remap: BTreeMap<u32, MachineId> = BTreeMap::new();
+    let mut remap = MachineRemap::new(parts.machines.len());
     for m in &parts.machines {
-        if remap.contains_key(&m.id().raw()) {
+        if remap.get(m.id()).is_some() {
             report.record(RepairRule::MachineDuplicateDropped, 1);
             continue;
         }
@@ -553,7 +591,7 @@ fn recover_machines(
                 }
             }
         }
-        remap.insert(m.id().raw(), new_id);
+        remap.insert(m.id(), new_id);
         out.push(rec);
     }
     (out, remap)
@@ -565,7 +603,7 @@ fn recover_machines(
 fn rebuild_topology(
     parts: &RawDatasetParts,
     machines: &[Machine],
-    remap: &BTreeMap<u32, MachineId>,
+    remap: &MachineRemap,
     report: &mut DegradationReport,
 ) -> Topology {
     let present = parts.topology.subsystems().len();
@@ -607,7 +645,7 @@ fn rebuild_topology(
     let mut clustered: BTreeSet<MachineId> = BTreeSet::new();
     for cluster in parts.topology.app_cluster_ids() {
         for m in parts.topology.app_cluster_members(cluster) {
-            let Some(&mapped) = remap.get(&m.raw()) else {
+            let Some(mapped) = remap.get(*m) else {
                 continue;
             };
             let belongs = machines
@@ -632,13 +670,13 @@ fn rebuild_topology(
 /// windows. Returns working tickets plus original-position → new-index map.
 fn recover_tickets(
     parts: &RawDatasetParts,
-    remap: &BTreeMap<u32, MachineId>,
+    remap: &MachineRemap,
     report: &mut DegradationReport,
 ) -> (Vec<RecTicket>, Vec<Option<usize>>) {
     let mut out: Vec<RecTicket> = Vec::with_capacity(parts.tickets.len());
     let mut pos_map: Vec<Option<usize>> = vec![None; parts.tickets.len()];
     for (pos, t) in parts.tickets.iter().enumerate() {
-        let Some(&machine) = remap.get(&t.machine().raw()) else {
+        let Some(machine) = remap.get(t.machine()) else {
             report.record(RepairRule::TicketQuarantined, 1);
             continue;
         };
@@ -649,6 +687,7 @@ fn recover_tickets(
             report.record(RepairRule::TicketWindowClamped, 1);
         }
         pos_map[pos] = Some(out.len());
+        let (description, resolution) = t.text_handles();
         out.push(RecTicket {
             machine,
             kind: t.kind(),
@@ -656,8 +695,8 @@ fn recover_tickets(
             incident: None,
             opened,
             closed,
-            description: t.description().to_string(),
-            resolution: t.resolution().to_string(),
+            description: Arc::clone(description),
+            resolution: Arc::clone(resolution),
             true_class: t.true_class(),
             window_clamped: closed != t.closed_at(),
         });
@@ -671,7 +710,7 @@ fn recover_tickets(
 fn recover_events(
     parts: &RawDatasetParts,
     horizon: Horizon,
-    remap: &BTreeMap<u32, MachineId>,
+    remap: &MachineRemap,
     tickets: &mut Vec<RecTicket>,
     ticket_pos: &[Option<usize>],
     report: &mut DegradationReport,
@@ -681,7 +720,7 @@ fn recover_events(
     let mut owned: Vec<bool> = vec![false; tickets.len()];
     let last_instant = horizon.end() - MINUTE;
     for ev in &parts.events {
-        let Some(&machine) = remap.get(&ev.machine().raw()) else {
+        let Some(machine) = remap.get(ev.machine()) else {
             report.record(RepairRule::EventQuarantined, 1);
             continue;
         };
@@ -759,7 +798,7 @@ fn recover_events(
 /// rewrites event incident references onto the dense sequence.
 fn recover_incidents(
     parts: &RawDatasetParts,
-    remap: &BTreeMap<u32, MachineId>,
+    remap: &MachineRemap,
     events: &mut [RecEvent],
     report: &mut DegradationReport,
 ) -> Vec<(FailureClass, SimTime, Vec<MachineId>)> {
@@ -784,8 +823,8 @@ fn recover_incidents(
         let mut members: Vec<MachineId> = Vec::with_capacity(inc.machines().len());
         let mut pruned = 0usize;
         for m in inc.machines() {
-            match remap.get(&m.raw()) {
-                Some(&mapped) => members.push(mapped),
+            match remap.get(*m) {
+                Some(mapped) => members.push(mapped),
                 None => pruned += 1,
             }
         }
@@ -878,7 +917,7 @@ fn recover_telemetry(
     parts: &RawDatasetParts,
     horizon: Horizon,
     machines: &[Machine],
-    remap: &BTreeMap<u32, MachineId>,
+    remap: &MachineRemap,
     report: &mut DegradationReport,
 ) -> Telemetry {
     let mut out = Telemetry::new();
@@ -886,7 +925,7 @@ fn recover_telemetry(
     let num_weeks = horizon.num_weeks();
 
     for (machine, weeks) in parts.telemetry.usage_series() {
-        let Some(&mapped) = remap.get(&machine.raw()) else {
+        let Some(mapped) = remap.get(machine) else {
             report.record(RepairRule::TelemetryQuarantined, 1);
             continue;
         };
@@ -904,7 +943,7 @@ fn recover_telemetry(
     }
 
     for (machine, log) in parts.telemetry.onoff_logs() {
-        let Some(&mapped) = remap.get(&machine.raw()) else {
+        let Some(mapped) = remap.get(machine) else {
             report.record(RepairRule::TelemetryQuarantined, 1);
             continue;
         };
@@ -921,19 +960,15 @@ fn recover_telemetry(
             .collect();
         toggles.sort_unstable();
         toggles.dedup();
-        let changed = toggles.as_slice() != log.toggles();
-        // Query the state before any toggle to recover the stored initial
-        // flag without an accessor for it.
-        let initial = log.is_on_at(SimTime::from_minutes(i64::MIN / 4));
-        if changed {
+        if toggles.as_slice() != log.toggles() {
             report.record(RepairRule::OnOffSanitized, 1);
         }
-        out.set_onoff(mapped, OnOffLog::new(window, initial, toggles));
+        out.set_onoff(mapped, OnOffLog::new(window, log.initial_on(), toggles));
         report.telemetry_kept += 1;
     }
 
     for (machine, levels) in parts.telemetry.consolidation_series() {
-        let Some(&mapped) = remap.get(&machine.raw()) else {
+        let Some(mapped) = remap.get(machine) else {
             report.record(RepairRule::TelemetryQuarantined, 1);
             continue;
         };
@@ -955,4 +990,114 @@ fn recover_telemetry(
         report.telemetry_kept += 1;
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pm(id: u32) -> Machine {
+        Machine::new_pm(
+            MachineId::new(id),
+            SubsystemId::new(0),
+            PowerDomainId::new(0),
+            ResourceCapacity::default(),
+            None,
+        )
+    }
+
+    fn ticket(id: u32, machine: u32) -> Ticket {
+        Ticket::new(
+            TicketId::new(id),
+            MachineId::new(machine),
+            TicketKind::NonCrash,
+            None,
+            SimTime::from_days(3),
+            SimTime::from_days(4),
+            "disk space threshold warning".into(),
+            "cleaned old files".into(),
+            None,
+        )
+    }
+
+    /// Subsystem 0 with one box in power domain 0.
+    fn parts_with(machines: Vec<Machine>) -> RawDatasetParts {
+        let mut topology = Topology::new();
+        topology.add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
+        topology.add_box(HostBox::new(
+            BoxId::new(0),
+            SubsystemId::new(0),
+            PowerDomainId::new(0),
+            false,
+        ));
+        for m in &machines {
+            if let Some(home) = m.host() {
+                topology.place_vm(home, m.id());
+            }
+            topology.assign_power_domain(m.power_domain(), m.id());
+        }
+        RawDatasetParts {
+            horizon: Horizon::observation_year(),
+            machines,
+            topology,
+            ..RawDatasetParts::default()
+        }
+    }
+
+    #[test]
+    fn recovery_keeps_the_initial_power_state() {
+        let vm = Machine::new_vm(
+            MachineId::new(1),
+            SubsystemId::new(0),
+            PowerDomainId::new(0),
+            ResourceCapacity::default(),
+            None,
+            BoxId::new(0),
+        );
+        let mut parts = parts_with(vec![pm(0), vm]);
+        // The toggle falls before any fixed "earlier than every toggle"
+        // probe instant, so only the stored flag gives the initial state.
+        let window = Horizon::new(SimTime::from_minutes(i64::MIN / 2), SimTime::ZERO);
+        let log = OnOffLog::new(window, true, vec![window.start() + MINUTE * 15]);
+        parts.telemetry.set_onoff(MachineId::new(1), log.clone());
+
+        let recovered = recover_raw(&parts).unwrap();
+        let got = recovered.dataset.telemetry().onoff(MachineId::new(1));
+        assert!(got.unwrap().is_on_at(window.start()));
+        assert_eq!(got, Some(&log));
+        assert!(recovered.report.is_empty(), "{}", recovered.report);
+    }
+
+    #[test]
+    fn remap_is_dense_below_the_machine_count_and_sparse_above() {
+        let mut remap = MachineRemap::new(2);
+        remap.insert(MachineId::new(1), MachineId::new(0));
+        remap.insert(MachineId::new(u32::MAX), MachineId::new(1));
+        assert_eq!(remap.get(MachineId::new(1)), Some(MachineId::new(0)));
+        assert_eq!(remap.get(MachineId::new(u32::MAX)), Some(MachineId::new(1)));
+        assert_eq!(remap.get(MachineId::new(0)), None);
+        assert_eq!(remap.get(MachineId::new(7)), None);
+        assert_eq!((remap.dense.len(), remap.sparse.len()), (2, 1));
+    }
+
+    #[test]
+    fn out_of_range_ids_are_remapped_and_text_is_shared() {
+        let huge = 4_000_000_000;
+        let mut parts = parts_with(vec![pm(2), pm(2), pm(huge)]);
+        parts.tickets = vec![ticket(0, huge), ticket(1, 7), ticket(2, 2)];
+
+        let recovered = recover_raw(&parts).unwrap();
+        let report = &recovered.report;
+        assert_eq!(report.count(RepairRule::MachineDuplicateDropped), 1);
+        assert_eq!(report.count(RepairRule::MachineReindexed), 2);
+        assert_eq!(report.count(RepairRule::TicketQuarantined), 1);
+        let tickets = recovered.dataset.tickets();
+        assert_eq!(tickets.len(), 2);
+        assert_eq!(tickets[0].machine(), MachineId::new(1));
+        assert_eq!(tickets[1].machine(), MachineId::new(0));
+        // Recovery hands the source ticket's text on instead of copying it.
+        let (d, r) = tickets[0].text_handles();
+        let (src_d, src_r) = parts.tickets[0].text_handles();
+        assert!(Arc::ptr_eq(d, src_d) && Arc::ptr_eq(r, src_r));
+    }
 }

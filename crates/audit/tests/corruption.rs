@@ -501,8 +501,8 @@ fn degenerate_class_mix_is_flagged() {
             Some(IncidentId::new(i)),
             at,
             at + HOUR,
-            String::new(),
-            String::new(),
+            "".into(),
+            "".into(),
             Some(FailureClass::Software),
         ));
         b.add_event(FailureEvent::new(

@@ -771,12 +771,17 @@ const REQUIRED_STAGES: &[&str] = &[
     "placement",
     "telemetry",
     "incidents",
+    "hazard",
+    "spatial",
+    "individual",
     "assemble",
     "tickets",
+    "haystack",
     // audit + recovery
     "audit.dataset",
     "audit.recover",
     // chaos
+    "chaos.copy",
     "chaos.inject",
     // ticket classification
     "classify",

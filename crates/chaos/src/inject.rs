@@ -115,7 +115,10 @@ impl fmt::Display for InjectionLog {
 /// The output is a [`RawDatasetParts`] rather than a `FailureDataset` because
 /// the injected defects are, by design, states the validated type rejects.
 pub fn inject(dataset: &FailureDataset, plan: &InjectionPlan) -> (RawDatasetParts, InjectionLog) {
-    let mut parts = RawDatasetParts::from(dataset);
+    let mut parts = {
+        let _span = dcfail_obs::span("chaos.copy");
+        RawDatasetParts::from(dataset)
+    };
     let log = inject_raw(&mut parts, plan);
     (parts, log)
 }

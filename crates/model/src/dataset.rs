@@ -942,8 +942,8 @@ mod tests {
             Some(IncidentId::new(0)),
             SimTime::ZERO,
             SimTime::ZERO + SimDuration::from_hours(1),
-            String::new(),
-            String::new(),
+            "".into(),
+            "".into(),
             None,
         ));
         b.add_event(FailureEvent::new(

@@ -24,6 +24,7 @@ use crate::topology::{HostBox, SubsystemMeta, Topology};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Error produced while parsing trace CSV.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -221,6 +222,8 @@ fn assemble(
         let at = at.unwrap_or(horizon.start());
         builder.add_incident(Incident::new(IncidentId::new(i as u32), class, at, members));
     }
+    // An event log carries no ticket text: every ticket shares one empty string.
+    let no_text: Arc<str> = Arc::from("");
     for (i, row) in rows.iter().enumerate() {
         let ticket = TicketId::new(i as u32);
         let incident = IncidentId::new(incident_map[&row.incident]);
@@ -231,8 +234,8 @@ fn assemble(
             Some(incident),
             row.at,
             row.at + row.repair,
-            String::new(),
-            String::new(),
+            Arc::clone(&no_text),
+            Arc::clone(&no_text),
             Some(row.class),
         ));
         builder.add_event(FailureEvent::new(

@@ -86,6 +86,11 @@ impl OnOffLog {
         self.window
     }
 
+    /// Power state at the start of the window, before any toggle.
+    pub const fn initial_on(&self) -> bool {
+        self.initial_on
+    }
+
     /// Raw toggle instants.
     pub fn toggles(&self) -> &[SimTime] {
         &self.toggles
@@ -334,6 +339,15 @@ mod tests {
         assert_eq!(log.true_transitions(), 2);
         assert_eq!(log.window(), window());
         assert_eq!(log.toggles().len(), 2);
+        assert!(log.initial_on());
+    }
+
+    #[test]
+    fn initial_state_ignores_toggles_at_the_window_start() {
+        let w = window();
+        let log = OnOffLog::new(w, false, vec![w.start(), w.start() + MINUTE]);
+        assert!(!log.initial_on());
+        assert!(log.is_on_at(w.start()));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::ids::{IncidentId, MachineId, TicketId};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Whether a ticket records a server crash or routine non-crash work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -39,6 +40,11 @@ impl fmt::Display for TicketKind {
 }
 
 /// A problem ticket as stored in the ticketing database.
+///
+/// Description and resolution are shared, immutable text: cloning a ticket
+/// bumps two reference counts instead of copying the strings, and the
+/// synthesizer hands every ticket with the same templated text the same
+/// allocation. Serialized, each is the plain JSON string.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ticket {
     id: TicketId,
@@ -49,9 +55,9 @@ pub struct Ticket {
     opened_at: SimTime,
     closed_at: SimTime,
     /// Free-text problem description (user- or monitoring-generated).
-    description: String,
+    description: Arc<str>,
     /// Free-text resolution entered by the service support staff.
-    resolution: String,
+    resolution: Arc<str>,
     /// Ground-truth class (the simulator knows it; the paper's analysts had
     /// to recover it via manual labeling + k-means).
     true_class: Option<FailureClass>,
@@ -71,8 +77,8 @@ impl Ticket {
         incident: Option<IncidentId>,
         opened_at: SimTime,
         closed_at: SimTime,
-        description: String,
-        resolution: String,
+        description: Arc<str>,
+        resolution: Arc<str>,
         true_class: Option<FailureClass>,
     ) -> Self {
         assert!(
@@ -142,6 +148,12 @@ impl Ticket {
         &self.resolution
     }
 
+    /// Shared handles to the description and resolution text, for building
+    /// a ticket with the same text without copying it.
+    pub fn text_handles(&self) -> (&Arc<str>, &Arc<str>) {
+        (&self.description, &self.resolution)
+    }
+
     /// Combined description + resolution text, the classifier's input.
     pub fn full_text(&self) -> String {
         let mut s = String::with_capacity(self.description.len() + self.resolution.len() + 1);
@@ -208,8 +220,8 @@ mod tests {
             None,
             SimTime::from_days(1),
             SimTime::ZERO,
-            String::new(),
-            String::new(),
+            "".into(),
+            "".into(),
             None,
         );
     }

@@ -69,20 +69,28 @@ pub fn simulate(
     telemetry: &Telemetry,
     rng: &StreamRng,
 ) -> Vec<IncidentSpec> {
-    let hazard = HazardModel::new(config, pop, telemetry);
+    let hazard = {
+        let _s = dcfail_obs::span("hazard");
+        HazardModel::new(config, pop, telemetry)
+    };
     let num_days = config.horizon.num_days() as i64;
 
     // Stage 1 — correlated incidents, one day at a time on one stream.
-    let (mut out, spatial_hits) = spatial_stage(config, pop, rng);
+    let (mut out, spatial_hits) = {
+        let _s = dcfail_obs::span("spatial");
+        spatial_stage(config, pop, rng)
+    };
 
     // Stage 2 — individual failures, one independent stream per machine.
     // A machine's burst state depends only on its own failures and the
     // spatial hits recorded above, so the walks never interact.
+    let individual_span = dcfail_obs::span("individual");
     // dlint::allow(D05): StreamRng is immutable; individual_incidents_for forks per machine id
     let per_machine = dcfail_par::par_map(&pop.machines, |idx, m| {
         individual_incidents_for(config, &hazard, m, &spatial_hits[idx], num_days, rng)
     });
     out.extend(per_machine.into_iter().flatten());
+    drop(individual_span);
 
     out.sort_by_key(|i| (i.at, i.machines[0]));
     out

@@ -181,8 +181,10 @@ pub fn assemble_dataset(
         builder.add_machine(m);
     }
 
-    // Crash tickets + events from incident specs.
+    // Crash tickets + events from incident specs. Equal ticket texts share
+    // one allocation across the dataset (see `TicketTexts`).
     let tickets_span = dcfail_obs::span("tickets");
+    let mut texts = tickets_gen::TicketTexts::new();
     let mut crash_per_sys = vec![0usize; num_sys];
     let mut rng_text = rng.fork("tickets.text");
     let mut rng_repair = rng.fork("tickets.repair");
@@ -199,8 +201,7 @@ pub fn assemble_dataset(
             crash_per_sys[sys_of[machine_id.index()]] += 1;
             let machine_kind = kinds[machine_id.index()];
             let repair = tickets_gen::sample_repair(&mut rng_repair, spec.class, machine_kind);
-            let text =
-                tickets_gen::crash_text(&mut rng_text, spec.class, config.degraded_text_fraction);
+            let text = texts.crash_text(&mut rng_text, spec.class, config.degraded_text_fraction);
             builder.add_ticket(Ticket::new(
                 ticket_id,
                 machine_id,
@@ -225,6 +226,7 @@ pub fn assemble_dataset(
     }
 
     // Non-crash haystack per subsystem, topping tickets up to Table II.
+    let haystack_span = dcfail_obs::span("haystack");
     let mut rng_noise = rng.fork("tickets.noncrash");
     let noncrash_repair = LogNormal::new(1.2, 1.0).expect("static params are valid");
     for (sys_idx, members) in sys_members.iter().enumerate() {
@@ -241,7 +243,7 @@ pub fn assemble_dataset(
                     rng_noise.below(config.horizon.len().as_minutes() as usize) as i64,
                 );
             let hours = noncrash_repair.sample(&mut rng_noise).min(500.0);
-            let (description, resolution) = tickets_gen::non_crash_text(&mut rng_noise);
+            let (description, resolution) = texts.non_crash_text(&mut rng_noise);
             builder.add_ticket(Ticket::new(
                 ticket_id,
                 machine,
@@ -256,6 +258,7 @@ pub fn assemble_dataset(
         }
     }
 
+    drop(haystack_span);
     drop(tickets_span);
     builder.telemetry(telemetry);
     builder.build()

@@ -10,6 +10,7 @@
 use dcfail_model::prelude::*;
 use dcfail_stats::dist::{ContinuousDist, LogNormal};
 use dcfail_stats::rng::StreamRng;
+use std::sync::Arc;
 
 /// Log-normal repair-time parameters (μ, σ) in hours per failure class,
 /// matched to Table IV's mean/median pairs. Software keeps the paper's mean
@@ -61,220 +62,450 @@ pub fn sample_repair(rng: &mut StreamRng, class: FailureClass, kind: MachineKind
 #[derive(Debug, Clone, PartialEq)]
 pub struct TicketText {
     /// Problem description (user- or monitoring-generated).
-    pub description: String,
+    pub description: Arc<str>,
     /// Resolution entered by support staff.
-    pub resolution: String,
+    pub resolution: Arc<str>,
     /// Label as reported by the (imperfect) classification pipeline.
     pub reported_class: FailureClass,
 }
 
-/// Synthesizes crash-ticket text for a failure of `class`.
+/// One description table and one resolution table of ticket templates.
+struct Templates {
+    descriptions: &'static [&'static str],
+    resolutions: &'static [&'static str],
+}
+
+/// Template pairs: the non-crash haystack at [`NON_CRASH`], each failure
+/// class at `1 + class.index()` (`Other` included) and the degraded
+/// boilerplate at [`DEGRADED`].
+const TEMPLATES: [Templates; 8] = [
+    // Non-crash
+    Templates {
+        descriptions: &[
+            "disk space threshold warning on filesystem var",
+            "cpu utilization alert sustained above threshold",
+            "user access request for application account",
+            "password reset request for service account",
+            "backup job failed needs rerun",
+            "certificate expiring renewal needed",
+            "monitoring agent heartbeat missed once",
+            "scheduled patching window confirmation",
+            "capacity request additional storage volume",
+            "log rotation misconfigured filling disk",
+        ],
+        resolutions: &[
+            "cleaned old files space reclaimed",
+            "threshold adjusted after review workload expected",
+            "access granted per approval",
+            "password reset completed user notified",
+            "backup rerun completed successfully",
+            "certificate renewed and deployed",
+            "agent restarted heartbeat restored",
+            "patching confirmed scheduled",
+            "storage volume extended",
+            "logrotate configuration fixed",
+        ],
+    },
+    // Hardware
+    Templates {
+        descriptions: &[
+            "server down disk drive fault raid degraded",
+            "host unresponsive memory dimm ecc errors",
+            "server crashed power supply unit failure detected",
+            "machine unreachable raid controller battery fault",
+            "server offline motherboard component failure",
+            "host down cpu hardware machine check exception",
+        ],
+        resolutions: &[
+            "replaced faulty disk rebuilt raid array",
+            "replaced memory dimm module server restored",
+            "swapped power supply unit hardware fix",
+            "replaced raid controller battery restored",
+            "motherboard replaced by field engineer",
+            "cpu replaced hardware vendor dispatched",
+        ],
+    },
+    // Network
+    Templates {
+        descriptions: &[
+            "server unreachable ping timeout switch port down",
+            "host lost connectivity vlan misconfiguration",
+            "network interface card errors server isolated",
+            "server unreachable uplink failure on access switch",
+            "dns resolution failure host unreachable remotely",
+            "packet loss server connectivity degraded port flapping",
+        ],
+        resolutions: &[
+            "switch port reset network fix applied",
+            "vlan configuration corrected connectivity restored",
+            "replaced network interface card cabling checked",
+            "uplink failover network team fixed routing",
+            "dns record corrected resolution restored",
+            "port stabilized transceiver replaced network fix",
+        ],
+    },
+    // Power
+    Templates {
+        descriptions: &[
+            "power outage rack lost utility feed servers down",
+            "pdu breaker tripped multiple servers powered off",
+            "ups failure during transfer servers dropped",
+            "scheduled electrical maintenance outage powered down",
+            "datacenter feed fluctuation servers power cycled",
+            "branch circuit overload power lost to rack",
+        ],
+        resolutions: &[
+            "utility feed restored electrical fix breakers reset",
+            "pdu breaker reset electrician verified load",
+            "ups battery replaced transfer tested",
+            "maintenance completed power restored on schedule",
+            "power conditioned feed stabilized electrical fix",
+            "load rebalanced circuit restored",
+        ],
+    },
+    // Reboot
+    Templates {
+        descriptions: &[
+            "unexpected reboot server restarted without request",
+            "host spontaneously rebooted uptime reset detected",
+            "server rebooted unexpectedly during business hours",
+            "hypervisor restart caused guest reboot unexpected",
+            "machine cycled unexpected restart watchdog fired",
+            "unexplained reboot server came back by itself",
+        ],
+        resolutions: &[
+            "server back online after reboot monitoring confirmed",
+            "no action needed system recovered after restart",
+            "reboot traced to host platform restart",
+            "guest stabilized after hypervisor restart",
+            "watchdog settings reviewed server stable",
+            "uptime monitoring confirmed recovery after reboot",
+        ],
+    },
+    // Software
+    Templates {
+        descriptions: &[
+            "operating system hang kernel panic console frozen",
+            "critical service agent hung server unresponsive",
+            "application memory leak exhausted server resources",
+            "os crash blue screen bugcheck recorded",
+            "filesystem corruption os unable to boot services down",
+            "runaway process cpu pegged server frozen software",
+        ],
+        resolutions: &[
+            "kernel patch applied software fix os restarted",
+            "service agent restarted configuration corrected",
+            "application fix deployed memory leak patched",
+            "os updated driver rollback software fix",
+            "filesystem repaired os restored from software issue",
+            "process limits configured software remediation applied",
+        ],
+    },
+    // Other
+    Templates {
+        descriptions: &["server issue"],
+        resolutions: &["resolved"],
+    },
+    // Degraded
+    Templates {
+        descriptions: &[
+            "server issue reported by user",
+            "system problem see attached",
+            "host alert raised ticket opened",
+            "server not working as expected",
+            "issue with machine reported",
+            "problem on server escalated",
+            "server incident logged",
+            "user reported outage on system",
+        ],
+        resolutions: &[
+            "issue resolved",
+            "problem fixed closed",
+            "restored service user confirmed ok",
+            "closed after verification",
+            "no further information resolved",
+            "fixed per standard procedure",
+            "resolved duplicate of earlier ticket",
+            "service restored details unavailable",
+        ],
+    },
+];
+
+/// [`TEMPLATES`] index of the non-crash haystack.
+const NON_CRASH: usize = 0;
+/// [`TEMPLATES`] index of the degraded crash boilerplate.
+const DEGRADED: usize = 7;
+
+/// Low-information filler appended so documents are not byte-identical.
+const FILLER: [&str; 8] = [
+    "ticket", "priority", "team", "checked", "updated", "notes", "contact", "queue",
+];
+
+/// Most templates in one table (the non-crash tables).
+const MAX_TEMPLATES: usize = 10;
+/// Filler draws per template: none, one of 8, or an ordered pair of 8.
+const FILLER_CODES: usize = 1 + FILLER.len() + FILLER.len() * FILLER.len();
+
+// Every template index must stay inside its table's slots.
+const _: () = {
+    let mut i = 0;
+    while i < TEMPLATES.len() {
+        assert!(TEMPLATES[i].descriptions.len() <= MAX_TEMPLATES);
+        assert!(TEMPLATES[i].resolutions.len() <= MAX_TEMPLATES);
+        i += 1;
+    }
+};
+
+/// Ticket text generator that builds each distinct text once.
 ///
-/// With probability `degraded_fraction` the text is vague boilerplate that
-/// no classifier can place, and the reported label is
-/// [`FailureClass::Other`]; otherwise class-specific templates are used and
-/// the reported label is correct up to a small confusion probability.
-pub fn crash_text(rng: &mut StreamRng, class: FailureClass, degraded_fraction: f64) -> TicketText {
-    if rng.bernoulli(degraded_fraction) {
-        let (description, resolution) = degraded_templates(rng);
-        return TicketText {
+/// A decorated text is a pure function of its template table (16: a
+/// description and a resolution table for the non-crash haystack, each
+/// failure class and the degraded boilerplate), its template index and its
+/// filler draw, so every one has a fixed slot in a flat table.
+/// A slot is filled on its first draw and cloned afterwards: each distinct
+/// text is one allocation however many tickets carry it. The RNG calls are
+/// exactly those of building every text afresh, in the same order, so the
+/// streams — and every later draw — do not depend on the sharing.
+#[derive(Debug)]
+pub struct TicketTexts {
+    slots: Vec<Option<Arc<str>>>,
+}
+
+impl Default for TicketTexts {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl TicketTexts {
+    /// An empty slot table.
+    pub fn new() -> Self {
+        Self {
+            slots: vec![None; 2 * TEMPLATES.len() * MAX_TEMPLATES * FILLER_CODES],
+        }
+    }
+
+    /// Synthesizes crash-ticket text for a failure of `class`.
+    ///
+    /// With probability `degraded_fraction` the text is vague boilerplate
+    /// that no classifier can place, and the reported label is
+    /// [`FailureClass::Other`]; otherwise class-specific templates are used
+    /// and the reported label is correct up to a small confusion probability.
+    pub fn crash_text(
+        &mut self,
+        rng: &mut StreamRng,
+        class: FailureClass,
+        degraded_fraction: f64,
+    ) -> TicketText {
+        if rng.bernoulli(degraded_fraction) {
+            let picks = pick(rng, DEGRADED);
+            // Forked from the text stream's seed, not its position: every
+            // degraded ticket of a run draws the same filler (DESIGN §4.3).
+            let mut filler_rng = rng.fork("degraded-decorate");
+            let (description, resolution) = self.decorate(&mut filler_rng, DEGRADED, picks);
+            return TicketText {
+                description,
+                resolution,
+                reported_class: FailureClass::Other,
+            };
+        }
+        let pair = 1 + class.index();
+        let picks = pick(rng, pair);
+        let (description, resolution) = self.decorate(rng, pair, picks);
+        let reported_class = if rng.bernoulli(CONFUSION_PROB) {
+            // Confuse with a random *other* classified class.
+            let others: Vec<FailureClass> = FailureClass::CLASSIFIED
+                .into_iter()
+                .filter(|&c| c != class)
+                .collect();
+            others[rng.below(others.len())]
+        } else {
+            class
+        };
+        TicketText {
             description,
             resolution,
-            reported_class: FailureClass::Other,
+            reported_class,
+        }
+    }
+
+    /// Synthesizes a non-crash ticket's text (requests, alerts, routine work).
+    pub fn non_crash_text(&mut self, rng: &mut StreamRng) -> (Arc<str>, Arc<str>) {
+        let picks = pick(rng, NON_CRASH);
+        self.decorate(rng, NON_CRASH, picks)
+    }
+
+    /// The decorated description `d` and resolution `r` of template pair
+    /// `pair`, in that order.
+    fn decorate(
+        &mut self,
+        rng: &mut StreamRng,
+        pair: usize,
+        (d, r): (usize, usize),
+    ) -> (Arc<str>, Arc<str>) {
+        let templates = &TEMPLATES[pair];
+        let description = self.decorated(rng, 2 * pair, d, templates.descriptions[d]);
+        let resolution = self.decorated(rng, 2 * pair + 1, r, templates.resolutions[r]);
+        (description, resolution)
+    }
+
+    /// `base` (template `template` of table `table`) plus zero to two filler
+    /// words: one `below(3)` for the count, one `below(8)` per word.
+    fn decorated(
+        &mut self,
+        rng: &mut StreamRng,
+        table: usize,
+        template: usize,
+        base: &str,
+    ) -> Arc<str> {
+        let mut fillers = [0usize; 2];
+        let count = rng.below(3);
+        for filler in &mut fillers[..count] {
+            *filler = rng.below(FILLER.len());
+        }
+        let code = match count {
+            0 => 0,
+            1 => 1 + fillers[0],
+            _ => 1 + FILLER.len() * (1 + fillers[0]) + fillers[1],
         };
-    }
-    let (description, resolution) = class_templates(rng, class);
-    let reported_class = if rng.bernoulli(CONFUSION_PROB) {
-        // Confuse with a random *other* classified class.
-        let others: Vec<FailureClass> = FailureClass::CLASSIFIED
-            .into_iter()
-            .filter(|&c| c != class)
-            .collect();
-        others[rng.below(others.len())]
-    } else {
-        class
-    };
-    TicketText {
-        description,
-        resolution,
-        reported_class,
+        let slot = &mut self.slots[(table * MAX_TEMPLATES + template) * FILLER_CODES + code];
+        Arc::clone(slot.get_or_insert_with(|| {
+            let mut text = String::from(base);
+            for &filler in &fillers[..count] {
+                text.push(' ');
+                text.push_str(FILLER[filler]);
+            }
+            text.into()
+        }))
     }
 }
 
-/// Synthesizes a non-crash ticket's text (requests, alerts, routine work).
-pub fn non_crash_text(rng: &mut StreamRng) -> (String, String) {
-    const DESCRIPTIONS: [&str; 10] = [
-        "disk space threshold warning on filesystem var",
-        "cpu utilization alert sustained above threshold",
-        "user access request for application account",
-        "password reset request for service account",
-        "backup job failed needs rerun",
-        "certificate expiring renewal needed",
-        "monitoring agent heartbeat missed once",
-        "scheduled patching window confirmation",
-        "capacity request additional storage volume",
-        "log rotation misconfigured filling disk",
-    ];
-    const RESOLUTIONS: [&str; 10] = [
-        "cleaned old files space reclaimed",
-        "threshold adjusted after review workload expected",
-        "access granted per approval",
-        "password reset completed user notified",
-        "backup rerun completed successfully",
-        "certificate renewed and deployed",
-        "agent restarted heartbeat restored",
-        "patching confirmed scheduled",
-        "storage volume extended",
-        "logrotate configuration fixed",
-    ];
-    let d = DESCRIPTIONS[rng.below(DESCRIPTIONS.len())];
-    let r = RESOLUTIONS[rng.below(RESOLUTIONS.len())];
-    (decorate(rng, d), decorate(rng, r))
+/// Draws a description and a resolution template index from pair `pair`.
+fn pick(rng: &mut StreamRng, pair: usize) -> (usize, usize) {
+    let templates = &TEMPLATES[pair];
+    let description = rng.below(templates.descriptions.len());
+    (description, rng.below(templates.resolutions.len()))
 }
 
-fn class_templates(rng: &mut StreamRng, class: FailureClass) -> (String, String) {
-    let (descriptions, resolutions): (&[&str], &[&str]) = match class {
-        FailureClass::Hardware => (
-            &[
-                "server down disk drive fault raid degraded",
-                "host unresponsive memory dimm ecc errors",
-                "server crashed power supply unit failure detected",
-                "machine unreachable raid controller battery fault",
-                "server offline motherboard component failure",
-                "host down cpu hardware machine check exception",
-            ],
-            &[
-                "replaced faulty disk rebuilt raid array",
-                "replaced memory dimm module server restored",
-                "swapped power supply unit hardware fix",
-                "replaced raid controller battery restored",
-                "motherboard replaced by field engineer",
-                "cpu replaced hardware vendor dispatched",
-            ],
-        ),
-        FailureClass::Network => (
-            &[
-                "server unreachable ping timeout switch port down",
-                "host lost connectivity vlan misconfiguration",
-                "network interface card errors server isolated",
-                "server unreachable uplink failure on access switch",
-                "dns resolution failure host unreachable remotely",
-                "packet loss server connectivity degraded port flapping",
-            ],
-            &[
-                "switch port reset network fix applied",
-                "vlan configuration corrected connectivity restored",
-                "replaced network interface card cabling checked",
-                "uplink failover network team fixed routing",
-                "dns record corrected resolution restored",
-                "port stabilized transceiver replaced network fix",
-            ],
-        ),
-        FailureClass::Power => (
-            &[
-                "power outage rack lost utility feed servers down",
-                "pdu breaker tripped multiple servers powered off",
-                "ups failure during transfer servers dropped",
-                "scheduled electrical maintenance outage powered down",
-                "datacenter feed fluctuation servers power cycled",
-                "branch circuit overload power lost to rack",
-            ],
-            &[
-                "utility feed restored electrical fix breakers reset",
-                "pdu breaker reset electrician verified load",
-                "ups battery replaced transfer tested",
-                "maintenance completed power restored on schedule",
-                "power conditioned feed stabilized electrical fix",
-                "load rebalanced circuit restored",
-            ],
-        ),
-        FailureClass::Reboot => (
-            &[
-                "unexpected reboot server restarted without request",
-                "host spontaneously rebooted uptime reset detected",
-                "server rebooted unexpectedly during business hours",
-                "hypervisor restart caused guest reboot unexpected",
-                "machine cycled unexpected restart watchdog fired",
-                "unexplained reboot server came back by itself",
-            ],
-            &[
-                "server back online after reboot monitoring confirmed",
-                "no action needed system recovered after restart",
-                "reboot traced to host platform restart",
-                "guest stabilized after hypervisor restart",
-                "watchdog settings reviewed server stable",
-                "uptime monitoring confirmed recovery after reboot",
-            ],
-        ),
-        FailureClass::Software => (
-            &[
-                "operating system hang kernel panic console frozen",
-                "critical service agent hung server unresponsive",
-                "application memory leak exhausted server resources",
-                "os crash blue screen bugcheck recorded",
-                "filesystem corruption os unable to boot services down",
-                "runaway process cpu pegged server frozen software",
-            ],
-            &[
-                "kernel patch applied software fix os restarted",
-                "service agent restarted configuration corrected",
-                "application fix deployed memory leak patched",
-                "os updated driver rollback software fix",
-                "filesystem repaired os restored from software issue",
-                "process limits configured software remediation applied",
-            ],
-        ),
-        FailureClass::Other => (&["server issue"], &["resolved"]),
-    };
-    let d = descriptions[rng.below(descriptions.len())];
-    let r = resolutions[rng.below(resolutions.len())];
-    (decorate(rng, d), decorate(rng, r))
-}
+/// The allocate-per-call text generator the slot table replaced: every call
+/// builds fresh `String`s. The interning tests hold [`TicketTexts`] to it.
+#[cfg(test)]
+mod oracle {
+    use super::{CONFUSION_PROB, DEGRADED, FILLER, NON_CRASH, TEMPLATES};
+    use dcfail_model::prelude::FailureClass;
+    use dcfail_stats::rng::StreamRng;
 
-fn degraded_templates(rng: &mut StreamRng) -> (String, String) {
-    const DESCRIPTIONS: [&str; 8] = [
-        "server issue reported by user",
-        "system problem see attached",
-        "host alert raised ticket opened",
-        "server not working as expected",
-        "issue with machine reported",
-        "problem on server escalated",
-        "server incident logged",
-        "user reported outage on system",
-    ];
-    const RESOLUTIONS: [&str; 8] = [
-        "issue resolved",
-        "problem fixed closed",
-        "restored service user confirmed ok",
-        "closed after verification",
-        "no further information resolved",
-        "fixed per standard procedure",
-        "resolved duplicate of earlier ticket",
-        "service restored details unavailable",
-    ];
-    let d = DESCRIPTIONS[rng.below(DESCRIPTIONS.len())];
-    let r = RESOLUTIONS[rng.below(RESOLUTIONS.len())];
-    let mut rng2 = rng.fork("degraded-decorate");
-    (decorate(&mut rng2, d), decorate(&mut rng2, r))
-}
-
-/// Adds low-information filler so documents are not byte-identical.
-fn decorate(rng: &mut StreamRng, base: &str) -> String {
-    const FILLER: [&str; 8] = [
-        "ticket", "priority", "team", "checked", "updated", "notes", "contact", "queue",
-    ];
-    let mut s = String::from(base);
-    for _ in 0..rng.below(3) {
-        s.push(' ');
-        s.push_str(FILLER[rng.below(FILLER.len())]);
+    /// Crash text as (description, resolution, reported class).
+    pub fn crash_text(
+        rng: &mut StreamRng,
+        class: FailureClass,
+        degraded_fraction: f64,
+    ) -> (String, String, FailureClass) {
+        if rng.bernoulli(degraded_fraction) {
+            let t = &TEMPLATES[DEGRADED];
+            let d = t.descriptions[rng.below(t.descriptions.len())];
+            let r = t.resolutions[rng.below(t.resolutions.len())];
+            let mut rng2 = rng.fork("degraded-decorate");
+            return (
+                decorate(&mut rng2, d),
+                decorate(&mut rng2, r),
+                FailureClass::Other,
+            );
+        }
+        let t = &TEMPLATES[1 + class.index()];
+        let d = t.descriptions[rng.below(t.descriptions.len())];
+        let r = t.resolutions[rng.below(t.resolutions.len())];
+        let (d, r) = (decorate(rng, d), decorate(rng, r));
+        let reported = if rng.bernoulli(CONFUSION_PROB) {
+            let others: Vec<FailureClass> = FailureClass::CLASSIFIED
+                .into_iter()
+                .filter(|&c| c != class)
+                .collect();
+            others[rng.below(others.len())]
+        } else {
+            class
+        };
+        (d, r, reported)
     }
-    s
+
+    pub fn non_crash_text(rng: &mut StreamRng) -> (String, String) {
+        let t = &TEMPLATES[NON_CRASH];
+        let d = t.descriptions[rng.below(t.descriptions.len())];
+        let r = t.resolutions[rng.below(t.resolutions.len())];
+        (decorate(rng, d), decorate(rng, r))
+    }
+
+    fn decorate(rng: &mut StreamRng, base: &str) -> String {
+        let mut s = String::from(base);
+        for _ in 0..rng.below(3) {
+            s.push(' ');
+            s.push_str(FILLER[rng.below(FILLER.len())]);
+        }
+        s
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcfail_stats::empirical::Summary;
+    use proptest::prelude::*;
+    use rand::RngCore;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Interned text equals the per-call oracle's text and label, call
+        /// for call, and leaves the stream where the oracle leaves it; each
+        /// distinct text is one allocation.
+        fn interning_matches_oracle(
+            seed in any::<u64>(),
+            fraction in 0usize..3,
+            // 0..6: crash text of that class index; 6: non-crash text.
+            calls in prop::collection::vec(0usize..7, 1..160),
+        ) {
+            let degraded_fraction = [0.0, 0.53, 1.0][fraction];
+            let mut texts = TicketTexts::new();
+            let mut rng = StreamRng::new(seed);
+            let mut reference = StreamRng::new(seed);
+            let mut seen: Vec<Arc<str>> = Vec::new();
+            for &call in &calls {
+                let (d, r) = if call < 6 {
+                    let class = FailureClass::ALL[call];
+                    let got = texts.crash_text(&mut rng, class, degraded_fraction);
+                    let want = oracle::crash_text(&mut reference, class, degraded_fraction);
+                    prop_assert_eq!(got.reported_class, want.2);
+                    prop_assert_eq!(&*got.description, want.0.as_str());
+                    prop_assert_eq!(&*got.resolution, want.1.as_str());
+                    (got.description, got.resolution)
+                } else {
+                    let got = texts.non_crash_text(&mut rng);
+                    let want = oracle::non_crash_text(&mut reference);
+                    prop_assert_eq!(&*got.0, want.0.as_str());
+                    prop_assert_eq!(&*got.1, want.1.as_str());
+                    got
+                };
+                prop_assert_eq!(rng.clone().next_u64(), reference.clone().next_u64());
+                for text in [d, r] {
+                    match seen.iter().find(|s| **s == text) {
+                        Some(first) => prop_assert!(Arc::ptr_eq(first, &text), "{text}"),
+                        None => seen.push(text),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_draw_shares_one_allocation() {
+        let mut texts = TicketTexts::new();
+        let mut a = StreamRng::new(11);
+        let mut b = a.clone();
+        let first = texts.non_crash_text(&mut a);
+        let second = texts.non_crash_text(&mut b);
+        assert!(Arc::ptr_eq(&first.0, &second.0));
+        assert!(Arc::ptr_eq(&first.1, &second.1));
+    }
 
     #[test]
     fn repair_times_match_table4_shape() {
@@ -334,9 +565,12 @@ mod tests {
     fn degraded_fraction_drives_other_labels() {
         let mut rng = StreamRng::new(4);
         let n = 10_000;
+        let mut texts = TicketTexts::new();
         let other = (0..n)
             .filter(|_| {
-                crash_text(&mut rng, FailureClass::Software, 0.53).reported_class
+                texts
+                    .crash_text(&mut rng, FailureClass::Software, 0.53)
+                    .reported_class
                     == FailureClass::Other
             })
             .count();
@@ -348,9 +582,12 @@ mod tests {
     fn clean_text_is_mostly_correctly_labelled() {
         let mut rng = StreamRng::new(5);
         let n = 10_000;
+        let mut texts = TicketTexts::new();
         let correct = (0..n)
             .filter(|_| {
-                crash_text(&mut rng, FailureClass::Network, 0.0).reported_class
+                texts
+                    .crash_text(&mut rng, FailureClass::Network, 0.0)
+                    .reported_class
                     == FailureClass::Network
             })
             .count();
@@ -361,8 +598,9 @@ mod tests {
     #[test]
     fn class_texts_use_distinct_vocabulary() {
         let mut rng = StreamRng::new(6);
-        let hw = crash_text(&mut rng, FailureClass::Hardware, 0.0);
-        let sw = crash_text(&mut rng, FailureClass::Software, 0.0);
+        let mut texts = TicketTexts::new();
+        let hw = texts.crash_text(&mut rng, FailureClass::Hardware, 0.0);
+        let sw = texts.crash_text(&mut rng, FailureClass::Software, 0.0);
         assert_ne!(hw.description, sw.description);
         assert!(!hw.description.is_empty() && !hw.resolution.is_empty());
     }
@@ -370,8 +608,9 @@ mod tests {
     #[test]
     fn non_crash_text_is_nonempty() {
         let mut rng = StreamRng::new(7);
+        let mut texts = TicketTexts::new();
         for _ in 0..100 {
-            let (d, r) = non_crash_text(&mut rng);
+            let (d, r) = texts.non_crash_text(&mut rng);
             assert!(!d.is_empty());
             assert!(!r.is_empty());
         }

@@ -418,11 +418,12 @@ mod tests {
     fn synth_tickets(n: usize, seed: u64) -> Vec<Ticket> {
         // Use the simulator's text generator for realistic input.
         let mut rng = StreamRng::new(seed);
+        let mut texts = dcfail_synth::tickets_gen::TicketTexts::new();
         let classes = FailureClass::CLASSIFIED;
         (0..n)
             .map(|i| {
                 let class = classes[i % classes.len()];
-                let text = dcfail_synth::tickets_gen::crash_text(&mut rng, class, 0.5);
+                let text = texts.crash_text(&mut rng, class, 0.5);
                 Ticket::new(
                     TicketId::new(i as u32),
                     MachineId::new(0),
@@ -459,10 +460,11 @@ mod tests {
     #[test]
     fn pipeline_recovers_true_classes_on_clean_text() {
         let mut rng_text = StreamRng::new(3);
+        let mut texts = dcfail_synth::tickets_gen::TicketTexts::new();
         let tickets: Vec<Ticket> = (0..1000)
             .map(|i| {
                 let class = FailureClass::CLASSIFIED[i % 5];
-                let text = dcfail_synth::tickets_gen::crash_text(&mut rng_text, class, 0.0);
+                let text = texts.crash_text(&mut rng_text, class, 0.0);
                 Ticket::new(
                     TicketId::new(i as u32),
                     MachineId::new(0),

@@ -138,8 +138,8 @@ mod tests {
             crash.then(|| IncidentId::new(id)),
             SimTime::from_days(day),
             SimTime::from_days(day) + HOUR,
-            format!("desc {id}"),
-            format!("res {id}"),
+            format!("desc {id}").into(),
+            format!("res {id}").into(),
             crash.then_some(FailureClass::Software),
         )
     }
