@@ -3,8 +3,9 @@
 //! [`StreamEngine`] consumes a boundedly-reordered feed of
 //! [`FeedPayload`]-shaped events and maintains the Fig. 8/9/10 estimators
 //! incrementally: a slack-bounded reorder buffer canonicalizes arrivals back
-//! into `(at, seq)` order, and each applied event goes straight into the
-//! shared panel counts through the batch driver's per-machine steps — an
+//! into `(at, seq)` order — one bucket per distinct timestamp, drained whole
+//! once the watermark passes it — and each applied event goes straight into
+//! the shared panel counts through the batch driver's per-machine steps — an
 //! `Attrs` payload bins the machine's constants, a `Usage` payload bins one
 //! machine-week, a failure is attributed through the machine's bin row.
 //! Tumbling per-week windows only count failures for the burst detector and
@@ -21,6 +22,7 @@ use dcfail_report::runners::{render_fig10, render_fig8, render_fig9, Rendered};
 use dcfail_stats::merge::Mergeable;
 use dcfail_synth::feed::{FeedEvent, FeedPayload};
 use serde::Serialize;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -82,6 +84,11 @@ pub struct StreamStats {
     pub events_applied: u64,
     /// Arrivals rejected as late ([`StreamError::LateEvent`]).
     pub late_events: u64,
+    /// Arrivals replaced by a later arrival with the same `(at, seq)` key:
+    /// the last one is applied, the earlier ones only counted here. With
+    /// them, `events_ingested == events_applied + late_events +
+    /// duplicate_seq`.
+    pub duplicate_seq: u64,
     /// Duplicate attribute announcements ignored.
     pub duplicate_attrs: u64,
     /// Duplicate machine-week usage rollups ignored.
@@ -96,7 +103,8 @@ pub struct StreamStats {
     pub windows_opened: u64,
     /// Tumbling windows closed (includes synthesized empty windows).
     pub windows_closed: u64,
-    /// High-water mark of the reorder buffer, in events.
+    /// High-water mark of the reorder buffer, in events (a duplicate
+    /// `(at, seq)` arrival counts while it is parked).
     pub peak_buffered: usize,
     /// High-water mark of simultaneously open windows.
     pub peak_open_windows: usize,
@@ -114,6 +122,150 @@ struct MachineRows {
     usage_week: Option<usize>,
     /// Bins of the weekly (Fig. 8) panels in `usage_week`.
     weekly: Vec<u8>,
+}
+
+impl MachineRows {
+    fn new(width: usize) -> Self {
+        Self {
+            announced: false,
+            constants: vec![NO_BIN; width],
+            usage_week: None,
+            weekly: vec![NO_BIN; width],
+        }
+    }
+}
+
+/// Ids the dense machine table may cover beyond twice the machines seen.
+const DENSE_HEADROOM: usize = 4096;
+
+/// The bin rows of every machine seen in the feed. Machine ids come from
+/// outside input, so none sizes an allocation: the dense table grows only to
+/// cover ids below `2 × machines seen + DENSE_HEADROOM`, and every other id
+/// lives in the sparse map. An empty dense slot also falls back to the map,
+/// so an id stored sparse stays findable after the table grows past it.
+/// Memory is O(machines seen).
+#[derive(Debug, Default)]
+struct MachineTable {
+    dense: Vec<Option<MachineRows>>,
+    sparse: BTreeMap<MachineId, MachineRows>,
+    /// Machines stored, dense and sparse.
+    len: usize,
+}
+
+impl MachineTable {
+    fn get(&self, machine: MachineId) -> Option<&MachineRows> {
+        match self.dense.get(machine.index()) {
+            Some(Some(rows)) => Some(rows),
+            _ => self.sparse.get(&machine),
+        }
+    }
+
+    /// The rows of `machine`, `width` slots each, created on first sight.
+    fn get_or_insert(&mut self, machine: MachineId, width: usize) -> &mut MachineRows {
+        let i = machine.index();
+        if self.get(machine).is_none() {
+            self.len += 1;
+            if i < 2 * self.len + DENSE_HEADROOM {
+                if i >= self.dense.len() {
+                    self.dense.resize_with(i + 1, || None);
+                }
+                self.dense[i] = Some(MachineRows::new(width));
+            } else {
+                self.sparse.insert(machine, MachineRows::new(width));
+            }
+        }
+        match self.dense.get_mut(i) {
+            Some(Some(rows)) => rows,
+            _ => self.sparse.get_mut(&machine).expect("machine just ensured"),
+        }
+    }
+}
+
+/// The arrivals of one timestamp, as `(seq, payload)`. Outside the weekly
+/// rollups most timestamps carry one event, which stays inline: a bucket
+/// allocates only when a second arrival joins it.
+#[derive(Debug)]
+enum Bucket {
+    One(u64, FeedPayload),
+    Many(Vec<(u64, FeedPayload)>),
+}
+
+impl IntoIterator for Bucket {
+    type Item = (u64, FeedPayload);
+    type IntoIter =
+        std::iter::Chain<std::option::IntoIter<Self::Item>, std::vec::IntoIter<Self::Item>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (one, many) = match self {
+            Self::One(seq, payload) => (Some((seq, payload)), Vec::new()),
+            Self::Many(arrivals) => (None, arrivals),
+        };
+        one.into_iter().chain(many)
+    }
+}
+
+/// The slack-bounded reorder buffer: one bucket of arrivals per distinct
+/// timestamp. The engine drains strictly below the watermark and rejects
+/// any arrival behind it, so a bucket is complete when it leaves, and
+/// sorting it by `seq` gives exactly the canonical `(at, seq)` order.
+#[derive(Debug, Default)]
+struct ReorderBuffer {
+    buckets: BTreeMap<SimTime, Bucket>,
+    /// Arrivals parked across all buckets.
+    len: usize,
+}
+
+impl ReorderBuffer {
+    fn park(&mut self, event: FeedEvent) {
+        match self.buckets.entry(event.at) {
+            Entry::Vacant(slot) => {
+                slot.insert(Bucket::One(event.seq, event.payload));
+            }
+            Entry::Occupied(mut slot) => match slot.get_mut() {
+                // dlint::allow(D15): the bucket is the watermark-drained reorder buffer; the drain bounds its memory to the slack
+                Bucket::Many(arrivals) => arrivals.push((event.seq, event.payload)),
+                &mut Bucket::One(seq, payload) => {
+                    let arrivals = vec![(seq, payload), (event.seq, event.payload)];
+                    slot.insert(Bucket::Many(arrivals));
+                }
+            },
+        }
+        self.len += 1;
+    }
+
+    /// Takes the earliest bucket if its timestamp is before `bound` (any
+    /// bucket when `None`), in canonical order, with the number of arrivals
+    /// it dropped: of arrivals sharing a `seq` only the last stays, as a map
+    /// insert would keep it.
+    fn pop_before(&mut self, bound: Option<SimTime>) -> Option<(SimTime, Bucket, u64)> {
+        let entry = self.buckets.first_entry()?;
+        if bound.is_some_and(|bound| *entry.key() >= bound) {
+            return None;
+        }
+        let (at, bucket) = entry.remove_entry();
+        let Bucket::Many(mut arrivals) = bucket else {
+            self.len -= 1;
+            return Some((at, bucket, 0));
+        };
+        let parked = arrivals.len();
+        self.len -= parked;
+        // A strictly increasing `seq` is already canonical: the common case.
+        if !arrivals.is_sorted_by(|a, b| a.0 < b.0) {
+            if !arrivals.is_sorted_by_key(|&(seq, _)| seq) {
+                // Stable, so a repeated `seq` keeps its arrival order.
+                arrivals.sort_by_key(|&(seq, _)| seq);
+            }
+            arrivals.dedup_by(|later, kept| {
+                let repeat = later.0 == kept.0;
+                if repeat {
+                    std::mem::swap(later, kept);
+                }
+                repeat
+            });
+        }
+        let dropped = (parked - arrivals.len()) as u64;
+        Some((at, Bucket::Many(arrivals), dropped))
+    }
 }
 
 /// The figures and telemetry produced by a completed streamed run.
@@ -188,16 +340,18 @@ pub struct StreamEngine {
     config: StreamConfig,
     /// Slack-bounded reorder buffer: arrivals wait here until the watermark
     /// proves their canonical slot, then replay in `(at, seq)` order.
-    buffer: BTreeMap<(SimTime, u64), FeedPayload>,
+    buffer: ReorderBuffer,
     max_seen: Option<SimTime>,
     /// Exclusive watermark: every event strictly before it has been applied.
     applied_through: Option<SimTime>,
     next_close: usize,
-    /// Failure events per open tumbling window (week) — the detector's
-    /// input.
-    open: BTreeMap<usize, u64>,
+    /// Failure events of each week's tumbling window, `Some` while the
+    /// window is open — the detector's input.
+    windows: Vec<Option<u64>>,
+    /// Windows currently open.
+    open_windows: usize,
     /// Bin rows of every machine seen in the feed.
-    machines: BTreeMap<MachineId, MachineRows>,
+    machines: MachineTable,
     /// The Fig. 8–10 panel counts.
     counts: PanelCounts,
     detector: BurstDetector,
@@ -213,12 +367,13 @@ impl StreamEngine {
             detector: BurstDetector::new(config.detector),
             horizon,
             config,
-            buffer: BTreeMap::new(),
+            buffer: ReorderBuffer::default(),
             max_seen: None,
             applied_through: None,
             next_close: 0,
-            open: BTreeMap::new(),
-            machines: BTreeMap::new(),
+            windows: vec![None; horizon.num_weeks()],
+            open_windows: 0,
+            machines: MachineTable::default(),
             alerts: Vec::new(),
             stats: StreamStats::default(),
         }
@@ -227,16 +382,6 @@ impl StreamEngine {
     /// Ingest counters so far.
     pub fn stats(&self) -> &StreamStats {
         &self.stats
-    }
-
-    /// Events currently parked in the reorder buffer.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Currently open tumbling windows.
-    pub fn open_windows(&self) -> usize {
-        self.open.len()
     }
 
     /// Offers one arrival to the engine. Arrivals within the slack bound are
@@ -256,8 +401,8 @@ impl StreamEngine {
             }
         }
         self.max_seen = Some(self.max_seen.map_or(event.at, |m| m.max(event.at)));
-        self.buffer.insert((event.at, event.seq), event.payload);
-        self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffer.len());
+        self.buffer.park(event);
+        self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffer.len);
         let watermark = self.max_seen.unwrap_or(event.at) - self.config.slack;
         self.advance_to(watermark);
         Ok(())
@@ -272,19 +417,7 @@ impl StreamEngine {
         if self.applied_through.is_some_and(|w| w >= watermark) {
             return;
         }
-        let mut applied = 0u64;
-        while let Some((&(at, _), _)) = self.buffer.first_key_value() {
-            if at >= watermark {
-                break;
-            }
-            let (_, payload) = self.buffer.pop_first().expect("nonempty buffer");
-            self.apply(at, payload);
-            applied += 1;
-        }
-        if applied > 0 {
-            dcfail_obs::add("stream.events_applied", applied);
-        }
-        self.stats.events_applied += applied;
+        self.drain(Some(watermark));
         self.applied_through = Some(watermark);
         while self.next_close < self.horizon.num_weeks() {
             let end = self.window_end(self.next_close);
@@ -295,24 +428,29 @@ impl StreamEngine {
         }
     }
 
-    fn window_end(&self, week: usize) -> SimTime {
-        self.horizon.start() + SimDuration::from_days(7 * (week as i64 + 1))
+    /// Replays every bucket before `bound` (all of them when `None`) in
+    /// canonical order.
+    fn drain(&mut self, bound: Option<SimTime>) {
+        let (mut applied, mut duplicates) = (0u64, 0u64);
+        while let Some((at, bucket, dropped)) = self.buffer.pop_before(bound) {
+            duplicates += dropped;
+            for (_, payload) in bucket {
+                self.apply(at, payload);
+                applied += 1;
+            }
+        }
+        if applied > 0 {
+            dcfail_obs::add("stream.events_applied", applied);
+        }
+        if duplicates > 0 {
+            dcfail_obs::add("stream.duplicate_seq", duplicates);
+        }
+        self.stats.events_applied += applied;
+        self.stats.duplicate_seq += duplicates;
     }
 
-    /// The bin rows of `machine`, `width` slots each, created on first
-    /// sight. An associated function for the same disjoint-borrow reason as
-    /// [`Self::window`].
-    fn machine_in(
-        machines: &mut BTreeMap<MachineId, MachineRows>,
-        width: usize,
-        machine: MachineId,
-    ) -> &mut MachineRows {
-        machines.entry(machine).or_insert_with(|| MachineRows {
-            announced: false,
-            constants: vec![NO_BIN; width],
-            usage_week: None,
-            weekly: vec![NO_BIN; width],
-        })
+    fn window_end(&self, week: usize) -> SimTime {
+        self.horizon.start() + SimDuration::from_days(7 * (week as i64 + 1))
     }
 
     /// Applies one canonically-ordered event to the estimators.
@@ -324,7 +462,7 @@ impl StreamEngine {
                 consolidation,
                 onoff_rate,
             } => {
-                let bins = Self::machine_in(&mut self.machines, self.counts.width(), machine);
+                let bins = self.machines.get_or_insert(machine, self.counts.width());
                 if bins.announced {
                     self.stats.duplicate_attrs += 1;
                     return;
@@ -356,8 +494,8 @@ impl StreamEngine {
                     self.stats.duplicate_usage += 1;
                     return;
                 }
-                Self::window(&mut self.open, &mut self.stats, week);
-                let bins = Self::machine_in(&mut self.machines, self.counts.width(), machine);
+                self.window(week);
+                let bins = self.machines.get_or_insert(machine, self.counts.width());
                 // Canonical order delivers a machine's weeks in order, so a
                 // week at or before its latest one is a repeat.
                 if bins.usage_week.is_some_and(|latest| latest >= week) {
@@ -382,9 +520,9 @@ impl StreamEngine {
                     return;
                 };
                 debug_assert!(week >= self.next_close, "failure behind the close line");
-                *Self::window(&mut self.open, &mut self.stats, week) += 1;
+                *self.window(week) += 1;
                 self.stats.failures += 1;
-                if let Some(bins) = self.machines.get(&machine) {
+                if let Some(bins) = self.machines.get(machine) {
                     self.counts.add_event(&bins.constants, week);
                     if bins.usage_week == Some(week) {
                         self.counts.add_event(&bins.weekly, week);
@@ -395,27 +533,23 @@ impl StreamEngine {
                 let Some(week) = self.horizon.week_of(at) else {
                     return;
                 };
-                Self::window(&mut self.open, &mut self.stats, week);
+                self.window(week);
                 self.stats.tickets += 1;
             }
         }
     }
 
     /// The failure count of the open window for `week`, opened on first
-    /// touch. An associated function over disjoint fields so callers can
-    /// keep borrowing the rest of the engine.
-    fn window<'a>(
-        open: &'a mut BTreeMap<usize, u64>,
-        stats: &mut StreamStats,
-        week: usize,
-    ) -> &'a mut u64 {
-        if let std::collections::btree_map::Entry::Vacant(slot) = open.entry(week) {
-            stats.windows_opened += 1;
+    /// touch.
+    fn window(&mut self, week: usize) -> &mut u64 {
+        let slot = &mut self.windows[week];
+        if slot.is_none() {
+            self.stats.windows_opened += 1;
             dcfail_obs::add("stream.windows_opened", 1);
-            slot.insert(0);
-            stats.peak_open_windows = stats.peak_open_windows.max(open.len());
+            self.open_windows += 1;
+            self.stats.peak_open_windows = self.stats.peak_open_windows.max(self.open_windows);
         }
-        open.get_mut(&week).expect("window just ensured")
+        slot.get_or_insert(0)
     }
 
     /// Closes the next tumbling window in dense week order (an eventless
@@ -424,7 +558,13 @@ impl StreamEngine {
     fn close_next_window(&mut self) {
         let week = self.next_close;
         self.next_close += 1;
-        let failures = self.open.remove(&week).unwrap_or(0);
+        let failures = match self.windows[week].take() {
+            Some(failures) => {
+                self.open_windows -= 1;
+                failures
+            }
+            None => 0,
+        };
         let end = self.window_end(week);
         self.stats.windows_closed += 1;
         dcfail_obs::add("stream.windows_closed", 1);
@@ -440,15 +580,7 @@ impl StreamEngine {
     /// estimators.
     pub fn finish(mut self) -> StreamOutput {
         let _span = dcfail_obs::span("stream.finish");
-        let mut applied = 0u64;
-        while let Some(((at, _), payload)) = self.buffer.pop_first() {
-            self.apply(at, payload);
-            applied += 1;
-        }
-        if applied > 0 {
-            dcfail_obs::add("stream.events_applied", applied);
-        }
-        self.stats.events_applied += applied;
+        self.drain(None);
         while self.next_close < self.horizon.num_weeks() {
             self.close_next_window();
         }
@@ -457,5 +589,198 @@ impl StreamEngine {
             alerts: self.alerts,
             stats: self.stats,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcfail_stats::rng::StreamRng;
+    use proptest::prelude::*;
+
+    fn minute(m: i64) -> SimTime {
+        Horizon::observation_year().start() + SimDuration::from_minutes(m)
+    }
+
+    /// A payload that names its arrival, so last-wins is observable.
+    fn arrival(index: usize) -> FeedPayload {
+        FeedPayload::Failure {
+            machine: MachineId::new(index as u32),
+        }
+    }
+
+    /// Releases every bucket before `bound` as `(at, seq, payload)`, and
+    /// returns how many arrivals it dropped as duplicates.
+    fn release(
+        buffer: &mut ReorderBuffer,
+        bound: Option<SimTime>,
+        out: &mut Vec<(SimTime, u64, FeedPayload)>,
+    ) -> u64 {
+        let mut dropped = 0;
+        while let Some((at, bucket, duplicates)) = buffer.pop_before(bound) {
+            dropped += duplicates;
+            out.extend(bucket.into_iter().map(|(seq, payload)| (at, seq, payload)));
+        }
+        dropped
+    }
+
+    /// The oracle: a map keyed by `(at, seq)`, one entry per event, where a
+    /// repeated key keeps the last arrival.
+    fn release_oracle(
+        oracle: &mut BTreeMap<(SimTime, u64), FeedPayload>,
+        bound: Option<SimTime>,
+        out: &mut Vec<(SimTime, u64, FeedPayload)>,
+    ) {
+        while let Some(entry) = oracle.first_entry() {
+            if bound.is_some_and(|bound| entry.key().0 >= bound) {
+                break;
+            }
+            let ((at, seq), payload) = entry.remove_entry();
+            out.push((at, seq, payload));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arrivals over a few timestamps (so most share one), a share of
+        /// them repeating an earlier `(at, seq)`, delivered with jitter up to
+        /// the slack and equal jittered times in random order: at every
+        /// watermark step the buckets release exactly what the ordered map
+        /// releases.
+        #[test]
+        fn buckets_release_what_the_ordered_map_releases(
+            seed in any::<u64>(),
+            events in 1usize..160,
+            spread in 1usize..12,
+            slack in 0i64..6,
+            repeat_pct in 0usize..40,
+        ) {
+            let mut rng = StreamRng::new(seed).fork("engine.buffer.oracle");
+            let mut canonical: Vec<(SimTime, u64)> = Vec::with_capacity(events);
+            let mut at = 0i64;
+            for seq in 0..events as u64 {
+                if !canonical.is_empty() && rng.below(100) < repeat_pct {
+                    canonical.push(canonical[rng.below(canonical.len())]);
+                } else {
+                    at += rng.below(spread) as i64;
+                    canonical.push((minute(at), seq));
+                }
+            }
+            let mut keyed: Vec<(SimTime, usize, FeedEvent)> = canonical
+                .iter()
+                .enumerate()
+                .map(|(i, &(at, seq))| {
+                    let jitter = SimDuration::from_minutes(rng.below(slack as usize + 1) as i64);
+                    let event = FeedEvent { at, seq, payload: arrival(i) };
+                    (at + jitter, rng.below(usize::MAX), event)
+                })
+                .collect();
+            keyed.sort_by_key(|&(key, tie, _)| (key, tie));
+
+            let slack = SimDuration::from_minutes(slack);
+            let mut buffer = ReorderBuffer::default();
+            let mut oracle = BTreeMap::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let (mut parked, mut dropped) = (0, 0);
+            let mut max_seen = None::<SimTime>;
+            let mut applied_through = None::<SimTime>;
+            for (_, _, event) in keyed {
+                if applied_through.is_some_and(|w| event.at < w) {
+                    continue;
+                }
+                buffer.park(event);
+                oracle.insert((event.at, event.seq), event.payload);
+                parked += 1;
+                let newest = max_seen.map_or(event.at, |m| m.max(event.at));
+                max_seen = Some(newest);
+                let watermark = newest - slack;
+                if applied_through.is_some_and(|w| w >= watermark) {
+                    continue;
+                }
+                dropped += release(&mut buffer, Some(watermark), &mut got);
+                release_oracle(&mut oracle, Some(watermark), &mut want);
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(buffer.len, parked - got.len() - dropped as usize);
+                applied_through = Some(watermark);
+            }
+            dropped += release(&mut buffer, None, &mut got);
+            release_oracle(&mut oracle, None, &mut want);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(buffer.len, 0);
+            prop_assert_eq!(got.len() + dropped as usize, parked);
+        }
+
+        /// Arbitrary ids, `u32::MAX` and ids around the dense bound among
+        /// them: every lookup matches a map oracle, and the dense table never
+        /// covers more than the bound allows.
+        #[test]
+        fn machine_table_matches_a_map_oracle(
+            seed in any::<u64>(),
+            ops in 1usize..3000,
+        ) {
+            let mut rng = StreamRng::new(seed).fork("engine.machines.oracle");
+            let mut table = MachineTable::default();
+            let mut oracle = BTreeMap::new();
+            for op in 0..ops {
+                let raw = match rng.below(6) {
+                    0 => u32::MAX - rng.below(3) as u32,
+                    1 => rng.below(u32::MAX as usize) as u32,
+                    2 => rng.below(64) as u32,
+                    _ => rng.below(3 * DENSE_HEADROOM) as u32,
+                };
+                let machine = MachineId::new(raw);
+                if rng.below(3) > 0 {
+                    table.get_or_insert(machine, 2).usage_week = Some(op);
+                    oracle.insert(machine, op);
+                }
+                prop_assert_eq!(
+                    table.get(machine).map(|rows| rows.usage_week),
+                    oracle.get(&machine).map(|&op| Some(op))
+                );
+                prop_assert_eq!(table.len, oracle.len());
+                prop_assert!(table.dense.len() <= 2 * table.len + DENSE_HEADROOM);
+            }
+            for (&machine, &op) in &oracle {
+                prop_assert_eq!(table.get(machine).and_then(|rows| rows.usage_week), Some(op));
+            }
+        }
+    }
+
+    #[test]
+    fn an_id_stored_sparse_stays_findable_after_the_dense_table_grows_past_it() {
+        let mut table = MachineTable::default();
+        let far = MachineId::new(DENSE_HEADROOM as u32 + 10);
+        table.get_or_insert(far, 1).usage_week = Some(7);
+        assert!(table.dense.len() <= far.index(), "first sight is sparse");
+        for raw in 0..10 {
+            table.get_or_insert(MachineId::new(raw), 1);
+        }
+        // Eleven machines seen: the bound now covers `far + 1`, and the
+        // dense table grows past `far`, whose slot stays empty.
+        table.get_or_insert(MachineId::new(far.raw() + 1), 1);
+        assert!(table.dense.len() > far.index());
+        assert_eq!(table.get(far).map(|rows| rows.usage_week), Some(Some(7)));
+        assert_eq!(table.get_or_insert(far, 1).usage_week, Some(7));
+        assert_eq!(table.len, 12);
+    }
+
+    #[test]
+    fn a_repeated_seq_keeps_the_last_arrival_and_counts_the_rest() {
+        let mut buffer = ReorderBuffer::default();
+        for (seq, index) in [(2, 0), (1, 1), (2, 2), (2, 3)] {
+            buffer.park(FeedEvent {
+                at: minute(5),
+                seq,
+                payload: arrival(index),
+            });
+        }
+        let mut got = Vec::new();
+        assert_eq!(release(&mut buffer, Some(minute(6)), &mut got), 2);
+        assert_eq!(
+            got,
+            [(minute(5), 1, arrival(1)), (minute(5), 2, arrival(3))]
+        );
+        assert_eq!(buffer.len, 0);
     }
 }

@@ -12,19 +12,25 @@
 //! digests to the batch run on the same horizon — at any thread count and
 //! under any legal arrival reordering within the configured slack bound.
 //! The contract holds by construction, not by averaging: the engine parks
-//! arrivals in a slack-bounded reorder buffer keyed by `(at, seq)` and only
-//! replays them once the watermark (newest arrival minus slack) proves
-//! their canonical slot, so every estimator sees events in exactly the
-//! order the batch pipeline iterates them. The estimators are the batch
-//! runners' own: each replayed `Attrs` or `Usage` payload goes through the
-//! per-machine steps of [`dcfail_core::panel::PanelCounts`], and each
-//! failure is attributed through the machine's bin rows.
+//! arrivals in a slack-bounded reorder buffer, one bucket per distinct
+//! timestamp, and only replays a bucket once the watermark (newest arrival
+//! minus slack) has passed it. Any later arrival at that timestamp is
+//! rejected as late, so the drained bucket is complete, and sorting it by
+//! `seq` puts every event in exactly the `(at, seq)` order the batch
+//! pipeline iterates. The estimators are the batch runners' own: each
+//! replayed `Attrs` or `Usage` payload goes through the per-machine steps
+//! of [`dcfail_core::panel::PanelCounts`], and each failure is attributed
+//! through the machine's bin rows.
 //!
 //! Memory is O(machines seen + open weeks): the reorder buffer holds at
-//! most a slack's worth of events, each machine keeps one constant and one
+//! most a slack's worth of events; each machine keeps one constant and one
 //! weekly bin row (its latest usage week — canonical order delivers a
-//! machine's weeks in order and every failure after its week's rollup), and
-//! an open week is one failure count.
+//! machine's weeks in order and every failure after its week's rollup), in
+//! a table indexed by machine id that covers ids only up to twice the
+//! machines seen plus a fixed headroom, with a sparse map for the rest, so
+//! no outside id sizes an allocation; and an open window is one failure
+//! count in a slot per week of the horizon, which already sizes the panel
+//! counts.
 //!
 //! ```
 //! use dcfail_model::prelude::*;

@@ -10,6 +10,7 @@ use dcfail_model::prelude::*;
 use dcfail_stats::rng::StreamRng;
 use dcfail_stream::{
     batch_digest, batch_rendered, StreamConfig, StreamEngine, StreamError, StreamOutput,
+    StreamStats,
 };
 use dcfail_synth::feed::{dataset_feed, reorder_within_slack, FeedEvent};
 use dcfail_synth::Scenario;
@@ -29,6 +30,15 @@ fn dataset() -> &'static FailureDataset {
 fn feed() -> &'static Vec<FeedEvent> {
     static FEED: OnceLock<Vec<FeedEvent>> = OnceLock::new();
     FEED.get_or_init(|| dataset_feed(dataset()))
+}
+
+/// Every arrival is applied, rejected as late, or replaced as a duplicate.
+fn assert_accounted(stats: &StreamStats) {
+    assert_eq!(
+        stats.events_ingested,
+        stats.events_applied + stats.late_events + stats.duplicate_seq,
+        "{stats:?}"
+    );
 }
 
 fn stream_run(events: &[FeedEvent], slack_minutes: i64) -> StreamOutput {
@@ -62,6 +72,7 @@ fn canonical_feed_reproduces_batch_figures_byte_identically() {
     );
     assert_eq!(out.stats.events_applied, out.stats.events_ingested);
     assert_eq!(out.stats.late_events, 0);
+    assert_accounted(&out.stats);
     assert_eq!(out.stats.machines as usize, dataset().machines().len());
     assert_eq!(
         out.stats.windows_closed as usize,
@@ -83,6 +94,7 @@ fn reordered_feeds_reproduce_the_canonical_digest() {
             "slack {slack} min (case {case}) diverged"
         );
         assert_eq!(out.stats.late_events, 0);
+        assert_accounted(&out.stats);
     }
 }
 
@@ -99,6 +111,7 @@ fn equal_timestamp_permutations_survive_zero_slack() {
     let out = stream_run(&shuffled, 0);
     assert_eq!(out.digest(), batch_digest(dataset()));
     assert_eq!(out.stats.late_events, 0);
+    assert_accounted(&out.stats);
 }
 
 #[test]
@@ -118,6 +131,7 @@ fn genuinely_late_events_are_rejected_and_counted() {
     assert!(matches!(err, StreamError::LateEvent { .. }));
     assert!(err.to_string().contains("late event"));
     assert_eq!(engine.stats().late_events, 1);
+    assert_accounted(&engine.finish().stats);
 }
 
 #[test]
@@ -128,6 +142,7 @@ fn alerts_are_deterministic_under_reordering() {
         let shuffled = reorder_within_slack(feed(), SimDuration::from_minutes(1440), &mut rng);
         let out = stream_run(&shuffled, 1440);
         assert_eq!(out.alerts, reference.alerts, "case {case}");
+        assert_accounted(&out.stats);
     }
     // Alerts arrive in window-close order.
     for pair in reference.alerts.windows(2) {
@@ -144,6 +159,7 @@ fn memory_stays_bounded_by_the_slack() {
     let shuffled = reorder_within_slack(feed(), SimDuration::from_minutes(60), &mut rng);
     let out = stream_run(&shuffled, 60);
     assert_eq!(out.digest(), batch_digest(dataset()));
+    assert_accounted(&out.stats);
     assert!(
         out.stats.peak_open_windows <= 2,
         "peak open windows {}",
@@ -157,4 +173,82 @@ fn memory_stays_bounded_by_the_slack() {
         out.stats.peak_buffered,
         feed().len()
     );
+}
+
+/// The pinned `StreamStats` fields by name. A field added later is checked
+/// by its own tests, so adding one does not move the pin.
+fn pinned_stats(out: &StreamOutput) -> [(&'static str, u64); 12] {
+    let s = &out.stats;
+    [
+        ("events_ingested", s.events_ingested),
+        ("events_applied", s.events_applied),
+        ("late_events", s.late_events),
+        ("duplicate_attrs", s.duplicate_attrs),
+        ("duplicate_usage", s.duplicate_usage),
+        ("machines", s.machines),
+        ("failures", s.failures),
+        ("tickets", s.tickets),
+        ("windows_opened", s.windows_opened),
+        ("windows_closed", s.windows_closed),
+        ("peak_buffered", s.peak_buffered as u64),
+        ("peak_open_windows", s.peak_open_windows as u64),
+    ]
+}
+
+/// Each alert as `(week, at minutes, observed, expected bits, score bits)`.
+fn pinned_alerts(out: &StreamOutput) -> Vec<(usize, i64, u64, u64, u64)> {
+    out.alerts
+        .iter()
+        .map(|a| {
+            (
+                a.week,
+                a.at.as_minutes(),
+                a.observed,
+                a.expected.to_bits(),
+                a.score.to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// The engine's full output on the seed-42 feed, pinned per arrival order
+/// as `(slack minutes, peak_buffered, peak_open_windows)`; every other
+/// pinned field is the same in all three orders.
+const PINNED_ORDERS: [(i64, u64, u64); 3] = [(0, 375, 1), (360, 377, 2), (1440, 380, 2)];
+
+/// The one alert of the seed-42 feed: week 17 (ending at minute 181,440),
+/// 9 failures against a baseline of 1.125, score 7.625.
+const PINNED_ALERTS: [(usize, i64, u64, u64, u64); 1] =
+    [(17, 181_440, 9, 0x3ff2_0000_0000_0000, 0x401e_8000_0000_0000)];
+
+#[test]
+fn stats_and_alerts_match_the_pin_in_every_arrival_order() {
+    for (case, (slack, peak_buffered, peak_open_windows)) in (0u64..).zip(PINNED_ORDERS) {
+        let events = if slack == 0 {
+            feed().clone()
+        } else {
+            let mut rng = StreamRng::new(42).fork_index("equality.golden", case);
+            reorder_within_slack(feed(), SimDuration::from_minutes(slack), &mut rng)
+        };
+        let out = stream_run(&events, slack);
+        assert_eq!(
+            pinned_stats(&out),
+            [
+                ("events_ingested", 12_332),
+                ("events_applied", 12_332),
+                ("late_events", 0),
+                ("duplicate_attrs", 0),
+                ("duplicate_usage", 0),
+                ("machines", 187),
+                ("failures", 37),
+                ("tickets", 2_384),
+                ("windows_opened", 52),
+                ("windows_closed", 52),
+                ("peak_buffered", peak_buffered),
+                ("peak_open_windows", peak_open_windows),
+            ],
+            "slack {slack} min"
+        );
+        assert_eq!(pinned_alerts(&out), PINNED_ALERTS, "slack {slack} min");
+    }
 }

@@ -69,5 +69,9 @@ proptest! {
         );
         prop_assert_eq!(out.stats.late_events, 0);
         prop_assert_eq!(out.stats.events_applied, feed().len() as u64);
+        prop_assert_eq!(
+            out.stats.events_ingested,
+            out.stats.events_applied + out.stats.late_events + out.stats.duplicate_seq
+        );
     }
 }
