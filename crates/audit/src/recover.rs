@@ -309,15 +309,6 @@ impl DegradationReport {
         }
     }
 
-    /// Fraction of input machine records surviving recovery.
-    pub fn machine_completeness(&self) -> f64 {
-        if self.machines_seen == 0 {
-            1.0
-        } else {
-            self.machines_kept as f64 / self.machines_seen as f64
-        }
-    }
-
     /// Renders the report as indented text (one line per applied rule).
     pub fn render_text(&self) -> String {
         self.to_string()

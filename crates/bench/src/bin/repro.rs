@@ -28,7 +28,8 @@
 //! * `extras` — run the extension reports (availability, censoring-corrected
 //!   inter-failure times, bootstrap CIs, failure prediction, what-ifs).
 //! * `summary` — re-derive the paper's §VII findings with verdicts.
-//! * `ablate` — run the ablation suite instead.
+//! * `ablate` — run the ablation suite instead (`--scale` defaults to 0.3
+//!   here: it builds several full simulations).
 //! * `audit` — lint a trace against the `dcfail-audit` rule catalog and exit
 //!   nonzero on Error-level findings. Audits a JSON trace (`--dataset`,
 //!   evaluated *before* validation so broken files are still diagnosable), a
@@ -38,25 +39,29 @@
 //!   records instead of rejecting the trace, printing what was done.
 //! * `chaos` — self-test of the dirty-data pipeline: corrupt a clean scenario
 //!   at `--rate` (default 0.05), recover it, re-audit, and report estimate
-//!   drift against the clean ground truth. `--smoke` caps the scale and
-//!   exits nonzero unless recovery produced an audit-clean dataset and a
-//!   non-empty degradation report.
-//! * `bench` — time `Scenario::build` and every report runner at the given
-//!   seed/scale and write `BENCH_<git-short-sha>.json` (wall-clock ms,
-//!   thread count, dataset sizes). `--json` also prints the report to
-//!   stdout; `--smoke` caps the scale for CI. `--record` appends the run
-//!   (per-runner ms, total, peak RSS) to the tracked perf history
-//!   (`bench/history.jsonl`, override with `--history FILE`); `--check`
-//!   compares total report time against the last recorded entry at the same
-//!   scale/thread count and exits 1 when it regressed by more than 15% (or
-//!   when no baseline exists) — the CI perf gate.
-//! * `metrics` — run the full pipeline (synth → audit → chaos + recovery →
-//!   classification → every report runner; `--scale` defaults to 0.2 here)
-//!   under an enabled `dcfail-obs` collection window and print the
-//!   aggregated span/counter/histogram tree.
-//!   `--json` prints the schema-versioned JSON export instead; `--smoke`
-//!   validates the export (schema version, every pipeline stage span
-//!   present, disabled-path overhead under 2%) and exits nonzero otherwise.
+//!   drift against the clean ground truth. `--smoke` defaults the scale to
+//!   0.2 and exits nonzero unless recovery produced an audit-clean dataset
+//!   and a non-empty degradation report.
+//! * `metrics` — run the traced pipeline (synth → audit → chaos + recovery
+//!   → classification → every report runner → stream replay; `--scale`
+//!   defaults to 0.2 here, 0.05 with `--smoke`) under one `dcfail-obs`
+//!   collection window and print the aggregated span/counter/histogram
+//!   tree. `--json` prints the schema-versioned JSON export instead;
+//!   `--smoke` validates the export (schema version, every pipeline stage
+//!   span present, disabled-path overhead under 2%) and exits nonzero
+//!   otherwise.
+//! * `bench` — run the same traced pipeline as `metrics` and read its
+//!   spans: build, report fan-out, each report runner and the stream
+//!   replay. A 16-shard out-of-core build runs first, outside the window,
+//!   to probe the sharded peak RSS. Writes `BENCH_<git-short-sha>.json`:
+//!   the history entry below plus that probe's reading. `--json` also
+//!   prints it to stdout; `--smoke` defaults the scale to 0.05 for CI.
+//!   `--record` appends the entry (per-runner ms, total, stream replay,
+//!   peak RSS) to the tracked perf history (`bench/history.jsonl`, override
+//!   with `--history FILE`); `--check` compares total report time against
+//!   the last recorded entry at the same scale/thread count and exits 1
+//!   when it regressed by more than 15% (or when no baseline exists) — the
+//!   CI perf gate. `--metrics OUT.json` writes the run's span export.
 //! * `shard` — run the full paper report suite out-of-core: the fleet is
 //!   generated shard-by-shard (`--shards`, default 8) and merged, so peak
 //!   memory is bounded by the shard size, not the fleet. `--machines N`
@@ -87,18 +92,18 @@
 //!   `--events N` caps the replay at N events (throughput experiments; the
 //!   digest gate is skipped since batch saw the whole horizon); `--window P`
 //!   sets the burst detector's sliding history to P closed windows;
-//!   `--json` emits stats, alerts and digests as JSON. `--smoke` caps the
-//!   scale and exits nonzero unless the digests match and every event was
-//!   applied.
+//!   `--json` emits stats, alerts and digests as JSON. `--smoke` defaults
+//!   the scale to 0.05 and exits nonzero unless the digests match and every
+//!   event was applied.
 //! * `serve` — run the `dcfail-serve` HTTP/JSON daemon over the experiment
 //!   registry: `GET /registry`, `GET /reports/:id` (the versioned envelope,
 //!   byte-identical to `repro <id> --json`), `POST /whatif`, `POST /audit`,
 //!   `GET /metrics`, `GET /stream/alerts`. `--addr` picks the bind address
 //!   (default `127.0.0.1:4914`; port 0 for ephemeral), `--workers` the pool
 //!   size, `--queue` the bounded request-queue depth (a full queue answers a
-//!   typed 429). `--smoke` is the CI gate: ephemeral port at a capped
-//!   scale, every endpoint diffed against the library's own envelope bytes,
-//!   a deterministic 429 flood against a held worker pool, and a clean
+//!   typed 429). `--smoke` is the CI gate: ephemeral port at a small
+//!   scale (0.05 unless `--scale` is given), every endpoint diffed against
+//!   the library's own envelope bytes, a deterministic 429 flood against a held worker pool, and a clean
 //!   shutdown that releases the port. Exits 1 on any deviation.
 //! * `lint` — run the `dcfail-dlint` determinism lint over the workspace's
 //!   own Rust source (rules D01–D16: hash-ordered collections, wall-clock
@@ -116,16 +121,18 @@
 //! * `--csv DIR` — also write each artifact's CSV series under `DIR`.
 //! * `--metrics OUT.json` — with any subcommand: collect metrics while the
 //!   command runs and write the JSON export to `OUT.json` on the way out.
+//!   `metrics` and `bench` write their own traced run's export.
 
 use dcfail_audit::import;
 use dcfail_audit::recover::recover_raw;
 use dcfail_audit::{AuditReport, DegradationReport, RecoveryMode};
-use dcfail_bench::ablation;
+use dcfail_bench::history::HistoryEntry;
+use dcfail_bench::{ablation, pipeline};
 use dcfail_chaos::{inject, InjectionPlan, IoFaultPlan};
 use dcfail_ckpt::{ChaosFs, CheckpointStore, FaultFs, FsError, MemFs, RealFs};
 use dcfail_core::{degradation, rates, repair};
 use dcfail_model::prelude::*;
-use dcfail_report::experiments::{run_all, ExperimentId, RunConfig};
+use dcfail_report::experiments::{ExperimentId, RunConfig};
 use dcfail_report::Toolkit;
 use dcfail_serve::conn::{get_request, post_request, roundtrip, PendingRequest};
 use dcfail_serve::http::split_response;
@@ -487,12 +494,8 @@ fn print_robust(recovered: &FailureDataset) {
 /// Runs the `chaos` subcommand: corrupt a clean scenario, recover it, re-audit,
 /// and report drift. `--smoke` makes the run a pass/fail self-test.
 fn run_chaos(opts: &Options) -> Result<ExitCode, String> {
-    // The smoke run is a CI gate: pin a small scale so it stays fast.
-    let scale = if opts.smoke {
-        opts.scale.unwrap_or(1.0).min(0.2)
-    } else {
-        opts.scale.unwrap_or(1.0)
-    };
+    // The smoke run is a CI gate: it defaults to a small scale.
+    let scale = opts.scale.unwrap_or(if opts.smoke { 0.2 } else { 1.0 });
     eprintln!(
         "chaos: generating clean paper scenario (seed {}, scale {scale}) ...",
         opts.seed
@@ -554,8 +557,12 @@ fn run_chaos(opts: &Options) -> Result<ExitCode, String> {
 }
 
 fn run_ablate(opts: &Options) -> ExitCode {
-    // Ablations run several full simulations; cap the scale for speed.
-    let scale = opts.scale.unwrap_or(1.0).min(0.3);
+    // Ablations run several full simulations; default to a small scale.
+    let scale = opts.scale.unwrap_or(0.3);
+    eprintln!(
+        "ablate: running the ablation suite (seed {}, scale {scale}) ...",
+        opts.seed
+    );
     println!("== ablation suite (seed {}, scale {scale}) ==\n", opts.seed);
     for a in ablation::run_all(opts.seed, scale) {
         println!(
@@ -571,55 +578,92 @@ fn run_ablate(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs the `bench` subcommand: time the build and every report runner,
-/// write `BENCH_<git-short-sha>.json`, and print a summary. `--record`
-/// appends the run to the tracked perf history; `--check` gates it against
-/// the last recorded entry at the same scale/thread count.
+/// Shard count of `bench`'s out-of-core memory probe.
+const SHARD_PROBE_SHARDS: usize = 16;
+
+/// The `repro bench` document, printed by `--json` and written to
+/// `BENCH_<git>.json`: the entry `--record` appends, plus the shard probe.
+#[derive(serde::Serialize)]
+struct BenchDoc {
+    entry: HistoryEntry,
+    shard_probe_shards: usize,
+    /// Peak RSS (kB) right after the sharded build, which runs before
+    /// anything monolithic touches the heap. `VmHWM` is monotone, so an
+    /// `entry.peak_rss_kb` above it is memory the monolithic path needed.
+    shard_peak_rss_kb: Option<u64>,
+}
+
+/// Runs the `bench` subcommand: trace the pipeline, read the build, report
+/// and stream times from its spans, write `BENCH_<git-short-sha>.json`,
+/// and print a summary. `--record` appends the run to the tracked perf
+/// history; `--check` gates it against the last recorded entry at the same
+/// scale/thread count.
 fn run_bench(opts: &Options) -> Result<ExitCode, String> {
-    // The smoke run is a CI gate: pin a small scale so it stays fast.
-    // Everything else benches the scale it was asked for — including the
-    // full fleet at the untouched default (1.0), which the columnar report
-    // paths now finish in well under a second.
-    let scale = if opts.smoke {
-        opts.scale.unwrap_or(1.0).min(0.05)
-    } else {
-        opts.scale.unwrap_or(1.0)
-    };
+    // The smoke run is a CI gate: it defaults to a small scale. Everything
+    // else benches the full fleet unless told otherwise.
+    let scale = opts.scale.unwrap_or(if opts.smoke { 0.05 } else { 1.0 });
     eprintln!(
-        "bench: timing scenario build + report runners (seed {}, scale {scale}, {} threads) ...",
+        "bench: tracing the pipeline (seed {}, scale {scale}, {} threads) ...",
         opts.seed,
         dcfail_par::thread_count()
     );
-    let report = dcfail_bench::timing::measure(None, opts.seed, scale);
-    let json = serde_json::to_string_pretty(&report)
+    // The shard probe runs first and outside the window: `VmHWM` is a
+    // high-water mark, so it must read before anything monolithic runs.
+    let shard_peak_rss_kb = {
+        let config = Scenario::paper()
+            .seed(opts.seed)
+            .scale(scale)
+            .config()
+            .clone();
+        let _probe = dcfail_shard::build_sharded(&config, SHARD_PROBE_SHARDS);
+        peak_rss_kb()
+    };
+
+    let handle =
+        dcfail_obs::ObsHandle::install().ok_or("another metrics collection window is active")?;
+    let run = pipeline::run(opts.seed, scale, opts.rate);
+    let metrics = handle.finish();
+    if let Some(path) = &opts.metrics_path {
+        write_metrics(path, &metrics)?;
+    }
+    let run = run?;
+    let git = git_revision(Path::new("."));
+    let doc = BenchDoc {
+        entry: HistoryEntry::from_run(git, &run, &metrics, peak_rss_kb())?,
+        shard_probe_shards: SHARD_PROBE_SHARDS,
+        shard_peak_rss_kb,
+    };
+    let entry = &doc.entry;
+    let json = serde_json::to_string_pretty(&doc)
         .map_err(|e| format!("cannot serialize bench report: {e}"))?;
-    let path = PathBuf::from(format!("BENCH_{}.json", report.git));
+    let path = PathBuf::from(format!("BENCH_{}.json", entry.git));
     std::fs::write(&path, &json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     if opts.json {
         println!("{json}");
     } else {
-        let sequential_ms: f64 = report.runners.iter().map(|r| r.ms).sum();
+        let runners_ms: f64 = entry.runners.iter().map(|r| r.ms).sum();
         println!(
-            "build {:.1} ms | reports {:.1} ms parallel vs {:.1} ms sequential on {} threads",
-            report.build_ms, report.report_ms, sequential_ms, report.threads
+            "build {:.1} ms | reports {:.1} ms on {} threads ({:.1} ms summed over runners)",
+            entry.build_ms, entry.report_ms, entry.threads, runners_ms
         );
         println!(
             "dataset: {} machines, {} events, {} incidents, {} tickets",
-            report.machines, report.events, report.incidents, report.tickets
+            run.machines, run.events, run.incidents, run.tickets
         );
-        println!(
-            "stream: {} feed events ingested in {:.1} ms ({:.2} M events/s)",
-            report.stream.events,
-            report.stream.ingest_ms,
-            report.stream.events_per_sec / 1e6
-        );
-        if let (Some(shard), Some(mono)) = (report.shard_peak_rss_kb, report.monolithic_peak_rss_kb)
-        {
+        if let Some(stream) = &entry.stream {
             println!(
-                "peak RSS: {shard} kB after {}-shard out-of-core build vs {mono} kB \
-                 after monolithic build + reports",
-                report.shard_probe_shards
+                "stream: {} feed events replayed in {:.1} ms ({:.2} M events/s)",
+                stream.events,
+                stream.ingest_ms,
+                stream.events_per_sec / 1e6
             );
+        }
+        match (shard_peak_rss_kb, entry.peak_rss_kb) {
+            (Some(shard), Some(mono)) => println!(
+                "peak RSS: {shard} kB after {SHARD_PROBE_SHARDS}-shard out-of-core build vs \
+                 {mono} kB after the monolithic pipeline"
+            ),
+            _ => println!("peak RSS: unavailable (no readable VmHWM in /proc/self/status)"),
         }
     }
     eprintln!("bench report written to {}", path.display());
@@ -631,12 +675,11 @@ fn run_bench(opts: &Options) -> Result<ExitCode, String> {
         .history_path
         .clone()
         .unwrap_or_else(|| PathBuf::from(dcfail_bench::history::DEFAULT_PATH));
-    let entry = dcfail_bench::history::HistoryEntry::from_report(&report);
     // Check before recording, so a `--check --record` run gates against the
     // previous baseline rather than against itself.
-    let gate_failed = opts.check && check_perf_gate(&entry, &history_path)?;
+    let gate_failed = opts.check && check_perf_gate(entry, &history_path)?;
     if opts.record {
-        dcfail_bench::history::append(&history_path, &entry)?;
+        dcfail_bench::history::append(&history_path, entry)?;
         eprintln!(
             "bench: recorded report {:.1} ms (scale {}, {} threads) to {}",
             entry.report_ms,
@@ -651,13 +694,41 @@ fn run_bench(opts: &Options) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Writes a collection window's JSON export to `path` (`--metrics`).
+fn write_metrics(path: &Path, report: &dcfail_obs::MetricsReport) -> Result<(), String> {
+    std::fs::write(path, report.to_json())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("metrics written to {}", path.display());
+    Ok(())
+}
+
+/// Peak resident set size of this process in kB (`VmHWM` from
+/// `/proc/self/status`), or `None` when the file is unavailable (non-Linux).
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// Short git revision of the checkout at `dir`, or `"nogit"` when it is
+/// not a git checkout (export tarballs, vendored checkouts) or git itself
+/// is unavailable. Any failure yields `"nogit"` rather than an error: the
+/// revision only labels the report.
+fn git_revision(dir: &Path) -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .current_dir(dir)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "nogit".into(), |s| s.trim().to_string())
+}
+
 /// Compares the fresh bench entry against the last recorded baseline at the
 /// same (scale, threads) and prints the verdict. Returns whether the perf
 /// gate failed (regression or missing baseline).
-fn check_perf_gate(
-    entry: &dcfail_bench::history::HistoryEntry,
-    history_path: &Path,
-) -> Result<bool, String> {
+fn check_perf_gate(entry: &HistoryEntry, history_path: &Path) -> Result<bool, String> {
     use dcfail_bench::history::{check, load, GateVerdict, NOISE_FLOOR_MS, REGRESSION_TOLERANCE};
     let mut gate_failed = false;
     let history = load(history_path)?;
@@ -794,21 +865,17 @@ const REQUIRED_STAGES: &[&str] = &[
     "stats.bootstrap",
     // report fan-out (the registry covers the extras too)
     "report.run_all",
+    // stream replay of the same dataset
+    pipeline::REPLAY_SPAN,
 ];
 
-/// Runs the `metrics` subcommand: exercise the full pipeline under an
-/// enabled collection window, print (or write) the aggregated report, and —
-/// with `--smoke` — validate the export and the disabled-path overhead.
-// The smoke gates are a checklist, not control flow worth extracting.
-#[allow(clippy::too_many_lines)]
+/// Runs the `metrics` subcommand: trace the pipeline under one collection
+/// window, print (or write) the aggregated report, and — with `--smoke` —
+/// validate the export and the disabled-path overhead.
 fn run_metrics(opts: &Options) -> Result<ExitCode, String> {
     // Smoke stays small for CI; without `--scale` the run defaults to
     // something that finishes quickly; an explicit scale is honoured.
-    let scale = if opts.smoke {
-        opts.scale.unwrap_or(1.0).min(0.05)
-    } else {
-        opts.scale.unwrap_or(0.2)
-    };
+    let scale = opts.scale.unwrap_or(if opts.smoke { 0.05 } else { 0.2 });
 
     // The disabled-cost probe must run before the window opens.
     let per_call_ns = disabled_ns_per_call();
@@ -821,29 +888,7 @@ fn run_metrics(opts: &Options) -> Result<ExitCode, String> {
         dcfail_par::thread_count()
     );
     let wall = Instant::now();
-
-    let mut dataset = Scenario::paper()
-        .seed(opts.seed)
-        .scale(scale)
-        .build()
-        .into_dataset();
-    let audit = dcfail_audit::audit_dataset(&dataset);
-    if !audit.is_clean() {
-        return Err("metrics: generated dataset failed audit".into());
-    }
-
-    // Chaos + quarantine-and-recover, on a copy of the trace.
-    let plan = InjectionPlan::uniform(opts.seed, opts.rate);
-    let (parts, _log) = inject(&dataset, &plan);
-    let _recovered = recover_raw(&parts).map_err(|e| format!("recovery failed: {e}"))?;
-
-    // Ticket classification.
-    let mut rng = StreamRng::new(opts.seed ^ 0x7ea).fork("repro.classify");
-    let _classification = apply_to_dataset(&mut dataset, PipelineConfig::default(), &mut rng);
-
-    // Every report runner: paper artifacts + extension reports.
-    let _all = run_all(&dataset, &RunConfig::with_seed(opts.seed));
-
+    pipeline::run(opts.seed, scale, opts.rate).map_err(|e| format!("metrics: {e}"))?;
     let wall_ns = wall.elapsed().as_secs_f64() * 1e9;
     let report = handle.finish();
 
@@ -871,9 +916,7 @@ fn run_metrics(opts: &Options) -> Result<ExitCode, String> {
         wall_ns / 1e6
     );
     if let Some(path) = &opts.metrics_path {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("metrics written to {}", path.display());
+        write_metrics(path, &report)?;
     }
 
     if opts.smoke {
@@ -1232,17 +1275,13 @@ struct StreamRunDoc {
 /// streaming ingest engine and hold its digest against the batch pipeline.
 #[allow(clippy::too_many_lines)] // linear flag-validate -> replay -> report flow
 fn run_stream(opts: &Options) -> Result<ExitCode, String> {
-    // The smoke run is a CI gate: pin a small scale so it stays fast.
+    // The smoke run is a CI gate: it defaults to a small scale.
     if opts.smoke && opts.events_arg.is_some() {
         return Err(
             "--smoke and --events are mutually exclusive (smoke needs the digest gate)".into(),
         );
     }
-    let scale = if opts.smoke {
-        opts.scale.unwrap_or(1.0).min(0.05)
-    } else {
-        opts.scale.unwrap_or(1.0)
-    };
+    let scale = opts.scale.unwrap_or(if opts.smoke { 0.05 } else { 1.0 });
     let slack_minutes = opts.slack_minutes;
     eprintln!(
         "stream: synthesizing feed (seed {}, scale {scale}, slack {slack_minutes} min, \
@@ -1457,7 +1496,7 @@ fn smoke_fetch(addr: std::net::SocketAddr, raw: &[u8]) -> Result<(u16, String), 
         .map_err(|_| "non-UTF-8 response body".to_string())
 }
 
-/// The `serve --smoke` CI gate: ephemeral port at a capped scale, every
+/// The `serve --smoke` CI gate: ephemeral port at a small scale, every
 /// endpoint checked (reports diffed byte-for-byte against the library's own
 /// envelope), a deterministic 429 flood against a held worker pool, and a
 /// clean shutdown that releases the port.
@@ -1467,8 +1506,8 @@ fn run_serve_smoke(opts: &Options) -> Result<ExitCode, String> {
         eprintln!("serve smoke FAILED: {msg}");
         Ok(ExitCode::from(EXIT_FINDINGS))
     };
-    // The smoke run is a CI gate: pin a small scale so it stays fast.
-    let scale = opts.scale.unwrap_or(1.0).min(0.05);
+    // The smoke run is a CI gate: it defaults to a small scale.
+    let scale = opts.scale.unwrap_or(0.05);
     let workers = opts.workers.unwrap_or(2);
     let queue = opts.queue.unwrap_or(2);
     eprintln!(
@@ -1748,9 +1787,6 @@ fn dispatch(opts: &Options) -> Result<ExitCode, String> {
     if opts.targets.iter().any(|t| t == "ablate") {
         return Ok(run_ablate(opts));
     }
-    if opts.targets.iter().any(|t| t == "bench") {
-        return run_bench(opts);
-    }
     if opts.targets.iter().any(|t| t == "shard") {
         return run_shard(opts);
     }
@@ -1777,10 +1813,13 @@ fn try_main() -> Result<ExitCode, String> {
         }
         Parsed::Run(opts) => *opts,
     };
+    // `metrics` and `bench` own their collection window: `metrics` runs the
+    // disabled-cost probe before it opens, `bench` its shard probe.
     if opts.targets.iter().any(|t| t == "metrics") {
-        // `metrics` manages its own collection window (it also needs the
-        // disabled-cost probe to run before the window opens).
         return run_metrics(&opts);
+    }
+    if opts.targets.iter().any(|t| t == "bench") {
+        return run_bench(&opts);
     }
     // `--metrics OUT.json` with any other command: collect while it runs,
     // export on the way out (even when the command itself fails).
@@ -1793,10 +1832,7 @@ fn try_main() -> Result<ExitCode, String> {
     };
     let result = dispatch(&opts);
     if let (Some(handle), Some(path)) = (handle, &opts.metrics_path) {
-        let report = handle.finish();
-        std::fs::write(path, report.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("metrics written to {}", path.display());
+        write_metrics(path, &handle.finish())?;
     }
     result
 }
@@ -1808,5 +1844,25 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             ExitCode::from(EXIT_USAGE)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn git_revision_falls_back_outside_a_checkout() {
+        // A directory that cannot exist: spawning git there fails, which is
+        // exactly the "not a checkout" path.
+        let rev = git_revision(Path::new("/nonexistent/definitely/not/a/repo"));
+        assert_eq!(rev, "nogit");
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn peak_rss_reads_on_linux() {
+        let hwm = peak_rss_kb().expect("VmHWM available on Linux");
+        assert!(hwm > 0);
     }
 }

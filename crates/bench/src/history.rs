@@ -7,8 +7,14 @@
 //! scale/thread-count, failing the run when it regressed by more than
 //! [`REGRESSION_TOLERANCE`]. CI runs the smoke-scale check on every push, so
 //! an accidental quadratic path fails the build instead of shipping.
+//!
+//! Every duration in an entry is read from the spans of one traced
+//! [`pipeline::run`](crate::pipeline::run) ([`HistoryEntry::from_run`]), the
+//! same spans `repro metrics` prints.
 
-use crate::timing::BenchReport;
+use crate::pipeline::{PipelineRun, REPLAY_SPAN};
+use dcfail_obs::MetricsReport;
+use dcfail_report::experiments::ExperimentId;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
@@ -32,20 +38,16 @@ pub const REGRESSION_TOLERANCE: f64 = 0.15;
 pub const NOISE_FLOOR_MS: f64 = 10.0;
 
 /// Per-runner wall-clock milliseconds, as stored in the history file.
-///
-/// The owned twin of [`crate::timing::RunnerTiming`] (whose `id` is a
-/// `&'static str` and therefore cannot round-trip through deserialization).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunnerEntry {
     /// Artifact key (`table1` .. `fig10`).
     pub id: String,
-    /// Wall-clock milliseconds for one sequential invocation.
+    /// Wall-clock milliseconds of the runner's `report.<key>` span.
     pub ms: f64,
 }
 
-/// Streaming-ingest timing, as stored in the history file (the owned twin
-/// of [`crate::timing::StreamTiming`]). `None` in entries recorded before
-/// the stream engine existed.
+/// Streaming-ingest timing, as stored in the history file. `None` in
+/// entries recorded before the stream engine existed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamEntry {
     /// Events in the replayed feed.
@@ -56,8 +58,9 @@ pub struct StreamEntry {
     pub events_per_sec: f64,
 }
 
-/// One recorded bench run: the fields of a [`BenchReport`] that matter for
-/// regression tracking, in a shape that round-trips through JSON.
+/// One recorded bench run: the settings, sizes and span timings that
+/// matter for regression tracking, in a shape that round-trips through
+/// JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistoryEntry {
     /// Short git revision the run measured.
@@ -73,11 +76,12 @@ pub struct HistoryEntry {
     pub machines: usize,
     /// Failure events in the built dataset.
     pub events: usize,
-    /// Wall-clock ms of `Scenario::build` + dataset conversion.
+    /// Wall-clock ms of `Scenario::build` (the `synth.build` span).
     pub build_ms: f64,
-    /// Wall-clock ms of the parallel report fan-out — what `--check` gates.
+    /// Wall-clock ms of the parallel report fan-out (the `report.run_all`
+    /// span) — what `--check` gates.
     pub report_ms: f64,
-    /// Peak RSS (kB) after the monolithic build + reports, when readable.
+    /// Peak RSS (kB) after the monolithic pipeline, when readable.
     pub peak_rss_kb: Option<u64>,
     /// Per-runner wall-clock ms, for diagnosing *where* a regression lives.
     pub runners: Vec<RunnerEntry>,
@@ -86,32 +90,47 @@ pub struct HistoryEntry {
 }
 
 impl HistoryEntry {
-    /// Projects a full [`BenchReport`] down to its tracked fields.
-    pub fn from_report(report: &BenchReport) -> Self {
-        Self {
-            git: report.git.clone(),
-            seed: report.seed,
-            scale: report.scale,
-            threads: report.threads,
-            machines: report.machines,
-            events: report.events,
-            build_ms: report.build_ms,
-            report_ms: report.report_ms,
-            peak_rss_kb: report.monolithic_peak_rss_kb,
-            runners: report
-                .runners
-                .iter()
-                .map(|r| RunnerEntry {
-                    id: r.id.to_string(),
-                    ms: r.ms,
+    /// Projects a traced pipeline run onto its tracked fields. Every
+    /// duration comes from `metrics`, the run's collection window:
+    /// `build_ms` from `synth.build`, `report_ms` from `report.run_all`, one
+    /// runner per `report.<key>` span in [`ExperimentId::ALL`] order, and
+    /// the stream replay from [`REPLAY_SPAN`].
+    ///
+    /// A missing span is an error: a gate that read zeros would pass any
+    /// regression.
+    pub fn from_run(
+        git: String,
+        run: &PipelineRun,
+        metrics: &MetricsReport,
+        peak_rss_kb: Option<u64>,
+    ) -> Result<Self, String> {
+        let runners = ExperimentId::ALL
+            .iter()
+            .map(|id| {
+                Ok(RunnerEntry {
+                    id: id.key().to_string(),
+                    ms: stage_ms(metrics, &format!("report.{}", id.key()))?,
                 })
-                .collect(),
+            })
+            .collect::<Result<_, String>>()?;
+        let ingest_ms = stage_ms(metrics, REPLAY_SPAN)?;
+        Ok(Self {
+            git,
+            seed: run.seed,
+            scale: run.scale,
+            threads: run.threads,
+            machines: run.machines,
+            events: run.events,
+            build_ms: stage_ms(metrics, "synth.build")?,
+            report_ms: stage_ms(metrics, "report.run_all")?,
+            peak_rss_kb,
+            runners,
             stream: Some(StreamEntry {
-                events: report.stream.events,
-                ingest_ms: report.stream.ingest_ms,
-                events_per_sec: report.stream.events_per_sec,
+                events: run.feed_events,
+                ingest_ms,
+                events_per_sec: run.feed_events as f64 / (ingest_ms / 1e3).max(1e-9),
             }),
-        }
+        })
     }
 
     /// True when `other` was measured under the same conditions: identical
@@ -120,6 +139,27 @@ impl HistoryEntry {
     pub fn same_conditions(&self, other: &Self) -> bool {
         self.scale == other.scale && self.threads == other.threads
     }
+}
+
+/// Total milliseconds of every span whose leaf name is `stage`. Spans match
+/// by leaf, as `MetricsReport::has_stage` does, because work fanned out to
+/// `dcfail-par` workers records at the root rather than under its caller.
+fn stage_ms(metrics: &MetricsReport, stage: &str) -> Result<f64, String> {
+    let spans: Vec<f64> = metrics
+        .spans
+        .iter()
+        .filter(|s| {
+            s.path == stage
+                || s.path
+                    .strip_suffix(stage)
+                    .is_some_and(|parent| parent.ends_with('/'))
+        })
+        .map(|s| s.total_ms)
+        .collect();
+    if spans.is_empty() {
+        return Err(format!("no `{stage}` span recorded in the bench run"));
+    }
+    Ok(spans.iter().sum())
 }
 
 /// The outcome of a `--check` run against the loaded history.
@@ -391,15 +431,36 @@ mod tests {
     }
 
     #[test]
-    fn entry_projects_report_fields() {
-        let report = crate::timing::measure(Some("test".into()), 3, 0.02);
-        let entry = HistoryEntry::from_report(&report);
+    fn entry_projects_a_traced_run() {
+        // The only test in this binary that opens a window. The ablation
+        // tests build scenarios at the same time and record into it, so no
+        // span total below is asserted exactly.
+        let handle = dcfail_obs::ObsHandle::install().expect("no other window in this binary");
+        let run = crate::pipeline::run(3, 0.02, 0.05);
+        let metrics = handle.finish();
+        let run = run.unwrap();
+        let entry = HistoryEntry::from_run("test".into(), &run, &metrics, Some(1)).unwrap();
         assert_eq!(entry.git, "test");
-        assert_eq!(entry.report_ms, report.report_ms);
-        assert_eq!(entry.runners.len(), report.runners.len());
-        assert_eq!(entry.peak_rss_kb, report.monolithic_peak_rss_kb);
+        assert_eq!((entry.seed, entry.scale), (3, 0.02));
+        assert_eq!(entry.threads, run.threads);
+        assert!(entry.machines > 0 && entry.events > 0);
+        assert!(entry.build_ms > 0.0 && entry.report_ms > 0.0);
+        let ids: Vec<&str> = entry.runners.iter().map(|r| r.id.as_str()).collect();
+        let keys: Vec<&str> = ExperimentId::ALL.iter().map(|id| id.key()).collect();
+        assert_eq!(ids, keys);
+        let stream = entry.stream.clone().unwrap();
+        assert_eq!(stream.events, run.feed_events);
+        assert!(stream.events > 0 && stream.ingest_ms > 0.0);
         let json = serde_json::to_string(&entry).unwrap();
         let back: HistoryEntry = serde_json::from_str(&json).unwrap();
         assert_eq!(back, entry);
+
+        // A report without the spans cannot be projected.
+        let untraced = MetricsReport {
+            spans: Vec::new(),
+            ..metrics
+        };
+        let err = HistoryEntry::from_run("test".into(), &run, &untraced, None).unwrap_err();
+        assert!(err.contains("report.table1"), "{err}");
     }
 }

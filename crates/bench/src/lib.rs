@@ -1,48 +1,22 @@
 //! # dcfail-bench
 //!
-//! Benchmark harness for the dcfail workspace:
+//! The `repro` harness for the dcfail workspace:
 //!
-//! * the [`repro`](crate::ablation) binary (`cargo run -p dcfail-bench --bin
-//!   repro --release -- all`) regenerates every table and figure of the
-//!   paper from a fresh simulation;
-//! * criterion benches (`cargo bench`) time trace generation, the
-//!   classification pipeline, distribution fitting and every analysis
-//!   family;
+//! * the `repro` binary (`cargo run -p dcfail-bench --bin repro --release --
+//!   all`) regenerates every table and figure of the paper from a fresh
+//!   simulation;
 //! * [`ablation`] quantifies how each ground-truth effect family carries its
 //!   paper artifact (switch the effect off → the artifact collapses);
-//! * [`timing`] backs `repro bench`: wall-clock timings of `Scenario::build`
-//!   and every report runner, serialized to `BENCH_<git-sha>.json`;
-//! * [`history`] backs `repro bench --record`/`--check`: the committed
-//!   `bench/history.jsonl` perf baseline and the >15% regression gate CI
-//!   runs on every push.
+//! * [`pipeline`] is the one traced run behind `repro metrics` and
+//!   `repro bench`: every stage once, timed only by the `dcfail-obs` spans
+//!   it records;
+//! * [`history`] backs `repro bench --record`/`--check`: it projects that
+//!   run's spans onto the committed `bench/history.jsonl` perf baseline and
+//!   applies the regression gate CI runs on every push.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod ablation;
 pub mod history;
-pub mod timing;
-
-use dcfail_model::dataset::FailureDataset;
-use dcfail_synth::Scenario;
-
-/// Builds the standard benchmark dataset (paper scenario at the given
-/// scale).
-pub fn bench_dataset(scale: f64, seed: u64) -> FailureDataset {
-    Scenario::paper()
-        .seed(seed)
-        .scale(scale)
-        .build()
-        .into_dataset()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_dataset_builds() {
-        let ds = bench_dataset(0.02, 9);
-        assert!(!ds.events().is_empty());
-    }
-}
+pub mod pipeline;

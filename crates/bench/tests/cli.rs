@@ -3,6 +3,7 @@
 //! silently-clamped values.
 
 use std::io::{BufRead, BufReader};
+use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
 fn repro(args: &[&str]) -> std::process::Output {
@@ -127,10 +128,12 @@ fn usage_errors_keep_stdout_empty() {
 }
 
 /// The first line `repro args` writes to stderr — the run's echo of its
-/// resolved settings — after which the run is stopped.
+/// resolved settings — after which the run is stopped. It runs in the temp
+/// directory, where a `bench` that finishes first leaves its report.
 fn first_stderr_line(args: &[&str]) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
+        .current_dir(std::env::temp_dir())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -150,10 +153,110 @@ fn explicit_scale_is_honoured_and_defaults_apply_only_when_absent() {
     for (args, echo) in [
         (&["metrics", "--scale", "1.0"][..], "scale 1,"),
         (&["metrics"][..], "scale 0.2,"),
+        (&["metrics", "--smoke", "--scale", "0.3"][..], "scale 0.3,"),
+        (&["metrics", "--smoke"][..], "scale 0.05,"),
+        (&["bench", "--smoke", "--scale", "0.3"][..], "scale 0.3,"),
+        (&["bench", "--smoke"][..], "scale 0.05,"),
+        (&["stream", "--smoke", "--scale", "0.5"][..], "scale 0.5,"),
+        (&["stream", "--smoke"][..], "scale 0.05,"),
+        (&["serve", "--smoke", "--scale", "0.3"][..], "scale 0.3,"),
+        (&["serve", "--smoke"][..], "scale 0.05,"),
+        (&["chaos", "--smoke", "--scale", "0.5"][..], "scale 0.5)"),
+        (&["chaos", "--smoke"][..], "scale 0.2)"),
+        (&["ablate", "--scale", "1.0"][..], "scale 1)"),
+        (&["ablate"][..], "scale 0.3)"),
         (&["crashtest", "--scale", "1.0"][..], "scale 1.0000)"),
         (&["crashtest"][..], "scale 0.0200)"),
     ] {
         let line = first_stderr_line(args);
         assert!(line.contains(echo), "{args:?} must echo {echo:?}: {line}");
     }
+}
+
+/// A `repro bench --smoke --scale 0.02 --check` run at one thread against
+/// `history` (one JSON line per entry), spawned in a fresh temp directory
+/// so its `BENCH_*.json` stays out of the tree. Gives back the exit code,
+/// stdout and the directory.
+fn bench_gate(name: &str, history: &str, extra: &[&str]) -> (Option<i32>, String, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("dcfail-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let history_path = dir.join("history.jsonl");
+    std::fs::write(&history_path, history).expect("history written");
+    let history_arg = history_path.to_str().expect("UTF-8 temp path");
+    let mut args = vec![
+        "bench",
+        "--smoke",
+        "--scale",
+        "0.02",
+        "--check",
+        "--history",
+        history_arg,
+    ];
+    args.extend_from_slice(extra);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(&args)
+        .current_dir(&dir)
+        .env("DCFAIL_THREADS", "1")
+        .output()
+        .expect("repro binary spawns");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    (out.status.code(), stdout, dir)
+}
+
+/// A history line at the gate's key (scale 0.02, one thread) with the given
+/// totals and three named runners.
+fn baseline_line(report_ms: f64, ingest_ms: f64) -> String {
+    format!(
+        "{{\"git\":\"base\",\"seed\":42,\"scale\":0.02,\"threads\":1,\"machines\":1,\
+         \"events\":1,\"build_ms\":1.0,\"report_ms\":{report_ms},\"peak_rss_kb\":null,\
+         \"runners\":[{{\"id\":\"table1\",\"ms\":{report_ms}}},\
+         {{\"id\":\"fig8\",\"ms\":{report_ms}}},{{\"id\":\"prediction\",\"ms\":{report_ms}}}],\
+         \"stream\":{{\"events\":1,\"ingest_ms\":{ingest_ms},\"events_per_sec\":1.0}}}}\n"
+    )
+}
+
+#[test]
+fn bench_gate_without_a_baseline_fails() {
+    let (code, stdout, dir) = bench_gate("nobase", "", &[]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("NO BASELINE"), "{stdout}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn bench_gate_fails_a_regression_and_names_runners() {
+    // A negative baseline is exceeded on any host.
+    let (code, stdout, dir) = bench_gate("regress", &baseline_line(-1000.0, 1e9), &[]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("perf gate: REGRESSION"), "{stdout}");
+    for runner in ["table1", "fig8", "prediction"] {
+        assert!(stdout.contains(&format!("  {runner}: ")), "{stdout}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn bench_gate_passes_and_exports_its_spans() {
+    let (code, stdout, dir) = bench_gate(
+        "pass",
+        &baseline_line(1e9, 1e9),
+        &["--metrics", "metrics.json"],
+    );
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("perf gate: ok"), "{stdout}");
+    let export = std::fs::read_to_string(dir.join("metrics.json")).expect("export written");
+    for span in ["\"report.run_all\"", "\"stream.replay\"", "\"synth.build\""] {
+        assert!(export.contains(span), "export lacks {span}");
+    }
+    let report = std::fs::read_dir(&dir)
+        .expect("temp dir lists")
+        .filter_map(Result::ok)
+        .find(|e| e.file_name().to_string_lossy().starts_with("BENCH_"))
+        .expect("bench report written");
+    let doc = std::fs::read_to_string(report.path()).expect("bench report reads");
+    for key in ["\"entry\"", "\"report_ms\"", "\"shard_peak_rss_kb\""] {
+        assert!(doc.contains(key), "bench report lacks {key}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -34,13 +34,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Replaces the retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// The directory this store writes into.
     pub fn dir(&self) -> &str {
         &self.dir

@@ -273,11 +273,8 @@ mod tests {
     #[test]
     fn metrics_window_sees_jobs_and_worker_utilization() {
         let _serial = serial();
-        let Some(handle) = dcfail_obs::ObsHandle::install() else {
-            // Another test in this process holds the (exclusive) handle;
-            // the instrumentation itself is covered wherever it won.
-            return;
-        };
+        let handle = dcfail_obs::ObsHandle::install()
+            .expect("the only test in this binary opening a window");
         set_thread_override(Some(4));
         let out = par_map_index(64, |i| i * 2);
         set_thread_override(None);

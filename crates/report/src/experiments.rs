@@ -207,7 +207,8 @@ pub const DEFAULT_SEED: u64 = 42;
 /// Execution options shared by every registry entry point.
 ///
 /// `..Default::default()` keeps call sites stable as fields are added:
-/// seed [`DEFAULT_SEED`], no thread override, metrics on.
+/// seed [`DEFAULT_SEED`], no thread override. Runner spans record whenever a
+/// `dcfail-obs` collection window is open, like every other span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunConfig {
     /// Seed for the randomized runners (only [`ExperimentId::RateConfidence`]
@@ -217,9 +218,6 @@ pub struct RunConfig {
     /// duration of the call (restoring the previous override afterwards).
     /// `None` leaves the ambient `DCFAIL_THREADS`/default resolution alone.
     pub threads: Option<NonZeroUsize>,
-    /// Whether to record `dcfail-obs` spans around runners. Counters inside
-    /// the analyses themselves are unaffected.
-    pub metrics: bool,
 }
 
 impl Default for RunConfig {
@@ -227,7 +225,6 @@ impl Default for RunConfig {
         Self {
             seed: DEFAULT_SEED,
             threads: None,
-            metrics: true,
         }
     }
 }
@@ -246,10 +243,9 @@ impl RunConfig {
     ///
     /// Two configs with equal digests are guaranteed to render identical
     /// bytes for every experiment: only `seed` feeds any runner. `threads`
-    /// and `metrics` are deliberately excluded — the workspace's parallel-
-    /// determinism and obs-equivalence suites pin that neither can change a
-    /// byte of output, so including them would only fragment the
-    /// [`crate::toolkit::Toolkit`] artifact cache.
+    /// is deliberately excluded — the workspace's parallel-determinism suite
+    /// pins that it cannot change a byte of output, so including it would
+    /// only fragment the [`crate::toolkit::Toolkit`] artifact cache.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut hash: u64 = 0xcbf29ce484222325;
@@ -401,9 +397,7 @@ fn dispatch(id: ExperimentId, dataset: &FailureDataset, config: &RunConfig) -> R
 /// Runs one experiment against a dataset.
 pub fn run(id: ExperimentId, dataset: &FailureDataset, config: &RunConfig) -> Rendered {
     let _threads = ThreadGuard::install(config.threads);
-    let _span = config
-        .metrics
-        .then(|| dcfail_obs::span_labeled("report", id.key()));
+    let _span = dcfail_obs::span_labeled("report", id.key());
     dispatch(id, dataset, config)
 }
 
@@ -413,7 +407,7 @@ pub fn run(id: ExperimentId, dataset: &FailureDataset, config: &RunConfig) -> Re
 /// schedule.
 pub fn run_all(dataset: &FailureDataset, config: &RunConfig) -> Vec<(ExperimentId, Rendered)> {
     let _threads = ThreadGuard::install(config.threads);
-    let _span = config.metrics.then(|| dcfail_obs::span("report.run_all"));
+    let _span = dcfail_obs::span("report.run_all");
     let inner = RunConfig {
         threads: None,
         ..config.clone()
@@ -511,7 +505,6 @@ mod tests {
         let threaded = RunConfig {
             seed: 1,
             threads: NonZeroUsize::new(4),
-            metrics: false,
         };
         assert_eq!(RunConfig::with_seed(1).digest(), threaded.digest());
         assert_ne!(

@@ -6,10 +6,10 @@
 //!
 //! Every artifact — the paper's 17 tables and figures plus the 7 extension
 //! reports — is addressed by [`ExperimentId`] and dispatched through
-//! [`run`]/[`run_all`] with a [`RunConfig`] (seed, thread override,
-//! metrics). The pre-registry direct entry points (`runners::table*`,
-//! `runners::fig*`, `extras::*_report` and the seed-only `extras::run_all`)
-//! were deprecated for one release and are now removed.
+//! [`run`]/[`run_all`] with a [`RunConfig`] (seed, thread override). The
+//! pre-registry direct entry points (`runners::table*`, `runners::fig*`,
+//! `extras::*_report` and the seed-only `extras::run_all`) were deprecated
+//! for one release and are now removed.
 //!
 //! Long-lived callers (the `repro` CLI, the dcfail-serve daemon) hold a
 //! [`Toolkit`]: a built [`DatasetSnapshot`] plus a keyed artifact cache, so

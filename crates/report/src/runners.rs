@@ -9,7 +9,6 @@ use dcfail_core::curve::AttributeCurve;
 use dcfail_core::panel::{self, PanelCurve};
 use dcfail_core::{age, class_mix, interfailure, rates, recurrence, repair, spatial, ClassSource};
 use dcfail_model::prelude::*;
-use dcfail_stats::fit::Family;
 use dcfail_stats::merge::Mergeable;
 use std::fmt::Write as _;
 
@@ -590,11 +589,6 @@ pub fn render_fig10(panels: &[PanelCurve]) -> Rendered {
 /// Fig. 10: failure rate vs on/off frequency.
 pub(crate) fn fig10_impl(dataset: &FailureDataset) -> Rendered {
     render_fig10(&figure_panels(dataset, 10))
-}
-
-/// Convenience: the gamma/log-normal fit families a rendered fit line uses.
-pub fn paper_families() -> [Family; 3] {
-    Family::PAPER
 }
 
 #[cfg(test)]

@@ -145,10 +145,7 @@ impl Toolkit {
     /// threads like [`crate::run_all`] and filling the cache as it goes.
     pub fn render_all(&self) -> Vec<(ExperimentId, Arc<Rendered>)> {
         let _threads = ThreadGuard::install(self.config.threads);
-        let _span = self
-            .config
-            .metrics
-            .then(|| dcfail_obs::span("toolkit.render_all"));
+        let _span = dcfail_obs::span("toolkit.render_all");
         // Same shape as run_all: the outer guard owns the thread override,
         // the per-render config must not re-install it mid-fan-out.
         let inner = RunConfig {

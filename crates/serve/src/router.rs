@@ -258,11 +258,7 @@ mod tests {
 
     #[test]
     fn metrics_with_a_window_exports_obs_json() {
-        // Serialized against other obs tests by the process-global handle;
-        // skip when another window is live rather than flake.
-        let Some(handle) = ObsHandle::install() else {
-            return;
-        };
+        let handle = ObsHandle::install().expect("the only test in this binary opening a window");
         let local = AppState::new(
             Toolkit::build_scaled(RunConfig::with_seed(1), 0.02),
             Some(handle),

@@ -295,9 +295,7 @@ impl ShardedOutput {
         match id {
             ExperimentId::Fig8 | ExperimentId::Fig9 | ExperimentId::Fig10 => {
                 let _threads = ThreadGuard::install(config.threads);
-                let _span = config
-                    .metrics
-                    .then(|| dcfail_obs::span_labeled("report", id.key()));
+                let _span = dcfail_obs::span_labeled("report", id.key());
                 match id {
                     ExperimentId::Fig8 => render_fig8(&self.panels),
                     ExperimentId::Fig9 => render_fig9(&self.panels),
@@ -315,7 +313,7 @@ impl ShardedOutput {
     /// `dcfail-par`, in registry order.
     pub fn paper_reports(&self, config: &RunConfig) -> Vec<(ExperimentId, Rendered)> {
         let _threads = ThreadGuard::install(config.threads);
-        let _span = config.metrics.then(|| dcfail_obs::span("report.run_all"));
+        let _span = dcfail_obs::span("report.run_all");
         let inner = RunConfig {
             threads: None,
             ..config.clone()

@@ -284,6 +284,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     #[test]
     fn summary_basics() {
@@ -334,8 +335,17 @@ mod tests {
         let _ = quantile(&[], 0.5);
     }
 
+    /// Serializes the tests that feed NaNs to `quantile` or `Summary::of`:
+    /// their drop counters are process-global, and
+    /// `nan_drops_are_counted_when_metrics_enabled` asserts exact counts.
+    fn nan_serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn quantile_drops_nan_instead_of_poisoning_p100() {
+        let _serial = nan_serial();
         // Before the fix, total_cmp sorted the NaN after +inf and p100 (and
         // every interpolated upper quantile) came back NaN.
         let data = [1.0, f64::NAN, 3.0, 2.0];
@@ -351,11 +361,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty sample")]
     fn quantile_of_all_nan_panics() {
+        let _serial = nan_serial();
         let _ = quantile(&[f64::NAN, f64::NAN], 0.5);
     }
 
     #[test]
     fn summary_filters_nan() {
+        let _serial = nan_serial();
         let s = Summary::of(&[4.0, f64::NAN, 1.0, 3.0, 2.0]).unwrap();
         assert_eq!(s.n, 4);
         assert_eq!(s.mean, 2.5);
@@ -365,9 +377,9 @@ mod tests {
 
     #[test]
     fn nan_drops_are_counted_when_metrics_enabled() {
-        let Some(handle) = dcfail_obs::ObsHandle::install() else {
-            return; // another test holds the exclusive handle
-        };
+        let _serial = nan_serial();
+        let handle = dcfail_obs::ObsHandle::install()
+            .expect("the only test in this binary opening a window");
         let _ = quantile(&[1.0, f64::NAN, 2.0], 0.5);
         let _ = Summary::of(&[f64::NAN, 7.0]);
         let report = handle.finish();
