@@ -273,9 +273,7 @@ fn check_telemetry(view: &View<'_>, sink: &mut Sink, horizon_ok: bool) {
             sink.hit(RuleId::TelemetryKindMismatch, m);
         }
         let window = log.window();
-        let sorted = log.toggles().windows(2).all(|w| w[0] < w[1]);
-        let inside = log.toggles().iter().all(|&t| window.contains(t));
-        if !sorted || !inside {
+        if !log.has_valid_toggles() {
             sink.hit(RuleId::OnOffTogglesInvalid, m);
         }
         if horizon_ok

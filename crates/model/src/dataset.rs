@@ -87,9 +87,9 @@ struct RawDataset {
 ///
 /// [`FailureDataset`]'s serde path canonicalizes event order but *rejects*
 /// structurally broken input: dangling cross-references, events outside the
-/// observation window, reversed repair windows. This is the typed error that
-/// rejection produces; `dcfail-audit` reports the same defects (and more) as
-/// structured diagnostics without rejecting.
+/// observation window, reversed repair windows, broken on/off logs. This is
+/// the typed error that rejection produces; `dcfail-audit` reports the same
+/// defects (and more) as structured diagnostics without rejecting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DatasetError {
@@ -170,6 +170,11 @@ pub enum DatasetError {
         /// The failure instant.
         at: SimTime,
     },
+    /// An on/off log's toggles are unsorted or fall outside its window.
+    InvalidOnOffToggles {
+        /// The logged machine.
+        machine: MachineId,
+    },
 }
 
 impl fmt::Display for DatasetError {
@@ -225,6 +230,12 @@ impl fmt::Display for DatasetError {
                 write!(
                     f,
                     "event on {machine} at {at} has a negative repair duration"
+                )
+            }
+            DatasetError::InvalidOnOffToggles { machine } => {
+                write!(
+                    f,
+                    "on/off log of {machine} has unsorted or out-of-window toggles"
                 )
             }
         }
@@ -311,6 +322,13 @@ impl RawDataset {
                 });
             }
         }
+        if let Some((machine, _)) = self
+            .telemetry
+            .onoff_logs()
+            .find(|(_, log)| !log.has_valid_toggles())
+        {
+            return Err(DatasetError::InvalidOnOffToggles { machine });
+        }
         Ok(())
     }
 }
@@ -321,8 +339,9 @@ impl TryFrom<RawDataset> for FailureDataset {
     /// Validates the raw parts, then canonicalizes: events are sorted by
     /// `(at, machine, incident)` and the per-machine index is rebuilt.
     /// Unsorted input is accepted (and sorted); structurally broken input —
-    /// dangling references, out-of-horizon events, reversed repair windows —
-    /// is rejected with a typed error.
+    /// dangling references, out-of-horizon events, reversed repair windows,
+    /// on/off logs with unsorted or out-of-window toggles — is rejected with
+    /// a typed error.
     fn try_from(raw: RawDataset) -> Result<Self, DatasetError> {
         raw.validate()?;
         let mut ds = FailureDataset {
@@ -720,10 +739,15 @@ mod tests {
     use crate::failure::FailureClass;
     use crate::ids::PowerDomainId;
     use crate::machine::ResourceCapacity;
+    use crate::telemetry::OnOffLog;
     use crate::time::{SimDuration, SimTime, HOUR};
     use crate::topology::SubsystemMeta;
 
     fn tiny_dataset() -> FailureDataset {
+        tiny_builder().build()
+    }
+
+    fn tiny_builder() -> DatasetBuilder {
         let mut topo = Topology::new();
         topo.add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
         let mut b = DatasetBuilder::new();
@@ -788,7 +812,7 @@ mod tests {
             FailureClass::Reboot,
             HOUR,
         ));
-        b.build()
+        b
     }
 
     #[test]
@@ -876,6 +900,60 @@ mod tests {
         assert!(
             err.to_string().contains("outside the observation window"),
             "{err}"
+        );
+    }
+
+    /// The JSON of a toggle list at the given days.
+    fn toggles_json(days: &[i64]) -> String {
+        let minutes: Vec<String> = days
+            .iter()
+            .map(|&d| SimTime::from_days(d).as_minutes().to_string())
+            .collect();
+        format!("\"toggles\":[{}]", minutes.join(","))
+    }
+
+    /// `tiny_dataset` plus an on/off log on m0 over days 0–56 that toggles
+    /// at `days`, read through serde so that `OnOffLog::new` checks nothing.
+    fn with_onoff_log(days: &[i64]) -> DatasetBuilder {
+        let window = Horizon::new(SimTime::ZERO, SimTime::from_days(56));
+        let json = serde_json::to_string(&OnOffLog::always_on(window))
+            .unwrap()
+            .replace(&toggles_json(&[]), &toggles_json(days));
+        let mut telemetry = Telemetry::new();
+        telemetry.set_onoff(MachineId::new(0), serde_json::from_str(&json).unwrap());
+        let mut b = tiny_builder();
+        b.telemetry(telemetry);
+        b
+    }
+
+    #[test]
+    fn serde_rejects_reversed_onoff_toggles() {
+        let json = serde_json::to_string(&with_onoff_log(&[10, 20]).build()).unwrap();
+        let bad = json.replace(&toggles_json(&[10, 20]), &toggles_json(&[20, 10]));
+        assert_ne!(bad, json);
+        let err = serde_json::from_str::<FailureDataset>(&bad).unwrap_err();
+        assert!(
+            err.to_string().contains("unsorted or out-of-window"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn serde_rejects_out_of_window_onoff_toggle() {
+        let json = serde_json::to_string(&with_onoff_log(&[10, 20]).build()).unwrap();
+        // Day 100 lies inside the horizon but past the log's window.
+        let bad = json.replace(&toggles_json(&[10, 20]), &toggles_json(&[10, 100]));
+        assert_ne!(bad, json);
+        let err = serde_json::from_str::<FailureDataset>(&bad).unwrap_err();
+        assert!(
+            err.to_string().contains("unsorted or out-of-window"),
+            "{err}"
+        );
+        assert_eq!(
+            with_onoff_log(&[10, 100]).try_build().unwrap_err(),
+            DatasetError::InvalidOnOffToggles {
+                machine: MachineId::new(0)
+            }
         );
     }
 

@@ -96,6 +96,13 @@ impl OnOffLog {
         &self.toggles
     }
 
+    /// Whether the toggles strictly increase and fall inside the window, as
+    /// [`OnOffLog::new`] asserts. A deserialized log has not been checked.
+    pub fn has_valid_toggles(&self) -> bool {
+        self.toggles.windows(2).all(|pair| pair[0] < pair[1])
+            && self.toggles.iter().all(|&t| self.window.contains(t))
+    }
+
     /// Power state at instant `t` (clamped to the log window).
     ///
     /// Toggles are strictly increasing by construction, so the number of
@@ -221,28 +228,6 @@ impl Telemetry {
         self.usage.get(&machine).map(Vec::as_slice)
     }
 
-    /// Mean usage of a machine over all recorded weeks.
-    pub fn mean_usage(&self, machine: MachineId) -> Option<WeeklyUsage> {
-        let weeks = self.usage.get(&machine)?;
-        if weeks.is_empty() {
-            return None;
-        }
-        let n = weeks.len() as f32;
-        let mut acc = WeeklyUsage::default();
-        for w in weeks {
-            acc.cpu_pct += w.cpu_pct;
-            acc.mem_pct += w.mem_pct;
-            acc.disk_pct += w.disk_pct;
-            acc.net_kbps += w.net_kbps;
-        }
-        Some(WeeklyUsage {
-            cpu_pct: acc.cpu_pct / n,
-            mem_pct: acc.mem_pct / n,
-            disk_pct: acc.disk_pct / n,
-            net_kbps: acc.net_kbps / n,
-        })
-    }
-
     /// On/off log of a machine.
     pub fn onoff(&self, machine: MachineId) -> Option<&OnOffLog> {
         self.onoff.get(&machine)
@@ -275,16 +260,6 @@ impl Telemetry {
     /// Iterates over every stored consolidation series, keyed by machine.
     pub fn consolidation_series(&self) -> impl Iterator<Item = (MachineId, &[u16])> {
         self.consolidation.iter().map(|(&m, v)| (m, v.as_slice()))
-    }
-
-    /// Number of machines with usage records.
-    pub fn num_usage_series(&self) -> usize {
-        self.usage.len()
-    }
-
-    /// Number of machines with on/off logs.
-    pub fn num_onoff_logs(&self) -> usize {
-        self.onoff.len()
     }
 
     /// Monthly on/off transition rate of every logged machine with a
@@ -499,20 +474,16 @@ mod tests {
         t.set_onoff(m, OnOffLog::always_on(window()));
         t.set_consolidation(m, vec![4, 6]);
 
-        assert_eq!(t.num_usage_series(), 1);
-        assert_eq!(t.num_onoff_logs(), 1);
+        assert_eq!(t.usage_series().count(), 1);
+        assert_eq!(t.onoff_logs().count(), 1);
         assert_eq!(t.usage(m).unwrap()[1].cpu_pct, 30.0);
         assert_eq!(t.usage(m).unwrap().get(2), None);
-        let mean = t.mean_usage(m).unwrap();
-        assert!((mean.cpu_pct - 20.0).abs() < 1e-6);
-        assert!((mean.net_kbps - 96.0).abs() < 1e-6);
         assert_eq!(t.mean_consolidation(m), Some(5.0));
         assert_eq!(t.consolidation(m).unwrap(), &[4, 6]);
         assert!(t.onoff(m).is_some());
         // Missing machine.
         let missing = MachineId::new(99);
         assert!(t.usage(missing).is_none());
-        assert!(t.mean_usage(missing).is_none());
         assert!(t.mean_consolidation(missing).is_none());
     }
 }

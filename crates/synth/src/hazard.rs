@@ -23,6 +23,7 @@ use dcfail_model::prelude::*;
 use dcfail_stats::merge::{ExactSum, Mergeable};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Precomputed hazard state for one scenario (or one machine-ID range of
 /// it, when built via [`HazardModel::for_range`]).
@@ -32,11 +33,9 @@ pub struct HazardModel {
     offset: usize,
     /// Per-machine base daily hazard (kind + subsystem calibrated).
     base_daily: Vec<f64>,
-    /// Per-machine static multiplier (capacity × consolidation × on/off),
-    /// normalized to mean 1 per kind.
-    static_mult: Vec<f64>,
-    /// Per-machine per-week usage multiplier, normalized to mean 1 per kind.
-    usage_mult: Vec<Vec<f64>>,
+    /// Per-machine static multiplier (capacity × consolidation × on/off) and
+    /// per-machine-week usage multiplier, each normalized to mean 1 per kind.
+    mult: Rows,
     /// Per-machine age multiplier at observation start, and its daily slope;
     /// `(1.0, 0.0)` when age is unknown or the effect is disabled.
     age_at_start: Vec<(f64, f64)>,
@@ -48,6 +47,10 @@ pub struct HazardModel {
 
 /// A machine's hazard loses the burst boost after this many days.
 pub const BURST_HORIZON_DAYS: f64 = 28.0;
+
+/// Machines per chunk of [`HazardModel::new`]'s parallel pass. A constant,
+/// so the chunks never depend on the thread count.
+const CHUNK_MACHINES: usize = 128;
 
 /// The population-mean divisors that normalize the multiplier families to
 /// mean 1 per machine kind. A divisor of `1.0` means "leave as is" (empty
@@ -75,13 +78,17 @@ pub struct NormAccum {
 impl NormAccum {
     /// Folds one machine's raw multipliers into the sums.
     pub fn accumulate(&mut self, config: &ScenarioConfig, m: &Machine, telemetry: &Telemetry) {
-        let k = kind_slot(m.kind());
-        self.static_sum[k].push(raw_static_mult(config, m, telemetry));
+        let (static_raw, usage_raw) = raw_row(config, m, telemetry);
+        self.fold(m.kind(), static_raw, usage_raw);
+    }
+
+    /// Folds one machine's already evaluated raw multipliers into the sums.
+    fn fold(&mut self, kind: MachineKind, static_raw: f64, usage_raw: impl Iterator<Item = f64>) {
+        let k = kind_slot(kind);
+        self.static_sum[k].push(static_raw);
         self.static_n[k] += 1;
-        let weeks = config.horizon.num_weeks();
-        let series = telemetry.usage(m.id());
-        for w in 0..weeks {
-            self.usage_sum[k].push(raw_usage_week_mult(config, m, series, w));
+        for u in usage_raw {
+            self.usage_sum[k].push(u);
             self.usage_n[k] += 1;
         }
     }
@@ -132,6 +139,93 @@ const fn kind_slot(kind: MachineKind) -> usize {
     }
 }
 
+/// The multipliers of consecutive machines: one static value per machine,
+/// and their usage values as one flat `machines × weeks` block.
+#[derive(Debug, Clone)]
+struct Rows {
+    weeks: usize,
+    statics: Vec<f64>,
+    usage: Vec<f64>,
+}
+
+impl Rows {
+    /// `machines` rows of zeros, to be overwritten.
+    fn zeroed(machines: usize, weeks: usize) -> Self {
+        Self {
+            weeks,
+            statics: vec![0.0; machines],
+            usage: vec![0.0; machines * weeks],
+        }
+    }
+
+    /// Machine `i`'s static multiplier and its usage row.
+    fn row(&self, i: usize) -> (f64, &[f64]) {
+        (
+            self.statics[i],
+            &self.usage[i * self.weeks..(i + 1) * self.weeks],
+        )
+    }
+
+    /// The rows split into disjoint runs of `len` machines (the last run
+    /// may be shorter): each a `statics` run and its `usage` block.
+    fn runs_mut(&mut self, len: usize) -> impl Iterator<Item = (&mut [f64], &mut [f64])> {
+        let weeks = self.weeks;
+        let mut usage = self.usage.as_mut_slice();
+        self.statics.chunks_mut(len).map(move |statics| {
+            let (run, rest) = std::mem::take(&mut usage).split_at_mut(statics.len() * weeks);
+            usage = rest;
+            (statics, run)
+        })
+    }
+
+    /// Divides every raw value by its machine's kind's divisor.
+    fn normalize(&mut self, machines: &[Machine], norms: &NormConstants) {
+        let weeks = self.weeks;
+        for (i, m) in machines.iter().enumerate() {
+            let k = kind_slot(m.kind());
+            self.statics[i] /= norms.static_div[k];
+            let div = norms.usage_div[k];
+            for u in &mut self.usage[i * weeks..(i + 1) * weeks] {
+                *u /= div;
+            }
+        }
+    }
+}
+
+/// Writes `machines`' raw multipliers into `statics` (one per machine) and
+/// `usage` (`weeks` per machine, in machine order).
+fn write_raw(
+    config: &ScenarioConfig,
+    machines: &[Machine],
+    telemetry: &Telemetry,
+    statics: &mut [f64],
+    usage: &mut [f64],
+) {
+    let weeks = config.horizon.num_weeks();
+    for (i, m) in machines.iter().enumerate() {
+        let (static_raw, usage_raw) = raw_row(config, m, telemetry);
+        statics[i] = static_raw;
+        for (slot, u) in usage[i * weeks..(i + 1) * weeks].iter_mut().zip(usage_raw) {
+            *slot = u;
+        }
+    }
+}
+
+/// One machine's raw (un-normalized) multipliers: the static one, and its
+/// usage ones in week order. The one multiplier evaluator behind
+/// [`HazardModel::new`], [`HazardModel::for_range`] and
+/// [`NormAccum::accumulate`].
+fn raw_row<'a>(
+    config: &'a ScenarioConfig,
+    m: &'a Machine,
+    telemetry: &'a Telemetry,
+) -> (f64, impl Iterator<Item = f64> + 'a) {
+    let series = telemetry.usage(m.id());
+    let usage =
+        (0..config.horizon.num_weeks()).map(move |w| raw_usage_week_mult(config, m, series, w));
+    (raw_static_mult(config, m, telemetry), usage)
+}
+
 /// The raw (un-normalized) static multiplier of one machine.
 fn raw_static_mult(config: &ScenarioConfig, m: &Machine, telemetry: &Telemetry) -> f64 {
     let fx = config.effects;
@@ -173,13 +267,41 @@ fn raw_usage_week_mult(
 
 impl HazardModel {
     /// Builds the hazard model for a generated population.
+    ///
+    /// One pass over fixed chunks of machines on `dcfail-par`: each chunk
+    /// writes its machines' raw multipliers, evaluated once, straight into
+    /// its rows of the model's arrays and folds them into a chunk
+    /// [`NormAccum`]. The chunk accumulators absorb in chunk order, and
+    /// their exact sums give the divisors of a serial fold over the fleet
+    /// bit for bit. The kept values are then divided in place, as
+    /// [`HazardModel::for_range`] divides them.
     pub fn new(config: &ScenarioConfig, pop: &Population, telemetry: &Telemetry) -> Self {
+        let machines = &pop.machines;
+        let weeks = config.horizon.num_weeks();
+        let mut mult = Rows::zeroed(machines.len(), weeks);
+        let accums = {
+            // Each chunk's rows, locked only by the worker that claims it.
+            let runs: Vec<Mutex<(&mut [f64], &mut [f64])>> =
+                mult.runs_mut(CHUNK_MACHINES).map(Mutex::new).collect();
+            dcfail_par::par_map_index(runs.len(), |c| {
+                let mut run = runs[c].lock().expect("a hazard worker panicked");
+                let (statics, usage) = &mut *run;
+                let chunk = &machines[c * CHUNK_MACHINES..][..statics.len()];
+                write_raw(config, chunk, telemetry, statics, usage);
+                let mut accum = NormAccum::identity();
+                for (i, m) in chunk.iter().enumerate() {
+                    let row = usage[i * weeks..(i + 1) * weeks].iter().copied();
+                    accum.fold(m.kind(), statics[i], row);
+                }
+                accum
+            })
+        };
         let mut accum = NormAccum::identity();
-        for m in &pop.machines {
-            accum.accumulate(config, m, telemetry);
+        for chunk_accum in &accums {
+            accum.absorb(chunk_accum);
         }
-        let norms = accum.finalize();
-        Self::for_range(config, pop, telemetry, 0..pop.machines.len(), &norms)
+        mult.normalize(machines, &accum.finalize());
+        Self::assemble(config, machines, 0, mult)
     }
 
     /// Builds the hazard model for machines `range` only, using
@@ -200,29 +322,18 @@ impl HazardModel {
         norms: &NormConstants,
     ) -> Self {
         let machines = &pop.machines[range.clone()];
-        let weeks = config.horizon.num_weeks();
+        let mut mult = Rows::zeroed(machines.len(), config.horizon.num_weeks());
+        let Rows { statics, usage, .. } = &mut mult;
+        write_raw(config, machines, telemetry, statics, usage);
+        mult.normalize(machines, norms);
+        Self::assemble(config, machines, range.start, mult)
+    }
+
+    /// The model of `machines`, the first at global index `offset`, from
+    /// their normalized multipliers: adds the base rates and the age trend.
+    fn assemble(config: &ScenarioConfig, machines: &[Machine], offset: usize, mult: Rows) -> Self {
         let fx = config.effects;
-
-        // --- static multipliers -------------------------------------------
-        let static_mult: Vec<f64> = machines
-            .iter()
-            .map(|m| raw_static_mult(config, m, telemetry) / norms.static_div[kind_slot(m.kind())])
-            .collect();
-
-        // --- usage multipliers --------------------------------------------
-        let usage_mult: Vec<Vec<f64>> = machines
-            .iter()
-            .map(|m| {
-                let series = telemetry.usage(m.id());
-                let div = norms.usage_div[kind_slot(m.kind())];
-                (0..weeks)
-                    .map(|w| raw_usage_week_mult(config, m, series, w) / div)
-                    .collect()
-            })
-            .collect();
-
-        // --- age trend ------------------------------------------------------
-        let age_at_start: Vec<(f64, f64)> = machines
+        let age_at_start = machines
             .iter()
             .map(|m| {
                 if !fx.age || !m.is_vm() {
@@ -239,9 +350,7 @@ impl HazardModel {
                 }
             })
             .collect();
-
-        // --- base rates ------------------------------------------------------
-        let base_daily: Vec<f64> = machines
+        let base_daily = machines
             .iter()
             .map(|m| {
                 let sys = &config.subsystems[m.subsystem().index()];
@@ -251,12 +360,10 @@ impl HazardModel {
                 }
             })
             .collect();
-
         Self {
-            offset: range.start,
+            offset,
             base_daily,
-            static_mult,
-            usage_mult,
+            mult,
             age_at_start,
             pm_burst: (config.pm_recur_daily, config.burst_tau_days),
             vm_burst: (config.vm_recur_daily, config.burst_tau_days),
@@ -268,11 +375,12 @@ impl HazardModel {
     /// observation day `day` (without the recurrence burst).
     pub fn daily_hazard(&self, idx: usize, day: usize) -> f64 {
         let idx = idx - self.offset;
-        let week = (day / 7).min(self.usage_mult[idx].len().saturating_sub(1));
-        let usage = self.usage_mult[idx].get(week).copied().unwrap_or(1.0);
+        let (static_mult, usage_row) = self.mult.row(idx);
+        let week = (day / 7).min(usage_row.len().saturating_sub(1));
+        let usage = usage_row.get(week).copied().unwrap_or(1.0);
         let (age0, slope) = self.age_at_start[idx];
         let age = age0 + slope * day as f64;
-        (self.base_daily[idx] * self.static_mult[idx] * usage * age).min(0.5)
+        (self.base_daily[idx] * static_mult * usage * age).min(0.5)
     }
 
     /// Absolute additional daily failure probability of a machine of `kind`,
@@ -292,18 +400,6 @@ impl HazardModel {
             MachineKind::Vm => self.vm_burst,
         };
         peak * (-days_since_failure / tau).exp()
-    }
-
-    /// The static multiplier of machine `idx` (global index; for
-    /// inspection/tests).
-    pub fn static_mult(&self, idx: usize) -> f64 {
-        self.static_mult[idx - self.offset]
-    }
-
-    /// The base daily hazard of machine `idx` (global index; for
-    /// inspection/tests).
-    pub fn base_daily(&self, idx: usize) -> f64 {
-        self.base_daily[idx - self.offset]
     }
 }
 
@@ -379,15 +475,80 @@ mod tests {
     use crate::{population, telemetry_gen};
     use dcfail_stats::rng::StreamRng;
 
-    fn setup(effects: EffectToggles) -> (ScenarioConfig, Population, Telemetry, HazardModel) {
+    fn fleet(scale: f64, effects: EffectToggles) -> (ScenarioConfig, Population, Telemetry) {
         let mut config = ScenarioConfig::paper();
-        config.scale = 0.05;
+        config.scale = scale;
         config.effects = effects;
         let rng = StreamRng::new(3);
         let pop = population::build(&config, &rng);
         let telemetry = telemetry_gen::generate(&config, &pop, &rng);
+        (config, pop, telemetry)
+    }
+
+    fn setup(effects: EffectToggles) -> (ScenarioConfig, Population, Telemetry, HazardModel) {
+        let (config, pop, telemetry) = fleet(0.05, effects);
         let hazard = HazardModel::new(&config, &pop, &telemetry);
         (config, pop, telemetry, hazard)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn new_matches_the_serial_reference_bit_for_bit() {
+        // One fleet smaller than a chunk, one spanning many chunks.
+        for (scale, spans_many) in [(0.01, false), (0.15, true)] {
+            let (config, pop, telemetry) = fleet(scale, EffectToggles::all());
+            let n = pop.machines.len();
+            assert_eq!(n > 8 * CHUNK_MACHINES, spans_many, "{n} machines");
+            assert_eq!(n < CHUNK_MACHINES, !spans_many, "{n} machines");
+
+            // The serial reference: one fold over the fleet, then one
+            // `for_range` over all of it.
+            let mut accum = NormAccum::identity();
+            for m in &pop.machines {
+                accum.accumulate(&config, m, &telemetry);
+            }
+            let reference =
+                HazardModel::for_range(&config, &pop, &telemetry, 0..n, &accum.finalize());
+            let ages = |h: &HazardModel| -> Vec<u64> {
+                h.age_at_start
+                    .iter()
+                    .flat_map(|&(at_start, slope)| [at_start.to_bits(), slope.to_bits()])
+                    .collect()
+            };
+            // The first and last horizon days, and one past the horizon,
+            // where the week index clamps to the last week.
+            let num_days = config.horizon.num_days();
+            let days = [0, num_days - 1, num_days + 7];
+
+            let previous = dcfail_par::thread_override();
+            for threads in [1, 2, 3, 8] {
+                dcfail_par::set_thread_override(Some(threads));
+                let model = HazardModel::new(&config, &pop, &telemetry);
+                let at = format!("{n} machines, {threads} threads");
+                assert_eq!(model.offset, 0, "{at}");
+                assert_eq!(
+                    bits(&model.mult.statics),
+                    bits(&reference.mult.statics),
+                    "{at}"
+                );
+                assert_eq!(bits(&model.mult.usage), bits(&reference.mult.usage), "{at}");
+                assert_eq!(bits(&model.base_daily), bits(&reference.base_daily), "{at}");
+                assert_eq!(ages(&model), ages(&reference), "{at}");
+                for idx in [0, n / 2, n - 1] {
+                    for day in days {
+                        assert_eq!(
+                            model.daily_hazard(idx, day).to_bits(),
+                            reference.daily_hazard(idx, day).to_bits(),
+                            "machine {idx}, day {day}, {at}"
+                        );
+                    }
+                }
+            }
+            dcfail_par::set_thread_override(previous);
+        }
     }
 
     #[test]
@@ -463,7 +624,7 @@ mod tests {
                 .machines
                 .iter()
                 .filter(|m| m.kind() == kind)
-                .map(|m| hazard.static_mult(m.id().index()))
+                .map(|m| hazard.mult.statics[m.id().index()])
                 .collect();
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;
             assert!((mean - 1.0).abs() < 1e-9, "{kind}: mean {mean}");
@@ -475,7 +636,7 @@ mod tests {
     fn disabled_effects_flatten_multipliers() {
         let (_, pop, _, hazard) = setup(EffectToggles::none());
         for m in &pop.machines {
-            assert!((hazard.static_mult(m.id().index()) - 1.0).abs() < 1e-9);
+            assert!((hazard.mult.statics[m.id().index()] - 1.0).abs() < 1e-9);
             let h10 = hazard.daily_hazard(m.id().index(), 10);
             let h300 = hazard.daily_hazard(m.id().index(), 300);
             assert!((h10 - h300).abs() < 1e-12, "hazard should be flat in time");
@@ -520,7 +681,7 @@ mod tests {
                 .machines
                 .iter()
                 .filter(|m| m.is_pm() && pred(m))
-                .map(|m| hazard.static_mult(m.id().index()))
+                .map(|m| hazard.mult.statics[m.id().index()])
                 .collect();
             vals.iter().sum::<f64>() / vals.len().max(1) as f64
         };
@@ -536,7 +697,7 @@ mod tests {
         let mut hi = Vec::new();
         for m in pop.machines.iter().filter(|m| m.is_vm()) {
             let level = telemetry.mean_consolidation(m.id()).unwrap();
-            let s = hazard.static_mult(m.id().index());
+            let s = hazard.mult.statics[m.id().index()];
             if level <= 2.0 {
                 lo.push(s);
             } else if level >= 16.0 {
@@ -553,7 +714,7 @@ mod tests {
         let (_, pop, _, hazard) = setup(EffectToggles::all());
         for m in &pop.machines {
             if m.is_vm() && m.subsystem().index() == 1 {
-                assert_eq!(hazard.base_daily(m.id().index()), 0.0);
+                assert_eq!(hazard.base_daily[m.id().index()], 0.0);
             }
         }
     }

@@ -170,6 +170,12 @@ mod tests {
         (config, pop, telemetry)
     }
 
+    /// Mean of one usage column over a machine's weeks.
+    fn mean_of(telemetry: &Telemetry, m: &Machine, column: fn(&WeeklyUsage) -> f32) -> f64 {
+        let weeks = telemetry.usage(m.id()).expect("usage series exists");
+        weeks.iter().map(|w| f64::from(column(w))).sum::<f64>() / weeks.len() as f64
+    }
+
     #[test]
     fn every_machine_has_52_weeks_of_usage() {
         let (config, pop, telemetry) = setup();
@@ -210,9 +216,8 @@ mod tests {
         let mut low = 0usize;
         let mut total = 0usize;
         for m in &pop.machines {
-            let mean = telemetry.mean_usage(m.id()).unwrap();
             total += 1;
-            if mean.cpu_pct <= 10.0 {
+            if mean_of(&telemetry, m, |w| w.cpu_pct) <= 10.0 {
                 low += 1;
             }
         }
@@ -228,7 +233,7 @@ mod tests {
                 .machines
                 .iter()
                 .filter(|m| m.kind() == kind)
-                .map(|m| telemetry.mean_usage(m.id()).unwrap().mem_pct as f64)
+                .map(|m| mean_of(&telemetry, m, |w| w.mem_pct))
                 .fold((0.0, 0usize), |(s, n), v| (s + v, n + 1));
             sum / n as f64
         };
@@ -242,7 +247,7 @@ mod tests {
             .machines
             .iter()
             .filter(|m| m.is_vm())
-            .map(|m| telemetry.mean_usage(m.id()).unwrap().net_kbps as f64)
+            .map(|m| mean_of(&telemetry, m, |w| w.net_kbps))
             .collect();
         let low = nets.iter().filter(|&&k| k <= 100.0).count() as f64 / nets.len() as f64;
         let high = nets.iter().filter(|&&k| k >= 800.0).count() as f64 / nets.len() as f64;

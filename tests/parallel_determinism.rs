@@ -1,7 +1,7 @@
 //! Thread-count independence: the deterministic parallel runtime's contract
 //! is that `DCFAIL_THREADS` can never change any output, only wall-clock
 //! time. These tests pin the thread count via the test override and compare
-//! whole datasets and rendered reports across 1, 2, and 8 workers.
+//! whole datasets and rendered reports across 1, 2, 3 and 8 workers.
 //!
 //! The override is process-wide, but that is safe even with tests running
 //! concurrently in one binary: the invariant under test is precisely that
@@ -17,10 +17,14 @@ use dcfail::synth::Scenario;
 use dcfail::tickets::classify::{apply_to_dataset, PipelineConfig};
 
 fn build_with_threads(threads: usize) -> FailureDataset {
+    build_at_scale(threads, 0.05)
+}
+
+fn build_at_scale(threads: usize, scale: f64) -> FailureDataset {
     par::set_thread_override(Some(threads));
     let ds = Scenario::paper()
         .seed(21)
-        .scale(0.05)
+        .scale(scale)
         .build()
         .into_dataset();
     par::set_thread_override(None);
@@ -29,13 +33,17 @@ fn build_with_threads(threads: usize) -> FailureDataset {
 
 #[test]
 fn scenario_build_is_thread_count_independent() {
-    let baseline = build_with_threads(1);
-    for threads in [2, 8] {
-        assert_eq!(
-            build_with_threads(threads),
-            baseline,
-            "dataset diverged at {threads} threads"
-        );
+    // The hazard model is built over fixed 128-machine chunks: scale 0.05
+    // (473 machines) spans four of them, scale 0.12 (1,131 machines) nine.
+    for scale in [0.05, 0.12] {
+        let baseline = build_at_scale(1, scale);
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                build_at_scale(threads, scale),
+                baseline,
+                "dataset diverged at {threads} threads, scale {scale}"
+            );
+        }
     }
 }
 
