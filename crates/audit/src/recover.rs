@@ -299,16 +299,6 @@ impl DegradationReport {
         self.actions.is_empty()
     }
 
-    /// Fraction of input crash events surviving recovery (1.0 when the input
-    /// had none).
-    pub fn event_completeness(&self) -> f64 {
-        if self.events_seen == 0 {
-            1.0
-        } else {
-            self.events_kept as f64 / self.events_seen as f64
-        }
-    }
-
     /// Renders the report as indented text (one line per applied rule).
     pub fn render_text(&self) -> String {
         self.to_string()

@@ -184,7 +184,10 @@ mod tests {
             Diagnostic::new(RuleId::RepairOverlap, vec!["m1".into()], "1 overlap"),
         ]);
         assert!(report.is_clean());
-        assert_eq!(report.worst(), Some(Severity::Warn));
+        assert_eq!(
+            report.diagnostics.iter().map(|d| d.severity).max(),
+            Some(Severity::Warn)
+        );
         let text = report.render_text();
         assert!(text.contains("warn[repair-overlap]"));
         assert!(text.contains("audit: 0 error(s), 1 warning(s), 1 info"));

@@ -435,7 +435,7 @@ fn each_corruption_fires_its_rule() {
             .unwrap_or_else(|e| panic!("{}: corrupted value no longer parses: {e}", case.name));
         let report = audit_raw(&raw);
         assert!(
-            report.has(case.rule),
+            report.find(case.rule).is_some(),
             "{}: expected {} to fire, got:\n{}",
             case.name,
             case.rule,
@@ -516,7 +516,10 @@ fn degenerate_class_mix_is_flagged() {
         ));
     }
     let report = audit_dataset(&b.build());
-    assert!(report.has(RuleId::ClassMixDegenerate), "{report}");
+    assert!(
+        report.find(RuleId::ClassMixDegenerate).is_some(),
+        "{report}"
+    );
     assert!(report.is_clean());
 }
 
@@ -536,7 +539,7 @@ fn audited_json_import_rejects_broken_traces() {
     let bad = serde_json::to_string(&value).unwrap();
     match dataset_from_json(&bad).unwrap_err() {
         ImportError::Rejected(report) => {
-            assert!(report.has(RuleId::EventMachineDangling));
+            assert!(report.find(RuleId::EventMachineDangling).is_some());
             assert!(report.error_count() > 0);
         }
         other @ ImportError::Parse(_) => panic!("expected rejection, got {other}"),
@@ -568,8 +571,8 @@ fn events_unsorted_is_invisible_after_validation() {
     let mut value = fixture_value();
     items(field(&mut value, "events")).swap(0, 1);
     let raw: RawDatasetParts = serde_json::from_value(&value).unwrap();
-    assert!(audit_raw(&raw).has(RuleId::EventsUnsorted));
+    assert!(audit_raw(&raw).find(RuleId::EventsUnsorted).is_some());
     let json = serde_json::to_string(&value).unwrap();
     let ds: FailureDataset = serde_json::from_str(&json).unwrap();
-    assert!(!audit_dataset(&ds).has(RuleId::EventsUnsorted));
+    assert!(audit_dataset(&ds).find(RuleId::EventsUnsorted).is_none());
 }

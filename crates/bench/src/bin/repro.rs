@@ -106,8 +106,9 @@
 //!   the library's own envelope bytes, a deterministic 429 flood against a held worker pool, and a clean
 //!   shutdown that releases the port. Exits 1 on any deviation.
 //! * `lint` — run the `dcfail-dlint` determinism lint over the workspace's
-//!   own Rust source (rules D01–D16: hash-ordered collections, wall-clock
-//!   reads, ambient randomness, unstable sorts, …), honoring inline
+//!   own Rust source (rules D01–D17: hash-ordered collections, wall-clock
+//!   reads, ambient randomness, unstable sorts, public functions only tests
+//!   call, …), honoring inline
 //!   `dlint::allow` suppressions and the checked-in `dlint.baseline`.
 //!   `--root DIR` points at a workspace checkout (default: the current
 //!   directory if it looks like one, else the build-time source tree);
@@ -129,7 +130,7 @@ use dcfail_audit::{AuditReport, DegradationReport, RecoveryMode};
 use dcfail_bench::history::HistoryEntry;
 use dcfail_bench::{ablation, pipeline};
 use dcfail_chaos::{inject, InjectionPlan, IoFaultPlan};
-use dcfail_ckpt::{ChaosFs, CheckpointStore, FaultFs, FsError, MemFs, RealFs};
+use dcfail_ckpt::{ChaosFs, CheckpointStore, FaultFs, MemFs, RealFs};
 use dcfail_core::{degradation, rates, repair};
 use dcfail_model::prelude::*;
 use dcfail_report::experiments::{ExperimentId, RunConfig};
@@ -410,6 +411,9 @@ fn audit_report(opts: &Options) -> Result<(AuditReport, DegradationReport), Stri
 fn run_audit(opts: &Options) -> Result<ExitCode, String> {
     if opts.machines_arg.is_some() != opts.events_arg.is_some() {
         return Err("--machines and --events must be given together".into());
+    }
+    if opts.dataset_json.is_some() && opts.machines_arg.is_some() {
+        return Err("--dataset and --machines/--events are mutually exclusive".into());
     }
     let (report, degradation) = audit_report(opts)?;
     if !degradation.is_empty() {
@@ -1015,6 +1019,9 @@ fn run_shard(opts: &Options) -> Result<ExitCode, String> {
     if opts.baseline && opts.checkpoint_dir.is_some() {
         return Err("--baseline and --checkpoint-dir are mutually exclusive".into());
     }
+    if opts.machines_arg.is_some() && opts.scale.is_some() {
+        return Err("--machines and --scale are mutually exclusive".into());
+    }
     let scale = match &opts.machines_arg {
         Some(arg) => {
             let target: usize = arg
@@ -1106,31 +1113,6 @@ fn run_shard(opts: &Options) -> Result<ExitCode, String> {
 /// Checkpoint directory name inside the crashtest's in-memory filesystem.
 const CRASHTEST_DIR: &str = "crashtest-ckpt";
 
-/// `Arc`-backed adapter so the harness can keep reading the `ChaosFs` op
-/// counter after the `CheckpointStore` takes ownership of a boxed handle.
-struct SharedChaos(std::sync::Arc<ChaosFs<MemFs>>);
-
-impl FaultFs for SharedChaos {
-    fn read(&self, path: &str) -> Result<Vec<u8>, FsError> {
-        self.0.read(path)
-    }
-    fn write(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
-        self.0.write(path, bytes)
-    }
-    fn rename(&self, from: &str, to: &str) -> Result<(), FsError> {
-        self.0.rename(from, to)
-    }
-    fn remove(&self, path: &str) -> Result<(), FsError> {
-        self.0.remove(path)
-    }
-    fn exists(&self, path: &str) -> Result<bool, FsError> {
-        self.0.exists(path)
-    }
-    fn create_dir_all(&self, path: &str) -> Result<(), FsError> {
-        self.0.create_dir_all(path)
-    }
-}
-
 /// Store over `mem` whose every operation is gated by `plan`, plus a shared
 /// handle to the injector's op/transient counters.
 fn crashtest_store(
@@ -1138,7 +1120,7 @@ fn crashtest_store(
     plan: IoFaultPlan,
 ) -> (CheckpointStore, std::sync::Arc<ChaosFs<MemFs>>) {
     let fs = std::sync::Arc::new(ChaosFs::new(mem.clone(), plan));
-    let store = CheckpointStore::new(Box::new(SharedChaos(fs.clone())), CRASHTEST_DIR);
+    let store = CheckpointStore::new(Box::new(fs.clone()), CRASHTEST_DIR);
     (store, fs)
 }
 

@@ -90,6 +90,39 @@ fn baseline_conflicts_with_checkpoint_dir() {
 }
 
 #[test]
+fn alternative_inputs_are_mutually_exclusive() {
+    // Each pair picks one input; taking both used to drop one silently.
+    assert_usage_error(
+        &["shard", "--machines", "100", "--scale", "0.01"],
+        "mutually exclusive",
+    );
+    assert_usage_error(
+        &[
+            "audit",
+            "--dataset",
+            "/nonexistent/trace.json",
+            "--machines",
+            "/nonexistent/m.csv",
+            "--events",
+            "/nonexistent/e.csv",
+        ],
+        "mutually exclusive",
+    );
+}
+
+#[test]
+fn audit_csv_inputs_come_in_pairs() {
+    assert_usage_error(
+        &["audit", "--machines", "/nonexistent/m.csv"],
+        "--machines and --events must be given together",
+    );
+    assert_usage_error(
+        &["audit", "--events", "/nonexistent/e.csv"],
+        "--machines and --events must be given together",
+    );
+}
+
+#[test]
 fn stream_flag_validation_is_a_usage_error() {
     // The smoke/--events conflict must be rejected *before* any replay runs:
     // a usage error that arrives after minutes of work is not flag validation.

@@ -15,6 +15,7 @@ use dcfail_stats::rng::StreamRng;
 /// random point, loses a random field, gets one field overwritten with junk,
 /// or gains a stray trailing field. Returns the corrupted text and the number
 /// of garbled rows. Deterministic in `plan.seed`.
+// dlint::allow(D17): CSV fuzzer for the chaos robustness suite, an integration test
 pub fn garble_csv(csv: &str, plan: &InjectionPlan) -> (String, usize) {
     let rate = plan.rates.garble_csv_row;
     let mut rng = StreamRng::new(plan.seed).fork("chaos").fork("garble-csv");

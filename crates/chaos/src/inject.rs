@@ -173,21 +173,6 @@ fn count_injections(log: &InjectionLog) {
     }
 }
 
-/// Corrupts a dataset serialized as JSON, returning the corrupted JSON.
-///
-/// The text must parse as the dataset's serialized shape (it is read through
-/// [`RawDatasetParts`], so structurally broken references are tolerated).
-///
-/// # Errors
-///
-/// Returns the JSON parse error message when the text is not a dataset.
-pub fn inject_json(json: &str, plan: &InjectionPlan) -> Result<(String, InjectionLog), String> {
-    let mut parts: RawDatasetParts = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    let log = inject_raw(&mut parts, plan);
-    let out = serde_json::to_string(&parts).map_err(|e| e.to_string())?;
-    Ok((out, log))
-}
-
 /// Rebuilds an event with a different failure instant and repair duration.
 fn reschedule(ev: &FailureEvent, at: SimTime, repair: SimDuration) -> FailureEvent {
     FailureEvent::new(

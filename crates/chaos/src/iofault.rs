@@ -87,17 +87,6 @@ impl IoFaultPlan {
             torn_writes: false,
         }
     }
-
-    /// A plan that hard-kills the run at operation `op` (0-based), leaving a
-    /// torn file behind when the fatal operation is a write.
-    pub fn kill_at(seed: u64, op: u64) -> Self {
-        IoFaultPlan {
-            seed,
-            transient_rate: 0.0,
-            kill_at_op: Some(op),
-            torn_writes: true,
-        }
-    }
 }
 
 /// Stateful per-run injector: counts operations and answers, for each one,
@@ -205,7 +194,11 @@ mod tests {
 
     #[test]
     fn kill_fires_exactly_at_op_and_sticks() {
-        let mut inj = IoFaultInjector::new(IoFaultPlan::kill_at(9, 3));
+        let mut inj = IoFaultInjector::new(IoFaultPlan {
+            kill_at_op: Some(3),
+            torn_writes: true,
+            ..IoFaultPlan::quiet(9)
+        });
         assert_eq!(inj.decide(None), None);
         assert_eq!(inj.decide(Some(10)), None);
         assert_eq!(inj.decide(None), None);

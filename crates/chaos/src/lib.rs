@@ -28,7 +28,7 @@
 //! ```
 //!
 //! Corruption targets the *serialized* representation
-//! ([`dcfail_audit::RawDatasetParts`]) rather than [`FailureDataset`] itself:
+//! ([`dcfail_audit::RawDatasetParts`]) rather than `FailureDataset` itself:
 //! the validated type cannot even represent most of the defects the catalog
 //! injects (dangling placements, reversed ticket windows, out-of-horizon
 //! events), which is exactly why the lenient ingest path exists.
@@ -42,6 +42,6 @@ pub mod iofault;
 mod plan;
 
 pub use csv::garble_csv;
-pub use inject::{inject, inject_json, inject_raw, InjectionLog};
+pub use inject::{inject, inject_raw, InjectionLog};
 pub use iofault::{IoFault, IoFaultInjector, IoFaultPlan};
 pub use plan::{Corruption, CorruptionRates, InjectionPlan};

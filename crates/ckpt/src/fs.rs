@@ -79,6 +79,29 @@ pub trait FaultFs {
     fn create_dir_all(&self, path: &str) -> Result<(), FsError>;
 }
 
+/// A shared backend: the store can own one handle while its creator keeps
+/// another, e.g. to read a [`ChaosFs`]'s op counters after the run.
+impl<F: FaultFs + ?Sized> FaultFs for Arc<F> {
+    fn read(&self, path: &str) -> Result<Vec<u8>, FsError> {
+        (**self).read(path)
+    }
+    fn write(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
+        (**self).write(path, bytes)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<(), FsError> {
+        (**self).rename(from, to)
+    }
+    fn remove(&self, path: &str) -> Result<(), FsError> {
+        (**self).remove(path)
+    }
+    fn exists(&self, path: &str) -> Result<bool, FsError> {
+        (**self).exists(path)
+    }
+    fn create_dir_all(&self, path: &str) -> Result<(), FsError> {
+        (**self).create_dir_all(path)
+    }
+}
+
 /// The real `std::fs` backend — the one sanctioned write site (D13).
 #[derive(Debug, Clone, Default)]
 pub struct RealFs;
@@ -167,14 +190,9 @@ impl MemFs {
         self.files().get(path).cloned()
     }
 
-    /// Directly overwrites a file's bytes without durability semantics —
-    /// the test hook for simulating external truncation/corruption.
-    pub fn clobber(&self, path: &str, bytes: Vec<u8>) {
-        self.files().insert(path.to_string(), bytes);
-    }
-
     /// Paths currently stored, in sorted order (test hook).
-    pub fn paths(&self) -> Vec<String> {
+    #[cfg(test)]
+    pub(crate) fn paths(&self) -> Vec<String> {
         self.files().keys().cloned().collect()
     }
 }
@@ -355,9 +373,33 @@ mod tests {
     }
 
     #[test]
+    fn arc_backend_forwards_every_op() {
+        let mem = MemFs::new();
+        // Boxed as the store holds it, so each call goes through the Arc impl.
+        let fs: Box<dyn FaultFs> = Box::new(Arc::new(mem.clone()));
+        fs.create_dir_all("ckpt").unwrap();
+        fs.write("ckpt/a.tmp", b"hello").unwrap();
+        assert!(fs.exists("ckpt/a.tmp").unwrap());
+        fs.rename("ckpt/a.tmp", "ckpt/a.seg").unwrap();
+        assert_eq!(mem.snapshot("ckpt/a.seg"), Some(b"hello".to_vec()));
+        assert_eq!(fs.read("ckpt/a.seg").unwrap(), b"hello");
+        fs.remove("ckpt/a.seg").unwrap();
+        assert!(!mem.exists("ckpt/a.seg").unwrap());
+        assert_eq!(
+            fs.read("ckpt/a.seg").unwrap_err().kind,
+            FsErrorKind::NotFound
+        );
+    }
+
+    #[test]
     fn chaosfs_kill_leaves_torn_prefix() {
         let mem = MemFs::new();
-        let fs = ChaosFs::new(mem.clone(), IoFaultPlan::kill_at(5, 0));
+        let plan = IoFaultPlan {
+            kill_at_op: Some(0),
+            torn_writes: true,
+            ..IoFaultPlan::quiet(5)
+        };
+        let fs = ChaosFs::new(mem.clone(), plan);
         let payload = vec![7u8; 64];
         let err = fs.write("seg", &payload).unwrap_err();
         assert_eq!(err.kind, FsErrorKind::Killed { op: 0 });

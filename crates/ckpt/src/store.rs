@@ -215,7 +215,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::MemFs;
+    use crate::fs::{ChaosFs, MemFs};
 
     fn mem_store(fs: &MemFs) -> CheckpointStore {
         CheckpointStore::new(Box::new(fs.clone()), "ckpt")
@@ -254,6 +254,21 @@ mod tests {
     }
 
     #[test]
+    fn store_owning_an_arc_leaves_chaos_counters_readable() {
+        use dcfail_chaos::IoFaultPlan;
+        use std::sync::Arc;
+        let chaos = Arc::new(ChaosFs::new(MemFs::new(), IoFaultPlan::quiet(3)));
+        let store = CheckpointStore::new(Box::new(Arc::clone(&chaos)), "ckpt");
+        let mut manifest = store.open(1, 1).unwrap();
+        let opened = chaos.ops();
+        assert!(opened > 0, "open goes through the shared backend");
+        store.write_segment(&mut manifest, "s.seg", b"x").unwrap();
+        // Segment write + rename, then manifest write + rename.
+        assert_eq!(chaos.ops() - opened, 4);
+        assert_eq!(chaos.transients(), 0);
+    }
+
+    #[test]
     fn torn_segment_is_discarded_not_ingested() {
         let fs = MemFs::new();
         let store = mem_store(&fs);
@@ -264,7 +279,8 @@ mod tests {
 
         // Truncate the published file behind the store's back.
         let full = fs.snapshot("ckpt/pass2-0000.seg").unwrap();
-        fs.clobber("ckpt/pass2-0000.seg", full[..full.len() / 2].to_vec());
+        fs.write("ckpt/pass2-0000.seg", &full[..full.len() / 2])
+            .unwrap();
 
         let store2 = mem_store(&fs);
         let mut resumed = store2.open(1, 2).unwrap();
@@ -290,7 +306,7 @@ mod tests {
         let mut bytes = fs.snapshot("ckpt/s.seg").unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
-        fs.clobber("ckpt/s.seg", bytes);
+        fs.write("ckpt/s.seg", &bytes).unwrap();
         let mut resumed = mem_store(&fs).open(1, 2).unwrap();
         assert_eq!(
             mem_store(&fs).load_segment(&mut resumed, "s.seg").unwrap(),
@@ -312,7 +328,8 @@ mod tests {
         let text = String::from_utf8(payload).unwrap();
         let bumped = text.replace("\"version\":1", "\"version\":999");
         assert_ne!(text, bumped, "version field must be present to bump");
-        fs.clobber("ckpt/MANIFEST", encode_segment(bumped.as_bytes()));
+        fs.write("ckpt/MANIFEST", &encode_segment(bumped.as_bytes()))
+            .unwrap();
 
         let err = mem_store(&fs).open(5, 2).unwrap_err();
         assert_eq!(
@@ -331,7 +348,8 @@ mod tests {
         let mut manifest = store.open(5, 2).unwrap();
         store.write_segment(&mut manifest, "s.seg", b"x").unwrap();
         let bytes = fs.snapshot("ckpt/MANIFEST").unwrap();
-        fs.clobber("ckpt/MANIFEST", bytes[..bytes.len() - 3].to_vec());
+        fs.write("ckpt/MANIFEST", &bytes[..bytes.len() - 3])
+            .unwrap();
         let fresh = mem_store(&fs).open(5, 2).unwrap();
         assert!(fresh.segments.is_empty(), "torn manifest resets the run");
     }

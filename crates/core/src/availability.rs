@@ -23,15 +23,6 @@ pub struct MachineAvailability {
     pub failures: usize,
 }
 
-impl MachineAvailability {
-    /// The "number of nines": −log₁₀(1 − availability); `None` for a fully
-    /// available machine (infinite nines).
-    pub fn nines(&self) -> Option<f64> {
-        let u = 1.0 - self.availability;
-        (u > 0.0).then(|| -u.log10())
-    }
-}
-
 /// Computes per-machine availability over the dataset's horizon.
 ///
 /// Repair windows are clipped to the horizon and overlapping windows on the
@@ -143,7 +134,7 @@ mod tests {
             assert!(a.downtime_hours <= ds.horizon().len().as_hours());
             if a.failures == 0 {
                 assert_eq!(a.downtime_hours, 0.0);
-                assert!(a.nines().is_none());
+                assert_eq!(a.availability, 1.0);
             }
         }
     }
@@ -172,17 +163,6 @@ mod tests {
             // Downtime can never exceed the wall-clock span of the window.
             assert!(a.downtime_hours <= ds.horizon().len().as_hours() + 1e-9);
         }
-    }
-
-    #[test]
-    fn nines_math() {
-        let a = MachineAvailability {
-            machine: MachineId::new(0),
-            downtime_hours: 8.736, // 0.1% of a year
-            availability: 0.999,
-            failures: 1,
-        };
-        assert!((a.nines().unwrap() - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -13,11 +13,6 @@ pub fn rate_by_cpu(dataset: &FailureDataset, kind: MachineKind) -> AttributeCurv
     panel_curve(dataset, kind, Source::Constant(Constant::Cpus)).curve
 }
 
-/// Fig. 7(b): weekly failure rate vs memory size (GB).
-pub fn rate_by_memory(dataset: &FailureDataset, kind: MachineKind) -> AttributeCurve {
-    panel_curve(dataset, kind, Source::Constant(Constant::MemoryGb)).curve
-}
-
 /// Fig. 7(c): weekly VM failure rate vs total disk capacity (GB). VM-only:
 /// the dataset carries no PM disk attributes, matching the paper.
 pub fn rate_by_disk_capacity(dataset: &FailureDataset) -> AttributeCurve {
@@ -61,7 +56,7 @@ mod tests {
     #[test]
     fn memory_curves_are_bathtub_shaped() {
         let ds = testutil::dataset();
-        let pm = rate_by_memory(ds, MachineKind::Pm);
+        let pm = panel_curve(ds, MachineKind::Pm, Source::Constant(Constant::MemoryGb)).curve;
         // Small and large PM memory out-fail the middle.
         let small = pm.mean_of("2").or(pm.mean_of("4")).unwrap();
         let mid = pm.mean_of("16").or(pm.mean_of("8")).unwrap();
@@ -73,7 +68,7 @@ mod tests {
         assert!(small > mid, "PM small {small} vs mid {mid}");
         assert!(large > mid, "PM large {large} vs mid {mid}");
 
-        let vm = rate_by_memory(ds, MachineKind::Vm);
+        let vm = panel_curve(ds, MachineKind::Vm, Source::Constant(Constant::MemoryGb)).curve;
         // VM dip in the 4–8 GB range.
         let low = vm.mean_of("1").or(vm.mean_of("2")).unwrap();
         let dip = vm.mean_of("8").or(vm.mean_of("4")).unwrap();
@@ -139,8 +134,8 @@ mod tests {
         for curve in [
             rate_by_cpu(ds, MachineKind::Pm),
             rate_by_cpu(ds, MachineKind::Vm),
-            rate_by_memory(ds, MachineKind::Pm),
-            rate_by_memory(ds, MachineKind::Vm),
+            panel_curve(ds, MachineKind::Pm, Source::Constant(Constant::MemoryGb)).curve,
+            panel_curve(ds, MachineKind::Vm, Source::Constant(Constant::MemoryGb)).curve,
             rate_by_disk_capacity(ds),
             rate_by_disk_count(ds),
         ] {

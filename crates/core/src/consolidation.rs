@@ -15,11 +15,6 @@ pub fn rate_by_consolidation(dataset: &FailureDataset) -> AttributeCurve {
     panel_curve(dataset, MachineKind::Vm, SOURCE).curve
 }
 
-/// Distribution of VMs across consolidation-level bins: `(label, share)`.
-pub fn vm_share_by_level(dataset: &FailureDataset) -> Vec<(String, f64)> {
-    panel_curve(dataset, MachineKind::Vm, SOURCE).shares
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,7 +36,7 @@ mod tests {
 
     #[test]
     fn vm_population_skews_toward_high_consolidation() {
-        let shares = vm_share_by_level(testutil::dataset());
+        let shares = panel_curve(testutil::dataset(), MachineKind::Vm, SOURCE).shares;
         let total: f64 = shares.iter().map(|(_, s)| s).sum();
         assert!((total - 1.0).abs() < 1e-9);
         let lone = shares

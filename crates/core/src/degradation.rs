@@ -71,15 +71,6 @@ impl<T> Robust<T> {
         }
     }
 
-    /// An estimate computed from degraded input.
-    pub fn degraded(value: T, completeness: f64, caveats: Vec<Caveat>) -> Self {
-        Self {
-            value: Some(value),
-            completeness: completeness.clamp(0.0, 1.0),
-            caveats,
-        }
-    }
-
     /// No estimate could be produced.
     pub fn unavailable(completeness: f64, caveats: Vec<Caveat>) -> Self {
         Self {
@@ -90,7 +81,8 @@ impl<T> Robust<T> {
     }
 
     /// True when the estimate is present and carries no caveats.
-    pub fn is_complete(&self) -> bool {
+    #[cfg(test)]
+    fn is_complete(&self) -> bool {
         self.value.is_some() && self.caveats.is_empty()
     }
 }

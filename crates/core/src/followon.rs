@@ -1,6 +1,6 @@
 //! Follow-on failures by triggering root cause.
 //!
-//! The paper's related work ([5], El-Sayed & Schroeder) finds "a high
+//! The paper's related work (\[5\], El-Sayed & Schroeder) finds "a high
 //! correlation among [root-cause categories]. In particular, power-related
 //! failures induce a high probability of follow-in failure of any kind".
 //! This analysis checks the same question on our dataset: given a failure of

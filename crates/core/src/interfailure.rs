@@ -124,7 +124,7 @@ pub fn analyze(dataset: &FailureDataset, kind: MachineKind) -> Option<InterFailu
 
 /// Censoring-aware inter-failure analysis.
 ///
-/// The paper notes it "collect[s] no inter-failure times for servers that
+/// The paper notes it "collect\[s\] no inter-failure times for servers that
 /// only fail once" — but those servers carry information: they survived
 /// from their (only) failure to the end of the window without failing
 /// again. Treating that span as a right-censored observation and running

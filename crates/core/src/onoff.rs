@@ -15,11 +15,6 @@ pub fn rate_by_onoff(dataset: &FailureDataset) -> AttributeCurve {
     panel_curve(dataset, MachineKind::Vm, SOURCE).curve
 }
 
-/// Distribution of VMs across on/off-frequency bins: `(label, share)`.
-pub fn vm_share_by_onoff(dataset: &FailureDataset) -> Vec<(String, f64)> {
-    panel_curve(dataset, MachineKind::Vm, SOURCE).shares
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,7 +39,7 @@ mod tests {
 
     #[test]
     fn most_vms_rarely_power_cycle() {
-        let shares = vm_share_by_onoff(testutil::dataset());
+        let shares = panel_curve(testutil::dataset(), MachineKind::Vm, SOURCE).shares;
         let stable = shares
             .iter()
             .find(|(l, _)| l == "0-1")

@@ -1,6 +1,6 @@
 //! Week-ahead failure prediction.
 //!
-//! The paper's related work (BlueGene/L, [10]) explores "the correlation
+//! The paper's related work (BlueGene/L, \[10\]) explores "the correlation
 //! between the recurrence and the location of failures through an on-line
 //! predictive model"; the paper itself stops at measurement. This module is
 //! the natural extension: score every machine's probability of failing next
@@ -253,7 +253,7 @@ pub fn evaluate(
     let random_recall = decile as f64 / observations as f64;
 
     // AUC via rank statistic: a tie group at sorted positions i..=j gets
-    // `dcfail_stats::corr::ranks`' mid-rank. Every term and partial sum is
+    // the oracle's mid-rank. Every term and partial sum is
     // a multiple of 0.5 below 2^52 (for fewer than 2^26 machine-weeks), so
     // the sum is exact in any order and equals the machine-week-order sum.
     let mut below = 0;
@@ -375,7 +375,7 @@ mod oracle {
         let recall = hits as f64 / positives as f64;
         let random_recall = decile as f64 / by_score.len() as f64;
         let scores: Vec<f64> = scored.iter().map(|&(s, _)| s).collect();
-        let ranks = dcfail_stats::corr::ranks(&scores);
+        let ranks = ranks(&scores);
         let pos_rank_sum: f64 = scored
             .iter()
             .zip(&ranks)
@@ -392,6 +392,30 @@ mod oracle {
             lift_at_top_decile: recall / random_recall,
             auc,
         })
+    }
+
+    /// Mid-ranks of a sample (ties receive the average of their rank range).
+    pub fn ranks(xs: &[f64]) -> Vec<f64> {
+        let n = xs.len();
+        let mut idx: Vec<usize> = (0..n).collect();
+        // Unstable is fine: exact ties land in the same rank group and are
+        // averaged, so the permutation within a tie group cannot leak out.
+        idx.sort_unstable_by(|&a, &b| xs[a].total_cmp(&xs[b]));
+        let mut out = vec![0.0; n];
+        let mut i = 0;
+        while i < n {
+            let mut j = i;
+            while j + 1 < n && xs[idx[j + 1]] == xs[idx[i]] {
+                j += 1;
+            }
+            // Ranks i+1 ..= j+1 (1-based), averaged over the tie group.
+            let avg = (i + j) as f64 / 2.0 + 1.0;
+            for &k in &idx[i..=j] {
+                out[k] = avg;
+            }
+            i = j + 1;
+        }
+        out
     }
 }
 
@@ -616,5 +640,13 @@ mod tests {
         let report = evaluate(ds, 8, &weights).unwrap();
         // All scores equal ⇒ AUC = 0.5 by mid-rank convention.
         assert!((report.auc - 0.5).abs() < 1e-9, "AUC {}", report.auc);
+    }
+
+    #[test]
+    fn ranks_handle_ties() {
+        let r = oracle::ranks(&[10.0, 20.0, 20.0, 30.0]);
+        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
+        let r = oracle::ranks(&[5.0, 5.0, 5.0]);
+        assert_eq!(r, vec![2.0, 2.0, 2.0]);
     }
 }

@@ -8,7 +8,6 @@
 use crate::ClassSource;
 use dcfail_model::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Table VI: percentage of incidents involving zero, one, or ≥ 2 servers of
 /// a type.
@@ -139,16 +138,6 @@ pub fn table7(dataset: &FailureDataset, source: ClassSource) -> [Option<Footprin
     out
 }
 
-/// Empirical distribution of incident footprints: `(size, count)` sorted by
-/// size.
-pub fn incident_size_distribution(dataset: &FailureDataset) -> Vec<(usize, usize)> {
-    let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-    for inc in dataset.incidents() {
-        *counts.entry(inc.size()).or_insert(0) += 1;
-    }
-    counts.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,19 +221,6 @@ mod tests {
         // Truth view has no Other incidents.
         let truth = table7(ds, ClassSource::Truth);
         assert!(truth[FailureClass::Other.index()].is_none());
-    }
-
-    #[test]
-    fn size_distribution_accounts_for_all_incidents() {
-        let ds = testutil::dataset();
-        let dist = incident_size_distribution(ds);
-        let total: usize = dist.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, ds.incidents().len());
-        // Sorted by size, starting at 1.
-        assert_eq!(dist[0].0, 1);
-        for pair in dist.windows(2) {
-            assert!(pair[0].0 < pair[1].0);
-        }
     }
 
     #[test]

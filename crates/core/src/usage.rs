@@ -10,25 +10,9 @@ use crate::curve::AttributeCurve;
 use crate::panel::{panel_curve, Source, Usage};
 use dcfail_model::prelude::*;
 
-/// Fig. 8(a): weekly failure rate vs CPU utilization (10-point bins).
-pub fn rate_by_cpu_util(dataset: &FailureDataset, kind: MachineKind) -> AttributeCurve {
-    panel_curve(dataset, kind, Source::Weekly(Usage::Cpu)).curve
-}
-
 /// Fig. 8(b): weekly failure rate vs memory utilization.
 pub fn rate_by_mem_util(dataset: &FailureDataset, kind: MachineKind) -> AttributeCurve {
     panel_curve(dataset, kind, Source::Weekly(Usage::Mem)).curve
-}
-
-/// Fig. 8(c): weekly VM failure rate vs disk-space utilization.
-pub fn rate_by_disk_util(dataset: &FailureDataset) -> AttributeCurve {
-    panel_curve(dataset, MachineKind::Vm, Source::Weekly(Usage::Disk)).curve
-}
-
-/// Fig. 8(d): weekly VM failure rate vs network volume (Kbps, power-of-two
-/// bins over the paper's 2 Kbps – 8 Mbps range).
-pub fn rate_by_network(dataset: &FailureDataset) -> AttributeCurve {
-    panel_curve(dataset, MachineKind::Vm, Source::Weekly(Usage::Net)).curve
 }
 
 #[cfg(test)]
@@ -57,13 +41,13 @@ mod tests {
     #[test]
     fn vm_cpu_util_rate_increases_while_pm_decreases() {
         let ds = testutil::dataset();
-        let vm = rate_by_cpu_util(ds, MachineKind::Vm);
+        let vm = panel_curve(ds, MachineKind::Vm, Source::Weekly(Usage::Cpu)).curve;
         let (vm_low, vm_mid) = low_mid_rates(&vm);
         assert!(
             vm_mid > 1.3 * vm_low,
             "VM: mid {vm_mid} should exceed low {vm_low}"
         );
-        let pm = rate_by_cpu_util(ds, MachineKind::Pm);
+        let pm = panel_curve(ds, MachineKind::Pm, Source::Weekly(Usage::Cpu)).curve;
         let (pm_low, pm_mid) = low_mid_rates(&pm);
         assert!(
             pm_low > 1.3 * pm_mid,
@@ -103,19 +87,19 @@ mod tests {
     #[test]
     fn disk_util_mildly_increases() {
         let ds = testutil::dataset();
-        let curve = rate_by_disk_util(ds);
+        let curve = panel_curve(ds, MachineKind::Vm, Source::Weekly(Usage::Disk)).curve;
         let low = curve.mean_of("0-10").unwrap();
         let high = curve.mean_of("80-90").or(curve.mean_of("70-80")).unwrap();
         assert!(high > low, "high {high} vs low {low}");
         // Milder than the VM CPU effect (the paper's comparison).
-        let cpu = rate_by_cpu_util(ds, MachineKind::Vm);
+        let cpu = panel_curve(ds, MachineKind::Vm, Source::Weekly(Usage::Cpu)).curve;
         assert!(curve.dynamic_range().unwrap() < cpu.dynamic_range().unwrap() * 1.5);
     }
 
     #[test]
     fn network_peaks_at_low_volume() {
         let ds = testutil::dataset();
-        let curve = rate_by_network(ds);
+        let curve = panel_curve(ds, MachineKind::Vm, Source::Weekly(Usage::Net)).curve;
         // Rate near the 32-64 Kbps peak beats the megabit tail.
         let peak = curve.mean_of("32-64").or(curve.mean_of("16-32")).unwrap();
         let tail = curve
@@ -128,7 +112,7 @@ mod tests {
     #[test]
     fn usage_buckets_skew_low() {
         let ds = testutil::dataset();
-        let curve = rate_by_cpu_util(ds, MachineKind::Vm);
+        let curve = panel_curve(ds, MachineKind::Vm, Source::Weekly(Usage::Cpu)).curve;
         let total: usize = curve.points.iter().map(|p| p.machine_weeks).sum();
         let low: usize = curve
             .points

@@ -9,9 +9,10 @@
 //!
 //! The prediction is a *reweighting* counterfactual: it assumes the measured
 //! per-bucket rates are causal and stable — exactly the reading the paper's
-//! recommendations imply. That assumption is documented, not hidden; the
-//! [`WhatIf::baseline_vm_rate`] vs actual-rate calibration check quantifies
-//! how well the bucket model explains the fleet in the first place.
+//! recommendations imply. That assumption is documented, not hidden:
+//! comparing a prediction's [`WhatIfOutcome::baseline`] with the actual
+//! Fig. 2 VM rate quantifies how well the bucket model explains the fleet in
+//! the first place.
 
 use crate::panel::{observe_dataset, Constant, MachineAttrs, PanelCurve, Source};
 use dcfail_model::prelude::*;
@@ -110,14 +111,6 @@ impl<'a> WhatIf<'a> {
         }
     }
 
-    /// Predicted fleet VM weekly rate with no intervention, under the
-    /// consolidation-curve bucket model (a calibration reference: compare
-    /// against the actual Fig. 2 VM rate).
-    pub fn baseline_vm_rate(&self) -> f64 {
-        self.predict(Intervention::RaiseConsolidation { min_level: 0.0 })
-            .baseline
-    }
-
     /// Evaluates an intervention.
     pub fn predict(&self, intervention: Intervention) -> WhatIfOutcome {
         let attribute = intervention.attribute();
@@ -173,7 +166,9 @@ mod tests {
     fn bucket_model_is_calibrated() {
         let ds = testutil::dataset();
         let w = WhatIf::from_dataset(ds);
-        let predicted = w.baseline_vm_rate();
+        let predicted = w
+            .predict(Intervention::RaiseConsolidation { min_level: 0.0 })
+            .baseline;
         let actual = crate::rates::weekly_failure_rates(ds).all_vm.mean;
         // The bucket model must explain the fleet rate within 15%.
         assert!(

@@ -11,7 +11,8 @@
 //! the constructs that historically break reproducibility — unordered
 //! iteration, NaN-sensitive comparators, wall-clock reads, ambient
 //! randomness, unforked RNG captures in parallel closures, bare float
-//! accumulation, and untested merge operators.
+//! accumulation, and untested merge operators — and public functions that
+//! nothing but a test calls.
 //!
 //! Findings use the same Error/Warn/Info report machinery as `dcfail-audit`
 //! (via `dcfail-findings`) and render as text or versioned JSON. Real
@@ -26,11 +27,12 @@
 //! may only shrink; a stale entry is a finding (D12). The file ships empty.
 //!
 //! ```
-//! let report = dcfail_dlint::lint_source(
+//! let report = dcfail_dlint::Corpus::from_sources([(
 //!     "crates/core/src/demo.rs",
 //!     "use std::collections::HashMap;\n",
-//! );
-//! assert!(report.report.has(dcfail_dlint::LintRule::D01));
+//! )])
+//! .lint_with_baseline(&dcfail_dlint::Baseline::default());
+//! assert!(report.report.find(dcfail_dlint::LintRule::D01).is_some());
 //! ```
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
@@ -58,12 +60,13 @@ pub const BASELINE_FILE: &str = "dlint.baseline";
 dcfail_findings::rule_catalog! {
     /// Stable identifier of one determinism rule.
     ///
-    /// Serializes as the rule code (`"D01"` … `"D16"`). D01–D10 are the
+    /// Serializes as the rule code (`"D01"` … `"D17"`). D01–D10 are the
     /// published catalog; D11/D12 police the escape hatches themselves;
     /// D13 guards the crash-safety boundary around checkpoint I/O; D14
     /// guards the fleet-scale perf contract on whole-input scans; D15 guards
     /// the O(slack) memory bound of the streaming ingest engine; D16
-    /// confines raw socket I/O to the serve daemon's connection module.
+    /// confines raw socket I/O to the serve daemon's connection module; D17
+    /// keeps public library API to what something other than a test calls.
     LintRule, domain = "dlint" {
         /// Hash collections iterate in randomized order.
         D01 = ("D01", Error,
@@ -79,7 +82,7 @@ dcfail_findings::rule_catalog! {
             "no std::env::var outside the par thread-resolution point");
         /// A shared RNG stream draws in schedule order.
         D05 = ("D05", Error,
-            "closures passed to par_map/par_map_index/par_map_reduce that name an RNG must derive it via fork_index/fork");
+            "closures passed to par_map/par_map_index that name an RNG must derive it via fork_index/fork");
         /// Naive float sums depend on merge order.
         D06 = ("D06", Warn,
             "float accumulation in accumulator modules should go through ExactSum/NormAccum, not bare +=");
@@ -116,6 +119,9 @@ dcfail_findings::rule_catalog! {
         /// and shutdown policy, which lives in exactly one module.
         D16 = ("D16", Error,
             "no TcpStream in library code outside crates/serve/src/conn.rs; route socket I/O through the serve connection module");
+        /// A public function only tests call is API kept for nobody.
+        D17 = ("D17", Error,
+            "every pub fn in library code needs a caller outside tests (workspace or perfbench/src); delete it, move it behind #[cfg(test)], or allow it with a reason");
     }
 }
 
@@ -192,37 +198,46 @@ impl Deserialize for LintReport {
     }
 }
 
-/// A set of scanned source files linted as one unit (rule D08 is cross-file).
+/// A set of scanned source files linted as one unit (rules D08 and D17 are
+/// cross-file).
 #[derive(Debug)]
 pub struct Corpus {
     files: Vec<ScannedFile>,
+    /// `perfbench/` sources: they count as callers for D17 and no rule
+    /// lints them.
+    callers: Vec<ScannedFile>,
 }
 
 impl Corpus {
     /// Scans in-memory `(path, source)` pairs. Paths should be
-    /// workspace-relative with `/` separators — rule scoping keys off them.
+    /// workspace-relative with `/` separators — rule scoping keys off them,
+    /// and a path under `perfbench/` makes its file a caller only.
     pub fn from_sources<I, P, S>(sources: I) -> Corpus
     where
         I: IntoIterator<Item = (P, S)>,
         P: AsRef<str>,
         S: AsRef<str>,
     {
-        let mut files: Vec<ScannedFile> = sources
+        let (callers, mut files): (Vec<ScannedFile>, Vec<ScannedFile>) = sources
             .into_iter()
             .map(|(p, s)| ScannedFile::scan(p.as_ref(), s.as_ref()))
-            .collect();
+            .partition(|f| f.path.starts_with("perfbench/"));
         files.sort_by(|a, b| a.path.cmp(&b.path));
-        Corpus { files }
+        Corpus { files, callers }
     }
 
     /// Walks the workspace at `root` and scans every first-party `.rs` file:
     /// `src/`, `examples/`, `tests/` at the root plus each `crates/*`
-    /// member. `vendor/`, `target/` and dlint's own rule fixtures are
-    /// excluded.
+    /// member, and `perfbench/src/` as callers only. `vendor/`, `target/`
+    /// and dlint's own rule fixtures are excluded.
     pub fn from_workspace(root: &Path) -> Result<Corpus, String> {
         let mut sources: Vec<(String, String)> = Vec::new();
-        let mut roots: Vec<std::path::PathBuf> =
-            vec![root.join("src"), root.join("examples"), root.join("tests")];
+        let mut roots: Vec<std::path::PathBuf> = vec![
+            root.join("src"),
+            root.join("examples"),
+            root.join("tests"),
+            root.join("perfbench/src"),
+        ];
         let crates_dir = root.join("crates");
         let entries = std::fs::read_dir(&crates_dir)
             .map_err(|e| format!("reading {}: {e}", crates_dir.display()))?;
@@ -246,21 +261,6 @@ impl Corpus {
         Ok(Corpus::from_sources(sources))
     }
 
-    /// Number of files in the corpus.
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    /// True when the corpus holds no files.
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
-
-    /// Lints the corpus with no baseline.
-    pub fn lint(&self) -> LintReport {
-        self.lint_with_baseline(&Baseline::default())
-    }
-
     /// Lints the corpus, filtering suppressed findings, applying `baseline`,
     /// and policing the escape hatches (D11, D12).
     pub fn lint_with_baseline(&self, baseline: &Baseline) -> LintReport {
@@ -269,6 +269,7 @@ impl Corpus {
             rules::lint_file(file, &mut raw);
         }
         rules::lint_absorb_coverage(&self.files, &mut raw);
+        rules::lint_test_only_api(&self.files, &self.callers, &mut raw);
 
         // Inline suppressions: a matching directive on the finding's line
         // shields it (directives on comment-only lines target the next line;
@@ -366,7 +367,7 @@ impl Corpus {
             .collect();
         LintReport {
             report: Report::from_diagnostics(diagnostics),
-            files_scanned: self.files.len(),
+            files_scanned: self.files.len() + self.callers.len(),
             suppressed,
             baselined,
         }
@@ -414,13 +415,6 @@ fn collect_rs_files(
     Ok(())
 }
 
-/// Lints a single in-memory source file (no baseline). The `path` chooses
-/// which rules apply — use a realistic workspace-relative path such as
-/// `crates/core/src/demo.rs`.
-pub fn lint_source(path: &str, source: &str) -> LintReport {
-    Corpus::from_sources([(path, source)]).lint()
-}
-
 /// Lints the workspace at `root`, applying `root/dlint.baseline` if present.
 pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
     let corpus = Corpus::from_workspace(root)?;
@@ -432,9 +426,14 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
 mod tests {
     use super::*;
 
+    /// Lints one in-memory file; its own lines are D17's only callers.
+    fn lint_source(path: &str, source: &str) -> LintReport {
+        Corpus::from_sources([(path, source)]).lint_with_baseline(&Baseline::default())
+    }
+
     #[test]
-    fn catalog_covers_d01_through_d16() {
-        assert_eq!(LintRule::ALL.len(), 16);
+    fn catalog_covers_d01_through_d17() {
+        assert_eq!(LintRule::ALL.len(), 17);
         for (i, rule) in LintRule::ALL.iter().enumerate() {
             assert_eq!(rule.code(), format!("D{:02}", i + 1));
             assert_eq!(LintRule::from_code(rule.code()), Some(*rule));
@@ -446,7 +445,7 @@ mod tests {
     fn clean_source_yields_clean_report() {
         let r = lint_source(
             "crates/core/src/demo.rs",
-            "use std::collections::BTreeMap;\npub fn f() -> BTreeMap<u32, u32> { BTreeMap::new() }\n",
+            "use std::collections::BTreeMap;\nfn f() -> BTreeMap<u32, u32> { BTreeMap::new() }\n",
         );
         assert!(r.report.is_empty(), "unexpected: {}", r.render_text());
         assert_eq!(r.files_scanned, 1);
@@ -458,7 +457,7 @@ mod tests {
             "crates/core/src/demo.rs",
             "use std::collections::HashMap;\n",
         );
-        assert!(r.report.has(LintRule::D01));
+        assert!(r.report.find(LintRule::D01).is_some());
         let json = serde_json::to_string(&r).unwrap();
         assert!(json.contains("\"schema_version\""));
         let back: LintReport = serde_json::from_str(&json).unwrap();
@@ -486,15 +485,18 @@ mod tests {
     fn empty_reason_fires_d11() {
         let src = "// dlint::allow(D01)\nuse std::collections::HashMap;\n";
         let r = lint_source("crates/core/src/demo.rs", src);
-        assert!(r.report.has(LintRule::D11));
-        assert!(!r.report.has(LintRule::D01), "suppression still shields");
+        assert!(r.report.find(LintRule::D11).is_some());
+        assert!(
+            r.report.find(LintRule::D01).is_none(),
+            "suppression still shields"
+        );
     }
 
     #[test]
     fn unknown_code_fires_d11() {
         let src = "// dlint::allow(D77): bogus\nfn f() {}\n";
         let r = lint_source("crates/core/src/demo.rs", src);
-        assert!(r.report.has(LintRule::D11));
+        assert!(r.report.find(LintRule::D11).is_some());
     }
 
     #[test]
@@ -506,11 +508,14 @@ mod tests {
         let b = Baseline::parse("D01 crates/core/src/demo.rs 2\n").unwrap();
         let r = corpus.lint_with_baseline(&b);
         assert!(
-            !r.report.has(LintRule::D01),
+            r.report.find(LintRule::D01).is_none(),
             "baseline forgives the finding"
         );
         assert_eq!(r.baselined, 1);
-        assert!(r.report.has(LintRule::D12), "over-forgiving entry is stale");
+        assert!(
+            r.report.find(LintRule::D12).is_some(),
+            "over-forgiving entry is stale"
+        );
     }
 
     #[test]
@@ -526,6 +531,183 @@ mod tests {
         assert_eq!(
             subjects,
             vec!["crates/stats/src/demo.rs:1", "crates/stats/src/demo.rs:2"]
+        );
+    }
+
+    /// D17 over a library file defining `pub fn histogram` plus `callers`.
+    fn d17_with_callers(callers: &[(&str, &str)]) -> LintReport {
+        let lib = ("crates/obs/src/report.rs", "pub fn histogram() {}\n");
+        Corpus::from_sources(std::iter::once(lib).chain(callers.iter().copied()))
+            .lint_with_baseline(&Baseline::default())
+    }
+
+    #[test]
+    fn d17_counts_a_perfbench_call_and_lints_nothing_there() {
+        assert!(d17_with_callers(&[]).report.find(LintRule::D17).is_some());
+        let perfbench = (
+            "perfbench/src/main.rs",
+            "fn main() {\n    dcfail_obs::histogram();\n    println!(\"{:?}\", 1.0f64.partial_cmp(&2.0));\n}\n",
+        );
+        let r = d17_with_callers(&[perfbench]);
+        assert!(r.report.is_empty(), "unexpected: {}", r.render_text());
+        assert_eq!(r.files_scanned, 2);
+    }
+
+    #[test]
+    fn d17_ignores_use_items_and_test_code() {
+        let r = d17_with_callers(&[
+            ("crates/bench/src/lib.rs", "use dcfail_obs::histogram;\n"),
+            (
+                "crates/serve/src/lib.rs",
+                "pub use dcfail_obs::{\n    histogram,\n};\n",
+            ),
+            ("crates/obs/tests/t.rs", "fn t() { histogram(); }\n"),
+            (
+                "crates/stats/src/lib.rs",
+                "#[cfg(test)]\nmod tests {\n    fn t() { histogram(); }\n}\n",
+            ),
+        ]);
+        let d = r
+            .report
+            .find(LintRule::D17)
+            .expect("test-only pub fn fires");
+        assert_eq!(d.subjects, vec!["crates/obs/src/report.rs:1"]);
+    }
+
+    #[test]
+    fn d17_a_definition_is_not_a_caller() {
+        let r = lint_source(
+            "crates/model/src/time.rs",
+            "impl A {\n    pub fn days() {}\n}\nimpl B {\n    pub fn days() {}\n}\n",
+        );
+        let lines: Vec<_> = r
+            .report
+            .diagnostics
+            .iter()
+            .map(|d| d.subjects[0].as_str())
+            .collect();
+        assert_eq!(
+            lines,
+            ["crates/model/src/time.rs:2", "crates/model/src/time.rs:5"]
+        );
+    }
+
+    #[test]
+    fn d17_skips_bins_and_cfg_test_definitions() {
+        let r = lint_source(
+            "crates/bench/src/bin/repro.rs",
+            "pub fn run() {}\nfn main() {}\n",
+        );
+        assert!(r.report.is_empty(), "unexpected: {}", r.render_text());
+        let r = lint_source(
+            "crates/ckpt/src/fs.rs",
+            "impl MemFs {\n    /// Test hook.\n    #[cfg(test)]\n    pub fn paths() {}\n}\n",
+        );
+        assert!(r.report.is_empty(), "unexpected: {}", r.render_text());
+    }
+
+    #[test]
+    fn d17_checks_pub_const_fn() {
+        let r = lint_source(
+            "crates/model/src/time.rs",
+            "pub const fn minutes() -> i64 {\n    1\n}\n",
+        );
+        let d = r
+            .report
+            .find(LintRule::D17)
+            .expect("uncalled pub const fn fires");
+        assert_eq!(d.subjects, vec!["crates/model/src/time.rs:1"]);
+        assert!(d.message.contains("pub fn minutes "), "{}", d.message);
+    }
+
+    #[test]
+    fn d17_counts_method_calls_paths_and_fn_pointers() {
+        for caller in [
+            "fn a(r: &Report) -> u64 {\n    r.histogram()\n}\n",
+            "fn b() {\n    Report::histogram();\n}\n",
+            "fn c(xs: &[u8]) {\n    xs.iter().for_each(histogram);\n}\n",
+        ] {
+            let r = d17_with_callers(&[("crates/bench/src/lib.rs", caller)]);
+            assert!(r.report.is_empty(), "{caller}: {}", r.render_text());
+        }
+    }
+
+    #[test]
+    fn d17_ignores_names_in_comments_and_strings() {
+        let r = d17_with_callers(&[(
+            "crates/bench/src/lib.rs",
+            "// histogram() summarizes a series\nfn label() -> &'static str {\n    \"histogram\"\n}\n",
+        )]);
+        let d = r
+            .report
+            .find(LintRule::D17)
+            .expect("a mention is not a call");
+        assert_eq!(d.subjects, vec!["crates/obs/src/report.rs:1"]);
+    }
+
+    #[test]
+    fn d17_restricted_visibility_is_neither_checked_nor_a_caller() {
+        let r = lint_source(
+            "crates/ckpt/src/fs.rs",
+            "pub(crate) fn paths() {}\npub(super) fn near() {}\nfn helper() {}\n",
+        );
+        assert!(r.report.is_empty(), "unexpected: {}", r.render_text());
+        let r = d17_with_callers(&[(
+            "crates/obs/src/lib.rs",
+            "pub(crate) use crate::report::{\n    histogram,\n};\n",
+        )]);
+        assert!(
+            r.report.find(LintRule::D17).is_some(),
+            "a re-export is not a call: {}",
+            r.render_text()
+        );
+    }
+
+    #[test]
+    fn d17_counts_callers_in_the_root_package_examples_and_bins() {
+        for path in [
+            "src/lib.rs",
+            "examples/quickstart.rs",
+            "crates/bench/src/bin/repro.rs",
+        ] {
+            let r = d17_with_callers(&[(path, "fn run() {\n    dcfail_obs::histogram();\n}\n")]);
+            assert!(r.report.is_empty(), "{path}: {}", r.render_text());
+        }
+    }
+
+    #[test]
+    fn d17_only_cfg_test_exempts_a_definition() {
+        let r = lint_source(
+            "crates/ckpt/src/fs.rs",
+            "impl MemFs {\n    #[cfg(test)]\n    #[must_use]\n    pub fn paths() {}\n    #[cfg(not(test))]\n    pub fn real() {}\n    #[cfg(test)]\n    const N: u8 = 1;\n    pub fn after() {}\n}\n",
+        );
+        let lines: Vec<_> = r
+            .report
+            .diagnostics
+            .iter()
+            .map(|d| d.subjects[0].as_str())
+            .collect();
+        assert_eq!(
+            lines,
+            ["crates/ckpt/src/fs.rs:6", "crates/ckpt/src/fs.rs:9"]
+        );
+    }
+
+    #[test]
+    fn d05_checks_par_map_index_closures() {
+        let shared = "fn f(rng: &StreamRng) -> Vec<u64> {\n    dcfail_par::par_map_index(4, |i| draw(rng) + i as u64)\n}\n";
+        let r = lint_source("crates/synth/src/demo.rs", shared);
+        assert!(
+            r.report.find(LintRule::D05).is_some(),
+            "shared stream: {}",
+            r.render_text()
+        );
+        let forked = "fn f(rng: &StreamRng) -> Vec<u64> {\n    dcfail_par::par_map_index(4, |i| draw(&rng.fork_index(i as u64)))\n}\n";
+        let r = lint_source("crates/synth/src/demo.rs", forked);
+        assert!(
+            r.report.find(LintRule::D05).is_none(),
+            "forked stream: {}",
+            r.render_text()
         );
     }
 }

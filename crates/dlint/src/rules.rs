@@ -2,12 +2,13 @@
 //!
 //! Each rule walks the blanked token stream of [`ScannedFile`]s and emits
 //! raw findings; suppression directives and the baseline are applied by the
-//! caller ([`crate::Corpus::lint`]). Rules are heuristic by design — they
-//! trade soundness for zero dependencies and zero false negatives on the
-//! constructs this workspace actually uses.
+//! caller ([`crate::Corpus::lint_with_baseline`]). Rules are heuristic by
+//! design — they trade soundness for zero dependencies and zero false
+//! negatives on the constructs this workspace actually uses.
 
 use crate::scan::{has_token, is_ident, token_positions, ScannedFile};
 use crate::LintRule;
+use std::collections::BTreeSet;
 
 /// A raw finding before suppression/baseline filtering.
 #[derive(Debug, Clone)]
@@ -134,7 +135,7 @@ const HOT_SCAN_TOKENS: &[(&str, &str)] = &[
 const TELEMETRY_SCAN_HINT: &str = "is O(window samples) per call; a loop over it rebuilds the quadratic telemetry path — hoist the scan or use the bulk Telemetry::monthly_transition_rates pass";
 
 /// Entry points whose closures must fork their RNG per item (D05).
-const PAR_ENTRY_POINTS: &[&str] = &["par_map_reduce", "par_map_index", "par_map"];
+const PAR_ENTRY_POINTS: &[&str] = &["par_map_index", "par_map"];
 
 /// Sanctioned ways to derive a per-item RNG stream inside a par closure.
 const RNG_FORK_TOKENS: &[&str] = &["fork_index", ".fork(", "StreamRng::new"];
@@ -593,4 +594,101 @@ pub fn lint_absorb_coverage(files: &[ScannedFile], findings: &mut Vec<RawFinding
             ));
         }
     }
+}
+
+/// D17: every `pub fn` (or `pub const fn`) on a non-test line of a library
+/// file (`crates/*/src`, not `bin/`) must be named, other than by a `fn`
+/// definition, on some non-test line outside a `use` item, anywhere in
+/// `files` or `callers`. A public function only tests name is API the
+/// library carries for nobody.
+///
+/// The match is by name, not by resolved path: a use of any same-named
+/// function counts as a caller, but another definition of the name does
+/// not. A definition under a `#[cfg(test)]` attribute is test code and is
+/// not checked.
+pub fn lint_test_only_api(
+    files: &[ScannedFile],
+    callers: &[ScannedFile],
+    findings: &mut Vec<RawFinding>,
+) {
+    // Identifiers some code line uses; the name after `fn` defines and
+    // does not count.
+    let mut used: BTreeSet<&str> = BTreeSet::new();
+    for file in files.iter().chain(callers) {
+        for (_, line) in code_lines(file) {
+            let mut prev = "";
+            used.extend(idents(line).filter(|&ident| std::mem::replace(&mut prev, ident) != "fn"));
+        }
+    }
+    for file in files {
+        if !(file.path.starts_with("crates/") && file.path.contains("/src/"))
+            || FileCtx::classify(&file.path).is_bin_or_example
+        {
+            continue;
+        }
+        for (idx, line) in code_lines(file) {
+            for head in ["pub fn", "pub const fn"] {
+                for pos in token_positions(line, head) {
+                    let name: String = line[pos + head.len()..]
+                        .trim_start()
+                        .chars()
+                        .take_while(|&c| is_ident(c))
+                        .collect();
+                    if name.is_empty() || used.contains(name.as_str()) || under_cfg_test(file, idx)
+                    {
+                        continue;
+                    }
+                    findings.push(RawFinding::new(
+                        LintRule::D17,
+                        file,
+                        idx,
+                        format!("pub fn {name} has no caller outside tests; delete it, move it behind #[cfg(test)], or allow it with a reason if an integration test must reach it"),
+                    ));
+                }
+            }
+        }
+    }
+}
+
+/// The non-test lines of `file` that are not part of a `use` item, with
+/// their 0-based indices (D17's caller evidence and definition sites).
+fn code_lines(file: &ScannedFile) -> impl Iterator<Item = (usize, &str)> {
+    let mut in_use = false;
+    file.lines
+        .iter()
+        .enumerate()
+        .filter(move |&(idx, line)| {
+            let item = line.trim_start();
+            let item = item
+                .strip_prefix("pub")
+                .map_or(item, |rest| match rest.trim_start().strip_prefix('(') {
+                    Some(scoped) => scoped.split_once(')').map_or("", |(_, r)| r),
+                    None => rest,
+                })
+                .trim_start();
+            in_use = in_use || item.starts_with("use ");
+            let skip = in_use || file.is_test_line(idx);
+            if in_use && line.contains(';') {
+                in_use = false;
+            }
+            !skip
+        })
+        .map(|(idx, line)| (idx, line.as_str()))
+}
+
+/// The identifiers on a blanked line.
+fn idents(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !is_ident(c))
+        .filter(|w| w.chars().next().is_some_and(|c| !c.is_ascii_digit()))
+}
+
+/// True when the attributes directly above 0-based line `idx` (doc comments
+/// are blank after scanning) include `#[cfg(test)]`.
+fn under_cfg_test(file: &ScannedFile, idx: usize) -> bool {
+    file.lines[..idx]
+        .iter()
+        .rev()
+        .map(|l| l.trim())
+        .take_while(|l| l.is_empty() || l.starts_with("#["))
+        .any(|l| l == "#[cfg(test)]")
 }

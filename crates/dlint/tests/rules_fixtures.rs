@@ -1,12 +1,18 @@
-//! Fixture-based rule tests: every token rule (D01–D10, D13–D16) has at least
+//! Fixture-based rule tests: every token rule (D01–D10, D13–D17) has at least
 //! one minimal source file that fires it and a suppressed twin that does not.
 //!
 //! The fixtures live under `tests/fixtures/` (excluded from the workspace
-//! walk) and are linted via [`dcfail_dlint::lint_source`] under a virtual
-//! path that puts them in the rule's scope — e.g. the D01 fixture pretends
-//! to live in `crates/core/src/`, where hash collections are banned.
+//! walk) and are linted one file at a time under a virtual path that puts
+//! them in the rule's scope — e.g. the D01 fixture pretends to live in
+//! `crates/core/src/`, where hash collections are banned. A one-file corpus
+//! is also all the callers D17 sees.
 
-use dcfail_dlint::{lint_source, LintRule};
+use dcfail_dlint::{Baseline, Corpus, LintReport, LintRule};
+
+/// Lints one in-memory file under `path` (no baseline).
+fn lint_source(path: &str, source: &str) -> LintReport {
+    Corpus::from_sources([(path, source)]).lint_with_baseline(&Baseline::default())
+}
 
 struct Case {
     rule: LintRule,
@@ -108,6 +114,12 @@ const CASES: &[Case] = &[
         fire: include_str!("fixtures/d16_fire.rs"),
         suppressed: include_str!("fixtures/d16_suppressed.rs"),
     },
+    Case {
+        rule: LintRule::D17,
+        virtual_path: "crates/stats/src/fixture.rs",
+        fire: include_str!("fixtures/d17_fire.rs"),
+        suppressed: include_str!("fixtures/d17_suppressed.rs"),
+    },
 ];
 
 #[test]
@@ -115,7 +127,7 @@ fn every_rule_fires_on_its_fixture() {
     for case in CASES {
         let r = lint_source(case.virtual_path, case.fire);
         assert!(
-            r.report.has(case.rule),
+            r.report.find(case.rule).is_some(),
             "{} fixture did not fire:\n{}",
             case.rule.code(),
             r.render_text()
@@ -135,7 +147,7 @@ fn suppressed_twin_is_silent() {
     for case in CASES {
         let r = lint_source(case.virtual_path, case.suppressed);
         assert!(
-            !r.report.has(case.rule),
+            r.report.find(case.rule).is_none(),
             "{} twin still fires:\n{}",
             case.rule.code(),
             r.render_text()
@@ -146,7 +158,7 @@ fn suppressed_twin_is_silent() {
             case.rule.code()
         );
         assert!(
-            !r.report.has(LintRule::D11),
+            r.report.find(LintRule::D11).is_none(),
             "{} twin suppression must carry a reason:\n{}",
             case.rule.code(),
             r.render_text()
@@ -187,11 +199,19 @@ fn d14_exempts_examples_benches_and_tests() {
         "crates/core/tests/fixture.rs",
     ] {
         let r = lint_source(path, fire);
-        assert!(!r.report.has(LintRule::D14), "{path}:\n{}", r.render_text());
+        assert!(
+            r.report.find(LintRule::D14).is_none(),
+            "{path}:\n{}",
+            r.render_text()
+        );
     }
     let in_cfg_test = format!("#[cfg(test)]\nmod oracle {{\n{fire}}}\n");
     let r = lint_source("crates/core/src/fixture.rs", &in_cfg_test);
-    assert!(!r.report.has(LintRule::D14), "{}", r.render_text());
+    assert!(
+        r.report.find(LintRule::D14).is_none(),
+        "{}",
+        r.render_text()
+    );
 }
 
 #[test]

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 /// How bad a finding is.
 ///
-/// Ordered: `Info < Warn < Error`, so `report.worst()` compares naturally.
+/// Ordered: `Info < Warn < Error`, so the most severe finding is a `max()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Severity {
     /// Advisory observation; the subject is usable as-is.
@@ -332,16 +332,6 @@ impl<R: Rule> Report<R> {
         self.count(Severity::Info)
     }
 
-    /// The most severe finding level, if any finding exists.
-    pub fn worst(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
-    }
-
-    /// True when some finding names `rule`.
-    pub fn has(&self, rule: R) -> bool {
-        self.diagnostics.iter().any(|d| d.rule == rule)
-    }
-
     /// The first finding for `rule`, if present.
     pub fn find(&self, rule: R) -> Option<&Diagnostic<R>> {
         self.diagnostics.iter().find(|d| d.rule == rule)
@@ -450,8 +440,11 @@ mod tests {
         assert!(!report.is_empty());
         assert_eq!(report.warn_count(), 1);
         assert_eq!(report.info_count(), 1);
-        assert_eq!(report.worst(), Some(Severity::Warn));
-        assert!(report.has(TestRule::Note));
+        assert_eq!(
+            report.diagnostics.iter().map(|d| d.severity).max(),
+            Some(Severity::Warn)
+        );
+        assert!(report.find(TestRule::Note).is_some());
         assert!(report.find(TestRule::Odd).is_some());
         let text = report.render_text();
         assert!(text.contains("warn[odd]"));

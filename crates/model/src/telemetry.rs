@@ -77,7 +77,8 @@ impl OnOffLog {
     }
 
     /// A log of a machine that stayed on for the whole window.
-    pub fn always_on(window: Horizon) -> Self {
+    #[cfg(test)]
+    pub(crate) fn always_on(window: Horizon) -> Self {
         Self::new(window, true, Vec::new())
     }
 
@@ -115,6 +116,7 @@ impl OnOffLog {
 
     /// Samples the power state every 15 minutes across the log window,
     /// mirroring the monitoring database's 15-min data points.
+    // dlint::allow(D17): oracle for sampled_transitions, pinned by the model proptest suite (an integration test)
     pub fn samples_15min(&self) -> Vec<bool> {
         let step = MINUTE * SAMPLE_PERIOD_MINUTES;
         let mut out = Vec::new();
@@ -171,11 +173,6 @@ impl OnOffLog {
             i += run;
         }
         transitions
-    }
-
-    /// Exact number of toggles in the log (ground truth).
-    pub fn true_transitions(&self) -> usize {
-        self.toggles.len()
     }
 
     /// Average observable transitions per 28-day month over the log window,
@@ -311,7 +308,6 @@ mod tests {
         assert!(log.is_on_at(SimTime::ZERO));
         assert!(!log.is_on_at(SimTime::from_days(1)));
         assert!(log.is_on_at(SimTime::from_days(2)));
-        assert_eq!(log.true_transitions(), 2);
         assert_eq!(log.window(), window());
         assert_eq!(log.toggles().len(), 2);
         assert!(log.initial_on());
@@ -342,7 +338,7 @@ mod tests {
         // Off and back on within 10 minutes: both inside one 15-min sample.
         let t = SimTime::from_days(5);
         let log = OnOffLog::new(window(), true, vec![t + MINUTE * 2, t + MINUTE * 9]);
-        assert_eq!(log.true_transitions(), 2);
+        assert_eq!(log.toggles().len(), 2);
         assert_eq!(log.sampled_transitions(), 0);
     }
 

@@ -58,11 +58,6 @@ impl SimTime {
         Self(days * 24 * 60)
     }
 
-    /// Creates an instant from a fractional number of days.
-    pub fn from_days_f64(days: f64) -> Self {
-        Self((days * 24.0 * 60.0).round() as i64)
-    }
-
     /// Minutes since the observation start.
     pub const fn as_minutes(self) -> i64 {
         self.0
@@ -76,26 +71,6 @@ impl SimTime {
     /// Fractional hours since the observation start.
     pub fn as_hours(self) -> f64 {
         self.0 as f64 / 60.0
-    }
-
-    /// Zero-based day bucket. Negative times land in negative buckets.
-    pub const fn day_index(self) -> i64 {
-        self.0.div_euclid(24 * 60)
-    }
-
-    /// Zero-based week bucket.
-    pub const fn week_index(self) -> i64 {
-        self.0.div_euclid(7 * 24 * 60)
-    }
-
-    /// Zero-based 28-day month bucket.
-    pub const fn month_index(self) -> i64 {
-        self.0.div_euclid(28 * 24 * 60)
-    }
-
-    /// Saturating duration since `earlier`; zero if `earlier` is later.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration((self.0 - earlier.0).max(0))
     }
 }
 
@@ -124,11 +99,6 @@ impl SimDuration {
     /// Creates a duration from fractional hours.
     pub fn from_hours_f64(hours: f64) -> Self {
         Self((hours * 60.0).round() as i64)
-    }
-
-    /// Creates a duration from fractional days.
-    pub fn from_days_f64(days: f64) -> Self {
-        Self((days * 24.0 * 60.0).round() as i64)
     }
 
     /// The duration in minutes.
@@ -360,18 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn bucketing_is_euclidean_for_negative_times() {
-        let t = SimTime::from_minutes(-1);
-        assert_eq!(t.day_index(), -1);
-        assert_eq!(t.week_index(), -1);
-        assert_eq!(SimTime::ZERO.day_index(), 0);
-        assert_eq!(SimTime::from_days(6).week_index(), 0);
-        assert_eq!(SimTime::from_days(7).week_index(), 1);
-        assert_eq!(SimTime::from_days(27).month_index(), 0);
-        assert_eq!(SimTime::from_days(28).month_index(), 1);
-    }
-
-    #[test]
     fn horizon_buckets() {
         let h = Horizon::observation_year();
         assert_eq!(h.num_weeks(), 52);
@@ -386,17 +344,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "horizon end must be after start")]
-    fn horizon_rejects_empty_window() {
-        let _ = Horizon::new(SimTime::ZERO, SimTime::ZERO);
+    fn horizon_buckets_split_at_exact_boundaries() {
+        // A window opening before t = 0: buckets count from its start.
+        let start = SimTime::from_days(-30);
+        let h = Horizon::new(start, SimTime::from_days(60));
+        assert_eq!(h.day_of(start), Some(0));
+        assert_eq!(h.day_of(start + DAY - MINUTE), Some(0));
+        assert_eq!(h.day_of(start + DAY), Some(1));
+        assert_eq!(h.week_of(start + WEEK - MINUTE), Some(0));
+        assert_eq!(h.week_of(start + WEEK), Some(1));
+        assert_eq!(h.week_of(SimTime::ZERO), Some(4));
+        assert_eq!(h.month_of(start + MONTH - MINUTE), Some(0));
+        assert_eq!(h.month_of(start + MONTH), Some(1));
+        assert_eq!(h.day_of(SimTime::from_minutes(-30 * 1440 - 1)), None);
+        assert_eq!(h.month_of(h.end() - MINUTE), Some(3));
+        assert_eq!(h.num_months(), 4);
     }
 
     #[test]
-    fn saturating_since_clamps() {
-        let a = SimTime::from_days(1);
-        let b = SimTime::from_days(2);
-        assert_eq!(b.saturating_since(a), DAY);
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
+    #[should_panic(expected = "horizon end must be after start")]
+    fn horizon_rejects_empty_window() {
+        let _ = Horizon::new(SimTime::ZERO, SimTime::ZERO);
     }
 
     #[test]
@@ -410,7 +378,5 @@ mod tests {
     #[test]
     fn fractional_constructors_round() {
         assert_eq!(SimDuration::from_hours_f64(1.5).as_minutes(), 90);
-        assert_eq!(SimDuration::from_days_f64(0.5).as_minutes(), 720);
-        assert_eq!(SimTime::from_days_f64(0.25).as_minutes(), 360);
     }
 }

@@ -49,8 +49,8 @@ proptest! {
             .map(|&m| SimTime::from_minutes(m))
             .collect();
         let log = OnOffLog::new(window, true, toggles.clone());
-        prop_assert_eq!(log.true_transitions(), toggles.len());
-        prop_assert!(log.sampled_transitions() <= log.true_transitions());
+        prop_assert_eq!(log.toggles().len(), toggles.len());
+        prop_assert!(log.sampled_transitions() <= log.toggles().len());
         // State at window start is the initial state.
         prop_assert!(log.is_on_at(window.start() - SimDuration::from_minutes(1)));
         // State parity at the end matches toggle count parity.

@@ -238,7 +238,7 @@ pub fn observe(name: &'static str, value: f64) {
 /// Records a warning. Unlike every other entry point this works even while
 /// collection is disabled: warnings flag rare, configuration-level problems
 /// (an unparsable `DCFAIL_THREADS`, say) that must not depend on whether a
-/// metrics run happens to be active. Capped at [`MAX_WARNINGS`].
+/// metrics run happens to be active. Capped at `MAX_WARNINGS`.
 pub fn warn(message: impl Into<String>) {
     let mut reg = registry();
     if reg.warnings.len() < MAX_WARNINGS {

@@ -204,19 +204,6 @@ where
     par_map_index(items.len(), |i| f(i, &items[i]))
 }
 
-/// Maps `0..n` through `map`, then folds the mapped values **in index
-/// order** with `fold`. Because the fold is sequential over index-ordered
-/// results, non-associative accumulators (e.g. floating-point sums) give
-/// bit-identical answers for any thread count.
-pub fn par_map_reduce<U, A, M, F>(n: usize, map: M, init: A, fold: F) -> A
-where
-    U: Send,
-    M: Fn(usize) -> U + Sync,
-    F: FnMut(A, U) -> A,
-{
-    par_map_index(n, map).into_iter().fold(init, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,20 +236,39 @@ mod tests {
         assert!(mapped.is_empty());
     }
 
+    /// Clears the thread override when dropped, even on unwind.
+    struct ClearOverride;
+
+    impl Drop for ClearOverride {
+        fn drop(&mut self) {
+            set_thread_override(None);
+        }
+    }
+
     #[test]
-    fn map_reduce_folds_in_index_order() {
+    fn override_wins_and_clears() {
         let _serial = serial();
-        let concat = par_map_reduce(
-            200,
-            |i| i.to_string(),
-            String::new(),
-            |mut acc, s| {
-                acc.push_str(&s);
-                acc
-            },
-        );
-        let expected: String = (0..200).map(|i| i.to_string()).collect();
-        assert_eq!(concat, expected);
+        let _clear = ClearOverride;
+        set_thread_override(Some(3));
+        assert_eq!(thread_override(), Some(3));
+        assert_eq!(thread_count(), 3);
+        set_thread_override(None);
+        assert_eq!(thread_override(), None);
+        assert!(thread_count() >= 1);
+    }
+
+    #[test]
+    fn worker_panics_propagate() {
+        let _serial = serial();
+        let _clear = ClearOverride;
+        set_thread_override(Some(4));
+        let outcome = std::panic::catch_unwind(|| {
+            par_map_index(1000, |i| {
+                assert!(i != 700, "worker failed on item {i}");
+                i
+            })
+        });
+        assert!(outcome.is_err(), "a panicking item must fail the whole map");
     }
 
     #[test]

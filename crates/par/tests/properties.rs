@@ -43,21 +43,4 @@ proptest! {
         let seq: Vec<usize> = (0..n).map(|i| i * i + 1).collect();
         prop_assert_eq!(par, seq);
     }
-
-    /// `par_map_reduce` folds in index order: concatenating strings — a
-    /// non-commutative fold — gives the sequential result at any thread
-    /// count.
-    #[test]
-    fn par_map_reduce_folds_in_index_order(n in 0usize..200, threads in 1usize..=9) {
-        dcfail_par::set_thread_override(Some(threads));
-        let par = dcfail_par::par_map_reduce(
-            n,
-            |i| format!("{i},"),
-            String::new(),
-            |acc, s| acc + &s,
-        );
-        dcfail_par::set_thread_override(None);
-        let seq = (0..n).fold(String::new(), |acc, i| acc + &format!("{i},"));
-        prop_assert_eq!(par, seq);
-    }
 }

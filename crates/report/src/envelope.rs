@@ -33,34 +33,6 @@ pub struct Envelope {
     pub payload: Rendered,
 }
 
-/// Error returned when decoding an envelope fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EnvelopeError {
-    /// The bytes were not valid envelope JSON.
-    Malformed(String),
-    /// The envelope decoded but carries an unsupported schema version.
-    SchemaVersion {
-        /// Version found in the document.
-        found: u32,
-        /// Version this build supports.
-        supported: u32,
-    },
-}
-
-impl std::fmt::Display for EnvelopeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EnvelopeError::Malformed(m) => write!(f, "malformed envelope: {m}"),
-            EnvelopeError::SchemaVersion { found, supported } => write!(
-                f,
-                "unsupported envelope schema version {found} (this build supports {supported})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for EnvelopeError {}
-
 impl Envelope {
     /// Wraps a rendered artifact at the current schema version.
     #[must_use]
@@ -82,19 +54,6 @@ impl Envelope {
         serde_json::to_string(self).unwrap_or_else(|e| {
             unreachable!("envelope serialization is infallible by construction: {e}")
         })
-    }
-
-    /// Decodes an envelope, rejecting unsupported schema versions.
-    pub fn from_json(input: &str) -> Result<Self, EnvelopeError> {
-        let envelope: Self =
-            serde_json::from_str(input).map_err(|e| EnvelopeError::Malformed(e.to_string()))?;
-        if envelope.schema_version != ENVELOPE_SCHEMA_VERSION {
-            return Err(EnvelopeError::SchemaVersion {
-                found: envelope.schema_version,
-                supported: ENVELOPE_SCHEMA_VERSION,
-            });
-        }
-        Ok(envelope)
     }
 }
 
@@ -120,34 +79,11 @@ mod tests {
         let e = sample();
         let json = e.to_json();
         assert_eq!(json, sample().to_json(), "encoding must be deterministic");
-        let back = Envelope::from_json(&json).unwrap();
+        let back: Envelope = serde_json::from_str(&json).unwrap();
         assert_eq!(back, e);
         assert!(json.starts_with("{\"schema_version\":1,"));
         assert!(json.contains("\"experiment_id\":\"fig2\""));
         assert!(json.contains("\"config_digest\":\"0x"));
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected_typed() {
-        let mut e = sample();
-        e.schema_version = 99;
-        let err = Envelope::from_json(&e.to_json()).unwrap_err();
-        assert_eq!(
-            err,
-            EnvelopeError::SchemaVersion {
-                found: 99,
-                supported: ENVELOPE_SCHEMA_VERSION
-            }
-        );
-        assert!(err.to_string().contains("schema version 99"));
-    }
-
-    #[test]
-    fn garbage_is_malformed_not_a_panic() {
-        assert!(matches!(
-            Envelope::from_json("{nope"),
-            Err(EnvelopeError::Malformed(_))
-        ));
     }
 
     #[test]

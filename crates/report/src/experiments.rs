@@ -259,12 +259,14 @@ impl RunConfig {
 
 /// Scoped `dcfail_par` thread override: installs on construction, restores
 /// the previous override on drop.
-pub(crate) struct ThreadGuard {
+pub struct ThreadGuard {
     prev: Option<usize>,
 }
 
 impl ThreadGuard {
-    pub(crate) fn install(threads: Option<NonZeroUsize>) -> Option<Self> {
+    /// Installs `threads` as the override until the guard drops; `None`
+    /// leaves the current override alone and returns no guard.
+    pub fn install(threads: Option<NonZeroUsize>) -> Option<Self> {
         let t = threads?;
         let prev = dcfail_par::thread_override();
         dcfail_par::set_thread_override(Some(t.get()));

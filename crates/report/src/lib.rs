@@ -36,7 +36,7 @@ pub mod summary;
 pub mod table;
 pub mod toolkit;
 
-pub use envelope::{Envelope, EnvelopeError, ENVELOPE_SCHEMA_VERSION};
+pub use envelope::{Envelope, ENVELOPE_SCHEMA_VERSION};
 pub use experiments::{run, run_all, ExperimentId, ParseExperimentError, RunConfig, DEFAULT_SEED};
 pub use runners::Rendered;
 pub use toolkit::{DatasetSnapshot, Toolkit};

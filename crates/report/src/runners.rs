@@ -27,6 +27,20 @@ pub struct Rendered {
     pub csv: Option<String>,
 }
 
+/// FNV-1a over `id:text\n{csv:?}\n` of each report, in order — the format
+/// `tests/golden_report.rs` pins, so sharded, resumed and streamed digests
+/// compare byte for byte with batch ones.
+pub fn reports_digest<D: std::fmt::Display>(reports: &[(D, Rendered)]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for (id, rendered) in reports {
+        for byte in format!("{id}:{}\n{:?}\n", rendered.text, rendered.csv).bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
 /// Table I: scope comparison with related work (static, from the paper).
 pub(crate) fn table1_impl() -> Rendered {
     let mut t = TextTable::new(vec![
@@ -631,6 +645,53 @@ mod tests {
                 assert!(csv.lines().count() >= 2, "{}: empty csv", r.title);
             }
         }
+    }
+
+    fn rendered(text: &str, csv: Option<&str>) -> Rendered {
+        Rendered {
+            title: String::new(),
+            text: text.to_string(),
+            csv: csv.map(str::to_string),
+        }
+    }
+
+    /// FNV-1a over raw bytes, written out independently of `reports_digest`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn reports_digest_folds_id_text_and_csv_as_one_stream() {
+        let reports = [
+            ("fig2", rendered("rates\n", Some("a,b\n1,2\n"))),
+            ("table1", rendered("scope\n", None)),
+        ];
+        let stream = "fig2:rates\n\nSome(\"a,b\\n1,2\\n\")\ntable1:scope\n\nNone\n";
+        assert_eq!(reports_digest(&reports), fnv1a(stream.as_bytes()));
+        // The title is presentation only and stays out of the digest.
+        let mut retitled = reports.clone();
+        retitled[0].1.title = "Figure 2".into();
+        assert_eq!(reports_digest(&retitled), reports_digest(&reports));
+    }
+
+    #[test]
+    fn reports_digest_tracks_order_ids_and_payload() {
+        let a = ("fig8", rendered("x\n", Some("c\n")));
+        let b = ("fig9", rendered("y\n", None));
+        let base = reports_digest(&[a.clone(), b.clone()]);
+        assert_ne!(reports_digest(&[b.clone(), a.clone()]), base, "order");
+        let renamed = ("fig10", a.1.clone());
+        assert_ne!(reports_digest(&[renamed, b.clone()]), base, "id");
+        let no_csv = ("fig8", rendered("x\n", None));
+        assert_ne!(reports_digest(&[no_csv, b]), base, "csv");
+        let none: [(&str, Rendered); 0] = [];
+        assert_eq!(
+            reports_digest(&none),
+            fnv1a(b""),
+            "empty is the offset basis"
+        );
     }
 
     #[test]

@@ -2,48 +2,21 @@
 
 use std::fmt::Write as _;
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Left-aligned (labels).
-    Left,
-    /// Right-aligned (numbers).
-    Right,
-}
-
 /// An aligned plain-text table builder.
 #[derive(Debug, Clone)]
 pub struct TextTable {
     headers: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
 }
 
 impl TextTable {
-    /// Creates a table with the given headers; the first column is
-    /// left-aligned, the rest right-aligned.
+    /// Creates a table with the given headers; the first column (labels) is
+    /// left-aligned, the rest (numbers) right-aligned.
     pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
-        let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
-        let aligns = (0..headers.len())
-            .map(|i| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Self {
-            headers,
-            aligns,
+            headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// Overrides column alignments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alignment count does not match the column count.
-    #[must_use]
-    pub fn with_aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(aligns.len(), self.headers.len(), "alignment count mismatch");
-        self.aligns = aligns;
-        self
     }
 
     /// Appends a row.
@@ -56,11 +29,6 @@ impl TextTable {
         assert_eq!(cells.len(), self.headers.len(), "cell count mismatch");
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Renders the table as aligned text with a header separator.
@@ -79,13 +47,10 @@ impl TextTable {
                     out.push_str("  ");
                 }
                 let cell = &cells[i];
-                match self.aligns[i] {
-                    Align::Left => {
-                        let _ = write!(out, "{:<width$}", cell, width = widths[i]);
-                    }
-                    Align::Right => {
-                        let _ = write!(out, "{:>width$}", cell, width = widths[i]);
-                    }
+                if i == 0 {
+                    let _ = write!(out, "{:<width$}", cell, width = widths[i]);
+                } else {
+                    let _ = write!(out, "{:>width$}", cell, width = widths[i]);
                 }
             }
             // Trim trailing padding.
@@ -165,7 +130,20 @@ mod tests {
         assert!(lines[2].contains("alpha"));
         // Right-aligned number column.
         assert!(lines[3].ends_with("12345"));
-        assert_eq!(t.num_rows(), 2);
+    }
+
+    #[test]
+    fn label_column_left_numbers_right() {
+        let mut t = TextTable::new(vec!["class", "PM", "VM"]);
+        t.row(vec!["HW", "0.5", "12"]);
+        t.row(vec!["Software", "10.25", "3"]);
+        assert_eq!(
+            t.render(),
+            "class        PM  VM\n\
+             -------------------\n\
+             HW          0.5  12\n\
+             Software  10.25   3\n"
+        );
     }
 
     #[test]
@@ -190,13 +168,5 @@ mod tests {
         assert_eq!(fmt_pct(53.04), "53.0%");
         assert_eq!(fmt_opt(Some(1.5), fmt2), "1.50");
         assert_eq!(fmt_opt(None::<f64>, fmt2), "-");
-    }
-
-    #[test]
-    fn custom_alignment() {
-        let mut t = TextTable::new(vec!["x", "y"]).with_aligns(vec![Align::Right, Align::Left]);
-        t.row(vec!["1", "abc"]);
-        let s = t.render();
-        assert!(s.contains("1  abc"));
     }
 }

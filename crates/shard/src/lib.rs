@@ -20,7 +20,7 @@
 //!    deliberate O(fleet) exception: it is two orders of magnitude smaller
 //!    than telemetry and the spatial incident stage needs global structure.
 //! 2. **Pass 1: normalization** — each shard generates its telemetry, folds
-//!    it into a [`NormAccum`](dcfail_synth::hazard::NormAccum) and drops it.
+//!    it into a [`NormAccum`] and drops it.
 //!    The accumulators absorb in index order; exact summation makes the
 //!    resulting divisors bit-identical to the monolithic single pass.
 //! 3. **Spatial incidents** — one global, telemetry-free sequential stream,
@@ -37,7 +37,7 @@
 //!    walks the spec list with sequential streams, byte-identical to the
 //!    monolithic dataset. The merged dataset carries **no telemetry** —
 //!    Figs. 8–10 render from the merged
-//!    [`PanelCounts`](dcfail_core::panel::PanelCounts) instead.
+//!    [`PanelCounts`] instead.
 //!
 //! Shards fan out across threads via `dcfail-par`; results merge in shard
 //! index order, so output is independent of the schedule. Peak residency is
@@ -64,7 +64,7 @@ pub use resume::{config_digest, resume_sharded};
 
 use dcfail_core::panel::{self, Panel, PanelCounts, PanelCurve};
 use dcfail_model::prelude::*;
-use dcfail_report::experiments::{self, ExperimentId, RunConfig};
+use dcfail_report::experiments::{self, ExperimentId, RunConfig, ThreadGuard};
 use dcfail_report::runners::{render_fig10, render_fig8, render_fig9, Rendered};
 use dcfail_stats::merge::Mergeable;
 use dcfail_stats::rng::StreamRng;
@@ -319,27 +319,5 @@ impl ShardedOutput {
             ..config.clone()
         };
         dcfail_par::par_map(&ExperimentId::PAPER, |_, &id| (id, self.report(id, &inner)))
-    }
-}
-
-/// Scoped `dcfail-par` thread override, mirroring the guard inside
-/// `report::run`: installs `threads` on construction, restores the previous
-/// override on drop.
-struct ThreadGuard {
-    previous: Option<usize>,
-}
-
-impl ThreadGuard {
-    fn install(threads: Option<std::num::NonZeroUsize>) -> Option<Self> {
-        let threads = threads?;
-        let previous = dcfail_par::thread_override();
-        dcfail_par::set_thread_override(Some(threads.get()));
-        Some(Self { previous })
-    }
-}
-
-impl Drop for ThreadGuard {
-    fn drop(&mut self) {
-        dcfail_par::set_thread_override(self.previous);
     }
 }

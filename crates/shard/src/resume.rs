@@ -36,6 +36,7 @@ use crate::{
 use dcfail_ckpt::{fnv64, CheckpointStore, CkptError};
 use dcfail_core::panel::PanelCounts;
 use dcfail_report::experiments::RunConfig;
+use dcfail_report::runners::reports_digest;
 use dcfail_stats::merge::Mergeable;
 use dcfail_stats::rng::StreamRng;
 use dcfail_synth::hazard::NormAccum;
@@ -217,20 +218,12 @@ pub fn resume_sharded(
 }
 
 impl ShardedOutput {
-    /// FNV-1a digest over every paper report — the same `id:text\ncsv`
-    /// folding `tests/golden_report.rs` pins, restricted to the paper
+    /// [`reports_digest`] over every paper report, restricted to the paper
     /// registry (the subset a sharded build can serve). The crash-matrix
     /// harness compares killed-and-resumed runs against an uninterrupted
     /// run through this digest.
     pub fn paper_digest(&self, run: &RunConfig) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for (id, rendered) in self.paper_reports(run) {
-            for byte in format!("{id}:{}\n{:?}\n", rendered.text, rendered.csv).bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        hash
+        reports_digest(&self.paper_reports(run))
     }
 }
 

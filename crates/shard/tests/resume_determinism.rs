@@ -5,11 +5,12 @@
 #![allow(clippy::unwrap_used)]
 
 use dcfail_chaos::IoFaultPlan;
-use dcfail_ckpt::{encode_segment, ChaosFs, CheckpointStore, CkptError, MemFs};
+use dcfail_ckpt::{encode_segment, ChaosFs, CheckpointStore, CkptError, FaultFs, MemFs};
 use dcfail_report::experiments::RunConfig;
 use dcfail_shard::{build_sharded, resume_sharded};
 use dcfail_synth::{Scenario, ScenarioConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const DIR: &str = "ckpt";
 
@@ -22,47 +23,19 @@ fn quiet_store(mem: &MemFs) -> CheckpointStore {
     CheckpointStore::new(Box::new(mem.clone()), DIR)
 }
 
-/// Store over `mem` whose every operation is gated by `plan`.
-fn chaos_store(mem: &MemFs, plan: IoFaultPlan) -> (CheckpointStore, ChaosSpy) {
-    let fs = std::sync::Arc::new(ChaosFs::new(mem.clone(), plan));
-    let spy = ChaosSpy(fs.clone());
-    (CheckpointStore::new(Box::new(SharedFs(fs)), DIR), spy)
+/// Store over `mem` whose every operation is gated by `plan`, plus a shared
+/// handle to the injector's op/transient counters.
+fn chaos_store(mem: &MemFs, plan: IoFaultPlan) -> (CheckpointStore, Arc<ChaosFs<MemFs>>) {
+    let fs = Arc::new(ChaosFs::new(mem.clone(), plan));
+    (CheckpointStore::new(Box::new(fs.clone()), DIR), fs)
 }
 
-/// Keeps a handle on the injector's counters after the store takes the fs.
-struct ChaosSpy(std::sync::Arc<ChaosFs<MemFs>>);
-
-impl ChaosSpy {
-    fn ops(&self) -> u64 {
-        self.0.ops()
-    }
-    fn transients(&self) -> u64 {
-        self.0.transients()
-    }
-}
-
-/// `Arc`-backed adapter so the test can observe the `ChaosFs` op counter
-/// while the store owns a boxed handle to the same injector.
-struct SharedFs(std::sync::Arc<ChaosFs<MemFs>>);
-
-impl dcfail_ckpt::FaultFs for SharedFs {
-    fn read(&self, path: &str) -> Result<Vec<u8>, dcfail_ckpt::FsError> {
-        self.0.read(path)
-    }
-    fn write(&self, path: &str, bytes: &[u8]) -> Result<(), dcfail_ckpt::FsError> {
-        self.0.write(path, bytes)
-    }
-    fn rename(&self, from: &str, to: &str) -> Result<(), dcfail_ckpt::FsError> {
-        self.0.rename(from, to)
-    }
-    fn remove(&self, path: &str) -> Result<(), dcfail_ckpt::FsError> {
-        self.0.remove(path)
-    }
-    fn exists(&self, path: &str) -> Result<bool, dcfail_ckpt::FsError> {
-        self.0.exists(path)
-    }
-    fn create_dir_all(&self, path: &str) -> Result<(), dcfail_ckpt::FsError> {
-        self.0.create_dir_all(path)
+/// A plan that hard-kills the run at operation `op`, tearing a write.
+fn kill_at(seed: u64, op: u64) -> IoFaultPlan {
+    IoFaultPlan {
+        kill_at_op: Some(op),
+        torn_writes: true,
+        ..IoFaultPlan::quiet(seed)
     }
 }
 
@@ -118,7 +91,7 @@ fn kill_and_resume_converges_at_spread_kill_points() {
 
     for k in [0, 1, total / 3, 2 * total / 3, total - 1] {
         let mem = MemFs::new();
-        let (store, _spy) = chaos_store(&mem, IoFaultPlan::kill_at(99, k));
+        let (store, _spy) = chaos_store(&mem, kill_at(99, k));
         let err = expect_crash(resume_sharded(&cfg, shards, &store), "kill run");
         assert_eq!(err, CkptError::Killed { op: k }, "kill point {k}");
 
@@ -139,9 +112,9 @@ fn double_kill_then_resume_still_converges() {
     let total = probe_total_ops(&cfg, 3);
 
     let mem = MemFs::new();
-    let (store, _) = chaos_store(&mem, IoFaultPlan::kill_at(5, total / 2));
+    let (store, _) = chaos_store(&mem, kill_at(5, total / 2));
     expect_crash(resume_sharded(&cfg, 3, &store), "first kill");
-    let (store, _) = chaos_store(&mem, IoFaultPlan::kill_at(6, 3));
+    let (store, _) = chaos_store(&mem, kill_at(6, 3));
     expect_crash(resume_sharded(&cfg, 3, &store), "second kill");
     let resumed = resume_sharded(&cfg, 3, &quiet_store(&mem)).unwrap();
     assert_eq!(resumed.paper_digest(&rc), golden);
@@ -174,11 +147,12 @@ fn torn_segment_is_recomputed_not_ingested() {
 
     // Tear one pass-2 segment mid-payload and bit-flip a norms segment.
     let torn = mem.snapshot("ckpt/pass2-0001.seg").unwrap();
-    mem.clobber("ckpt/pass2-0001.seg", torn[..torn.len() / 2].to_vec());
+    mem.write("ckpt/pass2-0001.seg", &torn[..torn.len() / 2])
+        .unwrap();
     let mut flipped = mem.snapshot("ckpt/norms-0000.seg").unwrap();
     let last = flipped.len() - 1;
     flipped[last] ^= 0x10;
-    mem.clobber("ckpt/norms-0000.seg", flipped);
+    mem.write("ckpt/norms-0000.seg", &flipped).unwrap();
 
     let resumed = resume_sharded(&cfg, 3, &quiet_store(&mem)).unwrap();
     assert_eq!(
@@ -202,7 +176,8 @@ fn stale_manifest_version_is_refused() {
     let text = String::from_utf8(payload).unwrap();
     let bumped = text.replace("\"version\":1", "\"version\":2");
     assert_ne!(text, bumped);
-    mem.clobber("ckpt/MANIFEST", encode_segment(bumped.as_bytes()));
+    mem.write("ckpt/MANIFEST", &encode_segment(bumped.as_bytes()))
+        .unwrap();
 
     let err = expect_crash(resume_sharded(&cfg, 2, &quiet_store(&mem)), "stale version");
     assert!(

@@ -2,10 +2,8 @@
 //!
 //! The rate-vs-attribute figures (Figs. 7–10) group machines by ranges of a
 //! capacity or usage attribute and then compute the weekly failure rate per
-//! group. [`Bins`] defines the grouping; [`BinSeries`] accumulates per-bin
-//! samples and summarizes them.
+//! group. [`Bins`] defines the grouping.
 
-use crate::empirical::Summary;
 use serde::{Deserialize, Serialize};
 
 /// A partition of an attribute axis into labelled bins.
@@ -133,13 +131,6 @@ impl Bins {
         self.labels.is_empty()
     }
 
-    /// True when the top bin is right-unbounded ([`Bins::open_last`] or
-    /// [`Bins::discrete`]): no finite non-NaN value ≥ the first edge maps
-    /// to `None`.
-    pub fn is_open_ended(&self) -> bool {
-        self.edges[self.edges.len() - 1] == f64::INFINITY
-    }
-
     /// The bin index of `x`, or `None` if out of range.
     pub fn index_of(&self, x: f64) -> Option<usize> {
         if x.is_nan() || x < self.edges[0] {
@@ -187,65 +178,6 @@ fn trim_float(v: f64) -> String {
         format!("{}", v as i64)
     } else {
         format!("{v}")
-    }
-}
-
-/// Per-bin sample accumulator: push `(attribute, value)` pairs, read per-bin
-/// summaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BinSeries {
-    bins: Bins,
-    values: Vec<Vec<f64>>,
-    dropped: usize,
-}
-
-impl BinSeries {
-    /// Creates an accumulator over `bins`.
-    pub fn new(bins: Bins) -> Self {
-        let values = vec![Vec::new(); bins.len()];
-        Self {
-            bins,
-            values,
-            dropped: 0,
-        }
-    }
-
-    /// Adds a `(attribute, value)` observation; out-of-range attributes are
-    /// counted as dropped.
-    pub fn push(&mut self, attribute: f64, value: f64) {
-        match self.bins.index_of(attribute) {
-            Some(i) => self.values[i].push(value),
-            None => self.dropped += 1,
-        }
-    }
-
-    /// The bin definition.
-    pub fn bins(&self) -> &Bins {
-        &self.bins
-    }
-
-    /// Raw values accumulated in bin `i`.
-    pub fn values(&self, i: usize) -> &[f64] {
-        &self.values[i]
-    }
-
-    /// Number of observations whose attribute fell outside all bins.
-    pub fn dropped(&self) -> usize {
-        self.dropped
-    }
-
-    /// Per-bin summaries (`None` for empty bins), in bin order.
-    pub fn summaries(&self) -> Vec<Option<Summary>> {
-        self.values.iter().map(|v| Summary::of(v)).collect()
-    }
-
-    /// `(label, summary)` pairs for non-empty bins.
-    pub fn labelled_summaries(&self) -> Vec<(String, Summary)> {
-        self.values
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| Summary::of(v).map(|s| (self.bins.label(i).to_string(), s)))
-            .collect()
     }
 }
 
@@ -303,7 +235,6 @@ mod tests {
     fn open_last_bins() {
         let b = Bins::open_last(vec![0.0, 1.0, 2.0, 4.0, 8.0]);
         assert_eq!(b.len(), 5);
-        assert!(b.is_open_ended());
         assert_eq!(b.index_of(-0.1), None);
         assert_eq!(b.index_of(0.0), Some(0));
         assert_eq!(b.index_of(7.99), Some(3));
@@ -313,8 +244,8 @@ mod tests {
         assert_eq!(b.index_of(f64::NAN), None);
         assert_eq!(b.label(3), "4-8");
         assert_eq!(b.label(4), "8+");
-        assert!(!Bins::from_edges(vec![0.0, 1.0]).is_open_ended());
-        assert!(Bins::discrete(&[1.0, 2.0]).is_open_ended());
+        assert_eq!(Bins::from_edges(vec![0.0, 1.0]).index_of(f64::MAX), None);
+        assert_eq!(Bins::discrete(&[1.0, 2.0]).index_of(f64::MAX), Some(1));
     }
 
     #[test]
@@ -340,31 +271,5 @@ mod tests {
     #[should_panic(expected = "strictly increase")]
     fn unsorted_edges_rejected() {
         let _ = Bins::from_edges(vec![0.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn bin_series_accumulates_and_summarizes() {
-        let mut s = BinSeries::new(Bins::linear(0.0, 10.0, 2));
-        s.push(1.0, 10.0);
-        s.push(2.0, 20.0);
-        s.push(7.0, 5.0);
-        s.push(100.0, 1.0); // dropped
-        assert_eq!(s.dropped(), 1);
-        assert_eq!(s.values(0), &[10.0, 20.0]);
-        let sums = s.summaries();
-        assert_eq!(sums.len(), 2);
-        assert_eq!(sums[0].unwrap().mean, 15.0);
-        assert_eq!(sums[1].unwrap().mean, 5.0);
-        let labelled = s.labelled_summaries();
-        assert_eq!(labelled.len(), 2);
-        assert_eq!(labelled[0].0, "0-5");
-        assert_eq!(s.bins().len(), 2);
-    }
-
-    #[test]
-    fn empty_bins_summarize_to_none() {
-        let s = BinSeries::new(Bins::linear(0.0, 1.0, 3));
-        assert!(s.summaries().iter().all(Option::is_none));
-        assert!(s.labelled_summaries().is_empty());
     }
 }

@@ -1,66 +1,9 @@
-//! Correlation coefficients.
+//! Serial correlation.
 //!
-//! The paper reasons about positive/negative correlation between failure
-//! rates and resource attributes; Pearson (linear) and Spearman (rank)
-//! coefficients make those statements quantitative.
+//! Failures cluster in time; the autocorrelation function of a daily
+//! failure-count series and its Ljung–Box statistic make that quantitative.
 
 use crate::{Result, StatsError};
-
-fn validate(what: &'static str, xs: &[f64], ys: &[f64]) -> Result<()> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return Err(StatsError::NotEnoughData {
-            what,
-            needed: 2,
-            got: xs.len().min(ys.len()),
-        });
-    }
-    for &v in xs.iter().chain(ys) {
-        if !v.is_finite() {
-            return Err(StatsError::InvalidSample { what, value: v });
-        }
-    }
-    Ok(())
-}
-
-/// Pearson product-moment correlation of two equal-length samples.
-///
-/// # Errors
-///
-/// Returns an error for mismatched/short inputs, non-finite values or zero
-/// variance in either sample.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64> {
-    validate("pearson", xs, ys)?;
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        sxy += (x - mx) * (y - my);
-        sxx += (x - mx).powi(2);
-        syy += (y - my).powi(2);
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return Err(StatsError::InvalidSample {
-            what: "pearson",
-            value: 0.0,
-        });
-    }
-    Ok(sxy / (sxx * syy).sqrt())
-}
-
-/// Spearman rank correlation (Pearson on mid-ranks; ties averaged).
-///
-/// # Errors
-///
-/// Same conditions as [`pearson`].
-pub fn spearman(xs: &[f64], ys: &[f64]) -> Result<f64> {
-    validate("spearman", xs, ys)?;
-    let rx = ranks(xs);
-    let ry = ranks(ys);
-    pearson(&rx, &ry)
-}
 
 /// Sample autocorrelation function at lags `0..=max_lag`.
 ///
@@ -128,68 +71,9 @@ pub fn ljung_box(series: &[f64], max_lag: usize) -> Result<f64> {
             .sum::<f64>())
 }
 
-/// Mid-ranks of a sample (ties receive the average of their rank range).
-pub fn ranks(xs: &[f64]) -> Vec<f64> {
-    let n = xs.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    // Unstable is fine: exact ties land in the same rank group and are
-    // averaged, so the permutation within a tie group cannot leak out.
-    idx.sort_unstable_by(|&a, &b| xs[a].total_cmp(&xs[b]));
-    let mut out = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        // Ranks i+1 ..= j+1 (1-based), averaged over the tie group.
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pearson_perfect_linear() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = ys.iter().map(|y| -y).collect();
-        assert!((pearson(&xs, &neg).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_known_value() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys = [2.0, 1.0, 4.0, 3.0, 5.0];
-        // Hand-computed: cov = 1.5·... compute directly.
-        let r = pearson(&xs, &ys).unwrap();
-        assert!((r - 0.8).abs() < 1e-12, "r = {r}");
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear_is_one() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys: Vec<f64> = xs.iter().map(|&x: &f64| x.exp()).collect();
-        assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        // Pearson is below 1 for a convex curve.
-        assert!(pearson(&xs, &ys).unwrap() < 1.0);
-    }
-
-    #[test]
-    fn ranks_handle_ties() {
-        let r = ranks(&[10.0, 20.0, 20.0, 30.0]);
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
-        let r = ranks(&[5.0, 5.0, 5.0]);
-        assert_eq!(r, vec![2.0, 2.0, 2.0]);
-    }
 
     #[test]
     fn acf_of_white_noise_is_near_zero() {
@@ -223,18 +107,32 @@ mod tests {
     }
 
     #[test]
+    fn acf_is_invariant_under_affine_rescaling() {
+        let series: Vec<f64> = (0..60)
+            .map(|i| f64::from(i % 7) + 0.1 * f64::from(i))
+            .collect();
+        let rescaled: Vec<f64> = series.iter().map(|x| 3.0 * x - 40.0).collect();
+        let a = autocorrelation(&series, 6).unwrap();
+        let b = autocorrelation(&rescaled, 6).unwrap();
+        for (x, y) in a.iter().zip(&b) {
+            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
+        }
+        let qa = ljung_box(&series, 6).unwrap();
+        assert!((qa - ljung_box(&rescaled, 6).unwrap()).abs() < 1e-9 * qa);
+    }
+
+    #[test]
+    fn ljung_box_rejects_what_autocorrelation_rejects() {
+        assert!(ljung_box(&[1.0, 2.0, 3.0], 2).is_err());
+        assert!(ljung_box(&[4.0; 20], 3).is_err());
+        assert!(ljung_box(&[1.0, 2.0, f64::INFINITY, 3.0], 1).is_err());
+        assert!(ljung_box(&[1.0, 3.0, 2.0, 4.0], 2).is_ok());
+    }
+
+    #[test]
     fn acf_rejects_bad_input() {
         assert!(autocorrelation(&[1.0, 2.0], 5).is_err());
         assert!(autocorrelation(&[1.0; 50], 5).is_err()); // zero variance
         assert!(autocorrelation(&[1.0, f64::NAN, 2.0, 3.0], 1).is_err());
-    }
-
-    #[test]
-    fn errors_on_bad_input() {
-        assert!(pearson(&[1.0], &[2.0]).is_err());
-        assert!(pearson(&[1.0, 2.0], &[2.0]).is_err());
-        assert!(pearson(&[1.0, f64::NAN], &[2.0, 3.0]).is_err());
-        assert!(pearson(&[1.0, 1.0], &[2.0, 3.0]).is_err()); // zero variance
-        assert!(spearman(&[], &[]).is_err());
     }
 }

@@ -156,11 +156,6 @@ impl Ecdf {
         quantile_sorted(&self.sorted, q)
     }
 
-    /// The sorted underlying sample.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Evenly spaced (x, F̂(x)) points for plotting, `points` of them.
     ///
     /// # Panics
@@ -410,7 +405,6 @@ mod tests {
         assert_eq!(e.eval(100.0), 1.0);
         assert_eq!(e.quantile(0.0), 1.0);
         assert_eq!(e.quantile(1.0), 4.0);
-        assert_eq!(e.sorted_values(), &[1.0, 2.0, 2.0, 4.0]);
     }
 
     #[test]

@@ -14,13 +14,6 @@ pub struct KsTest {
     pub n: usize,
 }
 
-impl KsTest {
-    /// True when the fit is *not* rejected at significance `alpha`.
-    pub fn accepts(&self, alpha: f64) -> bool {
-        self.p_value > alpha
-    }
-}
-
 /// One-sample Kolmogorov–Smirnov test of `data` against `dist`.
 ///
 /// # Errors
@@ -93,7 +86,7 @@ mod tests {
         let test = ks_test(&xs, &d).unwrap();
         assert_eq!(test.n, 5000);
         assert!(test.statistic < 0.03, "D = {}", test.statistic);
-        assert!(test.accepts(0.01), "p = {}", test.p_value);
+        assert!(test.p_value > 0.01, "p = {}", test.p_value);
     }
 
     #[test]
@@ -103,7 +96,7 @@ mod tests {
         let mut rng = StreamRng::new(2);
         let xs: Vec<f64> = (0..5000).map(|_| truth.sample(&mut rng)).collect();
         let test = ks_test(&xs, &wrong).unwrap();
-        assert!(!test.accepts(0.05), "p = {}", test.p_value);
+        assert!(test.p_value <= 0.05, "p = {}", test.p_value);
         assert!(test.statistic > 0.1);
     }
 

@@ -5,7 +5,7 @@
 //! The paper's methodology needs a specific statistical toolbox which this
 //! crate implements from scratch (no external math dependencies):
 //!
-//! * [`special`] — ln-gamma, digamma, trigamma, erf and the regularized
+//! * [`special`] — ln-gamma, digamma, trigamma, erfc and the regularized
 //!   incomplete gamma function.
 //! * [`dist`] — the long-tailed families the paper fits (Gamma, Weibull,
 //!   Log-normal) plus Exponential, Uniform and Pareto, each with sampling,
@@ -19,7 +19,7 @@
 //! * [`survival`] — Kaplan–Meier estimation with right-censoring (servers
 //!   that fail once are censored, not ignorable).
 //! * [`bootstrap`] — percentile-bootstrap confidence intervals.
-//! * [`corr`] — Pearson and Spearman correlation.
+//! * [`corr`] — autocorrelation and the Ljung–Box statistic.
 //! * [`text`] / [`kmeans`] — TF-IDF vectorization and k-means++ clustering
 //!   for the ticket-classification pipeline (87% accuracy in the paper).
 //! * [`rng`] — deterministic, forkable random streams so every experiment is

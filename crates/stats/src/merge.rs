@@ -7,17 +7,6 @@
 //! `finalize` depends only on the merged state — is what lets
 //! `dcfail-shard` compute the paper's figures one shard at a time while
 //! staying bit-identical to the monolithic pipeline.
-//!
-//! Two families of accumulators live here:
-//!
-//! * **Exactly mergeable** — integer counters ([`Counter`],
-//!   [`CountMatrix`], [`FixedHistogram`]) and the error-free float
-//!   accumulator [`ExactSum`]. Their merged result equals the monolithic
-//!   result bit-for-bit.
-//! * **Reservoir-approximated** — [`KeyedSamples`], a bottom-k sample keyed
-//!   by a deterministic priority. With a bound `>= n` it keeps everything
-//!   and `finalize` restores the exact monolithic order (by key); with a
-//!   smaller bound it is a deterministic uniform subsample.
 
 use serde::{Deserialize, Serialize};
 
@@ -148,26 +137,6 @@ impl Mergeable for ExactSum {
 // Integer counters
 // ---------------------------------------------------------------------------
 
-/// A single event counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Counter(pub u64);
-
-impl Mergeable for Counter {
-    type Output = u64;
-
-    fn identity() -> Self {
-        Self(0)
-    }
-
-    fn absorb(&mut self, other: &Self) {
-        self.0 += other.0;
-    }
-
-    fn finalize(self) -> u64 {
-        self.0
-    }
-}
-
 /// A dense `rows x cols` matrix of counters (e.g. events per bin and week).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CountMatrix {
@@ -254,237 +223,6 @@ impl Mergeable for CountMatrix {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fixed-bin histogram
-// ---------------------------------------------------------------------------
-
-/// A histogram over fixed, pre-agreed bin edges.
-///
-/// Because the edges are part of the accumulator configuration (not derived
-/// from the data), per-shard histograms merge exactly. Out-of-range values
-/// are tracked in `below`/`above` so no observation is silently dropped.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct FixedHistogram {
-    /// Bin edges; bin `i` covers `[edges[i], edges[i+1])`.
-    edges: Vec<f64>,
-    counts: Vec<u64>,
-    below: u64,
-    above: u64,
-}
-
-impl FixedHistogram {
-    /// A histogram over `edges` (ascending, at least two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two edges are given or they are not strictly
-    /// increasing.
-    pub fn with_edges(edges: Vec<f64>) -> Self {
-        assert!(edges.len() >= 2, "need at least two edges");
-        for pair in edges.windows(2) {
-            assert!(pair[0] < pair[1], "edges must strictly increase");
-        }
-        let counts = vec![0; edges.len() - 1];
-        Self {
-            edges,
-            counts,
-            below: 0,
-            above: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, value: f64) {
-        if self.edges.is_empty() {
-            // An identity histogram has no binning configuration; treat
-            // everything as out of range below so the count is not lost.
-            self.below += 1;
-            return;
-        }
-        if value < self.edges[0] || value.is_nan() {
-            self.below += 1;
-        } else if value >= self.edges[self.edges.len() - 1] {
-            self.above += 1;
-        } else {
-            let bin = self.edges.partition_point(|&e| e <= value) - 1;
-            self.counts[bin] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// The bin edges.
-    pub fn edges(&self) -> &[f64] {
-        &self.edges
-    }
-
-    /// Observations below the first edge (or NaN).
-    pub fn below(&self) -> u64 {
-        self.below
-    }
-
-    /// Observations at or above the last edge.
-    pub fn above(&self) -> u64 {
-        self.above
-    }
-
-    /// Total observations recorded, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.below + self.above + self.counts.iter().sum::<u64>()
-    }
-}
-
-impl Mergeable for FixedHistogram {
-    type Output = FixedHistogram;
-
-    fn identity() -> Self {
-        Self::default()
-    }
-
-    fn absorb(&mut self, other: &Self) {
-        if other.edges.is_empty() && other.below == 0 && other.above == 0 {
-            return;
-        }
-        if self.edges.is_empty() && self.below == 0 && self.above == 0 {
-            *self = other.clone();
-            return;
-        }
-        assert_eq!(self.edges, other.edges, "histogram edges must match");
-        self.below += other.below;
-        self.above += other.above;
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
-
-    fn finalize(self) -> FixedHistogram {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Keyed samples / bounded reservoir
-// ---------------------------------------------------------------------------
-
-/// A deterministic bottom-k sample of keyed values.
-///
-/// Every observation carries a unique, totally ordered `key` (e.g. a global
-/// event index) and a priority derived from it. The accumulator keeps the
-/// `bound` observations with the smallest `(priority, key)`; because that
-/// selection depends only on the set of observations, `absorb` is exactly
-/// associative and commutative. `finalize` sorts the survivors by key,
-/// restoring the monolithic iteration order.
-///
-/// With `bound >= n` nothing is evicted and the finalized vector equals the
-/// monolithic collection exactly; [`KeyedSamples::unbounded`] pins that mode.
-/// (Not serde-serializable: the vendored derive does not support generics.)
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeyedSamples<V> {
-    bound: usize,
-    seed: u64,
-    /// `(priority, key, value)` triples, kept below `bound` in count.
-    items: Vec<(u64, u64, V)>,
-}
-
-impl<V: Clone> KeyedSamples<V> {
-    /// A reservoir keeping at most `bound` samples, with priorities derived
-    /// from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn bounded(bound: usize, seed: u64) -> Self {
-        assert!(bound > 0, "reservoir bound must be positive");
-        Self {
-            bound,
-            seed,
-            items: Vec::new(),
-        }
-    }
-
-    /// A reservoir that never evicts: `finalize` returns every pushed value
-    /// in key order, exactly as a monolithic pass would collect them.
-    pub fn unbounded() -> Self {
-        Self {
-            bound: usize::MAX,
-            seed: 0,
-            items: Vec::new(),
-        }
-    }
-
-    /// Records `value` under the unique `key`.
-    pub fn push(&mut self, key: u64, value: V) {
-        let priority = if self.bound == usize::MAX {
-            0
-        } else {
-            splitmix(self.seed ^ key)
-        };
-        self.items.push((priority, key, value));
-        if self.items.len() > self.bound.saturating_mul(2) {
-            self.shrink();
-        }
-    }
-
-    /// Number of currently retained samples.
-    pub fn len(&self) -> usize {
-        self.items.len().min(self.bound)
-    }
-
-    /// True when no samples are retained.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    fn shrink(&mut self) {
-        if self.items.len() > self.bound {
-            self.items
-                .sort_unstable_by_key(|&(priority, key, _)| (priority, key));
-            self.items.truncate(self.bound);
-        }
-    }
-}
-
-impl<V: Clone> Mergeable for KeyedSamples<V> {
-    type Output = Vec<V>;
-
-    fn identity() -> Self {
-        Self::unbounded()
-    }
-
-    fn absorb(&mut self, other: &Self) {
-        if other.items.is_empty() && other.bound == usize::MAX {
-            return;
-        }
-        if self.items.is_empty() && self.bound == usize::MAX && other.bound != usize::MAX {
-            self.bound = other.bound;
-            self.seed = other.seed;
-        }
-        assert!(
-            self.bound == other.bound && (self.seed == other.seed || other.bound == usize::MAX),
-            "reservoir configurations must match"
-        );
-        self.items.extend(other.items.iter().cloned());
-        self.shrink();
-    }
-
-    fn finalize(mut self) -> Vec<V> {
-        self.shrink();
-        self.items.sort_unstable_by_key(|&(_, key, _)| key);
-        self.items.into_iter().map(|(_, _, v)| v).collect()
-    }
-}
-
-/// The splitmix64 finalizer: a bijective avalanche of the input.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,68 +258,6 @@ mod tests {
         s.push(1.0);
         s.push(-1e16);
         assert_eq!(s.value(), 1.0);
-    }
-
-    #[test]
-    fn fixed_histogram_bins_and_merges() {
-        let mut a = FixedHistogram::with_edges(vec![0.0, 1.0, 2.0]);
-        let mut b = FixedHistogram::with_edges(vec![0.0, 1.0, 2.0]);
-        a.observe(0.5);
-        a.observe(-1.0);
-        b.observe(1.5);
-        b.observe(7.0);
-        b.observe(f64::NAN);
-        a.absorb(&b);
-        assert_eq!(a.counts(), &[1, 1]);
-        assert_eq!(a.below(), 2);
-        assert_eq!(a.above(), 1);
-        assert_eq!(a.total(), 5);
-    }
-
-    #[test]
-    fn keyed_samples_unbounded_restores_order() {
-        let mut a = KeyedSamples::unbounded();
-        let mut b = KeyedSamples::unbounded();
-        b.push(1, "b");
-        a.push(2, "c");
-        a.push(0, "a");
-        a.absorb(&b);
-        assert_eq!(a.finalize(), vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn bounded_reservoir_matches_when_bound_covers_n() {
-        let mut r = KeyedSamples::bounded(100, 7);
-        for k in 0..50u64 {
-            r.push(k, k * 10);
-        }
-        assert_eq!(r.finalize(), (0..50u64).map(|k| k * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn bounded_reservoir_is_partition_independent() {
-        let keys: Vec<u64> = (0..200).collect();
-        let whole = {
-            let mut r = KeyedSamples::bounded(32, 42);
-            for &k in &keys {
-                r.push(k, k);
-            }
-            r.finalize()
-        };
-        let halved = {
-            let mut left = KeyedSamples::bounded(32, 42);
-            let mut right = KeyedSamples::bounded(32, 42);
-            for &k in &keys[..71] {
-                left.push(k, k);
-            }
-            for &k in &keys[71..] {
-                right.push(k, k);
-            }
-            right.absorb(&left);
-            right.finalize()
-        };
-        assert_eq!(whole, halved);
-        assert_eq!(whole.len(), 32);
     }
 
     // ---- Mergeable laws: associativity, commutativity, identity ----------
@@ -635,13 +311,6 @@ mod tests {
         }
 
         #[test]
-        fn counter_laws(parts in prop::collection::vec(
-            prop::collection::vec(0.0f64..100.0, 0..20), 3..4))
-        {
-            law_check(&parts, |vals| Counter(vals.len() as u64), Clone::clone);
-        }
-
-        #[test]
         fn count_matrix_laws(parts in prop::collection::vec(
             prop::collection::vec(0.0f64..12.0, 0..20), 3..4))
         {
@@ -651,71 +320,64 @@ mod tests {
                 m
             }, Clone::clone);
         }
-
-        #[test]
-        fn fixed_histogram_laws(parts in prop::collection::vec(
-            prop::collection::vec(-10.0f64..10.0, 0..20), 3..4))
-        {
-            law_check(&parts, |vals| {
-                let mut h = FixedHistogram::with_edges(vec![0.0, 2.0, 5.0]);
-                for &v in vals { h.observe(v); }
-                h
-            }, Clone::clone);
-        }
-
-        #[test]
-        fn keyed_samples_laws(splits in prop::collection::vec(0usize..30, 3..4)) {
-            // Build three disjoint key ranges so keys stay unique.
-            let mut next = 0u64;
-            let parts: Vec<Vec<f64>> = splits.iter().map(|&n| {
-                let p: Vec<f64> = (0..n).map(|i| (next + i as u64) as f64).collect();
-                next += n as u64;
-                p
-            }).collect();
-            // Canonicalize state before comparing: retained sets are equal,
-            // internal vector order may differ.
-            fn canon(mut s: KeyedSamples<u64>) -> Vec<(u64, u64, u64)> {
-                s.items.sort_unstable();
-                s.items
-            }
-            let build = |vals: &[f64]| {
-                let mut r = KeyedSamples::bounded(16, 9);
-                for &v in vals { r.push(v as u64, v as u64); }
-                r
-            };
-            let accs: Vec<KeyedSamples<u64>> = parts.iter().map(|p| build(p)).collect();
-            let (a, b, c) = (&accs[0], &accs[1], &accs[2]);
-            let mut left = a.clone();
-            left.absorb(b);
-            left.absorb(c);
-            let mut bc = b.clone();
-            bc.absorb(c);
-            let mut right = a.clone();
-            right.absorb(&bc);
-            prop_assert_eq!(canon(left.clone()), canon(right), "associative");
-            let mut ab = a.clone();
-            ab.absorb(b);
-            let mut ba = b.clone();
-            ba.absorb(a);
-            prop_assert_eq!(canon(ab), canon(ba), "commutative");
-            // Unbounded reservoir over the same data finalizes to the full
-            // key-ordered collection.
-            let mut all = KeyedSamples::unbounded();
-            for p in &parts {
-                for &v in p {
-                    all.push(v as u64, v as u64);
-                }
-            }
-            let n = parts.iter().map(Vec::len).sum::<usize>();
-            prop_assert_eq!(all.finalize().len(), n);
-        }
     }
 
     #[test]
-    fn counter_and_count_matrix_finalize() {
-        let mut c = Counter::identity();
-        c.absorb(&Counter(3));
-        assert_eq!(c.finalize(), 3);
+    fn exact_sum_rounds_once() {
+        // Ten copies of the double nearest 0.1 sum to 1.000...0555 exactly,
+        // which rounds to 1.0; adding them one rounding at a time does not.
+        let mut s = ExactSum::new();
+        let mut naive = 0.0f64;
+        for _ in 0..10 {
+            s.push(0.1);
+            naive += 0.1;
+        }
+        assert_eq!(s.value(), 1.0);
+        assert_ne!(naive, 1.0);
+        assert_eq!(ExactSum::new().value(), 0.0);
+    }
+
+    #[test]
+    fn absorbing_the_identity_changes_nothing() {
+        let mut s = ExactSum::new();
+        s.push(2.5);
+        s.push(-1e-9);
+        let before = s.clone();
+        s.absorb(&ExactSum::identity());
+        assert_eq!(s, before);
+
+        let mut m = CountMatrix::zeros(2, 3);
+        m.add(1, 2, 5);
+        let before = m.clone();
+        m.absorb(&CountMatrix::identity());
+        assert_eq!(m, before);
+    }
+
+    #[test]
+    fn count_matrix_add_row_matches_per_cell_adds() {
+        let mut bulk = CountMatrix::zeros(3, 4);
+        let mut cells = CountMatrix::zeros(3, 4);
+        bulk.add_row(1, 7);
+        for col in 0..cells.cols() {
+            cells.add(1, col, 7);
+        }
+        assert_eq!(bulk, cells);
+        assert_eq!((bulk.rows(), bulk.cols()), (3, 4));
+        assert_eq!(bulk.get(0, 0) + bulk.get(2, 3), 0, "other rows untouched");
+    }
+
+    #[test]
+    #[should_panic(expected = "CountMatrix dimensions must match")]
+    fn count_matrix_rejects_a_differently_shaped_shard() {
+        let mut a = CountMatrix::zeros(2, 3);
+        a.add(0, 0, 1);
+        let mut b = CountMatrix::zeros(3, 2);
+        b.add(0, 0, 1);
+        a.absorb(&b);
+    }
+
+    #[test]
+    fn count_matrix_finalize() {
         let m = CountMatrix::zeros(2, 2);
         assert_eq!(m.finalize().get(1, 1), 0);
     }

@@ -2,7 +2,7 @@
 //!
 //! Self-contained implementations of the functions the fitting code needs:
 //! ln-gamma (Lanczos), digamma and trigamma (recurrence + asymptotic series),
-//! erf/erfc (Abramowitz–Stegun 7.1.26-grade rational approximation) and the
+//! erfc (Abramowitz–Stegun 7.1.26-grade rational approximation) and the
 //! regularized lower incomplete gamma function (series + continued fraction).
 //!
 //! Accuracies are validated in the unit tests against high-precision
@@ -93,11 +93,6 @@ pub fn trigamma(mut x: f64) -> f64 {
                         + inv
                             * (1.0 / 6.0
                                 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0)))))
-}
-
-/// Error function erf(x), accurate to ~1.2e-7 (sufficient for CDF plots).
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
 }
 
 /// Complementary error function erfc(x).
@@ -266,11 +261,31 @@ mod tests {
 
     #[test]
     fn erf_known_values() {
-        close(erf(0.0), 0.0, 1e-7);
-        close(erf(1.0), 0.8427007929497149, 2e-7);
-        close(erf(-1.0), -0.8427007929497149, 2e-7);
-        close(erf(2.0), 0.9953222650189527, 2e-7);
+        // erf(x) = 1 − erfc(x).
+        close(1.0 - erfc(0.0), 0.0, 1e-7);
+        close(1.0 - erfc(1.0), 0.8427007929497149, 2e-7);
+        close(1.0 - erfc(-1.0), -0.8427007929497149, 2e-7);
+        close(1.0 - erfc(2.0), 0.9953222650189527, 2e-7);
         close(erfc(3.0), 2.209049699858544e-5, 1e-9);
+    }
+
+    #[test]
+    fn erfc_decreases_from_two_to_zero() {
+        let mut prev = erfc(-6.0);
+        close(prev, 2.0, 1e-7);
+        for i in -59..=60 {
+            let x = f64::from(i) / 10.0;
+            let next = erfc(x);
+            // Far left, 2 - erfc underflows the spacing of doubles near 2.
+            if x > -4.0 {
+                assert!(next < prev, "erfc not decreasing at {x}");
+            } else {
+                assert!(next <= prev, "erfc increasing at {x}");
+            }
+            assert!((0.0..=2.0).contains(&next));
+            prev = next;
+        }
+        close(prev, 0.0, 1e-7);
     }
 
     #[test]
@@ -292,7 +307,7 @@ mod tests {
         // Reference: P(3, 2) (e.g. scipy gammainc(3, 2)).
         close(reg_lower_gamma(3.0, 2.0), 0.3233235838169365, 1e-12);
         // Reference: P(0.5, 0.5) = erf(1/sqrt(2))... via relation.
-        close(reg_lower_gamma(0.5, 0.5), erf((0.5f64).sqrt()), 1e-7);
+        close(reg_lower_gamma(0.5, 0.5), 1.0 - erfc((0.5f64).sqrt()), 1e-7);
     }
 
     #[test]

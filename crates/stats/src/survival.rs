@@ -1,6 +1,6 @@
 //! Survival analysis: the Kaplan–Meier estimator with right-censoring.
 //!
-//! The paper "collect[s] no inter-failure times for servers that only fail
+//! The paper "collect\[s\] no inter-failure times for servers that only fail
 //! once" — those servers are *right-censored*: they survived from their last
 //! failure to the end of the observation window without failing again.
 //! Dropping them biases inter-failure times downward; the Kaplan–Meier
@@ -38,10 +38,6 @@ pub struct KaplanMeier {
     times: Vec<f64>,
     /// S(t) immediately after each event time.
     survival: Vec<f64>,
-    /// Subjects at risk just before each event time.
-    at_risk: Vec<usize>,
-    /// Events at each event time.
-    events: Vec<usize>,
     n: usize,
     n_censored: usize,
 }
@@ -85,8 +81,6 @@ impl KaplanMeier {
         let n = sorted.len();
         let mut times = Vec::new();
         let mut survival = Vec::new();
-        let mut at_risk_v = Vec::new();
-        let mut events_v = Vec::new();
         let mut s = 1.0f64;
         let mut i = 0usize;
         while i < n {
@@ -104,16 +98,12 @@ impl KaplanMeier {
                 s *= 1.0 - d as f64 / at_risk as f64;
                 times.push(t);
                 survival.push(s);
-                at_risk_v.push(at_risk);
-                events_v.push(d);
             }
             i = j;
         }
         Ok(Self {
             times,
             survival,
-            at_risk: at_risk_v,
-            events: events_v,
             n,
             n_censored: observations.iter().filter(|o| !o.event).count(),
         })
@@ -145,23 +135,6 @@ impl KaplanMeier {
             .map(|(&t, _)| t)
     }
 
-    /// Restricted mean survival time up to `horizon`: the area under S(t)
-    /// from 0 to `horizon`.
-    pub fn restricted_mean(&self, horizon: f64) -> f64 {
-        let mut area = 0.0;
-        let mut prev_t = 0.0;
-        let mut prev_s = 1.0;
-        for (&t, &s) in self.times.iter().zip(&self.survival) {
-            if t >= horizon {
-                break;
-            }
-            area += prev_s * (t - prev_t);
-            prev_t = t;
-            prev_s = s;
-        }
-        area + prev_s * (horizon - prev_t).max(0.0)
-    }
-
     /// The curve as `(time, survival)` steps.
     pub fn curve(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.times
@@ -178,23 +151,6 @@ impl KaplanMeier {
     /// Number of censored observations.
     pub fn n_censored(&self) -> usize {
         self.n_censored
-    }
-
-    /// Greenwood's formula: the variance of Ŝ(t).
-    pub fn variance_at(&self, t: f64) -> f64 {
-        let idx = self.times.partition_point(|&x| x <= t);
-        if idx == 0 {
-            return 0.0;
-        }
-        let s = self.survival[idx - 1];
-        let sum: f64 = (0..idx)
-            .map(|i| {
-                let d = self.events[i] as f64;
-                let r = self.at_risk[i] as f64;
-                d / (r * (r - d).max(f64::MIN_POSITIVE))
-            })
-            .sum();
-        s * s * sum
     }
 }
 
@@ -255,24 +211,22 @@ mod tests {
     }
 
     #[test]
-    fn restricted_mean_of_exponential_like_data() {
-        // S(t) for events at 1,2,...,100 approximates uniform: RMST to 100
-        // ≈ 50.
-        let obs: Vec<Observation> = (1..=100).map(|t| Observation::event(t as f64)).collect();
-        let km = KaplanMeier::fit(&obs).unwrap();
-        let rmst = km.restricted_mean(100.0);
-        assert!((rmst - 50.0).abs() < 1.5, "RMST {rmst}");
-    }
-
-    #[test]
-    fn greenwood_variance_grows_with_time() {
-        let obs: Vec<Observation> = (1..=20).map(|t| Observation::event(t as f64)).collect();
-        let km = KaplanMeier::fit(&obs).unwrap();
-        let early = km.variance_at(2.0);
-        let later = km.variance_at(10.0);
-        assert!(early >= 0.0);
-        assert!(later > early);
-        assert_eq!(km.variance_at(0.0), 0.0);
+    fn fit_is_independent_of_input_order() {
+        let mut obs: Vec<Observation> = (0..40)
+            .map(|i| {
+                let t = f64::from(i % 9) + 1.0;
+                if i % 3 == 0 {
+                    Observation::censored(t)
+                } else {
+                    Observation::event(t)
+                }
+            })
+            .collect();
+        let forward = KaplanMeier::fit(&obs).unwrap();
+        obs.reverse();
+        assert_eq!(KaplanMeier::fit(&obs).unwrap(), forward);
+        obs.rotate_left(17);
+        assert_eq!(KaplanMeier::fit(&obs).unwrap(), forward);
     }
 
     #[test]

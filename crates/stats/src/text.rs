@@ -103,11 +103,6 @@ impl TfIdf {
         Self { vocab, idf }
     }
 
-    /// The underlying vocabulary.
-    pub fn vocabulary(&self) -> &Vocabulary {
-        &self.vocab
-    }
-
     /// Feature dimensionality.
     pub fn dim(&self) -> usize {
         self.vocab.len()
@@ -133,11 +128,6 @@ impl TfIdf {
             }
         }
         v
-    }
-
-    /// Transforms raw text (tokenizes first).
-    pub fn transform_text(&self, text: &str) -> Vec<f32> {
-        self.transform(&tokenize(text))
     }
 }
 
@@ -206,8 +196,8 @@ mod tests {
         let refs: Vec<&[String]> = d.iter().map(Vec::as_slice).collect();
         let tfidf = TfIdf::fit(refs.iter().copied(), 1);
         let v = tfidf.transform(&tokenize("disk switch"));
-        let disk = tfidf.vocabulary().index_of("disk").unwrap();
-        let switch = tfidf.vocabulary().index_of("switch").unwrap();
+        let disk = tfidf.vocab.index_of("disk").unwrap();
+        let switch = tfidf.vocab.index_of("switch").unwrap();
         assert!(v[switch] > v[disk], "rarer token should get higher weight");
     }
 
@@ -216,7 +206,7 @@ mod tests {
         let d = docs();
         let refs: Vec<&[String]> = d.iter().map(Vec::as_slice).collect();
         let tfidf = TfIdf::fit(refs.iter().copied(), 1);
-        let v = tfidf.transform_text("completely unrelated words");
+        let v = tfidf.transform(&tokenize("completely unrelated words"));
         assert!(v.iter().all(|&x| x == 0.0));
     }
 

@@ -98,7 +98,7 @@ proptest! {
     fn ecdf_steps(values in prop::collection::vec(0.0f64..1000.0, 1..100)) {
         let e = Ecdf::new(&values);
         let n = values.len() as f64;
-        for &v in e.sorted_values() {
+        for &v in &values {
             prop_assert!(e.eval(v) >= 1.0 / n - 1e-12);
         }
         prop_assert_eq!(e.eval(f64::MAX), 1.0);
@@ -167,8 +167,6 @@ proptest! {
             prop_assert!(s <= prev + 1e-12);
             prev = s;
         }
-        prop_assert!(km.restricted_mean(100.0) >= 0.0);
-        prop_assert!(km.restricted_mean(100.0) <= 100.0 + 1e-9);
     }
 
     /// Fit → sample → fit round-trips stay in a loose band even for small
@@ -200,7 +198,7 @@ proptest! {
         }
         let last = edges[edges.len() - 1];
         let bins = Bins::open_last(edges.clone());
-        prop_assert!(bins.is_open_ended());
+        prop_assert_eq!(bins.index_of(f64::MAX), Some(bins.len() - 1));
         prop_assert_eq!(bins.len(), edges.len());
         prop_assert!(bins.label(bins.len() - 1).ends_with('+'));
         match bins.index_of(probe) {

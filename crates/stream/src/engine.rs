@@ -18,7 +18,7 @@ use crate::detect::{Alert, BurstDetector, DetectorConfig};
 use dcfail_core::panel::{Constant, Panel, PanelCounts, PanelCurve, Usage, NO_BIN};
 use dcfail_model::prelude::*;
 use dcfail_report::experiments::{self, ExperimentId, RunConfig};
-use dcfail_report::runners::{render_fig10, render_fig8, render_fig9, Rendered};
+use dcfail_report::runners::{render_fig10, render_fig8, render_fig9, reports_digest, Rendered};
 use dcfail_stats::merge::Mergeable;
 use dcfail_synth::feed::{FeedEvent, FeedPayload};
 use serde::Serialize;
@@ -290,25 +290,11 @@ impl StreamOutput {
         ]
     }
 
-    /// FNV-1a digest over the rendered figures, byte-compatible with the
-    /// golden-report digest format.
+    /// [`reports_digest`] over the rendered figures, byte-compatible with
+    /// the golden-report digest format.
     pub fn digest(&self) -> u64 {
-        figure_digest(&self.rendered())
+        reports_digest(&self.rendered())
     }
-}
-
-/// FNV-1a over `id:text\ncsv\n` of each rendered report — the exact format
-/// the golden-report pin hashes, so streamed and batch digests are
-/// comparable byte-for-byte.
-pub fn figure_digest(reports: &[(&'static str, Rendered)]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for (id, rendered) in reports {
-        for byte in format!("{id}:{}\n{:?}\n", rendered.text, rendered.csv).bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-    }
-    hash
 }
 
 /// The batch pipeline's Fig. 8/9/10 renders for `dataset`, keyed like
@@ -329,9 +315,9 @@ pub fn batch_rendered(dataset: &FailureDataset) -> [(&'static str, Rendered); 3]
     ]
 }
 
-/// [`figure_digest`] of [`batch_rendered`].
+/// [`reports_digest`] of [`batch_rendered`].
 pub fn batch_digest(dataset: &FailureDataset) -> u64 {
-    figure_digest(&batch_rendered(dataset))
+    reports_digest(&batch_rendered(dataset))
 }
 
 /// Streaming ingest engine over one observation horizon.

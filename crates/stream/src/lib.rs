@@ -63,6 +63,6 @@ pub mod engine;
 pub use dcfail_synth::feed::{FeedEvent, FeedPayload};
 pub use detect::{Alert, BurstDetector, DetectorConfig};
 pub use engine::{
-    batch_digest, batch_rendered, figure_digest, StreamConfig, StreamEngine, StreamError,
-    StreamOutput, StreamStats,
+    batch_digest, batch_rendered, StreamConfig, StreamEngine, StreamError, StreamOutput,
+    StreamStats,
 };

@@ -209,12 +209,14 @@ impl ScenarioConfig {
     }
 
     /// Total PM count after scaling.
-    pub fn total_pms(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_pms(&self) -> usize {
         self.subsystems.iter().map(|s| self.scaled(s.pms, 1)).sum()
     }
 
     /// Total VM count after scaling.
-    pub fn total_vms(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_vms(&self) -> usize {
         self.subsystems.iter().map(|s| self.scaled(s.vms, 1)).sum()
     }
 }

@@ -132,7 +132,7 @@ mod tests {
         let mut total = 0;
         for _ in 0..2_000 {
             if let Some(t) = sample_creation_date(&mut rng, horizon) {
-                day_buckets.insert(t.day_index());
+                day_buckets.insert(t.as_minutes().div_euclid(24 * 60));
                 total += 1;
             }
         }

@@ -178,11 +178,6 @@ impl Classification {
         self.labels.get(&ticket).copied()
     }
 
-    /// Manually-checked (final) label of `ticket`.
-    pub fn checked_label(&self, ticket: TicketId) -> Option<FailureClass> {
-        self.checked.get(&ticket).copied()
-    }
-
     /// All raw k-means labels.
     pub fn labels(&self) -> &BTreeMap<TicketId, FailureClass> {
         &self.labels
@@ -521,7 +516,10 @@ mod tests {
         assert!(c.accuracy_vs_manual() > 0.75);
         // Every event now carries the checked label of its ticket.
         for ev in dataset.events() {
-            assert_eq!(Some(ev.reported_class()), c.checked_label(ev.ticket()));
+            assert_eq!(
+                Some(ev.reported_class()),
+                c.checked_labels().get(&ev.ticket()).copied()
+            );
         }
     }
 }

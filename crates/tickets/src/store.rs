@@ -2,16 +2,14 @@
 //!
 //! The paper mines "a large number of distributed ticketing and performance
 //! databases"; [`TicketStore`] is the consolidated view — tickets indexed by
-//! machine and time so extraction and classification can scan efficiently.
+//! time so extraction and classification can scan efficiently.
 
 use dcfail_model::prelude::*;
-use std::collections::BTreeMap;
 
 /// An indexed collection of problem tickets.
 #[derive(Debug, Clone, Default)]
 pub struct TicketStore {
     tickets: Vec<Ticket>,
-    by_machine: BTreeMap<MachineId, Vec<usize>>,
     /// Indexes sorted by opening time.
     by_time: Vec<usize>,
 }
@@ -27,7 +25,6 @@ impl TicketStore {
     pub fn from_tickets(tickets: Vec<Ticket>) -> Self {
         let mut store = Self {
             tickets,
-            by_machine: BTreeMap::new(),
             by_time: Vec::new(),
         };
         store.reindex();
@@ -35,10 +32,6 @@ impl TicketStore {
     }
 
     fn reindex(&mut self) {
-        self.by_machine.clear();
-        for (i, t) in self.tickets.iter().enumerate() {
-            self.by_machine.entry(t.machine()).or_default().push(i);
-        }
         self.by_time = (0..self.tickets.len()).collect();
         // Unstable is safe: ticket ids are unique, so the key is total.
         self.by_time
@@ -48,10 +41,6 @@ impl TicketStore {
     /// Adds one ticket.
     pub fn add(&mut self, ticket: Ticket) {
         let idx = self.tickets.len();
-        self.by_machine
-            .entry(ticket.machine())
-            .or_default()
-            .push(idx);
         // Insert into the time index at the right position.
         let pos = self.by_time.partition_point(|&i| {
             (self.tickets[i].opened_at(), self.tickets[i].id()) <= (ticket.opened_at(), ticket.id())
@@ -78,26 +67,6 @@ impl TicketStore {
     /// Iterates tickets in opening-time order.
     pub fn iter_by_time(&self) -> impl Iterator<Item = &Ticket> {
         self.by_time.iter().map(|&i| &self.tickets[i])
-    }
-
-    /// Tickets filed against one machine, in insertion order.
-    pub fn for_machine(&self, machine: MachineId) -> impl Iterator<Item = &Ticket> {
-        self.by_machine
-            .get(&machine)
-            .into_iter()
-            .flatten()
-            .map(|&i| &self.tickets[i])
-    }
-
-    /// Tickets opened within `[from, to)`.
-    pub fn in_window(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &Ticket> {
-        let start = self
-            .by_time
-            .partition_point(|&i| self.tickets[i].opened_at() < from);
-        self.by_time[start..]
-            .iter()
-            .map(|&i| &self.tickets[i])
-            .take_while(move |t| t.opened_at() < to)
     }
 
     /// Crash tickets only, in time order.
@@ -145,7 +114,7 @@ mod tests {
     }
 
     #[test]
-    fn store_indexes_by_machine_and_time() {
+    fn store_indexes_by_time() {
         let store: TicketStore = vec![
             ticket(0, 1, 5, true),
             ticket(1, 2, 3, false),
@@ -155,30 +124,31 @@ mod tests {
         .collect();
         assert_eq!(store.len(), 3);
         assert!(!store.is_empty());
-        assert_eq!(store.for_machine(MachineId::new(1)).count(), 2);
-        assert_eq!(store.for_machine(MachineId::new(9)).count(), 0);
-        let times: Vec<i64> = store
+        let times: Vec<f64> = store
             .iter_by_time()
-            .map(|t| t.opened_at().day_index())
+            .map(|t| t.opened_at().as_days())
             .collect();
-        assert_eq!(times, vec![1, 3, 5]);
+        assert_eq!(times, vec![1.0, 3.0, 5.0]);
         assert_eq!(store.crash_tickets().count(), 2);
     }
 
     #[test]
-    fn window_queries_are_half_open() {
-        let store: TicketStore = (0..5).map(|i| ticket(i, 0, i as i64, true)).collect();
-        let hits: Vec<u32> = store
-            .in_window(SimTime::from_days(1), SimTime::from_days(3))
-            .map(|t| t.id().raw())
-            .collect();
-        assert_eq!(hits, vec![1, 2]);
-        assert_eq!(
-            store
-                .in_window(SimTime::from_days(10), SimTime::from_days(20))
-                .count(),
-            0
-        );
+    fn bulk_and_incremental_indexes_break_ties_by_id() {
+        let tickets = vec![
+            ticket(7, 0, 2, true),
+            ticket(3, 1, 2, false),
+            ticket(5, 2, 1, true),
+            ticket(4, 3, 2, true),
+        ];
+        let bulk = TicketStore::from_tickets(tickets.clone());
+        let mut incremental = TicketStore::new();
+        for t in tickets.into_iter().rev() {
+            incremental.add(t);
+        }
+        let ids =
+            |s: &TicketStore| -> Vec<u32> { s.iter_by_time().map(|t| t.id().raw()).collect() };
+        assert_eq!(ids(&bulk), vec![5, 3, 4, 7]);
+        assert_eq!(ids(&incremental), ids(&bulk));
     }
 
     #[test]
@@ -187,10 +157,10 @@ mod tests {
         store.add(ticket(0, 0, 5, true));
         store.add(ticket(1, 0, 1, false));
         store.extend([ticket(2, 0, 3, true)]);
-        let times: Vec<i64> = store
+        let times: Vec<f64> = store
             .iter_by_time()
-            .map(|t| t.opened_at().day_index())
+            .map(|t| t.opened_at().as_days())
             .collect();
-        assert_eq!(times, vec![1, 3, 5]);
+        assert_eq!(times, vec![1.0, 3.0, 5.0]);
     }
 }

@@ -81,20 +81,6 @@ proptest! {
         for pair in times.windows(2) {
             prop_assert!(pair[0] <= pair[1]);
         }
-        // Per-machine indexes partition the store.
-        let by_machine: usize = (0..7)
-            .map(|m| store.for_machine(MachineId::new(m)).count())
-            .sum();
-        prop_assert_eq!(by_machine, tickets.len());
-        // Window query is consistent with a filter.
-        let lo = SimTime::from_minutes(20_000);
-        let hi = SimTime::from_minutes(70_000);
-        let windowed = store.in_window(lo, hi).count();
-        let filtered = tickets
-            .iter()
-            .filter(|t| t.opened_at() >= lo && t.opened_at() < hi)
-            .count();
-        prop_assert_eq!(windowed, filtered);
     }
 
     /// Incident reconstruction covers every crash ticket exactly once and

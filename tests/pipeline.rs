@@ -39,7 +39,10 @@ fn extraction_then_classification_then_analysis() {
 
     // Event labels and the checked classification agree one-to-one.
     for ev in ds.events() {
-        assert_eq!(Some(ev.reported_class()), c.checked_label(ev.ticket()));
+        assert_eq!(
+            Some(ev.reported_class()),
+            c.checked_labels().get(&ev.ticket()).copied()
+        );
     }
 }
 

@@ -9,6 +9,7 @@
 
 #![allow(clippy::unwrap_used)]
 
+use dcfail::analysis::panel::{panel_curve, Constant, Source, Usage};
 use dcfail::analysis::{
     age, capacity, class_mix, consolidation, interfailure, onoff, rates, recurrence, repair,
     spatial, usage, ClassSource,
@@ -245,8 +246,8 @@ fn fig7_capacity_effects() {
 fn fig8_usage_effects() {
     let ds = dataset();
     // VM CPU utilization increases the rate; PM decreases over 0–30%.
-    let vm = usage::rate_by_cpu_util(ds, MachineKind::Vm);
-    let pm = usage::rate_by_cpu_util(ds, MachineKind::Pm);
+    let vm = panel_curve(ds, MachineKind::Vm, Source::Weekly(Usage::Cpu)).curve;
+    let pm = panel_curve(ds, MachineKind::Pm, Source::Weekly(Usage::Cpu)).curve;
     let vm_low = vm.mean_of("0-10").unwrap();
     let vm_mid = vm.mean_of("20-30").or(vm.mean_of("10-20")).unwrap();
     assert!(vm_mid > vm_low, "VM {vm_mid} vs {vm_low}");
@@ -269,7 +270,12 @@ fn fig9_consolidation_decreases_rate() {
     let packed = curve.mean_of("32").or(curve.mean_of("16")).unwrap();
     assert!(lone > 1.5 * packed, "lone {lone} vs packed {packed}");
     // Population skews to high consolidation.
-    let shares = consolidation::vm_share_by_level(dataset());
+    let shares = panel_curve(
+        dataset(),
+        MachineKind::Vm,
+        Source::Constant(Constant::Consolidation),
+    )
+    .shares;
     let high: f64 = shares
         .iter()
         .filter(|(l, _)| l == "16" || l == "32")
@@ -284,7 +290,12 @@ fn fig10_onoff_rises_then_flattens() {
     let stable = curve.mean_of("0-1").unwrap();
     let cycled = curve.mean_of("1-2").or(curve.mean_of("2-4")).unwrap();
     assert!(cycled > stable, "cycled {cycled} vs stable {stable}");
-    let shares = onoff::vm_share_by_onoff(dataset());
+    let shares = panel_curve(
+        dataset(),
+        MachineKind::Vm,
+        Source::Constant(Constant::OnOff),
+    )
+    .shares;
     let low = shares.iter().find(|(l, _)| l == "0-1").unwrap().1;
     assert!((low - 0.60).abs() < 0.15, "stable share {low}");
 }
