@@ -134,6 +134,7 @@ use dcfail_ckpt::{ChaosFs, CheckpointStore, FaultFs, MemFs, RealFs};
 use dcfail_core::{degradation, rates, repair};
 use dcfail_model::prelude::*;
 use dcfail_report::experiments::{ExperimentId, RunConfig};
+use dcfail_report::toolkit::VARIANT_CAP;
 use dcfail_report::Toolkit;
 use dcfail_serve::conn::{get_request, post_request, roundtrip, PendingRequest};
 use dcfail_serve::http::split_response;
@@ -1520,7 +1521,7 @@ fn run_serve_smoke(opts: &Options) -> Result<ExitCode, String> {
         if status != 200 {
             return fail(&format!("/reports/{id} answered {status}"));
         }
-        if body != reference.envelope_json(id) {
+        if body != *reference.envelope_json(id) {
             return fail(&format!(
                 "/reports/{id} bytes diverge from the library envelope"
             ));
@@ -1648,6 +1649,84 @@ fn run_serve_smoke(opts: &Options) -> Result<ExitCode, String> {
         ));
     }
 
+    // Single flight: a publish leaves every artifact cold, and readers the
+    // held pool releases together onto one cold key cost one render. At
+    // most `queue` of them, so the queue alone absorbs them and none sheds.
+    let cold_reads = queue.max(1);
+    let misses_before = owns_window
+        .then(|| served_counter(addr, "toolkit.cache_miss"))
+        .transpose()?;
+    handle.publish_rebuilt(opts.seed.wrapping_add(1), scale);
+    handle.hold_workers();
+    let mut pending = Vec::with_capacity(cold_reads);
+    for _ in 0..cold_reads {
+        match PendingRequest::open(addr, &get_request("/reports/fig8")) {
+            Ok(request) => pending.push(request),
+            Err(e) => {
+                handle.release_workers();
+                return fail(&format!("cold read connection failed: {e}"));
+            }
+        }
+    }
+    handle.release_workers();
+    for request in pending {
+        let status = request
+            .finish()
+            .ok()
+            .and_then(|raw| split_response(&raw))
+            .map(|(status, _)| status);
+        if status != Some(200) {
+            return fail(&format!("cold /reports/fig8 answered {status:?}"));
+        }
+    }
+    let single_flight = if let Some(before) = misses_before {
+        let renders = served_counter(addr, "toolkit.cache_miss")?.saturating_sub(before);
+        if renders != 1 {
+            return fail(&format!(
+                "{cold_reads} concurrent cold reads of fig8 cost {renders} renders, want 1"
+            ));
+        }
+        format!("{cold_reads} concurrent cold reads cost 1 render")
+    } else {
+        eprintln!("serve smoke: note: external metrics window active, single-flight leg skipped");
+        "single-flight leg skipped".to_string()
+    };
+
+    // Bounded cache: distinct whatif seeds past the variant cap add at most
+    // the cap to what the default config has cached, and each seed past
+    // the cap evicts one.
+    let toolkit = handle.state().current();
+    let cached_before = toolkit.cache_len();
+    let evicted_before = owns_window
+        .then(|| served_counter(addr, "toolkit.cache_evicted"))
+        .transpose()?;
+    let seeds = VARIANT_CAP + 10;
+    for k in 0..seeds as u64 {
+        let body = format!("{{\"seed\": {}}}", opts.seed.wrapping_add(1000 + k));
+        let (status, text) = smoke_fetch(addr, &post_request("/whatif", &body))?;
+        if status != 200 {
+            return fail(&format!("POST /whatif {body} answered {status}: {text}"));
+        }
+    }
+    let added = toolkit.cache_len().saturating_sub(cached_before);
+    if added > VARIANT_CAP {
+        return fail(&format!(
+            "{seeds} whatif seeds added {added} cached artifacts, cap {VARIANT_CAP}"
+        ));
+    }
+    let evictions = if let Some(before) = evicted_before {
+        let evicted = served_counter(addr, "toolkit.cache_evicted")?.saturating_sub(before);
+        let want = (seeds - VARIANT_CAP) as u64;
+        if evicted != want {
+            return fail(&format!(
+                "{seeds} whatif seeds counted {evicted} evictions, want {want}"
+            ));
+        }
+        format!(" and evicted {evicted}")
+    } else {
+        String::new()
+    };
+
     // Clean shutdown: threads join, the obs window closes, the port frees.
     let report = handle.shutdown();
     if owns_window && report.and_then(|r| r.counter("serve.requests")).is_none() {
@@ -1662,10 +1741,33 @@ fn run_serve_smoke(opts: &Options) -> Result<ExitCode, String> {
 
     println!(
         "serve smoke: OK ({} reports byte-identical to the library envelope, \
-         {shed} typed sheds, clean shutdown)",
+         {shed} typed sheds, {single_flight}, {seeds} whatif seeds cached {added} \
+         of at most {VARIANT_CAP}{evictions}, clean shutdown)",
         ExperimentId::ALL.len()
     );
     Ok(ExitCode::SUCCESS)
+}
+
+/// One counter of the daemon's `/metrics` export; 0 when never counted.
+fn served_counter(addr: std::net::SocketAddr, name: &str) -> Result<u64, String> {
+    let (status, body) = smoke_fetch(addr, &get_request("/metrics"))?;
+    if status != 200 {
+        return Err(format!("/metrics answered {status}"));
+    }
+    let doc: serde::Value =
+        serde_json::from_str(&body).map_err(|e| format!("/metrics is not JSON: {e}"))?;
+    let Some(serde::Value::Array(counters)) = doc.get("counters") else {
+        return Err("/metrics has no counters array".to_string());
+    };
+    let named = serde::Value::Str(name.to_string());
+    counters
+        .iter()
+        .find(|c| c.get("name") == Some(&named))
+        .map_or(Ok(0), |c| {
+            c.get("value")
+                .and_then(|v| <u64 as serde::Deserialize>::from_value(v).ok())
+                .ok_or_else(|| format!("/metrics counter {name} has no integer value"))
+        })
 }
 
 fn run_experiments(opts: &Options) -> Result<ExitCode, String> {

@@ -39,8 +39,6 @@ pub struct InjectionLog {
     pub dropped_onoff_logs: usize,
     /// Consolidation series removed.
     pub dropped_consolidation: usize,
-    /// CSV data rows garbled (CSV injection only).
-    pub garbled_csv_rows: usize,
 }
 
 impl InjectionLog {
@@ -57,30 +55,11 @@ impl InjectionLog {
             + self.truncated_usage_series
             + self.dropped_onoff_logs
             + self.dropped_consolidation
-            + self.garbled_csv_rows
     }
 
     /// True when the run changed nothing.
     pub const fn is_empty(&self) -> bool {
         self.total() == 0
-    }
-
-    /// Merges another log's counts into this one (used when dataset-level and
-    /// CSV-level injection runs are reported together).
-    pub fn absorb(&mut self, other: &InjectionLog) {
-        self.skewed_subsystems += other.skewed_subsystems;
-        self.skewed_events += other.skewed_events;
-        self.truncated_repairs += other.truncated_repairs;
-        self.mislabeled_events += other.mislabeled_events;
-        self.duplicated_events += other.duplicated_events;
-        self.dropped_events += other.dropped_events;
-        self.displaced_events += other.displaced_events;
-        self.orphaned_vms += other.orphaned_vms;
-        self.dropped_usage_series += other.dropped_usage_series;
-        self.truncated_usage_series += other.truncated_usage_series;
-        self.dropped_onoff_logs += other.dropped_onoff_logs;
-        self.dropped_consolidation += other.dropped_consolidation;
-        self.garbled_csv_rows += other.garbled_csv_rows;
     }
 }
 
@@ -99,7 +78,6 @@ impl fmt::Display for InjectionLog {
             ("usage series truncated", self.truncated_usage_series),
             ("on/off logs dropped", self.dropped_onoff_logs),
             ("consolidation series dropped", self.dropped_consolidation),
-            ("CSV rows garbled", self.garbled_csv_rows),
         ];
         for (label, n) in rows {
             if n > 0 {
@@ -152,7 +130,7 @@ fn count_injections(log: &InjectionLog) {
         return;
     }
     dcfail_obs::add("chaos.corruptions", log.total() as u64);
-    let by_type: [(&'static str, usize); 12] = [
+    let by_type: [(&'static str, usize); 11] = [
         ("chaos.skewed_events", log.skewed_events),
         ("chaos.truncated_repairs", log.truncated_repairs),
         ("chaos.mislabeled_events", log.mislabeled_events),
@@ -164,7 +142,6 @@ fn count_injections(log: &InjectionLog) {
         ("chaos.truncated_usage_series", log.truncated_usage_series),
         ("chaos.dropped_onoff_logs", log.dropped_onoff_logs),
         ("chaos.dropped_consolidation", log.dropped_consolidation),
-        ("chaos.garbled_csv_rows", log.garbled_csv_rows),
     ];
     for (name, n) in by_type {
         if n > 0 {

@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -118,7 +119,9 @@ fn default_threads() -> usize {
 /// any thread count and any schedule.
 ///
 /// # Panics
-/// Propagates panics from `f` (the scope joins all workers first).
+/// When `f` panics, re-raises the panic of the lowest index that panicked,
+/// with its own payload, as the sequential map would: what a caller catches
+/// does not depend on the thread count. The workers are joined first.
 pub fn par_map_index<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
@@ -144,7 +147,9 @@ where
     if obs_on {
         dcfail_obs::add("par.chunks", num_chunks as u64);
     }
-    let slots: Vec<Mutex<Option<Vec<U>>>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
+    // A chunk's slot holds its outputs, or the panic that ended it.
+    let slots: Vec<Mutex<Option<std::thread::Result<Vec<U>>>>> =
+        (0..num_chunks).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -163,8 +168,12 @@ where
                     let t0 = obs_on.then(Instant::now);
                     let start = c * chunk;
                     let end = (start + chunk).min(n);
-                    let out: Vec<U> = (start..end).map(&f).collect();
-                    let mut slot = slots[c].lock().expect("dcfail-par: worker panicked");
+                    let out = panic::catch_unwind(AssertUnwindSafe(|| {
+                        (start..end).map(&f).collect::<Vec<U>>()
+                    }));
+                    let mut slot = slots[c]
+                        .lock()
+                        .expect("dcfail-par: no panic can occur while a slot is locked");
                     *slot = Some(out);
                     if let Some(t0) = t0 {
                         busy += t0.elapsed();
@@ -181,13 +190,18 @@ where
             });
         }
     });
+    // Chunks run their items in order and are taken in index order, so the
+    // first failed chunk holds the panic of the lowest failing index.
     let mut out = Vec::with_capacity(n);
     for slot in slots {
         let chunk_out = slot
             .into_inner()
-            .expect("dcfail-par: worker panicked")
+            .expect("dcfail-par: no panic can occur while a slot is locked")
             .expect("dcfail-par: every chunk is claimed exactly once");
-        out.extend(chunk_out);
+        match chunk_out {
+            Ok(chunk_out) => out.extend(chunk_out),
+            Err(payload) => panic::resume_unwind(payload),
+        }
     }
     out
 }
@@ -261,14 +275,23 @@ mod tests {
     fn worker_panics_propagate() {
         let _serial = serial();
         let _clear = ClearOverride;
-        set_thread_override(Some(4));
-        let outcome = std::panic::catch_unwind(|| {
-            par_map_index(1000, |i| {
-                assert!(i != 700, "worker failed on item {i}");
-                i
-            })
-        });
-        assert!(outcome.is_err(), "a panicking item must fail the whole map");
+        for threads in [1, 2, 4] {
+            set_thread_override(Some(threads));
+            for (failing, named) in [(&[700][..], 700), (&[300, 700][..], 300)] {
+                let outcome = std::panic::catch_unwind(|| {
+                    par_map_index(1000, |i| {
+                        assert!(!failing.contains(&i), "worker failed on item {i}");
+                        i
+                    })
+                });
+                let payload = outcome.expect_err("a panicking item must fail the whole map");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("worker failed on item {named}").as_str()),
+                    "{threads} threads, failing items {failing:?}"
+                );
+            }
+        }
     }
 
     #[test]

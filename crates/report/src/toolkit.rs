@@ -2,7 +2,8 @@
 //!
 //! [`Toolkit`] owns a built dataset (as an immutable [`DatasetSnapshot`]
 //! with a monotonic data version), a [`RunConfig`], and a keyed artifact
-//! cache `(ExperimentId, data_version, config digest) → rendered bytes`.
+//! cache `(ExperimentId, data_version, config digest) → rendered artifact
+//! and its envelope JSON`, each key rendered and encoded once.
 //! The `repro` CLI and the dcfail-serve daemon are both thin front-ends
 //! over this handle: the CLI builds one Toolkit per process and renders
 //! through it (so repeated renders reuse the built dataset), the daemon
@@ -14,8 +15,8 @@ use crate::envelope::Envelope;
 use crate::experiments::{run, ExperimentId, RunConfig, ThreadGuard};
 use crate::runners::Rendered;
 use dcfail_model::dataset::FailureDataset;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// An immutable dataset plus the monotonic version it was published at.
 ///
@@ -53,12 +54,35 @@ impl DatasetSnapshot {
 /// Cache key: which artifact, rendered from which data, under which config.
 type CacheKey = (ExperimentId, u64, u64);
 
+/// Most cached keys whose config differs from the Toolkit's own (today the
+/// daemon's re-seeded `POST /whatif`). Past it the oldest such key is
+/// evicted; the Toolkit's own config keeps all of its artifacts.
+pub const VARIANT_CAP: usize = 32;
+
+/// One cache entry. Each cell is filled once: readers that find it empty
+/// while another fills it wait for that one render or encoding.
+#[derive(Debug, Default)]
+struct Slot {
+    rendered: OnceLock<Arc<Rendered>>,
+    /// The key's envelope JSON, encoded on the first
+    /// [`Toolkit::envelope_json_with`] so plain renders encode nothing.
+    json: OnceLock<Arc<str>>,
+}
+
+#[derive(Debug, Default)]
+struct Cache {
+    slots: BTreeMap<CacheKey, Arc<Slot>>,
+    /// The cached keys under a config other than the Toolkit's own, oldest
+    /// first.
+    variants: VecDeque<CacheKey>,
+}
+
 /// A reusable render handle: dataset snapshot + config + artifact cache.
 #[derive(Debug)]
 pub struct Toolkit {
     snapshot: DatasetSnapshot,
     config: RunConfig,
-    cache: Mutex<BTreeMap<CacheKey, Arc<Rendered>>>,
+    cache: Mutex<Cache>,
 }
 
 impl Toolkit {
@@ -94,7 +118,7 @@ impl Toolkit {
         Self {
             snapshot,
             config,
-            cache: Mutex::new(BTreeMap::new()),
+            cache: Mutex::new(Cache::default()),
         }
     }
 
@@ -122,23 +146,13 @@ impl Toolkit {
     }
 
     /// Renders one artifact under an explicit config, cached by
-    /// `(id, data_version, config.digest())`. A hit returns the cached
-    /// `Arc` without touching the dataset; hit and miss are observable as
-    /// the `toolkit.cache_hit` / `toolkit.cache_miss` counters.
+    /// `(id, data_version, config.digest())`. Each key renders once: a hit,
+    /// or a miss that waits for another caller's render of the same key,
+    /// returns the cached `Arc` without touching the dataset. The caller
+    /// that renders counts a `toolkit.cache_miss`, every other a
+    /// `toolkit.cache_hit`.
     pub fn render_with(&self, id: ExperimentId, config: &RunConfig) -> Arc<Rendered> {
-        let key = (id, self.snapshot.version(), config.digest());
-        if let Some(hit) = self.lock_cache().get(&key).cloned() {
-            dcfail_obs::add("toolkit.cache_hit", 1);
-            return hit;
-        }
-        dcfail_obs::add("toolkit.cache_miss", 1);
-        let rendered = Arc::new(run(id, self.snapshot.dataset(), config));
-        // Concurrent misses both render (determinism makes the results
-        // identical); first insert wins so callers share one allocation.
-        self.lock_cache()
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&rendered))
-            .clone()
+        self.rendered(&self.slot(id, config), id, config)
     }
 
     /// Renders every artifact (paper order then extras), fanning out across
@@ -160,30 +174,72 @@ impl Toolkit {
     /// Number of distinct artifacts currently cached.
     #[must_use]
     pub fn cache_len(&self) -> usize {
-        self.lock_cache().len()
+        self.lock_cache().slots.len()
     }
 
-    /// Renders one artifact and wraps it in the versioned [`Envelope`].
-    pub fn envelope(&self, id: ExperimentId) -> Envelope {
-        let rendered = self.render(id);
-        Envelope::new(
-            id,
-            self.snapshot.version(),
-            &self.config,
-            (*rendered).clone(),
-        )
+    /// The canonical JSON bytes for one artifact under the Toolkit's own
+    /// config — the single code path behind both `repro --json` and the
+    /// daemon's `/reports/:id`, which is what makes their outputs
+    /// byte-identical.
+    pub fn envelope_json(&self, id: ExperimentId) -> Arc<str> {
+        self.envelope_json_with(id, &self.config)
     }
 
-    /// The canonical JSON bytes for one artifact — the single code path
-    /// behind both `repro --json` and the daemon's `/reports/:id`, which is
-    /// what makes their outputs byte-identical.
-    pub fn envelope_json(&self, id: ExperimentId) -> String {
-        self.envelope(id).to_json()
+    /// The versioned [`Envelope`] of one artifact under `config`, as JSON.
+    /// The bytes are encoded once per cache key and shared by every later
+    /// call.
+    pub fn envelope_json_with(&self, id: ExperimentId, config: &RunConfig) -> Arc<str> {
+        let slot = self.slot(id, config);
+        let rendered = self.rendered(&slot, id, config);
+        let json = slot.json.get_or_init(|| {
+            let envelope = Envelope::new(id, self.data_version(), config, (*rendered).clone());
+            envelope.to_json().into()
+        });
+        Arc::clone(json)
     }
 
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, BTreeMap<CacheKey, Arc<Rendered>>> {
-        // A poisoned cache only means another render panicked mid-insert;
-        // the map itself is never left in a torn state.
+    /// The cache slot of `(id, config)`, inserted empty on first use. The
+    /// lock covers only the map: renders run on the returned slot. Inserting
+    /// a variant key past [`VARIANT_CAP`] evicts the oldest one; callers
+    /// already holding its slot keep using it.
+    fn slot(&self, id: ExperimentId, config: &RunConfig) -> Arc<Slot> {
+        let digest = config.digest();
+        let key = (id, self.data_version(), digest);
+        let mut cache = self.lock_cache();
+        if let Some(slot) = cache.slots.get(&key) {
+            return Arc::clone(slot);
+        }
+        if digest != self.config.digest() {
+            if cache.variants.len() == VARIANT_CAP {
+                if let Some(oldest) = cache.variants.pop_front() {
+                    cache.slots.remove(&oldest);
+                    dcfail_obs::add("toolkit.cache_evicted", 1);
+                }
+            }
+            cache.variants.push_back(key);
+        }
+        Arc::clone(cache.slots.entry(key).or_default())
+    }
+
+    /// The slot's render, running it if no caller has.
+    fn rendered(&self, slot: &Slot, id: ExperimentId, config: &RunConfig) -> Arc<Rendered> {
+        let mut missed = false;
+        let rendered = slot.rendered.get_or_init(|| {
+            missed = true;
+            Arc::new(run(id, self.snapshot.dataset(), config))
+        });
+        let counter = if missed {
+            "toolkit.cache_miss"
+        } else {
+            "toolkit.cache_hit"
+        };
+        dcfail_obs::add(counter, 1);
+        Arc::clone(rendered)
+    }
+
+    fn lock_cache(&self) -> std::sync::MutexGuard<'_, Cache> {
+        // Every update under the lock leaves the map and the variant queue
+        // consistent, and no render runs under it.
         self.cache
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -240,6 +296,18 @@ mod tests {
     }
 
     #[test]
+    fn render_all_encodes_no_envelope() {
+        let tk = Toolkit::build_scaled(RunConfig::with_seed(42), 0.02);
+        tk.render_all();
+        let cache = tk.lock_cache();
+        assert_eq!(cache.slots.len(), ExperimentId::ALL.len());
+        assert!(
+            cache.slots.values().all(|slot| slot.json.get().is_none()),
+            "only envelope_json may encode an envelope"
+        );
+    }
+
+    #[test]
     fn envelope_carries_snapshot_version() {
         let ds = dcfail_synth::Scenario::paper()
             .seed(42)
@@ -247,7 +315,7 @@ mod tests {
             .build()
             .into_dataset();
         let tk = Toolkit::from_snapshot(DatasetSnapshot::new(ds, 9), RunConfig::with_seed(42));
-        let e = tk.envelope(ExperimentId::Table1);
+        let e: Envelope = serde_json::from_str(&tk.envelope_json(ExperimentId::Table1)).unwrap();
         assert_eq!(e.data_version, 9);
         assert_eq!(e.experiment_id, ExperimentId::Table1);
     }

@@ -74,7 +74,7 @@ impl Conn {
 
     /// Reads one HTTP request's bytes: everything through the blank line,
     /// plus a `Content-Length` body when the headers announce one.
-    pub fn read_request(&mut self) -> io::Result<Vec<u8>> {
+    pub fn read_request(&mut self) -> Result<Vec<u8>, ReadError> {
         let mut buf = Vec::with_capacity(512);
         let mut chunk = [0u8; 2048];
         let header_end = loop {
@@ -85,24 +85,27 @@ impl Conn {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "request headers exceed size cap",
-                ));
+                )
+                .into());
             }
             let n = self.stream.read(&mut chunk)?;
             if n == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed mid-request",
-                ));
+                )
+                .into());
             }
             buf.extend_from_slice(&chunk[..n]);
         };
-        let body_len = content_length(&buf[..header_end]).unwrap_or(0);
+        let body_len = content_length(&buf[..header_end]).map_err(ReadError::BadContentLength)?;
         let total = header_end.saturating_add(body_len);
         if total > MAX_REQUEST_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "request body exceeds size cap",
-            ));
+            )
+            .into());
         }
         while buf.len() < total {
             let n = self.stream.read(&mut chunk)?;
@@ -110,7 +113,8 @@ impl Conn {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed mid-body",
-                ));
+                )
+                .into());
             }
             buf.extend_from_slice(&chunk[..n]);
         }
@@ -130,18 +134,57 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
-/// Parses a `Content-Length` header out of raw header bytes.
-fn content_length(headers: &[u8]) -> Option<usize> {
-    let text = std::str::from_utf8(headers).ok()?;
-    for line in text.split("\r\n") {
-        let Some((name, value)) = line.split_once(':') else {
+/// Why [`Conn::read_request`] yielded no request.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The socket failed or timed out, the peer closed early, or the
+    /// request outgrew [`MAX_REQUEST_BYTES`]. Nothing can be answered.
+    Io(io::Error),
+    /// The head's `Content-Length` cannot frame a body: the server answers
+    /// a typed 400 and closes the connection (RFC 9112 §6.3).
+    BadContentLength(String),
+}
+
+impl From<io::Error> for ReadError {
+    fn from(e: io::Error) -> Self {
+        ReadError::Io(e)
+    }
+}
+
+/// The body length a request head announces, 0 without a `Content-Length`
+/// header. A value that is not a plain decimal or overflows `usize`, or
+/// duplicate headers that disagree, cannot frame the body; identical
+/// duplicates can.
+fn content_length(head: &[u8]) -> Result<usize, String> {
+    let mut length = None;
+    for line in head.split(|&b| b == b'\n') {
+        let Some(colon) = line.iter().position(|&b| b == b':') else {
             continue; // the request line and the blank terminator
         };
-        if name.eq_ignore_ascii_case("content-length") {
-            return value.trim().parse().ok();
+        if !line[..colon].eq_ignore_ascii_case(b"content-length") {
+            continue;
+        }
+        let value = line[colon + 1..].trim_ascii();
+        let parsed = std::str::from_utf8(value)
+            .ok()
+            .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<usize>().ok())
+            .ok_or_else(|| {
+                format!(
+                    "Content-Length {:?} is not a decimal length",
+                    String::from_utf8_lossy(value)
+                )
+            })?;
+        match length {
+            Some(first) if first != parsed => {
+                return Err(format!(
+                    "duplicate Content-Length headers disagree: {first} and {parsed}"
+                ));
+            }
+            _ => length = Some(parsed),
         }
     }
-    None
+    Ok(length.unwrap_or(0))
 }
 
 // ---------------------------------------------------------------------------
@@ -216,9 +259,35 @@ mod tests {
     fn content_length_parses_case_insensitively() {
         assert_eq!(
             content_length(b"POST / HTTP/1.1\r\ncontent-LENGTH: 12"),
-            Some(12)
+            Ok(12)
         );
-        assert_eq!(content_length(b"GET / HTTP/1.1\r\nHost: x"), None);
+        assert_eq!(content_length(b"GET / HTTP/1.1\r\nHost: x"), Ok(0));
+    }
+
+    #[test]
+    fn content_length_frames_only_a_well_formed_length() {
+        for (head, framed) in [
+            ("POST / HTTP/1.1\r\nContent-Length:  7 \r\n\r\n", Some(7)),
+            (
+                "POST / HTTP/1.1\r\nContent-Length: 11\r\nContent-Length: 11",
+                Some(11),
+            ),
+            ("POST / HTTP/1.1\r\nContent-Length: -5", None),
+            ("POST / HTTP/1.1\r\nContent-Length: +5", None),
+            ("POST / HTTP/1.1\r\nContent-Length: eleven", None),
+            ("POST / HTTP/1.1\r\nContent-Length:", None),
+            ("POST / HTTP/1.1\r\nContent-Length: 5, 5", None),
+            (
+                "POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999",
+                None,
+            ),
+            (
+                "POST / HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 11",
+                None,
+            ),
+        ] {
+            assert_eq!(content_length(head.as_bytes()).ok(), framed, "{head:?}");
+        }
     }
 
     #[test]

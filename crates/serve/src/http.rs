@@ -78,11 +78,11 @@ pub struct Response {
 impl Response {
     /// A JSON response with the given status.
     #[must_use]
-    pub fn json(status: u16, body: String) -> Response {
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Response {
         Response {
             status,
             content_type: "application/json",
-            body: body.into_bytes(),
+            body: body.into(),
         }
     }
 

@@ -341,9 +341,10 @@ fn accept_loop(
 /// The request is read and discarded first: closing a socket that still has
 /// unread inbound bytes sends a TCP RST, which would destroy the response
 /// in flight before the client could read it. A peer that never sent a
-/// request (the shutdown poke) fails the read and gets no response.
+/// request (the shutdown poke) fails the read and gets no response; one
+/// whose `Content-Length` cannot frame a body still gets the shed answer.
 fn respond_inline(mut conn: conn::Conn, response: &Response) {
-    if conn.read_request().is_ok() {
+    if !matches!(conn.read_request(), Err(conn::ReadError::Io(_))) {
         let _ = conn.write_response(&response.to_bytes());
     }
 }
@@ -368,11 +369,25 @@ fn worker_loop(queue: &Mutex<Receiver<conn::Conn>>, state: &AppState) {
 /// One request→response cycle, with per-request obs and panic isolation.
 fn serve_one(mut conn: conn::Conn, state: &AppState) {
     let started = Instant::now();
-    let Ok(raw) = conn.read_request() else {
-        dcfail_obs::add("serve.read_errors", 1);
-        return;
+    let response = match conn.read_request() {
+        Ok(raw) => respond(&raw, state),
+        Err(conn::ReadError::BadContentLength(detail)) => {
+            Response::error(400, "bad_content_length", &detail)
+        }
+        Err(conn::ReadError::Io(_)) => {
+            dcfail_obs::add("serve.read_errors", 1);
+            return;
+        }
     };
-    let response = match http::parse_request(&raw) {
+    dcfail_obs::add("serve.requests", 1);
+    dcfail_obs::add_labeled("serve.status", status_label(response.status), 1);
+    let _ = conn.write_response(&response.to_bytes());
+    dcfail_obs::observe("serve.latency_ms", started.elapsed().as_secs_f64() * 1e3);
+}
+
+/// Parses and routes one request's bytes.
+fn respond(raw: &[u8], state: &AppState) -> Response {
+    match http::parse_request(raw) {
         Ok(request) => {
             let label = router::route_label(&request.path);
             let _span = dcfail_obs::span_labeled("serve", label);
@@ -383,11 +398,7 @@ fn serve_one(mut conn: conn::Conn, state: &AppState) {
             })
         }
         Err(e) => Response::error(400, "malformed_request", &e.to_string()),
-    };
-    dcfail_obs::add("serve.requests", 1);
-    dcfail_obs::add_labeled("serve.status", status_label(response.status), 1);
-    let _ = conn.write_response(&response.to_bytes());
-    dcfail_obs::observe("serve.latency_ms", started.elapsed().as_secs_f64() * 1e3);
+    }
 }
 
 /// Static label for the status-class counters.

@@ -4,7 +4,7 @@
 
 use crate::http::{Request, Response};
 use crate::state::AppState;
-use dcfail_report::{Envelope, ExperimentId, RunConfig};
+use dcfail_report::{ExperimentId, RunConfig};
 use serde::{Deserialize, Serialize, Value};
 
 /// Stable route label for obs counters/spans (`serve.<label>`).
@@ -80,7 +80,7 @@ fn registry(state: &AppState) -> Response {
 /// `repro --json` for the same config (both call `Toolkit::envelope_json`).
 fn report(state: &AppState, id: &str) -> Response {
     match id.parse::<ExperimentId>() {
-        Ok(id) => Response::json(200, state.current().envelope_json(id)),
+        Ok(id) => Response::json(200, state.current().envelope_json(id).as_bytes()),
         Err(e) => Response::error(404, "unknown_experiment", &e.to_string()),
     }
 }
@@ -90,18 +90,15 @@ fn report(state: &AppState, id: &str) -> Response {
 /// it keys the cache and is echoed in the envelope's config digest).
 fn whatif(state: &AppState, body: &[u8]) -> Response {
     let toolkit = state.current();
-    let config = match whatif_config(toolkit.config(), body) {
-        Ok(config) => config,
-        Err(detail) => return Response::error(400, "bad_request_body", &detail),
-    };
-    let rendered = toolkit.render_with(ExperimentId::Whatif, &config);
-    let envelope = Envelope::new(
-        ExperimentId::Whatif,
-        toolkit.data_version(),
-        &config,
-        (*rendered).clone(),
-    );
-    Response::json(200, envelope.to_json())
+    match whatif_config(toolkit.config(), body) {
+        Ok(config) => Response::json(
+            200,
+            toolkit
+                .envelope_json_with(ExperimentId::Whatif, &config)
+                .as_bytes(),
+        ),
+        Err(detail) => Response::error(400, "bad_request_body", &detail),
+    }
 }
 
 fn whatif_config(base: &RunConfig, body: &[u8]) -> Result<RunConfig, String> {
@@ -210,7 +207,8 @@ mod tests {
             state()
                 .current()
                 .envelope_json(ExperimentId::Fig2)
-                .into_bytes()
+                .as_bytes()
+                .to_vec()
         );
     }
 
@@ -236,6 +234,18 @@ mod tests {
         assert!(String::from_utf8(bad.body)
             .unwrap()
             .contains("bad_request_body"));
+    }
+
+    #[test]
+    fn whatif_bytes_equal_an_independent_envelope() {
+        let config = RunConfig::with_seed(7);
+        let resp = route(&post("/whatif", "{\"seed\": 7}"), state());
+        assert_eq!(resp.status, 200);
+        let toolkit = state().current();
+        let rendered =
+            dcfail_report::run(ExperimentId::Whatif, toolkit.snapshot().dataset(), &config);
+        let envelope = dcfail_report::Envelope::new(ExperimentId::Whatif, 0, &config, rendered);
+        assert_eq!(resp.body, envelope.to_json().into_bytes());
     }
 
     #[test]

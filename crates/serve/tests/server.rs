@@ -9,11 +9,13 @@
 
 #![allow(clippy::unwrap_used)]
 
+use dcfail_report::toolkit::VARIANT_CAP;
 use dcfail_report::{ExperimentId, RunConfig, Toolkit};
 use dcfail_serve::conn::{get_request, post_request, roundtrip, PendingRequest};
 use dcfail_serve::http::split_response;
 use dcfail_serve::{serve_toolkit, ServeConfig, ServerHandle};
 use std::net::SocketAddr;
+use std::sync::Arc;
 
 const SCALE: f64 = 0.02;
 
@@ -105,7 +107,8 @@ fn concurrent_clients_get_byte_identical_bodies_at_every_worker_count() {
     // `repro --json` uses, so this also pins CLI == server equality.
     let reference = Toolkit::build_scaled(RunConfig::with_seed(42), SCALE)
         .envelope_json(ExperimentId::Fig2)
-        .into_bytes();
+        .as_bytes()
+        .to_vec();
     for workers in [1, 2, 8] {
         let server = start(workers, 64, false);
         let addr = server.addr();
@@ -140,6 +143,75 @@ fn cache_hit_serves_the_same_bytes_as_the_miss() {
     let hit = get(addr, "/reports/table5");
     assert_eq!(miss.0, 200);
     assert_eq!(miss, hit, "cached render must be byte-identical");
+    server.shutdown();
+}
+
+#[test]
+fn whatif_seed_flood_keeps_the_cache_bounded() {
+    let server = start(2, 64, false);
+    let addr = server.addr();
+    for id in ExperimentId::ALL {
+        assert_eq!(get(addr, &format!("/reports/{id}")).0, 200);
+    }
+    let toolkit = server.state().current();
+    let warm: Vec<_> = ExperimentId::ALL
+        .iter()
+        .map(|&id| toolkit.render(id))
+        .collect();
+    for seed in 1000..1000 + VARIANT_CAP + 10 {
+        let (status, _) = post(addr, "/whatif", &format!("{{\"seed\": {seed}}}"));
+        assert_eq!(status, 200, "whatif seed {seed}");
+    }
+    let bound = ExperimentId::ALL.len() + VARIANT_CAP;
+    assert!(
+        toolkit.cache_len() <= bound,
+        "{} cached entries after a whatif flood, bound {bound}",
+        toolkit.cache_len()
+    );
+    for (&id, before) in ExperimentId::ALL.iter().zip(&warm) {
+        assert!(
+            Arc::ptr_eq(&toolkit.render(id), before),
+            "default artifact {id} was evicted"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn malformed_content_length_is_a_typed_400() {
+    let server = start(1, 8, false);
+    let addr = server.addr();
+    let whatif = |length_headers: &str| {
+        let raw = format!(
+            "POST /whatif HTTP/1.1\r\nHost: dcfail\r\n{length_headers}\
+             Connection: close\r\n\r\n{{\"seed\": 7}}"
+        );
+        split_response(&roundtrip(addr, raw.as_bytes()).expect("roundtrip")).expect("parse")
+    };
+    for (case, length_headers) in [
+        ("negative", "Content-Length: -5\r\n"),
+        ("not a number", "Content-Length: eleven\r\n"),
+        ("overflowing", "Content-Length: 99999999999999999999999\r\n"),
+        (
+            "conflicting duplicates",
+            "Content-Length: 0\r\nContent-Length: 11\r\n",
+        ),
+    ] {
+        let (status, body) = whatif(length_headers);
+        assert_eq!(status, 400, "{case}: {}", String::from_utf8_lossy(&body));
+        assert!(
+            String::from_utf8(body)
+                .unwrap()
+                .contains("\"error\":\"bad_content_length\""),
+            "{case}: the 400 must carry the typed code"
+        );
+    }
+    // Identical duplicates frame the body, so the seed is read.
+    let (status, body) = whatif("Content-Length: 11\r\nContent-Length: 11\r\n");
+    assert_eq!(status, 200);
+    assert!(String::from_utf8(body)
+        .unwrap()
+        .contains("\"config_digest\":\"0x4bd7a317074c5b62\""));
     server.shutdown();
 }
 
