@@ -69,8 +69,8 @@ pub fn dataset_from_csv(
 
 /// Imports a JSON trace and audits it *before* validation.
 ///
-/// The file is first read as [`RawDatasetParts`] so the audit evaluates the
-/// input exactly as written (unsorted events, dangling ids and reversed
+/// The file is parsed once, as [`RawDatasetParts`], so the audit evaluates
+/// the input exactly as written (unsorted events, dangling ids and reversed
 /// windows all stay visible); only a clean trace is then converted into a
 /// canonical [`FailureDataset`].
 ///
@@ -87,10 +87,8 @@ pub fn dataset_from_json(json: &str) -> Result<(FailureDataset, AuditReport), Im
         return Err(ImportError::Rejected(report));
     }
     // A clean raw trace satisfies a superset of the dataset invariants, so
-    // the strict parse cannot fail on validation — only on a shape defect
-    // the lenient mirror tolerated.
-    let dataset: FailureDataset =
-        serde_json::from_str(json).map_err(|e| ImportError::Parse(e.to_string()))?;
+    // the conversion validates and canonicalizes the parts already parsed.
+    let dataset = FailureDataset::try_from(raw).map_err(|e| ImportError::Parse(e.to_string()))?;
     Ok((dataset, report))
 }
 

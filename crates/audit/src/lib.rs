@@ -52,12 +52,11 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod import;
-mod raw;
 pub mod recover;
 mod report;
 mod rules;
 
-pub use raw::RawDatasetParts;
+pub use dcfail_model::dataset::RawDatasetParts;
 pub use recover::{DegradationReport, RecoverError, Recovered, RecoveryMode, RepairRule};
 pub use report::{AuditReport, Diagnostic, RuleId, Severity};
 

@@ -16,6 +16,7 @@ use crate::pipeline::{PipelineRun, REPLAY_SPAN};
 use dcfail_obs::MetricsReport;
 use dcfail_report::experiments::ExperimentId;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::Path;
 
@@ -228,6 +229,80 @@ pub fn check(history: &[HistoryEntry], current: &HistoryEntry, tolerance: f64) -
         }
     }
     GateVerdict::Pass { baseline, ratio }
+}
+
+impl GateVerdict {
+    /// Whether the gate failed: a regression, or no baseline to gate against.
+    pub fn failed(&self) -> bool {
+        !matches!(self, GateVerdict::Pass { .. })
+    }
+
+    /// The verdict on `current`, as printed lines. A report regression also
+    /// names the three runners that grew most, so the offender is obvious
+    /// without rerunning anything.
+    pub fn render(&self, current: &HistoryEntry, history_path: &Path) -> String {
+        let (GateVerdict::Pass { baseline, ratio }
+        | GateVerdict::Regression { baseline, ratio }
+        | GateVerdict::StreamRegression { baseline, ratio }) = self
+        else {
+            return format!(
+                "perf gate: NO BASELINE at scale {} with {} threads in {} — record one \
+                 with `repro bench --record`\n",
+                current.scale,
+                current.threads,
+                history_path.display()
+            );
+        };
+        let compare = |verdict: &str, what: &str, now: f64, then: f64, rule: &str| {
+            format!(
+                "perf gate: {verdict} — {what} {now:.1} ms vs baseline {then:.1} ms ({} @ scale \
+                 {}, {} threads): {:+.1}% {rule} the {:.0}% + {NOISE_FLOOR_MS:.0} ms tolerance",
+                baseline.git,
+                current.scale,
+                current.threads,
+                (ratio - 1.0) * 100.0,
+                REGRESSION_TOLERANCE * 100.0
+            )
+        };
+        let (now, then) = (current.report_ms, baseline.report_ms);
+        match self {
+            GateVerdict::Regression { .. } => {
+                let mut growth: Vec<(&str, f64, f64)> = current
+                    .runners
+                    .iter()
+                    .filter_map(|r| {
+                        let base = baseline.runners.iter().find(|b| b.id == r.id)?;
+                        Some((r.id.as_str(), base.ms, r.ms))
+                    })
+                    .collect();
+                growth.sort_by(|a, b| (b.2 - b.1).total_cmp(&(a.2 - a.1)));
+                let mut out = compare("REGRESSION", "report", now, then, "exceeds") + "\n";
+                for (id, base_ms, ms) in growth.iter().take(3) {
+                    let _ = writeln!(out, "  {id}: {base_ms:.1} ms -> {ms:.1} ms");
+                }
+                out
+            }
+            GateVerdict::StreamRegression { .. } => {
+                let (cur, base) = (
+                    current.stream.as_ref().expect("stream leg fired"),
+                    baseline.stream.as_ref().expect("stream leg fired"),
+                );
+                let line = compare(
+                    "STREAM REGRESSION",
+                    "ingest",
+                    cur.ingest_ms,
+                    base.ingest_ms,
+                    "exceeds",
+                );
+                format!(
+                    "{line} ({:.2} -> {:.2} M events/s)\n",
+                    base.events_per_sec / 1e6,
+                    cur.events_per_sec / 1e6
+                )
+            }
+            _ => compare("ok", "report", now, then, "within") + "\n",
+        }
+    }
 }
 
 /// Loads every entry of a JSON-lines history file. A missing file is an

@@ -160,6 +160,50 @@ fn usage_errors_keep_stdout_empty() {
     assert!(out.stdout.is_empty(), "usage error wrote to stdout");
 }
 
+#[test]
+fn a_flag_or_word_the_command_does_not_read_is_a_usage_error() {
+    for (args, refusal) in [
+        (
+            &["lint", "--shards", "3"][..],
+            "repro lint does not read --shards",
+        ),
+        (
+            &["table1", "--workers", "2"],
+            "repro table1 does not read --workers",
+        ),
+        (&["fig2", "audit"], "repro fig2 does not read 'audit'"),
+        (&["stream", "fig2"], "repro stream does not read 'fig2'"),
+        // The daemon exports its own window at GET /metrics.
+        (
+            &["serve", "--metrics", "m.json"],
+            "repro serve does not read --metrics",
+        ),
+    ] {
+        assert_usage_error(args, refusal);
+        assert!(repro(args).stdout.is_empty(), "{args:?} wrote to stdout");
+    }
+}
+
+#[test]
+fn help_lists_each_flag_under_the_commands_that_read_it() {
+    let out = repro(&["--help"]);
+    let help = String::from_utf8_lossy(&out.stdout);
+    let block = |command: &str| {
+        help.split("\n  repro ")
+            .find(|b| b.starts_with(&format!("{command} ")))
+            .unwrap_or_else(|| panic!("help has no {command} line:\n{help}"))
+            .to_string()
+    };
+    for command in ["bench", "metrics", "chaos", "crashtest"] {
+        assert!(block(command).contains("--rate"), "{command} reads --rate");
+    }
+    assert!(
+        !block("serve").contains("--metrics"),
+        "serve refuses --metrics"
+    );
+    assert!(!block("lint").contains("--rate"), "lint reads no --rate");
+}
+
 /// The first line `repro args` writes to stderr — the run's echo of its
 /// resolved settings — after which the run is stopped. It runs in the temp
 /// directory, where a `bench` that finishes first leaves its report.
@@ -204,6 +248,12 @@ fn explicit_scale_is_honoured_and_defaults_apply_only_when_absent() {
         let line = first_stderr_line(args);
         assert!(line.contains(echo), "{args:?} must echo {echo:?}: {line}");
     }
+}
+
+#[test]
+fn flags_may_precede_the_command_word() {
+    let line = first_stderr_line(&["--seed", "7", "--scale", "0.3", "ablate"]);
+    assert!(line.contains("seed 7, scale 0.3)"), "{line}");
 }
 
 /// A `repro bench --smoke --scale 0.02 --check` run at one thread against

@@ -76,14 +76,14 @@ mod tests {
 
     #[test]
     fn zero_rate_is_identity() {
-        let (out, n) = garble_csv(TRACE, &InjectionPlan::new(1));
+        let (out, n) = garble_csv(TRACE, &InjectionPlan::uniform(1, 0.0));
         assert_eq!(out, TRACE);
         assert_eq!(n, 0);
     }
 
     #[test]
     fn header_survives_full_rate() {
-        let plan = InjectionPlan::new(3).with(Corruption::GarbleCsvRow, 1.0);
+        let plan = InjectionPlan::uniform(3, 0.0).with(Corruption::GarbleCsvRow, 1.0);
         let (out, n) = garble_csv(TRACE, &plan);
         assert_eq!(n, 3);
         assert!(out.starts_with("machine,incident,at_minutes,class,repair_minutes\n"));
@@ -92,13 +92,13 @@ mod tests {
 
     #[test]
     fn garbling_is_deterministic() {
-        let plan = InjectionPlan::new(9).with(Corruption::GarbleCsvRow, 0.7);
+        let plan = InjectionPlan::uniform(9, 0.0).with(Corruption::GarbleCsvRow, 0.7);
         let a = garble_csv(TRACE, &plan);
         let b = garble_csv(TRACE, &plan);
         assert_eq!(a, b);
         let c = garble_csv(
             TRACE,
-            &InjectionPlan::new(10).with(Corruption::GarbleCsvRow, 0.7),
+            &InjectionPlan::uniform(10, 0.0).with(Corruption::GarbleCsvRow, 0.7),
         );
         // A different seed garbles different rows (or the same rows
         // differently); counts may coincide but the text should not.
@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn missing_trailing_newline_preserved() {
         let no_newline = TRACE.trim_end();
-        let (out, _) = garble_csv(no_newline, &InjectionPlan::new(1));
+        let (out, _) = garble_csv(no_newline, &InjectionPlan::uniform(1, 0.0));
         assert!(!out.ends_with('\n'));
         assert_eq!(out, no_newline);
     }

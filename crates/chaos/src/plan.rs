@@ -129,11 +129,6 @@ pub struct CorruptionRates {
 }
 
 impl CorruptionRates {
-    /// All rates zero: the injector becomes the identity.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// The same rate for every corruption kind.
     pub fn uniform(rate: f64) -> Self {
         Self {
@@ -201,14 +196,6 @@ pub struct InjectionPlan {
 }
 
 impl InjectionPlan {
-    /// A plan with the given seed and all rates zero.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            rates: CorruptionRates::none(),
-        }
-    }
-
     /// A plan applying every corruption kind at the same `rate`.
     pub fn uniform(seed: u64, rate: f64) -> Self {
         Self {
@@ -252,7 +239,7 @@ mod tests {
 
     #[test]
     fn rates_get_with_roundtrip() {
-        let mut rates = CorruptionRates::none();
+        let mut rates = CorruptionRates::default();
         assert!(rates.is_none());
         for (i, kind) in Corruption::ALL.into_iter().enumerate() {
             rates = rates.with(kind, (i + 1) as f64 / 100.0);
@@ -270,7 +257,7 @@ mod tests {
         for kind in Corruption::ALL {
             assert_eq!(plan.rates.get(kind), 0.25);
         }
-        let plan = InjectionPlan::new(7).with(Corruption::DropEvent, 0.5);
+        let plan = InjectionPlan::uniform(7, 0.0).with(Corruption::DropEvent, 0.5);
         assert_eq!(plan.rates.get(Corruption::DropEvent), 0.5);
         assert_eq!(plan.rates.get(Corruption::ClockSkew), 0.0);
     }

@@ -49,7 +49,7 @@ proptest! {
         let plan = if focus == Corruption::ALL.len() {
             InjectionPlan::uniform(seed, rate)
         } else {
-            InjectionPlan::new(seed).with(Corruption::ALL[focus], rate)
+            InjectionPlan::uniform(seed, 0.0).with(Corruption::ALL[focus], rate)
         };
         let (parts, _log) = inject(&clean, &plan);
         let recovered = recover_raw(&parts);
@@ -75,7 +75,7 @@ proptest! {
         let machines_csv = interop::machines_to_csv(&clean);
         let events_csv = interop::events_to_csv(&clean);
         let rate = f64::from(rate_pct) / 100.0;
-        let plan = InjectionPlan::new(seed).with(Corruption::GarbleCsvRow, rate);
+        let plan = InjectionPlan::uniform(seed, 0.0).with(Corruption::GarbleCsvRow, rate);
         let (dirty_machines, _) = garble_csv(&machines_csv, &plan);
         let (dirty_events, _) = garble_csv(&events_csv, &plan);
         let imported = import::dataset_from_csv_with(
@@ -116,7 +116,7 @@ fn strict_import_rejects_what_lenient_recovers() {
     let mut parts = RawDatasetParts::from(&clean);
     // Orphaned placements are an Error-level defect the strict path must
     // refuse and the lenient path must repair.
-    let plan = InjectionPlan::new(9).with(Corruption::OrphanPlacement, 0.5);
+    let plan = InjectionPlan::uniform(9, 0.0).with(Corruption::OrphanPlacement, 0.5);
     let log = inject_raw(&mut parts, &plan);
     let dirty = serde_json::to_string(&parts).expect("serialize");
     assert!(log.orphaned_vms > 0, "half the VMs should be orphaned");

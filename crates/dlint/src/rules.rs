@@ -602,25 +602,35 @@ pub fn lint_absorb_coverage(files: &[ScannedFile], findings: &mut Vec<RawFinding
 /// `files` or `callers`. A public function only tests name is API the
 /// library carries for nobody.
 ///
-/// The match is by name, not by resolved path: a use of any same-named
-/// function counts as a caller, but another definition of the name does
-/// not. A definition under a `#[cfg(test)]` attribute is test code and is
-/// not checked.
+/// A function without a `self` receiver inside `impl Type` is called by
+/// path, so only `Type::name` (or `Self::name` inside an impl of `Type`)
+/// counts as its caller. Everything else matches by name, not by resolved
+/// path: a line scanner cannot see a method call's receiver type, so a use
+/// of any same-named function counts, while another definition of the name
+/// does not. A definition under a `#[cfg(test)]` attribute is test code and
+/// is not checked.
 pub fn lint_test_only_api(
     files: &[ScannedFile],
     callers: &[ScannedFile],
     findings: &mut Vec<RawFinding>,
 ) {
     // Identifiers some code line uses; the name after `fn` defines and
-    // does not count.
+    // does not count. And every `Type::name` path, `Self` resolved to the
+    // impl a line sits in.
     let mut used: BTreeSet<&str> = BTreeSet::new();
-    for file in files.iter().chain(callers) {
-        for (_, line) in code_lines(file) {
+    let mut paths: BTreeSet<String> = BTreeSet::new();
+    let impls: Vec<_> = files.iter().chain(callers).map(impl_types).collect();
+    for (file, impls) in files.iter().chain(callers).zip(&impls) {
+        for (idx, line) in code_lines(file) {
             let mut prev = "";
             used.extend(idents(line).filter(|&ident| std::mem::replace(&mut prev, ident) != "fn"));
+            for (ty, name) in path_pairs(line) {
+                let ty = impls[idx].as_deref().filter(|_| ty == "Self").unwrap_or(ty);
+                paths.insert(format!("{ty}::{name}"));
+            }
         }
     }
-    for file in files {
+    for (file, impls) in files.iter().zip(&impls) {
         if !(file.path.starts_with("crates/") && file.path.contains("/src/"))
             || FileCtx::classify(&file.path).is_bin_or_example
         {
@@ -634,8 +644,13 @@ pub fn lint_test_only_api(
                         .chars()
                         .take_while(|&c| is_ident(c))
                         .collect();
-                    if name.is_empty() || used.contains(name.as_str()) || under_cfg_test(file, idx)
-                    {
+                    let called = match &impls[idx] {
+                        Some(ty) if !has_receiver(file, idx, pos) => {
+                            paths.contains(&format!("{ty}::{name}"))
+                        }
+                        _ => used.contains(name.as_str()),
+                    };
+                    if name.is_empty() || called || under_cfg_test(file, idx) {
                         continue;
                     }
                     findings.push(RawFinding::new(
@@ -648,6 +663,87 @@ pub fn lint_test_only_api(
             }
         }
     }
+}
+
+/// For each line of `file`, the type of the `impl` block it sits in, if
+/// any, by brace depth. A trait impl names the implementing type; a header
+/// that does not name its type on its first line leaves its lines outside.
+fn impl_types(file: &ScannedFile) -> Vec<Option<String>> {
+    let (mut depth, mut pending, mut open) = (0usize, None, Vec::<(usize, String)>::new());
+    let mut types = Vec::with_capacity(file.lines.len());
+    for line in &file.lines {
+        let header = line.trim_start().strip_prefix("impl");
+        if let Some(header) = header.filter(|h| h.starts_with([' ', '<'])) {
+            let header = skip_generics(header);
+            let ty = header.split_once(" for ").map_or(header, |(_, ty)| ty);
+            let path = ty
+                .trim_start()
+                .split(|c: char| !is_ident(c) && c != ':')
+                .next();
+            pending = path.and_then(|p| p.rsplit("::").next()).map(String::from);
+        }
+        for c in line.chars() {
+            if c == '{' {
+                depth += 1;
+                open.extend(
+                    pending
+                        .take()
+                        .filter(|ty| !ty.is_empty())
+                        .map(|ty| (depth, ty)),
+                );
+            } else if c == '}' {
+                if open.last().is_some_and(|&(d, _)| d == depth) {
+                    open.pop();
+                }
+                depth = depth.saturating_sub(1);
+            }
+        }
+        types.push(open.last().map(|(_, ty)| ty.clone()));
+    }
+    types
+}
+
+/// `text` past a leading `<…>` generics list (an arrow's `>` does not
+/// close it).
+fn skip_generics(text: &str) -> &str {
+    let text = text.trim_start();
+    let (mut depth, mut prev) = (0usize, ' ');
+    for (i, c) in text.char_indices() {
+        match c {
+            '<' => depth += 1,
+            '>' if prev != '-' && depth > 0 => {
+                depth -= 1;
+                if depth == 0 {
+                    return &text[i + 1..];
+                }
+            }
+            _ if depth == 0 => return text,
+            _ => {}
+        }
+        prev = c;
+    }
+    text
+}
+
+/// Whether the function defined at `pos` of 0-based line `idx` takes
+/// `self`: its first parameter, on that line or the next, names it.
+fn has_receiver(file: &ScannedFile, idx: usize, pos: usize) -> bool {
+    let next = file.lines.get(idx + 1).map_or("", String::as_str);
+    let sig = format!("{} {next}", &file.lines[idx][pos..]);
+    let params = skip_generics(sig.trim_start_matches(|c: char| c.is_whitespace() || is_ident(c)));
+    params
+        .strip_prefix('(')
+        .and_then(|params| params.split([',', ')']).next())
+        .is_some_and(|first| has_token(first, "self"))
+}
+
+/// Every `Left::right` identifier pair on a blanked line.
+fn path_pairs(line: &str) -> impl Iterator<Item = (&str, &str)> {
+    line.match_indices("::").filter_map(move |(at, _)| {
+        let left = line[..at].rsplit(|c: char| !is_ident(c)).next()?;
+        let right = line[at + 2..].split(|c: char| !is_ident(c)).next()?;
+        (!left.is_empty() && !right.is_empty()).then_some((left, right))
+    })
 }
 
 /// The non-test lines of `file` that are not part of a `use` item, with

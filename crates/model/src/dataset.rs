@@ -47,7 +47,7 @@ fn csr_row<'a>(offsets: &[usize], index: &'a [usize], row: usize) -> &'a [usize]
 /// re-runnable on saved traces — mirroring the paper's practice of mining
 /// several persistent databases.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "RawDataset", into = "RawDataset")]
+#[serde(try_from = "RawDatasetParts", into = "RawDatasetParts")]
 pub struct FailureDataset {
     horizon: Horizon,
     machines: Vec<Machine>,
@@ -71,16 +71,33 @@ pub struct FailureDataset {
     incident_index: Vec<usize>,
 }
 
-/// Serializable mirror of [`FailureDataset`] without derived indexes.
-#[derive(Serialize, Deserialize)]
-struct RawDataset {
-    horizon: Horizon,
-    machines: Vec<Machine>,
-    topology: Topology,
-    incidents: Vec<Incident>,
-    tickets: Vec<Ticket>,
-    events: Vec<FailureEvent>,
-    telemetry: Telemetry,
+/// The parts of a [`FailureDataset`] as serialized, without validation,
+/// canonicalization or the derived indexes.
+///
+/// `FailureDataset` (de)serializes through this mirror: its serde path
+/// parses the parts, then *rejects* structurally broken input with a typed
+/// [`DatasetError`], which is the right behavior for analyses but useless
+/// for diagnosis. The parts themselves keep whatever a file says — unsorted
+/// events, dangling ids, reversed windows — so `dcfail-audit` can evaluate
+/// its full rule catalog against the input as written, name every defect at
+/// once, and convert a clean trace with `FailureDataset::try_from` without
+/// parsing it again.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct RawDatasetParts {
+    /// Observation window.
+    pub horizon: Horizon,
+    /// Machine records, nominally dense by id.
+    pub machines: Vec<Machine>,
+    /// Datacenter topology.
+    pub topology: Topology,
+    /// Incident records, nominally dense by id.
+    pub incidents: Vec<Incident>,
+    /// Ticket records, nominally dense by id.
+    pub tickets: Vec<Ticket>,
+    /// Crash events, nominally sorted by `(at, machine, incident)`.
+    pub events: Vec<FailureEvent>,
+    /// Telemetry store.
+    pub telemetry: Telemetry,
 }
 
 /// Why a deserialized or assembled dataset was rejected.
@@ -244,7 +261,7 @@ impl fmt::Display for DatasetError {
 
 impl std::error::Error for DatasetError {}
 
-impl RawDataset {
+impl RawDatasetParts {
     /// Checks the structural invariants every [`FailureDataset`] must hold.
     fn validate(&self) -> Result<(), DatasetError> {
         if self.horizon.end() <= self.horizon.start() {
@@ -333,7 +350,7 @@ impl RawDataset {
     }
 }
 
-impl TryFrom<RawDataset> for FailureDataset {
+impl TryFrom<RawDatasetParts> for FailureDataset {
     type Error = DatasetError;
 
     /// Validates the raw parts, then canonicalizes: events are sorted by
@@ -342,7 +359,7 @@ impl TryFrom<RawDataset> for FailureDataset {
     /// dangling references, out-of-horizon events, reversed repair windows,
     /// on/off logs with unsorted or out-of-window toggles — is rejected with
     /// a typed error.
-    fn try_from(raw: RawDataset) -> Result<Self, DatasetError> {
+    fn try_from(raw: RawDatasetParts) -> Result<Self, DatasetError> {
         raw.validate()?;
         let mut ds = FailureDataset {
             horizon: raw.horizon,
@@ -362,9 +379,23 @@ impl TryFrom<RawDataset> for FailureDataset {
     }
 }
 
-impl From<FailureDataset> for RawDataset {
+impl From<&FailureDataset> for RawDatasetParts {
+    fn from(ds: &FailureDataset) -> Self {
+        Self {
+            horizon: ds.horizon,
+            machines: ds.machines.clone(),
+            topology: ds.topology.clone(),
+            incidents: ds.incidents.clone(),
+            tickets: ds.tickets.clone(),
+            events: ds.events.clone(),
+            telemetry: ds.telemetry.clone(),
+        }
+    }
+}
+
+impl From<FailureDataset> for RawDatasetParts {
     fn from(ds: FailureDataset) -> Self {
-        RawDataset {
+        RawDatasetParts {
             horizon: ds.horizon,
             machines: ds.machines,
             topology: ds.topology,
@@ -720,7 +751,7 @@ impl DatasetBuilder {
     ///
     /// Returns a [`DatasetError`] describing the first violated invariant.
     pub fn try_build(self) -> Result<FailureDataset, DatasetError> {
-        let raw = RawDataset {
+        let raw = RawDatasetParts {
             horizon: self.horizon.unwrap_or_default(),
             machines: self.machines,
             topology: self.topology,

@@ -17,7 +17,7 @@
 use crate::dataset::{DatasetBuilder, FailureDataset};
 use crate::failure::{FailureClass, FailureEvent, Incident};
 use crate::ids::{BoxId, IncidentId, MachineId, PowerDomainId, SubsystemId, TicketId};
-use crate::machine::{Machine, MachineKind, ResourceCapacity};
+use crate::machine::{Machine, ResourceCapacity};
 use crate::ticket::{Ticket, TicketKind};
 use crate::time::{Horizon, SimDuration, SimTime};
 use crate::topology::{HostBox, SubsystemMeta, Topology};
@@ -251,6 +251,123 @@ fn assemble(
     builder.try_build().map_err(|e| err(0, e.to_string()))
 }
 
+/// One machine-inventory row past its id, with ids as written. `host` is
+/// set for a VM and only for one.
+struct MachineRow {
+    sys: u32,
+    pd: PowerDomainId,
+    capacity: ResourceCapacity,
+    created: Option<SimTime>,
+    host: Option<u32>,
+}
+
+impl MachineRow {
+    fn machine(&self, id: MachineId, sys: SubsystemId, host: Option<BoxId>) -> Machine {
+        match host {
+            Some(host) => Machine::new_vm(id, sys, self.pd, self.capacity, self.created, host),
+            None => Machine::new_pm(id, sys, self.pd, self.capacity, self.created),
+        }
+    }
+}
+
+/// Parses a 10-column machine row's fields after its id. Zero cpus and a
+/// PM's host link have an unambiguous fix: given `clamped`, the lenient
+/// parser's count, the field is fixed and counted; without it, refused.
+fn machine_row(
+    cols: &[&str],
+    line: usize,
+    mut clamped: Option<&mut usize>,
+) -> Result<MachineRow, ParseTraceError> {
+    let mut clamp = |refusal: &str| match clamped.as_deref_mut() {
+        Some(count) => {
+            *count += 1;
+            Ok(())
+        }
+        None => Err(err(line, refusal)),
+    };
+    let vm = match cols[1].trim() {
+        k if k.eq_ignore_ascii_case("PM") => false,
+        k if k.eq_ignore_ascii_case("VM") => true,
+        other => return Err(err(line, format!("unknown kind '{other}'"))),
+    };
+    let sys = parse_field(cols[2], "subsystem", line)?;
+    let pd = PowerDomainId::new(parse_field(cols[3], "power domain", line)?);
+    let mut cpus = parse_field(cols[4], "cpus", line)?;
+    if cpus == 0 {
+        clamp("cpus must be positive")?;
+        cpus = 1;
+    }
+    let capacity = ResourceCapacity::new(
+        cpus,
+        parse_field(cols[5], "memory_mb", line)?,
+        parse_field(cols[6], "disks", line)?,
+        parse_field(cols[7], "disk_gb", line)?,
+    );
+    let created = if cols[8].trim().is_empty() {
+        None
+    } else {
+        Some(SimTime::from_minutes(parse_field(
+            cols[8],
+            "created_minutes",
+            line,
+        )?))
+    };
+    let host = if vm {
+        Some(parse_field(cols[9], "host_box", line)?)
+    } else {
+        if !cols[9].trim().is_empty() {
+            // The lenient parser drops a PM's host link, keeping the machine.
+            clamp("PM must not have a host box")?;
+        }
+        None
+    };
+    Ok(MachineRow {
+        sys,
+        pd,
+        capacity,
+        created,
+        host,
+    })
+}
+
+/// Parses one event-log row; `machine` resolves the machine id it names.
+/// A `strict` parse refuses a negative repair, which the lenient parser
+/// clamps once the row is whole.
+fn event_row(
+    cols: &[&str],
+    line: usize,
+    machine: impl FnOnce(u32) -> Option<MachineId>,
+    strict: bool,
+) -> Result<Row, ParseTraceError> {
+    if cols.len() != 5 {
+        return Err(err(line, format!("expected 5 columns, got {}", cols.len())));
+    }
+    let raw: u32 = parse_field(cols[0], "machine id", line)?;
+    let machine =
+        machine(raw).ok_or_else(|| err(line, format!("event references unknown machine {raw}")))?;
+    let repair_minutes: i64 = parse_field(cols[4], "repair_minutes", line)?;
+    if strict && repair_minutes < 0 {
+        return Err(err(line, "repair_minutes must be nonnegative"));
+    }
+    Ok(Row {
+        machine,
+        incident: parse_field(cols[1], "incident id", line)?,
+        at: SimTime::from_minutes(parse_field(cols[2], "at_minutes", line)?),
+        class: parse_class(cols[3].trim(), line)?,
+        repair: SimDuration::from_minutes(repair_minutes),
+    })
+}
+
+/// The non-blank data rows of a CSV file, split into columns, with their
+/// 1-based line numbers.
+fn data_rows(csv: &str) -> impl Iterator<Item = (usize, Vec<&str>)> {
+    csv.lines()
+        .enumerate()
+        .skip(1)
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(lineno, line)| (lineno + 1, line.split(',').collect()))
+}
+
 /// Builds a dataset from machine-inventory and event-log CSV.
 ///
 /// The resulting dataset has synthetic topology metadata ("Sys N" names, one
@@ -263,188 +380,41 @@ fn assemble(
 /// Returns a [`ParseTraceError`] on malformed input, dangling references,
 /// invalid field values (zero cpus, negative repair durations) or a dataset
 /// that fails validation after assembly (e.g. events outside the horizon).
-#[allow(clippy::too_many_lines)]
 pub fn dataset_from_csv(
     machines_csv: &str,
     events_csv: &str,
     horizon: Horizon,
 ) -> Result<FailureDataset, ParseTraceError> {
-    // --- machines ---------------------------------------------------------
     let mut machines: Vec<Machine> = Vec::new();
     let mut max_sys = 0u32;
     let mut boxes: BTreeMap<u32, Vec<MachineId>> = BTreeMap::new();
-    for (lineno, line) in machines_csv.lines().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let cols: Vec<&str> = line.split(',').collect();
+    for (line, cols) in data_rows(machines_csv) {
         if cols.len() != 10 {
             return Err(err(
-                lineno + 1,
+                line,
                 format!("expected 10 columns, got {}", cols.len()),
             ));
         }
-        let id: u32 = parse_field(cols[0], "machine id", lineno + 1)?;
+        let id: u32 = parse_field(cols[0], "machine id", line)?;
         if id as usize != machines.len() {
-            return Err(err(lineno + 1, "machine ids must be dense and ordered"));
+            return Err(err(line, "machine ids must be dense and ordered"));
         }
-        let kind = match cols[1].trim() {
-            k if k.eq_ignore_ascii_case("PM") => MachineKind::Pm,
-            k if k.eq_ignore_ascii_case("VM") => MachineKind::Vm,
-            other => return Err(err(lineno + 1, format!("unknown kind '{other}'"))),
-        };
-        let sys: u32 = parse_field(cols[2], "subsystem", lineno + 1)?;
-        max_sys = max_sys.max(sys);
-        let pd: u32 = parse_field(cols[3], "power domain", lineno + 1)?;
-        let cpus: u32 = parse_field(cols[4], "cpus", lineno + 1)?;
-        if cpus == 0 {
-            return Err(err(lineno + 1, "cpus must be positive"));
+        let row = machine_row(&cols, line, None)?;
+        let id = MachineId::new(id);
+        max_sys = max_sys.max(row.sys);
+        if let Some(host) = row.host {
+            boxes.entry(host).or_default().push(id);
         }
-        let capacity = ResourceCapacity::new(
-            cpus,
-            parse_field(cols[5], "memory_mb", lineno + 1)?,
-            parse_field(cols[6], "disks", lineno + 1)?,
-            parse_field(cols[7], "disk_gb", lineno + 1)?,
-        );
-        let created = if cols[8].trim().is_empty() {
-            None
-        } else {
-            Some(SimTime::from_minutes(parse_field(
-                cols[8],
-                "created_minutes",
-                lineno + 1,
-            )?))
-        };
-        let machine_id = MachineId::new(id);
-        let machine = match kind {
-            MachineKind::Pm => {
-                if !cols[9].trim().is_empty() {
-                    return Err(err(lineno + 1, "PM must not have a host box"));
-                }
-                Machine::new_pm(
-                    machine_id,
-                    SubsystemId::new(sys),
-                    PowerDomainId::new(pd),
-                    capacity,
-                    created,
-                )
-            }
-            MachineKind::Vm => {
-                let host: u32 = parse_field(cols[9], "host_box", lineno + 1)?;
-                boxes.entry(host).or_default().push(machine_id);
-                Machine::new_vm(
-                    machine_id,
-                    SubsystemId::new(sys),
-                    PowerDomainId::new(pd),
-                    capacity,
-                    created,
-                    BoxId::new(host),
-                )
-            }
-        };
-        machines.push(machine);
+        machines.push(row.machine(id, SubsystemId::new(row.sys), row.host.map(BoxId::new)));
     }
     if machines.is_empty() {
         return Err(err(0, "no machines in inventory"));
     }
-
-    // --- events ------------------------------------------------------------
-    let mut rows = Vec::new();
-    for (lineno, line) in events_csv.lines().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let cols: Vec<&str> = line.split(',').collect();
-        if cols.len() != 5 {
-            return Err(err(
-                lineno + 1,
-                format!("expected 5 columns, got {}", cols.len()),
-            ));
-        }
-        let machine: u32 = parse_field(cols[0], "machine id", lineno + 1)?;
-        if machine as usize >= machines.len() {
-            return Err(err(
-                lineno + 1,
-                format!("event references unknown machine {machine}"),
-            ));
-        }
-        let repair_minutes: i64 = parse_field(cols[4], "repair_minutes", lineno + 1)?;
-        if repair_minutes < 0 {
-            return Err(err(lineno + 1, "repair_minutes must be nonnegative"));
-        }
-        rows.push(Row {
-            machine: MachineId::new(machine),
-            incident: parse_field(cols[1], "incident id", lineno + 1)?,
-            at: SimTime::from_minutes(parse_field(cols[2], "at_minutes", lineno + 1)?),
-            class: parse_class(cols[3].trim(), lineno + 1)?,
-            repair: SimDuration::from_minutes(repair_minutes),
-        });
-    }
-
+    let known = |m: u32| ((m as usize) < machines.len()).then(|| MachineId::new(m));
+    let rows = data_rows(events_csv)
+        .map(|(line, cols)| event_row(&cols, line, known, true))
+        .collect::<Result<Vec<_>, _>>()?;
     assemble(machines, &boxes, &rows, max_sys, horizon)
-}
-
-/// One lenient-parsed machine row, before id remapping is final.
-struct LenientMachine {
-    kind: MachineKind,
-    sys_raw: u32,
-    pd: PowerDomainId,
-    capacity: ResourceCapacity,
-    created: Option<SimTime>,
-    host_raw: Option<u32>,
-}
-
-/// Parses one machine-inventory row leniently; `None` means the row is
-/// unsalvageable and must be skipped.
-fn lenient_machine_row(cols: &[&str], recovery: &mut CsvRecovery) -> Option<(u32, LenientMachine)> {
-    if cols.len() != 10 {
-        return None;
-    }
-    let id: u32 = cols[0].trim().parse().ok()?;
-    let kind = match cols[1].trim() {
-        k if k.eq_ignore_ascii_case("PM") => MachineKind::Pm,
-        k if k.eq_ignore_ascii_case("VM") => MachineKind::Vm,
-        _ => return None,
-    };
-    let sys_raw: u32 = cols[2].trim().parse().ok()?;
-    let pd = PowerDomainId::new(cols[3].trim().parse().ok()?);
-    let mut cpus: u32 = cols[4].trim().parse().ok()?;
-    if cpus == 0 {
-        cpus = 1;
-        recovery.fields_clamped += 1;
-    }
-    let capacity = ResourceCapacity::new(
-        cpus,
-        cols[5].trim().parse().ok()?,
-        cols[6].trim().parse().ok()?,
-        cols[7].trim().parse().ok()?,
-    );
-    let created = if cols[8].trim().is_empty() {
-        None
-    } else {
-        Some(SimTime::from_minutes(cols[8].trim().parse().ok()?))
-    };
-    let host_raw = match kind {
-        MachineKind::Pm => {
-            if !cols[9].trim().is_empty() {
-                // A PM with a host link: drop the link, keep the machine.
-                recovery.fields_clamped += 1;
-            }
-            None
-        }
-        MachineKind::Vm => Some(cols[9].trim().parse().ok()?),
-    };
-    Some((
-        id,
-        LenientMachine {
-            kind,
-            sys_raw,
-            pd,
-            capacity,
-            created,
-            host_raw,
-        },
-    ))
 }
 
 /// Builds a best-effort dataset from dirty machine-inventory and event-log
@@ -463,7 +433,6 @@ fn lenient_machine_row(cols: &[&str], recovery: &mut CsvRecovery) -> Option<(u32
 /// Returns a [`ParseTraceError`] only if the salvaged parts still fail
 /// dataset validation — the sanitization above is designed to make that
 /// unreachable, so callers may treat it as a bug.
-#[allow(clippy::too_many_lines)]
 pub fn dataset_from_csv_lenient(
     machines_csv: &str,
     events_csv: &str,
@@ -472,23 +441,22 @@ pub fn dataset_from_csv_lenient(
     let mut recovery = CsvRecovery::default();
 
     // --- machines: parse, then remap ids densely ---------------------------
-    let mut parsed: Vec<(u32, LenientMachine)> = Vec::new();
+    let mut parsed: Vec<(u32, MachineRow)> = Vec::new();
     let mut seen_ids: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    for line in machines_csv.lines().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
+    for (line, cols) in data_rows(machines_csv) {
         recovery.machine_rows_seen += 1;
-        let cols: Vec<&str> = line.split(',').collect();
-        let Some((id, m)) = lenient_machine_row(&cols, &mut recovery) else {
-            recovery.rows_skipped += 1;
-            continue;
+        let row = match cols[0].trim().parse::<u32>() {
+            Ok(id) if cols.len() == 10 => {
+                let clamped = Some(&mut recovery.fields_clamped);
+                machine_row(&cols, line, clamped).ok().map(|row| (id, row))
+            }
+            _ => None,
         };
-        if !seen_ids.insert(id) {
-            recovery.rows_skipped += 1;
-            continue;
+        // A row repeating an earlier id is skipped too.
+        match row {
+            Some((id, row)) if seen_ids.insert(id) => parsed.push((id, row)),
+            _ => recovery.rows_skipped += 1,
         }
-        parsed.push((id, m));
     }
     recovery.machine_rows_kept = parsed.len();
 
@@ -504,59 +472,30 @@ pub fn dataset_from_csv_lenient(
         }
         machine_map.insert(*raw_id, id);
         let next_sys = sys_map.len() as u32;
-        let sys = *sys_map
-            .entry(m.sys_raw)
-            .or_insert(SubsystemId::new(next_sys));
-        if sys.raw() != m.sys_raw {
+        let sys = *sys_map.entry(m.sys).or_insert(SubsystemId::new(next_sys));
+        if sys.raw() != m.sys {
             recovery.ids_remapped += 1;
         }
-        let machine = match m.kind {
-            MachineKind::Pm => Machine::new_pm(id, sys, m.pd, m.capacity, m.created),
-            MachineKind::Vm => {
-                let host_raw = m.host_raw.unwrap_or_default();
-                let next_box = box_map.len() as u32;
-                let host = *box_map.entry(host_raw).or_insert(BoxId::new(next_box));
-                if host.raw() != host_raw {
-                    recovery.ids_remapped += 1;
-                }
-                boxes.entry(host.raw()).or_default().push(id);
-                Machine::new_vm(id, sys, m.pd, m.capacity, m.created, host)
+        let host = m.host.map(|host_raw| {
+            let next_box = box_map.len() as u32;
+            let host = *box_map.entry(host_raw).or_insert(BoxId::new(next_box));
+            if host.raw() != host_raw {
+                recovery.ids_remapped += 1;
             }
-        };
-        machines.push(machine);
+            boxes.entry(host.raw()).or_default().push(id);
+            host
+        });
+        machines.push(m.machine(id, sys, host));
     }
     let max_sys = sys_map.len().max(1) as u32 - 1;
 
     // --- events ------------------------------------------------------------
     let last_instant = horizon.end() - crate::time::MINUTE;
     let mut rows: Vec<Row> = Vec::new();
-    for line in events_csv.lines().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
+    for (line, cols) in data_rows(events_csv) {
         recovery.event_rows_seen += 1;
-        let cols: Vec<&str> = line.split(',').collect();
-        let parsed_row = (|| -> Option<Row> {
-            if cols.len() != 5 {
-                return None;
-            }
-            let machine_raw: u32 = cols[0].trim().parse().ok()?;
-            let machine = *machine_map.get(&machine_raw)?;
-            let incident: u32 = cols[1].trim().parse().ok()?;
-            let at = SimTime::from_minutes(cols[2].trim().parse().ok()?);
-            let class = FailureClass::ALL
-                .into_iter()
-                .find(|c| c.label().eq_ignore_ascii_case(cols[3].trim()))?;
-            let repair_minutes: i64 = cols[4].trim().parse().ok()?;
-            Some(Row {
-                machine,
-                incident,
-                at,
-                class,
-                repair: SimDuration::from_minutes(repair_minutes),
-            })
-        })();
-        let Some(mut row) = parsed_row else {
+        let known = |m: u32| machine_map.get(&m).copied();
+        let Ok(mut row) = event_row(&cols, line, known, false) else {
             recovery.rows_skipped += 1;
             continue;
         };
@@ -583,6 +522,7 @@ pub fn dataset_from_csv_lenient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineKind;
 
     const MACHINES: &str = "\
 machine,kind,subsystem,power_domain,cpus,memory_mb,disks,disk_gb,created_minutes,host_box

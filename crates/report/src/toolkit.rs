@@ -86,15 +86,8 @@ pub struct Toolkit {
 }
 
 impl Toolkit {
-    /// Builds the paper scenario at full scale from `config.seed` and wraps
-    /// it at data version 0. Use [`Toolkit::build_scaled`] to shrink the
-    /// fleet (CI and tests run at small scales).
-    #[must_use]
-    pub fn build(config: RunConfig) -> Self {
-        Self::build_scaled(config, 1.0)
-    }
-
-    /// Builds the paper scenario at the given scale from `config.seed`.
+    /// Builds the paper scenario at the given scale (1.0 is the full fleet)
+    /// from `config.seed` and wraps it at data version 0.
     #[must_use]
     pub fn build_scaled(config: RunConfig, scale: f64) -> Self {
         let dataset = dcfail_synth::Scenario::paper()

@@ -6,7 +6,7 @@
 //! exactly one place.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 /// Per-connection read/write timeout: a stalled peer costs a worker at most
@@ -16,6 +16,10 @@ const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Hard cap on a request (start line + headers + body). Anything larger is
 /// rejected while reading, before it can balloon worker memory.
 pub const MAX_REQUEST_BYTES: usize = 1 << 16;
+
+/// Most bytes [`Conn::refuse`] reads and drops after its answer, so a peer
+/// that keeps sending cannot hold a worker for long.
+const LINGER_BYTES: usize = 16 * MAX_REQUEST_BYTES;
 
 /// A bound listening socket.
 #[derive(Debug)]
@@ -82,11 +86,7 @@ impl Conn {
                 break end;
             }
             if buf.len() >= MAX_REQUEST_BYTES {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "request headers exceed size cap",
-                )
-                .into());
+                return Err(ReadError::HeadersTooLarge);
             }
             let n = self.stream.read(&mut chunk)?;
             if n == 0 {
@@ -101,11 +101,7 @@ impl Conn {
         let body_len = content_length(&buf[..header_end]).map_err(ReadError::BadContentLength)?;
         let total = header_end.saturating_add(body_len);
         if total > MAX_REQUEST_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "request body exceeds size cap",
-            )
-            .into());
+            return Err(ReadError::ContentTooLarge);
         }
         while buf.len() < total {
             let n = self.stream.read(&mut chunk)?;
@@ -127,6 +123,26 @@ impl Conn {
         self.stream.write_all(bytes)?;
         self.stream.flush()
     }
+
+    /// Writes the answer to a request that was refused while reading, then
+    /// closes gracefully. The peer may still be sending what the refusal
+    /// left unread, and closing a socket with unread bytes sends a TCP RST
+    /// that can destroy the answer before the client reads it. So the
+    /// write side shuts first and up to 1 MiB more are read and dropped,
+    /// until the peer closes.
+    pub fn refuse(mut self, bytes: &[u8]) -> io::Result<()> {
+        self.write_response(bytes)?;
+        self.stream.shutdown(Shutdown::Write)?;
+        let mut chunk = [0u8; 2048];
+        let mut drained = 0;
+        while drained < LINGER_BYTES {
+            match self.stream.read(&mut chunk) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => drained += n,
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Byte offset just past the `\r\n\r\n` header terminator, if present.
@@ -137,12 +153,18 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 /// Why [`Conn::read_request`] yielded no request.
 #[derive(Debug)]
 pub enum ReadError {
-    /// The socket failed or timed out, the peer closed early, or the
-    /// request outgrew [`MAX_REQUEST_BYTES`]. Nothing can be answered.
+    /// The socket failed or timed out, or the peer closed early. Nothing
+    /// can be answered.
     Io(io::Error),
     /// The head's `Content-Length` cannot frame a body: the server answers
     /// a typed 400 and closes the connection (RFC 9112 §6.3).
     BadContentLength(String),
+    /// The head announces a body that takes the request past
+    /// [`MAX_REQUEST_BYTES`]: a typed 413, and the connection closes.
+    ContentTooLarge,
+    /// The head outgrew [`MAX_REQUEST_BYTES`] before its blank line: a
+    /// typed 431, and the connection closes.
+    HeadersTooLarge,
 }
 
 impl From<io::Error> for ReadError {

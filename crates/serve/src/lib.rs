@@ -48,6 +48,7 @@ pub mod conn;
 pub mod http;
 pub mod ingest;
 pub mod router;
+pub mod smoke;
 pub mod state;
 
 pub use http::{Request, Response};
@@ -369,19 +370,31 @@ fn worker_loop(queue: &Mutex<Receiver<conn::Conn>>, state: &AppState) {
 /// One request→response cycle, with per-request obs and panic isolation.
 fn serve_one(mut conn: conn::Conn, state: &AppState) {
     let started = Instant::now();
-    let response = match conn.read_request() {
-        Ok(raw) => respond(&raw, state),
-        Err(conn::ReadError::BadContentLength(detail)) => {
-            Response::error(400, "bad_content_length", &detail)
-        }
+    let refusal = |status, code, detail: &str| (Response::error(status, code, detail), true);
+    let (response, refused) = match conn.read_request() {
+        Ok(raw) => (respond(&raw, state), false),
         Err(conn::ReadError::Io(_)) => {
             dcfail_obs::add("serve.read_errors", 1);
             return;
         }
+        Err(conn::ReadError::BadContentLength(detail)) => {
+            refusal(400, "bad_content_length", &detail)
+        }
+        Err(conn::ReadError::ContentTooLarge) => {
+            refusal(413, "content_too_large", "request body past the 64 KiB cap")
+        }
+        Err(conn::ReadError::HeadersTooLarge) => {
+            refusal(431, "headers_too_large", "request head past the 64 KiB cap")
+        }
     };
     dcfail_obs::add("serve.requests", 1);
     dcfail_obs::add_labeled("serve.status", status_label(response.status), 1);
-    let _ = conn.write_response(&response.to_bytes());
+    let bytes = response.to_bytes();
+    let _ = if refused {
+        conn.refuse(&bytes)
+    } else {
+        conn.write_response(&bytes)
+    };
     dcfail_obs::observe("serve.latency_ms", started.elapsed().as_secs_f64() * 1e3);
 }
 
@@ -408,7 +421,9 @@ const fn status_label(status: u16) -> &'static str {
         400 => "400",
         404 => "404",
         405 => "405",
+        413 => "413",
         429 => "429",
+        431 => "431",
         500 => "500",
         503 => "503",
         _ => "other",

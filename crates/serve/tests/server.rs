@@ -1,41 +1,33 @@
 //! End-to-end tests over a live server on an ephemeral port: golden digests
 //! for every endpoint, concurrent byte-identity across worker counts,
-//! cache-hit == cache-miss bytes, deterministic 429 backpressure, atomic
-//! data-version invalidation, and clean shutdown.
+//! typed errors for requests that cannot be framed, and atomic data-version
+//! invalidation. Hit == miss bytes, 429 backpressure, the bounded whatif
+//! cache and clean shutdown are legs of the smoke (`tests/smoke.rs`).
 //!
-//! All servers here run with metrics off (the process-global obs window is
-//! exercised separately in `tests/metrics.rs`) and build their snapshots at
-//! a small scale so the suite stays fast.
+//! All servers here run with metrics off (the smoke's daemon owns the
+//! process-global obs window, in a test binary of its own) and build their
+//! snapshots at a small scale so the suite stays fast.
 
 #![allow(clippy::unwrap_used)]
 
-use dcfail_report::toolkit::VARIANT_CAP;
 use dcfail_report::{ExperimentId, RunConfig, Toolkit};
-use dcfail_serve::conn::{get_request, post_request, roundtrip, PendingRequest};
+use dcfail_serve::conn::{get_request, post_request, roundtrip};
 use dcfail_serve::http::split_response;
 use dcfail_serve::{serve_toolkit, ServeConfig, ServerHandle};
 use std::net::SocketAddr;
-use std::sync::Arc;
 
 const SCALE: f64 = 0.02;
 
-fn test_config(workers: usize, queue: usize) -> ServeConfig {
-    ServeConfig {
+fn start(workers: usize, queue: usize, ingest: bool) -> ServerHandle {
+    let toolkit = Toolkit::build_scaled(RunConfig::with_seed(42), SCALE);
+    let config = ServeConfig {
         workers,
         queue,
         seed: 42,
         scale: SCALE,
         metrics: false,
-        ingest: false,
-        ..ServeConfig::default()
-    }
-}
-
-fn start(workers: usize, queue: usize, ingest: bool) -> ServerHandle {
-    let toolkit = Toolkit::build_scaled(RunConfig::with_seed(42), SCALE);
-    let config = ServeConfig {
         ingest,
-        ..test_config(workers, queue)
+        ..ServeConfig::default()
     };
     serve_toolkit(config, toolkit, None).expect("bind ephemeral port")
 }
@@ -136,48 +128,6 @@ fn concurrent_clients_get_byte_identical_bodies_at_every_worker_count() {
 }
 
 #[test]
-fn cache_hit_serves_the_same_bytes_as_the_miss() {
-    let server = start(1, 16, false);
-    let addr = server.addr();
-    let miss = get(addr, "/reports/table5");
-    let hit = get(addr, "/reports/table5");
-    assert_eq!(miss.0, 200);
-    assert_eq!(miss, hit, "cached render must be byte-identical");
-    server.shutdown();
-}
-
-#[test]
-fn whatif_seed_flood_keeps_the_cache_bounded() {
-    let server = start(2, 64, false);
-    let addr = server.addr();
-    for id in ExperimentId::ALL {
-        assert_eq!(get(addr, &format!("/reports/{id}")).0, 200);
-    }
-    let toolkit = server.state().current();
-    let warm: Vec<_> = ExperimentId::ALL
-        .iter()
-        .map(|&id| toolkit.render(id))
-        .collect();
-    for seed in 1000..1000 + VARIANT_CAP + 10 {
-        let (status, _) = post(addr, "/whatif", &format!("{{\"seed\": {seed}}}"));
-        assert_eq!(status, 200, "whatif seed {seed}");
-    }
-    let bound = ExperimentId::ALL.len() + VARIANT_CAP;
-    assert!(
-        toolkit.cache_len() <= bound,
-        "{} cached entries after a whatif flood, bound {bound}",
-        toolkit.cache_len()
-    );
-    for (&id, before) in ExperimentId::ALL.iter().zip(&warm) {
-        assert!(
-            Arc::ptr_eq(&toolkit.render(id), before),
-            "default artifact {id} was evicted"
-        );
-    }
-    server.shutdown();
-}
-
-#[test]
 fn malformed_content_length_is_a_typed_400() {
     let server = start(1, 8, false);
     let addr = server.addr();
@@ -216,51 +166,34 @@ fn malformed_content_length_is_a_typed_400() {
 }
 
 #[test]
-fn full_queue_returns_typed_429_backpressure() {
-    let server = start(1, 2, false);
+fn oversized_requests_are_a_typed_413_or_431() {
+    let server = start(1, 8, false);
     let addr = server.addr();
-    server.hold_workers();
-
-    // Capacity while held: 1 in-flight at the gate + 2 queued = 3. Six
-    // pending requests guarantee at least three immediate typed 429s.
-    let (tx, rx) = std::sync::mpsc::channel();
-    let mut readers = Vec::new();
-    for _ in 0..6 {
-        let pending = PendingRequest::open(addr, &get_request("/registry")).expect("open");
-        let tx = tx.clone();
-        readers.push(std::thread::spawn(move || {
-            let raw = pending.finish().expect("read response");
-            let (status, body) = split_response(&raw).expect("parse");
-            tx.send((status, body)).expect("report status");
-        }));
+    let refused = |raw: &[u8]| {
+        let response = roundtrip(addr, raw).expect("roundtrip");
+        let (status, body) = split_response(&response).expect("an answer before the close");
+        (status, String::from_utf8(body).unwrap())
+    };
+    // A body announced past the cap: 11 bytes of it sent, then every byte,
+    // which the server must drain so its answer is not lost to a reset.
+    for sent in [11, 70_000] {
+        let mut raw = b"POST /whatif HTTP/1.1\r\nHost: dcfail\r\nContent-Length: 70000\r\n\
+                        Connection: close\r\n\r\n"
+            .to_vec();
+        raw.resize(raw.len() + sent, b' ');
+        let (status, body) = refused(&raw);
+        assert_eq!(status, 413, "{sent} bytes sent: {body}");
+        assert!(body.contains("\"error\":\"content_too_large\""), "{body}");
     }
-    drop(tx);
-
-    // While the pool is held, the only responses that can complete are the
-    // shed ones — and they must be the typed 429.
-    let (first_status, first_body) = rx
-        .recv_timeout(std::time::Duration::from_secs(30))
-        .expect("a shed response while workers are held");
-    assert_eq!(first_status, 429);
-    assert!(
-        String::from_utf8(first_body)
-            .unwrap()
-            .contains("\"error\":\"queue_full\""),
-        "429 must carry the typed queue_full code"
+    let raw = format!(
+        "GET /registry HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(70_000)
     );
-
-    server.release_workers();
-    let mut statuses = vec![first_status];
-    statuses.extend(rx.iter().map(|(status, _)| status));
-    for reader in readers {
-        reader.join().expect("reader thread");
-    }
-    assert_eq!(statuses.len(), 6);
-    let served = statuses.iter().filter(|&&s| s == 200).count();
-    let shed = statuses.iter().filter(|&&s| s == 429).count();
-    assert_eq!(served + shed, 6, "only 200/429 expected: {statuses:?}");
-    assert!(shed >= 3, "bounded queue absorbed too much: {statuses:?}");
-    assert!(served >= 2, "held requests must be served after release");
+    let (status, body) = refused(raw.as_bytes());
+    assert_eq!(status, 431, "{body}");
+    assert!(body.contains("\"error\":\"headers_too_large\""), "{body}");
+    // The worker survived: the next request is served normally.
+    assert_eq!(get(addr, "/registry").0, 200);
     server.shutdown();
 }
 
@@ -319,23 +252,6 @@ fn data_version_bump_invalidates_atomically() {
         "post-publish read must see the new snapshot"
     );
     server.shutdown();
-}
-
-#[test]
-fn shutdown_drains_and_releases_the_port() {
-    let server = start(2, 8, false);
-    let addr = server.addr();
-    assert_eq!(get(addr, "/registry").0, 200);
-    server.shutdown();
-    // The listener is gone: a fresh dial must fail outright (refused) or
-    // be closed without a response.
-    match roundtrip(addr, &get_request("/registry")) {
-        Err(_) => {}
-        Ok(raw) => assert!(
-            raw.is_empty() || split_response(&raw).map(|(s, _)| s) == Some(503),
-            "post-shutdown connection must not be served a 200"
-        ),
-    }
 }
 
 #[test]

@@ -56,9 +56,11 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+pub mod crashtest;
 pub mod plan;
 pub mod resume;
 
+pub use crashtest::{crash_matrix, CrashMatrix};
 pub use plan::shard_ranges;
 pub use resume::{config_digest, resume_sharded};
 

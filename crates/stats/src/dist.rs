@@ -417,6 +417,7 @@ impl Pareto {
     /// # Errors
     ///
     /// Returns [`StatsError::InvalidParameter`] unless both are positive.
+    // dlint::allow(D17): the family property tests in tests/proptest.rs build every distribution from its parameters
     pub fn new(xm: f64, alpha: f64) -> Result<Self> {
         Ok(Self {
             xm: check_positive("xm", xm)?,

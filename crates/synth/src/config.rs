@@ -74,6 +74,7 @@ impl EffectToggles {
     }
 
     /// All effects disabled: homogeneous, memoryless, independent failures.
+    // dlint::allow(D17): the determinism suites (tests/determinism.rs, synth's proptest) run the memoryless baseline
     pub fn none() -> Self {
         Self {
             recurrence: false,

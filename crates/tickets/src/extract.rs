@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn extraction_report_quality() {
-        let mut store = TicketStore::new();
+        let mut store = TicketStore::default();
         for i in 0..50 {
             store.add(crash_ticket(i, i, SimTime::from_days(i as i64)));
         }
@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn reconstruction_groups_co_occurring_tickets() {
-        let mut store = TicketStore::new();
+        let mut store = TicketStore::default();
         let t0 = SimTime::from_days(10);
         // Three tickets within 10 minutes: one incident.
         store.add(crash_ticket(0, 1, t0));
@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn reconstruction_of_empty_store_is_empty() {
-        let store = TicketStore::new();
+        let store = TicketStore::default();
         assert!(reconstruct_incidents(&store, MINUTE).is_empty());
     }
 

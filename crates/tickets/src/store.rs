@@ -15,11 +15,6 @@ pub struct TicketStore {
 }
 
 impl TicketStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds a store from tickets (cloned out of a dataset or loaded from
     /// disk).
     pub fn from_tickets(tickets: Vec<Ticket>) -> Self {
@@ -141,7 +136,7 @@ mod tests {
             ticket(4, 3, 2, true),
         ];
         let bulk = TicketStore::from_tickets(tickets.clone());
-        let mut incremental = TicketStore::new();
+        let mut incremental = TicketStore::default();
         for t in tickets.into_iter().rev() {
             incremental.add(t);
         }
@@ -153,7 +148,7 @@ mod tests {
 
     #[test]
     fn incremental_add_maintains_time_order() {
-        let mut store = TicketStore::new();
+        let mut store = TicketStore::default();
         store.add(ticket(0, 0, 5, true));
         store.add(ticket(1, 0, 1, false));
         store.extend([ticket(2, 0, 3, true)]);
