@@ -1,9 +1,11 @@
-//! Edge cases of the audited CSV import path: malformed shapes must come
-//! back as typed [`ImportError`]s, never as panics.
+//! Edge cases of the audited CSV and JSON import paths: malformed shapes
+//! must come back as typed [`ImportError`]s, never as panics.
 
 #![allow(clippy::unwrap_used)]
 
-use dcfail_audit::import::{dataset_from_csv, dataset_from_csv_with, ImportError};
+use dcfail_audit::import::{
+    dataset_from_csv, dataset_from_csv_with, dataset_from_json_with, ImportError,
+};
 use dcfail_audit::RecoveryMode;
 use dcfail_model::prelude::*;
 
@@ -136,4 +138,36 @@ fn strict_mode_via_wrapper_matches_plain_strict() {
     assert_eq!(ds, plain.0);
     assert_eq!(report, plain.1);
     assert!(degradation.is_empty());
+}
+
+/// The CSV fixtures' trace as JSON, with an `extra` key the importer
+/// ignores that nests arrays until the document is `depth` levels deep
+/// (the trace object itself is the first).
+fn nested_trace(depth: usize) -> String {
+    let (dataset, _) = dataset_from_csv(MACHINES, EVENTS, horizon()).unwrap();
+    let trace = serde_json::to_string(&dataset).unwrap();
+    let arrays = depth - 1;
+    format!(
+        "{{\"extra\":{}{},{}",
+        "[".repeat(arrays),
+        "]".repeat(arrays),
+        &trace[1..]
+    )
+}
+
+#[test]
+fn json_nested_past_the_parser_bound_is_a_parse_error_in_both_modes() {
+    for mode in [RecoveryMode::Strict, RecoveryMode::Lenient] {
+        // Just inside the bound of 128 levels: the trace still imports.
+        let (dataset, _, _) = dataset_from_json_with(&nested_trace(127), mode).unwrap();
+        assert_eq!(dataset.machines().len(), 2);
+        for hostile in [nested_trace(128), "[".repeat(200_000)] {
+            match dataset_from_json_with(&hostile, mode) {
+                Err(ImportError::Parse(msg)) => {
+                    assert!(msg.contains("recursion limit"), "{mode:?}: {msg}");
+                }
+                other => panic!("{mode:?}: want a parse error, got {other:?}"),
+            }
+        }
+    }
 }

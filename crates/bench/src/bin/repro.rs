@@ -3,10 +3,12 @@
 //!
 //! `repro --help` prints the synopsis of every command from [`COMMANDS`],
 //! the one table that declares each command's runner, the flags it reads
-//! (name, kind, bound and the nouns of its usage errors) and its `--scale`
-//! default with and without `--smoke`. Flags may precede the command word
-//! (`repro --scale 0.2 all`); a flag or second command word the chosen
-//! command does not read is a usage error that names both.
+//! (name, kind, bound and the nouns of its usage errors), how those flags
+//! need and exclude each other, and its `--scale` default with and without
+//! `--smoke`. Flags may precede the command word (`repro --scale 0.2 all`);
+//! a flag or second command word the chosen command does not read, and a
+//! flag the chosen input or mode does not read, is a usage error that names
+//! both, raised before any runner starts.
 //!
 //! Every command shares one exit-code convention: **0** the command ran
 //! and found nothing wrong, **1** the command ran but produced findings (an
@@ -29,15 +31,17 @@
 //!   CSV pair (`--machines` + `--events`), or — with neither — a freshly
 //!   generated synth scenario as a self-check. `--lenient` quarantines and
 //!   repairs defective records of a trace instead of rejecting it.
-//! * `chaos` — self-test of the dirty-data pipeline: corrupt a clean scenario
-//!   at `--rate`, recover it, re-audit, and report estimate drift against
-//!   the clean ground truth. `--smoke` exits nonzero unless recovery
-//!   produced an audit-clean dataset and a non-empty degradation report.
-//! * `metrics` — run the traced pipeline (synth → audit → chaos + recovery
-//!   → classification → every report runner → stream replay) under one
-//!   `dcfail-obs` collection window and print the aggregated tree (`--json`:
-//!   the schema-versioned export). `--smoke` validates the export (schema
-//!   version, every stage span, disabled-path overhead under 2%).
+//! * `chaos` — `dcfail_chaos::recovery_check`, the self-test of the
+//!   dirty-data pipeline: corrupt a clean scenario at `--rate`, recover it,
+//!   re-audit, and report estimate drift against the clean ground truth.
+//!   `--smoke` exits nonzero unless recovery produced an audit-clean dataset
+//!   and a non-empty degradation report.
+//! * `metrics` — `dcfail_bench::pipeline::export_check`: run the traced
+//!   pipeline (synth → audit → chaos + recovery → classification → every
+//!   report runner → stream replay) under one `dcfail-obs` collection window
+//!   and print the aggregated tree (`--json`: the schema-versioned export).
+//!   `--smoke` gates on the check (schema version, every stage span, a
+//!   `par.jobs` counter, disabled-path overhead under 2%).
 //! * `bench` — run the same traced pipeline and read its spans; a 16-shard
 //!   out-of-core build runs first, outside the window, to probe the sharded
 //!   peak RSS. Writes `BENCH_<git-short-sha>.json`. `--record` appends the
@@ -54,9 +58,9 @@
 //!   every I/O operation (`--smoke`: three spread kill points), resume it,
 //!   and require the uninterrupted digest; transient faults at `--rate`
 //!   (clamped to [0.25, 0.5] for the retry leg) must be absorbed.
-//! * `stream` — replay a synthesized feed through `dcfail-stream`, reordered
-//!   within `--slack` minutes, and hold its digest against the batch
-//!   pipeline's. `--events N` caps the replay (the digest gate is skipped);
+//! * `stream` — `dcfail_stream::replay_check`: replay a synthesized feed,
+//!   reordered within `--slack` minutes, and hold its digest against the
+//!   batch pipeline's. `--events N` caps the replay (the digest gate is skipped);
 //!   `--window P` sets the burst detector's history; `--smoke` exits
 //!   nonzero unless the digests match and every event was applied.
 //! * `serve` — run the `dcfail-serve` daemon (`--addr`, `--workers`,
@@ -71,11 +75,12 @@
 //!   `metrics` and `bench` write their own traced run's export.
 
 use dcfail_audit::import::{self, ImportError};
-use dcfail_audit::recover::recover_raw;
 use dcfail_audit::{DegradationReport, RecoveryMode};
-use dcfail_bench::history::{self, HistoryEntry, REGRESSION_TOLERANCE};
+use dcfail_bench::history::{
+    self, git_revision, peak_rss_kb, HistoryEntry, DEFAULT_PATH, REGRESSION_TOLERANCE,
+};
 use dcfail_bench::{ablation, pipeline};
-use dcfail_chaos::{inject, InjectionPlan};
+use dcfail_chaos::InjectionPlan;
 use dcfail_ckpt::{CheckpointStore, FaultFs, RealFs};
 use dcfail_core::{degradation, rates, repair};
 use dcfail_model::prelude::*;
@@ -91,7 +96,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::time::Instant;
 
 /// The command ran to completion but what it examined is not clean: audit or
 /// lint findings at Error level, a failed `--smoke` gate.
@@ -168,7 +172,7 @@ const CSV: Flag = flag("--csv", "DIR", Kind::Text("a directory"), "");
 const DATASET: Flag = flag("--dataset", "FILE.json", Kind::Text("a file"), "");
 const INVENTORY: Flag = flag("--machines", "M.csv", Kind::Text("a file"), "");
 const EVENT_LOG: Flag = flag("--events", "E.csv", Kind::Text("a file"), "");
-const HISTORY: Flag = flag("--history", "FILE", Kind::Text("a file"), "");
+const HISTORY: Flag = flag("--history", "FILE", Kind::Text("a file"), DEFAULT_PATH);
 const CKPT_DIR: Flag = flag("--checkpoint-dir", "DIR", Kind::Text("a directory"), "");
 const ROOT: Flag = flag("--root", "DIR", Kind::Text("a directory"), "");
 const ADDR: Flag = flag(
@@ -178,6 +182,48 @@ const ADDR: Flag = flag(
     "127.0.0.1:4914",
 );
 
+/// A relation among one command's flags, checked before its runner starts.
+#[derive(Clone, Copy)]
+enum Rule {
+    /// The flag is read only alongside at least one of the others.
+    Needs(Flag, &'static [Flag]),
+    /// The flag picks an input or a mode that none of the others may join.
+    Excludes(Flag, &'static [Flag]),
+    /// The two flags name one input: both or neither.
+    Together(Flag, Flag),
+}
+
+/// The flags' names joined by `sep`.
+fn names(flags: &[Flag], sep: &str) -> String {
+    flags.iter().map(|f| f.name).collect::<Vec<_>>().join(sep)
+}
+
+impl Rule {
+    /// The rule as `--help` lists it.
+    fn help(self) -> String {
+        match self {
+            Rule::Needs(flag, any) => format!("{} needs {}", flag.name, names(any, " or ")),
+            Rule::Excludes(flag, rest) => format!("{} excludes {}", flag.name, names(rest, ", ")),
+            Rule::Together(a, b) => format!("{} and {} must be given together", a.name, b.name),
+        }
+    }
+
+    /// The usage error of a command line that breaks the rule.
+    fn broken_by(self, args: &Args) -> Option<String> {
+        match self {
+            Rule::Needs(flag, any) if args.on(flag) && !any.iter().any(|&f| args.on(f)) => {
+                Some(self.help())
+            }
+            Rule::Excludes(flag, rest) if args.on(flag) => rest
+                .iter()
+                .find(|&&f| args.on(f))
+                .map(|f| format!("{} and {} are mutually exclusive", flag.name, f.name)),
+            Rule::Together(a, b) if args.on(a) != args.on(b) => Some(self.help()),
+            _ => None,
+        }
+    }
+}
+
 /// One row of the command table.
 struct Command {
     /// The command word; empty for the artifact runs, which read the
@@ -185,18 +231,22 @@ struct Command {
     name: &'static str,
     run: fn(&Args) -> Result<ExitCode, String>,
     flags: &'static [Flag],
+    /// How the flags need and exclude each other, in the order checked.
+    rules: &'static [Rule],
     /// `--scale` default without and with `--smoke`.
     scale: (f64, f64),
     /// The runner writes `--metrics` from its own traced run.
     traced: bool,
 }
 
-/// The artifact runs (`all` when no word is given): the default row, whose `--scale` default and window
-/// the other rows share unless they say otherwise.
+/// The artifact runs (`all` when no word is given): the default row, whose
+/// `--scale` default, window and (empty) rules the other rows share unless
+/// they say otherwise.
 const ARTIFACTS: Command = Command {
     name: "",
     run: run_experiments,
     flags: &[SCALE, SEED, CLASSIFY, CSV, JSON, METRICS],
+    rules: &[],
     scale: (1.0, 1.0),
     traced: false,
 };
@@ -217,6 +267,14 @@ const COMMANDS: &[Command] = &[
         flags: &[
             JSON, LENIENT, DATASET, INVENTORY, EVENT_LOG, SCALE, SEED, METRICS,
         ],
+        // `--seed` and `--scale` pick the generated self-check, which reads
+        // no mode: a trace is the one input `--lenient` applies to.
+        rules: &[
+            Rule::Together(INVENTORY, EVENT_LOG),
+            Rule::Excludes(DATASET, &[INVENTORY, SEED, SCALE]),
+            Rule::Excludes(INVENTORY, &[SEED, SCALE]),
+            Rule::Needs(LENIENT, &[DATASET, INVENTORY]),
+        ],
         ..ARTIFACTS
     },
     Command {
@@ -232,6 +290,7 @@ const COMMANDS: &[Command] = &[
         flags: &[
             SEED, SCALE, RATE, JSON, SMOKE, RECORD, CHECK, HISTORY, METRICS,
         ],
+        rules: &[Rule::Needs(HISTORY, &[RECORD, CHECK])],
         scale: (1.0, 0.05),
         traced: true,
     },
@@ -239,6 +298,7 @@ const COMMANDS: &[Command] = &[
         name: "metrics",
         run: run_metrics,
         flags: &[SEED, SCALE, RATE, JSON, SMOKE, METRICS],
+        rules: &[],
         scale: (0.2, 0.05),
         traced: true,
     },
@@ -247,6 +307,12 @@ const COMMANDS: &[Command] = &[
         run: run_shard,
         flags: &[
             FLEET, SCALE, SHARDS, SEED, JSON, BASELINE, CKPT_DIR, RESUME, METRICS,
+        ],
+        // The baseline is one monolithic, uncheckpointed build.
+        rules: &[
+            Rule::Needs(RESUME, &[CKPT_DIR]),
+            Rule::Excludes(BASELINE, &[CKPT_DIR, SHARDS]),
+            Rule::Excludes(FLEET, &[SCALE]),
         ],
         ..ARTIFACTS
     },
@@ -261,6 +327,8 @@ const COMMANDS: &[Command] = &[
         name: "stream",
         run: run_stream,
         flags: &[SEED, SCALE, EVENT_CAP, WINDOW, SLACK, JSON, SMOKE, METRICS],
+        // The smoke needs the digest gate, which a capped replay skips.
+        rules: &[Rule::Excludes(SMOKE, &[EVENT_CAP])],
         scale: (1.0, 0.05),
         ..ARTIFACTS
     },
@@ -268,6 +336,8 @@ const COMMANDS: &[Command] = &[
         name: "serve",
         run: run_serve,
         flags: &[ADDR, WORKERS, QUEUE, SEED, SCALE, SMOKE],
+        // The smoke binds an ephemeral port of its own.
+        rules: &[Rule::Excludes(SMOKE, &[ADDR])],
         scale: (1.0, 0.05),
         ..ARTIFACTS
     },
@@ -399,6 +469,9 @@ fn parse(argv: &[String]) -> Result<Option<Args>, String> {
         };
         args.values.insert(flag.name, flag.kind.check(arg, value)?);
     }
+    if let Some(error) = command.rules.iter().find_map(|r| r.broken_by(&args)) {
+        return Err(error);
+    }
     if command.name.is_empty() && args.words.is_empty() {
         args.words.push("all".into());
     }
@@ -436,6 +509,9 @@ fn usage() -> String {
                 smoke.unwrap_or_default()
             );
         }
+        for rule in c.rules {
+            let _ = writeln!(out, "      {}", rule.help());
+        }
     }
     out + "exit codes: 0 clean, 1 findings (dirty audit/lint, failed smoke), 2 usage or I/O error"
 }
@@ -464,14 +540,7 @@ fn read_file(path: &Path) -> Result<String, String> {
 /// stderr so `--json` stdout stays parseable.
 fn run_audit(args: &Args) -> Result<ExitCode, String> {
     let dataset: Option<PathBuf> = args.get(DATASET);
-    let csv: Option<(PathBuf, PathBuf)> = match (args.get(INVENTORY), args.get(EVENT_LOG)) {
-        (Some(machines), Some(events)) => Some((machines, events)),
-        (None, None) => None,
-        _ => return Err("--machines and --events must be given together".into()),
-    };
-    if dataset.is_some() && csv.is_some() {
-        return Err("--dataset and --machines/--events are mutually exclusive".into());
-    }
+    let csv: Option<(PathBuf, PathBuf)> = args.get(INVENTORY).zip(args.get(EVENT_LOG));
     let mode = if args.on(LENIENT) {
         RecoveryMode::Lenient
     } else {
@@ -573,44 +642,41 @@ fn print_robust(recovered: &FailureDataset) {
     }
 }
 
-/// Runs the `chaos` command: corrupt a clean scenario, recover it, re-audit,
-/// and report drift. `--smoke` makes the run a pass/fail self-test.
+/// Runs the `chaos` command: `dcfail_chaos::recovery_check` on a clean
+/// scenario, printed with the drift of the recovered estimates. `--smoke`
+/// makes the check's verdict the exit code.
 fn run_chaos(args: &Args) -> Result<ExitCode, String> {
     let (seed, scale) = (args.seed(), args.scale());
     let rate: f64 = args.get(RATE).unwrap_or_default();
     eprintln!("chaos: generating clean paper scenario (seed {seed}, scale {scale}) ...");
     let clean = paper(seed, scale);
-
-    let (parts, log) = inject(&clean, &InjectionPlan::uniform(seed, rate));
+    let check = dcfail_chaos::recovery_check(&clean, &InjectionPlan::uniform(seed, rate))
+        .map_err(|e| format!("recovery failed: {e}"))?;
     println!("== corruption (seed {seed}, rate {:.1}%) ==", rate * 100.0);
-    print!("{log}");
-
-    let recovered = recover_raw(&parts).map_err(|e| format!("recovery failed: {e}"))?;
-    let report = dcfail_audit::audit_dataset(&recovered.dataset);
+    print!("{}", check.log);
     println!("\n== quarantine and recovery ==");
-    print!("{}", recovered.report);
-    if report.is_clean() {
+    print!("{}", check.recovered.report);
+    if check.audit.is_clean() {
         println!("re-audit of recovered dataset: clean");
     } else {
         println!("re-audit of recovered dataset: DIRTY (bug in recovery)");
-        print!("{}", report.render_text());
+        print!("{}", check.audit.render_text());
     }
 
     println!("\n== estimate drift (clean -> recovered) ==");
-    print_drift(&clean, &recovered.dataset);
-    print_robust(&recovered.dataset);
+    print_drift(&clean, &check.recovered.dataset);
+    print_robust(&check.recovered.dataset);
 
     if args.on(SMOKE) {
-        if !report.is_clean() {
-            return Ok(smoke_failed("chaos", "recovered dataset re-audits dirty"));
-        }
-        if log.total() > 0 && recovered.report.is_empty() {
-            let why = "corruption was injected but the degradation report is empty";
+        if let Some(why) = check.failure {
             return Ok(smoke_failed("chaos", why));
         }
-        println!("\nchaos smoke: OK ({} corruptions recovered)", log.total());
+        println!(
+            "\nchaos smoke: OK ({} corruptions recovered)",
+            check.log.total()
+        );
     }
-    Ok(findings_unless(report.is_clean()))
+    Ok(findings_unless(check.audit.is_clean()))
 }
 
 #[allow(clippy::unnecessary_wraps)] // the signature every command-table runner shares
@@ -713,9 +779,7 @@ fn run_bench(args: &Args) -> Result<ExitCode, String> {
     }
     eprintln!("bench report written to {}", path.display());
 
-    let history_path = args
-        .get(HISTORY)
-        .unwrap_or_else(|| PathBuf::from(history::DEFAULT_PATH));
+    let history_path: PathBuf = args.get(HISTORY).unwrap_or_default();
     // Check before recording, so a `--check --record` run gates against the
     // previous baseline rather than against itself.
     let mut gate_failed = false;
@@ -745,138 +809,43 @@ fn write_metrics(path: &Path, report: &dcfail_obs::MetricsReport) -> Result<(), 
     Ok(())
 }
 
-/// Peak resident set size of this process in kB (`VmHWM` from
-/// `/proc/self/status`), or `None` when the file is unavailable (non-Linux).
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// Short git revision of the checkout at `dir`, or `"nogit"` when it is
-/// not a git checkout (export tarballs, vendored checkouts) or git itself
-/// is unavailable. Any failure yields `"nogit"` rather than an error: the
-/// revision only labels the report.
-fn git_revision(dir: &Path) -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(dir)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or_else(|| "nogit".into(), |s| s.trim().to_string())
-}
-
-/// Measures the disabled-path cost of the metrics layer: nanoseconds per
-/// inert `span` + `add` call while no collection window is active. This is
-/// what every instrumented hot path pays when `repro` runs without
-/// `--metrics` — the layer's contract is that it stays negligible (<2% of
-/// pipeline wall-clock).
-fn disabled_ns_per_call() -> f64 {
-    use std::hint::black_box;
-    const CALLS: u32 = 1_000_000;
-    assert!(
-        !dcfail_obs::enabled(),
-        "overhead probe must run outside a collection window"
-    );
-    let start = Instant::now();
-    for _ in 0..CALLS {
-        let span = dcfail_obs::span(black_box("overhead.probe"));
-        dcfail_obs::add(black_box("overhead.probe"), black_box(1));
-        drop(black_box(span));
-    }
-    start.elapsed().as_secs_f64() * 1e9 / (2.0 * f64::from(CALLS))
-}
-
-/// Span leaves (`has_stage` names) every full-pipeline metrics run must
-/// record, besides the stream replay and each report runner; the smoke gate
-/// fails if any is missing. In order: synth, audit and recovery, chaos,
-/// ticket classification, stats, and the report fan-out (the registry
-/// covers the extras too).
-const REQUIRED_STAGES: &str = "synth.build population placement telemetry incidents hazard \
-    spatial individual assemble tickets haystack audit.dataset audit.recover chaos.copy \
-    chaos.inject classify tokenize tfidf.fit tfidf.transform kmeans manual_label \
-    stats.bootstrap report.run_all";
-
-/// Runs the `metrics` command: trace the pipeline under one collection
-/// window, print (or write) the aggregated report, and — with `--smoke` —
-/// validate the export and the disabled-path overhead.
+/// Runs the `metrics` command: `dcfail_bench::pipeline::export_check`,
+/// printing (or writing) the aggregated report and, with `--smoke`, the
+/// check's verdict.
 fn run_metrics(args: &Args) -> Result<ExitCode, String> {
     let (seed, scale) = (args.seed(), args.scale());
-    // The disabled-cost probe must run before the window opens.
-    let per_call_ns = disabled_ns_per_call();
-
-    let handle =
-        dcfail_obs::ObsHandle::install().ok_or("another metrics collection window is active")?;
     eprintln!(
         "metrics: tracing full pipeline (seed {seed}, scale {scale}, {} threads) ...",
         dcfail_par::thread_count()
     );
-    let wall = Instant::now();
-    pipeline::run(seed, scale, args.get(RATE).unwrap_or_default())
+    let check = pipeline::export_check(seed, scale, args.get(RATE).unwrap_or_default())
         .map_err(|e| format!("metrics: {e}"))?;
-    let wall_ns = wall.elapsed().as_secs_f64() * 1e9;
-    let report = handle.finish();
-
-    // Upper-bound estimate of what the *disabled* layer would have cost this
-    // run: two inert calls per span closure (open + drop), one per histogram
-    // sample, one per counter. Counter totals aggregate an unknown number of
-    // add() calls, so span closures dominate the estimate by construction.
-    let samples: u64 = report.histograms.iter().map(|h| h.count as u64).sum();
-    let instrumented_calls = report.spans.iter().map(|s| s.count * 2).sum::<u64>()
-        + samples
-        + report.counters.len() as u64;
-    let overhead_pct = instrumented_calls as f64 * per_call_ns / wall_ns * 100.0;
-
+    let report = &check.report;
     if args.on(JSON) {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render_text());
     }
     eprintln!(
-        "disabled-path cost: {per_call_ns:.1} ns/call x {instrumented_calls} calls \
-         = {overhead_pct:.3}% of {:.0} ms wall-clock",
-        wall_ns / 1e6
+        "disabled-path cost: {:.1} ns/call x {} calls = {:.3}% of {:.0} ms wall-clock",
+        check.per_call_ns, check.instrumented_calls, check.overhead_pct, check.wall_ms
     );
     if let Some(path) = args.get::<PathBuf>(METRICS) {
-        write_metrics(&path, &report)?;
+        write_metrics(&path, report)?;
     }
-    if !args.on(SMOKE) {
-        return Ok(ExitCode::SUCCESS);
-    }
-    let runners = ExperimentId::ALL
-        .iter()
-        .map(|id| format!("report.{}", id.key()));
-    let missing: Vec<String> = REQUIRED_STAGES
-        .split_whitespace()
-        .chain([pipeline::REPLAY_SPAN])
-        .map(str::to_string)
-        .chain(runners)
-        .filter(|stage| !report.has_stage(stage))
-        .collect();
-    let failure = if report.schema_version != dcfail_obs::SCHEMA_VERSION {
-        format!(
-            "schema version {} != {}",
-            report.schema_version,
-            dcfail_obs::SCHEMA_VERSION
-        )
-    } else if !missing.is_empty() {
-        format!("missing stage spans: {}", missing.join(", "))
-    } else if report.counter("par.jobs").unwrap_or(0) == 0 {
-        "no par.jobs counter".to_string()
-    } else if overhead_pct >= 2.0 {
-        format!("disabled-path overhead {overhead_pct:.2}% >= 2%")
-    } else {
+    if args.on(SMOKE) {
+        if let Some(why) = &check.failure {
+            return Ok(smoke_failed("metrics", why));
+        }
         println!(
-            "metrics smoke: OK ({} spans, {} counters, {} histograms, overhead {overhead_pct:.3}%)",
+            "metrics smoke: OK ({} spans, {} counters, {} histograms, overhead {:.3}%)",
             report.spans.len(),
             report.counters.len(),
-            report.histograms.len()
+            report.histograms.len(),
+            check.overhead_pct
         );
-        return Ok(ExitCode::SUCCESS);
-    };
-    Ok(smoke_failed("metrics", &failure))
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One rendered report in the `repro shard` JSON document.
@@ -919,15 +888,6 @@ fn scale_for_fleet(seed: u64, target: usize) -> f64 {
 /// analyzed shard-by-shard (or monolithically with `--baseline`).
 fn run_shard(args: &Args) -> Result<ExitCode, String> {
     let checkpoint_dir: Option<String> = args.get(CKPT_DIR);
-    if args.on(RESUME) && checkpoint_dir.is_none() {
-        return Err("--resume needs --checkpoint-dir".into());
-    }
-    if args.on(BASELINE) && checkpoint_dir.is_some() {
-        return Err("--baseline and --checkpoint-dir are mutually exclusive".into());
-    }
-    if args.on(FLEET) && args.on(SCALE) {
-        return Err("--machines and --scale are mutually exclusive".into());
-    }
     let (seed, shards) = (args.seed(), args.get(SHARDS).unwrap_or_default());
     let scale = args
         .get(FLEET)
@@ -1003,10 +963,8 @@ fn run_shard(args: &Args) -> Result<ExitCode, String> {
 /// command line's settings, printed.
 fn run_crashtest(args: &Args) -> Result<ExitCode, String> {
     let (seed, scale, smoke) = (args.seed(), args.scale(), args.on(SMOKE));
-    let (shards, rate) = (
-        args.get(SHARDS).unwrap_or_default(),
-        args.get(RATE).unwrap_or(0.0),
-    );
+    let shards = args.get(SHARDS).unwrap_or_default();
+    let rate = args.get(RATE).unwrap_or_default();
     eprintln!(
         "crashtest: sweeping {} kill points ({shards} shards, seed {seed}, transient rate \
          {rate}, scale {scale:.4}) ...",
@@ -1040,31 +998,9 @@ fn run_crashtest(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The `repro stream --json` document.
-#[derive(serde::Serialize)]
-struct StreamRunDoc {
-    seed: u64,
-    scale: f64,
-    slack_minutes: i64,
-    events_per_sec: f64,
-    digest: u64,
-    /// Absent when `--events` capped the replay (batch saw the whole
-    /// horizon, so the digests are not comparable).
-    batch_digest: Option<u64>,
-    stats: dcfail_stream::StreamStats,
-    alerts: Vec<dcfail_stream::Alert>,
-}
-
-/// Runs the `stream` command: replay a synthesized event feed through the
-/// streaming ingest engine and hold its digest against the batch pipeline.
-#[allow(clippy::too_many_lines)] // linear flag-validate -> replay -> report flow
+/// Runs the `stream` command: `dcfail_stream::replay_check` at the command
+/// line's settings, printed.
 fn run_stream(args: &Args) -> Result<ExitCode, String> {
-    let cap: Option<usize> = args.get(EVENT_CAP);
-    if args.on(SMOKE) && cap.is_some() {
-        return Err(
-            "--smoke and --events are mutually exclusive (smoke needs the digest gate)".into(),
-        );
-    }
     let (seed, scale) = (args.seed(), args.scale());
     let slack_minutes: i64 = args.get(SLACK).unwrap_or_default();
     eprintln!(
@@ -1072,76 +1008,44 @@ fn run_stream(args: &Args) -> Result<ExitCode, String> {
          {} threads) ...",
         dcfail_par::thread_count()
     );
-    let (dataset, slack) = (paper(seed, scale), SimDuration::from_minutes(slack_minutes));
-    let mut feed = dcfail_synth::feed::dataset_feed(&dataset);
-    if slack_minutes > 0 {
-        // Scramble arrivals within the slack bound: the engine must undo it.
-        let mut rng = StreamRng::new(seed).fork("repro.stream.reorder");
-        feed = dcfail_synth::feed::reorder_within_slack(&feed, slack, &mut rng);
-    }
-    // `--events N` caps the replay (throughput experiments). A capped run
-    // skips the digest gate: the batch pipeline saw the whole horizon.
-    let capped = cap.is_some_and(|n| n < feed.len());
-    feed.truncate(cap.unwrap_or(usize::MAX));
-
     let config = dcfail_stream::StreamConfig {
-        slack,
+        slack: SimDuration::from_minutes(slack_minutes),
         detector: args.get(WINDOW).map_or_else(
             dcfail_stream::DetectorConfig::weekly,
             dcfail_stream::DetectorConfig::with_panes,
         ),
     };
-    let mut engine = dcfail_stream::StreamEngine::new(dataset.horizon(), config);
-    let start = Instant::now();
-    for ev in feed {
-        engine
-            .ingest(ev)
-            .map_err(|e| format!("feed replay failed: {e}"))?;
-    }
-    let out = engine.finish();
-    let elapsed_s = start.elapsed().as_secs_f64();
-    let events_per_sec = out.stats.events_ingested as f64 / elapsed_s.max(1e-9);
-    let digest = out.digest();
-    let batch = (!capped).then(|| dcfail_stream::batch_digest(&dataset));
-
+    let check = dcfail_stream::replay_check(seed, scale, config, args.get(EVENT_CAP))
+        .map_err(|e| format!("feed replay failed: {e}"))?;
+    let (stats, digest) = (&check.stats, check.digest);
     if args.on(JSON) {
-        let doc = StreamRunDoc {
-            seed,
-            scale,
-            slack_minutes,
-            events_per_sec,
-            digest,
-            batch_digest: batch,
-            stats: out.stats,
-            alerts: out.alerts.clone(),
-        };
-        println!("{}", to_json(&doc)?);
+        println!("{}", to_json(&check)?);
     } else {
         println!(
             "stream: {} events -> {} windows closed, {} alert(s) in {:.1} ms \
              ({:.2} M events/s)",
-            out.stats.events_ingested,
-            out.stats.windows_closed,
-            out.alerts.len(),
-            elapsed_s * 1e3,
-            events_per_sec / 1e6
+            stats.events_ingested,
+            stats.windows_closed,
+            check.alerts.len(),
+            stats.events_ingested as f64 / check.events_per_sec * 1e3,
+            check.events_per_sec / 1e6
         );
         println!(
             "  {} machines, {} failures, {} tickets; peak {} buffered event(s), \
              {} open window(s)",
-            out.stats.machines,
-            out.stats.failures,
-            out.stats.tickets,
-            out.stats.peak_buffered,
-            out.stats.peak_open_windows
+            stats.machines,
+            stats.failures,
+            stats.tickets,
+            stats.peak_buffered,
+            stats.peak_open_windows
         );
-        for alert in &out.alerts {
+        for alert in &check.alerts {
             println!(
                 "  alert: week {:>2} — {} failures vs {:.1} expected (score {:.1})",
                 alert.week, alert.observed, alert.expected, alert.score
             );
         }
-        match batch {
+        match check.batch_digest {
             Some(b) if b == digest => {
                 println!("  digest {digest:#018x} == batch digest (stream==batch holds)");
             }
@@ -1149,27 +1053,17 @@ fn run_stream(args: &Args) -> Result<ExitCode, String> {
             None => println!("  digest {digest:#018x} (capped replay; batch gate skipped)"),
         }
     }
-
-    let diverged = batch.is_some_and(|b| b != digest);
     if args.on(SMOKE) {
-        let dropped =
-            out.stats.events_applied != out.stats.events_ingested || out.stats.late_events != 0;
-        if diverged {
-            return Ok(smoke_failed("stream", "stream digest diverged from batch"));
-        }
-        if dropped {
-            return Ok(smoke_failed(
-                "stream",
-                "events were dropped or late in a legal replay",
-            ));
+        if let Some(why) = check.failure() {
+            return Ok(smoke_failed("stream", why));
         }
         println!(
             "stream smoke: OK ({} events replayed at slack {slack_minutes} min, \
              digest {digest:#018x} == batch)",
-            out.stats.events_ingested
+            stats.events_ingested
         );
     }
-    Ok(findings_unless(!diverged))
+    Ok(findings_unless(check.failure().is_none()))
 }
 
 /// Runs the `lint` command: the determinism lint over the workspace's own
@@ -1199,11 +1093,6 @@ fn run_lint(args: &Args) -> Result<ExitCode, String> {
 fn run_serve(args: &Args) -> Result<ExitCode, String> {
     let (seed, scale) = (args.seed(), args.scale());
     let smoke_run = args.on(SMOKE);
-    if smoke_run && args.on(ADDR) {
-        return Err(
-            "--smoke and --addr are mutually exclusive (smoke binds an ephemeral port)".into(),
-        );
-    }
     let workers = args.get(WORKERS).unwrap_or(if smoke_run { 2 } else { 4 });
     let queue = args.get(QUEUE).unwrap_or(if smoke_run { 2 } else { 64 });
     if smoke_run {
@@ -1213,18 +1102,17 @@ fn run_serve(args: &Args) -> Result<ExitCode, String> {
         );
         let verdict = smoke(seed, scale, workers, queue)
             .map_err(|e| format!("cannot start smoke server: {e}"))?;
-        return Ok(match verdict {
-            Ok(s) => {
-                println!(
-                    "serve smoke: OK ({} reports byte-identical to the library envelope, \
-                     {} typed sheds, {} concurrent cold reads cost 1 render, {} whatif seeds \
-                     cached {} of at most {VARIANT_CAP} and evicted {}, clean shutdown)",
-                    s.reports, s.shed, s.cold_reads, s.whatif_seeds, s.cached, s.evicted
-                );
-                ExitCode::SUCCESS
-            }
-            Err(deviation) => smoke_failed("serve", &deviation),
-        });
+        let s = match verdict {
+            Ok(s) => s,
+            Err(deviation) => return Ok(smoke_failed("serve", &deviation)),
+        };
+        println!(
+            "serve smoke: OK ({} reports byte-identical to the library envelope, \
+             {} typed sheds, {} concurrent cold reads cost 1 render, {} whatif seeds \
+             cached {} of at most {VARIANT_CAP} and evicted {}, clean shutdown)",
+            s.reports, s.shed, s.cold_reads, s.whatif_seeds, s.cached, s.evicted
+        );
+        return Ok(ExitCode::SUCCESS);
     }
     let config = ServeConfig {
         addr: args.get(ADDR).unwrap_or_default(),
@@ -1264,8 +1152,7 @@ fn run_experiments(args: &Args) -> Result<ExitCode, String> {
             .collect::<Result<_, _>>()?
     };
 
-    let seed = args.seed();
-    let scale = args.scale();
+    let (seed, scale) = (args.seed(), args.scale());
     eprintln!("generating paper scenario (seed {seed}, scale {scale}) ...");
     let mut dataset = paper(seed, scale);
 
@@ -1349,25 +1236,5 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             ExitCode::from(EXIT_USAGE)
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn git_revision_falls_back_outside_a_checkout() {
-        // A directory that cannot exist: spawning git there fails, which is
-        // exactly the "not a checkout" path.
-        let rev = git_revision(Path::new("/nonexistent/definitely/not/a/repo"));
-        assert_eq!(rev, "nogit");
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn peak_rss_reads_on_linux() {
-        let hwm = peak_rss_kb().expect("VmHWM available on Linux");
-        assert!(hwm > 0);
     }
 }

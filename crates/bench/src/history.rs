@@ -346,6 +346,29 @@ pub fn append(path: &Path, entry: &HistoryEntry) -> Result<(), String> {
     writeln!(file, "{line}").map_err(|e| format!("cannot append to {}: {e}", path.display()))
 }
 
+/// Peak resident set size of this process in kB (`VmHWM` from
+/// `/proc/self/status`), or `None` when the file is unavailable (non-Linux).
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// Short git revision of the checkout at `dir`, or `"nogit"` when it is
+/// not a git checkout (export tarballs, vendored checkouts) or git itself
+/// is unavailable. Any failure yields `"nogit"` rather than an error: the
+/// revision only labels the report.
+pub fn git_revision(dir: &Path) -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .current_dir(dir)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "nogit".into(), |s| s.trim().to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,5 +560,20 @@ mod tests {
         };
         let err = HistoryEntry::from_run("test".into(), &run, &untraced, None).unwrap_err();
         assert!(err.contains("report.table1"), "{err}");
+    }
+
+    #[test]
+    fn git_revision_falls_back_outside_a_checkout() {
+        // A directory that cannot exist: spawning git there fails, which is
+        // exactly the "not a checkout" path.
+        let rev = git_revision(Path::new("/nonexistent/definitely/not/a/repo"));
+        assert_eq!(rev, "nogit");
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn peak_rss_reads_on_linux() {
+        let hwm = peak_rss_kb().expect("VmHWM available on Linux");
+        assert!(hwm > 0);
     }
 }

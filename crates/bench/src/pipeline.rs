@@ -7,15 +7,22 @@
 //! record, so the caller opens the collection window and reads its numbers
 //! from the window's `MetricsReport`. Printing, exporting and gating all
 //! read the same spans.
+//!
+//! [`export_check`] is `repro metrics`: it opens that window around one
+//! [`run`] and checks the export against its contract. It prints nothing;
+//! the caller reads the [`ExportCheck`] summary.
 
 use dcfail_audit::recover::recover_raw;
 use dcfail_chaos::{inject, InjectionPlan};
-use dcfail_report::experiments::{run_all, RunConfig};
+use dcfail_obs::MetricsReport;
+use dcfail_report::experiments::{run_all, ExperimentId, RunConfig};
 use dcfail_stats::rng::StreamRng;
 use dcfail_stream::{StreamConfig, StreamEngine};
 use dcfail_synth::feed::dataset_feed;
 use dcfail_synth::Scenario;
 use dcfail_tickets::classify::{apply_to_dataset, PipelineConfig};
+use std::hint::black_box;
+use std::time::Instant;
 
 /// The span around the stream replay: every `ingest` of the feed and the
 /// closing `finish`. Building the feed is outside it.
@@ -88,5 +95,109 @@ pub fn run(seed: u64, scale: f64, rate: f64) -> Result<PipelineRun, String> {
         incidents: dataset.incidents().len(),
         tickets: dataset.tickets().len(),
         feed_events,
+    })
+}
+
+/// Span leaves (`has_stage` names) every traced run must record, besides
+/// [`REPLAY_SPAN`] and each report runner. In order: synth, audit and
+/// recovery, chaos, ticket classification, stats, and the report fan-out
+/// (the registry covers the extras too).
+const REQUIRED_STAGES: &str = "synth.build population placement telemetry incidents hazard \
+    spatial individual assemble tickets haystack audit.dataset audit.recover chaos.copy \
+    chaos.inject classify tokenize tfidf.fit tfidf.transform kmeans manual_label \
+    stats.bootstrap report.run_all";
+
+/// What one [`export_check`] saw.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExportCheck {
+    /// The collection window's export.
+    pub report: MetricsReport,
+    /// Wall-clock of the traced run, ms.
+    pub wall_ms: f64,
+    /// Nanoseconds per inert `span` + `add` call with no window open: what
+    /// every instrumented hot path pays when nothing collects.
+    pub per_call_ns: f64,
+    /// Inert calls the run would have made with the layer disabled: two
+    /// per span closure (open and drop), one per histogram sample, one per
+    /// counter. Counter totals hide how many `add` calls made them, so span
+    /// closures dominate the estimate by construction.
+    pub instrumented_calls: u64,
+    /// Those calls' estimated share of the run's wall-clock, percent.
+    pub overhead_pct: f64,
+    /// The first broken rule of the export contract (schema version, every
+    /// stage span, a `par.jobs` counter, disabled overhead under 2%);
+    /// `None` when it holds.
+    pub failure: Option<String>,
+}
+
+/// Measures the disabled layer's cost per call, outside any window.
+fn disabled_ns_per_call() -> f64 {
+    const CALLS: u32 = 1_000_000;
+    let start = Instant::now();
+    for _ in 0..CALLS {
+        let span = dcfail_obs::span(black_box("overhead.probe"));
+        dcfail_obs::add(black_box("overhead.probe"), black_box(1));
+        drop(black_box(span));
+    }
+    start.elapsed().as_secs_f64() * 1e9 / (2.0 * f64::from(CALLS))
+}
+
+/// Probes the disabled layer's cost, then traces one [`run`] at `seed`,
+/// `scale` and `rate` under a collection window of its own and checks the
+/// window's export.
+///
+/// # Errors
+///
+/// Another collection window is open, so neither the probe nor the run
+/// can be trusted, or the run itself failed.
+pub fn export_check(seed: u64, scale: f64, rate: f64) -> Result<ExportCheck, String> {
+    if dcfail_obs::enabled() {
+        return Err("another metrics collection window is active".into());
+    }
+    let per_call_ns = disabled_ns_per_call();
+    let handle =
+        dcfail_obs::ObsHandle::install().ok_or("another metrics collection window is active")?;
+    let wall = Instant::now();
+    run(seed, scale, rate)?;
+    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+    let report = handle.finish();
+
+    let samples: u64 = report.histograms.iter().map(|h| h.count as u64).sum();
+    let instrumented_calls = report.spans.iter().map(|s| s.count * 2).sum::<u64>()
+        + samples
+        + report.counters.len() as u64;
+    let overhead_pct = instrumented_calls as f64 * per_call_ns / (wall_ms * 1e6) * 100.0;
+    let runners = ExperimentId::ALL
+        .iter()
+        .map(|id| format!("report.{}", id.key()));
+    let missing: Vec<String> = REQUIRED_STAGES
+        .split_whitespace()
+        .chain([REPLAY_SPAN])
+        .map(str::to_string)
+        .chain(runners)
+        .filter(|stage| !report.has_stage(stage))
+        .collect();
+    let failure = if report.schema_version != dcfail_obs::SCHEMA_VERSION {
+        Some(format!(
+            "schema version {} != {}",
+            report.schema_version,
+            dcfail_obs::SCHEMA_VERSION
+        ))
+    } else if !missing.is_empty() {
+        Some(format!("missing stage spans: {}", missing.join(", ")))
+    } else if report.counter("par.jobs").unwrap_or(0) == 0 {
+        Some("no par.jobs counter".to_string())
+    } else if overhead_pct >= 2.0 {
+        Some(format!("disabled-path overhead {overhead_pct:.2}% >= 2%"))
+    } else {
+        None
+    };
+    Ok(ExportCheck {
+        report,
+        wall_ms,
+        per_call_ns,
+        instrumented_calls,
+        overhead_pct,
+        failure,
     })
 }

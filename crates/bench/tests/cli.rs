@@ -185,6 +185,34 @@ fn a_flag_or_word_the_command_does_not_read_is_a_usage_error() {
 }
 
 #[test]
+fn a_flag_the_chosen_input_or_mode_does_not_read_is_a_usage_error() {
+    // No runner would read the second flag: it is refused before any work.
+    for (line, refusal) in [
+        (
+            "shard --baseline --shards 3",
+            "--baseline and --shards are mutually exclusive",
+        ),
+        (
+            "audit --dataset t.json --seed 9 --scale 0.5",
+            "--dataset and --seed are mutually exclusive",
+        ),
+        (
+            "audit --machines m.csv --events e.csv --scale 0.5",
+            "--machines and --scale are mutually exclusive",
+        ),
+        ("audit --lenient", "--lenient needs --dataset or --machines"),
+        (
+            "bench --smoke --history h.jsonl",
+            "--history needs --record or --check",
+        ),
+    ] {
+        let args: Vec<&str> = line.split(' ').collect();
+        assert_usage_error(&args, refusal);
+        assert!(repro(&args).stdout.is_empty(), "{line} wrote to stdout");
+    }
+}
+
+#[test]
 fn help_lists_each_flag_under_the_commands_that_read_it() {
     let out = repro(&["--help"]);
     let help = String::from_utf8_lossy(&out.stdout);
@@ -202,6 +230,11 @@ fn help_lists_each_flag_under_the_commands_that_read_it() {
         "serve refuses --metrics"
     );
     assert!(!block("lint").contains("--rate"), "lint reads no --rate");
+    // Each command's flag rules follow its synopsis.
+    assert!(block("shard").contains("--resume needs --checkpoint-dir"));
+    assert!(block("shard").contains("--baseline excludes --checkpoint-dir, --shards"));
+    assert!(block("audit").contains("--lenient needs --dataset or --machines"));
+    assert!(block("bench").contains("--history needs --record or --check"));
 }
 
 /// The first line `repro args` writes to stderr — the run's echo of its

@@ -36,11 +36,13 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+mod check;
 mod csv;
 mod inject;
 pub mod iofault;
 mod plan;
 
+pub use check::{recovery_check, RecoveryCheck};
 pub use csv::garble_csv;
 pub use inject::{inject, inject_raw, InjectionLog};
 pub use iofault::{IoFault, IoFaultInjector, IoFaultPlan};

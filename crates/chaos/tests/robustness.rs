@@ -7,7 +7,7 @@
 use dcfail_audit::import;
 use dcfail_audit::recover::recover_raw;
 use dcfail_audit::{RawDatasetParts, RecoveryMode};
-use dcfail_chaos::{garble_csv, inject, inject_raw, Corruption, InjectionPlan};
+use dcfail_chaos::{garble_csv, inject_raw, recovery_check, Corruption, InjectionPlan};
 use dcfail_core::{degradation, rates, repair};
 use dcfail_model::interop;
 use dcfail_model::prelude::*;
@@ -51,17 +51,16 @@ proptest! {
         } else {
             InjectionPlan::uniform(seed, 0.0).with(Corruption::ALL[focus], rate)
         };
-        let (parts, _log) = inject(&clean, &plan);
-        let recovered = recover_raw(&parts);
-        prop_assert!(recovered.is_ok(), "recovery failed: {}", recovered.unwrap_err());
-        let recovered = recovered.unwrap();
-        let report = dcfail_audit::audit_dataset(&recovered.dataset);
+        let check = recovery_check(&clean, &plan);
+        prop_assert!(check.is_ok(), "recovery failed: {}", check.unwrap_err());
+        let check = check.unwrap();
         prop_assert!(
-            report.is_clean(),
-            "recovered dataset re-audits dirty (seed {seed}, rate {rate}, focus {focus}):\n{}",
-            report.render_text()
+            check.failure.is_none(),
+            "{} (seed {seed}, rate {rate}, focus {focus}):\n{}",
+            check.failure.unwrap_or_default(),
+            check.audit.render_text()
         );
-        analyze_never_panics(&recovered.dataset);
+        analyze_never_panics(&check.recovered.dataset);
     }
 
     /// Garbled CSV at any rate: the lenient import path always yields an
@@ -93,21 +92,54 @@ proptest! {
         );
         analyze_never_panics(&dataset);
     }
+
+    /// Truncated, byte-flipped or deep-nested JSON: both import modes
+    /// return a clean dataset or a typed error, never a panic.
+    #[test]
+    fn garbled_json_import_never_panics(
+        cut in 0usize..1_000_000,
+        flip in 0usize..1_000_000,
+        mask in 1u8..=255,
+        depth in 100usize..200,
+    ) {
+        let trace = small_trace();
+        let mut flipped = trace.clone().into_bytes();
+        flipped[flip % trace.len()] ^= mask;
+        let nested = format!("{{\"extra\":{}{},{}", "[".repeat(depth), "]".repeat(depth), &trace[1..]);
+        for json in [
+            String::from_utf8_lossy(&trace.as_bytes()[..cut % trace.len()]).into_owned(),
+            String::from_utf8_lossy(&flipped).into_owned(),
+            nested,
+        ] {
+            for mode in [RecoveryMode::Strict, RecoveryMode::Lenient] {
+                if let Ok((_, report, _)) = import::dataset_from_json_with(&json, mode) {
+                    prop_assert!(report.is_clean(), "{mode:?} import of garbled JSON is dirty");
+                }
+            }
+        }
+    }
 }
 
+/// A small clean trace, exported as JSON once per test binary.
+fn small_trace() -> &'static String {
+    static TRACE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    TRACE.get_or_init(|| serde_json::to_string(&clean_dataset(3, 0.01)).expect("serialize"))
+}
+
+/// The recovery check behind `repro chaos`: it holds, and the same plan on
+/// the same dataset injects, recovers and re-audits to the same summary.
 #[test]
-fn injection_and_recovery_are_deterministic() {
+fn recovery_check_holds_and_is_deterministic() {
     let clean = clean_dataset(11, 0.05);
     let plan = InjectionPlan::uniform(42, 0.2);
-    let (parts_a, log_a) = inject(&clean, &plan);
-    let (parts_b, log_b) = inject(&clean, &plan);
-    assert_eq!(log_a, log_b);
-    assert!(log_a.total() > 0, "20% corruption must touch something");
-    let a = recover_raw(&parts_a).expect("recovery succeeds");
-    let b = recover_raw(&parts_b).expect("recovery succeeds");
-    assert_eq!(a.dataset, b.dataset);
-    assert_eq!(a.report, b.report);
-    assert!(!a.report.is_empty());
+    let check = recovery_check(&clean, &plan).expect("recovery succeeds");
+    assert_eq!(check.failure, None, "{}", check.audit.render_text());
+    assert!(check.log.total() > 0, "20% corruption must touch something");
+    assert!(!check.recovered.report.is_empty());
+    assert_eq!(
+        recovery_check(&clean, &plan).expect("recovery succeeds"),
+        check
+    );
 }
 
 #[test]
@@ -135,11 +167,10 @@ fn strict_import_rejects_what_lenient_recovers() {
 #[test]
 fn bounded_corruption_keeps_estimates_within_tolerance() {
     let clean = clean_dataset(7, 0.2);
-    let plan = InjectionPlan::uniform(1234, 0.05);
-    let (parts, log) = inject(&clean, &plan);
-    assert!(log.total() > 0);
-    let recovered = recover_raw(&parts).expect("recovery succeeds");
-    assert!(dcfail_audit::audit_dataset(&recovered.dataset).is_clean());
+    let check = recovery_check(&clean, &InjectionPlan::uniform(1234, 0.05)).expect("recovers");
+    assert_eq!(check.failure, None);
+    assert!(check.log.total() > 0);
+    let recovered = check.recovered;
     let kept = &recovered.report;
     assert!(kept.events_kept as f64 > 0.9 * kept.events_seen as f64);
 

@@ -445,16 +445,20 @@ pub fn dataset_from_csv_lenient(
     let mut seen_ids: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
     for (line, cols) in data_rows(machines_csv) {
         recovery.machine_rows_seen += 1;
+        // A row's clamps count only once the row is kept.
+        let mut clamped = 0;
         let row = match cols[0].trim().parse::<u32>() {
-            Ok(id) if cols.len() == 10 => {
-                let clamped = Some(&mut recovery.fields_clamped);
-                machine_row(&cols, line, clamped).ok().map(|row| (id, row))
-            }
+            Ok(id) if cols.len() == 10 => machine_row(&cols, line, Some(&mut clamped))
+                .ok()
+                .map(|row| (id, row)),
             _ => None,
         };
         // A row repeating an earlier id is skipped too.
         match row {
-            Some((id, row)) if seen_ids.insert(id) => parsed.push((id, row)),
+            Some((id, row)) if seen_ids.insert(id) => {
+                recovery.fields_clamped += clamped;
+                parsed.push((id, row));
+            }
             _ => recovery.rows_skipped += 1,
         }
     }
@@ -604,5 +608,25 @@ machine,kind,subsystem,power_domain,cpus,memory_mb,disks,disk_gb,created_minutes
     fn empty_inventory_rejected() {
         let e = dataset_from_csv("header\n", "header\n", Horizon::observation_year()).unwrap_err();
         assert_eq!(e.line, 0);
+    }
+
+    #[test]
+    fn lenient_counts_a_clamp_only_on_a_kept_row() {
+        let header = MACHINES.lines().next().unwrap();
+        let count = |rows: &str| {
+            let machines = format!("{header}\n{rows}");
+            let horizon = Horizon::observation_year();
+            let (_, recovery) = dataset_from_csv_lenient(&machines, "header\n", horizon).unwrap();
+            (recovery.rows_skipped, recovery.fields_clamped)
+        };
+        // Zero cpus, then an unparseable memory: the row is skipped, so
+        // its clamp is not counted.
+        assert_eq!(
+            count("0,PM,0,0,0,bad,1,1,,\n1,PM,0,0,4,8192,2,512,,\n"),
+            (1, 0)
+        );
+        // A repeated id is skipped too; a kept row counts its clamp.
+        let rows = "1,PM,0,0,4,8192,2,512,,\n1,PM,0,0,0,8192,2,512,,\n2,PM,0,0,0,8192,2,512,,\n";
+        assert_eq!(count(rows), (1, 1));
     }
 }

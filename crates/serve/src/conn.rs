@@ -270,6 +270,114 @@ pub fn poke(addr: SocketAddr) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::parse_request;
+    use proptest::prelude::*;
+
+    /// Request fragments, `|`-separated, that the fragment fuzz strings
+    /// together, so random input reaches the framing logic instead of
+    /// failing at the first byte.
+    const FRAGMENTS: &str = "GET|POST| |/whatif|?seed=7| HTTP/1.1|\r\n|\n|Content-Length|\
+        content-LENGTH|:| 7|-3|0x1f|99999999999999999999999|{}";
+
+    /// A well-formed `POST` whose head states each of `lengths` in its own
+    /// `Content-Length` header, with a 7-byte body.
+    fn post_with_lengths(lengths: &[String]) -> Vec<u8> {
+        let mut raw = b"POST /whatif HTTP/1.1\r\nHost: dcfail\r\n".to_vec();
+        for length in lengths {
+            raw.extend_from_slice(format!("Content-Length: {length}\r\n").as_bytes());
+        }
+        raw.extend_from_slice(b"\r\n{\"a\":1}");
+        raw
+    }
+
+    /// A `Content-Length` value: decimal, negative, non-decimal or past
+    /// `usize`.
+    fn length_text(pick: u8, n: u64) -> String {
+        match pick {
+            0 | 1 => n.to_string(),
+            2 => format!("-{n}"),
+            3 => format!("{n:x}h"),
+            _ => format!("{}{n}", usize::MAX),
+        }
+    }
+
+    /// Fails unless `framed`, `content_length`'s answer for `head`, is a
+    /// length the head states: with no header only 0, else the value of
+    /// every `Content-Length` header, each a plain decimal.
+    fn assert_stated(head: &[u8], framed: Option<usize>) {
+        let Some(n) = framed else { return };
+        let stated: Vec<&[u8]> = head
+            .split(|&b| b == b'\n')
+            .filter_map(|line| {
+                let colon = line.iter().position(|&b| b == b':')?;
+                let named = line[..colon].eq_ignore_ascii_case(b"content-length");
+                named.then(|| line[colon + 1..].trim_ascii())
+            })
+            .collect();
+        assert!(n == 0 || !stated.is_empty(), "{n} framed from no header");
+        for value in stated {
+            let decimal = !value.is_empty() && value.iter().all(u8::is_ascii_digit);
+            let parsed = std::str::from_utf8(value).ok().and_then(|v| v.parse().ok());
+            assert!(decimal && parsed == Some(n), "{n} framed from {value:?}");
+        }
+    }
+
+    /// The read path over `bytes` as one read delivered them: the head's
+    /// end, its framed length, and the request parsed from the framed bytes.
+    fn read_path(bytes: &[u8]) {
+        let end = find_header_end(bytes);
+        if let Some(end) = end {
+            assert_eq!(&bytes[end - 4..end], b"\r\n\r\n");
+            assert_eq!(find_header_end(&bytes[..end - 1]), None, "an earlier end");
+        }
+        let head = &bytes[..end.unwrap_or(bytes.len())];
+        let framed = content_length(head).ok();
+        assert_stated(head, framed);
+        let total = head.len().saturating_add(framed.unwrap_or(0));
+        let framed = &bytes[..total.min(bytes.len())];
+        if let Ok(request) = parse_request(framed) {
+            assert!(!request.method.is_empty() && framed.ends_with(&request.body));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes: framed and parsed, or refused with a typed
+        /// error, never a panic.
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
+            read_path(&bytes);
+        }
+
+        /// Strings of request fragments reach past the first byte.
+        fn request_fragments_never_panic(picks in prop::collection::vec(0usize..16, 0..48)) {
+            let fragments: Vec<&str> = FRAGMENTS.split('|').collect();
+            let request: String = picks.iter().map(|&i| fragments[i]).collect();
+            read_path(request.as_bytes());
+        }
+
+        /// A valid request with its `Content-Length` repeated, negative,
+        /// non-decimal or past `usize`, read in two parts, or with one
+        /// byte flipped.
+        fn mangled_requests_frame_only_a_stated_length(
+            picks in prop::collection::vec(0u8..5, 0..4),
+            n in 0u64..100_000,
+            split in 0usize..512,
+            flip in 0usize..512,
+            mask in 1u8..=255,
+        ) {
+            let lengths: Vec<String> = picks.iter().map(|&p| length_text(p, n)).collect();
+            let mut raw = post_with_lengths(&lengths);
+            let end = find_header_end(&raw).expect("a built request has a whole head");
+            let split = split % (raw.len() + 1);
+            prop_assert_eq!(find_header_end(&raw[..split]), (split >= end).then_some(end));
+            read_path(&raw[..split]);
+            read_path(&raw);
+            let at = flip % raw.len();
+            raw[at] ^= mask;
+            read_path(&raw);
+        }
+    }
 
     #[test]
     fn header_end_is_found_past_terminator() {

@@ -268,3 +268,18 @@ fn malformed_requests_get_400_not_a_hung_worker() {
     assert_eq!(get(addr, "/registry").0, 200);
     server.shutdown();
 }
+
+#[test]
+fn deeply_nested_json_body_is_a_typed_400_not_a_stack_overflow() {
+    let server = start(1, 8, false);
+    let addr = server.addr();
+    // Far past the parser's nesting bound, yet under the request cap.
+    let (status, body) = post(addr, "/whatif", &"[".repeat(60_000));
+    assert_eq!(status, 400);
+    let body = String::from_utf8(body).unwrap();
+    assert!(body.contains("bad_request_body"), "{body}");
+    assert!(body.contains("recursion limit"), "{body}");
+    // The worker survived: the next request is served normally.
+    assert_eq!(get(addr, "/registry").0, 200);
+    server.shutdown();
+}

@@ -74,7 +74,9 @@ use dcfail_synth::hazard::{HazardModel, NormAccum};
 use dcfail_synth::incidents::{self, IncidentSpec};
 use dcfail_synth::{population, scenario, telemetry_gen, ScenarioConfig};
 
-/// What one pass-2 shard worker hands back to the coordinator.
+/// What one pass-2 shard worker hands back to the coordinator, and the
+/// payload of its checkpointed pass-2 segment.
+#[derive(serde::Serialize, serde::Deserialize)]
 pub(crate) struct ShardYield {
     /// Individual incident specs of the shard's machines, in machine order.
     pub(crate) specs: Vec<IncidentSpec>,

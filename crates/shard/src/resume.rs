@@ -34,23 +34,14 @@ use crate::{
     merge_and_assemble, norms_shard, pass2_shard, shard_ranges, ShardYield, ShardedOutput,
 };
 use dcfail_ckpt::{fnv64, CheckpointStore, CkptError};
-use dcfail_core::panel::PanelCounts;
 use dcfail_report::experiments::RunConfig;
 use dcfail_report::runners::reports_digest;
 use dcfail_stats::merge::Mergeable;
 use dcfail_stats::rng::StreamRng;
 use dcfail_synth::hazard::NormAccum;
-use dcfail_synth::incidents::{self, IncidentSpec};
+use dcfail_synth::incidents;
 use dcfail_synth::{population, ScenarioConfig};
-use serde::{Deserialize, Serialize};
-
-/// Payload of one pass-2 segment: the shard's incident specs plus its
-/// Fig. 8–10 panel counts.
-#[derive(Serialize, Deserialize)]
-struct Pass2Segment {
-    specs: Vec<IncidentSpec>,
-    panels: PanelCounts,
-}
+use serde::Deserialize;
 
 /// FNV-64 digest identifying a (configuration, pipeline-layout) pair.
 ///
@@ -171,11 +162,7 @@ pub fn resume_sharded(
             let name = segment_name("pass2", s);
             let loaded = store
                 .load_segment(&mut manifest, &name)?
-                .and_then(|bytes| decode_payload::<Pass2Segment>(&name, &bytes))
-                .map(|seg| ShardYield {
-                    specs: seg.specs,
-                    panels: seg.panels,
-                });
+                .and_then(|bytes| decode_payload::<ShardYield>(&name, &bytes));
             yields.push(loaded);
         }
         let missing: Vec<usize> = (0..ranges.len()).filter(|&s| yields[s].is_none()).collect();
@@ -192,17 +179,10 @@ pub fn resume_sharded(
             )
         });
         for (&s, shard_yield) in missing.iter().zip(computed) {
-            let segment = Pass2Segment {
-                specs: shard_yield.specs,
-                panels: shard_yield.panels,
-            };
-            let payload = serde_json::to_string(&segment)
-                .expect("Pass2Segment is a closed tree of serializable fields");
+            let payload = serde_json::to_string(&shard_yield)
+                .expect("ShardYield is a closed tree of serializable fields");
             store.write_segment(&mut manifest, &segment_name("pass2", s), payload.as_bytes())?;
-            yields[s] = Some(ShardYield {
-                specs: segment.specs,
-                panels: segment.panels,
-            });
+            yields[s] = Some(shard_yield);
         }
         yields.into_iter().flatten().collect()
     };
@@ -232,6 +212,7 @@ mod tests {
     use super::*;
     use dcfail_ckpt::{decode_segment, MemFs};
     use dcfail_stats::merge::CountMatrix;
+    use dcfail_synth::incidents::IncidentSpec;
     use dcfail_synth::Scenario;
 
     /// A pass-2 payload in the shape earlier releases wrote: the shard's
@@ -273,10 +254,9 @@ mod tests {
         let name = segment_name("pass2", 0);
         let path = format!("ckpt/{name}");
         let current = mem.snapshot(&path).unwrap();
-        let segment: Pass2Segment =
-            decode_payload(&name, decode_segment(&current).unwrap()).unwrap();
+        let segment: ShardYield = decode_payload(&name, decode_segment(&current).unwrap()).unwrap();
         let legacy = legacy_payload(&segment.specs, config.horizon.num_weeks());
-        assert!(decode_payload::<Pass2Segment>(&name, legacy.as_bytes()).is_none());
+        assert!(decode_payload::<ShardYield>(&name, legacy.as_bytes()).is_none());
         let mut manifest = store.open(config_digest(&config), 2).unwrap();
         store
             .write_segment(&mut manifest, &name, legacy.as_bytes())
@@ -290,7 +270,7 @@ mod tests {
         let rewritten = mem.snapshot(&path).unwrap();
         let payload = decode_segment(&rewritten).unwrap();
         assert_ne!(payload, legacy.as_bytes());
-        assert!(decode_payload::<Pass2Segment>(&name, payload).is_some());
+        assert!(decode_payload::<ShardYield>(&name, payload).is_some());
         assert_eq!(rewritten, current);
     }
 }

@@ -57,9 +57,11 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+mod check;
 pub mod detect;
 pub mod engine;
 
+pub use check::{replay_check, ReplayCheck};
 pub use dcfail_synth::feed::{FeedEvent, FeedPayload};
 pub use detect::{Alert, BurstDetector, DetectorConfig};
 pub use engine::{

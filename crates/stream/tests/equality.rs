@@ -9,8 +9,8 @@
 use dcfail_model::prelude::*;
 use dcfail_stats::rng::StreamRng;
 use dcfail_stream::{
-    batch_digest, batch_rendered, StreamConfig, StreamEngine, StreamError, StreamOutput,
-    StreamStats,
+    batch_digest, batch_rendered, replay_check, StreamConfig, StreamEngine, StreamError,
+    StreamOutput, StreamStats,
 };
 use dcfail_synth::feed::{dataset_feed, reorder_within_slack, FeedEvent};
 use dcfail_synth::Scenario;
@@ -80,22 +80,40 @@ fn canonical_feed_reproduces_batch_figures_byte_identically() {
     );
 }
 
+/// The replay check behind `repro stream`, at CI's three slacks: canonical,
+/// six hours and one week of scramble on the check's own fork.
 #[test]
-fn reordered_feeds_reproduce_the_canonical_digest() {
-    let reference = stream_run(feed(), 0).digest();
-    assert_eq!(reference, batch_digest(dataset()));
-    for (case, slack) in [(0u64, 1i64), (1, 60), (2, 720), (3, 10_080)] {
-        let mut rng = StreamRng::new(7).fork_index("equality.reorder", case);
-        let shuffled = reorder_within_slack(feed(), SimDuration::from_minutes(slack), &mut rng);
-        let out = stream_run(&shuffled, slack);
-        assert_eq!(
-            out.digest(),
-            reference,
-            "slack {slack} min (case {case}) diverged"
-        );
-        assert_eq!(out.stats.late_events, 0);
-        assert_accounted(&out.stats);
+fn replay_check_holds_at_every_ci_slack() {
+    for slack in [0i64, 360, 10_080] {
+        let config = StreamConfig {
+            slack: SimDuration::from_minutes(slack),
+            ..StreamConfig::default()
+        };
+        let check = replay_check(42, 0.02, config, None).expect("a legal scramble is never late");
+        assert_eq!(check.failure(), None, "slack {slack} min");
+        assert_eq!(check.slack_minutes, slack);
+        assert_eq!(check.digest, batch_digest(dataset()), "slack {slack} min");
+        assert_eq!(check.batch_digest, Some(check.digest));
+        assert_eq!(check.stats.events_ingested, feed().len() as u64);
+        assert_eq!(check.stats.late_events, 0);
+        assert_accounted(&check.stats);
     }
+}
+
+#[test]
+fn a_capped_replay_skips_the_batch_gate_and_the_verdict_reads_the_counts() {
+    let mut check = replay_check(42, 0.02, StreamConfig::default(), Some(1_000)).unwrap();
+    assert_eq!(
+        (check.batch_digest, check.stats.events_ingested),
+        (None, 1_000)
+    );
+    assert_eq!(check.failure(), None);
+    check.batch_digest = Some(check.digest ^ 1);
+    assert_eq!(check.failure(), Some("stream digest diverged from batch"));
+    check.batch_digest = Some(check.digest);
+    check.stats.events_applied -= 1;
+    let dropped = Some("events were dropped or late in a legal replay");
+    assert_eq!(check.failure(), dropped);
 }
 
 #[test]
