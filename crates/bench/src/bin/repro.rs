@@ -191,6 +191,9 @@ enum Rule {
     Excludes(Flag, &'static [Flag]),
     /// The two flags name one input: both or neither.
     Together(Flag, Flag),
+    /// The flag is read only for paper artifacts: `all` or an artifact id
+    /// must be among the words, not just `extras` or `summary`.
+    NeedsArtifact(Flag),
 }
 
 /// The flags' names joined by `sep`.
@@ -205,6 +208,7 @@ impl Rule {
             Rule::Needs(flag, any) => format!("{} needs {}", flag.name, names(any, " or ")),
             Rule::Excludes(flag, rest) => format!("{} excludes {}", flag.name, names(rest, ", ")),
             Rule::Together(a, b) => format!("{} and {} must be given together", a.name, b.name),
+            Rule::NeedsArtifact(flag) => format!("{} needs all or an artifact id", flag.name),
         }
     }
 
@@ -219,6 +223,15 @@ impl Rule {
                 .find(|&&f| args.on(f))
                 .map(|f| format!("{} and {} are mutually exclusive", flag.name, f.name)),
             Rule::Together(a, b) if args.on(a) != args.on(b) => Some(self.help()),
+            Rule::NeedsArtifact(flag)
+                if args.on(flag)
+                    && !args
+                        .words
+                        .iter()
+                        .any(|w| w == "all" || w.parse::<ExperimentId>().is_ok()) =>
+            {
+                Some(format!("{}, not '{}'", self.help(), args.words.join(" ")))
+            }
             _ => None,
         }
     }
@@ -239,9 +252,9 @@ struct Command {
     traced: bool,
 }
 
-/// The artifact runs (`all` when no word is given): the default row, whose
-/// `--scale` default, window and (empty) rules the other rows share unless
-/// they say otherwise.
+/// The artifact runs (`all` when no word is given): the base of the default
+/// row, whose `--scale` default, window and (empty) rules the other rows
+/// share unless they say otherwise.
 const ARTIFACTS: Command = Command {
     name: "",
     run: run_experiments,
@@ -253,7 +266,11 @@ const ARTIFACTS: Command = Command {
 
 /// Every command `repro` runs: the artifact runs first, as the default.
 const COMMANDS: &[Command] = &[
-    ARTIFACTS,
+    Command {
+        // The extras and the §VII summary write no CSV.
+        rules: &[Rule::NeedsArtifact(CSV)],
+        ..ARTIFACTS
+    },
     Command {
         name: "ablate",
         run: run_ablate,
@@ -469,11 +486,11 @@ fn parse(argv: &[String]) -> Result<Option<Args>, String> {
         };
         args.values.insert(flag.name, flag.kind.check(arg, value)?);
     }
-    if let Some(error) = command.rules.iter().find_map(|r| r.broken_by(&args)) {
-        return Err(error);
-    }
     if command.name.is_empty() && args.words.is_empty() {
         args.words.push("all".into());
+    }
+    if let Some(error) = command.rules.iter().find_map(|r| r.broken_by(&args)) {
+        return Err(error);
     }
     Ok(Some(args))
 }

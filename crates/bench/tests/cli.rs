@@ -205,6 +205,15 @@ fn a_flag_the_chosen_input_or_mode_does_not_read_is_a_usage_error() {
             "bench --smoke --history h.jsonl",
             "--history needs --record or --check",
         ),
+        // The extras and the summary write no CSV.
+        (
+            "summary --scale 0.02 --csv D",
+            "--csv needs all or an artifact id, not 'summary'",
+        ),
+        (
+            "extras summary --csv D",
+            "--csv needs all or an artifact id, not 'extras summary'",
+        ),
     ] {
         let args: Vec<&str> = line.split(' ').collect();
         assert_usage_error(&args, refusal);
@@ -235,6 +244,34 @@ fn help_lists_each_flag_under_the_commands_that_read_it() {
     assert!(block("shard").contains("--baseline excludes --checkpoint-dir, --shards"));
     assert!(block("audit").contains("--lenient needs --dataset or --machines"));
     assert!(block("bench").contains("--history needs --record or --check"));
+    let artifacts = help
+        .split("\n  repro ")
+        .find(|b| b.starts_with('['))
+        .expect("help has the artifact line");
+    assert!(artifacts.contains("--csv needs all or an artifact id"));
+    assert!(!block("ablate").contains("--csv"), "ablate reads no --csv");
+}
+
+#[test]
+fn csv_writes_the_named_artifacts_alongside_extras() {
+    let dir = std::env::temp_dir().join(format!("dcfail-cli-csv-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = repro(&[
+        "fig2",
+        "extras",
+        "--scale",
+        "0.02",
+        "--csv",
+        dir.to_str().expect("a UTF-8 temp path"),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("the CSV directory exists")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["fig2.csv"]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The first line `repro args` writes to stderr — the run's echo of its

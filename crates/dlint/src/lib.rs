@@ -114,7 +114,7 @@ dcfail_findings::rule_catalog! {
             "no samples_15min/monthly_transition_rate/score_week calls inside loops in library code; hoist the scan, or use the bulk Telemetry::monthly_transition_rates pass or prediction::evaluate's sweep");
         /// A growable event backlog silently voids the O(slack) bound.
         D15 = ("D15", Error,
-            "no growable buffering of feed events (Vec push of event-like values) in stream library code; park arrivals in the slack-bounded reorder buffer");
+            "no growable buffering of feed events (push, push_back, extend or insert of event-like values) in stream library code; park arrivals in the slack-bounded reorder buffer");
         /// Scattered socket I/O dodges the serve daemon's timeout, size-cap
         /// and shutdown policy, which lives in exactly one module.
         D16 = ("D16", Error,

@@ -283,15 +283,17 @@ fn lint_code_line(
     lint_io_doors(ctx, file, idx, line, findings);
 
     if ctx.crate_name == "stream" {
-        for (pos, _) in line.match_indices(".push(") {
-            let arg = paren_argument(&line[pos + ".push(".len()..]);
-            if names_event(arg) {
-                findings.push(RawFinding::new(
-                    LintRule::D15,
-                    file,
-                    idx,
-                    "growable push of a feed event in stream library code voids the O(slack) memory bound; park arrivals in the watermark-drained reorder buffer instead",
-                ));
+        for call in GROWING_CALLS {
+            for (pos, _) in line.match_indices(call) {
+                let arg = paren_argument(&line[pos + call.len()..]);
+                if names_event(arg) {
+                    findings.push(RawFinding::new(
+                        LintRule::D15,
+                        file,
+                        idx,
+                        format!("{call}…) of a feed event into a collection in stream library code voids the O(slack) memory bound; park arrivals in the watermark-drained reorder buffer instead"),
+                    ));
+                }
             }
         }
     }
@@ -308,6 +310,9 @@ fn lint_code_line(
         ));
     }
 }
+
+/// The calls through which a value enters a growable collection (D15).
+const GROWING_CALLS: [&str; 4] = [".push(", ".push_back(", ".extend(", ".insert("];
 
 /// Trims `rest` (the text just past a call's open paren) to the argument
 /// list: everything up to the matching close paren, or the whole remainder

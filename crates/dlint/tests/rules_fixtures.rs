@@ -108,6 +108,12 @@ const CASES: &[Case] = &[
         suppressed: include_str!("fixtures/d15_suppressed.rs"),
     },
     Case {
+        rule: LintRule::D15,
+        virtual_path: "crates/stream/src/fixture.rs",
+        fire: include_str!("fixtures/d15_collections_fire.rs"),
+        suppressed: include_str!("fixtures/d15_collections_suppressed.rs"),
+    },
+    Case {
         rule: LintRule::D16,
         // In scope even inside the serve crate: only conn.rs is exempt.
         virtual_path: "crates/serve/src/fixture.rs",
@@ -194,6 +200,33 @@ fn d14_names_the_fix_for_each_scan() {
     let d = walk.report.find(LintRule::D14).expect("finding present");
     assert!(d.message.starts_with("score_week "), "{}", d.message);
     assert!(d.message.contains("evaluate's sweep"), "{}", d.message);
+}
+
+#[test]
+fn d15_sees_each_call_that_grows_a_collection() {
+    let r = lint_source(
+        "crates/stream/src/fixture.rs",
+        include_str!("fixtures/d15_collections_fire.rs"),
+    );
+    let mut calls: Vec<&str> = r
+        .report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == LintRule::D15)
+        .map(|d| d.message.split('…').next().unwrap_or_default())
+        .collect();
+    calls.sort_unstable();
+    assert_eq!(
+        calls,
+        [".extend(", ".insert(", ".push_back("],
+        "{}",
+        r.render_text()
+    );
+    let twin = lint_source(
+        "crates/stream/src/fixture.rs",
+        include_str!("fixtures/d15_collections_suppressed.rs"),
+    );
+    assert_eq!(twin.suppressed, 3, "{}", twin.render_text());
 }
 
 #[test]

@@ -81,13 +81,16 @@ impl Conn {
     pub fn read_request(&mut self) -> Result<Vec<u8>, ReadError> {
         let mut buf = Vec::with_capacity(512);
         let mut chunk = [0u8; 2048];
+        // Bytes of `buf` already scanned without finding the terminator.
+        let mut scanned = 0;
         let header_end = loop {
-            if let Some(end) = find_header_end(&buf) {
+            if let Some(end) = header_end_after(&buf, scanned) {
                 break end;
             }
             if buf.len() >= MAX_REQUEST_BYTES {
                 return Err(ReadError::HeadersTooLarge);
             }
+            scanned = buf.len();
             let n = self.stream.read(&mut chunk)?;
             if n == 0 {
                 return Err(io::Error::new(
@@ -148,6 +151,15 @@ impl Conn {
 /// Byte offset just past the `\r\n\r\n` header terminator, if present.
 fn find_header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+}
+
+/// [`find_header_end`] of `buf` when its first `scanned` bytes hold no
+/// terminator: one that ends past them starts at most 3 bytes before their
+/// end, so the scan resumes there. Each read then costs its own bytes, not
+/// the whole head again, however finely a client trickles the head.
+fn header_end_after(buf: &[u8], scanned: usize) -> Option<usize> {
+    let from = scanned.saturating_sub(3);
+    find_header_end(&buf[from..]).map(|end| from + end)
 }
 
 /// Why [`Conn::read_request`] yielded no request.
@@ -342,6 +354,27 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Bytes rich in `\r` and `\n`, read in arbitrary chunks: after
+        /// every read the resumed scan finds exactly the end the scan of the
+        /// whole buffer finds.
+        fn resumed_scan_matches_the_whole_buffer_scan(
+            picks in prop::collection::vec(0usize..4, 0..300),
+            reads in prop::collection::vec(1usize..9, 1..64),
+        ) {
+            let bytes: Vec<u8> = picks.iter().map(|&i| b"\r\nA\r"[i]).collect();
+            let (mut buf, mut scanned) = (Vec::new(), 0);
+            for &n in reads.iter().cycle() {
+                let next = (buf.len() + n).min(bytes.len());
+                buf.extend_from_slice(&bytes[buf.len()..next]);
+                let found = header_end_after(&buf, scanned);
+                prop_assert_eq!(found, find_header_end(&buf));
+                if found.is_some() || buf.len() == bytes.len() {
+                    break;
+                }
+                scanned = buf.len();
+            }
+        }
 
         /// Arbitrary bytes: framed and parsed, or refused with a typed
         /// error, never a panic.

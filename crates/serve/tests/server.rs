@@ -14,7 +14,8 @@ use dcfail_report::{ExperimentId, RunConfig, Toolkit};
 use dcfail_serve::conn::{get_request, post_request, roundtrip};
 use dcfail_serve::http::split_response;
 use dcfail_serve::{serve_toolkit, ServeConfig, ServerHandle};
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 
 const SCALE: f64 = 0.02;
 
@@ -194,6 +195,43 @@ fn oversized_requests_are_a_typed_413_or_431() {
     assert!(body.contains("\"error\":\"headers_too_large\""), "{body}");
     // The worker survived: the next request is served normally.
     assert_eq!(get(addr, "/registry").0, 200);
+    server.shutdown();
+}
+
+/// Writes `raw` to a fresh connection `piece` bytes per write, each sent
+/// on its own, then reads the response to the close.
+fn trickle(addr: SocketAddr, raw: &[u8], piece: usize) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    for part in raw.chunks(piece) {
+        stream.write_all(part).expect("write a piece");
+    }
+    let mut response = Vec::new();
+    stream
+        .read_to_end(&mut response)
+        .expect("read the response");
+    let (status, body) = split_response(&response).expect("an answer before the close");
+    (status, String::from_utf8(body).unwrap())
+}
+
+#[test]
+fn a_trickled_head_is_framed_as_a_whole_one_is() {
+    let server = start(1, 8, false);
+    let addr = server.addr();
+    // A head past the cap, written a few bytes at a time: refused by size.
+    let raw = format!(
+        "GET /registry HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(70_000)
+    );
+    let (status, body) = trickle(addr, raw.as_bytes(), 61);
+    assert_eq!(status, 431, "{body}");
+    assert!(body.contains("\"error\":\"headers_too_large\""), "{body}");
+    // The worker survived: the next request is served normally.
+    assert_eq!(get(addr, "/registry").0, 200);
+    // A valid request written one byte at a time gets its answer.
+    let (status, body) = trickle(addr, &get_request("/registry"), 1);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body.as_bytes(), get(addr, "/registry").1);
     server.shutdown();
 }
 

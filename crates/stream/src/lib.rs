@@ -15,12 +15,15 @@
 //! arrivals in a slack-bounded reorder buffer, one bucket per distinct
 //! timestamp, and only replays a bucket once the watermark (newest arrival
 //! minus slack) has passed it. Any later arrival at that timestamp is
-//! rejected as late, so the drained bucket is complete, and sorting it by
-//! `seq` puts every event in exactly the `(at, seq)` order the batch
-//! pipeline iterates. The estimators are the batch runners' own: each
-//! replayed `Attrs` or `Usage` payload goes through the per-machine steps
-//! of [`dcfail_core::panel::PanelCounts`], and each failure is attributed
-//! through the machine's bin rows.
+//! rejected as late, so the drained bucket is complete, and its arrivals in
+//! `seq` order are exactly the `(at, seq)` order the batch pipeline
+//! iterates. The drain finds that order without moving a payload: arrival
+//! order when `seq` already increases, each arrival's index written at its
+//! `seq` offset when the `seq`s are dense, and a sort of `(seq, index)`
+//! keys only when they lie far apart. The estimators are the batch
+//! runners' own: each replayed `Attrs` or `Usage` payload goes through the
+//! per-machine steps of [`dcfail_core::panel::PanelCounts`], and each
+//! failure is attributed through the machine's bin rows.
 //!
 //! Memory is O(machines seen + open weeks): the reorder buffer holds at
 //! most a slack's worth of events; each machine keeps one constant and one

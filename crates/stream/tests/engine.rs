@@ -190,35 +190,39 @@ fn extreme_machine_ids_are_counted_without_dense_sizing() {
 
 #[test]
 fn a_repeated_at_seq_applies_the_last_arrival_and_counts_the_first() {
-    let mut engine = StreamEngine::new(horizon(), StreamConfig::default());
-    let arrivals = [
-        (week_start(0), 0, attrs(0, MachineKind::Vm)),
-        (
-            week_start(0),
-            1,
-            usage(0, MachineKind::Vm, 0, [15.0, 55.0, 90.0, 64.0]),
-        ),
-        // The same `(at, seq)` again, with other values: it replaces the
-        // first arrival.
-        (
-            week_start(0),
-            1,
-            usage(0, MachineKind::Vm, 0, [95.0, 5.0, 5.0, 4.0]),
-        ),
-        (week_start(0) + SimDuration::from_days(2), 2, failure(0)),
-    ];
-    for (at, seq, payload) in arrivals {
-        engine.ingest(FeedEvent { at, seq, payload }).unwrap();
+    // A repeat next to the bucket's other `seq` is placed by offset; one
+    // at `u64::MAX` goes through the key sort.
+    for repeated in [1, u64::MAX] {
+        let mut engine = StreamEngine::new(horizon(), StreamConfig::default());
+        let arrivals = [
+            (week_start(0), 0, attrs(0, MachineKind::Vm)),
+            (
+                week_start(0),
+                repeated,
+                usage(0, MachineKind::Vm, 0, [15.0, 55.0, 90.0, 64.0]),
+            ),
+            // The same `(at, seq)` again, with other values: it replaces the
+            // first arrival.
+            (
+                week_start(0),
+                repeated,
+                usage(0, MachineKind::Vm, 0, [95.0, 5.0, 5.0, 4.0]),
+            ),
+            (week_start(0) + SimDuration::from_days(2), 2, failure(0)),
+        ];
+        for (at, seq, payload) in arrivals {
+            engine.ingest(FeedEvent { at, seq, payload }).unwrap();
+        }
+        let out = engine.finish();
+        assert_eq!(out.stats.events_ingested, 4);
+        assert_eq!(out.stats.events_applied, 3);
+        assert_eq!(out.stats.duplicate_seq, 1);
+        assert_eq!(out.stats.duplicate_usage, 0);
+        assert_eq!(
+            points(curve(&out, MachineKind::Vm, CPU)),
+            [("90-100", 1, 1)]
+        );
+        assert_eq!(points(curve(&out, MachineKind::Vm, MEM)), [("0-10", 1, 1)]);
+        assert_eq!(points(curve(&out, MachineKind::Vm, NET)), [("4-8", 1, 1)]);
     }
-    let out = engine.finish();
-    assert_eq!(out.stats.events_ingested, 4);
-    assert_eq!(out.stats.events_applied, 3);
-    assert_eq!(out.stats.duplicate_seq, 1);
-    assert_eq!(out.stats.duplicate_usage, 0);
-    assert_eq!(
-        points(curve(&out, MachineKind::Vm, CPU)),
-        [("90-100", 1, 1)]
-    );
-    assert_eq!(points(curve(&out, MachineKind::Vm, MEM)), [("0-10", 1, 1)]);
-    assert_eq!(points(curve(&out, MachineKind::Vm, NET)), [("4-8", 1, 1)]);
 }
