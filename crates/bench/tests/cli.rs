@@ -274,6 +274,34 @@ fn csv_writes_the_named_artifacts_alongside_extras() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Seed 0 at scale 0.004 builds 38 machines, none of whose VMs fail.
+#[test]
+fn a_fleet_without_vm_failures_renders_every_artifact() {
+    let tiny = ["--scale", "0.004", "--seed", "0"];
+    for command in [
+        &["fig2"][..],
+        &["summary"],
+        &["all"],
+        &["shard", "--shards", "3"],
+    ] {
+        let args = [&tiny[..], command].concat();
+        let out = repro(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        if command == ["fig2"] {
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                stdout.contains("vs VM - (no VM failures; paper:"),
+                "{stdout}"
+            );
+        }
+    }
+}
+
 /// The first line `repro args` writes to stderr — the run's echo of its
 /// resolved settings — after which the run is stopped. It runs in the temp
 /// directory, where a `bench` that finishes first leaves its report.

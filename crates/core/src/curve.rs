@@ -143,12 +143,12 @@ mod tests {
         }
         let curve = AttributeCurve::from_counts("all", &["all".into()], &population, &events);
         assert_eq!(curve.points.len(), 1);
-        let fig2 = crate::rates::weekly_failure_rates(ds);
+        let all_pm = crate::rates::weekly_failure_rates(ds).all_pm.unwrap();
         assert!(
-            (curve.points[0].mean - fig2.all_pm.mean).abs() < 1e-9,
+            (curve.points[0].mean - all_pm.mean).abs() < 1e-9,
             "curve {} vs fig2 {}",
             curve.points[0].mean,
-            fig2.all_pm.mean
+            all_pm.mean
         );
     }
 

@@ -1,7 +1,7 @@
 //! Graceful estimator degradation for incomplete or recovered datasets.
 //!
-//! The headline estimators ([`rates::weekly_failure_rates`] panics when an
-//! estate group never fails; [`interfailure::analyze`] and
+//! The headline estimators ([`rates::weekly_failure_rates`] leaves out an
+//! estate group that never fails; [`interfailure::analyze`] and
 //! [`repair::analyze`] return bare `None` below their sample floors) assume a
 //! complete, healthy trace. A dataset that went through quarantine-and-
 //! recover ingest — or any real trace with gaps — can silently lose whole
@@ -89,46 +89,29 @@ impl<T> Robust<T> {
 
 /// Fig. 2 weekly failure rates that tolerate missing estate groups.
 ///
-/// [`rates::weekly_failure_rates`] panics when PMs or VMs never fail; this
-/// variant reports the absent group as a caveat instead. The full figure is
-/// only produced when both estate groups have failures (its type requires
-/// both); completeness is the fraction of the two estate groups present.
+/// Each estate group [`rates::weekly_failure_rates`] has no summary for is a
+/// caveat here. The full figure is only produced when both estate groups have
+/// failures; completeness is the fraction of the two estate groups present.
 pub fn weekly_failure_rates_robust(dataset: &FailureDataset) -> Robust<rates::WeeklyFailureRates> {
-    let all_pm = rates::group_summary(dataset, MachineKind::Pm, None);
-    let all_vm = rates::group_summary(dataset, MachineKind::Vm, None);
+    let fig2 = rates::weekly_failure_rates(dataset);
     let mut caveats = Vec::new();
-    if all_pm.is_none() {
+    if fig2.all_pm.is_none() {
         caveats.push(Caveat::new(
             "no-pm-failures",
             "no PM failures (or no PMs) in the dataset; Fig. 2 needs both estate groups",
         ));
     }
-    if all_vm.is_none() {
+    if fig2.all_vm.is_none() {
         caveats.push(Caveat::new(
             "no-vm-failures",
             "no VM failures (or no VMs) in the dataset; Fig. 2 needs both estate groups",
         ));
     }
-    let present = usize::from(all_pm.is_some()) + usize::from(all_vm.is_some());
-    let completeness = present as f64 / 2.0;
-    let (Some(all_pm), Some(all_vm)) = (all_pm, all_vm) else {
-        return Robust::unavailable(completeness, caveats);
-    };
-    let per_subsystem = dataset
-        .topology()
-        .subsystems()
-        .iter()
-        .map(|meta| rates::SubsystemRates {
-            name: meta.name().to_string(),
-            pm: rates::group_summary(dataset, MachineKind::Pm, Some(meta.id())),
-            vm: rates::group_summary(dataset, MachineKind::Vm, Some(meta.id())),
-        })
-        .collect();
-    Robust::complete(rates::WeeklyFailureRates {
-        all_pm,
-        all_vm,
-        per_subsystem,
-    })
+    if caveats.is_empty() {
+        Robust::complete(fig2)
+    } else {
+        Robust::unavailable((2 - caveats.len()) as f64 / 2.0, caveats)
+    }
 }
 
 /// Fig. 3 inter-failure analysis that explains an absent fit.

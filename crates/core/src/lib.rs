@@ -37,8 +37,9 @@
 //! use dcfail_core::rates;
 //!
 //! let dataset = Scenario::paper().seed(1).scale(0.05).build().into_dataset();
-//! let fig2 = rates::weekly_failure_rates(&dataset);
-//! assert!(fig2.all_pm.mean > fig2.all_vm.mean, "PMs fail more than VMs");
+//! let (pm, vm) = rates::weekly_failure_rates(&dataset).estate()?;
+//! assert!(pm.mean > vm.mean, "PMs fail more than VMs");
+//! # Ok::<(), &str>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -37,14 +37,29 @@ pub struct SubsystemRates {
 }
 
 /// The full Fig. 2: estate-wide and per-subsystem weekly failure rates.
+/// Like a subsystem row, an estate group with no machines or no failures has
+/// no summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WeeklyFailureRates {
     /// All PMs.
-    pub all_pm: RateSummary,
+    pub all_pm: Option<RateSummary>,
     /// All VMs.
-    pub all_vm: RateSummary,
+    pub all_vm: Option<RateSummary>,
     /// Per-subsystem breakdown, in subsystem order.
     pub per_subsystem: Vec<SubsystemRates>,
+}
+
+impl WeeklyFailureRates {
+    /// The PM and VM estate summaries, or a phrase naming the group that has
+    /// none (`"no VM failures"`) when the PM-vs-VM comparison cannot be made.
+    pub fn estate(&self) -> Result<(RateSummary, RateSummary), &'static str> {
+        match (self.all_pm, self.all_vm) {
+            (Some(pm), Some(vm)) => Ok((pm, vm)),
+            (None, Some(_)) => Err("no PM failures"),
+            (Some(_), None) => Err("no VM failures"),
+            (None, None) => Err("no PM or VM failures"),
+        }
+    }
 }
 
 /// Time bucketing for rate series.
@@ -122,7 +137,7 @@ pub fn summarize_series(
     })
 }
 
-pub(crate) fn group_summary(
+fn group_summary(
     dataset: &FailureDataset,
     kind: MachineKind,
     subsystem: Option<SubsystemId>,
@@ -166,17 +181,10 @@ pub fn mtbf_days(dataset: &FailureDataset, kind: MachineKind) -> Option<f64> {
 }
 
 /// Computes Fig. 2: weekly failure rates for PMs and VMs, estate-wide and
-/// per subsystem.
-///
-/// # Panics
-///
-/// Panics if the dataset contains no PM or no VM failures at all (no study
-/// to run).
+/// per subsystem. A group with no machines or no failures is `None`.
 pub fn weekly_failure_rates(dataset: &FailureDataset) -> WeeklyFailureRates {
-    let all_pm =
-        group_summary(dataset, MachineKind::Pm, None).expect("dataset must contain PM failures");
-    let all_vm =
-        group_summary(dataset, MachineKind::Vm, None).expect("dataset must contain VM failures");
+    let all_pm = group_summary(dataset, MachineKind::Pm, None);
+    let all_vm = group_summary(dataset, MachineKind::Vm, None);
     let per_subsystem = dataset
         .topology()
         .subsystems()
@@ -201,24 +209,44 @@ mod tests {
 
     #[test]
     fn fig2_pm_exceeds_vm_and_matches_paper_band() {
-        let fig2 = weekly_failure_rates(testutil::dataset());
+        let (pm, vm) = weekly_failure_rates(testutil::dataset()).estate().unwrap();
         // Paper: PMs ≈ 0.005/week, VMs ≈ 0.003/week; PMs ≈ 1.4× VMs.
-        assert!(fig2.all_pm.mean > fig2.all_vm.mean);
-        assert!(
-            fig2.all_pm.mean > 0.003 && fig2.all_pm.mean < 0.008,
-            "PM mean {}",
-            fig2.all_pm.mean
-        );
-        assert!(
-            fig2.all_vm.mean > 0.0015 && fig2.all_vm.mean < 0.0055,
-            "VM mean {}",
-            fig2.all_vm.mean
-        );
-        let ratio = fig2.all_pm.mean / fig2.all_vm.mean;
+        assert!(pm.mean > vm.mean);
+        assert!(pm.mean > 0.003 && pm.mean < 0.008, "PM mean {}", pm.mean);
+        assert!(vm.mean > 0.0015 && vm.mean < 0.0055, "VM mean {}", vm.mean);
+        let ratio = pm.mean / vm.mean;
         assert!(ratio > 1.1 && ratio < 2.6, "PM/VM ratio {ratio}");
         // Quartile band is ordered.
-        assert!(fig2.all_pm.p25 <= fig2.all_pm.mean * 1.5);
-        assert!(fig2.all_pm.p25 <= fig2.all_pm.p75);
+        assert!(pm.p25 <= pm.mean * 1.5);
+        assert!(pm.p25 <= pm.p75);
+    }
+
+    #[test]
+    fn an_estate_group_without_failures_has_no_summary() {
+        let ds = testutil::dataset();
+        let mut b = DatasetBuilder::new();
+        b.horizon(ds.horizon()).topology(ds.topology().clone());
+        for m in ds.machines() {
+            b.add_machine(m.clone());
+        }
+        for incident in ds.incidents() {
+            b.add_incident(incident.clone());
+        }
+        for ticket in ds.tickets() {
+            b.add_ticket(ticket.clone());
+        }
+        for ev in ds
+            .events()
+            .iter()
+            .filter(|ev| ds.machine(ev.machine()).is_pm())
+        {
+            b.add_event(*ev);
+        }
+        let fig2 = weekly_failure_rates(&b.build());
+        assert!(fig2.all_pm.is_some());
+        assert_eq!(fig2.all_vm, None);
+        assert!(fig2.per_subsystem.iter().all(|s| s.vm.is_none()));
+        assert_eq!(fig2.estate(), Err("no VM failures"));
     }
 
     #[test]

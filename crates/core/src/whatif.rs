@@ -169,7 +169,7 @@ mod tests {
         let predicted = w
             .predict(Intervention::RaiseConsolidation { min_level: 0.0 })
             .baseline;
-        let actual = crate::rates::weekly_failure_rates(ds).all_vm.mean;
+        let actual = crate::rates::weekly_failure_rates(ds).all_vm.unwrap().mean;
         // The bucket model must explain the fleet rate within 15%.
         assert!(
             (predicted - actual).abs() / actual < 0.15,

@@ -134,8 +134,10 @@ const HOT_SCAN_TOKENS: &[(&str, &str)] = &[
 
 const TELEMETRY_SCAN_HINT: &str = "is O(window samples) per call; a loop over it rebuilds the quadratic telemetry path — hoist the scan or use the bulk Telemetry::monthly_transition_rates pass";
 
-/// Entry points whose closures must fork their RNG per item (D05).
-const PAR_ENTRY_POINTS: &[&str] = &["par_map_index", "par_map"];
+/// Entry points whose closures must fork their RNG per item (D05). The
+/// sharded driver's `resume::stage` hands its per-shard closure to
+/// `par_map`.
+const PAR_ENTRY_POINTS: &[&str] = &["par_map_index", "par_map", "resume::stage"];
 
 /// Sanctioned ways to derive a per-item RNG stream inside a par closure.
 const RNG_FORK_TOKENS: &[&str] = &["fork_index", ".fork(", "StreamRng::new"];

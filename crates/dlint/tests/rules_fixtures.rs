@@ -54,6 +54,12 @@ const CASES: &[Case] = &[
         suppressed: include_str!("fixtures/d05_suppressed.rs"),
     },
     Case {
+        rule: LintRule::D05,
+        virtual_path: "crates/shard/src/lib.rs",
+        fire: include_str!("fixtures/d05_stage_fire.rs"),
+        suppressed: include_str!("fixtures/d05_stage_suppressed.rs"),
+    },
+    Case {
         rule: LintRule::D06,
         virtual_path: "crates/synth/src/norm_fixture.rs",
         fire: include_str!("fixtures/d06_fire.rs"),

@@ -243,9 +243,9 @@ impl RunConfig {
     ///
     /// Two configs with equal digests are guaranteed to render identical
     /// bytes for every experiment: only `seed` feeds any runner. `threads`
-    /// is deliberately excluded — the workspace's parallel-determinism suite
-    /// pins that it cannot change a byte of output, so including it would
-    /// only fragment the [`crate::toolkit::Toolkit`] artifact cache.
+    /// is deliberately excluded — the workspace's front-door harness pins
+    /// that it cannot change a byte of output, so including it would only
+    /// fragment the [`crate::toolkit::Toolkit`] artifact cache.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut hash: u64 = 0xcbf29ce484222325;

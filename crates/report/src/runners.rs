@@ -154,17 +154,18 @@ pub(crate) fn fig2_impl(dataset: &FailureDataset) -> Rendered {
             fmt_opt(s, |s| s.total_events.to_string()),
         ]);
     };
-    push("All PM".into(), Some(f.all_pm));
-    push("All VM".into(), Some(f.all_vm));
+    push("All PM".into(), f.all_pm);
+    push("All VM".into(), f.all_vm);
     for sys in &f.per_subsystem {
         push(format!("{} PM", sys.name), sys.pm);
         push(format!("{} VM", sys.name), sys.vm);
     }
+    let missing = f.estate().err().map_or(String::new(), |m| format!("{m}; "));
     let text = format!(
-        "{}\nmeasured weekly failure rate: PM {} vs VM {} (paper: 0.005 vs 0.003, PMs ≈ +40%)\n",
+        "{}\nmeasured weekly failure rate: PM {} vs VM {} ({missing}paper: 0.005 vs 0.003, PMs ≈ +40%)\n",
         t.render(),
-        fmt_rate(f.all_pm.mean),
-        fmt_rate(f.all_vm.mean),
+        fmt_opt(f.all_pm, |s| fmt_rate(s.mean)),
+        fmt_opt(f.all_vm, |s| fmt_rate(s.mean)),
     );
     Rendered {
         title: "Fig. 2 — weekly failure rates (PM vs VM)".into(),

@@ -33,11 +33,17 @@ pub fn findings(dataset: &FailureDataset) -> Rendered {
     let mut out: Vec<Finding> = Vec::new();
 
     // --- Differences in PM/VM failures ---------------------------------
-    let f2 = rates::weekly_failure_rates(dataset);
+    let (measured, holds) = match rates::weekly_failure_rates(dataset).estate() {
+        Ok((pm, vm)) => (
+            format!("PM {:.4} vs VM {:.4}", pm.mean, vm.mean),
+            pm.mean > vm.mean,
+        ),
+        Err(missing) => (missing.to_string(), false),
+    };
     out.push(Finding {
         claim: "VMs have lower failure rates than PMs",
-        measured: format!("PM {:.4} vs VM {:.4}", f2.all_pm.mean, f2.all_vm.mean),
-        holds: f2.all_pm.mean > f2.all_vm.mean,
+        measured,
+        holds,
     });
 
     let pm_rec = recurrence::fig5(dataset, MachineKind::Pm);

@@ -95,40 +95,6 @@ fn golden_digest_over_every_endpoint() {
 }
 
 #[test]
-fn concurrent_clients_get_byte_identical_bodies_at_every_worker_count() {
-    // The reference bytes come from the same library call the CLI's
-    // `repro --json` uses, so this also pins CLI == server equality.
-    let reference = Toolkit::build_scaled(RunConfig::with_seed(42), SCALE)
-        .envelope_json(ExperimentId::Fig2)
-        .as_bytes()
-        .to_vec();
-    for workers in [1, 2, 8] {
-        let server = start(workers, 64, false);
-        let addr = server.addr();
-        let bodies: Vec<Vec<u8>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| scope.spawn(move || get(addr, "/reports/fig2")))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    let (status, body) = h.join().expect("client thread");
-                    assert_eq!(status, 200);
-                    body
-                })
-                .collect()
-        });
-        for body in &bodies {
-            assert_eq!(
-                body, &reference,
-                "{workers}-worker server served bytes != library envelope"
-            );
-        }
-        server.shutdown();
-    }
-}
-
-#[test]
 fn malformed_content_length_is_a_typed_400() {
     let server = start(1, 8, false);
     let addr = server.addr();

@@ -64,6 +64,7 @@ pub use crashtest::{crash_matrix, CrashMatrix};
 pub use plan::shard_ranges;
 pub use resume::{config_digest, resume_sharded};
 
+use dcfail_ckpt::{CheckpointStore, CkptError};
 use dcfail_core::panel::{self, Panel, PanelCounts, PanelCurve};
 use dcfail_model::prelude::*;
 use dcfail_report::experiments::{self, ExperimentId, RunConfig, ThreadGuard};
@@ -106,12 +107,35 @@ pub struct ShardedOutput {
 /// Panics if `num_shards` is zero or the configuration has Error-level
 /// audit findings (same contract as `Scenario::build`).
 pub fn build_sharded(config: &ScenarioConfig, num_shards: usize) -> ShardedOutput {
+    match run(config, num_shards, None) {
+        Ok(out) => out,
+        Err(e) => unreachable!("a build without a checkpoint store does no I/O: {e}"),
+    }
+}
+
+/// The sharded pipeline behind [`build_sharded`] and
+/// [`resume::resume_sharded`]. With a store it opens the run's manifest,
+/// loads each per-shard segment that validates and publishes each one it
+/// computes; without one it loads and writes nothing.
+pub(crate) fn run(
+    config: &ScenarioConfig,
+    num_shards: usize,
+    store: Option<&CheckpointStore>,
+) -> Result<ShardedOutput, CkptError> {
     let config_report = dcfail_synth::config_audit::audit_config(config);
     assert!(
         config_report.is_clean(),
         "scenario configuration failed audit:\n{config_report}"
     );
-    let _span = dcfail_obs::span("shard.build");
+    let _span = dcfail_obs::span(if store.is_some() {
+        "shard.resume"
+    } else {
+        "shard.build"
+    });
+    let mut checkpoint = match store {
+        Some(store) => Some((store, store.open(config_digest(config), num_shards as u64)?)),
+        None => None,
+    };
     let rng = StreamRng::new(config.seed);
     let pop = {
         let _s = dcfail_obs::span("population");
@@ -125,7 +149,9 @@ pub fn build_sharded(config: &ScenarioConfig, num_shards: usize) -> ShardedOutpu
     let norms = {
         let _s = dcfail_obs::span("shard.norms");
         // dlint::allow(D05): StreamRng is immutable; norms_shard forks a stream per machine id
-        let accums = dcfail_par::par_map(&ranges, |_, r| norms_shard(config, &pop, r, &rng));
+        let accums = resume::stage(&mut checkpoint, "norms", ranges.len(), |s| {
+            norms_shard(config, &pop, &ranges[s], &rng)
+        })?;
         let mut merged = NormAccum::identity();
         for a in &accums {
             merged.absorb(a);
@@ -144,26 +170,32 @@ pub fn build_sharded(config: &ScenarioConfig, num_shards: usize) -> ShardedOutpu
     let yields = {
         let _s = dcfail_obs::span("shard.fanout");
         // dlint::allow(D05): StreamRng is immutable; pass2_shard forks a stream per machine id
-        dcfail_par::par_map(&ranges, |_, range| {
+        resume::stage(&mut checkpoint, "pass2", ranges.len(), |s| {
             pass2_shard(
                 config,
                 &pop,
-                range,
+                &ranges[s],
                 &norms,
                 &spatial_specs,
                 &spatial_hits,
                 &rng,
             )
-        })
+        })?
     };
 
-    merge_and_assemble(config, num_shards, pop, spatial_specs, yields, &rng)
+    Ok(merge_and_assemble(
+        config,
+        num_shards,
+        pop,
+        spatial_specs,
+        yields,
+        &rng,
+    ))
 }
 
 /// Pass-1 worker: generates one shard's telemetry, folds it into a
-/// [`NormAccum`] and drops it. Shared by [`build_sharded`] and
-/// [`resume::resume_sharded`] so both paths compute identical bytes.
-pub(crate) fn norms_shard(
+/// [`NormAccum`] and drops it.
+fn norms_shard(
     config: &ScenarioConfig,
     pop: &population::Population,
     range: &std::ops::Range<usize>,
@@ -180,9 +212,8 @@ pub(crate) fn norms_shard(
 /// Pass-2 worker: regenerates one shard's telemetry, builds its hazard
 /// slice, walks the per-machine incident streams, then bins its machines
 /// into the Fig. 8–10 panels with the batch runners' driver, attributing the
-/// shard's events. Shared by [`build_sharded`] and
-/// [`resume::resume_sharded`].
-pub(crate) fn pass2_shard(
+/// shard's events.
+fn pass2_shard(
     config: &ScenarioConfig,
     pop: &population::Population,
     range: &std::ops::Range<usize>,
@@ -225,9 +256,9 @@ pub(crate) fn pass2_shard(
     }
 }
 
-/// Final stage shared by both build paths: index-ordered merge of the
-/// per-shard yields, canonical sort, ticket/event assembly.
-pub(crate) fn merge_and_assemble(
+/// Final stage: index-ordered merge of the per-shard yields, canonical sort,
+/// ticket/event assembly.
+fn merge_and_assemble(
     config: &ScenarioConfig,
     num_shards: usize,
     pop: population::Population,
@@ -323,5 +354,18 @@ impl ShardedOutput {
             ..config.clone()
         };
         dcfail_par::par_map(&ExperimentId::PAPER, |_, &id| (id, self.report(id, &inner)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcfail_synth::Scenario;
+
+    #[test]
+    #[should_panic(expected = "what-if resampling needs full telemetry")]
+    fn whatif_is_refused() {
+        let config = Scenario::paper().seed(2).scale(0.015).config().clone();
+        let _ = build_sharded(&config, 2).report(ExperimentId::Whatif, &RunConfig::default());
     }
 }

@@ -1,8 +1,8 @@
 //! Crash-safe, resumable variant of [`crate::build_sharded`].
 //!
-//! [`resume_sharded`] runs the same five-stage pipeline, but persists each
-//! per-shard result (pass-1 [`NormAccum`], pass-2 incident specs + panel
-//! counts) as a checksummed segment through a
+//! [`resume_sharded`] runs the one sharded driver with a store: it persists
+//! each per-shard result (pass-1 [`NormAccum`], pass-2 incident specs +
+//! panel counts) as a checksummed segment through a
 //! [`dcfail_ckpt::CheckpointStore`] and, on restart, reloads every segment
 //! that validates instead of recomputing it. The population build, the
 //! global spatial stage and the final merge/assembly are recomputed each
@@ -14,8 +14,8 @@
 //! A run killed at *any* I/O operation and resumed — any number of times —
 //! produces a [`ShardedOutput`] byte-identical to an uninterrupted run:
 //!
-//! - every per-shard worker is the *same function* the uninterrupted path
-//!   calls, on the same immutable forked RNG streams;
+//! - the checkpointed and the uninterrupted run are the same driver calling
+//!   the same per-shard workers, on the same immutable forked RNG streams;
 //! - segment payloads round-trip exactly (the vendored JSON writes `f64`
 //!   via shortest-round-trip formatting, and [`NormAccum`]'s `ExactSum`
 //!   components are plain finite doubles);
@@ -29,19 +29,15 @@
 //! order (loads in the manifest scan, writes after the parallel recompute),
 //! so the I/O operation index is schedule-independent — which is what makes
 //! `repro crashtest`'s kill-at-op-K sweep reproducible at any thread count.
+//!
+//! [`NormAccum`]: dcfail_synth::hazard::NormAccum
 
-use crate::{
-    merge_and_assemble, norms_shard, pass2_shard, shard_ranges, ShardYield, ShardedOutput,
-};
-use dcfail_ckpt::{fnv64, CheckpointStore, CkptError};
+use crate::ShardedOutput;
+use dcfail_ckpt::{fnv64, CheckpointStore, CkptError, Manifest};
 use dcfail_report::experiments::RunConfig;
 use dcfail_report::runners::reports_digest;
-use dcfail_stats::merge::Mergeable;
-use dcfail_stats::rng::StreamRng;
-use dcfail_synth::hazard::NormAccum;
-use dcfail_synth::incidents;
-use dcfail_synth::{population, ScenarioConfig};
-use serde::Deserialize;
+use dcfail_synth::ScenarioConfig;
+use serde::{Deserialize, Serialize};
 
 /// FNV-64 digest identifying a (configuration, pipeline-layout) pair.
 ///
@@ -101,100 +97,44 @@ pub fn resume_sharded(
     num_shards: usize,
     store: &CheckpointStore,
 ) -> Result<ShardedOutput, CkptError> {
-    let config_report = dcfail_synth::config_audit::audit_config(config);
-    assert!(
-        config_report.is_clean(),
-        "scenario configuration failed audit:\n{config_report}"
-    );
-    let _span = dcfail_obs::span("shard.resume");
-    let mut manifest = store.open(config_digest(config), num_shards as u64)?;
+    crate::run(config, num_shards, Some(store))
+}
 
-    let rng = StreamRng::new(config.seed);
-    let pop = {
-        let _s = dcfail_obs::span("population");
-        population::build(config, &rng)
-    };
-    let ranges = shard_ranges(pop.machines.len(), num_shards);
-
-    // Pass 1 — per-shard norm accumulators, loaded where a valid segment
-    // exists, recomputed (in parallel) and persisted where not.
-    let norms = {
-        let _s = dcfail_obs::span("shard.norms");
-        let mut accums: Vec<Option<NormAccum>> = Vec::with_capacity(ranges.len());
-        for s in 0..ranges.len() {
-            let name = segment_name("norms", s);
-            let loaded = store
-                .load_segment(&mut manifest, &name)?
-                .and_then(|bytes| decode_payload::<NormAccum>(&name, &bytes));
-            accums.push(loaded);
+/// Runs one per-shard stage over `shards` shards: each shard's segment is
+/// loaded where it validates, the rest are computed (in parallel) by
+/// `compute` and published. Without a checkpoint every shard is computed.
+/// Loads and writes run on this thread in shard index order, so a run's
+/// I/O operation indexes do not depend on the schedule.
+pub(crate) fn stage<T: Serialize + Deserialize + Send>(
+    checkpoint: &mut Option<(&CheckpointStore, Manifest)>,
+    stage: &str,
+    shards: usize,
+    compute: impl Fn(usize) -> T + Sync,
+) -> Result<Vec<T>, CkptError> {
+    let mut done: Vec<Option<T>> = Vec::with_capacity(shards);
+    for s in 0..shards {
+        let loaded = match checkpoint {
+            Some((store, manifest)) => {
+                let name = segment_name(stage, s);
+                store
+                    .load_segment(manifest, &name)?
+                    .and_then(|bytes| decode_payload(&name, &bytes))
+            }
+            None => None,
+        };
+        done.push(loaded);
+    }
+    let missing: Vec<usize> = (0..shards).filter(|&s| done[s].is_none()).collect();
+    let computed = dcfail_par::par_map(&missing, |_, &s| compute(s));
+    for (&s, value) in missing.iter().zip(computed) {
+        if let Some((store, manifest)) = checkpoint {
+            let payload = serde_json::to_string(&value)
+                .expect("segment payloads are closed trees of serializable fields");
+            store.write_segment(manifest, &segment_name(stage, s), payload.as_bytes())?;
         }
-        let missing: Vec<usize> = (0..ranges.len()).filter(|&s| accums[s].is_none()).collect();
-        // dlint::allow(D05): StreamRng is immutable; norms_shard forks a stream per machine id
-        let computed = dcfail_par::par_map(&missing, |_, &s| {
-            norms_shard(config, &pop, &ranges[s], &rng)
-        });
-        for (&s, accum) in missing.iter().zip(computed) {
-            let payload = serde_json::to_string(&accum)
-                .expect("NormAccum is a closed tree of serializable fields");
-            store.write_segment(&mut manifest, &segment_name("norms", s), payload.as_bytes())?;
-            accums[s] = Some(accum);
-        }
-        let mut merged = NormAccum::identity();
-        for accum in accums.iter().flatten() {
-            merged.absorb(accum);
-        }
-        merged.finalize()
-    };
-
-    // Spatial incidents are recomputed every run: one cheap, telemetry-free
-    // sequential stream, a pure function of the seed.
-    let (spatial_specs, spatial_hits) = {
-        let _s = dcfail_obs::span("shard.spatial");
-        incidents::spatial_stage(config, &pop, &rng)
-    };
-
-    // Pass 2 — per-shard specs + panel counts, same load-else-recompute
-    // shape.
-    let yields = {
-        let _s = dcfail_obs::span("shard.fanout");
-        let mut yields: Vec<Option<ShardYield>> = Vec::with_capacity(ranges.len());
-        for s in 0..ranges.len() {
-            let name = segment_name("pass2", s);
-            let loaded = store
-                .load_segment(&mut manifest, &name)?
-                .and_then(|bytes| decode_payload::<ShardYield>(&name, &bytes));
-            yields.push(loaded);
-        }
-        let missing: Vec<usize> = (0..ranges.len()).filter(|&s| yields[s].is_none()).collect();
-        // dlint::allow(D05): StreamRng is immutable; pass2_shard forks a stream per machine id
-        let computed = dcfail_par::par_map(&missing, |_, &s| {
-            pass2_shard(
-                config,
-                &pop,
-                &ranges[s],
-                &norms,
-                &spatial_specs,
-                &spatial_hits,
-                &rng,
-            )
-        });
-        for (&s, shard_yield) in missing.iter().zip(computed) {
-            let payload = serde_json::to_string(&shard_yield)
-                .expect("ShardYield is a closed tree of serializable fields");
-            store.write_segment(&mut manifest, &segment_name("pass2", s), payload.as_bytes())?;
-            yields[s] = Some(shard_yield);
-        }
-        yields.into_iter().flatten().collect()
-    };
-
-    Ok(merge_and_assemble(
-        config,
-        num_shards,
-        pop,
-        spatial_specs,
-        yields,
-        &rng,
-    ))
+        done[s] = Some(value);
+    }
+    Ok(done.into_iter().flatten().collect())
 }
 
 impl ShardedOutput {
@@ -210,6 +150,7 @@ impl ShardedOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardYield;
     use dcfail_ckpt::{decode_segment, MemFs};
     use dcfail_stats::merge::CountMatrix;
     use dcfail_synth::incidents::IncidentSpec;

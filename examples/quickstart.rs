@@ -21,12 +21,14 @@ fn main() {
     );
 
     // 2. Who fails more — PMs or VMs? (paper: PMs, by ~40%)
-    let fig2 = rates::weekly_failure_rates(&dataset);
+    let (pm, vm) = rates::weekly_failure_rates(&dataset)
+        .estate()
+        .expect("the paper scenario has PM and VM failures");
     println!(
         "weekly failure rate: PM {:.4} vs VM {:.4}  (PM/VM = {:.2}x)",
-        fig2.all_pm.mean,
-        fig2.all_vm.mean,
-        fig2.all_pm.mean / fig2.all_vm.mean
+        pm.mean,
+        vm.mean,
+        pm.mean / vm.mean
     );
 
     // 3. Are failures memoryless? (paper: recurrent ≈ 35–42× random)

@@ -41,22 +41,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let original = rates::weekly_failure_rates(&dataset);
     let replayed = rates::weekly_failure_rates(&reloaded);
     assert_eq!(original, replayed);
+    let (pm, vm) = replayed.estate()?;
     println!(
         "replayed analysis agrees: PM weekly rate {:.4}, VM {:.4}",
-        replayed.all_pm.mean, replayed.all_vm.mean
+        pm.mean, vm.mean
     );
 
     // Flat-CSV interop: the format external failure traces arrive in.
     let machines_csv = interop::machines_to_csv(&dataset);
     let events_csv = interop::events_to_csv(&dataset);
     let imported = interop::dataset_from_csv(&machines_csv, &events_csv, dataset.horizon())?;
-    let from_csv = rates::weekly_failure_rates(&imported);
+    let (from_csv, _) = rates::weekly_failure_rates(&imported).estate()?;
     println!(
         "CSV import ({} machine rows, {} event rows): PM rate {:.4} — matches: {}",
         machines_csv.lines().count() - 1,
         events_csv.lines().count() - 1,
-        from_csv.all_pm.mean,
-        (from_csv.all_pm.mean - original.all_pm.mean).abs() < 1e-12
+        from_csv.mean,
+        (from_csv.mean - pm.mean).abs() < 1e-12
     );
     Ok(())
 }

@@ -32,7 +32,7 @@
 //! use dcfail::synth::Scenario;
 //! let dataset = Scenario::paper().seed(7).scale(0.05).build().into_dataset();
 //! let rates = dcfail::analysis::rates::weekly_failure_rates(&dataset);
-//! assert!(rates.all_pm.mean > 0.0);
+//! assert!(rates.all_pm.is_some_and(|pm| pm.mean > 0.0));
 //! ```
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

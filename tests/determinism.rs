@@ -88,8 +88,8 @@ fn scaled_scenarios_nest_sensibly() {
         .scale(0.24)
         .build()
         .into_dataset();
-    let rs = rates::weekly_failure_rates(&small).all_pm.mean;
-    let rl = rates::weekly_failure_rates(&large).all_pm.mean;
+    let rs = rates::weekly_failure_rates(&small).all_pm.unwrap().mean;
+    let rl = rates::weekly_failure_rates(&large).all_pm.unwrap().mean;
     assert!(
         (rs / rl) > 0.5 && (rs / rl) < 2.0,
         "scale-dependent rates: {rs} vs {rl}"

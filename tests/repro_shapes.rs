@@ -88,17 +88,10 @@ fn fig1_class_mix_structure() {
 #[test]
 fn fig2_pm_rate_beats_vm_rate_by_forty_percent() {
     let f = rates::weekly_failure_rates(dataset());
-    assert!(
-        f.all_pm.mean > 0.003 && f.all_pm.mean < 0.008,
-        "PM {}",
-        f.all_pm.mean
-    );
-    assert!(
-        f.all_vm.mean > 0.0015 && f.all_vm.mean < 0.0055,
-        "VM {}",
-        f.all_vm.mean
-    );
-    let ratio = f.all_pm.mean / f.all_vm.mean;
+    let (pm, vm) = f.estate().unwrap();
+    assert!(pm.mean > 0.003 && pm.mean < 0.008, "PM {}", pm.mean);
+    assert!(vm.mean > 0.0015 && vm.mean < 0.0055, "VM {}", vm.mean);
+    let ratio = pm.mean / vm.mean;
     assert!(ratio > 1.15 && ratio < 2.5, "PM/VM {ratio}");
     // Sys II VMs never fail; Sys IV VMs out-fail its PMs.
     assert!(f.per_subsystem[1].vm.is_none());
