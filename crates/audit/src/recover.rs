@@ -1081,4 +1081,73 @@ mod tests {
         let (src_d, src_r) = parts.tickets[0].text_handles();
         assert!(Arc::ptr_eq(d, src_d) && Arc::ptr_eq(r, src_r));
     }
+
+    fn sample_report() -> DegradationReport {
+        let mut report = DegradationReport::default();
+        assert!(report.is_empty());
+        report.record(RepairRule::CsvRowSkipped, 2);
+        report.record(RepairRule::HorizonRebuilt, 1);
+        report.record(RepairRule::CsvRowSkipped, 3);
+        report.record(RepairRule::EventDeduped, 0);
+        report
+    }
+
+    #[test]
+    fn record_merges_counts_in_catalog_order() {
+        let report = sample_report();
+        let rules: Vec<(RepairRule, usize)> = report
+            .actions
+            .iter()
+            .map(|rc| (rc.rule, rc.count))
+            .collect();
+        assert_eq!(
+            rules,
+            [
+                (RepairRule::HorizonRebuilt, 1),
+                (RepairRule::CsvRowSkipped, 5)
+            ]
+        );
+        assert_eq!(
+            report.count(RepairRule::EventDeduped),
+            0,
+            "a zero is not recorded"
+        );
+        assert_eq!(
+            (report.records_repaired(), report.records_dropped()),
+            (1, 5)
+        );
+        assert!(!report.is_empty());
+    }
+
+    #[test]
+    fn text_gives_each_rule_its_verb() {
+        let text = sample_report().render_text();
+        let mut lines = text.lines();
+        assert!(lines
+            .next()
+            .unwrap()
+            .starts_with("recovery: 1 repaired, 5 dropped (events 0/0,"));
+        assert_eq!(lines.next(), Some("       1  repaired  horizon-rebuilt"));
+        assert_eq!(lines.next(), Some("       5  dropped  csv-row-skipped"));
+        assert_eq!(lines.next(), None);
+    }
+
+    #[test]
+    fn repair_rule_codes_are_unique_and_round_trip() {
+        let codes: BTreeSet<&str> = RepairRule::ALL.iter().map(|r| r.code()).collect();
+        assert_eq!(codes.len(), RepairRule::ALL.len());
+        for rule in RepairRule::ALL {
+            let back = RepairRule::from_value(&rule.to_value()).unwrap();
+            assert_eq!(back, rule);
+            assert_eq!(rule.to_string(), rule.code());
+        }
+        let unknown = RepairRule::from_value(&serde::Value::Str("nope".into())).unwrap_err();
+        assert!(unknown.to_string().contains("unknown repair rule 'nope'"));
+        assert!(RepairRule::from_value(&serde::Value::Bool(true)).is_err());
+        let json = serde_json::to_string(&sample_report()).unwrap();
+        assert_eq!(
+            serde_json::from_str::<DegradationReport>(&json).unwrap(),
+            sample_report()
+        );
+    }
 }

@@ -397,16 +397,32 @@ mod tests {
         }
     }
 
-    fn scratch_file(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dcfail-history-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A directory of its own for one test, removed when dropped.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(test: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("dcfail-history-{}-{test}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+
+        fn file(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
     fn append_then_load_round_trips() {
-        let path = scratch_file("roundtrip.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let scratch = Scratch::new("roundtrip");
+        let path = scratch.file("roundtrip.jsonl");
         let a = entry(0.05, 1, 100.0);
         let b = entry(1.0, 8, 200.0);
         append(&path, &a).unwrap();
@@ -416,15 +432,15 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty_history() {
-        let path = scratch_file("never-created.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let scratch = Scratch::new("missing");
+        let path = scratch.file("never-created.jsonl");
         assert_eq!(load(&path).unwrap(), Vec::new());
     }
 
     #[test]
     fn bad_line_is_an_error_naming_the_line() {
-        let path = scratch_file("corrupt.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let scratch = Scratch::new("corrupt");
+        let path = scratch.file("corrupt.jsonl");
         append(&path, &entry(0.05, 1, 100.0)).unwrap();
         std::fs::write(
             &path,
@@ -433,6 +449,44 @@ mod tests {
         .unwrap();
         let err = load(&path).unwrap_err();
         assert!(err.contains(":2:"), "error names the bad line: {err}");
+    }
+
+    #[test]
+    fn conditions_are_scale_and_threads_not_seed_or_timings() {
+        let base = entry(0.05, 2, 100.0);
+        let other_seed = HistoryEntry {
+            seed: 7,
+            git: "def5678".into(),
+            ..entry(0.05, 2, 900.0)
+        };
+        assert!(base.same_conditions(&other_seed));
+        assert!(!base.same_conditions(&entry(0.05, 1, 100.0)));
+        assert!(!base.same_conditions(&entry(0.1, 2, 100.0)));
+    }
+
+    #[test]
+    fn stage_time_sums_every_span_with_that_leaf() {
+        let span = |path: &str, total_ms| dcfail_obs::SpanMetric {
+            path: path.into(),
+            count: 1,
+            total_ms,
+        };
+        let metrics = MetricsReport {
+            schema_version: dcfail_obs::SCHEMA_VERSION,
+            spans: vec![
+                span("synth.build", 2.0),
+                span("run/synth.build", 3.0),
+                span("xsynth.build", 100.0),
+                span("synth.build/population", 50.0),
+            ],
+            counters: Vec::new(),
+            histograms: Vec::new(),
+            warnings: Vec::new(),
+        };
+        assert_eq!(stage_ms(&metrics, "synth.build"), Ok(5.0));
+        assert_eq!(stage_ms(&metrics, "population"), Ok(50.0));
+        let err = stage_ms(&metrics, "report.run_all").unwrap_err();
+        assert!(err.contains("no `report.run_all` span"), "{err}");
     }
 
     #[test]

@@ -390,3 +390,141 @@ fn thin_telemetry(
     }
     parts.telemetry = thinned;
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::Corruption;
+    use dcfail_synth::Scenario;
+    use std::collections::BTreeSet;
+    use std::sync::OnceLock;
+
+    fn dataset() -> &'static FailureDataset {
+        static DATASET: OnceLock<FailureDataset> = OnceLock::new();
+        DATASET.get_or_init(|| Scenario::paper().seed(5).scale(0.01).build().into_dataset())
+    }
+
+    /// The clean parts and the parts after a plan applying only `kind`.
+    fn only(kind: Corruption, rate: f64) -> (RawDatasetParts, RawDatasetParts, InjectionLog) {
+        let plan = InjectionPlan::uniform(11, 0.0).with(kind, rate);
+        let (parts, log) = inject(dataset(), &plan);
+        (RawDatasetParts::from(dataset()), parts, log)
+    }
+
+    #[test]
+    fn a_plan_of_zero_rates_changes_nothing() {
+        let plan = InjectionPlan::uniform(11, 0.0);
+        let (parts, log) = inject(dataset(), &plan);
+        assert_eq!(parts, RawDatasetParts::from(dataset()));
+        assert!(log.is_empty());
+        assert_eq!(log.to_string(), "injected 0 corruptions:\n");
+    }
+
+    #[test]
+    fn a_skewed_clock_shifts_a_whole_subsystem_by_one_offset() {
+        let (clean, parts, log) = only(Corruption::ClockSkew, 1.0);
+        assert_eq!(log.skewed_subsystems, clean.topology.subsystems().len());
+        assert_eq!(log.skewed_events, clean.events.len());
+        let mut offsets: BTreeMap<SubsystemId, SimDuration> = BTreeMap::new();
+        for (before, after) in clean.events.iter().zip(&parts.events) {
+            let offset = after.at() - before.at();
+            let minutes = offset.as_minutes();
+            assert!(minutes != 0 && minutes.abs() <= 3 * 24 * 60, "{offset:?}");
+            assert_eq!(after.repair(), before.repair());
+            let sys = dataset().machine(before.machine()).subsystem();
+            assert_eq!(*offsets.entry(sys).or_insert(offset), offset, "{sys:?}");
+        }
+    }
+
+    #[test]
+    fn truncated_repairs_keep_at_most_half_and_the_instant() {
+        let (clean, parts, log) = only(Corruption::TruncateRepair, 1.0);
+        assert_eq!(log.truncated_repairs, clean.events.len());
+        for (before, after) in clean.events.iter().zip(&parts.events) {
+            assert_eq!(after.at(), before.at());
+            assert!(after.repair().as_minutes() * 2 <= before.repair().as_minutes());
+        }
+    }
+
+    #[test]
+    fn a_mislabel_always_picks_another_reported_class() {
+        let (clean, parts, log) = only(Corruption::MislabelClass, 1.0);
+        assert_eq!(log.mislabeled_events, clean.events.len());
+        for (before, after) in clean.events.iter().zip(&parts.events) {
+            assert_ne!(after.reported_class(), before.reported_class());
+            assert_eq!(after.true_class(), before.true_class());
+        }
+    }
+
+    #[test]
+    fn duplicates_append_copies_and_drops_remove() {
+        let (clean, parts, log) = only(Corruption::DuplicateEvent, 1.0);
+        let n = clean.events.len();
+        assert_eq!(log.duplicated_events, n);
+        assert_eq!(parts.events[..n], clean.events[..]);
+        assert_eq!(parts.events[n..], clean.events[..]);
+        let (_, parts, log) = only(Corruption::DropEvent, 1.0);
+        assert!(parts.events.is_empty());
+        assert_eq!(log.dropped_events, n);
+    }
+
+    #[test]
+    fn a_shuffle_only_reorders_events() {
+        let (clean, parts, log) = only(Corruption::ShuffleEvents, 0.5);
+        let n = clean.events.len();
+        assert!(log.displaced_events > 0 && log.displaced_events <= n.div_ceil(2));
+        let key = |e: &FailureEvent| (e.at(), e.machine(), e.incident(), e.ticket());
+        let (mut before, mut after) = (clean.events.clone(), parts.events.clone());
+        assert_ne!(before, after);
+        before.sort_by_key(key);
+        after.sort_by_key(key);
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn each_orphaned_vm_gets_its_own_missing_box() {
+        let (clean, parts, log) = only(Corruption::OrphanPlacement, 1.0);
+        let boxes = clean.topology.num_boxes() as u32;
+        let vms = clean.machines.iter().filter(|m| m.is_vm()).count();
+        assert_eq!(log.orphaned_vms, vms);
+        let mut ghosts = BTreeSet::new();
+        for (before, after) in clean.machines.iter().zip(&parts.machines) {
+            if before.is_vm() {
+                let ghost = after.host().unwrap();
+                assert!(ghost.raw() >= boxes && ghosts.insert(ghost), "{ghost:?}");
+            } else {
+                assert_eq!(after, before);
+            }
+        }
+    }
+
+    #[test]
+    fn telemetry_at_full_rate_loses_every_series() {
+        let (clean, parts, log) = only(Corruption::DropTelemetry, 1.0);
+        let t = &clean.telemetry;
+        assert_eq!(log.dropped_usage_series, t.usage_series().count());
+        assert_eq!(log.dropped_onoff_logs, t.onoff_logs().count());
+        assert_eq!(log.dropped_consolidation, t.consolidation_series().count());
+        assert!(log.dropped_usage_series > 0 && log.truncated_usage_series == 0);
+        assert_eq!(parts.telemetry, Telemetry::new());
+    }
+
+    #[test]
+    fn one_stage_draws_the_same_whatever_the_other_rates() {
+        let dropped = |plan: InjectionPlan| {
+            let (parts, log) = inject(dataset(), &plan);
+            let kept: Vec<_> = parts
+                .events
+                .iter()
+                .map(|e| (e.machine(), e.ticket()))
+                .collect();
+            (kept, log.dropped_events)
+        };
+        let alone = InjectionPlan::uniform(3, 0.0).with(Corruption::DropEvent, 0.3);
+        let mixed = alone
+            .with(Corruption::MislabelClass, 0.5)
+            .with(Corruption::TruncateRepair, 0.5);
+        assert_eq!(dropped(alone), dropped(mixed));
+        assert!(dropped(alone).1 > 0);
+    }
+}

@@ -147,4 +147,23 @@ mod tests {
         assert_eq!(calls, 1, "a dead process cannot retry");
         assert_eq!(e.kind, FsErrorKind::Killed { op: 9 });
     }
+
+    #[test]
+    fn a_zero_attempt_budget_still_tries_once() {
+        let policy = RetryPolicy {
+            max_attempts: 0,
+            ..RetryPolicy::default()
+        };
+        let mut calls = 0;
+        let e = policy
+            .run::<()>(|| {
+                calls += 1;
+                Err(transient())
+            })
+            .unwrap_err();
+        assert_eq!(calls, 1);
+        assert_eq!(e.kind, FsErrorKind::Transient);
+        assert_eq!(e.message, "retries exhausted after 1 attempts: injected");
+        assert_eq!(policy.run(|| Ok(3)).unwrap(), 3);
+    }
 }

@@ -175,6 +175,55 @@ mod tests {
     }
 
     #[test]
+    fn trailing_bytes_are_torn_not_ignored() {
+        let mut encoded = encode_segment(b"abc");
+        encoded.push(b'!');
+        assert_eq!(
+            decode_segment(&encoded),
+            Err(SegmentError::Torn {
+                expected: Some(3),
+                actual: 4
+            })
+        );
+    }
+
+    #[test]
+    fn errors_name_their_shape() {
+        let cases = [
+            (
+                SegmentError::Torn {
+                    expected: None,
+                    actual: 5,
+                },
+                "torn segment: 5-byte file is shorter than the header",
+            ),
+            (
+                SegmentError::Torn {
+                    expected: Some(9),
+                    actual: 4,
+                },
+                "torn segment: expected 9 payload bytes, found 4",
+            ),
+            (SegmentError::BadMagic, "not a segment file (bad magic)"),
+            (
+                SegmentError::BadVersion(7),
+                "segment format version 7, expected 1",
+            ),
+            (
+                SegmentError::ChecksumMismatch {
+                    expected: 1,
+                    actual: 2,
+                },
+                "segment checksum mismatch: header says 0x0000000000000001, \
+                 payload hashes to 0x0000000000000002",
+            ),
+        ];
+        for (err, text) in cases {
+            assert_eq!(err.to_string(), text);
+        }
+    }
+
+    #[test]
     fn fnv_matches_reference_vector() {
         // FNV-1a 64 of the empty string is the offset basis; "a" is the
         // published reference vector.

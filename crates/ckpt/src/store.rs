@@ -371,4 +371,46 @@ mod tests {
             Err(CkptError::Mismatch { .. })
         ));
     }
+
+    #[test]
+    fn only_segments_the_manifest_lists_are_loaded() {
+        let fs = MemFs::new();
+        let store = mem_store(&fs);
+        let mut manifest = store.open(1, 2).unwrap();
+        fs.write("ckpt/norms-0000.seg", &encode_segment(b"stray"))
+            .unwrap();
+        assert_eq!(
+            store.load_segment(&mut manifest, "norms-0000.seg").unwrap(),
+            None
+        );
+
+        store
+            .write_segment(&mut manifest, "norms-0001.seg", b"listed")
+            .unwrap();
+        fs.remove("ckpt/norms-0001.seg").unwrap();
+        assert_eq!(
+            store.load_segment(&mut manifest, "norms-0001.seg").unwrap(),
+            None
+        );
+        assert!(
+            manifest.segments.is_empty(),
+            "a vanished file loses its entry"
+        );
+    }
+
+    #[test]
+    fn a_checksummed_manifest_that_is_not_json_is_an_error() {
+        let fs = MemFs::new();
+        fs.write("ckpt/MANIFEST", &encode_segment(b"not json"))
+            .unwrap();
+        match mem_store(&fs).open(1, 2) {
+            Err(CkptError::Io { message }) => {
+                assert!(
+                    message.contains("passed checksum but is not JSON"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+    }
 }

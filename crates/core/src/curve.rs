@@ -167,6 +167,27 @@ mod tests {
     }
 
     #[test]
+    fn weeks_without_population_are_skipped_not_averaged_as_zero() {
+        let mut population = CountMatrix::zeros(2, 3);
+        population.add(0, 0, 2);
+        population.add(0, 2, 4);
+        population.add_row(1, 5);
+        let mut events = CountMatrix::zeros(2, 3);
+        events.add(0, 0, 1);
+        events.add(0, 2, 2);
+        let labels = ["busy".to_string(), "quiet".to_string()];
+        let curve = AttributeCurve::from_counts("x", &labels, &population, &events);
+        let busy = &curve.points[0];
+        assert_eq!((busy.mean, busy.machine_weeks, busy.events), (0.5, 6, 3));
+        let quiet = &curve.points[1];
+        assert_eq!(
+            (quiet.mean, quiet.machine_weeks, quiet.events),
+            (0.0, 15, 0)
+        );
+        assert_eq!(curve.dynamic_range(), None, "a zero-rate bin has no ratio");
+    }
+
+    #[test]
     fn mean_of_and_dynamic_range() {
         let curve = AttributeCurve {
             attribute: "x".into(),

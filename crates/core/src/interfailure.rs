@@ -389,6 +389,65 @@ mod tests {
         assert!(gaps.iter().all(|&g| g > 0.0 && g < 365.0));
     }
 
+    /// Asserts that `gaps` are the positive steps of the sorted `times`:
+    /// one per strictly later time, summing to the span they cover.
+    fn assert_gaps_telescope(gaps: &[f64], times: &[SimTime], what: &str) {
+        let steps = times.windows(2).filter(|w| w[1] > w[0]).count();
+        assert_eq!(gaps.len(), steps, "{what}");
+        assert!(gaps.iter().all(|&g| g > 0.0), "{what}");
+        let span = match (times.first(), times.last()) {
+            (Some(&first), Some(&last)) => (last - first).as_days(),
+            _ => 0.0,
+        };
+        let sum: f64 = gaps.iter().sum();
+        assert!(
+            (sum - span).abs() <= 1e-9 * span.max(1.0),
+            "{what}: {sum} vs {span}"
+        );
+    }
+
+    #[test]
+    fn operator_gaps_telescope_to_the_span_of_each_class() {
+        let ds = testutil::dataset();
+        for source in [ClassSource::Reported, ClassSource::Truth] {
+            for class in FailureClass::ALL {
+                let times: Vec<SimTime> = ds
+                    .events()
+                    .iter()
+                    .filter(|e| source.class_of(e) == class)
+                    .map(FailureEvent::at)
+                    .collect();
+                let gaps = operator_gaps_days(ds, class, source);
+                assert_gaps_telescope(&gaps, &times, &format!("{class:?} {source:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn server_gaps_telescope_per_machine() {
+        let ds = testutil::dataset();
+        for kind in MachineKind::ALL {
+            let mut want = Vec::new();
+            for (machine, _) in ds.failing_machines() {
+                if ds.machine(machine).kind() == kind {
+                    want.push(
+                        ds.events_for(machine)
+                            .map(FailureEvent::at)
+                            .collect::<Vec<_>>(),
+                    );
+                }
+            }
+            let gaps = per_server_gaps_days(ds, Some(kind), None);
+            let mut at = 0;
+            for times in &want {
+                let steps = times.windows(2).filter(|w| w[1] > w[0]).count();
+                assert_gaps_telescope(&gaps[at..at + steps], times, &format!("{kind:?}"));
+                at += steps;
+            }
+            assert_eq!(at, gaps.len(), "{kind:?}");
+        }
+    }
+
     #[test]
     fn analyze_returns_none_for_missing_population() {
         // A dataset with almost no events per kind: use class filter that

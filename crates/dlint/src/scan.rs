@@ -407,4 +407,59 @@ mod tests {
         assert!(has_token("t = Instant::now();", "Instant::now"));
         assert!(!has_token("t = MyInstant::nowish();", "Instant::now"));
     }
+
+    #[test]
+    fn token_positions_lists_every_bounded_offset() {
+        let line = "par_map(a); xpar_map(b); par_map(c)";
+        assert_eq!(token_positions(line, "par_map"), vec![0, 25]);
+        // Punctuation at a token's edge needs no boundary on that side.
+        assert_eq!(
+            token_positions("a.unwrap().unwrap()", ".unwrap()"),
+            vec![1, 10]
+        );
+        assert!(token_positions("", "x").is_empty());
+        assert!(is_ident('_') && is_ident('7') && !is_ident(':') && !is_ident('é'));
+    }
+
+    #[test]
+    fn only_a_bare_column_zero_cfg_test_opens_the_test_region() {
+        for src in [
+            "mod m {\n    #[cfg(test)]\n    fn t() {}\n}\n",
+            "#[cfg(test)] fn t() {}\n",
+            "const S: &str = \"\n#[cfg(test)]\n\";\n",
+        ] {
+            assert_eq!(
+                ScannedFile::scan("crates/x/src/l.rs", src).test_from,
+                None,
+                "{src}"
+            );
+        }
+        let s = ScannedFile::scan("crates/x/src/tests.rs", "fn a() {}\n");
+        assert_eq!(
+            s.test_from, None,
+            "a file named tests.rs is not a tests/ dir"
+        );
+        assert!(!s.is_test_line(0));
+    }
+
+    #[test]
+    fn only_well_formed_codes_in_comments_are_directives() {
+        let src = "let x = dlint::allow(D03); // no\n\
+                   // dlint::allow(Dxx): prose\n\
+                   // dlint::allow(D3): short\n\
+                   // dlint::allow( D07 ) : spaced\n\
+                   let y = 2;\n\
+                   // dlint::allow(D09): last line\n";
+        let s = ScannedFile::scan("x.rs", src);
+        let codes: Vec<&str> = s.directives.iter().map(|d| d.code.as_str()).collect();
+        assert_eq!(codes, ["D07", "D09"]);
+        assert_eq!(s.directives[0].reason, "spaced");
+        assert_eq!(s.directives[1].directive_line, 6);
+        assert!(s.suppression(4, "D07").is_some());
+        assert!(s.suppression(4, "D03").is_none());
+        assert!(
+            s.suppression(6, "D09").is_none(),
+            "nothing follows the last line"
+        );
+    }
 }

@@ -472,4 +472,77 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("unknown testpass rule"), "{err}");
     }
+
+    #[test]
+    fn diagnostic_display_lists_subjects_only_when_present() {
+        let bare = Diagnostic::new(TestRule::Note, vec![], "a note");
+        assert_eq!(bare.to_string(), "info[note]: a note");
+        let two = Diagnostic::new(TestRule::Odd, vec!["a".into(), "b".into()], "2 odd");
+        assert_eq!(two.to_string(), "warn[odd]: 2 odd (a, b)");
+    }
+
+    #[test]
+    fn one_error_makes_a_report_unclean() {
+        let empty = Report::<TestRule>::default();
+        assert!(empty.is_clean() && empty.is_empty());
+        assert_eq!(
+            empty.render_text(),
+            "testpass: 0 error(s), 0 warning(s), 0 info, 3 rule(s) evaluated\n"
+        );
+        let report = Report::from_diagnostics(vec![
+            Diagnostic::new(TestRule::Odd, vec![], "odd"),
+            Diagnostic::new(TestRule::Broken, vec![], "broken"),
+        ]);
+        assert!(!report.is_clean());
+        assert_eq!(report.error_count(), 1);
+        assert_eq!(report.to_string(), report.render_text());
+        assert!(report
+            .render_text()
+            .starts_with("warn[odd]: odd\nerror[broken]: broken\n"));
+    }
+
+    #[test]
+    fn find_returns_the_first_finding_of_a_rule() {
+        let report = Report::from_diagnostics(vec![
+            Diagnostic::new(TestRule::Odd, vec![], "first"),
+            Diagnostic::new(TestRule::Odd, vec![], "second"),
+        ]);
+        assert_eq!(report.find(TestRule::Odd).unwrap().message, "first");
+        assert!(report.find(TestRule::Broken).is_none());
+    }
+
+    #[test]
+    fn a_rule_code_must_be_a_string() {
+        let catalog = TestRule::from_value(&serde::Value::Bool(true)).unwrap_err();
+        assert!(catalog
+            .to_string()
+            .contains("expected testpass rule code string"));
+        let diagnostic = serde_json::from_str::<Diagnostic<TestRule>>(
+            "{\"rule\":7,\"severity\":\"Info\",\"subjects\":[],\"message\":\"\"}",
+        )
+        .unwrap_err();
+        assert!(
+            diagnostic.to_string().contains("expected rule code string"),
+            "{diagnostic}"
+        );
+    }
+
+    #[test]
+    fn missing_fields_are_named() {
+        let err = serde_json::from_str::<Diagnostic<TestRule>>(
+            "{\"rule\":\"odd\",\"severity\":\"Warn\",\"subjects\":[]}",
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("diagnostic missing field 'message'"),
+            "{err}"
+        );
+        let err = serde_json::from_str::<Report<TestRule>>("{}").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("report missing field 'diagnostics'"),
+            "{err}"
+        );
+    }
 }

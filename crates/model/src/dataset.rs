@@ -1032,6 +1032,28 @@ mod tests {
     }
 
     #[test]
+    fn builder_counts_what_was_added() {
+        let empty = DatasetBuilder::new();
+        assert_eq!(
+            (
+                empty.num_machines(),
+                empty.num_incidents(),
+                empty.num_tickets()
+            ),
+            (0, 0, 0)
+        );
+        let b = tiny_builder();
+        assert_eq!(
+            (b.num_machines(), b.num_incidents(), b.num_tickets()),
+            (1, 2, 2)
+        );
+        let ds = b.build();
+        assert_eq!(ds.machines().len(), 1);
+        assert_eq!(ds.incidents().len(), 2);
+        assert_eq!(ds.tickets().len(), 2);
+    }
+
+    #[test]
     #[should_panic(expected = "unknown machine")]
     fn build_rejects_dangling_event() {
         let mut topo = Topology::new();

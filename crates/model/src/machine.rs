@@ -341,4 +341,16 @@ mod tests {
         assert_eq!(MachineKind::Vm.to_string(), "VM");
         assert_eq!(MachineKind::ALL.len(), 2);
     }
+
+    #[test]
+    fn repair_builders_replace_one_field_and_keep_the_kind() {
+        let original = pm();
+        let moved = original.clone().with_id(MachineId::new(7));
+        assert_eq!(moved.id(), MachineId::new(7));
+        assert_eq!(moved.clone().with_id(MachineId::new(0)), original);
+        let hosted = original.clone().with_host(Some(BoxId::new(4)));
+        assert!(hosted.is_pm(), "with_host never changes the kind");
+        assert_eq!(hosted.host(), Some(BoxId::new(4)));
+        assert_eq!(hosted.with_host(None), original);
+    }
 }

@@ -376,6 +376,17 @@ mod tests {
     }
 
     #[test]
+    fn a_partial_last_bucket_counts_as_a_whole_one() {
+        let h = Horizon::new(SimTime::ZERO, SimTime::from_minutes(10 * 1440 + 1));
+        assert_eq!((h.num_days(), h.num_weeks(), h.num_months()), (11, 2, 1));
+        assert_eq!(h.len().as_weeks(), 14_401.0 / 10_080.0);
+        assert_eq!(h.day_of(h.end() - MINUTE), Some(10));
+        assert_eq!(h.to_string(), "[t+0.00d .. t+10.00d)");
+        assert!((SimTime::ZERO - SimTime::from_days(1)).is_negative());
+        assert!(!SimDuration::ZERO.is_negative());
+    }
+
+    #[test]
     fn fractional_constructors_round() {
         assert_eq!(SimDuration::from_hours_f64(1.5).as_minutes(), 90);
     }

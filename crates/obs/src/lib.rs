@@ -442,6 +442,43 @@ mod tests {
     }
 
     #[test]
+    fn labeled_spans_and_counters_join_group_and_label() {
+        let _gate = exclusive();
+        add_labeled("serve", "ignored", 1);
+        drop(span_labeled("report", "ignored"));
+        let handle = ObsHandle::install().unwrap();
+        {
+            let _run = span("run");
+            let _fig = span_labeled("report", "fig2");
+        }
+        add_labeled("serve", "reports", 2);
+        add_labeled("serve", "reports", 3);
+        let report = handle.finish();
+        assert_eq!(report.span("run/report.fig2").unwrap().count, 1);
+        assert_eq!(report.counter("serve.reports"), Some(5));
+        assert!(report.counter("serve.ignored").is_none());
+        assert!(!report.has_stage("report.ignored"));
+    }
+
+    #[test]
+    fn samples_past_the_cap_are_counted_as_dropped() {
+        let _gate = exclusive();
+        let handle = ObsHandle::install().unwrap();
+        for i in 0..MAX_SAMPLES + 3 {
+            observe("full", i as f64);
+        }
+        let report = handle.finish();
+        let h = report.histogram("full").unwrap();
+        assert_eq!(h.count, MAX_SAMPLES);
+        assert_eq!(
+            h.max,
+            (MAX_SAMPLES - 1) as f64,
+            "the first samples are kept"
+        );
+        assert_eq!(report.counter("obs.samples_dropped"), Some(3));
+    }
+
+    #[test]
     fn warnings_record_even_while_disabled() {
         let _gate = exclusive();
         warn("configured sideways");

@@ -87,6 +87,26 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_without_csv_round_trips_and_the_seed_keys_the_digest() {
+        let rendered = Rendered {
+            title: "t".into(),
+            text: "x".into(),
+            csv: None,
+        };
+        let e = Envelope::new(ExperimentId::Table1, 0, &RunConfig::with_seed(1), rendered);
+        let back: Envelope = serde_json::from_str(&e.to_json()).unwrap();
+        assert_eq!(back, e);
+        assert_eq!(back.payload.csv, None);
+        let other = Envelope::new(
+            ExperimentId::Table1,
+            0,
+            &RunConfig::with_seed(2),
+            e.payload.clone(),
+        );
+        assert_ne!(other.config_digest, e.config_digest);
+    }
+
+    #[test]
     fn config_digest_is_hex_padded() {
         let e = sample();
         assert_eq!(e.config_digest.len(), 18);

@@ -703,6 +703,27 @@ mod tests {
     }
 
     #[test]
+    fn fig2_prints_a_dash_for_a_group_without_failures() {
+        let ds = Scenario::paper()
+            .seed(0)
+            .scale(0.004)
+            .build()
+            .into_dataset();
+        let r = fig2_impl(&ds);
+        let vm_row = r.text.lines().find(|l| l.starts_with("All VM")).unwrap();
+        assert!(
+            vm_row.split_whitespace().skip(2).all(|cell| cell == "-"),
+            "{vm_row}"
+        );
+        assert!(
+            r.text.contains(" vs VM - (no VM failures; paper:"),
+            "{}",
+            r.text
+        );
+        assert!(r.csv.unwrap().contains("All VM,-,-,-,-,-"));
+    }
+
+    #[test]
     fn table5_report_has_ratios() {
         let r = table5_impl(dataset());
         assert!(r.text.contains("PM ratio"));

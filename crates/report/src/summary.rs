@@ -250,4 +250,22 @@ mod tests {
         // Every row rendered.
         assert!(r.text.matches("yes").count() >= 10);
     }
+
+    #[test]
+    fn a_fleet_without_vm_failures_names_them_and_does_not_hold() {
+        let ds = Scenario::paper()
+            .seed(0)
+            .scale(0.004)
+            .build()
+            .into_dataset();
+        let r = findings(&ds);
+        let row = r
+            .text
+            .lines()
+            .find(|l| l.contains("VMs have lower failure rates than PMs"))
+            .unwrap();
+        assert!(row.contains("no VM failures"), "{row}");
+        assert!(row.trim_end().ends_with("NO"), "{row}");
+        assert!(!r.text.contains("all of them"));
+    }
 }

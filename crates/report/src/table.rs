@@ -155,6 +155,16 @@ mod tests {
     }
 
     #[test]
+    fn empty_cells_leave_no_trailing_padding_and_newlines_are_quoted() {
+        let mut t = TextTable::new(vec!["label", "value"]);
+        t.row(vec!["a", ""]).row(vec!["two\nlines", "7"]);
+        assert_eq!(t.render().lines().nth(2), Some("a"));
+        assert_eq!(t.to_csv(), "label,value\na,\n\"two\nlines\",7\n");
+        let header_only = TextTable::new(vec!["only"]);
+        assert_eq!(header_only.render(), "only\n----\n");
+    }
+
+    #[test]
     #[should_panic(expected = "cell count mismatch")]
     fn wrong_row_width_rejected() {
         let mut t = TextTable::new(vec!["a", "b"]);

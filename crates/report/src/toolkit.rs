@@ -301,6 +301,39 @@ mod tests {
     }
 
     #[test]
+    fn variant_configs_are_evicted_oldest_first_and_the_base_never() {
+        let tk = Toolkit::build_scaled(RunConfig::with_seed(42), 0.002);
+        let id = ExperimentId::Table1;
+        let base = tk.render(id);
+        let variant = |seed: u64| tk.render_with(id, &RunConfig::with_seed(seed));
+        let oldest = variant(1_000);
+        for seed in 1_001..=1_000 + VARIANT_CAP as u64 {
+            variant(seed);
+        }
+        assert_eq!(tk.cache_len(), 1 + VARIANT_CAP);
+        assert!(
+            !Arc::ptr_eq(&oldest, &variant(1_000)),
+            "the oldest variant was evicted"
+        );
+        assert!(Arc::ptr_eq(&base, &tk.render(id)));
+        assert_eq!(tk.cache_len(), 1 + VARIANT_CAP);
+    }
+
+    #[test]
+    fn a_variant_envelope_carries_its_own_config_digest() {
+        let tk = Toolkit::build_scaled(RunConfig::with_seed(42), 0.002);
+        let config = RunConfig::with_seed(9);
+        let json = tk.envelope_json_with(ExperimentId::Table1, &config);
+        assert!(Arc::ptr_eq(
+            &json,
+            &tk.envelope_json_with(ExperimentId::Table1, &config)
+        ));
+        let e: Envelope = serde_json::from_str(&json).unwrap();
+        assert_eq!(e.config_digest, format!("{:#018x}", config.digest()));
+        assert_ne!(json, tk.envelope_json(ExperimentId::Table1));
+    }
+
+    #[test]
     fn envelope_carries_snapshot_version() {
         let ds = dcfail_synth::Scenario::paper()
             .seed(42)

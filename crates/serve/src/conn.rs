@@ -453,6 +453,79 @@ mod tests {
         }
     }
 
+    /// Accepts one connection on an ephemeral port and reads one request
+    /// from it while `client` writes to the other end.
+    fn read_one(client: impl FnOnce(TcpStream) + Send) -> Result<Vec<u8>, ReadError> {
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(move || client(TcpStream::connect(addr).unwrap()));
+            listener.accept().unwrap().read_request()
+        })
+    }
+
+    #[test]
+    fn a_trickled_request_is_read_whole_and_no_further() {
+        let raw = post_request("/whatif", "{}");
+        let sent = [raw.as_slice(), b"GET / HTTP/1.1\r\n\r\n"].concat();
+        let got = read_one(move |mut stream| {
+            for byte in sent {
+                stream.write_all(&[byte]).unwrap();
+            }
+        })
+        .unwrap();
+        assert_eq!(got, raw);
+    }
+
+    #[test]
+    fn a_peer_closing_mid_body_is_an_io_error() {
+        let got = read_one(|mut stream| {
+            stream
+                .write_all(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc")
+                .unwrap();
+        });
+        match got {
+            Err(ReadError::Io(e)) => {
+                assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+                assert_eq!(e.to_string(), "connection closed mid-body");
+            }
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_requests_are_refused_before_their_bytes_are_read() {
+        let big = format!("POST / HTTP/1.1\r\nContent-Length: {MAX_REQUEST_BYTES}\r\n\r\n");
+        let got = read_one(move |mut stream| {
+            let _ = stream.write_all(big.as_bytes());
+        });
+        assert!(matches!(got, Err(ReadError::ContentTooLarge)), "{got:?}");
+        let got = read_one(|mut stream| {
+            let _ = stream.write_all(&vec![b'a'; MAX_REQUEST_BYTES]);
+        });
+        assert!(matches!(got, Err(ReadError::HeadersTooLarge)), "{got:?}");
+        let got = read_one(|mut stream| {
+            let _ = stream.write_all(b"POST / HTTP/1.1\r\nContent-Length: x\r\n\r\n");
+        });
+        assert!(
+            matches!(got, Err(ReadError::BadContentLength(_))),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn the_resumed_scan_finds_a_terminator_split_across_reads() {
+        let head = b"GET / HTTP/1.1\r\n\r\n";
+        for scanned in 0..=17 {
+            assert_eq!(
+                header_end_after(head, scanned),
+                Some(18),
+                "scanned {scanned}"
+            );
+        }
+        assert_eq!(header_end_after(b"GET / HTTP/1.1\r\n", 16), None);
+    }
+
     #[test]
     fn request_builders_are_well_formed() {
         let get = get_request("/registry");

@@ -183,4 +183,47 @@ mod tests {
         let text = String::from_utf8(body).unwrap();
         assert!(text.contains("\"error\":\"queue_full\""));
     }
+
+    #[test]
+    fn only_the_head_must_be_utf8() {
+        let err = parse_request(b"GET /\xff HTTP/1.1\r\n\r\n").unwrap_err();
+        assert_eq!(err, ParseError::BadEncoding);
+        assert_eq!(err.to_string(), "request head is not UTF-8");
+        let req = parse_request(b"POST /audit HTTP/1.1\r\n\r\n\xff\x00").unwrap();
+        assert_eq!(req.body, b"\xff\x00");
+    }
+
+    #[test]
+    fn method_is_upper_cased_and_an_unterminated_head_has_no_body() {
+        let req = parse_request(b"get /registry HTTP/1.1").unwrap();
+        assert_eq!(req.method, "GET");
+        assert_eq!(req.path, "/registry");
+        assert_eq!(req.query, "");
+        assert!(req.body.is_empty());
+        assert_eq!(
+            ParseError::BadStartLine.to_string(),
+            "malformed request line"
+        );
+    }
+
+    #[test]
+    fn rendered_head_carries_reason_and_content_length() {
+        let bytes = Response::json(503, "{}").to_bytes();
+        let text = String::from_utf8(bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
+        assert!(text.contains("\r\nContent-Length: 2\r\n"));
+        assert!(text.ends_with("Connection: close\r\n\r\n{}"));
+        let unlisted = Response::json(418, "").to_bytes();
+        assert!(unlisted.starts_with(b"HTTP/1.1 418 Unknown\r\n"));
+    }
+
+    #[test]
+    fn split_response_needs_a_complete_head_and_numeric_status() {
+        assert_eq!(split_response(b"HTTP/1.1 200 OK\r\n"), None);
+        assert_eq!(split_response(b"HTTP/1.1 OK\r\n\r\nbody"), None);
+        assert_eq!(
+            split_response(b"HTTP/1.1 404 Not Found\r\nX: y\r\n\r\n"),
+            Some((404, Vec::new()))
+        );
+    }
 }

@@ -296,4 +296,44 @@ mod tests {
         assert_eq!(route(&get("/whatif"), state()).status, 405);
         assert_eq!(route(&get("/nope"), state()).status, 404);
     }
+
+    #[test]
+    fn route_labels_name_the_first_path_segment() {
+        for (path, label) in [
+            ("/registry", "registry"),
+            ("/reports/fig2", "reports"),
+            ("/whatif", "whatif"),
+            ("/audit", "audit"),
+            ("/metrics", "metrics"),
+            ("/stream/alerts", "stream_alerts"),
+            ("/", "other"),
+            ("/nope", "other"),
+            ("registry", "other"),
+        ] {
+            assert_eq!(route_label(path), label, "{path}");
+        }
+    }
+
+    #[test]
+    fn whatif_body_without_a_seed_keeps_the_base_config() {
+        let base = RunConfig::with_seed(42);
+        for body in [&b""[..], b"  \n", b"{}", b"{\"other\": 1}"] {
+            assert_eq!(whatif_config(&base, body), Ok(base.clone()), "{body:?}");
+        }
+        assert_eq!(whatif_config(&base, b"{\"seed\": 9}").unwrap().seed, 9);
+        assert_eq!(
+            whatif_config(&base, b"\xff"),
+            Err("body is not UTF-8".to_string())
+        );
+        assert!(whatif_config(&base, b"{\"seed\":").is_err());
+    }
+
+    #[test]
+    fn slashes_and_query_strings_do_not_change_the_route() {
+        let bare = route(&get("/reports/fig2"), state());
+        for path in ["/reports/fig2/", "/reports/fig2?x=1", "//reports/fig2"] {
+            let resp = route(&get(path), state());
+            assert_eq!(resp, bare, "{path}");
+        }
+    }
 }

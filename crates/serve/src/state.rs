@@ -189,6 +189,31 @@ mod tests {
     }
 
     #[test]
+    fn alerts_are_replaced_whole_and_obs_is_optional() {
+        let state = AppState::new(tiny_toolkit(7, 4), None);
+        let empty = state.alerts();
+        assert_eq!((empty.data_version, empty.complete), (0, false));
+        state.set_alerts(AlertsState {
+            data_version: 4,
+            complete: true,
+            events_ingested: 12,
+            alerts: Vec::new(),
+        });
+        let set = state.alerts();
+        assert_eq!(
+            (set.data_version, set.complete, set.events_ingested),
+            (4, true, 12)
+        );
+        assert!(state.with_obs(|_| ()).is_none());
+        assert!(state.finish_obs().is_none());
+        let debug = format!("{state:?}");
+        assert!(
+            debug.contains("data_version: 4") && debug.contains("metrics: false"),
+            "{debug}"
+        );
+    }
+
+    #[test]
     fn gate_pauses_and_releases() {
         let gate = WorkerGate::default();
         gate.pause();

@@ -368,4 +368,23 @@ mod tests {
         let config = Scenario::paper().seed(2).scale(0.015).config().clone();
         let _ = build_sharded(&config, 2).report(ExperimentId::Whatif, &RunConfig::default());
     }
+
+    #[test]
+    fn a_build_keeps_its_config_and_shard_count() {
+        let config = Scenario::paper().seed(3).scale(0.002).config().clone();
+        let out = build_sharded(&config, 3);
+        assert_eq!(out.num_shards(), 3);
+        assert_eq!(out.config(), &config);
+        assert!(
+            out.dataset().telemetry().usage_series().next().is_none(),
+            "telemetry-free"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "shard count must be at least 1")]
+    fn zero_shards_are_refused() {
+        let config = Scenario::paper().seed(3).scale(0.002).config().clone();
+        let _ = build_sharded(&config, 0);
+    }
 }

@@ -214,4 +214,55 @@ mod tests {
         assert!(decode_payload::<ShardYield>(&name, payload).is_some());
         assert_eq!(rewritten, current);
     }
+
+    #[test]
+    fn config_digest_follows_the_config() {
+        let config = |seed, scale| Scenario::paper().seed(seed).scale(scale).config().clone();
+        let base = config(1, 0.01);
+        assert_eq!(config_digest(&base), config_digest(&config(1, 0.01)));
+        assert_ne!(config_digest(&base), config_digest(&config(2, 0.01)));
+        assert_ne!(config_digest(&base), config_digest(&config(1, 0.02)));
+    }
+
+    #[test]
+    fn a_stage_without_a_checkpoint_computes_every_shard_in_order() {
+        assert_eq!(
+            stage(&mut None, "norms", 5, |s| s * 10).unwrap(),
+            [0, 10, 20, 30, 40]
+        );
+        assert!(stage(&mut None, "norms", 0, |s| s).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_stage_reloads_published_shards_and_computes_only_the_rest() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mem = MemFs::new();
+        let store = CheckpointStore::new(Box::new(mem.clone()), "ckpt");
+        let computed = AtomicUsize::new(0);
+        let compute = |s: usize| {
+            computed.fetch_add(1, Ordering::SeqCst);
+            vec![s as u64; s]
+        };
+        let mut checkpoint = Some((&store, store.open(7, 3).unwrap()));
+        let first = stage(&mut checkpoint, "pass", 3, compute).unwrap();
+        assert_eq!(computed.load(Ordering::SeqCst), 3);
+        assert!(mem.snapshot("ckpt/pass-0002.seg").is_some());
+
+        let mut manifest = store.open(7, 3).unwrap();
+        assert_eq!(
+            manifest.segments.len(),
+            3,
+            "each publish reached the manifest"
+        );
+        manifest.segments.remove("pass-0001.seg");
+        let mut checkpoint = Some((&store, manifest));
+        assert_eq!(stage(&mut checkpoint, "pass", 3, compute).unwrap(), first);
+        assert_eq!(
+            computed.load(Ordering::SeqCst),
+            4,
+            "only shard 1 is recomputed"
+        );
+        let (_, manifest) = checkpoint.unwrap();
+        assert!(manifest.segments.contains_key("pass-0001.seg"));
+    }
 }

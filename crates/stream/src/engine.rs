@@ -907,6 +907,68 @@ mod tests {
         assert_eq!(buffer.work.buckets_sorted, 1);
     }
 
+    fn engine(slack_minutes: i64) -> StreamEngine {
+        let config = StreamConfig {
+            slack: SimDuration::from_minutes(slack_minutes),
+            ..StreamConfig::default()
+        };
+        StreamEngine::new(Horizon::observation_year(), config)
+    }
+
+    fn failure_at(m: i64, seq: u64) -> FeedEvent {
+        FeedEvent {
+            at: minute(m),
+            seq,
+            payload: arrival(0),
+        }
+    }
+
+    #[test]
+    fn an_empty_stream_still_closes_every_window() {
+        let out = engine(0).finish();
+        let s = out.stats;
+        let weeks = Horizon::observation_year().num_weeks() as u64;
+        assert_eq!((s.windows_closed, s.windows_opened), (weeks, 0));
+        assert_eq!((s.events_ingested, s.peak_buffered), (0, 0));
+        assert!(out.alerts.is_empty());
+    }
+
+    #[test]
+    fn zero_slack_holds_an_instant_until_the_clock_moves_past_it() {
+        let mut engine = engine(0);
+        engine.ingest(failure_at(10, 0)).unwrap();
+        engine.ingest(failure_at(10, 1)).unwrap();
+        assert_eq!(engine.stats().events_applied, 0, "equal timestamps wait");
+        assert_eq!(engine.stats().peak_buffered, 2);
+        engine.ingest(failure_at(11, 2)).unwrap();
+        assert_eq!(engine.stats().events_applied, 2);
+        let late = engine.ingest(failure_at(10, 3)).unwrap_err();
+        let watermark = minute(11);
+        assert_eq!(
+            late,
+            StreamError::LateEvent {
+                at: minute(10),
+                watermark
+            }
+        );
+        let s = engine.finish().stats;
+        assert_eq!((s.events_ingested, s.events_applied), (4, 3));
+        assert_eq!((s.late_events, s.failures), (1, 3));
+    }
+
+    #[test]
+    fn a_window_closes_once_the_watermark_reaches_its_end() {
+        let week = 7 * 24 * 60;
+        let mut engine = engine(60);
+        engine.ingest(failure_at(week + 30, 0)).unwrap();
+        assert_eq!(engine.stats().windows_closed, 0);
+        engine.ingest(failure_at(week + 60, 1)).unwrap();
+        assert_eq!(engine.stats().windows_closed, 1);
+        engine.ingest(failure_at(3 * week + 60, 2)).unwrap();
+        assert_eq!(engine.stats().windows_closed, 3);
+        assert_eq!(engine.stats().windows_opened, 1, "only week 1 saw an event");
+    }
+
     #[test]
     fn an_ordered_bucket_is_neither_placed_nor_sorted() {
         let mut buffer = parked(&[0, 1, 7, u64::MAX]);
