@@ -77,6 +77,7 @@ pub fn audit_dataset(dataset: &FailureDataset) -> AuditReport {
         topology: dataset.topology(),
         incidents: dataset.incidents(),
         tickets: dataset.tickets(),
+        texts: dataset.texts(),
         events: dataset.events(),
         telemetry: dataset.telemetry(),
     });
@@ -98,6 +99,7 @@ pub fn audit_raw(parts: &RawDatasetParts) -> AuditReport {
         topology: &parts.topology,
         incidents: &parts.incidents,
         tickets: &parts.tickets,
+        texts: &parts.texts,
         events: &parts.events,
         telemetry: &parts.telemetry,
     });

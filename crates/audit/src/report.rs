@@ -56,6 +56,9 @@ dcfail_findings::rule_catalog! {
         /// A ticket closes before it opens.
         TicketWindowReversed = ("ticket-window-reversed", Error,
             "every ticket must close at or after opening");
+        /// A ticket's description or resolution id is past the text table.
+        TicketTextDangling = ("ticket-text-dangling", Error,
+            "every ticket's description and resolution must resolve in the text table");
         /// Events are not sorted by `(at, machine, incident)`.
         EventsUnsorted = ("events-unsorted", Error,
             "events must be sorted by (at, machine, incident)");

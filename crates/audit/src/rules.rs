@@ -11,6 +11,7 @@ pub(crate) struct View<'a> {
     pub(crate) topology: &'a Topology,
     pub(crate) incidents: &'a [Incident],
     pub(crate) tickets: &'a [Ticket],
+    pub(crate) texts: &'a TextTable,
     pub(crate) events: &'a [FailureEvent],
     pub(crate) telemetry: &'a Telemetry,
 }
@@ -148,6 +149,12 @@ fn check_tickets(view: &View<'_>, sink: &mut Sink) {
         }
         if t.closed_at() < t.opened_at() {
             sink.hit(RuleId::TicketWindowReversed, t.id());
+        }
+        if [t.description(), t.resolution()]
+            .into_iter()
+            .any(|id| view.texts.get(id).is_none())
+        {
+            sink.hit(RuleId::TicketTextDangling, t.id());
         }
     }
 }

@@ -12,6 +12,7 @@
 use dcfail_audit::{audit_dataset, audit_raw, RawDatasetParts, RuleId, Severity};
 use dcfail_model::prelude::*;
 use serde::{Number, Value};
+use std::sync::Arc;
 
 // --- fixture ---------------------------------------------------------------
 
@@ -52,26 +53,30 @@ fn fixture() -> FailureDataset {
         (FailureClass::Software, MachineId::new(1), 5, HOUR * 3),
         (FailureClass::Hardware, MachineId::new(0), 10, HOUR * 2),
     ];
+    let mut texts = TextTable::default();
+    let (unresponsive, fixed) = (texts.push("server unresponsive"), texts.push("fixed"));
+    let mut tickets = Vec::new();
     for (i, &(class, machine, day, repair)) in specs.iter().enumerate() {
         let at = SimTime::from_days(day);
         let incident = IncidentId::new(i as u32);
         let ticket = TicketId::new(i as u32);
         b.add_incident(Incident::new(incident, class, at, vec![machine]));
-        b.add_ticket(Ticket::new(
+        tickets.push(Ticket::new(
             ticket,
             machine,
             TicketKind::Crash,
             Some(incident),
             at,
             at + repair,
-            "server unresponsive".into(),
-            "fixed".into(),
+            unresponsive,
+            fixed,
             Some(class),
         ));
         b.add_event(FailureEvent::new(
             machine, incident, ticket, at, class, class, repair,
         ));
     }
+    b.tickets(Arc::new(texts), tickets);
 
     let mut t = Telemetry::new();
     let usage = vec![WeeklyUsage::new(20.0, 30.0, 40.0, 64.0); 52];
@@ -486,6 +491,9 @@ fn degenerate_class_mix_is_flagged() {
         ResourceCapacity::default(),
         None,
     ));
+    let mut texts = TextTable::default();
+    let none = texts.push("");
+    let mut tickets = Vec::new();
     for i in 0..120u32 {
         let at = SimTime::from_days(i64::from(i) * 3);
         b.add_incident(Incident::new(
@@ -494,15 +502,15 @@ fn degenerate_class_mix_is_flagged() {
             at,
             vec![MachineId::new(0)],
         ));
-        b.add_ticket(Ticket::new(
+        tickets.push(Ticket::new(
             TicketId::new(i),
             MachineId::new(0),
             TicketKind::Crash,
             Some(IncidentId::new(i)),
             at,
             at + HOUR,
-            "".into(),
-            "".into(),
+            none,
+            none,
             Some(FailureClass::Software),
         ));
         b.add_event(FailureEvent::new(
@@ -515,6 +523,7 @@ fn degenerate_class_mix_is_flagged() {
             HOUR,
         ));
     }
+    b.tickets(Arc::new(texts), tickets);
     let report = audit_dataset(&b.build());
     assert!(
         report.find(RuleId::ClassMixDegenerate).is_some(),
@@ -575,4 +584,48 @@ fn events_unsorted_is_invisible_after_validation() {
     let json = serde_json::to_string(&value).unwrap();
     let ds: FailureDataset = serde_json::from_str(&json).unwrap();
     assert!(audit_dataset(&ds).find(RuleId::EventsUnsorted).is_none());
+}
+
+#[test]
+fn a_text_id_past_the_table_is_refused_flagged_and_quarantined() {
+    use dcfail_audit::recover::{recover_raw, RepairRule};
+
+    // JSON carries text inline, so only in-memory parts can dangle: point
+    // ticket t1's resolution past the fixture's two-text table.
+    let mut parts = RawDatasetParts::from(&fixture());
+    let t = parts.tickets[1];
+    parts.tickets[1] = Ticket::new(
+        t.id(),
+        t.machine(),
+        t.kind(),
+        t.incident(),
+        t.opened_at(),
+        t.closed_at(),
+        t.description(),
+        TextId::new(7),
+        t.true_class(),
+    );
+
+    assert_eq!(
+        FailureDataset::try_from(parts.clone()).unwrap_err(),
+        DatasetError::UnknownTicketText {
+            ticket: TicketId::new(1),
+            text: TextId::new(7),
+        }
+    );
+
+    let report = audit_raw(&parts);
+    let finding = report.find(RuleId::TicketTextDangling).expect("rule fires");
+    assert_eq!(finding.severity, Severity::Error);
+    assert_eq!(finding.subjects, ["t1"]);
+    assert!(!report.is_clean());
+
+    let recovered = recover_raw(&parts).unwrap();
+    assert_eq!(recovered.report.count(RepairRule::TicketQuarantined), 1);
+    // t1's event lost its ticket, so it goes too.
+    assert_eq!(recovered.report.count(RepairRule::EventQuarantined), 1);
+    assert_eq!(recovered.dataset.tickets().len(), 2);
+    let reaudit = audit_dataset(&recovered.dataset);
+    assert!(reaudit.is_clean(), "{reaudit}");
+    assert!(reaudit.find(RuleId::TicketTextDangling).is_none());
 }

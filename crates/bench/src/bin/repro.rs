@@ -1177,10 +1177,13 @@ fn run_experiments(args: &Args) -> Result<ExitCode, String> {
         eprintln!("re-labeling events with the k-means pipeline ...");
         let mut rng = StreamRng::new(seed ^ 0x7ea).fork("repro.classify");
         let c = apply_to_dataset(&mut dataset, PipelineConfig::default(), &mut rng);
-        eprintln!(
-            "pipeline accuracy vs manual labels: {:.1}% (paper: 87%)",
-            100.0 * c.accuracy_vs_manual()
-        );
+        match c.accuracy_vs_manual() {
+            Some(accuracy) => eprintln!(
+                "pipeline accuracy vs manual labels: {:.1}% (paper: 87%)",
+                100.0 * accuracy
+            ),
+            None => eprintln!("no crash tickets: nothing was classified"),
+        }
     }
 
     let csv_dir: Option<PathBuf> = args.get(CSV);

@@ -470,6 +470,7 @@ mod tests {
             path: path.into(),
             count: 1,
             total_ms,
+            minor_faults: None,
         };
         let metrics = MetricsReport {
             schema_version: dcfail_obs::SCHEMA_VERSION,

@@ -103,9 +103,23 @@ pub fn run(seed: u64, scale: f64, rate: f64) -> Result<PipelineRun, String> {
 /// recovery, chaos, ticket classification, stats, and the report fan-out
 /// (the registry covers the extras too).
 const REQUIRED_STAGES: &str = "synth.build population placement telemetry incidents hazard \
-    spatial individual assemble tickets haystack audit.dataset audit.recover chaos.copy \
-    chaos.inject classify tokenize tfidf.fit tfidf.transform kmeans manual_label \
-    stats.bootstrap report.run_all";
+    spatial individual assemble tickets haystack audit.dataset audit.recover recover.machines \
+    recover.tickets recover.events recover.telemetry recover.build chaos.copy chaos.inject \
+    classify tokenize tfidf.fit tfidf.transform kmeans manual_label stats.bootstrap \
+    report.run_all";
+
+/// The stages [`run`] opens on its own thread, at the root of the span
+/// tree: on Linux each must carry a minor-fault count.
+const ROOT_STAGES: [&str; 8] = [
+    "synth.build",
+    "audit.dataset",
+    "chaos.copy",
+    "chaos.inject",
+    "audit.recover",
+    "classify",
+    "report.run_all",
+    REPLAY_SPAN,
+];
 
 /// What one [`export_check`] saw.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,8 +139,9 @@ pub struct ExportCheck {
     /// Those calls' estimated share of the run's wall-clock, percent.
     pub overhead_pct: f64,
     /// The first broken rule of the export contract (schema version, every
-    /// stage span, a `par.jobs` counter, disabled overhead under 2%);
-    /// `None` when it holds.
+    /// stage span, on Linux a minor-fault count on every root stage, a
+    /// `par.jobs` counter, disabled overhead under 2%); `None` when it
+    /// holds.
     pub failure: Option<String>,
 }
 
@@ -177,6 +192,10 @@ pub fn export_check(seed: u64, scale: f64, rate: f64) -> Result<ExportCheck, Str
         .chain(runners)
         .filter(|stage| !report.has_stage(stage))
         .collect();
+    let uncounted: Vec<&str> = ROOT_STAGES
+        .into_iter()
+        .filter(|&stage| report.span(stage).is_some_and(|s| s.minor_faults.is_none()))
+        .collect();
     let failure = if report.schema_version != dcfail_obs::SCHEMA_VERSION {
         Some(format!(
             "schema version {} != {}",
@@ -185,6 +204,11 @@ pub fn export_check(seed: u64, scale: f64, rate: f64) -> Result<ExportCheck, Str
         ))
     } else if !missing.is_empty() {
         Some(format!("missing stage spans: {}", missing.join(", ")))
+    } else if cfg!(target_os = "linux") && !uncounted.is_empty() {
+        Some(format!(
+            "root stages without a minor-fault count: {}",
+            uncounted.join(", ")
+        ))
     } else if report.counter("par.jobs").unwrap_or(0) == 0 {
         Some("no par.jobs counter".to_string())
     } else if overhead_pct >= 2.0 {

@@ -441,3 +441,22 @@ fn bench_gate_passes_and_exports_its_spans() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Seed 16 at scale 0.0002 builds a fleet without a single crash ticket:
+/// the classifier relabels nothing, says so, and nothing panics.
+#[test]
+fn a_fleet_without_crash_tickets_classifies_nothing() {
+    let tiny = ["--scale", "0.0002", "--seed", "16"];
+    for command in [&["--classify", "table2"][..], &["metrics"]] {
+        let args = [&tiny[..], command].concat();
+        let out = repro(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        if command[0] == "--classify" {
+            assert!(
+                stderr.contains("no crash tickets: nothing was classified"),
+                "{stderr}"
+            );
+        }
+    }
+}

@@ -215,3 +215,21 @@ fn recovery_of_clean_dataset_is_identity_shaped() {
     assert_eq!(rec.telemetry(), clean.telemetry());
     assert_eq!(*rec, clean);
 }
+
+#[test]
+fn chaos_and_recovery_share_the_source_text_table() {
+    let clean = clean_dataset(3, 0.03);
+    let (parts, log) = dcfail_chaos::inject(&clean, &InjectionPlan::uniform(3, 0.2));
+    assert!(log.total() > 0);
+    assert!(std::sync::Arc::ptr_eq(&parts.texts, clean.texts()));
+    let recovered = recover_raw(&parts).expect("recovery succeeds");
+    assert!(std::sync::Arc::ptr_eq(
+        recovered.dataset.texts(),
+        clean.texts()
+    ));
+    // Every kept ticket still reads its source ticket's text.
+    for t in recovered.dataset.tickets() {
+        assert!(clean.texts().get(t.description()).is_some());
+        assert!(clean.texts().get(t.resolution()).is_some());
+    }
+}

@@ -232,9 +232,7 @@ mod tests {
         for incident in ds.incidents() {
             b.add_incident(incident.clone());
         }
-        for ticket in ds.tickets() {
-            b.add_ticket(ticket.clone());
-        }
+        b.tickets(std::sync::Arc::clone(ds.texts()), ds.tickets().to_vec());
         for ev in ds
             .events()
             .iter()

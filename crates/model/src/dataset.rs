@@ -2,14 +2,17 @@
 //! events and telemetry over one observation window.
 
 use crate::failure::{FailureEvent, Incident};
-use crate::ids::{IncidentId, MachineId, SubsystemId, TicketId};
+use crate::ids::{IncidentId, MachineId, SubsystemId, TextId, TicketId};
 use crate::machine::{Machine, MachineKind};
 use crate::telemetry::Telemetry;
-use crate::ticket::Ticket;
+use crate::ticket::{TextTable, Ticket};
 use crate::time::{Horizon, SimTime};
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
+use serde::__private::{as_object, field};
+use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Builds a CSR (offsets + indices) mapping from a key space of size `n`
 /// to the positions that carry each key, preserving position order within
@@ -46,14 +49,21 @@ fn csr_row<'a>(offsets: &[usize], index: &'a [usize], row: usize) -> &'a [usize]
 /// [`DatasetBuilder`], or round-tripped through JSON so that analyses are
 /// re-runnable on saved traces — mirroring the paper's practice of mining
 /// several persistent databases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "RawDatasetParts", into = "RawDatasetParts")]
+///
+/// Two datasets are equal when they say the same: ticket text compares as
+/// strings, not as [`TextId`]s, so a dataset whose table still holds texts
+/// no ticket uses equals its JSON reload, which keeps only used texts.
+#[derive(Debug, Clone, Deserialize)]
+#[serde(try_from = "RawDatasetParts")]
 pub struct FailureDataset {
     horizon: Horizon,
     machines: Vec<Machine>,
     topology: Topology,
     incidents: Vec<Incident>,
     tickets: Vec<Ticket>,
+    /// Every ticket's text, each distinct text once. Shared by the dataset's
+    /// clones and raw parts; every ticket's ids resolve in it.
+    texts: Arc<TextTable>,
     /// Crash events sorted by `(at, machine)`.
     events: Vec<FailureEvent>,
     telemetry: Telemetry,
@@ -82,7 +92,12 @@ pub struct FailureDataset {
 /// its full rule catalog against the input as written, name every defect at
 /// once, and convert a clean trace with `FailureDataset::try_from` without
 /// parsing it again.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The JSON is [`FailureDataset`]'s: each ticket carries its text inline,
+/// and reading interns equal texts to one [`TextId`]. A ticket whose id is
+/// past [`texts`](Self::texts) writes `null` text, which no reader accepts.
+/// Equality compares ticket text as strings, as for [`FailureDataset`].
+#[derive(Debug, Clone, Default)]
 pub struct RawDatasetParts {
     /// Observation window.
     pub horizon: Horizon,
@@ -94,6 +109,9 @@ pub struct RawDatasetParts {
     pub incidents: Vec<Incident>,
     /// Ticket records, nominally dense by id.
     pub tickets: Vec<Ticket>,
+    /// The text table ticket text ids point into, nominally covering every
+    /// ticket's ids.
+    pub texts: Arc<TextTable>,
     /// Crash events, nominally sorted by `(at, machine, incident)`.
     pub events: Vec<FailureEvent>,
     /// Telemetry store.
@@ -157,6 +175,13 @@ pub enum DatasetError {
     ReversedTicketWindow {
         /// The offending ticket.
         ticket: TicketId,
+    },
+    /// A ticket's description or resolution id is past the text table.
+    UnknownTicketText {
+        /// The referencing ticket.
+        ticket: TicketId,
+        /// The unresolved text id.
+        text: TextId,
     },
     /// An event references an unknown machine.
     UnknownEventMachine {
@@ -227,6 +252,9 @@ impl fmt::Display for DatasetError {
             }
             DatasetError::ReversedTicketWindow { ticket } => {
                 write!(f, "ticket {ticket} closes before it opens")
+            }
+            DatasetError::UnknownTicketText { ticket, text } => {
+                write!(f, "ticket {ticket} references unknown text {text}")
             }
             DatasetError::UnknownEventMachine { machine } => {
                 write!(f, "event references unknown machine {machine}")
@@ -309,6 +337,15 @@ impl RawDatasetParts {
             if t.closed_at() < t.opened_at() {
                 return Err(DatasetError::ReversedTicketWindow { ticket: t.id() });
             }
+            if let Some(text) = [t.description(), t.resolution()]
+                .into_iter()
+                .find(|&id| self.texts.get(id).is_none())
+            {
+                return Err(DatasetError::UnknownTicketText {
+                    ticket: t.id(),
+                    text,
+                });
+            }
         }
         for ev in &self.events {
             if ev.machine().index() >= num_machines {
@@ -348,6 +385,133 @@ impl RawDatasetParts {
         }
         Ok(())
     }
+
+    /// The parts as the one JSON writer and equality see them.
+    fn view(&self) -> PartsView<'_> {
+        PartsView {
+            horizon: self.horizon,
+            machines: &self.machines,
+            topology: &self.topology,
+            incidents: &self.incidents,
+            tickets: &self.tickets,
+            texts: &self.texts,
+            events: &self.events,
+            telemetry: &self.telemetry,
+        }
+    }
+}
+
+/// Borrowed parts of a dataset, validated or raw: the one JSON writer and
+/// the one equality behind both types.
+struct PartsView<'a> {
+    horizon: Horizon,
+    machines: &'a [Machine],
+    topology: &'a Topology,
+    incidents: &'a [Incident],
+    tickets: &'a [Ticket],
+    texts: &'a TextTable,
+    events: &'a [FailureEvent],
+    telemetry: &'a Telemetry,
+}
+
+impl PartsView<'_> {
+    /// The JSON object, each ticket's text resolved inline; the table itself
+    /// is never written.
+    fn to_value(&self) -> Value {
+        let entry = |key: &str, value: Value| (key.to_string(), value);
+        let tickets = self.tickets.iter().map(|t| t.to_json(self.texts));
+        Value::Object(vec![
+            entry("horizon", self.horizon.to_value()),
+            entry("machines", self.machines.to_value()),
+            entry("topology", self.topology.to_value()),
+            entry("incidents", self.incidents.to_value()),
+            entry("tickets", Value::Array(tickets.collect())),
+            entry("events", self.events.to_value()),
+            entry("telemetry", self.telemetry.to_value()),
+        ])
+    }
+
+    /// Field-by-field equality, ticket text compared as strings.
+    fn says_same(&self, other: &PartsView<'_>) -> bool {
+        self.horizon == other.horizon
+            && self.machines == other.machines
+            && self.topology == other.topology
+            && self.incidents == other.incidents
+            && self.tickets.len() == other.tickets.len()
+            && self
+                .tickets
+                .iter()
+                .zip(other.tickets)
+                .all(|(a, b)| a.says_same(self.texts, b, other.texts))
+            && self.events == other.events
+            && self.telemetry == other.telemetry
+    }
+}
+
+impl PartialEq for RawDatasetParts {
+    fn eq(&self, other: &Self) -> bool {
+        self.view().says_same(&other.view())
+    }
+}
+
+impl PartialEq for FailureDataset {
+    fn eq(&self, other: &Self) -> bool {
+        self.view().says_same(&other.view())
+    }
+}
+
+impl Serialize for RawDatasetParts {
+    fn to_value(&self) -> Value {
+        self.view().to_value()
+    }
+}
+
+impl Serialize for FailureDataset {
+    fn to_value(&self) -> Value {
+        self.view().to_value()
+    }
+}
+
+impl Deserialize for RawDatasetParts {
+    /// Reads the parts as written, interning ticket text in first-use order:
+    /// each distinct string becomes one [`TextId`].
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        const TY: &str = "RawDatasetParts";
+        // The derived impls' field reader, so errors read as they did.
+        as_object(value, TY)?;
+        let horizon = field(value, TY, "horizon")?;
+        let machines = field(value, TY, "machines")?;
+        let topology = field(value, TY, "topology")?;
+        let incidents = field(value, TY, "incidents")?;
+        let mut texts = TextTable::default();
+        let mut interned: BTreeMap<&str, TextId> = BTreeMap::new();
+        let mut intern = |text| *interned.entry(text).or_insert_with(|| texts.push(text));
+        let invalid =
+            |e: String| serde::Error::custom(format!("invalid field `{TY}.tickets`: {e}"));
+        let tickets = match value.get("tickets") {
+            Some(Value::Array(items)) => items
+                .iter()
+                .map(|t| Ticket::from_json(t, &mut intern))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| invalid(e.to_string()))?,
+            Some(other) => return Err(invalid(format!("expected array, found {}", other.kind()))),
+            None => {
+                return Err(serde::Error::custom(format!(
+                    "missing field `tickets` in `{TY}`"
+                )))
+            }
+        };
+        Ok(Self {
+            horizon,
+            machines,
+            topology,
+            incidents,
+            tickets,
+            texts: Arc::new(texts),
+            events: field(value, TY, "events")?,
+            telemetry: field(value, TY, "telemetry")?,
+        })
+    }
 }
 
 impl TryFrom<RawDatasetParts> for FailureDataset {
@@ -367,6 +531,7 @@ impl TryFrom<RawDatasetParts> for FailureDataset {
             topology: raw.topology,
             incidents: raw.incidents,
             tickets: raw.tickets,
+            texts: raw.texts,
             events: raw.events,
             telemetry: raw.telemetry,
             event_offsets: Vec::new(),
@@ -380,6 +545,8 @@ impl TryFrom<RawDatasetParts> for FailureDataset {
 }
 
 impl From<&FailureDataset> for RawDatasetParts {
+    /// Copies the records; the ticket vector is one plain copy and the text
+    /// table is shared, not copied.
     fn from(ds: &FailureDataset) -> Self {
         Self {
             horizon: ds.horizon,
@@ -387,6 +554,7 @@ impl From<&FailureDataset> for RawDatasetParts {
             topology: ds.topology.clone(),
             incidents: ds.incidents.clone(),
             tickets: ds.tickets.clone(),
+            texts: Arc::clone(&ds.texts),
             events: ds.events.clone(),
             telemetry: ds.telemetry.clone(),
         }
@@ -401,6 +569,7 @@ impl From<FailureDataset> for RawDatasetParts {
             topology: ds.topology,
             incidents: ds.incidents,
             tickets: ds.tickets,
+            texts: ds.texts,
             events: ds.events,
             telemetry: ds.telemetry,
         }
@@ -408,6 +577,21 @@ impl From<FailureDataset> for RawDatasetParts {
 }
 
 impl FailureDataset {
+    /// The dataset's serialized parts as the one JSON writer and equality
+    /// see them.
+    fn view(&self) -> PartsView<'_> {
+        PartsView {
+            horizon: self.horizon,
+            machines: &self.machines,
+            topology: &self.topology,
+            incidents: &self.incidents,
+            tickets: &self.tickets,
+            texts: &self.texts,
+            events: &self.events,
+            telemetry: &self.telemetry,
+        }
+    }
+
     fn rebuild_index(&mut self) {
         // Unstable is safe: an incident hits each machine at most once, so
         // (at, machine, incident) is unique per event and the order total.
@@ -473,6 +657,13 @@ impl FailureDataset {
     /// All tickets (crash and non-crash), dense by [`TicketId`].
     pub fn tickets(&self) -> &[Ticket] {
         &self.tickets
+    }
+
+    /// The ticket text table: [`TextTable::get`] reads a ticket's
+    /// [`description`](Ticket::description) and
+    /// [`resolution`](Ticket::resolution), and resolves every ticket's ids.
+    pub fn texts(&self) -> &Arc<TextTable> {
+        &self.texts
     }
 
     /// Looks up a ticket.
@@ -632,6 +823,7 @@ pub struct DatasetBuilder {
     topology: Topology,
     incidents: Vec<Incident>,
     tickets: Vec<Ticket>,
+    texts: Arc<TextTable>,
     events: Vec<FailureEvent>,
     telemetry: Telemetry,
 }
@@ -684,18 +876,11 @@ impl DatasetBuilder {
         self
     }
 
-    /// Adds a ticket. Tickets must be added in dense id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-order ids.
-    pub fn add_ticket(&mut self, ticket: Ticket) -> &mut Self {
-        assert_eq!(
-            ticket.id().index(),
-            self.tickets.len(),
-            "tickets must be added in dense id order"
-        );
-        self.tickets.push(ticket);
+    /// Sets every ticket, dense by id, and the table their text ids point
+    /// into, replacing any set before.
+    pub fn tickets(&mut self, texts: Arc<TextTable>, tickets: Vec<Ticket>) -> &mut Self {
+        self.texts = texts;
+        self.tickets = tickets;
         self
     }
 
@@ -721,11 +906,6 @@ impl DatasetBuilder {
         self.incidents.len()
     }
 
-    /// Number of tickets added so far.
-    pub fn num_tickets(&self) -> usize {
-        self.tickets.len()
-    }
-
     /// Finalizes the dataset, validating every cross-reference.
     ///
     /// Infallible construction is the builder's contract, so validation
@@ -734,8 +914,8 @@ impl DatasetBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if any event or ticket references an unknown machine, incident
-    /// or subsystem, if an event falls outside the horizon or carries a
+    /// Panics if any event or ticket references an unknown machine, incident,
+    /// subsystem or text, if an event falls outside the horizon or carries a
     /// negative repair, or if a ticket closes before opening — a dataset must
     /// be internally consistent.
     pub fn build(self) -> FailureDataset {
@@ -757,6 +937,7 @@ impl DatasetBuilder {
             topology: self.topology,
             incidents: self.incidents,
             tickets: self.tickets,
+            texts: self.texts,
             events: self.events,
             telemetry: self.telemetry,
         };
@@ -796,17 +977,6 @@ mod tests {
             SimTime::from_days(5),
             vec![MachineId::new(0)],
         ));
-        b.add_ticket(Ticket::new(
-            TicketId::new(0),
-            MachineId::new(0),
-            crate::ticket::TicketKind::Crash,
-            Some(IncidentId::new(0)),
-            SimTime::from_days(5),
-            SimTime::from_days(5) + HOUR * 3,
-            "service hang".into(),
-            "restarted agent".into(),
-            Some(FailureClass::Software),
-        ));
         b.add_event(FailureEvent::new(
             MachineId::new(0),
             IncidentId::new(0),
@@ -823,17 +993,6 @@ mod tests {
             SimTime::from_days(2),
             vec![MachineId::new(0)],
         ));
-        b.add_ticket(Ticket::new(
-            TicketId::new(1),
-            MachineId::new(0),
-            crate::ticket::TicketKind::Crash,
-            Some(IncidentId::new(1)),
-            SimTime::from_days(2),
-            SimTime::from_days(2) + HOUR,
-            "unexpected reboot".into(),
-            "came back on its own".into(),
-            Some(FailureClass::Reboot),
-        ));
         b.add_event(FailureEvent::new(
             MachineId::new(0),
             IncidentId::new(1),
@@ -843,7 +1002,38 @@ mod tests {
             FailureClass::Reboot,
             HOUR,
         ));
+        let (texts, tickets) = tiny_tickets();
+        b.tickets(Arc::new(texts), tickets);
         b
+    }
+
+    /// The two crash tickets of `tiny_builder`'s incidents, with a table
+    /// that also holds one text no ticket uses.
+    fn tiny_tickets() -> (TextTable, Vec<Ticket>) {
+        let mut texts = TextTable::default();
+        let hang = texts.push("service hang");
+        let restarted = texts.push("restarted agent");
+        texts.push("never referenced");
+        let reboot = texts.push("unexpected reboot");
+        let back = texts.push("came back on its own");
+        let ticket = |id, day, hours, (d, r), class| {
+            Ticket::new(
+                TicketId::new(id),
+                MachineId::new(0),
+                crate::ticket::TicketKind::Crash,
+                Some(IncidentId::new(id)),
+                SimTime::from_days(day),
+                SimTime::from_days(day) + HOUR * hours,
+                d,
+                r,
+                Some(class),
+            )
+        };
+        let tickets = vec![
+            ticket(0, 5, 3, (hang, restarted), FailureClass::Software),
+            ticket(1, 2, 1, (reboot, back), FailureClass::Reboot),
+        ];
+        (texts, tickets)
     }
 
     #[test]
@@ -900,6 +1090,84 @@ mod tests {
         let back: FailureDataset = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ds);
         assert_eq!(back.events_for(MachineId::new(0)).count(), 2);
+    }
+
+    #[test]
+    fn json_carries_text_inline_and_reload_compacts_the_table() {
+        let ds = tiny_dataset();
+        let json = serde_json::to_string(&ds).unwrap();
+        assert!(
+            json.contains("\"description\":\"service hang\",\"resolution\":\"restarted agent\"")
+        );
+        assert!(!json.contains("never referenced") && !json.contains("texts"));
+        let back: FailureDataset = serde_json::from_str(&json).unwrap();
+        // The reload keeps only used texts, in first-use order, and still
+        // equals the source: equality reads text, not ids.
+        assert_eq!((ds.texts().len(), back.texts().len()), (5, 4));
+        assert_ne!(
+            back.tickets()[1].description(),
+            ds.tickets()[1].description()
+        );
+        assert_eq!(back, ds);
+        let t = &back.tickets()[1];
+        assert_eq!(back.texts().get(t.description()), Some("unexpected reboot"));
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        // Tickets that say something else are not equal.
+        let (mut texts, mut tickets) = tiny_tickets();
+        let other = texts.push("unexpected reboot again");
+        tickets[1] = Ticket::new(
+            TicketId::new(1),
+            MachineId::new(0),
+            crate::ticket::TicketKind::Crash,
+            Some(IncidentId::new(1)),
+            SimTime::from_days(2),
+            SimTime::from_days(2) + HOUR,
+            other,
+            tickets[1].resolution(),
+            Some(FailureClass::Reboot),
+        );
+        let mut b = tiny_builder();
+        b.tickets(Arc::new(texts), tickets);
+        assert_ne!(b.build(), ds);
+    }
+
+    #[test]
+    fn a_text_id_past_the_table_is_a_typed_error() {
+        let (_, tickets) = tiny_tickets();
+        let mut short = TextTable::default();
+        short.push("service hang");
+        short.push("restarted agent");
+        let mut b = tiny_builder();
+        b.tickets(Arc::new(short), tickets);
+        let err = b.try_build().unwrap_err();
+        assert_eq!(
+            err,
+            DatasetError::UnknownTicketText {
+                ticket: TicketId::new(1),
+                text: TextId::new(3),
+            }
+        );
+        assert_eq!(err.to_string(), "ticket t1 references unknown text text3");
+        // The raw parts keep it; writing them gives `null` text, which no
+        // reader accepts.
+        let mut parts = RawDatasetParts::from(tiny_dataset());
+        parts.tickets[0] = tiny_tickets().1[0].with_id(TicketId::new(0));
+        parts.texts = Arc::new(TextTable::default());
+        assert_eq!(
+            FailureDataset::try_from(parts.clone()).unwrap_err(),
+            DatasetError::UnknownTicketText {
+                ticket: TicketId::new(0),
+                text: TextId::new(0),
+            }
+        );
+        let json = serde_json::to_string(&parts).unwrap();
+        assert!(json.contains("\"description\":null"), "{json}");
+        let err = serde_json::from_str::<RawDatasetParts>(&json).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("invalid field `RawDatasetParts.tickets`: invalid field `Ticket.description`: expected string, found null"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1034,19 +1302,9 @@ mod tests {
     #[test]
     fn builder_counts_what_was_added() {
         let empty = DatasetBuilder::new();
-        assert_eq!(
-            (
-                empty.num_machines(),
-                empty.num_incidents(),
-                empty.num_tickets()
-            ),
-            (0, 0, 0)
-        );
+        assert_eq!((empty.num_machines(), empty.num_incidents()), (0, 0));
         let b = tiny_builder();
-        assert_eq!(
-            (b.num_machines(), b.num_incidents(), b.num_tickets()),
-            (1, 2, 2)
-        );
+        assert_eq!((b.num_machines(), b.num_incidents()), (1, 2));
         let ds = b.build();
         assert_eq!(ds.machines().len(), 1);
         assert_eq!(ds.incidents().len(), 2);
@@ -1066,17 +1324,22 @@ mod tests {
             SimTime::ZERO,
             vec![MachineId::new(7)],
         ));
-        b.add_ticket(Ticket::new(
-            TicketId::new(0),
-            MachineId::new(0),
-            crate::ticket::TicketKind::Crash,
-            Some(IncidentId::new(0)),
-            SimTime::ZERO,
-            SimTime::ZERO + SimDuration::from_hours(1),
-            "".into(),
-            "".into(),
-            None,
-        ));
+        let mut texts = TextTable::default();
+        let none = texts.push("");
+        b.tickets(
+            Arc::new(texts),
+            vec![Ticket::new(
+                TicketId::new(0),
+                MachineId::new(0),
+                crate::ticket::TicketKind::Crash,
+                Some(IncidentId::new(0)),
+                SimTime::ZERO,
+                SimTime::ZERO + SimDuration::from_hours(1),
+                none,
+                none,
+                None,
+            )],
+        );
         b.add_event(FailureEvent::new(
             MachineId::new(7),
             IncidentId::new(0),

@@ -92,6 +92,12 @@ define_id!(
     TicketId,
     "t"
 );
+define_id!(
+    /// Identifier of one distinct ticket text in a dataset's
+    /// [`TextTable`](crate::ticket::TextTable).
+    TextId,
+    "text"
+);
 
 #[cfg(test)]
 mod tests {
@@ -116,6 +122,7 @@ mod tests {
         assert_eq!(ClusterId::new(7).to_string(), "app7");
         assert_eq!(IncidentId::new(5).to_string(), "inc5");
         assert_eq!(TicketId::new(2).to_string(), "t2");
+        assert_eq!(TextId::new(4).to_string(), "text4");
     }
 
     #[test]

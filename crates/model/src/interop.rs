@@ -18,7 +18,7 @@ use crate::dataset::{DatasetBuilder, FailureDataset};
 use crate::failure::{FailureClass, FailureEvent, Incident};
 use crate::ids::{BoxId, IncidentId, MachineId, PowerDomainId, SubsystemId, TicketId};
 use crate::machine::{Machine, ResourceCapacity};
-use crate::ticket::{Ticket, TicketKind};
+use crate::ticket::{TextTable, Ticket, TicketKind};
 use crate::time::{Horizon, SimDuration, SimTime};
 use crate::topology::{HostBox, SubsystemMeta, Topology};
 use std::collections::BTreeMap;
@@ -222,20 +222,22 @@ fn assemble(
         let at = at.unwrap_or(horizon.start());
         builder.add_incident(Incident::new(IncidentId::new(i as u32), class, at, members));
     }
-    // An event log carries no ticket text: every ticket shares one empty string.
-    let no_text: Arc<str> = Arc::from("");
+    // An event log carries no ticket text: every ticket names one empty text.
+    let mut texts = TextTable::default();
+    let no_text = texts.push("");
+    let mut tickets = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
         let ticket = TicketId::new(i as u32);
         let incident = IncidentId::new(incident_map[&row.incident]);
-        builder.add_ticket(Ticket::new(
+        tickets.push(Ticket::new(
             ticket,
             row.machine,
             TicketKind::Crash,
             Some(incident),
             row.at,
             row.at + row.repair,
-            Arc::clone(&no_text),
-            Arc::clone(&no_text),
+            no_text,
+            no_text,
             Some(row.class),
         ));
         builder.add_event(FailureEvent::new(
@@ -248,6 +250,7 @@ fn assemble(
             row.repair,
         ));
     }
+    builder.tickets(Arc::new(texts), tickets);
     builder.try_build().map_err(|e| err(0, e.to_string()))
 }
 

@@ -19,7 +19,8 @@
 //!   placement, plus distributed application clusters.
 //! * [`failure::Incident`] / [`failure::FailureEvent`] — a root-caused event
 //!   affecting one or more machines, and its per-machine projection.
-//! * [`ticket::Ticket`] — a problem ticket with free text and repair window.
+//! * [`ticket::Ticket`] — a problem ticket with its repair window; its free
+//!   text lives once per dataset in a [`ticket::TextTable`].
 //! * [`dataset::FailureDataset`] — the assembled study input.
 //! * [`interop`] — flat-CSV import/export so external failure traces can be
 //!   analyzed with the same toolkit.
@@ -50,11 +51,11 @@ pub mod prelude {
     pub use crate::dataset::{DatasetBuilder, DatasetError, FailureDataset, SubsystemStats};
     pub use crate::failure::{FailureClass, FailureEvent, Incident};
     pub use crate::ids::{
-        BoxId, ClusterId, IncidentId, MachineId, PowerDomainId, SubsystemId, TicketId,
+        BoxId, ClusterId, IncidentId, MachineId, PowerDomainId, SubsystemId, TextId, TicketId,
     };
     pub use crate::machine::{Machine, MachineKind, ResourceCapacity};
     pub use crate::telemetry::{OnOffLog, Telemetry, WeeklyUsage};
-    pub use crate::ticket::{Ticket, TicketKind};
+    pub use crate::ticket::{TextTable, Ticket, TicketKind};
     pub use crate::time::{Horizon, SimDuration, SimTime, DAY, HOUR, MINUTE, MONTH, WEEK};
     pub use crate::topology::{HostBox, SubsystemMeta, Topology};
 }

@@ -2,10 +2,107 @@
 
 #![allow(clippy::unwrap_used)]
 
+use dcfail_model::dataset::RawDatasetParts;
 use dcfail_model::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// Fragments ticket texts are glued from: empty, plain, repeated words,
+/// non-ASCII, and everything JSON has to escape.
+const FRAGMENTS: [&str; 12] = [
+    "",
+    "disk",
+    "disk",
+    " ",
+    "naïve café",
+    "日本語の障害",
+    "🚀",
+    "\"quoted\"",
+    "back\\slash/",
+    "tab\tnew\nline\r",
+    "\u{1}\u{1f}ctl",
+    "\u{7f}\u{2028}",
+];
+
+/// One PM and one non-crash ticket per `(description, resolution)` pair of
+/// indexes into `texts`, which the table holds as given: equal texts get
+/// separate ids.
+fn dataset_with_texts(texts: &[String], pairs: &[(usize, usize)]) -> FailureDataset {
+    let mut topology = Topology::new();
+    topology.add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
+    let mut b = DatasetBuilder::new();
+    b.topology(topology);
+    b.add_machine(Machine::new_pm(
+        MachineId::new(0),
+        SubsystemId::new(0),
+        PowerDomainId::new(0),
+        ResourceCapacity::default(),
+        None,
+    ));
+    let mut table = TextTable::default();
+    let ids: Vec<TextId> = texts.iter().map(|t| table.push(t.as_str())).collect();
+    let tickets = pairs
+        .iter()
+        .enumerate()
+        .map(|(i, &(d, r))| {
+            let at = SimTime::from_days(i as i64);
+            Ticket::new(
+                TicketId::new(i as u32),
+                MachineId::new(0),
+                TicketKind::NonCrash,
+                None,
+                at,
+                at + HOUR,
+                ids[d % ids.len()],
+                ids[r % ids.len()],
+                None,
+            )
+        })
+        .collect();
+    b.tickets(Arc::new(table), tickets);
+    b.build()
+}
 
 proptest! {
+    /// Ticket text of any shape goes through JSON and back: the reload
+    /// equals the source, every ticket reads the same text, and writing the
+    /// reload gives the same bytes — for the dataset and its raw parts.
+    #[test]
+    fn ticket_text_round_trips_through_json(
+        glued in prop::collection::vec(prop::collection::vec(0usize..FRAGMENTS.len(), 0..4), 1..12),
+        descriptions in prop::collection::vec(0usize..64, 1..40),
+        resolutions in prop::collection::vec(0usize..64, 1..40),
+    ) {
+        let pairs: Vec<(usize, usize)> = descriptions.into_iter().zip(resolutions).collect();
+        let texts: Vec<String> = glued
+            .iter()
+            .map(|parts| parts.iter().map(|&f| FRAGMENTS[f]).collect())
+            .collect();
+        let ds = dataset_with_texts(&texts, &pairs);
+        let json = serde_json::to_string(&ds).unwrap();
+        let back: FailureDataset = serde_json::from_str(&json).unwrap();
+        prop_assert!(back == ds);
+        for (a, b) in ds.tickets().iter().zip(back.tickets()) {
+            prop_assert_eq!(ds.texts().get(a.description()), back.texts().get(b.description()));
+            prop_assert_eq!(ds.texts().get(a.resolution()), back.texts().get(b.resolution()));
+        }
+        // The reload interns: no two ids of its table hold equal text.
+        let mut distinct: Vec<&str> = (0..back.texts().len())
+            .map(|i| back.texts().get(TextId::new(i as u32)).unwrap())
+            .collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(distinct.len(), back.texts().len());
+        prop_assert_eq!(serde_json::to_string(&back).unwrap(), json.clone());
+
+        let parts = RawDatasetParts::from(&ds);
+        let parts_json = serde_json::to_string(&parts).unwrap();
+        prop_assert_eq!(&parts_json, &json);
+        let parts_back: RawDatasetParts = serde_json::from_str(&parts_json).unwrap();
+        prop_assert!(parts_back == parts);
+        prop_assert_eq!(serde_json::to_string(&parts_back).unwrap(), json);
+    }
+
     /// SimTime/SimDuration arithmetic satisfies the group laws.
     #[test]
     fn time_arithmetic_laws(a in -1_000_000i64..1_000_000, b in -1_000_000i64..1_000_000) {

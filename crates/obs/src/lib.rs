@@ -9,7 +9,9 @@
 //!
 //! * **spans** — scoped wall-clock timers ([`span`]) that nest: a span
 //!   started while another is active on the same thread records under the
-//!   path `parent/child`, so the export reads as a call tree;
+//!   path `parent/child`, so the export reads as a call tree. Spans on the
+//!   thread that installed the window also count the process's minor page
+//!   faults while they were open;
 //! * **counters** — monotonically increasing named totals ([`add`]), e.g.
 //!   events generated, audit findings per severity, NaNs dropped;
 //! * **histograms** — named f64 samples ([`observe`]) summarized at export
@@ -26,8 +28,10 @@
 //!
 //! Collection is **off by default**. Every instrumentation call starts with
 //! one relaxed atomic load; while disabled that load-and-branch is the
-//! entire cost — no allocation, no clock read, no lock. Enabling is
-//! explicit and scoped through an [`ObsHandle`]:
+//! entire cost — no allocation, no clock read, no lock. While enabled, a
+//! span on the installing thread also reads `/proc/self/stat` when it opens
+//! and when it closes. Enabling is explicit and scoped through an
+//! [`ObsHandle`]:
 //!
 //! ```
 //! let handle = dcfail_obs::ObsHandle::install().expect("no other handle active");
@@ -57,9 +61,9 @@ mod report;
 
 pub use report::{CounterMetric, HistogramMetric, MetricsReport, SpanMetric, SCHEMA_VERSION};
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -95,7 +99,12 @@ struct State {
 struct SpanStat {
     count: u64,
     total_ns: u128,
+    /// Summed over the closures that could read the fault count.
+    minor_faults: Option<u64>,
 }
+
+/// Number of the latest window: bumped by every [`ObsHandle::install`].
+static WINDOW: AtomicU64 = AtomicU64::new(0);
 
 fn registry() -> MutexGuard<'static, State> {
     static REGISTRY: OnceLock<Mutex<State>> = OnceLock::new();
@@ -112,6 +121,22 @@ thread_local! {
     /// Per-thread stack of active span names; joined with '/' into the
     /// recorded path when a span closes.
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    /// The window this thread installed, if any: its spans read faults.
+    static INSTALLED: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// The process's minor page faults so far, or `None` where
+/// `/proc/self/stat` cannot be read.
+fn minor_faults() -> Option<u64> {
+    minflt(&std::fs::read_to_string("/proc/self/stat").ok()?)
+}
+
+/// Field 10 (`minflt`) of a `/proc/<pid>/stat` line. The command name
+/// (field 2) may hold spaces and parentheses, so fields count from its last
+/// `)`.
+fn minflt(stat: &str) -> Option<u64> {
+    let fields = &stat[stat.rfind(')')? + 1..];
+    fields.split_whitespace().nth(7)?.parse().ok()
 }
 
 /// RAII guard for a scoped span timer; records on drop.
@@ -123,18 +148,26 @@ thread_local! {
 #[must_use = "a span records its duration when the guard drops"]
 pub struct Span {
     start: Option<Instant>,
+    /// Minor faults when the span opened, on the installing thread only.
+    faults: Option<u64>,
 }
 
 impl Span {
     fn begin(name: String) -> Span {
         SPAN_STACK.with(|s| s.borrow_mut().push(name));
+        let installer = INSTALLED.get() == Some(WINDOW.load(Ordering::Relaxed));
+        let faults = if installer { minor_faults() } else { None };
         Span {
             start: Some(Instant::now()),
+            faults,
         }
     }
 
     const fn inert() -> Span {
-        Span { start: None }
+        Span {
+            start: None,
+            faults: None,
+        }
     }
 }
 
@@ -142,6 +175,9 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let elapsed = start.elapsed();
+        let faults = self
+            .faults
+            .and_then(|opened| Some(minor_faults()?.saturating_sub(opened)));
         let path = SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             let name = stack.pop().unwrap_or_default();
@@ -155,6 +191,9 @@ impl Drop for Span {
         let stat = reg.spans.entry(path).or_default();
         stat.count += 1;
         stat.total_ns += elapsed.as_nanos();
+        if let Some(faults) = faults {
+            *stat.minor_faults.get_or_insert(0) += faults;
+        }
     }
 }
 
@@ -252,7 +291,9 @@ pub fn warn(message: impl Into<String>) {
 /// collected spans/counters/histograms, keeping warnings); dropping or
 /// [`finish`](ObsHandle::finish)ing the handle flips it off. Only one handle
 /// can be live at a time, so two concurrent metrics runs cannot interleave
-/// their windows.
+/// their windows. Spans opened on the thread that installed the window
+/// count minor page faults; spans on other threads count none, since the
+/// process-wide count would mix in whatever every thread did meanwhile.
 pub struct ObsHandle {
     finished: bool,
 }
@@ -266,6 +307,7 @@ impl ObsHandle {
         {
             return None;
         }
+        INSTALLED.set(Some(WINDOW.fetch_add(1, Ordering::Relaxed) + 1));
         let mut reg = registry();
         reg.spans.clear();
         reg.counters.clear();
@@ -308,6 +350,7 @@ fn snapshot_state(state: &State) -> MetricsReport {
                 path: path.clone(),
                 count: stat.count,
                 total_ms: stat.total_ns as f64 / 1e6,
+                minor_faults: stat.minor_faults,
             })
             .collect(),
         counters: state
@@ -379,6 +422,58 @@ mod tests {
             "children never hit the root"
         );
         assert!(report.has_stage("leaf"));
+    }
+
+    #[test]
+    fn only_the_installing_thread_counts_minor_faults() {
+        let _gate = exclusive();
+        let readable = minor_faults().is_some();
+        let handle = ObsHandle::install().unwrap();
+        {
+            let _outer = span("faults.outer");
+            // Touch fresh pages so the count moves.
+            let pages = vec![1u8; 1 << 22];
+            std::hint::black_box(&pages);
+            drop(span("faults.inner"));
+        }
+        std::thread::scope(|scope| {
+            scope.spawn(|| drop(span("faults.worker")));
+        });
+        let report = handle.finish();
+        let outer = report.span("faults.outer").unwrap();
+        assert_eq!(outer.minor_faults.is_some(), readable);
+        if readable {
+            let inner = report.span("faults.outer/faults.inner").unwrap();
+            assert!(outer.minor_faults >= inner.minor_faults);
+        }
+        assert_eq!(report.span("faults.worker").unwrap().minor_faults, None);
+        // A later window installed elsewhere does not count this thread.
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let other = ObsHandle::install().unwrap();
+                let _s = span("faults.installer");
+                drop(other);
+            });
+        });
+        let again = ObsHandle::install().unwrap();
+        drop(span("faults.here"));
+        let report = again.finish();
+        assert_eq!(
+            report.span("faults.here").unwrap().minor_faults.is_some(),
+            readable
+        );
+    }
+
+    #[test]
+    fn minflt_skips_the_command_name() {
+        assert_eq!(minflt("42 (a) b) c) S 1 2 3 4 5 6 777 8 9"), Some(777));
+        assert_eq!(minflt("42 (cat) S 1 2 3 4 5 6 777"), Some(777));
+        assert_eq!(minflt("42 (cat) S 1 2"), None);
+        assert_eq!(minflt("no command name"), None);
+        assert_eq!(minflt("42 (cat) S 1 2 3 4 5 6 x 8"), None);
+        if cfg!(target_os = "linux") {
+            assert!(minor_faults().is_some_and(|n| n > 0));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 /// Version stamped into every JSON export as `schema_version`. Bump on any
 /// change to the key set, key order, or value semantics of the export.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// One aggregated span: every closure of the same path folded together.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,6 +22,12 @@ pub struct SpanMetric {
     pub count: u64,
     /// Total wall-clock milliseconds across all closures.
     pub total_ms: f64,
+    /// Minor page faults of the whole process while the span was open,
+    /// summed over its closures on the thread that installed the window.
+    /// `None` when no closure could count them: the span ran only on other
+    /// threads, or `/proc/self/stat` is unreadable. Never a zero standing
+    /// in for "unknown".
+    pub minor_faults: Option<u64>,
 }
 
 /// One named counter total.
@@ -155,7 +161,12 @@ impl MetricsReport {
                 let name = s.path.rsplit('/').next().unwrap_or(&s.path);
                 let indent = "  ".repeat(depth + 1);
                 let label = format!("{indent}{name}");
-                let _ = writeln!(out, "{label:<44} {:>7}x {:>12.3} ms", s.count, s.total_ms);
+                let faults = s.minor_faults.map_or("-".to_string(), |n| n.to_string());
+                let _ = writeln!(
+                    out,
+                    "{label:<44} {:>7}x {:>12.3} ms {faults:>9} flt",
+                    s.count, s.total_ms
+                );
             }
         }
         if !self.counters.is_empty() {
@@ -189,7 +200,8 @@ impl MetricsReport {
     /// is part of the schema contract: keys appear in a documented order,
     /// spans/counters/histograms are pre-sorted, and milliseconds are
     /// rounded to 3 decimals so near-identical runs diff on timings only
-    /// where they genuinely differ.
+    /// where they genuinely differ. A span's `minor_faults` is `null` when
+    /// it was not counted (schema v2).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -197,9 +209,11 @@ impl MetricsReport {
         out.push_str("  \"spans\": [");
         for (i, s) in self.spans.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
+            let faults = s.minor_faults.map_or("null".to_string(), |n| n.to_string());
             let _ = write!(
                 out,
-                "{sep}\n    {{\"path\": {}, \"count\": {}, \"total_ms\": {:.3}}}",
+                "{sep}\n    {{\"path\": {}, \"count\": {}, \"total_ms\": {:.3}, \
+                 \"minor_faults\": {faults}}}",
                 json_string(&s.path),
                 s.count,
                 s.total_ms
@@ -301,11 +315,13 @@ mod tests {
                     path: "build".into(),
                     count: 1,
                     total_ms: 12.3456,
+                    minor_faults: Some(310),
                 },
                 SpanMetric {
                     path: "build/population".into(),
                     count: 2,
                     total_ms: 4.0,
+                    minor_faults: None,
                 },
             ],
             counters: vec![CounterMetric {
@@ -349,8 +365,10 @@ mod tests {
             assert!(at >= last, "{key} out of order");
             last = at;
         }
-        assert!(json.starts_with("{\n  \"schema_version\": 1,"));
+        assert!(json.starts_with("{\n  \"schema_version\": 2,"));
         assert!(json.contains("\"path\": \"build/population\""));
+        assert!(json.contains("\"total_ms\": 4.000, \"minor_faults\": null}"));
+        assert!(json.contains("\"minor_faults\": 310}"));
         assert!(json.contains("\"total_ms\": 12.346"), "ms rounded to 3 dp");
         assert!(json.contains("\"odd \\\"config\\\"\""));
         // Byte-stable: serializing the same report twice is identical.
@@ -386,9 +404,11 @@ mod tests {
     #[test]
     fn text_render_indents_children() {
         let text = sample_report().render_text();
-        assert!(text.contains("metrics (schema v1)"));
+        assert!(text.contains("metrics (schema v2)"));
         assert!(text.contains("\n  build "));
         assert!(text.contains("\n    population "));
+        assert!(text.contains("ms       310 flt\n"), "{text}");
+        assert!(text.contains("ms         - flt\n"), "{text}");
         assert!(text.contains("! odd"));
     }
 }

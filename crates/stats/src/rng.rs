@@ -90,8 +90,7 @@ impl StreamRng {
     /// Panics if `n == 0`.
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below(0) is meaningless");
-        // Rejection-free multiply-shift; bias is < 2^-53 for practical n.
-        (self.uniform() * n as f64) as usize % n
+        index_below(self.uniform(), n)
     }
 
     /// Draws an index according to `weights` (need not be normalized).
@@ -146,6 +145,22 @@ impl StreamRng {
     }
 }
 
+/// Maps a uniform draw `u` in `[0, 1)` to `[0, n)`: rejection-free
+/// multiply-shift, with bias < 2^-53 for practical `n`.
+///
+/// The product can reach `n` only by rounding up, so the wrap-around modulo
+/// runs only then; a result below `n` is its own remainder, so this equals
+/// `(u * n as f64) as usize % n` for every `n`.
+#[inline]
+fn index_below(u: f64, n: usize) -> usize {
+    let i = (u * n as f64) as usize;
+    if i < n {
+        i
+    } else {
+        i % n
+    }
+}
+
 impl RngCore for StreamRng {
     fn next_u32(&mut self) -> u32 {
         self.inner.next_u32()
@@ -183,6 +198,61 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The formula `below` used to compute, modulo on every draw.
+    fn modulo_every_draw(u: f64, n: usize) -> usize {
+        (u * n as f64) as usize % n
+    }
+
+    /// A uniform draw as `uniform` makes it from 64 random bits.
+    fn draw(bits: u64) -> f64 {
+        (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    proptest! {
+        /// Taking the modulo only when the product reaches `n` is
+        /// bit-identical to taking it always, for any draw and any `n`.
+        fn index_below_matches_modulo_every_draw(
+            bits in any::<u64>(),
+            n in 1usize..usize::MAX,
+            small in 1usize..64,
+        ) {
+            let u = draw(bits);
+            for n in [n, small, n >> 11 | 1] {
+                prop_assert_eq!(index_below(u, n), modulo_every_draw(u, n));
+            }
+        }
+    }
+
+    #[test]
+    fn index_below_at_the_largest_draw_and_n_near_two_to_the_53() {
+        let largest = draw(u64::MAX);
+        assert!(largest < 1.0 && largest + f64::EPSILON / 2.0 >= 1.0);
+        let two53 = 1usize << 53;
+        for n in [
+            1,
+            2,
+            3,
+            two53 - 1,
+            two53,
+            two53 + 1,
+            two53 + 2,
+            3 << 52,
+            usize::MAX - 1,
+            usize::MAX,
+        ] {
+            for u in [0.0, draw(1 << 11), 0.5, largest] {
+                let got = index_below(u, n);
+                assert_eq!(got, modulo_every_draw(u, n), "u {u}, n {n}");
+                assert!(got < n, "u {u}, n {n}");
+            }
+        }
+        // While n is exact in f64 the largest draw lands on the top index.
+        for n in [1, 3, 1000, two53 - 1, two53] {
+            assert_eq!(index_below(largest, n), n - 1, "n {n}");
+        }
+    }
 
     #[test]
     fn same_seed_same_stream() {

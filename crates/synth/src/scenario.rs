@@ -9,6 +9,7 @@ use crate::tickets_gen;
 use dcfail_model::prelude::*;
 use dcfail_stats::dist::{ContinuousDist, LogNormal};
 use dcfail_stats::rng::StreamRng;
+use std::sync::Arc;
 
 /// Builder for a simulated failure study.
 ///
@@ -182,10 +183,22 @@ pub fn assemble_dataset(
     }
 
     // Crash tickets + events from incident specs. Equal ticket texts share
-    // one allocation across the dataset (see `TicketTexts`).
+    // one id into the dataset's text table (see `TicketTexts`).
     let tickets_span = dcfail_obs::span("tickets");
     let mut texts = tickets_gen::TicketTexts::new();
     let mut crash_per_sys = vec![0usize; num_sys];
+    for m in specs.iter().flat_map(|spec| &spec.machines) {
+        crash_per_sys[sys_of[m.index()]] += 1;
+    }
+    // Reserve for every crash ticket plus the haystack that tops each
+    // subsystem with machines up to its Table II target.
+    let target = |sys: usize| config.scaled(config.subsystems[sys].all_tickets, 1);
+    let haystack: usize = (0..num_sys)
+        .filter(|&sys| !sys_members[sys].is_empty())
+        .map(|sys| target(sys).saturating_sub(crash_per_sys[sys]))
+        .sum();
+    let mut tickets: Vec<Ticket> =
+        Vec::with_capacity(crash_per_sys.iter().sum::<usize>() + haystack);
     let mut rng_text = rng.fork("tickets.text");
     let mut rng_repair = rng.fork("tickets.repair");
     for (inc_idx, spec) in specs.iter().enumerate() {
@@ -197,12 +210,11 @@ pub fn assemble_dataset(
             spec.machines.clone(),
         ));
         for &machine_id in &spec.machines {
-            let ticket_id = TicketId::new(builder.num_tickets() as u32);
-            crash_per_sys[sys_of[machine_id.index()]] += 1;
+            let ticket_id = TicketId::new(tickets.len() as u32);
             let machine_kind = kinds[machine_id.index()];
             let repair = tickets_gen::sample_repair(&mut rng_repair, spec.class, machine_kind);
             let text = texts.crash_text(&mut rng_text, spec.class, config.degraded_text_fraction);
-            builder.add_ticket(Ticket::new(
+            tickets.push(Ticket::new(
                 ticket_id,
                 machine_id,
                 TicketKind::Crash,
@@ -233,10 +245,8 @@ pub fn assemble_dataset(
         if members.is_empty() {
             continue;
         }
-        let target = config.scaled(config.subsystems[sys_idx].all_tickets, 1);
-        let existing = crash_per_sys[sys_idx];
-        for _ in existing..target {
-            let ticket_id = TicketId::new(builder.num_tickets() as u32);
+        for _ in crash_per_sys[sys_idx]..target(sys_idx) {
+            let ticket_id = TicketId::new(tickets.len() as u32);
             let machine = members[rng_noise.below(members.len())];
             let opened = config.horizon.start()
                 + SimDuration::from_minutes(
@@ -244,7 +254,7 @@ pub fn assemble_dataset(
                 );
             let hours = noncrash_repair.sample(&mut rng_noise).min(500.0);
             let (description, resolution) = texts.non_crash_text(&mut rng_noise);
-            builder.add_ticket(Ticket::new(
+            tickets.push(Ticket::new(
                 ticket_id,
                 machine,
                 TicketKind::NonCrash,
@@ -260,6 +270,7 @@ pub fn assemble_dataset(
 
     drop(haystack_span);
     drop(tickets_span);
+    builder.tickets(Arc::new(texts.into_table()), tickets);
     builder.telemetry(telemetry);
     builder.build()
 }

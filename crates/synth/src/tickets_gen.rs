@@ -10,7 +10,6 @@
 use dcfail_model::prelude::*;
 use dcfail_stats::dist::{ContinuousDist, LogNormal};
 use dcfail_stats::rng::StreamRng;
-use std::sync::Arc;
 
 /// Log-normal repair-time parameters (μ, σ) in hours per failure class,
 /// matched to Table IV's mean/median pairs. Software keeps the paper's mean
@@ -58,13 +57,14 @@ pub fn sample_repair(rng: &mut StreamRng, class: FailureClass, kind: MachineKind
     SimDuration::from_hours_f64(hours.min(2000.0))
 }
 
-/// Generated ticket text plus the label the reporting pipeline would emit.
-#[derive(Debug, Clone, PartialEq)]
+/// Generated ticket text, as ids into the generator's [`TextTable`], plus the
+/// label the reporting pipeline would emit.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TicketText {
     /// Problem description (user- or monitoring-generated).
-    pub description: Arc<str>,
+    pub description: TextId,
     /// Resolution entered by support staff.
-    pub resolution: Arc<str>,
+    pub resolution: TextId,
     /// Label as reported by the (imperfect) classification pipeline.
     pub reported_class: FailureClass,
 }
@@ -262,13 +262,16 @@ const _: () = {
 /// description and a resolution table for the non-crash haystack, each
 /// failure class and the degraded boilerplate), its template index and its
 /// filler draw, so every one has a fixed slot in a flat table.
-/// A slot is filled on its first draw and cloned afterwards: each distinct
-/// text is one allocation however many tickets carry it. The RNG calls are
-/// exactly those of building every text afresh, in the same order, so the
-/// streams — and every later draw — do not depend on the sharing.
+/// A slot is filled on its first draw with the next id of the dataset's
+/// [`TextTable`] and hands that id out afterwards: each distinct text is
+/// stored once however many tickets carry it, and ids follow first use.
+/// The RNG calls are exactly those of building every text afresh, in the
+/// same order, so the streams — and every later draw — do not depend on the
+/// sharing.
 #[derive(Debug)]
 pub struct TicketTexts {
-    slots: Vec<Option<Arc<str>>>,
+    slots: Vec<Option<TextId>>,
+    table: TextTable,
 }
 
 impl Default for TicketTexts {
@@ -282,7 +285,13 @@ impl TicketTexts {
     pub fn new() -> Self {
         Self {
             slots: vec![None; 2 * TEMPLATES.len() * MAX_TEMPLATES * FILLER_CODES],
+            table: TextTable::default(),
         }
+    }
+
+    /// The texts handed out so far, each id resolving to its text.
+    pub fn into_table(self) -> TextTable {
+        self.table
     }
 
     /// Synthesizes crash-ticket text for a failure of `class`.
@@ -330,7 +339,7 @@ impl TicketTexts {
     }
 
     /// Synthesizes a non-crash ticket's text (requests, alerts, routine work).
-    pub fn non_crash_text(&mut self, rng: &mut StreamRng) -> (Arc<str>, Arc<str>) {
+    pub fn non_crash_text(&mut self, rng: &mut StreamRng) -> (TextId, TextId) {
         let picks = pick(rng, NON_CRASH);
         self.decorate(rng, NON_CRASH, picks)
     }
@@ -342,7 +351,7 @@ impl TicketTexts {
         rng: &mut StreamRng,
         pair: usize,
         (d, r): (usize, usize),
-    ) -> (Arc<str>, Arc<str>) {
+    ) -> (TextId, TextId) {
         let templates = &TEMPLATES[pair];
         let description = self.decorated(rng, 2 * pair, d, templates.descriptions[d]);
         let resolution = self.decorated(rng, 2 * pair + 1, r, templates.resolutions[r]);
@@ -357,7 +366,7 @@ impl TicketTexts {
         table: usize,
         template: usize,
         base: &str,
-    ) -> Arc<str> {
+    ) -> TextId {
         let mut fillers = [0usize; 2];
         let count = rng.below(3);
         for filler in &mut fillers[..count] {
@@ -369,14 +378,14 @@ impl TicketTexts {
             _ => 1 + FILLER.len() * (1 + fillers[0]) + fillers[1],
         };
         let slot = &mut self.slots[(table * MAX_TEMPLATES + template) * FILLER_CODES + code];
-        Arc::clone(slot.get_or_insert_with(|| {
+        *slot.get_or_insert_with(|| {
             let mut text = String::from(base);
             for &filler in &fillers[..count] {
                 text.push(' ');
                 text.push_str(FILLER[filler]);
             }
-            text.into()
-        }))
+            self.table.push(text)
+        })
     }
 }
 
@@ -457,7 +466,7 @@ mod tests {
 
         /// Interned text equals the per-call oracle's text and label, call
         /// for call, and leaves the stream where the oracle leaves it; each
-        /// distinct text is one allocation.
+        /// distinct text is one id, handed out in first-use order.
         fn interning_matches_oracle(
             seed in any::<u64>(),
             fraction in 0usize..3,
@@ -468,31 +477,30 @@ mod tests {
             let mut texts = TicketTexts::new();
             let mut rng = StreamRng::new(seed);
             let mut reference = StreamRng::new(seed);
-            let mut seen: Vec<Arc<str>> = Vec::new();
+            let mut seen: Vec<String> = Vec::new();
             for &call in &calls {
-                let (d, r) = if call < 6 {
+                let (got, want) = if call < 6 {
                     let class = FailureClass::ALL[call];
                     let got = texts.crash_text(&mut rng, class, degraded_fraction);
                     let want = oracle::crash_text(&mut reference, class, degraded_fraction);
                     prop_assert_eq!(got.reported_class, want.2);
-                    prop_assert_eq!(&*got.description, want.0.as_str());
-                    prop_assert_eq!(&*got.resolution, want.1.as_str());
-                    (got.description, got.resolution)
+                    ((got.description, got.resolution), (want.0, want.1))
                 } else {
                     let got = texts.non_crash_text(&mut rng);
-                    let want = oracle::non_crash_text(&mut reference);
-                    prop_assert_eq!(&*got.0, want.0.as_str());
-                    prop_assert_eq!(&*got.1, want.1.as_str());
-                    got
+                    (got, oracle::non_crash_text(&mut reference))
                 };
                 prop_assert_eq!(rng.clone().next_u64(), reference.clone().next_u64());
-                for text in [d, r] {
-                    match seen.iter().find(|s| **s == text) {
-                        Some(first) => prop_assert!(Arc::ptr_eq(first, &text), "{text}"),
-                        None => seen.push(text),
+                for (id, text) in [(got.0, want.0), (got.1, want.1)] {
+                    prop_assert_eq!(texts.table.get(id), Some(text.as_str()));
+                    // A new text takes the next id; a seen one, its first.
+                    let first = seen.iter().position(|s| *s == text).unwrap_or(seen.len());
+                    prop_assert_eq!(id.index(), first, "{}", text);
+                    if first == seen.len() {
+                        seen.push(text);
                     }
                 }
             }
+            prop_assert_eq!(texts.into_table().len(), seen.len());
         }
     }
 
@@ -503,8 +511,8 @@ mod tests {
         let mut b = a.clone();
         let first = texts.non_crash_text(&mut a);
         let second = texts.non_crash_text(&mut b);
-        assert!(Arc::ptr_eq(&first.0, &second.0));
-        assert!(Arc::ptr_eq(&first.1, &second.1));
+        assert_eq!(first, second);
+        assert_eq!(texts.into_table().len(), 2);
     }
 
     #[test]
@@ -601,18 +609,21 @@ mod tests {
         let mut texts = TicketTexts::new();
         let hw = texts.crash_text(&mut rng, FailureClass::Hardware, 0.0);
         let sw = texts.crash_text(&mut rng, FailureClass::Software, 0.0);
-        assert_ne!(hw.description, sw.description);
-        assert!(!hw.description.is_empty() && !hw.resolution.is_empty());
+        let table = texts.into_table();
+        let text = |id| table.get(id).unwrap();
+        assert_ne!(text(hw.description), text(sw.description));
+        assert!(!text(hw.description).is_empty() && !text(hw.resolution).is_empty());
     }
 
     #[test]
     fn non_crash_text_is_nonempty() {
         let mut rng = StreamRng::new(7);
         let mut texts = TicketTexts::new();
-        for _ in 0..100 {
-            let (d, r) = texts.non_crash_text(&mut rng);
-            assert!(!d.is_empty());
-            assert!(!r.is_empty());
+        let ids: Vec<(TextId, TextId)> = (0..100).map(|_| texts.non_crash_text(&mut rng)).collect();
+        let table = texts.into_table();
+        for (d, r) in ids {
+            assert!(!table.get(d).unwrap().is_empty());
+            assert!(!table.get(r).unwrap().is_empty());
         }
     }
 }

@@ -13,7 +13,7 @@
 
 use dcfail_model::failure::FailureClass;
 use dcfail_model::ids::TicketId;
-use dcfail_model::ticket::Ticket;
+use dcfail_model::ticket::{TextTable, Ticket};
 use dcfail_stats::kmeans::{KMeans, KMeansConfig};
 use dcfail_stats::rng::StreamRng;
 use dcfail_stats::text::{tokenize, TfIdf};
@@ -152,8 +152,9 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Result of running the classification pipeline.
-#[derive(Debug, Clone)]
+/// Result of running the classification pipeline. Classifying no tickets
+/// gives no labels and no accuracies.
+#[derive(Debug, Clone, Default)]
 pub struct Classification {
     /// Raw k-means cluster label per ticket.
     labels: BTreeMap<TicketId, FailureClass>,
@@ -162,8 +163,8 @@ pub struct Classification {
     /// output is scored against these (87% in the paper).
     checked: BTreeMap<TicketId, FailureClass>,
     /// Agreement between the k-means labels and the full manual labeling
-    /// (the paper reports 87%).
-    accuracy_vs_manual: f64,
+    /// (the paper reports 87%); `None` when nothing was classified.
+    accuracy_vs_manual: Option<f64>,
     /// Agreement with simulator ground truth, over tickets that carry one
     /// (counting a degraded-text ticket as correctly labelled `Other` is
     /// impossible here, so this is a stricter number).
@@ -188,8 +189,9 @@ impl Classification {
         &self.checked
     }
 
-    /// Agreement with the manual labeling (paper: 87%).
-    pub fn accuracy_vs_manual(&self) -> f64 {
+    /// Agreement with the manual labeling (paper: 87%); `None` when no
+    /// ticket was classified.
+    pub fn accuracy_vs_manual(&self) -> Option<f64> {
         self.accuracy_vs_manual
     }
 
@@ -212,25 +214,36 @@ impl Classification {
     }
 }
 
-/// Runs the TF-IDF + k-means pipeline over crash tickets.
-///
-/// # Panics
-///
-/// Panics if `tickets` is empty.
+/// A ticket's description and resolution in `texts`; an id the table does
+/// not hold reads as empty text.
+pub(crate) fn text_of<'t>(texts: &'t TextTable, t: &Ticket) -> (&'t str, &'t str) {
+    let read = |id| texts.get(id).unwrap_or_default();
+    (read(t.description()), read(t.resolution()))
+}
+
+/// Runs the TF-IDF + k-means pipeline over crash tickets whose text lives
+/// in `texts`. With no tickets it classifies nothing: no labels and no
+/// accuracies, and `rng` is not drawn from.
 pub fn classify(
     tickets: &[&Ticket],
+    texts: &TextTable,
     config: PipelineConfig,
     rng: &mut StreamRng,
 ) -> Classification {
-    assert!(!tickets.is_empty(), "cannot classify an empty ticket set");
     let _span = dcfail_obs::span("classify");
+    if tickets.is_empty() {
+        return Classification::default();
+    }
 
     // Vectorize description + resolution. Tokenization, TF-IDF transforms
     // and the rule-based manual labels are pure per-ticket maps, so they
     // fan out across threads with bit-identical results.
     let docs: Vec<Vec<String>> = {
         let _s = dcfail_obs::span("tokenize");
-        dcfail_par::par_map(tickets, |_, t| tokenize(&t.full_text()))
+        dcfail_par::par_map(tickets, |_, t| {
+            let (description, resolution) = text_of(texts, t);
+            tokenize(&format!("{description} {resolution}"))
+        })
     };
     if dcfail_obs::enabled() {
         dcfail_obs::add("classify.tickets", tickets.len() as u64);
@@ -259,7 +272,8 @@ pub fn classify(
     let manual: Vec<FailureClass> = {
         let _s = dcfail_obs::span("manual_label");
         dcfail_par::par_map(tickets, |_, t| {
-            manual_label(t.description(), t.resolution())
+            let (description, resolution) = text_of(texts, t);
+            manual_label(description, resolution)
         })
     };
 
@@ -316,7 +330,7 @@ pub fn classify(
     Classification {
         labels,
         checked,
-        accuracy_vs_manual: manual_agree as f64 / tickets.len() as f64,
+        accuracy_vs_manual: Some(manual_agree as f64 / tickets.len() as f64),
         accuracy_vs_truth: (truth_total > 0).then(|| truth_agree as f64 / truth_total as f64),
         clusters_per_class,
     }
@@ -327,15 +341,19 @@ pub fn classify(
 ///
 /// The labels applied are the *manually-checked* ones — the paper's analyses
 /// run on the labels that survived the manual check, while the raw k-means
-/// output is only scored against them (87%).
+/// output is only scored against them (87%). A dataset without crash
+/// tickets is left as it is.
 pub fn apply_to_dataset(
     dataset: &mut dcfail_model::dataset::FailureDataset,
     config: PipelineConfig,
     rng: &mut StreamRng,
 ) -> Classification {
     let crash: Vec<&Ticket> = dataset.tickets().iter().filter(|t| t.is_crash()).collect();
-    let classification = classify(&crash, config, rng);
-    let labels = classification.checked_labels().clone();
+    let classification = classify(&crash, dataset.texts(), config, rng);
+    let labels = classification.checked_labels();
+    if labels.is_empty() {
+        return classification;
+    }
     dataset.relabel_events(|ev| {
         labels
             .get(&ev.ticket())
@@ -410,12 +428,12 @@ mod tests {
         assert_eq!(label, FailureClass::Hardware);
     }
 
-    fn synth_tickets(n: usize, seed: u64) -> Vec<Ticket> {
+    fn synth_tickets(n: usize, seed: u64) -> (TextTable, Vec<Ticket>) {
         // Use the simulator's text generator for realistic input.
         let mut rng = StreamRng::new(seed);
         let mut texts = dcfail_synth::tickets_gen::TicketTexts::new();
         let classes = FailureClass::CLASSIFIED;
-        (0..n)
+        let tickets = (0..n)
             .map(|i| {
                 let class = classes[i % classes.len()];
                 let text = texts.crash_text(&mut rng, class, 0.5);
@@ -431,21 +449,19 @@ mod tests {
                     Some(class),
                 )
             })
-            .collect()
+            .collect();
+        (texts.into_table(), tickets)
     }
 
     #[test]
     fn pipeline_matches_manual_labels_closely() {
-        let tickets = synth_tickets(1500, 1);
+        let (texts, tickets) = synth_tickets(1500, 1);
         let refs: Vec<&Ticket> = tickets.iter().collect();
         let mut rng = StreamRng::new(2);
-        let c = classify(&refs, PipelineConfig::default(), &mut rng);
+        let c = classify(&refs, &texts, PipelineConfig::default(), &mut rng);
         // Paper: 87% accuracy against the manual check.
-        assert!(
-            c.accuracy_vs_manual() > 0.80,
-            "accuracy vs manual {}",
-            c.accuracy_vs_manual()
-        );
+        let accuracy = c.accuracy_vs_manual().unwrap();
+        assert!(accuracy > 0.80, "accuracy vs manual {accuracy}");
         assert_eq!(c.labels().len(), 1500);
         // Roughly half the tickets are degraded → labelled Other.
         let other = c.share(FailureClass::Other);
@@ -475,7 +491,12 @@ mod tests {
             .collect();
         let refs: Vec<&Ticket> = tickets.iter().collect();
         let mut rng = StreamRng::new(4);
-        let c = classify(&refs, PipelineConfig::default(), &mut rng);
+        let c = classify(
+            &refs,
+            &texts.into_table(),
+            PipelineConfig::default(),
+            &mut rng,
+        );
         let acc = c.accuracy_vs_truth().expect("ground truth available");
         assert!(acc > 0.85, "accuracy vs truth {acc}");
         // Every real class got at least one cluster.
@@ -489,19 +510,72 @@ mod tests {
 
     #[test]
     fn pipeline_is_deterministic_given_seed() {
-        let tickets = synth_tickets(400, 5);
+        let (texts, tickets) = synth_tickets(400, 5);
         let refs: Vec<&Ticket> = tickets.iter().collect();
-        let a = classify(&refs, PipelineConfig::default(), &mut StreamRng::new(6));
-        let b = classify(&refs, PipelineConfig::default(), &mut StreamRng::new(6));
+        let config = PipelineConfig::default();
+        let a = classify(&refs, &texts, config, &mut StreamRng::new(6));
+        let b = classify(&refs, &texts, config, &mut StreamRng::new(6));
         assert_eq!(a.labels(), b.labels());
         assert_eq!(a.accuracy_vs_manual(), b.accuracy_vs_manual());
     }
 
     #[test]
-    #[should_panic(expected = "empty ticket set")]
-    fn empty_input_rejected() {
+    fn empty_input_classifies_nothing() {
         let mut rng = StreamRng::new(1);
-        let _ = classify(&[], PipelineConfig::default(), &mut rng);
+        let untouched = rng.clone();
+        let c = classify(
+            &[],
+            &TextTable::default(),
+            PipelineConfig::default(),
+            &mut rng,
+        );
+        assert!(c.labels().is_empty() && c.checked_labels().is_empty());
+        assert_eq!(
+            (c.accuracy_vs_manual(), c.accuracy_vs_truth()),
+            (None, None)
+        );
+        assert!(c.clusters_per_class().is_empty());
+        assert_eq!(c.share(FailureClass::Other), 0.0);
+        assert_eq!(rng.uniform(), untouched.clone().uniform(), "no draw taken");
+    }
+
+    #[test]
+    fn a_dataset_without_crash_tickets_is_left_as_it_is() {
+        let mut texts = TextTable::default();
+        let note = texts.push("backup job failed needs rerun");
+        let mut b = DatasetBuilder::new();
+        let mut topology = Topology::new();
+        topology.add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
+        b.topology(topology);
+        b.add_machine(Machine::new_pm(
+            MachineId::new(0),
+            SubsystemId::new(0),
+            PowerDomainId::new(0),
+            ResourceCapacity::default(),
+            None,
+        ));
+        let routine = Ticket::new(
+            TicketId::new(0),
+            MachineId::new(0),
+            TicketKind::NonCrash,
+            None,
+            SimTime::ZERO,
+            SimTime::ZERO + HOUR,
+            note,
+            note,
+            None,
+        );
+        b.tickets(std::sync::Arc::new(texts), vec![routine]);
+        let mut dataset = b.build();
+        let before = dataset.clone();
+        let c = apply_to_dataset(
+            &mut dataset,
+            PipelineConfig::default(),
+            &mut StreamRng::new(2),
+        );
+        assert!(c.labels().is_empty());
+        assert_eq!(c.accuracy_vs_manual(), None);
+        assert_eq!(dataset, before);
     }
 
     #[test]
@@ -513,7 +587,7 @@ mod tests {
             .into_dataset();
         let mut rng = StreamRng::new(9);
         let c = apply_to_dataset(&mut dataset, PipelineConfig::default(), &mut rng);
-        assert!(c.accuracy_vs_manual() > 0.75);
+        assert!(c.accuracy_vs_manual().unwrap() > 0.75);
         // Every event now carries the checked label of its ticket.
         for ev in dataset.events() {
             assert_eq!(

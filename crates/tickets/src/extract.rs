@@ -7,6 +7,7 @@
 //! then groups crash tickets that struck together — the basis of the spatial
 //! dependency analysis when no explicit incident ids exist.
 
+use crate::classify::text_of;
 use crate::store::TicketStore;
 use dcfail_model::prelude::*;
 use dcfail_stats::text::tokenize;
@@ -118,7 +119,8 @@ pub fn extract_crash_tickets(store: &TicketStore) -> (Vec<TicketId>, ExtractionR
         false_negatives: 0,
     };
     for t in store.iter_by_time() {
-        let predicted = is_crash_text(t.description(), t.resolution());
+        let (description, resolution) = text_of(store.texts(), t);
+        let predicted = is_crash_text(description, resolution);
         match (predicted, t.is_crash()) {
             (true, true) => {
                 report.true_positives += 1;
@@ -209,6 +211,26 @@ mod tests {
         assert!(!is_crash_text("", ""));
     }
 
+    /// Ids of [`empty_store`]'s texts.
+    const CRASHED: TextId = TextId::new(0);
+    const RESTORED: TextId = TextId::new(1);
+    const BACKUP: TextId = TextId::new(2);
+    const GRANTED: TextId = TextId::new(3);
+
+    /// A store with no tickets yet and the texts of the ticket helpers.
+    fn empty_store() -> TicketStore {
+        let mut texts = TextTable::default();
+        for text in [
+            "server unreachable crashed",
+            "restored",
+            "backup request threshold",
+            "approval granted",
+        ] {
+            texts.push(text);
+        }
+        TicketStore::new(std::sync::Arc::new(texts), Vec::new())
+    }
+
     fn crash_ticket(id: u32, machine: u32, at: SimTime) -> Ticket {
         Ticket::new(
             TicketId::new(id),
@@ -217,8 +239,8 @@ mod tests {
             Some(IncidentId::new(0)),
             at,
             at + HOUR,
-            "server unreachable crashed".into(),
-            "restored".into(),
+            CRASHED,
+            RESTORED,
             Some(FailureClass::Other),
         )
     }
@@ -231,15 +253,15 @@ mod tests {
             None,
             at,
             at + HOUR,
-            "backup request threshold".into(),
-            "approval granted".into(),
+            BACKUP,
+            GRANTED,
             None,
         )
     }
 
     #[test]
     fn extraction_report_quality() {
-        let mut store = TicketStore::default();
+        let mut store = empty_store();
         for i in 0..50 {
             store.add(crash_ticket(i, i, SimTime::from_days(i as i64)));
         }
@@ -262,7 +284,7 @@ mod tests {
             .scale(0.02)
             .build()
             .into_dataset();
-        let store = TicketStore::from_tickets(dataset.tickets().to_vec());
+        let store = TicketStore::from_dataset(&dataset);
         let (_, report) = extract_crash_tickets(&store);
         assert!(report.precision() > 0.8, "precision {}", report.precision());
         assert!(report.recall() > 0.6, "recall {}", report.recall());
@@ -270,7 +292,7 @@ mod tests {
 
     #[test]
     fn reconstruction_groups_co_occurring_tickets() {
-        let mut store = TicketStore::default();
+        let mut store = empty_store();
         let t0 = SimTime::from_days(10);
         // Three tickets within 10 minutes: one incident.
         store.add(crash_ticket(0, 1, t0));
@@ -292,8 +314,7 @@ mod tests {
 
     #[test]
     fn reconstruction_of_empty_store_is_empty() {
-        let store = TicketStore::default();
-        assert!(reconstruct_incidents(&store, MINUTE).is_empty());
+        assert!(reconstruct_incidents(&empty_store(), MINUTE).is_empty());
     }
 
     #[test]

@@ -5,25 +5,34 @@
 //! time so extraction and classification can scan efficiently.
 
 use dcfail_model::prelude::*;
+use std::sync::Arc;
 
-/// An indexed collection of problem tickets.
-#[derive(Debug, Clone, Default)]
+/// An indexed collection of problem tickets and the table their text lives
+/// in.
+#[derive(Debug, Clone)]
 pub struct TicketStore {
+    texts: Arc<TextTable>,
     tickets: Vec<Ticket>,
     /// Indexes sorted by opening time.
     by_time: Vec<usize>,
 }
 
 impl TicketStore {
-    /// Builds a store from tickets (cloned out of a dataset or loaded from
-    /// disk).
-    pub fn from_tickets(tickets: Vec<Ticket>) -> Self {
+    /// Builds a store of `tickets` (copied out of a dataset or loaded from
+    /// disk) whose text ids point into `texts`.
+    pub fn new(texts: Arc<TextTable>, tickets: Vec<Ticket>) -> Self {
         let mut store = Self {
+            texts,
             tickets,
             by_time: Vec::new(),
         };
         store.reindex();
         store
+    }
+
+    /// A store of every ticket of `dataset`, sharing its text table.
+    pub fn from_dataset(dataset: &FailureDataset) -> Self {
+        Self::new(Arc::clone(dataset.texts()), dataset.tickets().to_vec())
     }
 
     fn reindex(&mut self) {
@@ -33,7 +42,7 @@ impl TicketStore {
             .sort_unstable_by_key(|&i| (self.tickets[i].opened_at(), self.tickets[i].id()));
     }
 
-    /// Adds one ticket.
+    /// Adds one ticket; its text ids point into the store's table.
     pub fn add(&mut self, ticket: Ticket) {
         let idx = self.tickets.len();
         // Insert into the time index at the right position.
@@ -59,6 +68,11 @@ impl TicketStore {
         &self.tickets
     }
 
+    /// The table the tickets' text ids point into.
+    pub fn texts(&self) -> &TextTable {
+        &self.texts
+    }
+
     /// Iterates tickets in opening-time order.
     pub fn iter_by_time(&self) -> impl Iterator<Item = &Ticket> {
         self.by_time.iter().map(|&i| &self.tickets[i])
@@ -67,20 +81,6 @@ impl TicketStore {
     /// Crash tickets only, in time order.
     pub fn crash_tickets(&self) -> impl Iterator<Item = &Ticket> {
         self.iter_by_time().filter(|t| t.is_crash())
-    }
-}
-
-impl FromIterator<Ticket> for TicketStore {
-    fn from_iter<I: IntoIterator<Item = Ticket>>(iter: I) -> Self {
-        Self::from_tickets(iter.into_iter().collect())
-    }
-}
-
-impl Extend<Ticket> for TicketStore {
-    fn extend<I: IntoIterator<Item = Ticket>>(&mut self, iter: I) {
-        for t in iter {
-            self.add(t);
-        }
     }
 }
 
@@ -102,21 +102,26 @@ mod tests {
             crash.then(|| IncidentId::new(id)),
             SimTime::from_days(day),
             SimTime::from_days(day) + HOUR,
-            format!("desc {id}").into(),
-            format!("res {id}").into(),
+            TextId::new(0),
+            TextId::new(1),
             crash.then_some(FailureClass::Software),
         )
     }
 
+    fn store(tickets: Vec<Ticket>) -> TicketStore {
+        let mut texts = TextTable::default();
+        texts.push("desc");
+        texts.push("res");
+        TicketStore::new(Arc::new(texts), tickets)
+    }
+
     #[test]
     fn store_indexes_by_time() {
-        let store: TicketStore = vec![
+        let store = store(vec![
             ticket(0, 1, 5, true),
             ticket(1, 2, 3, false),
             ticket(2, 1, 1, true),
-        ]
-        .into_iter()
-        .collect();
+        ]);
         assert_eq!(store.len(), 3);
         assert!(!store.is_empty());
         let times: Vec<f64> = store
@@ -125,6 +130,10 @@ mod tests {
             .collect();
         assert_eq!(times, vec![1.0, 3.0, 5.0]);
         assert_eq!(store.crash_tickets().count(), 2);
+        assert_eq!(
+            store.texts().get(store.tickets()[0].resolution()),
+            Some("res")
+        );
     }
 
     #[test]
@@ -135,8 +144,8 @@ mod tests {
             ticket(5, 2, 1, true),
             ticket(4, 3, 2, true),
         ];
-        let bulk = TicketStore::from_tickets(tickets.clone());
-        let mut incremental = TicketStore::default();
+        let bulk = store(tickets.clone());
+        let mut incremental = store(Vec::new());
         for t in tickets.into_iter().rev() {
             incremental.add(t);
         }
@@ -148,10 +157,10 @@ mod tests {
 
     #[test]
     fn incremental_add_maintains_time_order() {
-        let mut store = TicketStore::default();
+        let mut store = store(Vec::new());
         store.add(ticket(0, 0, 5, true));
         store.add(ticket(1, 0, 1, false));
-        store.extend([ticket(2, 0, 3, true)]);
+        store.add(ticket(2, 0, 3, true));
         let times: Vec<f64> = store
             .iter_by_time()
             .map(|t| t.opened_at().as_days())

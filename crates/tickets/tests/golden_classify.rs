@@ -27,7 +27,10 @@ fn digest(c: &Classification) -> u64 {
         );
         fnv(&mut hash, format!("{id}:{raw}:{checked}\n").as_bytes());
     }
-    fnv(&mut hash, &c.accuracy_vs_manual().to_bits().to_le_bytes());
+    fnv(
+        &mut hash,
+        &c.accuracy_vs_manual().unwrap().to_bits().to_le_bytes(),
+    );
     fnv(
         &mut hash,
         &c.accuracy_vs_truth()
@@ -45,7 +48,7 @@ fn golden_classification_digest() {
     let dataset = Scenario::paper().seed(42).scale(0.1).build().into_dataset();
     let crash: Vec<&Ticket> = dataset.tickets().iter().filter(|t| t.is_crash()).collect();
     let mut rng = StreamRng::new(42).fork("golden.classify");
-    let c = classify(&crash, PipelineConfig::default(), &mut rng);
+    let c = classify(&crash, dataset.texts(), PipelineConfig::default(), &mut rng);
     assert_eq!(c.labels().len(), crash.len());
     let got = digest(&c);
     assert_eq!(

@@ -6,6 +6,7 @@ use dcfail_tickets::classify::manual_label;
 use dcfail_tickets::extract::{is_crash_text, reconstruct_incidents};
 use dcfail_tickets::store::TicketStore;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arbitrary_text() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-zA-Z0-9 .,;:()_-]{0,120}").expect("valid regex")
@@ -23,10 +24,18 @@ fn ticket(id: u32, machine: u32, minute: i64, crash: bool) -> Ticket {
         crash.then(|| IncidentId::new(0)),
         SimTime::from_minutes(minute),
         SimTime::from_minutes(minute) + HOUR,
-        "server crashed".into(),
-        "restored".into(),
+        TextId::new(0),
+        TextId::new(1),
         None,
     )
+}
+
+/// A store of `tickets` with the two texts `ticket` names.
+fn store(tickets: Vec<Ticket>) -> TicketStore {
+    let mut texts = TextTable::default();
+    texts.push("server crashed");
+    texts.push("restored");
+    TicketStore::new(Arc::new(texts), tickets)
 }
 
 proptest! {
@@ -73,7 +82,7 @@ proptest! {
             .enumerate()
             .map(|(i, &m)| ticket(i as u32, (i % 7) as u32, m, i % 3 != 0))
             .collect();
-        let store = TicketStore::from_tickets(tickets.clone());
+        let store = store(tickets.clone());
         prop_assert_eq!(store.len(), tickets.len());
         // Time iteration is sorted and complete.
         let times: Vec<SimTime> = store.iter_by_time().map(Ticket::opened_at).collect();
@@ -92,7 +101,7 @@ proptest! {
             .enumerate()
             .map(|(i, &m)| ticket(i as u32, i as u32, m, true))
             .collect();
-        let store = TicketStore::from_tickets(tickets.clone());
+        let store = store(tickets.clone());
         let window = SimDuration::from_minutes(window_min);
         let groups = reconstruct_incidents(&store, window);
         let covered: usize = groups.iter().map(|g| g.tickets.len()).sum();

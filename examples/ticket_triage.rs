@@ -15,7 +15,7 @@ use dcfail::tickets::store::TicketStore;
 
 fn main() {
     let dataset = Scenario::paper().seed(99).scale(0.4).build().into_dataset();
-    let store = TicketStore::from_tickets(dataset.tickets().to_vec());
+    let store = TicketStore::from_dataset(&dataset);
     println!("ticket database: {} tickets", store.len());
 
     // Step 1: find the crash tickets in the haystack.
@@ -30,10 +30,14 @@ fn main() {
     // Step 2: classify them by root cause.
     let crash: Vec<&Ticket> = store.tickets().iter().filter(|t| t.is_crash()).collect();
     let mut rng = StreamRng::new(1).fork("triage");
-    let classification = classify(&crash, PipelineConfig::default(), &mut rng);
+    let classification = classify(&crash, store.texts(), PipelineConfig::default(), &mut rng);
+    let Some(accuracy) = classification.accuracy_vs_manual() else {
+        println!("no crash tickets: nothing was classified");
+        return;
+    };
     println!(
         "k-means pipeline: {:.1}% agreement with manual labels (paper: 87%)",
-        100.0 * classification.accuracy_vs_manual()
+        100.0 * accuracy
     );
     if let Some(acc) = classification.accuracy_vs_truth() {
         println!(
@@ -60,15 +64,16 @@ fn main() {
         );
     }
 
-    // Step 4: show the pipeline at work on a few fresh tickets.
+    // Step 4: show the pipeline at work on a few fresh tickets. A ticket
+    // holds ids; its text is read from the dataset's table.
     println!("\nsample triage decisions:");
+    let text = |id| dataset.texts().get(id).unwrap_or_default();
     for t in crash.iter().take(5) {
+        let (description, resolution) = (text(t.description()), text(t.resolution()));
         println!(
-            "  [{}] \"{} / {}\"\n      manual: {:<7} k-means: {:<7} truth: {}",
+            "  [{}] \"{description} / {resolution}\"\n      manual: {:<7} k-means: {:<7} truth: {}",
             t.id(),
-            t.description(),
-            t.resolution(),
-            manual_label(t.description(), t.resolution()).label(),
+            manual_label(description, resolution).label(),
             classification
                 .label(t.id())
                 .map_or("-", FailureClass::label),

@@ -104,7 +104,7 @@ fn json_export_is_parseable_and_versioned() {
     let _ds = Scenario::paper().seed(6).scale(0.02).build();
     let report = handle.finish();
     let json = report.to_json();
-    assert!(json.starts_with("{\n  \"schema_version\": 1,"));
+    assert!(json.starts_with("{\n  \"schema_version\": 2,"));
     let value: serde::Value = serde_json::from_str(&json).expect("export parses as JSON");
     let obj = match value {
         serde::Value::Object(map) => map,

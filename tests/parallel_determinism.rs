@@ -57,7 +57,7 @@ fn classification_is_thread_count_independent() {
         let mut rng = StreamRng::new(0x15 ^ 0x7ea).fork("test.classify");
         let comparison = apply_to_dataset(&mut ds, PipelineConfig::default(), &mut rng);
         par::set_thread_override(None);
-        (ds, comparison.accuracy_vs_manual().to_bits())
+        (ds, comparison.accuracy_vs_manual().map(f64::to_bits))
     };
     assert_eq!(classify(1), classify(8));
 }
