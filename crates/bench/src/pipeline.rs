@@ -105,8 +105,13 @@ pub fn run(seed: u64, scale: f64, rate: f64) -> Result<PipelineRun, String> {
 const REQUIRED_STAGES: &str = "synth.build population placement telemetry incidents hazard \
     spatial individual assemble tickets haystack audit.dataset audit.recover recover.machines \
     recover.tickets recover.events recover.telemetry recover.build chaos.copy chaos.inject \
-    classify tokenize tfidf.fit tfidf.transform kmeans manual_label stats.bootstrap \
-    report.run_all";
+    classify tokenize tfidf.fit tfidf.transform kmeans kmeans.seed kmeans.assign kmeans.update \
+    manual_label stats.bootstrap report.run_all";
+
+/// Counters every traced run must record, and nonzero: the parallel
+/// runtime's jobs and two exact work counts, the values the panel kernel
+/// binned and the k-means Lloyd iterations.
+const REQUIRED_COUNTERS: [&str; 3] = ["par.jobs", "panel.values_binned", "kmeans.iterations"];
 
 /// The stages [`run`] opens on its own thread, at the root of the span
 /// tree: on Linux each must carry a minor-fault count.
@@ -140,8 +145,8 @@ pub struct ExportCheck {
     pub overhead_pct: f64,
     /// The first broken rule of the export contract (schema version, every
     /// stage span, on Linux a minor-fault count on every root stage, a
-    /// `par.jobs` counter, disabled overhead under 2%); `None` when it
-    /// holds.
+    /// nonzero `par.jobs`, `panel.values_binned` and `kmeans.iterations`
+    /// count, disabled overhead under 2%); `None` when it holds.
     pub failure: Option<String>,
 }
 
@@ -209,8 +214,11 @@ pub fn export_check(seed: u64, scale: f64, rate: f64) -> Result<ExportCheck, Str
             "root stages without a minor-fault count: {}",
             uncounted.join(", ")
         ))
-    } else if report.counter("par.jobs").unwrap_or(0) == 0 {
-        Some("no par.jobs counter".to_string())
+    } else if let Some(counter) = REQUIRED_COUNTERS
+        .into_iter()
+        .find(|&name| report.counter(name).unwrap_or(0) == 0)
+    {
+        Some(format!("no {counter} counter, or it reads zero"))
     } else if overhead_pct >= 2.0 {
         Some(format!("disabled-path overhead {overhead_pct:.2}% >= 2%"))
     } else {

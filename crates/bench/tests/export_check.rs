@@ -19,7 +19,10 @@ fn export_check_holds_and_refuses_a_window_it_does_not_own() {
     assert_eq!(check.report.schema_version, dcfail_obs::SCHEMA_VERSION);
     assert!(check.report.has_stage(REPLAY_SPAN));
     assert!(check.report.has_stage("report.fig8"));
-    assert!(check.report.counter("par.jobs").unwrap_or(0) > 0);
+    for counter in ["par.jobs", "panel.values_binned", "kmeans.iterations"] {
+        assert!(check.report.counter(counter).unwrap_or(0) > 0, "{counter}");
+    }
+    assert!(check.report.has_stage("kmeans.update"));
     assert!(check.instrumented_calls > 0 && check.per_call_ns > 0.0);
     assert!(check.overhead_pct < 2.0, "{}%", check.overhead_pct);
     assert!(check.wall_ms > 0.0);

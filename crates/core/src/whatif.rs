@@ -103,6 +103,7 @@ impl<'a> WhatIf<'a> {
                     Source::Constant(Constant::Disks | Constant::Consolidation | Constant::OnOff)
                 )
         })
+        .0
         .finalize();
         Self {
             dataset,

@@ -538,7 +538,9 @@ fn render_figure(
 
 /// The finalized `figure` panels of `dataset`.
 fn figure_panels(dataset: &FailureDataset, figure: u8) -> Vec<PanelCurve> {
-    panel::observe_dataset(dataset, |p| p.figure == figure).finalize()
+    let (counts, binned) = panel::observe_dataset(dataset, |p| p.figure == figure);
+    dcfail_obs::add("panel.values_binned", binned);
+    counts.finalize()
 }
 
 /// Fig. 7: failure rate vs resource capacity (four panels).

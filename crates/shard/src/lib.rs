@@ -249,7 +249,9 @@ fn pass2_shard(
             Some(spec.machines.iter().map(move |&machine| (machine, week)))
         })
         .flatten();
-    let panels = panel::observe(Panel::reads_telemetry, machines, &telemetry, weeks, events);
+    let (panels, binned) =
+        panel::observe(Panel::reads_telemetry, machines, &telemetry, weeks, events);
+    dcfail_obs::add("panel.values_binned", binned);
     ShardYield {
         specs: per_machine.into_iter().flatten().collect(),
         panels,

@@ -9,7 +9,7 @@
 
 #![allow(clippy::unwrap_used)]
 
-use dcfail_ckpt::{encode_segment, CheckpointStore, CkptError, FaultFs, MemFs};
+use dcfail_ckpt::{encode_segment, fnv64, CheckpointStore, CkptError, FaultFs, MemFs};
 use dcfail_report::experiments::RunConfig;
 use dcfail_shard::{crash_matrix, resume_sharded};
 use dcfail_synth::{Scenario, ScenarioConfig};
@@ -49,6 +49,33 @@ fn kill_runs_that_draw_transients_still_resume_to_the_golden_digest() {
     let spread = crash_matrix(&config(13, 0.015), 2, 0.3, false).unwrap();
     assert!(spread.failures.is_empty(), "{:#?}", spread.failures);
     assert_eq!((spread.kill_points.len(), spread.transient_rate), (3, 0.3));
+}
+
+/// The segment bytes of a fixed run (seed 42, scale 0.02, 3 shards), as
+/// FNV-64 digests. A run resumes only from its own segments, and the front
+/// doors compare outputs, so nothing else sees a change of checkpoint
+/// format: a field added to a pass-2 payload's `PanelCounts`, say. A change
+/// that means to move these re-pins them and says why.
+#[test]
+fn segment_bytes_are_pinned() {
+    const PINNED: [(&str, u64); 6] = [
+        ("norms-0000.seg", 0xd4018044d10f75b3),
+        ("norms-0001.seg", 0xb8f12cf51e1a66d1),
+        ("norms-0002.seg", 0x1cce783934715c24),
+        ("pass2-0000.seg", 0xccb2fc71567a89aa),
+        ("pass2-0001.seg", 0x147f4f840c2efa24),
+        ("pass2-0002.seg", 0x5f81b89cfc74c6e8),
+    ];
+    let mem = MemFs::new();
+    resume_sharded(&config(42, 0.02), 3, &quiet_store(&mem)).unwrap();
+    let got: Vec<(&str, u64)> = PINNED
+        .iter()
+        .map(|&(name, _)| {
+            let bytes = mem.snapshot(&format!("{DIR}/{name}")).unwrap();
+            (name, fnv64(&bytes))
+        })
+        .collect();
+    assert_eq!(got, PINNED);
 }
 
 #[test]

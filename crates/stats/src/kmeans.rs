@@ -70,13 +70,16 @@ impl KMeans {
             });
         }
         let reps = Reps::of(points, dim);
+        let mut work = FitWork::default();
         let mut best: Option<KMeans> = None;
         for _ in 0..config.restarts.max(1) {
-            let run = Self::fit_once(points, &reps, config, rng);
+            let run = Self::fit_once(points, &reps, config, rng, &mut work);
             if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
                 best = Some(run);
             }
         }
+        dcfail_obs::add("kmeans.iterations", work.iterations);
+        dcfail_obs::add("kmeans.distance_evals", work.distance_evals);
         Ok(best.expect("at least one restart ran"))
     }
 
@@ -85,23 +88,37 @@ impl KMeans {
         reps: &Reps,
         config: KMeansConfig,
         rng: &mut StreamRng,
+        work: &mut FitWork,
     ) -> KMeans {
-        let mut centroids = kmeans_plus_plus(points, reps, config.k, rng);
+        let mut centroids = {
+            let _span = dcfail_obs::span("kmeans.seed");
+            kmeans_plus_plus(points, reps, config.k, rng)
+        };
+        // One distance per representative for each centroid seeded.
+        work.distance_evals += (reps.len() * centroids.len()) as u64;
         let mut assignments = vec![0usize; points.len()];
         let mut inertia = f64::INFINITY;
         let mut iterations = 0;
         for iter in 0..config.max_iter {
             iterations = iter + 1;
+            work.iterations += 1;
+            work.distance_evals += (reps.len() * centroids.len()) as u64;
             // Assignment step: one lane-kernel search per distinct vector,
             // scattered to every point. Each search is pure, so this
             // parallelizes with bit-identical results; the inertia sum is
             // folded in point order to keep float addition exact.
             let mut new_inertia = 0.0;
-            for (i, (c, d2)) in reps.nearest(&centroids).into_iter().enumerate() {
-                assignments[i] = c;
-                new_inertia += d2 as f64;
+            {
+                let _span = dcfail_obs::span("kmeans.assign");
+                for (i, (c, d2)) in reps.nearest(&centroids).into_iter().enumerate() {
+                    assignments[i] = c;
+                    new_inertia += d2 as f64;
+                }
             }
-            update_centroids(points, &assignments, &mut centroids, rng);
+            {
+                let _span = dcfail_obs::span("kmeans.update");
+                update_centroids(points, reps, &assignments, &mut centroids, rng);
+            }
             let improved = inertia.is_infinite()
                 || (inertia - new_inertia) > config.tol * inertia.abs().max(1.0);
             inertia = new_inertia;
@@ -148,21 +165,38 @@ impl KMeans {
     }
 }
 
+/// The work of one [`KMeans::fit`]: plain integers, added to obs once per
+/// call.
+#[derive(Debug, Default)]
+struct FitWork {
+    /// Lloyd iterations over every restart.
+    iterations: u64,
+    /// Representative-to-centroid distances: every representative against
+    /// each seeded centroid, and against every centroid per assignment step.
+    distance_evals: u64,
+}
+
 /// Update step: each centroid moves to its members' mean, summed in f64 in
 /// point order; an empty cluster is re-seeded at a random point.
+///
+/// Only a point's nonzero coordinates are added. That gives the dense sum's
+/// bits: each sum starts at +0.0, and under round-to-nearest an f64 sum that
+/// starts there never becomes -0.0, so adding ±0.0 never changes it. NaN
+/// coordinates are nonzero and kept.
 fn update_centroids(
     points: &[Vec<f32>],
+    reps: &Reps,
     assignments: &[usize],
     centroids: &mut [Vec<f32>],
     rng: &mut StreamRng,
 ) {
-    let dim = points[0].len();
-    let mut sums = vec![vec![0.0f64; dim]; centroids.len()];
+    let mut sums = vec![vec![0.0f64; reps.dim]; centroids.len()];
     let mut counts = vec![0usize; centroids.len()];
-    for (p, &a) in points.iter().zip(assignments) {
+    for (&r, &a) in reps.rep_of.iter().zip(assignments) {
         counts[a] += 1;
-        for (s, &x) in sums[a].iter_mut().zip(p) {
-            *s += x as f64;
+        let sum = &mut sums[a];
+        for &(d, x) in reps.nonzeros(r) {
+            sum[d] += f64::from(x);
         }
     }
     for (c, (sum, &count)) in centroids.iter_mut().zip(sums.iter().zip(&counts)) {
@@ -204,6 +238,11 @@ struct Reps {
     /// Per point: the index of its bit pattern among the representatives.
     rep_of: Vec<usize>,
     dim: usize,
+    /// Each representative's nonzero `(dimension, value)` pairs, in
+    /// dimension order: representative `r`'s are
+    /// `nonzeros[nonzero_start[r]..nonzero_start[r + 1]]`.
+    nonzeros: Vec<(usize, f32)>,
+    nonzero_start: Vec<usize>,
     /// Blocks of [`LANES`] representatives, the last one zero-padded.
     blocks: usize,
     /// Row `b * dim + d` holds dimension `d` of representatives
@@ -228,17 +267,33 @@ impl Reps {
         }
         let blocks = reps.len().div_ceil(LANES);
         let mut rows = vec![[0.0; LANES]; blocks * dim];
+        let mut nonzeros = Vec::new();
+        let mut nonzero_start = vec![0];
         for (r, rep) in reps.iter().enumerate() {
             for (row, &x) in rows[r / LANES * dim..][..dim].iter_mut().zip(*rep) {
                 row[r % LANES] = x;
             }
+            nonzeros.extend(rep.iter().copied().enumerate().filter(|&(_, x)| x != 0.0));
+            nonzero_start.push(nonzeros.len());
         }
         Reps {
             rep_of,
             dim,
+            nonzeros,
+            nonzero_start,
             blocks,
             rows,
         }
+    }
+
+    /// Number of representatives.
+    fn len(&self) -> usize {
+        self.nonzero_start.len() - 1
+    }
+
+    /// Representative `r`'s nonzero `(dimension, value)` pairs.
+    fn nonzeros(&self, r: usize) -> &[(usize, f32)] {
+        &self.nonzeros[self.nonzero_start[r]..self.nonzero_start[r + 1]]
     }
 
     /// Every point's [`nearest`] centroid and squared distance.
@@ -327,12 +382,42 @@ fn kmeans_plus_plus(
     centroids
 }
 
-/// The scalar fit, the oracle for the lane kernel and the distinct-vector
-/// scatter: one `nearest` per point per iteration.
+/// The scalar fit, the oracle for the lane kernel, the distinct-vector
+/// scatter and the sparse update: one `nearest` per point per iteration,
+/// and every coordinate of every point summed.
 #[cfg(test)]
 mod oracle {
-    use super::{nearest, sq_dist, update_centroids, KMeans, KMeansConfig};
+    use super::{nearest, sq_dist, KMeans, KMeansConfig};
     use crate::rng::StreamRng;
+
+    /// The dense update step: each centroid moves to its members' mean,
+    /// every coordinate summed in f64 in point order; an empty cluster is
+    /// re-seeded at a random point.
+    pub fn update_centroids(
+        points: &[Vec<f32>],
+        assignments: &[usize],
+        centroids: &mut [Vec<f32>],
+        rng: &mut StreamRng,
+    ) {
+        let dim = points[0].len();
+        let mut sums = vec![vec![0.0f64; dim]; centroids.len()];
+        let mut counts = vec![0usize; centroids.len()];
+        for (p, &a) in points.iter().zip(assignments) {
+            counts[a] += 1;
+            for (s, &x) in sums[a].iter_mut().zip(p) {
+                *s += x as f64;
+            }
+        }
+        for (c, (sum, &count)) in centroids.iter_mut().zip(sums.iter().zip(&counts)) {
+            if count > 0 {
+                for (cc, &s) in c.iter_mut().zip(sum) {
+                    *cc = (s / count as f64) as f32;
+                }
+            } else {
+                c.clone_from(&points[rng.below(points.len())]);
+            }
+        }
+    }
 
     pub fn fit(points: &[Vec<f32>], config: KMeansConfig, rng: &mut StreamRng) -> KMeans {
         let mut best: Option<KMeans> = None;
@@ -499,6 +584,47 @@ mod tests {
                 prop_assert_eq!((gi, gd.to_bits()), (wi, wd.to_bits()));
                 prop_assert_eq!(gq.to_bits(), sq_dist(p, q).to_bits());
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The sparse update gives the dense update's centroid bits and
+        /// RNG state, with ±0.0 and NaN coordinates, repeated points and
+        /// an empty cluster that is re-seeded.
+        fn sparse_update_matches_the_dense_one(
+            seed in 0u64..1_000_000,
+            k in 2usize..=12,
+            n in 1usize..=40,
+            dim in 1usize..=48,
+        ) {
+            let mut rng = StreamRng::new(seed);
+            let mut points = vectors(n, dim, &mut rng);
+            // Zero-heavy points, as TF-IDF gives, and a NaN now and then.
+            for p in &mut points {
+                for x in p.iter_mut() {
+                    match rng.below(16) {
+                        0..=9 => *x = if rng.below(2) == 0 { 0.0 } else { -0.0 },
+                        10 if rng.below(8) == 0 => *x = f32::NAN,
+                        _ => {}
+                    }
+                }
+            }
+            points.push(points[0].clone());
+            // Cluster k - 1 gets no member, so both updates re-seed it.
+            let assignments: Vec<usize> =
+                (0..points.len()).map(|_| rng.below(k - 1)).collect();
+            let centroids = vectors(k, dim, &mut rng);
+            let reps = Reps::of(&points, dim);
+            let (mut sparse, mut dense) = (centroids.clone(), centroids);
+            let (mut sparse_rng, mut dense_rng) = (StreamRng::new(seed), StreamRng::new(seed));
+            update_centroids(&points, &reps, &assignments, &mut sparse, &mut sparse_rng);
+            oracle::update_centroids(&points, &assignments, &mut dense, &mut dense_rng);
+            let bits = |cs: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                cs.iter().map(|c| c.iter().map(|x| x.to_bits()).collect()).collect()
+            };
+            prop_assert_eq!(bits(&sparse), bits(&dense));
+            prop_assert_eq!(sparse_rng.uniform().to_bits(), dense_rng.uniform().to_bits());
         }
     }
 

@@ -175,6 +175,7 @@ impl CountMatrix {
     /// # Panics
     ///
     /// Panics if the cell is out of range.
+    #[inline]
     pub fn add(&mut self, row: usize, col: usize, by: u64) {
         assert!(row < self.rows && col < self.cols, "cell out of range");
         self.counts[row * self.cols + col] += by;

@@ -21,9 +21,9 @@
 //! order when `seq` already increases, each arrival's index written at its
 //! `seq` offset when the `seq`s are dense, and a sort of `(seq, index)`
 //! keys only when they lie far apart. The estimators are the batch
-//! runners' own: each replayed `Attrs` or `Usage` payload goes through the
-//! per-machine steps of [`dcfail_core::panel::PanelCounts`], and each
-//! failure is attributed through the machine's bin rows.
+//! runners' own: each replayed `Attrs` or `Usage` payload walks its machine
+//! kind's slots through the steps of [`dcfail_core::panel::PanelCounts`],
+//! and each failure is attributed through the machine's bin rows.
 //!
 //! Memory is O(machines seen + open weeks): the reorder buffer holds at
 //! most a slack's worth of events; each machine keeps one constant and one

@@ -120,3 +120,65 @@ fn json_export_is_parseable_and_versioned() {
         assert!(obj.iter().any(|(k, _)| k == key), "{key} missing");
     }
 }
+
+/// What the counters `names` read after `work` runs under a window of its
+/// own.
+fn counted(names: &[&str], work: impl FnOnce()) -> Vec<u64> {
+    let handle = obs::ObsHandle::install().expect("gate serializes windows");
+    work();
+    let report = handle.finish();
+    names
+        .iter()
+        .map(|name| report.counter(name).unwrap_or(0))
+        .collect()
+}
+
+/// The exact work counters count work, not scheduling: each reads the same
+/// at 1, 2 and 3 threads. The panel kernel bins the same values whether the
+/// Fig. 8–10 panels are counted over the whole fleet, shard by shard, or
+/// from a canonical replay of the dataset's feed.
+#[test]
+fn work_counters_read_the_same_at_any_thread_count() {
+    use dcfail::analysis::panel::{self, Panel};
+    use dcfail::report::experiments::{self, ExperimentId, RunConfig};
+    use dcfail::stream::{StreamConfig, StreamEngine};
+    use dcfail::tickets::classify::{apply_to_dataset, PipelineConfig};
+
+    let _gate = window_gate();
+    let config = Scenario::paper().seed(11).scale(0.03).config().clone();
+    let dataset = Scenario::from_config(config.clone()).build().into_dataset();
+    let feed = dcfail::synth::feed::dataset_feed(&dataset);
+    let (_, batch) = panel::observe_dataset(&dataset, Panel::reads_telemetry);
+    let values = ["panel.values_binned"];
+    let mut readings = Vec::new();
+    for threads in [1, 2, 3] {
+        par::set_thread_override(Some(threads));
+        let figures = counted(&values, || {
+            for id in [ExperimentId::Fig8, ExperimentId::Fig9, ExperimentId::Fig10] {
+                experiments::run(id, &dataset, &RunConfig::default());
+            }
+        });
+        let shards = counted(&values, || {
+            dcfail::shard::build_sharded(&config, 3);
+        });
+        let stream = counted(&values, || {
+            let mut engine = StreamEngine::new(dataset.horizon(), StreamConfig::default());
+            for &ev in &feed {
+                engine.ingest(ev).expect("a canonical feed is never late");
+            }
+            engine.finish();
+        });
+        assert_eq!(figures, [batch], "{threads} threads: the figure runners");
+        assert_eq!(shards, [batch], "{threads} threads: the sum over shards");
+        assert_eq!(stream, [batch], "{threads} threads: the stream replay");
+        let kmeans = counted(&["kmeans.iterations", "kmeans.distance_evals"], || {
+            let mut rng = dcfail::stats::rng::StreamRng::new(11);
+            apply_to_dataset(&mut dataset.clone(), PipelineConfig::default(), &mut rng);
+        });
+        assert!(kmeans.iter().all(|&n| n > 0), "{kmeans:?}");
+        readings.push(kmeans);
+    }
+    par::set_thread_override(None);
+    assert!(batch > 0);
+    assert!(readings.windows(2).all(|w| w[0] == w[1]), "{readings:?}");
+}
