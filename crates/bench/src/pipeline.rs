@@ -109,9 +109,15 @@ const REQUIRED_STAGES: &str = "synth.build population placement telemetry incide
     manual_label stats.bootstrap report.run_all";
 
 /// Counters every traced run must record, and nonzero: the parallel
-/// runtime's jobs and two exact work counts, the values the panel kernel
-/// binned and the k-means Lloyd iterations.
-const REQUIRED_COUNTERS: [&str; 3] = ["par.jobs", "panel.values_binned", "kmeans.iterations"];
+/// runtime's jobs and three exact work counts, the hazard evaluations of
+/// the individual-failure walk, the values the panel kernel binned and the
+/// k-means Lloyd iterations.
+const REQUIRED_COUNTERS: [&str; 4] = [
+    "par.jobs",
+    "synth.individual.hazard_evals",
+    "panel.values_binned",
+    "kmeans.iterations",
+];
 
 /// The stages [`run`] opens on its own thread, at the root of the span
 /// tree: on Linux each must carry a minor-fault count.
@@ -145,8 +151,9 @@ pub struct ExportCheck {
     pub overhead_pct: f64,
     /// The first broken rule of the export contract (schema version, every
     /// stage span, on Linux a minor-fault count on every root stage, a
-    /// nonzero `par.jobs`, `panel.values_binned` and `kmeans.iterations`
-    /// count, disabled overhead under 2%); `None` when it holds.
+    /// nonzero `par.jobs`, `synth.individual.hazard_evals`,
+    /// `panel.values_binned` and `kmeans.iterations` count, disabled
+    /// overhead under 2%); `None` when it holds.
     pub failure: Option<String>,
 }
 

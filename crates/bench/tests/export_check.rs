@@ -19,7 +19,14 @@ fn export_check_holds_and_refuses_a_window_it_does_not_own() {
     assert_eq!(check.report.schema_version, dcfail_obs::SCHEMA_VERSION);
     assert!(check.report.has_stage(REPLAY_SPAN));
     assert!(check.report.has_stage("report.fig8"));
-    for counter in ["par.jobs", "panel.values_binned", "kmeans.iterations"] {
+    for counter in [
+        "par.jobs",
+        "synth.individual.draws",
+        "synth.individual.hazard_evals",
+        "panel.values_binned",
+        "kmeans.iterations",
+        "prediction.machine_weeks",
+    ] {
         assert!(check.report.counter(counter).unwrap_or(0) > 0, "{counter}");
     }
     assert!(check.report.has_stage("kmeans.update"));

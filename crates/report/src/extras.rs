@@ -110,7 +110,8 @@ pub(crate) fn rate_confidence_impl(dataset: &FailureDataset, seed: u64) -> Rende
     }
 }
 
-/// Week-ahead failure-prediction evaluation.
+/// Week-ahead failure-prediction evaluation. Adds the machine-weeks the
+/// sweep scored to the work counter `prediction.machine_weeks`.
 pub(crate) fn prediction_impl(dataset: &FailureDataset) -> Rendered {
     let weights = prediction::PredictorWeights::default();
     let Some(r) = prediction::evaluate(dataset, 8, &weights) else {
@@ -120,6 +121,7 @@ pub(crate) fn prediction_impl(dataset: &FailureDataset) -> Rendered {
             csv: None,
         };
     };
+    dcfail_obs::add("prediction.machine_weeks", r.observations as u64);
     let mut t = TextTable::new(vec!["metric", "value"]);
     t.row(vec![
         "machine-weeks scored".to_string(),

@@ -223,26 +223,14 @@ fn pass2_shard(
     rng: &StreamRng,
 ) -> ShardYield {
     let weeks = config.horizon.num_weeks();
-    let num_days = config.horizon.num_days() as i64;
     let machines = &pop.machines[range.clone()];
     let telemetry = telemetry_gen::generate_range(config, pop, range.clone(), rng);
     let hazard = HazardModel::for_range(config, pop, &telemetry, range.clone(), norms);
-    // dlint::allow(D05): StreamRng is immutable; individual_incidents_for forks per machine id
-    let per_machine = dcfail_par::par_map(machines, |local, m| {
-        incidents::individual_incidents_for(
-            config,
-            &hazard,
-            m,
-            &spatial_hits[range.start + local],
-            num_days,
-            rng,
-        )
-    });
+    let specs = incidents::individual_incidents(config, &hazard, machines, spatial_hits, rng);
     // Spatial specs name machines of every shard; the driver ignores the
     // ones outside this range.
-    let events = per_machine
+    let events = specs
         .iter()
-        .flatten()
         .chain(spatial_specs)
         .filter_map(|spec| {
             let week = config.horizon.week_of(spec.at)?;
@@ -252,10 +240,7 @@ fn pass2_shard(
     let (panels, binned) =
         panel::observe(Panel::reads_telemetry, machines, &telemetry, weeks, events);
     dcfail_obs::add("panel.values_binned", binned);
-    ShardYield {
-        specs: per_machine.into_iter().flatten().collect(),
-        panels,
-    }
+    ShardYield { specs, panels }
 }
 
 /// Final stage: index-ordered merge of the per-shard yields, canonical sort,

@@ -371,16 +371,39 @@ impl HazardModel {
         }
     }
 
-    /// Daily failure probability of machine `idx` (global index) on
-    /// observation day `day` (without the recurrence burst).
-    pub fn daily_hazard(&self, idx: usize, day: usize) -> f64 {
+    /// Machine `idx`'s (global index) hazard terms, looked up once.
+    pub(crate) fn machine(&self, idx: usize) -> MachineHazard<'_> {
         let idx = idx - self.offset;
-        let (static_mult, usage_row) = self.mult.row(idx);
-        let week = (day / 7).min(usage_row.len().saturating_sub(1));
-        let usage = usage_row.get(week).copied().unwrap_or(1.0);
+        let (static_mult, usage) = self.mult.row(idx);
         let (age0, slope) = self.age_at_start[idx];
-        let age = age0 + slope * day as f64;
-        (self.base_daily[idx] * static_mult * usage * age).min(0.5)
+        MachineHazard {
+            base: self.base_daily[idx],
+            static_mult,
+            usage,
+            age0,
+            slope,
+        }
+    }
+
+    /// An upper bound on [`HazardModel::recurrence_daily`] for `kind` at
+    /// every number of days since a failure: 0 with recurrence off, the
+    /// kind's peak when the peak is at least 0 and the decay constant is
+    /// positive (the ranges the config audit admits), `None` otherwise.
+    pub(crate) fn recurrence_bound(&self, kind: MachineKind) -> Option<f64> {
+        if !self.recurrence_enabled {
+            return Some(0.0);
+        }
+        let (peak, tau) = self.burst(kind);
+        // `peak · e^(−d/τ)` with `τ > 0` and `d ≥ 1` multiplies the peak by
+        // a factor in [0, 1], and rounding is monotone.
+        (peak >= 0.0 && tau > 0.0).then_some(peak)
+    }
+
+    fn burst(&self, kind: MachineKind) -> (f64, f64) {
+        match kind {
+            MachineKind::Pm => self.pm_burst,
+            MachineKind::Vm => self.vm_burst,
+        }
     }
 
     /// Absolute additional daily failure probability of a machine of `kind`,
@@ -395,12 +418,67 @@ impl HazardModel {
         if !self.recurrence_enabled || !(1.0..=BURST_HORIZON_DAYS).contains(&days_since_failure) {
             return 0.0;
         }
-        let (peak, tau) = match kind {
-            MachineKind::Pm => self.pm_burst,
-            MachineKind::Vm => self.vm_burst,
-        };
+        let (peak, tau) = self.burst(kind);
         peak * (-days_since_failure / tau).exp()
     }
+}
+
+/// One machine's hazard terms: base rate, static multiplier, usage row, age
+/// multiplier at observation start and its daily slope.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MachineHazard<'a> {
+    base: f64,
+    static_mult: f64,
+    usage: &'a [f64],
+    age0: f64,
+    slope: f64,
+}
+
+impl MachineHazard<'_> {
+    /// Daily failure probability on observation day `day` (without the
+    /// recurrence burst). Days past the usage row take its last week.
+    pub(crate) fn at(&self, day: usize) -> f64 {
+        capped(self.week_factor(day), self.age(day))
+    }
+
+    /// The largest of [`MachineHazard::at`] over days `first..=last`, which
+    /// lie in one week, when every one of those days is positive; `None`
+    /// when the two ends do not show that, or when the week's factor or
+    /// either end's age is not finite.
+    ///
+    /// Within a week `at` is `capped(c, age(day))` for one constant `c`.
+    /// `age0 + slope·day` is monotone in the day under round-to-nearest, so
+    /// when both ends' ages are finite, so is every age between them. With
+    /// `c` finite too, `c · age` is never NaN, multiplying by the constant
+    /// keeps the order (reverses it when `c < 0`), and `min(0.5)` keeps it.
+    /// So `at` is monotone over the week whatever the signs: its larger end
+    /// bounds every day, and both ends positive make every day positive.
+    pub(crate) fn week_bound(&self, first: usize, last: usize) -> Option<f64> {
+        debug_assert_eq!(first / 7, last / 7, "days {first} and {last}");
+        let c = self.week_factor(first);
+        let (a, b) = (self.age(first), self.age(last));
+        if !(c.is_finite() && a.is_finite() && b.is_finite()) {
+            return None;
+        }
+        let (ha, hb) = (capped(c, a), capped(c, b));
+        (ha > 0.0 && hb > 0.0).then_some(ha.max(hb))
+    }
+
+    /// Base rate × static multiplier × the usage multiplier of `day`'s week.
+    fn week_factor(&self, day: usize) -> f64 {
+        let week = (day / 7).min(self.usage.len().saturating_sub(1));
+        let usage = self.usage.get(week).copied().unwrap_or(1.0);
+        self.base * self.static_mult * usage
+    }
+
+    fn age(&self, day: usize) -> f64 {
+        self.age0 + self.slope * day as f64
+    }
+}
+
+/// The hazard of a day from its week's factor and its age multiplier.
+fn capped(week_factor: f64, age: f64) -> f64 {
+    (week_factor * age).min(0.5)
 }
 
 /// Capacity multiplier from the Fig. 7 curves.
@@ -540,8 +618,8 @@ mod tests {
                 for idx in [0, n / 2, n - 1] {
                     for day in days {
                         assert_eq!(
-                            model.daily_hazard(idx, day).to_bits(),
-                            reference.daily_hazard(idx, day).to_bits(),
+                            model.machine(idx).at(day).to_bits(),
+                            reference.machine(idx).at(day).to_bits(),
                             "machine {idx}, day {day}, {at}"
                         );
                     }
@@ -592,7 +670,7 @@ mod tests {
             let mut n = 0usize;
             for m in &machines {
                 for day in [10usize, 100, 200, 300] {
-                    sum += hazard.daily_hazard(m.id().index(), day) * 7.0;
+                    sum += hazard.machine(m.id().index()).at(day) * 7.0;
                     n += 1;
                 }
             }
@@ -637,9 +715,41 @@ mod tests {
         let (_, pop, _, hazard) = setup(EffectToggles::none());
         for m in &pop.machines {
             assert!((hazard.mult.statics[m.id().index()] - 1.0).abs() < 1e-9);
-            let h10 = hazard.daily_hazard(m.id().index(), 10);
-            let h300 = hazard.daily_hazard(m.id().index(), 300);
+            let h = hazard.machine(m.id().index());
+            let (h10, h300) = (h.at(10), h.at(300));
             assert!((h10 - h300).abs() < 1e-12, "hazard should be flat in time");
+        }
+    }
+
+    /// Every bounded week's days are positive and at most its bound, which
+    /// is one of its ends; only a week with an end not positive is left
+    /// unbounded. VMs age, so many weeks peak on their last day.
+    #[test]
+    fn week_bound_bounds_every_day_of_its_week() {
+        for effects in [EffectToggles::all(), EffectToggles::none()] {
+            let (config, pop, _, hazard) = setup(effects);
+            let num_days = config.horizon.num_days();
+            let (mut bounded, mut rising) = (0, 0);
+            for m in &pop.machines {
+                let h = hazard.machine(m.id().index());
+                for first in (0..num_days).step_by(7) {
+                    let last = (first + 7).min(num_days) - 1;
+                    let (a, b) = (h.at(first), h.at(last));
+                    let Some(bound) = h.week_bound(first, last) else {
+                        assert!(a <= 0.0 || b <= 0.0, "{} week of day {first}", m.id());
+                        continue;
+                    };
+                    assert!(bound == a.max(b), "{} week of day {first}", m.id());
+                    for day in first..=last {
+                        let at = h.at(day);
+                        assert!(at > 0.0 && at <= bound, "{} day {day}", m.id());
+                    }
+                    bounded += 1;
+                    rising += usize::from(b > a);
+                }
+            }
+            assert!(bounded > 0);
+            assert_eq!(rising > 0, effects.age, "{rising} weeks peak last");
         }
     }
 

@@ -17,10 +17,12 @@
 //! own forked stream (`fork_index("incidents.individual", machine)`),
 //! replaying that machine's spatial hit-days to reconstruct the burst
 //! state — so the per-machine walks are independent and execute in
-//! parallel with bit-identical results for any thread count.
+//! parallel with bit-identical results for any thread count. Each walk
+//! bounds a week's daily failure probability up front and computes it
+//! only on the days whose draw falls under the bound.
 
 use crate::config::ScenarioConfig;
-use crate::hazard::HazardModel;
+use crate::hazard::{HazardModel, BURST_HORIZON_DAYS};
 use crate::population::Population;
 use dcfail_model::prelude::*;
 use dcfail_stats::rng::StreamRng;
@@ -54,6 +56,9 @@ const NET_PER_1K_DAILY: f64 = 0.014;
 /// Daily shared-hardware-incident rate per 1000 machines of a subsystem.
 const SHARED_HW_PER_1K_DAILY: f64 = 0.004;
 
+/// Cap on a machine's daily individual-failure probability.
+const DAILY_CAP: f64 = 0.9;
+
 /// Individual-failure class weights for PMs:
 /// (hardware, network, power, reboot, software).
 const PM_CLASS_MIX: [f64; 5] = [0.23, 0.08, 0.015, 0.365, 0.31];
@@ -73,7 +78,6 @@ pub fn simulate(
         let _s = dcfail_obs::span("hazard");
         HazardModel::new(config, pop, telemetry)
     };
-    let num_days = config.horizon.num_days() as i64;
 
     // Stage 1 — correlated incidents, one day at a time on one stream.
     let (mut out, spatial_hits) = {
@@ -84,13 +88,16 @@ pub fn simulate(
     // Stage 2 — individual failures, one independent stream per machine.
     // A machine's burst state depends only on its own failures and the
     // spatial hits recorded above, so the walks never interact.
-    let individual_span = dcfail_obs::span("individual");
-    // dlint::allow(D05): StreamRng is immutable; individual_incidents_for forks per machine id
-    let per_machine = dcfail_par::par_map(&pop.machines, |idx, m| {
-        individual_incidents_for(config, &hazard, m, &spatial_hits[idx], num_days, rng)
-    });
-    out.extend(per_machine.into_iter().flatten());
-    drop(individual_span);
+    {
+        let _s = dcfail_obs::span("individual");
+        out.extend(individual_incidents(
+            config,
+            &hazard,
+            &pop.machines,
+            &spatial_hits,
+            rng,
+        ));
+    }
 
     out.sort_by_key(|i| (i.at, i.machines[0]));
     out
@@ -100,7 +107,7 @@ pub fn simulate(
 ///
 /// Returns the spatial incident specs plus, for each machine (by global
 /// index), the ascending list of days it was struck — the burst-replay
-/// input [`individual_incidents_for`] needs. The stage walks a single
+/// input [`individual_incidents`] needs. The stage walks a single
 /// sequential stream (`fork("incidents.spatial")`) and reads no telemetry,
 /// so a shard coordinator runs it once, globally, before fanning out.
 ///
@@ -267,53 +274,157 @@ fn spatial_incidents(
     }
 }
 
-/// Walks one machine's days on its own forked stream, merging the spatial
-/// hit-days (ascending) into the burst state exactly as the day-by-day
-/// interleaving did: a spatial hit on day `d` is visible to the individual
-/// check of day `d` and later.
+/// The exact work of the individual-failure walk.
+#[derive(Debug, Clone, Copy, Default)]
+struct WalkWork {
+    /// Bernoulli uniforms drawn: one per machine-day with a positive hazard.
+    draws: u64,
+    /// Exact [`MachineHazard::at`](crate::hazard::MachineHazard::at)
+    /// evaluations: week bounds, candidate days and per-day-path days.
+    hazard_evals: u64,
+}
+
+/// Walks the individual failures of `machines`, in parallel, and returns
+/// their specs in machine order. Adds the walk's exact work counters
+/// `synth.individual.draws` and `synth.individual.hazard_evals` once.
 ///
-/// The stream is forked from the machine's *global* index, and `hazard`
-/// may be a per-range model ([`HazardModel::for_range`]) — the output is
-/// bit-identical whether the fleet is simulated whole or shard-by-shard.
-pub fn individual_incidents_for(
+/// Each machine walks on its own stream forked from its *global* index and
+/// reads `spatial_hits` (as [`spatial_stage`] returns it) at that index, and
+/// `hazard` may be a per-range model ([`HazardModel::for_range`]) covering
+/// `machines` — the output is bit-identical whether the fleet is walked
+/// whole or shard by shard.
+pub fn individual_incidents(
+    config: &ScenarioConfig,
+    hazard: &HazardModel,
+    machines: &[Machine],
+    spatial_hits: &[Vec<i64>],
+    rng: &StreamRng,
+) -> Vec<IncidentSpec> {
+    let num_days = config.horizon.num_days();
+    let walks = dcfail_par::par_map(machines, |_, m| {
+        let idx = m.id().index();
+        let mut stream = rng.fork_index("incidents.individual", idx as u64);
+        walk_machine(config, hazard, m, &spatial_hits[idx], num_days, &mut stream)
+    });
+    let mut work = WalkWork::default();
+    let mut out = Vec::new();
+    for (specs, w) in walks {
+        work.draws += w.draws;
+        work.hazard_evals += w.hazard_evals;
+        out.extend(specs);
+    }
+    dcfail_obs::add("synth.individual.draws", work.draws);
+    dcfail_obs::add("synth.individual.hazard_evals", work.hazard_evals);
+    out
+}
+
+/// Walks one machine's days on its own stream `rng`, merging the spatial
+/// hit-days (ascending) into the burst state: a spatial hit on day `d` is
+/// visible to the individual check of day `d` and later.
+///
+/// Each day with a positive hazard `h` draws one uniform `u` and fails when
+/// `u < p`, `p = (h + recur).min(0.9)` — `StreamRng::bernoulli(p)` spelled
+/// out — where `recur` is the burst after the last failure. Computing `p`
+/// is what costs, so the walk bounds it per week and computes it only when
+/// `u` falls under the bound:
+///
+/// * [`MachineHazard::week_bound`](crate::hazard::MachineHazard::week_bound)
+///   gives `h_max ≥ h` for every day of the week from the week's two end
+///   days (the hazard is monotone within a week), and shows every day's
+///   `h` positive, so every day draws, as the per-day walk does.
+/// * [`HazardModel::recurrence_bound`] gives `peak ≥ recur` on every day.
+///   Outside the burst window (no failure in the last 28 days) `recur` is
+///   0. Rounded `+` and `min` are monotone, so `p ≤ q0 = min(h_max, 0.9)`
+///   outside the window and `p ≤ q1 = min(h_max + peak, 0.9)` inside it.
+/// * `u ≥ q` therefore means `u < p` is false: the day made the same one
+///   draw and did not fail. Below the bound the day computes `p` exactly.
+///
+/// So the walk makes the draws, and takes the failures, of the per-day
+/// walk it replaced. A week the bound does not cover — an end day not
+/// positive, a non-finite term, burst parameters outside the audited
+/// range — takes that per-day path.
+fn walk_machine(
     config: &ScenarioConfig,
     hazard: &HazardModel,
     m: &Machine,
     spatial_days: &[i64],
-    num_days: i64,
-    rng: &StreamRng,
-) -> Vec<IncidentSpec> {
-    let idx = m.id().index();
-    let mut rng = rng.fork_index("incidents.individual", idx as u64);
+    num_days: usize,
+    rng: &mut StreamRng,
+) -> (Vec<IncidentSpec>, WalkWork) {
+    let h = hazard.machine(m.id().index());
+    let peak = hazard.recurrence_bound(m.kind());
+    let mut work = WalkWork::default();
     let mut out = Vec::new();
     let mut last_fail_day: Option<i64> = None;
     let mut next_spatial = 0usize;
-    for day in 0..num_days {
-        while next_spatial < spatial_days.len() && spatial_days[next_spatial] <= day {
-            last_fail_day = Some(spatial_days[next_spatial]);
-            next_spatial += 1;
-        }
-        let base = hazard.daily_hazard(idx, day as usize);
-        if base <= 0.0 {
-            continue;
-        }
-        let recur = match last_fail_day {
-            Some(last) => hazard.recurrence_daily(m.kind(), (day - last) as f64),
-            None => 0.0,
+    for first in (0..num_days).step_by(7) {
+        let last = (first + 7).min(num_days) - 1;
+        let bounds = match peak {
+            Some(peak) => {
+                work.hazard_evals += 2;
+                h.week_bound(first, last)
+                    .map(|h_max| (h_max.min(DAILY_CAP), (h_max + peak).min(DAILY_CAP)))
+            }
+            None => None,
         };
-        let p = (base + recur).min(0.9);
-        if rng.bernoulli(p) {
-            let class = sample_class(config, m, &mut rng);
-            let minute = rng.below(24 * 60) as i64;
-            out.push(IncidentSpec {
-                class,
-                at: SimTime::from_days(day) + SimDuration::from_minutes(minute),
-                machines: vec![m.id()],
-            });
-            last_fail_day = Some(day);
+        for day in first..=last {
+            let day = day as i64;
+            while next_spatial < spatial_days.len() && spatial_days[next_spatial] <= day {
+                last_fail_day = Some(spatial_days[next_spatial]);
+                next_spatial += 1;
+            }
+            let fails = if let Some((q0, q1)) = bounds {
+                let in_burst =
+                    last_fail_day.is_some_and(|last| (day - last) as f64 <= BURST_HORIZON_DAYS);
+                let q = if in_burst { q1 } else { q0 };
+                work.draws += 1;
+                let u = rng.uniform();
+                if u >= q {
+                    continue;
+                }
+                work.hazard_evals += 1;
+                let base = h.at(day as usize);
+                let p = day_probability(hazard, m.kind(), base, last_fail_day, day);
+                debug_assert!(base > 0.0 && p <= q, "day {day}: h {base}, p {p} > q {q}");
+                u < p.clamp(0.0, 1.0)
+            } else {
+                work.hazard_evals += 1;
+                let base = h.at(day as usize);
+                if base <= 0.0 {
+                    continue;
+                }
+                work.draws += 1;
+                rng.bernoulli(day_probability(hazard, m.kind(), base, last_fail_day, day))
+            };
+            if fails {
+                let class = sample_class(config, m, rng);
+                let minute = rng.below(24 * 60) as i64;
+                out.push(IncidentSpec {
+                    class,
+                    at: SimTime::from_days(day) + SimDuration::from_minutes(minute),
+                    machines: vec![m.id()],
+                });
+                last_fail_day = Some(day);
+            }
         }
     }
-    out
+    (out, work)
+}
+
+/// A day's failure probability from its hazard `base` and the burst after
+/// the last failure, if any.
+fn day_probability(
+    hazard: &HazardModel,
+    kind: MachineKind,
+    base: f64,
+    last_fail_day: Option<i64>,
+    day: i64,
+) -> f64 {
+    let recur = match last_fail_day {
+        Some(last) => hazard.recurrence_daily(kind, (day - last) as f64),
+        None => 0.0,
+    };
+    (base + recur).min(DAILY_CAP)
 }
 
 /// Draws the root cause of an individual failure from the per-kind mix,
@@ -378,12 +489,262 @@ fn pick_distinct(rng: &mut StreamRng, members: &[MachineId], k: usize) -> Vec<Ma
         .collect()
 }
 
+/// The per-day walk the bounded walk replaced, kept as the oracle it is
+/// held to: every day with a positive hazard computes its probability and
+/// draws one Bernoulli.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// What one machine's per-day walk produced.
+    pub(super) struct OracleWalk {
+        pub(super) specs: Vec<IncidentSpec>,
+        /// Bernoulli draws made.
+        pub(super) draws: u64,
+        /// Draws whose probability the 0.9 cap cut.
+        pub(super) capped: u64,
+    }
+
+    pub(super) fn walk(
+        config: &ScenarioConfig,
+        hazard: &HazardModel,
+        m: &Machine,
+        spatial_days: &[i64],
+        num_days: i64,
+        rng: &mut StreamRng,
+    ) -> OracleWalk {
+        let idx = m.id().index();
+        let mut out = Vec::new();
+        let (mut draws, mut capped) = (0, 0);
+        let mut last_fail_day: Option<i64> = None;
+        let mut next_spatial = 0usize;
+        for day in 0..num_days {
+            while next_spatial < spatial_days.len() && spatial_days[next_spatial] <= day {
+                last_fail_day = Some(spatial_days[next_spatial]);
+                next_spatial += 1;
+            }
+            let base = hazard.machine(idx).at(day as usize);
+            if base <= 0.0 {
+                continue;
+            }
+            let recur = match last_fail_day {
+                Some(last) => hazard.recurrence_daily(m.kind(), (day - last) as f64),
+                None => 0.0,
+            };
+            let p = (base + recur).min(0.9);
+            draws += 1;
+            capped += u64::from(p != base + recur);
+            if rng.bernoulli(p) {
+                let class = sample_class(config, m, rng);
+                let minute = rng.below(24 * 60) as i64;
+                out.push(IncidentSpec {
+                    class,
+                    at: SimTime::from_days(day) + SimDuration::from_minutes(minute),
+                    machines: vec![m.id()],
+                });
+                last_fail_day = Some(day);
+            }
+        }
+        OracleWalk {
+            specs: out,
+            draws,
+            capped,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EffectToggles;
+    use crate::hazard::NormAccum;
     use crate::{population, telemetry_gen};
+    use dcfail_stats::merge::Mergeable;
+    use proptest::prelude::*;
+    use rand::RngCore;
     use std::collections::HashMap;
+
+    /// What holding the bounded walk to the oracle over some machines saw.
+    #[derive(Debug, Default)]
+    struct Seen {
+        draws: u64,
+        hazard_evals: u64,
+        /// Machines that drew nothing (a zero hazard all year).
+        silent: usize,
+        /// Failures on the last day of a week.
+        last_day_failures: usize,
+        /// Spatial hits on the first day of a week.
+        first_day_hits: usize,
+        /// Oracle draws whose probability the 0.9 cap cut.
+        capped: u64,
+    }
+
+    /// Walks `machines` both ways, each machine on a clone of its stream,
+    /// and asserts the same specs, the same draw count and the streams left
+    /// at the same position; `individual_incidents` must return the same
+    /// specs too.
+    fn hold_to_oracle(
+        config: &ScenarioConfig,
+        hazard: &HazardModel,
+        machines: &[Machine],
+        hits: &[Vec<i64>],
+        rng: &StreamRng,
+    ) -> Seen {
+        let num_days = config.horizon.num_days();
+        let mut seen = Seen::default();
+        let mut all = Vec::new();
+        for m in machines {
+            let idx = m.id().index();
+            let mut fast = rng.fork_index("incidents.individual", idx as u64);
+            let mut slow = fast.clone();
+            let (specs, work) = walk_machine(config, hazard, m, &hits[idx], num_days, &mut fast);
+            let run = oracle::walk(config, hazard, m, &hits[idx], num_days as i64, &mut slow);
+            assert_eq!(specs, run.specs, "machine {idx}");
+            assert_eq!(work.draws, run.draws, "machine {idx}: draws");
+            assert_eq!(fast.next_u64(), slow.next_u64(), "machine {idx}: stream");
+            seen.draws += work.draws;
+            seen.hazard_evals += work.hazard_evals;
+            seen.silent += usize::from(work.draws == 0);
+            seen.capped += run.capped;
+            seen.last_day_failures += specs
+                .iter()
+                .filter(|s| s.at.as_minutes() / (24 * 60) % 7 == 6)
+                .count();
+            seen.first_day_hits += hits[idx].iter().filter(|&&d| d % 7 == 0).count();
+            all.extend(specs);
+        }
+        assert_eq!(
+            individual_incidents(config, hazard, machines, hits, rng),
+            all,
+            "individual_incidents"
+        );
+        seen
+    }
+
+    /// A fleet at `config`'s scale and seed `seed`.
+    fn fleet(config: &ScenarioConfig, seed: u64) -> (Population, Telemetry, StreamRng) {
+        let rng = StreamRng::new(seed);
+        let pop = population::build(config, &rng);
+        let telemetry = telemetry_gen::generate(config, &pop, &rng);
+        (pop, telemetry, rng)
+    }
+
+    /// Ascending hit days, a hit on each day with probability `density`;
+    /// every seventh list also hits day 0 and the first day of its week 1.
+    fn dense_hits(machines: usize, num_days: usize, density: f64, seed: u64) -> Vec<Vec<i64>> {
+        let mut rng = StreamRng::new(seed);
+        (0..machines)
+            .map(|i| {
+                let mut days: Vec<i64> = (0..num_days as i64)
+                    .filter(|_| rng.bernoulli(density))
+                    .collect();
+                if i % 7 == 0 {
+                    days.extend([0, 7]);
+                    days.sort_unstable();
+                }
+                days
+            })
+            .collect()
+    }
+
+    /// Holds the walk to the oracle over the whole fleet and over a
+    /// `for_range` slice with a nonzero offset.
+    fn hold_fleet(config: &ScenarioConfig, seed: u64, density: Option<f64>) -> Seen {
+        let (pop, telemetry, rng) = fleet(config, seed);
+        let n = pop.machines.len();
+        let hits = match density {
+            Some(density) => dense_hits(n, config.horizon.num_days(), density, seed),
+            None => spatial_stage(config, &pop, &rng).1,
+        };
+        let hazard = HazardModel::new(config, &pop, &telemetry);
+        let seen = hold_to_oracle(config, &hazard, &pop.machines, &hits, &rng);
+
+        let mut accum = NormAccum::identity();
+        for m in &pop.machines {
+            accum.accumulate(config, m, &telemetry);
+        }
+        let range = n / 3..n;
+        let slice =
+            HazardModel::for_range(config, &pop, &telemetry, range.clone(), &accum.finalize());
+        hold_to_oracle(config, &slice, &pop.machines[range], &hits, &rng);
+        seen
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The bounded walk makes the per-day walk's draws and failures and
+        /// leaves each stream where the per-day walk leaves it, across
+        /// seeds, scales, each effect switched off, zero and high base
+        /// rates, extreme burst parameters the audit still admits, burst
+        /// parameters and rates it does not, and dense spatial hits.
+        fn bounded_walk_matches_per_day_oracle(
+            seed in any::<u64>(),
+            scale in 0.002f64..0.012,
+            variant in 0usize..10,
+            peak in 0.9f64..1.0,
+            log_tau in -2.0f64..3.0,
+            dense in 0usize..3,
+        ) {
+            let mut config = ScenarioConfig::paper();
+            config.scale = scale;
+            match variant {
+                0 => {}
+                1 => config.effects.recurrence = false,
+                2 => config.effects.usage = false,
+                3 => config.effects.age = false,
+                4 => config.effects.spatial = false,
+                5 => {
+                    config.pm_recur_daily = peak;
+                    config.vm_recur_daily = peak;
+                    config.burst_tau_days = 10f64.powf(log_tau);
+                }
+                6 => {
+                    config.pm_base_weekly = 0.95;
+                    config.vm_base_weekly = 0.95;
+                }
+                7 => config.pm_base_weekly = 0.0,
+                8 => {
+                    config.pm_recur_daily = -peak;
+                    config.burst_tau_days = [0.0, -1.0, f64::NAN][dense];
+                }
+                _ => config.vm_base_weekly = [f64::NAN, f64::INFINITY, 0.95][dense],
+            }
+            let density = (dense > 0 && config.effects.spatial).then(|| [0.0, 0.05, 0.3][dense]);
+            hold_fleet(&config, seed, density);
+        }
+    }
+
+    /// The cases the bound's argument turns on each occur, and the walk
+    /// still meets the oracle: a failure on a week's last day (the next
+    /// week starts in a burst), a spatial hit on a week's first day, the
+    /// 0.9 cap cutting the probability, and machines with a zero hazard,
+    /// which draw nothing.
+    #[test]
+    fn bound_edge_cases_occur_and_match_the_oracle() {
+        let mut config = ScenarioConfig::paper();
+        config.scale = 0.01;
+        config.pm_base_weekly = 0.95;
+        config.vm_base_weekly = 0.95;
+        config.pm_recur_daily = 1.0;
+        config.vm_recur_daily = 0.99;
+        config.burst_tau_days = 40.0;
+        assert!(crate::config_audit::audit_config(&config).is_clean());
+        let seen = hold_fleet(&config, 21, Some(0.05));
+        assert!(seen.last_day_failures > 0, "{seen:?}");
+        assert!(seen.first_day_hits > 0, "{seen:?}");
+        assert!(seen.capped > 0, "{seen:?}");
+
+        // Sys II VMs have a zero base rate: every week takes the per-day
+        // path, finds nothing positive and draws nothing.
+        let config = ScenarioConfig {
+            scale: 0.05,
+            ..ScenarioConfig::paper()
+        };
+        let seen = hold_fleet(&config, 22, None);
+        assert!(seen.silent > 0, "{seen:?}");
+        assert!(seen.hazard_evals * 3 < seen.draws, "{seen:?}");
+    }
 
     fn run(
         scale: f64,

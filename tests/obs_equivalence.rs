@@ -136,10 +136,15 @@ fn counted(names: &[&str], work: impl FnOnce()) -> Vec<u64> {
 /// The exact work counters count work, not scheduling: each reads the same
 /// at 1, 2 and 3 threads. The panel kernel bins the same values whether the
 /// Fig. 8–10 panels are counted over the whole fleet, shard by shard, or
-/// from a canonical replay of the dataset's feed.
+/// from a canonical replay of the dataset's feed. The individual-failure
+/// walk counts the same draws and hazard evaluations over the whole fleet
+/// and summed over shards, and its draws are the per-day walk's: one per
+/// machine-day with a positive hazard, which in the paper's model is every
+/// day of a machine with a positive base rate.
 #[test]
 fn work_counters_read_the_same_at_any_thread_count() {
     use dcfail::analysis::panel::{self, Panel};
+    use dcfail::model::machine::MachineKind;
     use dcfail::report::experiments::{self, ExperimentId, RunConfig};
     use dcfail::stream::{StreamConfig, StreamEngine};
     use dcfail::tickets::classify::{apply_to_dataset, PipelineConfig};
@@ -149,7 +154,20 @@ fn work_counters_read_the_same_at_any_thread_count() {
     let dataset = Scenario::from_config(config.clone()).build().into_dataset();
     let feed = dcfail::synth::feed::dataset_feed(&dataset);
     let (_, batch) = panel::observe_dataset(&dataset, Panel::reads_telemetry);
+    let positive_rate = dataset
+        .machines()
+        .iter()
+        .filter(|m| {
+            let sys = &config.subsystems[m.subsystem().index()];
+            match m.kind() {
+                MachineKind::Pm => config.pm_base_weekly * sys.pm_rate_mult > 0.0,
+                MachineKind::Vm => config.vm_base_weekly * sys.vm_rate_mult > 0.0,
+            }
+        })
+        .count();
+    let per_day_draws = (positive_rate * config.horizon.num_days()) as u64;
     let values = ["panel.values_binned"];
+    let walk = ["synth.individual.draws", "synth.individual.hazard_evals"];
     let mut readings = Vec::new();
     for threads in [1, 2, 3] {
         par::set_thread_override(Some(threads));
@@ -158,9 +176,26 @@ fn work_counters_read_the_same_at_any_thread_count() {
                 experiments::run(id, &dataset, &RunConfig::default());
             }
         });
-        let shards = counted(&values, || {
+        let fleet = counted(&walk, || {
+            Scenario::from_config(config.clone()).build();
+        });
+        let [draws, hazard_evals] = fleet[..] else {
+            unreachable!("two counters")
+        };
+        assert_eq!(draws, per_day_draws, "{threads} threads: the walk's draws");
+        assert!(hazard_evals * 3 < draws, "{threads} threads: {fleet:?}");
+        let shards = counted(&[values[0], walk[0], walk[1]], || {
             dcfail::shard::build_sharded(&config, 3);
         });
+        assert_eq!(
+            shards,
+            [batch, draws, hazard_evals],
+            "{threads} threads: the sum over shards"
+        );
+        let prediction = counted(&["prediction.machine_weeks"], || {
+            experiments::run(ExperimentId::Prediction, &dataset, &RunConfig::default());
+        });
+        assert!(prediction[0] > 0, "{threads} threads: {prediction:?}");
         let stream = counted(&values, || {
             let mut engine = StreamEngine::new(dataset.horizon(), StreamConfig::default());
             for &ev in &feed {
@@ -169,14 +204,13 @@ fn work_counters_read_the_same_at_any_thread_count() {
             engine.finish();
         });
         assert_eq!(figures, [batch], "{threads} threads: the figure runners");
-        assert_eq!(shards, [batch], "{threads} threads: the sum over shards");
         assert_eq!(stream, [batch], "{threads} threads: the stream replay");
         let kmeans = counted(&["kmeans.iterations", "kmeans.distance_evals"], || {
             let mut rng = dcfail::stats::rng::StreamRng::new(11);
             apply_to_dataset(&mut dataset.clone(), PipelineConfig::default(), &mut rng);
         });
         assert!(kmeans.iter().all(|&n| n > 0), "{kmeans:?}");
-        readings.push(kmeans);
+        readings.push([fleet, prediction, kmeans].concat());
     }
     par::set_thread_override(None);
     assert!(batch > 0);
