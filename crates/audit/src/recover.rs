@@ -17,6 +17,7 @@
 use crate::RawDatasetParts;
 use dcfail_model::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -890,7 +891,8 @@ fn resync_tickets(
 }
 
 /// Rebuilds the telemetry store with resolved machine keys, kind-consistent
-/// series and sanitized on/off logs.
+/// series and sanitized on/off logs: one pass per family over the source,
+/// then each kept series copied once, under its new id, into a fresh store.
 fn recover_telemetry(
     parts: &RawDatasetParts,
     horizon: Horizon,
@@ -898,36 +900,39 @@ fn recover_telemetry(
     remap: &MachineRemap,
     report: &mut DegradationReport,
 ) -> Telemetry {
-    let mut out = Telemetry::new();
+    let source = &parts.telemetry;
     let is_vm = |m: MachineId| machines.get(m.index()).is_some_and(Machine::is_vm);
     let num_weeks = horizon.num_weeks();
+    let mut quarantined = 0;
 
-    for (machine, weeks) in parts.telemetry.usage_series() {
+    let mut usage = Vec::with_capacity(source.usage_series().len());
+    for (machine, weeks) in source.usage_series() {
         let Some(mapped) = remap.get(machine) else {
-            report.record(RepairRule::TelemetryQuarantined, 1);
+            quarantined += 1;
             continue;
         };
-        let mut weeks = weeks.to_vec();
-        if weeks.len() > num_weeks {
-            weeks.truncate(num_weeks);
+        let weeks = if weeks.len() > num_weeks {
             report.record(RepairRule::UsageTruncated, 1);
-        }
+            &weeks[..num_weeks]
+        } else {
+            weeks
+        };
         if weeks.is_empty() {
-            report.record(RepairRule::TelemetryQuarantined, 1);
+            quarantined += 1;
             continue;
         }
-        out.set_usage(mapped, weeks);
-        report.telemetry_kept += 1;
+        usage.push((mapped, weeks));
     }
 
-    for (machine, log) in parts.telemetry.onoff_logs() {
-        let Some(mapped) = remap.get(machine) else {
-            report.record(RepairRule::TelemetryQuarantined, 1);
+    let mut onoff = Vec::with_capacity(source.onoff_logs().len());
+    for (machine, log) in source.onoff_logs() {
+        let window = log.window();
+        let Some(mapped) = remap.get(machine).filter(|&m| is_vm(m)) else {
+            quarantined += 1;
             continue;
         };
-        let window = log.window();
-        if !is_vm(mapped) || window.end() <= window.start() {
-            report.record(RepairRule::TelemetryQuarantined, 1);
+        if window.end() <= window.start() {
+            quarantined += 1;
             continue;
         }
         let mut toggles: Vec<SimTime> = log
@@ -941,31 +946,47 @@ fn recover_telemetry(
         if toggles.as_slice() != log.toggles() {
             report.record(RepairRule::OnOffSanitized, 1);
         }
-        out.set_onoff(mapped, OnOffLog::new(window, log.initial_on(), toggles));
-        report.telemetry_kept += 1;
+        onoff.push((mapped, OnOffLog::new(window, log.initial_on(), toggles)));
     }
 
-    for (machine, levels) in parts.telemetry.consolidation_series() {
-        let Some(mapped) = remap.get(machine) else {
-            report.record(RepairRule::TelemetryQuarantined, 1);
+    let mut consolidation = Vec::with_capacity(source.consolidation_series().len());
+    for (machine, levels) in source.consolidation_series() {
+        let Some(mapped) = remap.get(machine).filter(|&m| is_vm(m)) else {
+            quarantined += 1;
             continue;
         };
-        if !is_vm(mapped) {
-            report.record(RepairRule::TelemetryQuarantined, 1);
-            continue;
-        }
-        let mut levels = levels.to_vec();
         let zeros = levels.iter().filter(|&&l| l == 0).count();
-        if zeros > 0 {
-            for level in &mut levels {
-                if *level == 0 {
-                    *level = 1;
-                }
-            }
+        let levels = if zeros > 0 {
             report.record(RepairRule::ConsolidationClamped, zeros);
+            Cow::Owned(levels.iter().map(|&l| l.max(1)).collect())
+        } else {
+            Cow::Borrowed(levels)
+        };
+        consolidation.push((mapped, levels));
+    }
+
+    report.record(RepairRule::TelemetryQuarantined, quarantined);
+    report.telemetry_kept += usage.len() + onoff.len() + consolidation.len();
+    // New ids follow the order of the source's machine records, so these
+    // sorts only move anything when the source lists its machines out of id
+    // order; every series then lands at the end of its family.
+    usage.sort_unstable_by_key(|&(m, _)| m);
+    onoff.sort_unstable_by_key(|&(m, _)| m);
+    consolidation.sort_unstable_by_key(|(m, _)| *m);
+    let mut out = Telemetry::new();
+    let series = usage.iter().map(|&(m, weeks)| (m, weeks.len()));
+    out.append_usage(series, |mut rest| {
+        for (_, weeks) in &usage {
+            let (head, tail) = rest.split_at_mut(weeks.len());
+            head.copy_from_slice(weeks);
+            rest = tail;
         }
-        out.set_consolidation(mapped, levels);
-        report.telemetry_kept += 1;
+    });
+    for (m, log) in onoff {
+        out.set_onoff(m, log);
+    }
+    for (m, levels) in consolidation {
+        out.set_consolidation(m, levels);
     }
     out
 }
@@ -1018,13 +1039,12 @@ mod tests {
         let mut texts = TextTable::default();
         texts.push("disk space threshold warning");
         texts.push("cleaned old files");
-        RawDatasetParts {
-            horizon: Horizon::observation_year(),
-            machines,
-            topology,
-            texts: Arc::new(texts),
-            ..RawDatasetParts::default()
-        }
+        let mut parts = RawDatasetParts::default();
+        parts.horizon = Horizon::observation_year();
+        parts.machines = machines;
+        parts.topology = topology;
+        parts.texts = Arc::new(texts);
+        parts
     }
 
     #[test]
@@ -1047,7 +1067,7 @@ mod tests {
         let recovered = recover_raw(&parts).unwrap();
         let got = recovered.dataset.telemetry().onoff(MachineId::new(1));
         assert!(got.unwrap().is_on_at(window.start()));
-        assert_eq!(got, Some(&log));
+        assert_eq!(got, Some(log.view()));
         assert!(recovered.report.is_empty(), "{}", recovered.report);
     }
 
@@ -1175,5 +1195,228 @@ mod tests {
             serde_json::from_str::<DegradationReport>(&json).unwrap(),
             sample_report()
         );
+    }
+
+    /// Telemetry recovery as it was before the flat store: each kept series
+    /// copied into a vector of its own, then set. The oracle of
+    /// [`recover_telemetry`].
+    fn recover_telemetry_by_copy(
+        parts: &RawDatasetParts,
+        horizon: Horizon,
+        machines: &[Machine],
+        remap: &MachineRemap,
+        report: &mut DegradationReport,
+    ) -> Telemetry {
+        let mut out = Telemetry::new();
+        let is_vm = |m: MachineId| machines.get(m.index()).is_some_and(Machine::is_vm);
+        let num_weeks = horizon.num_weeks();
+        for (machine, weeks) in parts.telemetry.usage_series() {
+            let Some(mapped) = remap.get(machine) else {
+                report.record(RepairRule::TelemetryQuarantined, 1);
+                continue;
+            };
+            let mut weeks = weeks.to_vec();
+            if weeks.len() > num_weeks {
+                weeks.truncate(num_weeks);
+                report.record(RepairRule::UsageTruncated, 1);
+            }
+            if weeks.is_empty() {
+                report.record(RepairRule::TelemetryQuarantined, 1);
+                continue;
+            }
+            out.set_usage(mapped, weeks);
+            report.telemetry_kept += 1;
+        }
+        for (machine, log) in parts.telemetry.onoff_logs() {
+            let Some(mapped) = remap.get(machine) else {
+                report.record(RepairRule::TelemetryQuarantined, 1);
+                continue;
+            };
+            let window = log.window();
+            if !is_vm(mapped) || window.end() <= window.start() {
+                report.record(RepairRule::TelemetryQuarantined, 1);
+                continue;
+            }
+            let mut toggles: Vec<SimTime> = log
+                .toggles()
+                .iter()
+                .copied()
+                .filter(|&t| window.contains(t))
+                .collect();
+            toggles.sort_unstable();
+            toggles.dedup();
+            if toggles.as_slice() != log.toggles() {
+                report.record(RepairRule::OnOffSanitized, 1);
+            }
+            out.set_onoff(mapped, OnOffLog::new(window, log.initial_on(), toggles));
+            report.telemetry_kept += 1;
+        }
+        for (machine, levels) in parts.telemetry.consolidation_series() {
+            let Some(mapped) = remap.get(machine) else {
+                report.record(RepairRule::TelemetryQuarantined, 1);
+                continue;
+            };
+            if !is_vm(mapped) {
+                report.record(RepairRule::TelemetryQuarantined, 1);
+                continue;
+            }
+            let mut levels = levels.to_vec();
+            let zeros = levels.iter().filter(|&&l| l == 0).count();
+            if zeros > 0 {
+                for level in &mut levels {
+                    if *level == 0 {
+                        *level = 1;
+                    }
+                }
+                report.record(RepairRule::ConsolidationClamped, zeros);
+            }
+            out.set_consolidation(mapped, levels);
+            report.telemetry_kept += 1;
+        }
+        out
+    }
+
+    use serde::{Number, Value};
+
+    /// A small deterministic stream of test inputs (a 64-bit LCG).
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// Raw parts whose machine records come out of id order, repeat and
+    /// skip ids, and whose telemetry is keyed to known and unknown ids (up
+    /// to `u32::MAX`), to PMs and VMs, with usage too long or empty,
+    /// toggles unsorted, repeated or outside a window that may be reversed,
+    /// and zero consolidation levels.
+    fn hostile_parts(draws: &mut Draws) -> RawDatasetParts {
+        let n = 1 + draws.below(10) as u32;
+        let mut ids: Vec<u32> = (0..n).map(|i| i + u32::from(draws.below(4) == 0)).collect();
+        for i in (1..ids.len()).rev() {
+            if draws.below(3) == 0 {
+                ids.swap(i, draws.below(i as u64 + 1) as usize);
+            }
+        }
+        let machines = ids
+            .iter()
+            .map(|&id| match draws.below(2) {
+                0 => pm(id),
+                _ => Machine::new_vm(
+                    MachineId::new(id),
+                    SubsystemId::new(0),
+                    PowerDomainId::new(0),
+                    ResourceCapacity::default(),
+                    None,
+                    BoxId::new(0),
+                ),
+            })
+            .collect();
+        let mut parts = parts_with(machines);
+        let key = |draws: &mut Draws| {
+            MachineId::new(match draws.below(5) {
+                0 => u32::MAX - draws.below(3) as u32,
+                1 => n + 1 + draws.below(4) as u32,
+                _ => draws.below(u64::from(n) + 1) as u32,
+            })
+        };
+        let t = &mut parts.telemetry;
+        for _ in 0..draws.below(24) {
+            let m = key(draws);
+            match draws.below(3) {
+                0 => {
+                    let weeks = draws.below(60) as usize;
+                    t.set_usage(m, vec![WeeklyUsage::new(5.0, 6.0, 7.0, 8.0); weeks]);
+                }
+                1 => {
+                    let (a, b) = (draws.below(400) as i64, draws.below(400) as i64);
+                    let minutes =
+                        |d: i64| Value::Num(Number::I(SimTime::from_days(d).as_minutes()));
+                    let toggles = (0..draws.below(6))
+                        .map(|_| minutes(a.min(b) - 2 + draws.below(60) as i64))
+                        .collect();
+                    let log = Value::Object(vec![
+                        (
+                            "window".into(),
+                            Value::Object(vec![
+                                ("start".into(), minutes(a)),
+                                ("end".into(), minutes(b)),
+                            ]),
+                        ),
+                        ("initial_on".into(), Value::Bool(draws.below(2) == 0)),
+                        ("toggles".into(), Value::Array(toggles)),
+                    ]);
+                    t.set_onoff(m, OnOffLog::from_value(&log).unwrap());
+                }
+                _ => {
+                    let levels: Vec<u16> = (0..draws.below(14))
+                        .map(|_| draws.below(4) as u16)
+                        .collect();
+                    t.set_consolidation(m, levels);
+                }
+            }
+        }
+        parts
+    }
+
+    #[test]
+    fn recovery_keeps_what_a_copy_per_series_keeps() {
+        let mut draws = Draws(17);
+        let mut fired = BTreeSet::new();
+        for case in 0..400 {
+            let parts = hostile_parts(&mut draws);
+            let mut report = DegradationReport::default();
+            let (machines, remap) = recover_machines(&parts, &mut report);
+            let mut expected = report.clone();
+            let got = recover_telemetry(&parts, parts.horizon, &machines, &remap, &mut report);
+            let want =
+                recover_telemetry_by_copy(&parts, parts.horizon, &machines, &remap, &mut expected);
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(report, expected, "case {case}");
+            let recovered = recover_raw(&parts).unwrap();
+            assert_eq!(recovered.dataset.telemetry(), &want, "case {case}");
+            fired.extend(report.actions.iter().map(|rc| rc.rule));
+        }
+        // The draws reach every telemetry rule and a reordering remap.
+        for rule in [
+            RepairRule::TelemetryQuarantined,
+            RepairRule::UsageTruncated,
+            RepairRule::OnOffSanitized,
+            RepairRule::ConsolidationClamped,
+            RepairRule::MachineReindexed,
+            RepairRule::MachineDuplicateDropped,
+        ] {
+            assert!(fired.contains(&rule), "{rule:?} never fired");
+        }
+    }
+
+    #[test]
+    fn a_series_keyed_to_u32_max_parses_audits_and_is_quarantined() {
+        let mut parts = parts_with(vec![pm(0)]);
+        parts
+            .telemetry
+            .set_usage(MachineId::new(0), vec![WeeklyUsage::default(); 3]);
+        let json = serde_json::to_string(&parts)
+            .unwrap()
+            .replace("\"usage\":{\"0\":", "\"usage\":{\"4294967295\":");
+        assert!(json.contains("\"4294967295\":[{"), "{json}");
+        let parts: RawDatasetParts = serde_json::from_str(&json).unwrap();
+        let report = crate::audit_raw(&parts);
+        assert!(
+            report
+                .find(crate::RuleId::TelemetryMachineDangling)
+                .is_some(),
+            "{report}"
+        );
+        let recovered = recover_raw(&parts).unwrap();
+        assert_eq!(recovered.report.count(RepairRule::TelemetryQuarantined), 1);
+        assert_eq!(recovered.report.records_dropped(), 1);
+        assert_eq!(recovered.dataset.telemetry().usage_series().len(), 0);
     }
 }

@@ -360,35 +360,32 @@ fn thin_telemetry(
     if rate <= 0.0 {
         return;
     }
-    let mut rng = root.fork("telemetry");
-    let mut thinned = Telemetry::new();
-    for (machine, weeks) in parts.telemetry.usage_series() {
+    thin(&mut parts.telemetry, rate, &mut root.fork("telemetry"), log);
+}
+
+/// Thins `telemetry` in place, drawing in id order: per usage series a drop
+/// and, for a kept nonempty one, a truncation to a shorter length; then per
+/// on/off log and per consolidation series a drop. A dropped series leaves
+/// the store and a truncated one keeps a prefix, without copying a value.
+fn thin(telemetry: &mut Telemetry, rate: f64, rng: &mut StreamRng, log: &mut InjectionLog) {
+    telemetry.retain_usage(|len| {
         if rng.bernoulli(rate) {
             log.dropped_usage_series += 1;
-            continue;
+            return None;
         }
-        let mut weeks = weeks.to_vec();
-        if !weeks.is_empty() && rng.bernoulli(rate) {
-            weeks.truncate(rng.below(weeks.len()));
+        if len > 0 && rng.bernoulli(rate) {
             log.truncated_usage_series += 1;
+            return Some(rng.below(len));
         }
-        thinned.set_usage(machine, weeks);
-    }
-    for (machine, onoff) in parts.telemetry.onoff_logs() {
-        if rng.bernoulli(rate) {
-            log.dropped_onoff_logs += 1;
-            continue;
-        }
-        thinned.set_onoff(machine, onoff.clone());
-    }
-    for (machine, levels) in parts.telemetry.consolidation_series() {
-        if rng.bernoulli(rate) {
-            log.dropped_consolidation += 1;
-            continue;
-        }
-        thinned.set_consolidation(machine, levels.to_vec());
-    }
-    parts.telemetry = thinned;
+        Some(len)
+    });
+    let mut keep_unless_dropped = |dropped: &mut usize, len| {
+        let hit = rng.bernoulli(rate);
+        *dropped += usize::from(hit);
+        (!hit).then_some(len)
+    };
+    telemetry.retain_onoff(|len| keep_unless_dropped(&mut log.dropped_onoff_logs, len));
+    telemetry.retain_consolidation(|len| keep_unless_dropped(&mut log.dropped_consolidation, len));
 }
 
 #[cfg(test)]
@@ -507,6 +504,77 @@ mod tests {
         assert_eq!(log.dropped_consolidation, t.consolidation_series().count());
         assert!(log.dropped_usage_series > 0 && log.truncated_usage_series == 0);
         assert_eq!(parts.telemetry, Telemetry::new());
+    }
+
+    /// Thinning as it was before the store thinned in place: a fresh store
+    /// built series by series. The oracle of [`thin`].
+    fn thin_by_copy(
+        telemetry: &Telemetry,
+        rate: f64,
+        rng: &mut StreamRng,
+        log: &mut InjectionLog,
+    ) -> Telemetry {
+        let mut thinned = Telemetry::new();
+        for (machine, weeks) in telemetry.usage_series() {
+            if rng.bernoulli(rate) {
+                log.dropped_usage_series += 1;
+                continue;
+            }
+            let mut weeks = weeks.to_vec();
+            if !weeks.is_empty() && rng.bernoulli(rate) {
+                weeks.truncate(rng.below(weeks.len()));
+                log.truncated_usage_series += 1;
+            }
+            thinned.set_usage(machine, weeks);
+        }
+        for (machine, onoff) in telemetry.onoff_logs() {
+            if rng.bernoulli(rate) {
+                log.dropped_onoff_logs += 1;
+                continue;
+            }
+            let toggles = onoff.toggles().to_vec();
+            let onoff = OnOffLog::new(onoff.window(), onoff.initial_on(), toggles);
+            thinned.set_onoff(machine, onoff);
+        }
+        for (machine, levels) in telemetry.consolidation_series() {
+            if rng.bernoulli(rate) {
+                log.dropped_consolidation += 1;
+                continue;
+            }
+            thinned.set_consolidation(machine, levels);
+        }
+        thinned
+    }
+
+    #[test]
+    fn thinning_in_place_draws_and_keeps_what_a_copy_does() {
+        let clean = RawDatasetParts::from(dataset());
+        let mut cases = StreamRng::new(29);
+        for case in 0..40 {
+            let rate = match case {
+                0 => 1.0,
+                1 => 1e-9,
+                _ => cases.uniform(),
+            };
+            let seed = cases.below(1 << 20) as u64;
+            // A random plan: the other stages run too, at their own rates.
+            let plan = InjectionPlan::uniform(seed, cases.uniform() * 0.2)
+                .with(Corruption::DropTelemetry, rate);
+            let (parts, log) = inject(dataset(), &plan);
+            let (mut expected, mut expected_log) =
+                inject(dataset(), &plan.with(Corruption::DropTelemetry, 0.0));
+            let root = StreamRng::new(seed).fork("chaos");
+            let mut oracle_rng = root.fork("telemetry");
+            expected.telemetry =
+                thin_by_copy(&clean.telemetry, rate, &mut oracle_rng, &mut expected_log);
+            assert_eq!(parts, expected, "case {case}");
+            assert_eq!(log, expected_log, "case {case}");
+            // The same draws: both passes leave the stream at one place.
+            let (mut rng, mut in_place) = (root.fork("telemetry"), clean.telemetry.clone());
+            thin(&mut in_place, rate, &mut rng, &mut InjectionLog::default());
+            assert_eq!(in_place, parts.telemetry);
+            assert_eq!(rng.uniform().to_bits(), oracle_rng.uniform().to_bits());
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::failure::{FailureEvent, Incident};
 use crate::ids::{IncidentId, MachineId, SubsystemId, TextId, TicketId};
 use crate::machine::{Machine, MachineKind};
+use crate::spare::Spares;
 use crate::telemetry::Telemetry;
 use crate::ticket::{TextTable, Ticket};
 use crate::time::{Horizon, SimTime};
@@ -212,6 +213,12 @@ pub enum DatasetError {
         /// The failure instant.
         at: SimTime,
     },
+    /// A usage, on/off or consolidation series is keyed to an unknown
+    /// machine.
+    UnknownTelemetryMachine {
+        /// The unresolved machine id.
+        machine: MachineId,
+    },
     /// An on/off log's toggles are unsorted or fall outside its window.
     InvalidOnOffToggles {
         /// The logged machine.
@@ -276,6 +283,9 @@ impl fmt::Display for DatasetError {
                     f,
                     "event on {machine} at {at} has a negative repair duration"
                 )
+            }
+            DatasetError::UnknownTelemetryMachine { machine } => {
+                write!(f, "telemetry references unknown machine {machine}")
             }
             DatasetError::InvalidOnOffToggles { machine } => {
                 write!(
@@ -376,11 +386,14 @@ impl RawDatasetParts {
                 });
             }
         }
-        if let Some((machine, _)) = self
-            .telemetry
-            .onoff_logs()
-            .find(|(_, log)| !log.has_valid_toggles())
-        {
+        let t = &self.telemetry;
+        let mut telemetry_ids = (t.usage_series().map(|(m, _)| m))
+            .chain(t.onoff_logs().map(|(m, _)| m))
+            .chain(t.consolidation_series().map(|(m, _)| m));
+        if let Some(machine) = telemetry_ids.find(|m| m.index() >= num_machines) {
+            return Err(DatasetError::UnknownTelemetryMachine { machine });
+        }
+        if let Some((machine, _)) = t.onoff_logs().find(|(_, log)| !log.has_valid_toggles()) {
             return Err(DatasetError::InvalidOnOffToggles { machine });
         }
         Ok(())
@@ -520,20 +533,22 @@ impl TryFrom<RawDatasetParts> for FailureDataset {
     /// Validates the raw parts, then canonicalizes: events are sorted by
     /// `(at, machine, incident)` and the per-machine index is rebuilt.
     /// Unsorted input is accepted (and sorted); structurally broken input —
-    /// dangling references, out-of-horizon events, reversed repair windows,
-    /// on/off logs with unsorted or out-of-window toggles — is rejected with
-    /// a typed error.
-    fn try_from(raw: RawDatasetParts) -> Result<Self, DatasetError> {
+    /// dangling references (telemetry keyed to an unknown machine among
+    /// them), out-of-horizon events, reversed repair windows, on/off logs
+    /// with unsorted or out-of-window toggles — is rejected with a typed
+    /// error.
+    fn try_from(mut raw: RawDatasetParts) -> Result<Self, DatasetError> {
+        use std::mem::take;
         raw.validate()?;
         let mut ds = FailureDataset {
             horizon: raw.horizon,
-            machines: raw.machines,
-            topology: raw.topology,
-            incidents: raw.incidents,
-            tickets: raw.tickets,
-            texts: raw.texts,
-            events: raw.events,
-            telemetry: raw.telemetry,
+            machines: take(&mut raw.machines),
+            topology: take(&mut raw.topology),
+            incidents: take(&mut raw.incidents),
+            tickets: take(&mut raw.tickets),
+            texts: take(&mut raw.texts),
+            events: take(&mut raw.events),
+            telemetry: take(&mut raw.telemetry),
             event_offsets: Vec::new(),
             event_index: Vec::new(),
             incident_offsets: Vec::new(),
@@ -544,20 +559,34 @@ impl TryFrom<RawDatasetParts> for FailureDataset {
     }
 }
 
+/// Emptied ticket vectors of dropped raw parts (see [`crate::spare`]). One
+/// covers a pipeline, which copies its dataset into raw parts once.
+static TICKET_SPARES: Spares<Ticket, 1> = Spares::new();
+
 impl From<&FailureDataset> for RawDatasetParts {
-    /// Copies the records; the ticket vector is one plain copy and the text
-    /// table is shared, not copied.
+    /// Copies the records; the ticket vector is one plain copy, into the
+    /// spare vector of dropped parts when there is one, and the text table
+    /// is shared, not copied.
     fn from(ds: &FailureDataset) -> Self {
+        let mut tickets = TICKET_SPARES.take();
+        tickets.extend_from_slice(&ds.tickets);
         Self {
             horizon: ds.horizon,
             machines: ds.machines.clone(),
             topology: ds.topology.clone(),
             incidents: ds.incidents.clone(),
-            tickets: ds.tickets.clone(),
+            tickets,
             texts: Arc::clone(&ds.texts),
             events: ds.events.clone(),
             telemetry: ds.telemetry.clone(),
         }
+    }
+}
+
+impl Drop for RawDatasetParts {
+    /// Keeps the ticket vector as a spare.
+    fn drop(&mut self) {
+        TICKET_SPARES.keep(std::mem::take(&mut self.tickets));
     }
 }
 
@@ -1252,6 +1281,45 @@ mod tests {
             with_onoff_log(&[10, 100]).try_build().unwrap_err(),
             DatasetError::InvalidOnOffToggles {
                 machine: MachineId::new(0)
+            }
+        );
+    }
+
+    #[test]
+    fn telemetry_of_an_unknown_machine_is_a_typed_error() {
+        let mut parts = RawDatasetParts::from(tiny_dataset());
+        let weeks = [crate::telemetry::WeeklyUsage::default(); 2];
+        parts.telemetry.set_usage(MachineId::new(0), weeks);
+        assert!(FailureDataset::try_from(parts.clone()).is_ok());
+        let mut usage = parts.clone();
+        usage.telemetry.set_usage(MachineId::new(99), weeks);
+        let mut levels = parts.clone();
+        levels
+            .telemetry
+            .set_consolidation(MachineId::new(u32::MAX), [1]);
+        let mut onoff = parts;
+        let window = Horizon::new(SimTime::ZERO, SimTime::from_days(56));
+        onoff
+            .telemetry
+            .set_onoff(MachineId::new(1), OnOffLog::always_on(window));
+        for (parts, machine) in [(usage, 99), (levels, u32::MAX), (onoff, 1)] {
+            let err = FailureDataset::try_from(parts).unwrap_err();
+            let machine = MachineId::new(machine);
+            assert_eq!(err, DatasetError::UnknownTelemetryMachine { machine });
+            assert_eq!(
+                err.to_string(),
+                format!("telemetry references unknown machine {machine}")
+            );
+        }
+        // The builder takes the same path.
+        let mut telemetry = Telemetry::new();
+        telemetry.set_usage(MachineId::new(1), weeks);
+        let mut b = tiny_builder();
+        b.telemetry(telemetry);
+        assert_eq!(
+            b.try_build().unwrap_err(),
+            DatasetError::UnknownTelemetryMachine {
+                machine: MachineId::new(1)
             }
         );
     }

@@ -41,6 +41,7 @@ pub mod failure;
 pub mod ids;
 pub mod interop;
 pub mod machine;
+mod spare;
 pub mod telemetry;
 pub mod ticket;
 pub mod time;
@@ -54,7 +55,7 @@ pub mod prelude {
         BoxId, ClusterId, IncidentId, MachineId, PowerDomainId, SubsystemId, TextId, TicketId,
     };
     pub use crate::machine::{Machine, MachineKind, ResourceCapacity};
-    pub use crate::telemetry::{OnOffLog, Telemetry, WeeklyUsage};
+    pub use crate::telemetry::{OnOffLog, OnOffView, Telemetry, WeeklyUsage};
     pub use crate::ticket::{TextTable, Ticket, TicketKind};
     pub use crate::time::{Horizon, SimDuration, SimTime, DAY, HOUR, MINUTE, MONTH, WEEK};
     pub use crate::topology::{HostBox, SubsystemMeta, Topology};

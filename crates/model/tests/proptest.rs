@@ -146,6 +146,7 @@ proptest! {
             .map(|&m| SimTime::from_minutes(m))
             .collect();
         let log = OnOffLog::new(window, true, toggles.clone());
+        let log = log.view();
         prop_assert_eq!(log.toggles().len(), toggles.len());
         prop_assert!(log.sampled_transitions() <= log.toggles().len());
         // State at window start is the initial state.
@@ -176,6 +177,7 @@ proptest! {
             .map(|&o| SimTime::from_minutes(start_min + o))
             .collect();
         let log = OnOffLog::new(window, initial_on, toggles);
+        let log = log.view();
         let samples = log.samples_15min();
         let sampled = samples.windows(2).filter(|w| w[0] != w[1]).count();
         prop_assert_eq!(log.sampled_transitions(), sampled);

@@ -116,7 +116,21 @@ pub fn dataset_feed(dataset: &FailureDataset) -> Vec<FeedEvent> {
     // One bulk pass over the on/off logs (sorted by machine id), instead of
     // a per-machine monthly_transition_rate call.
     let onoff_rates = telemetry.monthly_transition_rates();
-    let mut feed: Vec<FeedEvent> = Vec::new();
+    let in_horizon = |at| horizon.week_of(at).is_some();
+    let weeks = horizon.num_weeks();
+    let usage_weeks: usize = (dataset.machines().iter())
+        .filter_map(|m| telemetry.usage(m.id()))
+        .map(|series| series.len().min(weeks))
+        .sum();
+    let events = dataset.events().iter().filter(|e| in_horizon(e.at()));
+    let tickets = dataset
+        .tickets()
+        .iter()
+        .filter(|t| in_horizon(t.opened_at()));
+    // Sized exactly, so the feed holds no growth slack.
+    let mut feed: Vec<FeedEvent> = Vec::with_capacity(
+        dataset.machines().len() + usage_weeks + events.clone().count() + tickets.clone().count(),
+    );
 
     for m in dataset.machines() {
         let onoff_rate = onoff_rates
@@ -151,27 +165,23 @@ pub fn dataset_feed(dataset: &FailureDataset) -> Vec<FeedEvent> {
             }
         }
     }
-    for ev in dataset.events() {
-        if horizon.week_of(ev.at()).is_some() {
-            feed.push(FeedEvent {
-                at: ev.at(),
-                seq: 0,
-                payload: FeedPayload::Failure {
-                    machine: ev.machine(),
-                },
-            });
-        }
+    for ev in events {
+        feed.push(FeedEvent {
+            at: ev.at(),
+            seq: 0,
+            payload: FeedPayload::Failure {
+                machine: ev.machine(),
+            },
+        });
     }
-    for t in dataset.tickets() {
-        if horizon.week_of(t.opened_at()).is_some() {
-            feed.push(FeedEvent {
-                at: t.opened_at(),
-                seq: 0,
-                payload: FeedPayload::Ticket {
-                    machine: t.machine(),
-                },
-            });
-        }
+    for t in tickets {
+        feed.push(FeedEvent {
+            at: t.opened_at(),
+            seq: 0,
+            payload: FeedPayload::Ticket {
+                machine: t.machine(),
+            },
+        });
     }
 
     feed.sort_by_key(|e| {

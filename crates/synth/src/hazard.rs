@@ -241,7 +241,7 @@ fn raw_static_mult(config: &ScenarioConfig, m: &Machine, telemetry: &Telemetry) 
         if fx.onoff {
             let rate = telemetry
                 .onoff(m.id())
-                .and_then(OnOffLog::monthly_transition_rate)
+                .and_then(OnOffView::monthly_transition_rate)
                 .unwrap_or(0.0);
             mult *= curves::onoff_mult(rate);
         }

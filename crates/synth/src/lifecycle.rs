@@ -147,6 +147,7 @@ mod tests {
         let mut rates = Vec::new();
         for _ in 0..2_000 {
             let log = sample_onoff_log(&mut rng, window);
+            let log = log.view();
             assert_eq!(log.window(), window);
             rates.push(log.monthly_transition_rate().unwrap());
         }

@@ -12,57 +12,66 @@ use crate::population::Population;
 use dcfail_model::prelude::*;
 use dcfail_stats::rng::StreamRng;
 use std::ops::Range;
+use std::sync::Mutex;
 
-struct MachineTelemetry {
-    usage: Vec<WeeklyUsage>,
-    onoff: Option<OnOffLog>,
-    consolidation: Option<Vec<u16>>,
-}
+/// Machines per chunk of [`generate_range`]'s parallel pass. A constant, so
+/// the chunks never depend on the thread count.
+const CHUNK_MACHINES: usize = 128;
 
-fn machine_telemetry(
+/// One chunk of machines and its rows of the usage and consolidation
+/// buffers: `weeks` records per machine, `months` levels per VM.
+type Chunk<'a> = (&'a [Machine], &'a mut [WeeklyUsage], &'a mut [u16]);
+
+/// Draws one chunk's telemetry: writes each machine's usage and each VM's
+/// consolidation into the chunk's rows, and returns the VMs' on/off logs in
+/// machine order. Each machine draws from its own stream
+/// (`fork_index("telemetry", id)`): its base levels, its weekly noise, then,
+/// for a VM, its on/off log and its consolidation levels.
+fn draw_chunk(
     config: &ScenarioConfig,
     pop: &Population,
-    machine: &Machine,
+    (machines, usage, levels): Chunk<'_>,
     rng: &StreamRng,
-) -> MachineTelemetry {
+) -> Vec<OnOffLog> {
     let weeks = config.horizon.num_weeks();
     let months = config.horizon.num_months();
     let onoff_window = config.onoff_window();
-    let mut rng = rng.fork_index("telemetry", machine.id().raw() as u64);
-    let base = sample_base_usage(&mut rng, machine.kind());
-    // One batched draw for all weekly noise (4 draws per week, in the same
-    // cpu/mem/disk/net order the per-week loop used) instead of 4 × weeks
-    // separate calls.
+    // Batched draws, reused across the chunk: 4 per week in the same
+    // cpu/mem/disk/net order a per-week loop would use, and one per month.
     let mut noise = vec![0.0; 4 * weeks];
-    rng.uniform_fill(&mut noise);
-    let usage: Vec<WeeklyUsage> = noise
-        .chunks_exact(4)
-        .map(|n| jitter_week(n, base))
-        .collect();
-    let (onoff, consolidation) = if machine.is_vm() {
-        let log = lifecycle::sample_onoff_log(&mut rng, onoff_window);
-        let occupancy = machine
-            .host()
-            .and_then(|b| pop.topology.host_box(b))
-            .map_or(1, HostBox::occupancy);
-        let cons = consolidation_series(&mut rng, occupancy, months);
-        (Some(log), Some(cons))
-    } else {
-        (None, None)
-    };
-    MachineTelemetry {
-        usage,
-        onoff,
-        consolidation,
+    let mut monthly = vec![0.0; months];
+    let mut logs = Vec::new();
+    for (i, machine) in machines.iter().enumerate() {
+        let mut rng = rng.fork_index("telemetry", machine.id().raw() as u64);
+        let base = sample_base_usage(&mut rng, machine.kind());
+        rng.uniform_fill(&mut noise);
+        let row = &mut usage[i * weeks..][..weeks];
+        for (week, n) in row.iter_mut().zip(noise.chunks_exact(4)) {
+            *week = jitter_week(n, base);
+        }
+        if machine.is_vm() {
+            let vm = logs.len();
+            logs.push(lifecycle::sample_onoff_log(&mut rng, onoff_window));
+            let occupancy = machine
+                .host()
+                .and_then(|b| pop.topology.host_box(b))
+                .map_or(1, HostBox::occupancy);
+            rng.uniform_fill(&mut monthly);
+            let row = &mut levels[vm * months..][..months];
+            for (level, &u) in row.iter_mut().zip(&monthly) {
+                *level = consolidation_level(occupancy, u);
+            }
+        }
     }
+    logs
 }
 
 /// Generates all telemetry for a population.
 ///
 /// Each machine draws from its own stream (`fork_index("telemetry", id)`),
-/// so the per-machine series are computed in parallel and inserted in
-/// machine order — bit-identical to the sequential loop for any thread
-/// count.
+/// so the per-machine series are computed in parallel, chunk by chunk, and
+/// land in machine order — bit-identical to the sequential loop for any
+/// thread count.
 pub fn generate(config: &ScenarioConfig, pop: &Population, rng: &StreamRng) -> Telemetry {
     generate_range(config, pop, 0..pop.machines.len(), rng)
 }
@@ -74,6 +83,11 @@ pub fn generate(config: &ScenarioConfig, pop: &Population, rng: &StreamRng) -> T
 /// produces for it — this is what lets a shard coordinator materialize one
 /// machine range at a time and drop it before the next.
 ///
+/// The usage family and a buffer of every VM's consolidation levels are
+/// sized from the range up front and filled in place, one fixed chunk of
+/// machines per task, as `HazardModel::new` fills its rows. Each VM's levels
+/// and on/off log are then stored in machine order.
+///
 /// # Panics
 ///
 /// Panics if `range` is out of bounds for the population.
@@ -84,20 +98,36 @@ pub fn generate_range(
     rng: &StreamRng,
 ) -> Telemetry {
     let machines = &pop.machines[range];
-    // dlint::allow(D05): StreamRng is immutable; machine_telemetry forks per machine id
-    let per_machine = dcfail_par::par_map(machines, |_, machine| {
-        machine_telemetry(config, pop, machine, rng)
-    });
-
+    let weeks = config.horizon.num_weeks();
+    let months = config.horizon.num_months();
+    let vm_count = |machines: &[Machine]| machines.iter().filter(|m| m.is_vm()).count();
+    let mut levels = vec![0; vm_count(machines) * months];
+    let mut logs = Vec::new();
     let mut telemetry = Telemetry::new();
-    for (machine, t) in machines.iter().zip(per_machine) {
-        telemetry.set_usage(machine.id(), t.usage);
-        if let Some(log) = t.onoff {
-            telemetry.set_onoff(machine.id(), log);
-        }
-        if let Some(cons) = t.consolidation {
-            telemetry.set_consolidation(machine.id(), cons);
-        }
+    telemetry.append_usage(machines.iter().map(|m| (m.id(), weeks)), |usage| {
+        // Each chunk's rows, locked only by the worker that claims it.
+        let (mut usage, mut levels) = (usage, levels.as_mut_slice());
+        let chunks: Vec<Mutex<Chunk<'_>>> = machines
+            .chunks(CHUNK_MACHINES)
+            .map(|chunk| {
+                let (u, rest) = std::mem::take(&mut usage).split_at_mut(chunk.len() * weeks);
+                usage = rest;
+                let (l, rest) = std::mem::take(&mut levels).split_at_mut(vm_count(chunk) * months);
+                levels = rest;
+                Mutex::new((chunk, u, l))
+            })
+            .collect();
+        // dlint::allow(D05): StreamRng is immutable; draw_chunk forks per machine id
+        logs = dcfail_par::par_map_index(chunks.len(), |c| {
+            let mut chunk = chunks[c].lock().expect("a telemetry worker panicked");
+            let (machines, usage, levels) = &mut *chunk;
+            draw_chunk(config, pop, (machines, usage, levels), rng)
+        });
+    });
+    let vms = machines.iter().filter(|m| m.is_vm());
+    for (k, (vm, log)) in vms.zip(logs.into_iter().flatten()).enumerate() {
+        telemetry.set_consolidation(vm.id(), &levels[k * months..][..months]);
+        telemetry.set_onoff(vm.id(), log);
     }
     telemetry
 }
@@ -139,21 +169,15 @@ fn jitter_week(draws: &[f64], base: WeeklyUsage) -> WeeklyUsage {
     )
 }
 
-/// Monthly consolidation levels: home occupancy modulated by co-residents'
-/// power states (85–100% of them on in any month).
-fn consolidation_series(rng: &mut StreamRng, occupancy: usize, months: usize) -> Vec<u16> {
-    let mut draws = vec![0.0; months];
-    rng.uniform_fill(&mut draws);
-    draws
-        .iter()
-        .map(|&u| {
-            // `uniform_in(0.85, 1.0)` spelled out over the batched draw —
-            // the exact same float expression, so values are bit-identical.
-            let on_frac = 0.85 + (1.0 - 0.85) * u;
-            let co_resident_on = ((occupancy - 1) as f64 * on_frac).round() as u16;
-            1 + co_resident_on
-        })
-        .collect()
+/// One month's consolidation level: home occupancy modulated by
+/// co-residents' power states (85–100% of them on in any month), from one
+/// batched uniform `u`.
+fn consolidation_level(occupancy: usize, u: f64) -> u16 {
+    // `uniform_in(0.85, 1.0)` spelled out over the batched draw — the exact
+    // same float expression, so values are bit-identical.
+    let on_frac = 0.85 + (1.0 - 0.85) * u;
+    let co_resident_on = ((occupancy - 1) as f64 * on_frac).round() as u16;
+    1 + co_resident_on
 }
 
 #[cfg(test)]
