@@ -14,11 +14,11 @@
 //! This crate makes the assumptions checkable. [`audit_dataset`] evaluates a
 //! catalog of typed lint rules (see [`RuleId`]) against a validated
 //! [`FailureDataset`]; [`audit_raw`] evaluates the same catalog against
-//! [`RawDatasetParts`], an *unvalidated* mirror of the dataset's serialized
-//! form, so that files a strict deserializer would reject can still be
-//! loaded, diagnosed and reported on. Each finding is a [`Diagnostic`] with a
-//! stable rule id, a severity, the offending entity ids and a human-readable
-//! message; the whole run renders as an [`AuditReport`] in text or JSON.
+//! [`RawDatasetParts`], the dataset's record *unvalidated*, so that files a
+//! strict deserializer would reject can still be loaded, diagnosed and
+//! reported on. Each finding is a [`Diagnostic`] with a stable rule id, a
+//! severity, the offending entity ids and a human-readable message; the
+//! whole run renders as an [`AuditReport`] in text or JSON.
 //!
 //! The pass is wired at the toolkit's trust boundaries:
 //!
@@ -31,19 +31,20 @@
 //! ```
 //! use dcfail_model::prelude::*;
 //!
-//! let mut topo = Topology::new();
-//! topo.add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
-//! let mut b = DatasetBuilder::new();
-//! b.topology(topo);
-//! b.add_machine(Machine::new_pm(
+//! let mut parts = RawDatasetParts::default();
+//! let sys = SubsystemId::new(0);
+//! parts.topology.add_subsystem(SubsystemMeta::new(sys, "Sys I"));
+//! parts.machines.push(Machine::new_pm(
 //!     MachineId::new(0),
-//!     SubsystemId::new(0),
+//!     sys,
 //!     PowerDomainId::new(0),
 //!     ResourceCapacity::default(),
 //!     None,
 //! ));
-//! let report = dcfail_audit::audit_dataset(&b.build());
-//! assert!(report.is_clean());
+//! assert!(dcfail_audit::audit_raw(&parts).is_clean());
+//! let dataset = FailureDataset::try_from(parts)?;
+//! assert!(dcfail_audit::audit_dataset(&dataset).is_clean());
+//! # Ok::<(), DatasetError>(())
 //! ```
 //!
 //! [`ScenarioConfig`]: RuleId::ConfigScaleOutOfRange
@@ -71,16 +72,7 @@ use dcfail_model::prelude::FailureDataset;
 /// full catalog.
 pub fn audit_dataset(dataset: &FailureDataset) -> AuditReport {
     let _span = dcfail_obs::span("audit.dataset");
-    let report = rules::run(&rules::View {
-        horizon: dataset.horizon(),
-        machines: dataset.machines(),
-        topology: dataset.topology(),
-        incidents: dataset.incidents(),
-        tickets: dataset.tickets(),
-        texts: dataset.texts(),
-        events: dataset.events(),
-        telemetry: dataset.telemetry(),
-    });
+    let report = rules::run(dataset.parts());
     count_findings(&report);
     report
 }
@@ -93,16 +85,7 @@ pub fn audit_dataset(dataset: &FailureDataset) -> AuditReport {
 /// evaluated against the file exactly as written.
 pub fn audit_raw(parts: &RawDatasetParts) -> AuditReport {
     let _span = dcfail_obs::span("audit.raw");
-    let report = rules::run(&rules::View {
-        horizon: parts.horizon,
-        machines: &parts.machines,
-        topology: &parts.topology,
-        incidents: &parts.incidents,
-        tickets: &parts.tickets,
-        texts: &parts.texts,
-        events: &parts.events,
-        telemetry: &parts.telemetry,
-    });
+    let report = rules::run(parts);
     count_findings(&report);
     report
 }

@@ -427,29 +427,39 @@ pub fn recover_raw(parts: &RawDatasetParts) -> Result<Recovered, RecoverError> {
 
     let dataset = {
         let _s = dcfail_obs::span("recover.build");
-        let mut builder = DatasetBuilder::new();
-        builder.horizon(horizon).topology(topology);
-        for m in machines {
-            builder.add_machine(m);
-        }
-        for (i, (class, at, members)) in incidents.into_iter().enumerate() {
-            builder.add_incident(Incident::new(IncidentId::new(i as u32), class, at, members));
-        }
-        // The source's text table, shared: recovery copies no text.
-        builder.tickets(Arc::clone(&parts.texts), tickets.kept);
-        for e in events {
-            builder.add_event(FailureEvent::new(
-                e.machine,
-                e.incident,
-                TicketId::new(e.ticket as u32),
-                e.at,
-                e.true_class,
-                e.reported_class,
-                e.repair,
-            ));
-        }
-        builder.telemetry(telemetry);
-        builder.try_build().map_err(RecoverError)?
+        let incidents = incidents
+            .into_iter()
+            .enumerate()
+            .map(|(i, (class, at, members))| {
+                Incident::new(IncidentId::new(i as u32), class, at, members)
+            })
+            .collect();
+        let events = events
+            .iter()
+            .map(|e| {
+                FailureEvent::new(
+                    e.machine,
+                    e.incident,
+                    TicketId::new(e.ticket as u32),
+                    e.at,
+                    e.true_class,
+                    e.reported_class,
+                    e.repair,
+                )
+            })
+            .collect();
+        let recovered = RawDatasetParts {
+            horizon,
+            machines,
+            topology,
+            incidents,
+            tickets: tickets.kept,
+            // The source's text table, shared: recovery copies no text.
+            texts: Arc::clone(&parts.texts),
+            events,
+            telemetry,
+        };
+        FailureDataset::try_from(recovered).map_err(RecoverError)?
     };
     if dcfail_obs::enabled() {
         dcfail_obs::add("audit.recover.runs", 1);

@@ -1,20 +1,10 @@
-//! The rule engine: evaluates the lint catalog against a dataset view.
+//! The rule engine: evaluates the lint catalog against a dataset's parts,
+//! validated or raw.
 
 use crate::report::{AuditReport, Diagnostic, RuleId, MAX_SUBJECTS};
+use crate::RawDatasetParts;
 use dcfail_model::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Borrowed view over the parts of a dataset, validated or raw.
-pub(crate) struct View<'a> {
-    pub(crate) horizon: Horizon,
-    pub(crate) machines: &'a [Machine],
-    pub(crate) topology: &'a Topology,
-    pub(crate) incidents: &'a [Incident],
-    pub(crate) tickets: &'a [Ticket],
-    pub(crate) texts: &'a TextTable,
-    pub(crate) events: &'a [FailureEvent],
-    pub(crate) telemetry: &'a Telemetry,
-}
 
 /// Accumulates per-rule offenders and assembles the report.
 #[derive(Default)]
@@ -55,29 +45,29 @@ impl Sink {
     }
 }
 
-/// Runs the full catalog over `view`.
-pub(crate) fn run(view: &View<'_>) -> AuditReport {
+/// Runs the full catalog over `parts`.
+pub(crate) fn run(parts: &RawDatasetParts) -> AuditReport {
     let mut sink = Sink::default();
-    let horizon_ok = view.horizon.end() > view.horizon.start();
+    let horizon_ok = parts.horizon.end() > parts.horizon.start();
     if !horizon_ok {
         sink.note(
             RuleId::HorizonEmpty,
-            format!("observation window {} is empty or reversed", view.horizon),
+            format!("observation window {} is empty or reversed", parts.horizon),
         );
     }
-    check_machines(view, &mut sink);
-    check_placement(view, &mut sink);
-    check_incidents(view, &mut sink);
-    check_tickets(view, &mut sink);
-    check_events(view, &mut sink, horizon_ok);
-    check_telemetry(view, &mut sink, horizon_ok);
-    check_population(view, &mut sink);
+    check_machines(parts, &mut sink);
+    check_placement(parts, &mut sink);
+    check_incidents(parts, &mut sink);
+    check_tickets(parts, &mut sink);
+    check_events(parts, &mut sink, horizon_ok);
+    check_telemetry(parts, &mut sink, horizon_ok);
+    check_population(parts, &mut sink);
     sink.finish()
 }
 
-fn check_machines(view: &View<'_>, sink: &mut Sink) {
-    let num_subsystems = view.topology.subsystems().len();
-    for (i, m) in view.machines.iter().enumerate() {
+fn check_machines(parts: &RawDatasetParts, sink: &mut Sink) {
+    let num_subsystems = parts.topology.subsystems().len();
+    for (i, m) in parts.machines.iter().enumerate() {
         if m.id().index() != i {
             sink.hit(RuleId::MachineIdsNotDense, format!("index {i}"));
         }
@@ -85,20 +75,20 @@ fn check_machines(view: &View<'_>, sink: &mut Sink) {
             sink.hit(RuleId::SubsystemDangling, m.id());
         }
     }
-    for b in view.topology.boxes() {
+    for b in parts.topology.boxes() {
         if b.subsystem().index() >= num_subsystems {
             sink.hit(RuleId::SubsystemDangling, b.id());
         }
     }
 }
 
-fn check_placement(view: &View<'_>, sink: &mut Sink) {
-    for m in view.machines {
+fn check_placement(parts: &RawDatasetParts, sink: &mut Sink) {
+    for m in &parts.machines {
         match (m.kind(), m.host()) {
             (MachineKind::Pm, Some(_)) | (MachineKind::Vm, None) => {
                 sink.hit(RuleId::PlacementKindMismatch, m.id());
             }
-            (MachineKind::Vm, Some(hbox)) => match view.topology.host_box(hbox) {
+            (MachineKind::Vm, Some(hbox)) => match parts.topology.host_box(hbox) {
                 None => sink.hit(RuleId::VmHostDangling, m.id()),
                 Some(b) if !b.vms().contains(&m.id()) => {
                     sink.hit(RuleId::BoxPlacementInconsistent, m.id());
@@ -108,9 +98,9 @@ fn check_placement(view: &View<'_>, sink: &mut Sink) {
             (MachineKind::Pm, None) => {}
         }
     }
-    for b in view.topology.boxes() {
+    for b in parts.topology.boxes() {
         for &vm in b.vms() {
-            let consistent = view
+            let consistent = parts
                 .machines
                 .get(vm.index())
                 .is_some_and(|m| m.host() == Some(b.id()));
@@ -121,9 +111,9 @@ fn check_placement(view: &View<'_>, sink: &mut Sink) {
     }
 }
 
-fn check_incidents(view: &View<'_>, sink: &mut Sink) {
-    let num_machines = view.machines.len();
-    for (i, inc) in view.incidents.iter().enumerate() {
+fn check_incidents(parts: &RawDatasetParts, sink: &mut Sink) {
+    let num_machines = parts.machines.len();
+    for (i, inc) in parts.incidents.iter().enumerate() {
         if inc.id().index() != i {
             sink.hit(RuleId::IncidentIdsNotDense, format!("index {i}"));
         }
@@ -138,9 +128,9 @@ fn check_incidents(view: &View<'_>, sink: &mut Sink) {
     }
 }
 
-fn check_tickets(view: &View<'_>, sink: &mut Sink) {
-    let num_machines = view.machines.len();
-    for (i, t) in view.tickets.iter().enumerate() {
+fn check_tickets(parts: &RawDatasetParts, sink: &mut Sink) {
+    let num_machines = parts.machines.len();
+    for (i, t) in parts.tickets.iter().enumerate() {
         if t.id().index() != i {
             sink.hit(RuleId::TicketIdsNotDense, format!("index {i}"));
         }
@@ -152,19 +142,19 @@ fn check_tickets(view: &View<'_>, sink: &mut Sink) {
         }
         if [t.description(), t.resolution()]
             .into_iter()
-            .any(|id| view.texts.get(id).is_none())
+            .any(|id| parts.texts.get(id).is_none())
         {
             sink.hit(RuleId::TicketTextDangling, t.id());
         }
     }
 }
 
-fn check_events(view: &View<'_>, sink: &mut Sink, horizon_ok: bool) {
-    let num_machines = view.machines.len();
-    let num_incidents = view.incidents.len();
-    let num_tickets = view.tickets.len();
+fn check_events(parts: &RawDatasetParts, sink: &mut Sink, horizon_ok: bool) {
+    let num_machines = parts.machines.len();
+    let num_incidents = parts.incidents.len();
+    let num_tickets = parts.tickets.len();
 
-    for (i, pair) in view.events.windows(2).enumerate() {
+    for (i, pair) in parts.events.windows(2).enumerate() {
         let key = |e: &FailureEvent| (e.at(), e.machine(), e.incident());
         if key(&pair[0]) > key(&pair[1]) {
             sink.hit(RuleId::EventsUnsorted, format!("index {}", i + 1));
@@ -176,14 +166,14 @@ fn check_events(view: &View<'_>, sink: &mut Sink, horizon_ok: bool) {
     let mut seen_instants: BTreeSet<(MachineId, SimTime)> = BTreeSet::new();
     let mut per_machine: BTreeMap<MachineId, Vec<&FailureEvent>> = BTreeMap::new();
 
-    for ev in view.events {
+    for ev in &parts.events {
         if ev.machine().index() >= num_machines {
             sink.hit(RuleId::EventMachineDangling, ev.machine());
         }
         if ev.incident().index() >= num_incidents {
             sink.hit(RuleId::EventIncidentDangling, ev.incident());
         } else {
-            let inc = &view.incidents[ev.incident().index()];
+            let inc = &parts.incidents[ev.incident().index()];
             if !inc.machines().contains(&ev.machine()) {
                 sink.hit(
                     RuleId::EventNotInIncident,
@@ -199,7 +189,7 @@ fn check_events(view: &View<'_>, sink: &mut Sink, horizon_ok: bool) {
             sink.hit(RuleId::EventTicketDangling, ev.ticket());
         } else {
             referenced_tickets.insert(ev.ticket());
-            let t = &view.tickets[ev.ticket().index()];
+            let t = &parts.tickets[ev.ticket().index()];
             let agrees = t.is_crash()
                 && t.machine() == ev.machine()
                 && t.incident() == Some(ev.incident())
@@ -209,7 +199,7 @@ fn check_events(view: &View<'_>, sink: &mut Sink, horizon_ok: bool) {
                 sink.hit(RuleId::EventTicketMismatch, ev.ticket());
             }
         }
-        if horizon_ok && !view.horizon.contains(ev.at()) {
+        if horizon_ok && !parts.horizon.contains(ev.at()) {
             sink.hit(
                 RuleId::EventOutsideHorizon,
                 format!("{}@{}", ev.machine(), ev.at()),
@@ -231,11 +221,11 @@ fn check_events(view: &View<'_>, sink: &mut Sink, horizon_ok: bool) {
     }
 
     for (inc, first) in &incident_first_event {
-        if view.incidents[inc.index()].at() != *first {
+        if parts.incidents[inc.index()].at() != *first {
             sink.hit(RuleId::IncidentAtMismatch, inc);
         }
     }
-    for inc in view.incidents {
+    for inc in &parts.incidents {
         if !incident_first_event.contains_key(&inc.id()) {
             sink.hit(RuleId::IncidentWithoutEvents, inc.id());
         }
@@ -249,23 +239,24 @@ fn check_events(view: &View<'_>, sink: &mut Sink, horizon_ok: bool) {
             sink.hit(RuleId::RepairOverlap, machine);
         }
     }
-    for t in view.tickets {
+    for t in &parts.tickets {
         if t.is_crash() && !referenced_tickets.contains(&t.id()) {
             sink.hit(RuleId::CrashTicketWithoutEvent, t.id());
         }
     }
 }
 
-fn check_telemetry(view: &View<'_>, sink: &mut Sink, horizon_ok: bool) {
-    let num_machines = view.machines.len();
-    let num_weeks = view.horizon.num_weeks();
+fn check_telemetry(parts: &RawDatasetParts, sink: &mut Sink, horizon_ok: bool) {
+    let num_machines = parts.machines.len();
+    let num_weeks = parts.horizon.num_weeks();
     let is_pm = |m: MachineId| {
-        view.machines
+        parts
+            .machines
             .get(m.index())
             .is_some_and(dcfail_model::machine::Machine::is_pm)
     };
 
-    for (m, weeks) in view.telemetry.usage_series() {
+    for (m, weeks) in parts.telemetry.usage_series() {
         if m.index() >= num_machines {
             sink.hit(RuleId::TelemetryMachineDangling, m);
         }
@@ -273,7 +264,7 @@ fn check_telemetry(view: &View<'_>, sink: &mut Sink, horizon_ok: bool) {
             sink.hit(RuleId::UsageSeriesLength, m);
         }
     }
-    for (m, log) in view.telemetry.onoff_logs() {
+    for (m, log) in parts.telemetry.onoff_logs() {
         if m.index() >= num_machines {
             sink.hit(RuleId::TelemetryMachineDangling, m);
         } else if is_pm(m) {
@@ -284,12 +275,12 @@ fn check_telemetry(view: &View<'_>, sink: &mut Sink, horizon_ok: bool) {
             sink.hit(RuleId::OnOffTogglesInvalid, m);
         }
         if horizon_ok
-            && (window.start() < view.horizon.start() || window.end() > view.horizon.end())
+            && (window.start() < parts.horizon.start() || window.end() > parts.horizon.end())
         {
             sink.hit(RuleId::OnOffWindowOutsideHorizon, m);
         }
     }
-    for (m, levels) in view.telemetry.consolidation_series() {
+    for (m, levels) in parts.telemetry.consolidation_series() {
         if m.index() >= num_machines {
             sink.hit(RuleId::TelemetryMachineDangling, m);
         } else if is_pm(m) {
@@ -301,20 +292,20 @@ fn check_telemetry(view: &View<'_>, sink: &mut Sink, horizon_ok: bool) {
     }
 }
 
-fn check_population(view: &View<'_>, sink: &mut Sink) {
-    if view.events.is_empty() {
+fn check_population(parts: &RawDatasetParts, sink: &mut Sink) {
+    if parts.events.is_empty() {
         sink.note(RuleId::NoEvents, "dataset contains no crash events");
         return;
     }
-    if view.events.len() < 100 {
+    if parts.events.len() < 100 {
         return;
     }
     let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-    for ev in view.events {
+    for ev in &parts.events {
         *counts.entry(ev.true_class().index()).or_default() += 1;
     }
     if let Some((&class, &n)) = counts.iter().max_by_key(|&(_, &n)| n) {
-        let share = n as f64 / view.events.len() as f64;
+        let share = n as f64 / parts.events.len() as f64;
         if share > 0.9 {
             sink.note(
                 RuleId::ClassMixDegenerate,
@@ -322,7 +313,7 @@ fn check_population(view: &View<'_>, sink: &mut Sink) {
                     "true class {} covers {:.1}% of {} events",
                     FailureClass::from_index(class).label(),
                     100.0 * share,
-                    view.events.len()
+                    parts.events.len()
                 ),
             );
         }

@@ -29,24 +29,26 @@ fn fixture() -> FailureDataset {
     topo.assign_power_domain(PowerDomainId::new(0), MachineId::new(0));
     topo.assign_power_domain(PowerDomainId::new(0), MachineId::new(1));
 
-    let mut b = DatasetBuilder::new();
-    b.horizon(Horizon::observation_year());
-    b.topology(topo);
-    b.add_machine(Machine::new_pm(
-        MachineId::new(0),
-        SubsystemId::new(0),
-        PowerDomainId::new(0),
-        ResourceCapacity::default(),
-        None,
-    ));
-    b.add_machine(Machine::new_vm(
-        MachineId::new(1),
-        SubsystemId::new(0),
-        PowerDomainId::new(0),
-        ResourceCapacity::default(),
-        Some(SimTime::from_days(-100)),
-        BoxId::new(0),
-    ));
+    let mut parts = RawDatasetParts::default();
+    parts.horizon = Horizon::observation_year();
+    parts.topology = topo;
+    parts.machines = vec![
+        Machine::new_pm(
+            MachineId::new(0),
+            SubsystemId::new(0),
+            PowerDomainId::new(0),
+            ResourceCapacity::default(),
+            None,
+        ),
+        Machine::new_vm(
+            MachineId::new(1),
+            SubsystemId::new(0),
+            PowerDomainId::new(0),
+            ResourceCapacity::default(),
+            Some(SimTime::from_days(-100)),
+            BoxId::new(0),
+        ),
+    ];
 
     let specs = [
         (FailureClass::Reboot, MachineId::new(0), 2i64, HOUR),
@@ -55,13 +57,14 @@ fn fixture() -> FailureDataset {
     ];
     let mut texts = TextTable::default();
     let (unresponsive, fixed) = (texts.push("server unresponsive"), texts.push("fixed"));
-    let mut tickets = Vec::new();
     for (i, &(class, machine, day, repair)) in specs.iter().enumerate() {
         let at = SimTime::from_days(day);
         let incident = IncidentId::new(i as u32);
         let ticket = TicketId::new(i as u32);
-        b.add_incident(Incident::new(incident, class, at, vec![machine]));
-        tickets.push(Ticket::new(
+        parts
+            .incidents
+            .push(Incident::new(incident, class, at, vec![machine]));
+        parts.tickets.push(Ticket::new(
             ticket,
             machine,
             TicketKind::Crash,
@@ -72,11 +75,11 @@ fn fixture() -> FailureDataset {
             fixed,
             Some(class),
         ));
-        b.add_event(FailureEvent::new(
+        parts.events.push(FailureEvent::new(
             machine, incident, ticket, at, class, class, repair,
         ));
     }
-    b.tickets(Arc::new(texts), tickets);
+    parts.texts = Arc::new(texts);
 
     let mut t = Telemetry::new();
     let usage = vec![WeeklyUsage::new(20.0, 30.0, 40.0, 64.0); 52];
@@ -92,8 +95,8 @@ fn fixture() -> FailureDataset {
         ),
     );
     t.set_consolidation(MachineId::new(1), vec![1; 13]);
-    b.telemetry(t);
-    b.build()
+    parts.telemetry = t;
+    FailureDataset::try_from(parts).unwrap()
 }
 
 fn fixture_value() -> Value {
@@ -479,30 +482,29 @@ fn each_corruption_fires_its_rule() {
 #[test]
 fn degenerate_class_mix_is_flagged() {
     // 120 events, all the same true class: an Info-level labeling smell.
-    let mut topo = Topology::new();
-    topo.add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
-    let mut b = DatasetBuilder::new();
-    b.horizon(Horizon::observation_year());
-    b.topology(topo);
-    b.add_machine(Machine::new_pm(
+    let mut parts = RawDatasetParts::default();
+    parts.horizon = Horizon::observation_year();
+    parts
+        .topology
+        .add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
+    parts.machines = vec![Machine::new_pm(
         MachineId::new(0),
         SubsystemId::new(0),
         PowerDomainId::new(0),
         ResourceCapacity::default(),
         None,
-    ));
+    )];
     let mut texts = TextTable::default();
     let none = texts.push("");
-    let mut tickets = Vec::new();
     for i in 0..120u32 {
         let at = SimTime::from_days(i64::from(i) * 3);
-        b.add_incident(Incident::new(
+        parts.incidents.push(Incident::new(
             IncidentId::new(i),
             FailureClass::Software,
             at,
             vec![MachineId::new(0)],
         ));
-        tickets.push(Ticket::new(
+        parts.tickets.push(Ticket::new(
             TicketId::new(i),
             MachineId::new(0),
             TicketKind::Crash,
@@ -513,7 +515,7 @@ fn degenerate_class_mix_is_flagged() {
             none,
             Some(FailureClass::Software),
         ));
-        b.add_event(FailureEvent::new(
+        parts.events.push(FailureEvent::new(
             MachineId::new(0),
             IncidentId::new(i),
             TicketId::new(i),
@@ -523,8 +525,8 @@ fn degenerate_class_mix_is_flagged() {
             HOUR,
         ));
     }
-    b.tickets(Arc::new(texts), tickets);
-    let report = audit_dataset(&b.build());
+    parts.texts = Arc::new(texts);
+    let report = audit_dataset(&FailureDataset::try_from(parts).unwrap());
     assert!(
         report.find(RuleId::ClassMixDegenerate).is_some(),
         "{report}"

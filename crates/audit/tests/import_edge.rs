@@ -111,7 +111,8 @@ machine,incident,at_minutes,class,repair_minutes
     let e = dataset_from_csv(MACHINES, negative_repair, horizon()).unwrap_err();
     assert!(e.to_string().contains("repair_minutes"), "{e}");
 
-    // An event outside the horizon used to panic inside builder.build().
+    // An event outside the horizon used to panic while the dataset was
+    // assembled.
     let outside = "\
 machine,incident,at_minutes,class,repair_minutes
 0,100,99999999,HW,600

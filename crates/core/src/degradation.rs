@@ -183,18 +183,18 @@ mod tests {
     fn missing_estate_group_degrades_instead_of_panicking() {
         // A dataset with machines but zero events: every estimator must
         // come back unavailable with caveats, not panic.
-        let mut topo = Topology::new();
-        topo.add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
-        let mut b = DatasetBuilder::new();
-        b.topology(topo);
-        b.add_machine(Machine::new_pm(
+        let mut parts = RawDatasetParts::default();
+        parts
+            .topology
+            .add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
+        parts.machines = vec![Machine::new_pm(
             MachineId::new(0),
             SubsystemId::new(0),
             PowerDomainId::new(0),
             ResourceCapacity::default(),
             None,
-        ));
-        let ds = b.build();
+        )];
+        let ds = FailureDataset::try_from(parts).unwrap();
 
         let fig2 = weekly_failure_rates_robust(&ds);
         assert!(fig2.value.is_none());

@@ -224,23 +224,9 @@ mod tests {
     #[test]
     fn an_estate_group_without_failures_has_no_summary() {
         let ds = testutil::dataset();
-        let mut b = DatasetBuilder::new();
-        b.horizon(ds.horizon()).topology(ds.topology().clone());
-        for m in ds.machines() {
-            b.add_machine(m.clone());
-        }
-        for incident in ds.incidents() {
-            b.add_incident(incident.clone());
-        }
-        b.tickets(std::sync::Arc::clone(ds.texts()), ds.tickets().to_vec());
-        for ev in ds
-            .events()
-            .iter()
-            .filter(|ev| ds.machine(ev.machine()).is_pm())
-        {
-            b.add_event(*ev);
-        }
-        let fig2 = weekly_failure_rates(&b.build());
+        let mut parts = RawDatasetParts::from(ds);
+        parts.events.retain(|ev| ds.machine(ev.machine()).is_pm());
+        let fig2 = weekly_failure_rates(&FailureDataset::try_from(parts).unwrap());
         assert!(fig2.all_pm.is_some());
         assert_eq!(fig2.all_vm, None);
         assert!(fig2.per_subsystem.iter().all(|s| s.vm.is_none()));

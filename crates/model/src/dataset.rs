@@ -43,13 +43,14 @@ fn csr_row<'a>(offsets: &[usize], index: &'a [usize], row: usize) -> &'a [usize]
     &index[offsets[row]..offsets[row + 1]]
 }
 
-/// A complete failure study dataset.
+/// A complete failure study dataset: its [`RawDatasetParts`], validated,
+/// plus the event indexes derived from them.
 ///
 /// This is the single input type of every analysis in `dcfail-core`. It can
-/// be produced by the simulator (`dcfail-synth`), assembled manually through
-/// [`DatasetBuilder`], or round-tripped through JSON so that analyses are
-/// re-runnable on saved traces — mirroring the paper's practice of mining
-/// several persistent databases.
+/// be produced by the simulator (`dcfail-synth`), converted from filled-in
+/// parts with `FailureDataset::try_from`, or round-tripped through JSON so
+/// that analyses are re-runnable on saved traces — mirroring the paper's
+/// practice of mining several persistent databases.
 ///
 /// Two datasets are equal when they say the same: ticket text compares as
 /// strings, not as [`TextId`]s, so a dataset whose table still holds texts
@@ -57,17 +58,8 @@ fn csr_row<'a>(offsets: &[usize], index: &'a [usize], row: usize) -> &'a [usize]
 #[derive(Debug, Clone, Deserialize)]
 #[serde(try_from = "RawDatasetParts")]
 pub struct FailureDataset {
-    horizon: Horizon,
-    machines: Vec<Machine>,
-    topology: Topology,
-    incidents: Vec<Incident>,
-    tickets: Vec<Ticket>,
-    /// Every ticket's text, each distinct text once. Shared by the dataset's
-    /// clones and raw parts; every ticket's ids resolve in it.
-    texts: Arc<TextTable>,
-    /// Crash events sorted by `(at, machine)`.
-    events: Vec<FailureEvent>,
-    telemetry: Telemetry,
+    /// The record, validated, its events sorted by `(at, machine, incident)`.
+    parts: RawDatasetParts,
     /// CSR per-machine event index (derived): machine `i`'s events are
     /// `event_index[event_offsets[i]..event_offsets[i + 1]]`, in time order.
     /// Dense offsets beat a map of vectors: one allocation each, built in
@@ -82,17 +74,18 @@ pub struct FailureDataset {
     incident_index: Vec<usize>,
 }
 
-/// The parts of a [`FailureDataset`] as serialized, without validation,
-/// canonicalization or the derived indexes.
+/// The record of a failure study — machines, topology, incidents, tickets,
+/// crash events and telemetry over one observation window — as written,
+/// without validation, canonicalization or the derived indexes.
 ///
-/// `FailureDataset` (de)serializes through this mirror: its serde path
-/// parses the parts, then *rejects* structurally broken input with a typed
-/// [`DatasetError`], which is the right behavior for analyses but useless
-/// for diagnosis. The parts themselves keep whatever a file says — unsorted
-/// events, dangling ids, reversed windows — so `dcfail-audit` can evaluate
-/// its full rule catalog against the input as written, name every defect at
-/// once, and convert a clean trace with `FailureDataset::try_from` without
-/// parsing it again.
+/// A [`FailureDataset`] is these parts, validated. To assemble one, fill in
+/// the fields and convert with `FailureDataset::try_from`, which *rejects*
+/// structurally broken parts with a typed [`DatasetError`]: the right
+/// behavior for analyses, but useless for diagnosis. The parts themselves
+/// keep whatever a file says — unsorted events, dangling ids, reversed
+/// windows — so `dcfail-audit` can evaluate its full rule catalog against
+/// the input as written, name every defect at once, and convert a clean
+/// trace without parsing it again.
 ///
 /// The JSON is [`FailureDataset`]'s: each ticket carries its text inline,
 /// and reading interns equal texts to one [`TextId`]. A ticket whose id is
@@ -110,8 +103,9 @@ pub struct RawDatasetParts {
     pub incidents: Vec<Incident>,
     /// Ticket records, nominally dense by id.
     pub tickets: Vec<Ticket>,
-    /// The text table ticket text ids point into, nominally covering every
-    /// ticket's ids.
+    /// The text table ticket text ids point into, each distinct text once,
+    /// nominally covering every ticket's ids. Shared, not copied, by a
+    /// dataset's clones and the parts copied from it.
     pub texts: Arc<TextTable>,
     /// Crash events, nominally sorted by `(at, machine, incident)`.
     pub events: Vec<FailureEvent>,
@@ -398,41 +392,38 @@ impl RawDatasetParts {
         }
         Ok(())
     }
+}
 
-    /// The parts as the one JSON writer and equality see them.
-    fn view(&self) -> PartsView<'_> {
-        PartsView {
-            horizon: self.horizon,
-            machines: &self.machines,
-            topology: &self.topology,
-            incidents: &self.incidents,
-            tickets: &self.tickets,
-            texts: &self.texts,
-            events: &self.events,
-            telemetry: &self.telemetry,
-        }
+impl PartialEq for RawDatasetParts {
+    /// Field-by-field equality, ticket text compared as strings.
+    fn eq(&self, other: &Self) -> bool {
+        self.horizon == other.horizon
+            && self.machines == other.machines
+            && self.topology == other.topology
+            && self.incidents == other.incidents
+            && self.tickets.len() == other.tickets.len()
+            && self
+                .tickets
+                .iter()
+                .zip(&other.tickets)
+                .all(|(a, b)| a.says_same(&self.texts, b, &other.texts))
+            && self.events == other.events
+            && self.telemetry == other.telemetry
     }
 }
 
-/// Borrowed parts of a dataset, validated or raw: the one JSON writer and
-/// the one equality behind both types.
-struct PartsView<'a> {
-    horizon: Horizon,
-    machines: &'a [Machine],
-    topology: &'a Topology,
-    incidents: &'a [Incident],
-    tickets: &'a [Ticket],
-    texts: &'a TextTable,
-    events: &'a [FailureEvent],
-    telemetry: &'a Telemetry,
+impl PartialEq for FailureDataset {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts == other.parts
+    }
 }
 
-impl PartsView<'_> {
+impl Serialize for RawDatasetParts {
     /// The JSON object, each ticket's text resolved inline; the table itself
     /// is never written.
     fn to_value(&self) -> Value {
         let entry = |key: &str, value: Value| (key.to_string(), value);
-        let tickets = self.tickets.iter().map(|t| t.to_json(self.texts));
+        let tickets = self.tickets.iter().map(|t| t.to_json(&self.texts));
         Value::Object(vec![
             entry("horizon", self.horizon.to_value()),
             entry("machines", self.machines.to_value()),
@@ -443,45 +434,11 @@ impl PartsView<'_> {
             entry("telemetry", self.telemetry.to_value()),
         ])
     }
-
-    /// Field-by-field equality, ticket text compared as strings.
-    fn says_same(&self, other: &PartsView<'_>) -> bool {
-        self.horizon == other.horizon
-            && self.machines == other.machines
-            && self.topology == other.topology
-            && self.incidents == other.incidents
-            && self.tickets.len() == other.tickets.len()
-            && self
-                .tickets
-                .iter()
-                .zip(other.tickets)
-                .all(|(a, b)| a.says_same(self.texts, b, other.texts))
-            && self.events == other.events
-            && self.telemetry == other.telemetry
-    }
-}
-
-impl PartialEq for RawDatasetParts {
-    fn eq(&self, other: &Self) -> bool {
-        self.view().says_same(&other.view())
-    }
-}
-
-impl PartialEq for FailureDataset {
-    fn eq(&self, other: &Self) -> bool {
-        self.view().says_same(&other.view())
-    }
-}
-
-impl Serialize for RawDatasetParts {
-    fn to_value(&self) -> Value {
-        self.view().to_value()
-    }
 }
 
 impl Serialize for FailureDataset {
     fn to_value(&self) -> Value {
-        self.view().to_value()
+        self.parts.to_value()
     }
 }
 
@@ -531,31 +488,35 @@ impl TryFrom<RawDatasetParts> for FailureDataset {
     type Error = DatasetError;
 
     /// Validates the raw parts, then canonicalizes: events are sorted by
-    /// `(at, machine, incident)` and the per-machine index is rebuilt.
-    /// Unsorted input is accepted (and sorted); structurally broken input —
-    /// dangling references (telemetry keyed to an unknown machine among
-    /// them), out-of-horizon events, reversed repair windows, on/off logs
-    /// with unsorted or out-of-window toggles — is rejected with a typed
-    /// error.
-    fn try_from(mut raw: RawDatasetParts) -> Result<Self, DatasetError> {
-        use std::mem::take;
-        raw.validate()?;
-        let mut ds = FailureDataset {
-            horizon: raw.horizon,
-            machines: take(&mut raw.machines),
-            topology: take(&mut raw.topology),
-            incidents: take(&mut raw.incidents),
-            tickets: take(&mut raw.tickets),
-            texts: take(&mut raw.texts),
-            events: take(&mut raw.events),
-            telemetry: take(&mut raw.telemetry),
-            event_offsets: Vec::new(),
-            event_index: Vec::new(),
-            incident_offsets: Vec::new(),
-            incident_index: Vec::new(),
-        };
-        ds.rebuild_index();
-        Ok(ds)
+    /// `(at, machine, incident)` and the event indexes are built. The parts'
+    /// vectors move into the dataset whole. Unsorted input is accepted (and
+    /// sorted); structurally broken input — ids that are not dense, dangling
+    /// references (telemetry keyed to an unknown machine among them),
+    /// out-of-horizon events, reversed repair windows, on/off logs with
+    /// unsorted or out-of-window toggles — is rejected with a typed error.
+    fn try_from(mut parts: RawDatasetParts) -> Result<Self, DatasetError> {
+        parts.validate()?;
+        // Unstable is safe: an incident hits each machine at most once, so
+        // (at, machine, incident) is unique per event and the order total.
+        parts
+            .events
+            .sort_unstable_by_key(|e| (e.at(), e.machine(), e.incident()));
+        let events = &parts.events;
+        let (event_offsets, event_index) = csr_index(
+            parts.machines.len(),
+            events.iter().map(|e| e.machine().index()),
+        );
+        let (incident_offsets, incident_index) = csr_index(
+            parts.incidents.len(),
+            events.iter().map(|e| e.incident().index()),
+        );
+        Ok(FailureDataset {
+            parts,
+            event_offsets,
+            event_index,
+            incident_offsets,
+            incident_index,
+        })
     }
 }
 
@@ -568,17 +529,18 @@ impl From<&FailureDataset> for RawDatasetParts {
     /// spare vector of dropped parts when there is one, and the text table
     /// is shared, not copied.
     fn from(ds: &FailureDataset) -> Self {
+        let parts = &ds.parts;
         let mut tickets = TICKET_SPARES.take();
-        tickets.extend_from_slice(&ds.tickets);
+        tickets.extend_from_slice(&parts.tickets);
         Self {
-            horizon: ds.horizon,
-            machines: ds.machines.clone(),
-            topology: ds.topology.clone(),
-            incidents: ds.incidents.clone(),
+            horizon: parts.horizon,
+            machines: parts.machines.clone(),
+            topology: parts.topology.clone(),
+            incidents: parts.incidents.clone(),
             tickets,
-            texts: Arc::clone(&ds.texts),
-            events: ds.events.clone(),
-            telemetry: ds.telemetry.clone(),
+            texts: Arc::clone(&parts.texts),
+            events: parts.events.clone(),
+            telemetry: parts.telemetry.clone(),
         }
     }
 }
@@ -590,79 +552,51 @@ impl Drop for RawDatasetParts {
     }
 }
 
+impl Drop for FailureDataset {
+    /// Frees the ticket vector before the parts' drop could keep it: only
+    /// raw parts leave a spare, so the built and the recovered datasets
+    /// each allocate their own (see `crate::spare`).
+    fn drop(&mut self) {
+        drop(std::mem::take(&mut self.parts.tickets));
+    }
+}
+
 impl From<FailureDataset> for RawDatasetParts {
-    fn from(ds: FailureDataset) -> Self {
-        RawDatasetParts {
-            horizon: ds.horizon,
-            machines: ds.machines,
-            topology: ds.topology,
-            incidents: ds.incidents,
-            tickets: ds.tickets,
-            texts: ds.texts,
-            events: ds.events,
-            telemetry: ds.telemetry,
-        }
+    fn from(mut ds: FailureDataset) -> Self {
+        std::mem::take(&mut ds.parts)
     }
 }
 
 impl FailureDataset {
-    /// The dataset's serialized parts as the one JSON writer and equality
-    /// see them.
-    fn view(&self) -> PartsView<'_> {
-        PartsView {
-            horizon: self.horizon,
-            machines: &self.machines,
-            topology: &self.topology,
-            incidents: &self.incidents,
-            tickets: &self.tickets,
-            texts: &self.texts,
-            events: &self.events,
-            telemetry: &self.telemetry,
-        }
-    }
-
-    fn rebuild_index(&mut self) {
-        // Unstable is safe: an incident hits each machine at most once, so
-        // (at, machine, incident) is unique per event and the order total.
-        self.events
-            .sort_unstable_by_key(|e| (e.at(), e.machine(), e.incident()));
-        let (event_offsets, event_index) = csr_index(
-            self.machines.len(),
-            self.events.iter().map(|e| e.machine().index()),
-        );
-        self.event_offsets = event_offsets;
-        self.event_index = event_index;
-        let (incident_offsets, incident_index) = csr_index(
-            self.incidents.len(),
-            self.events.iter().map(|e| e.incident().index()),
-        );
-        self.incident_offsets = incident_offsets;
-        self.incident_index = incident_index;
+    /// The record: every field of the dataset but its derived indexes.
+    pub fn parts(&self) -> &RawDatasetParts {
+        &self.parts
     }
 
     /// Observation window.
     pub fn horizon(&self) -> Horizon {
-        self.horizon
+        self.parts.horizon
     }
 
     /// All machines, dense by [`MachineId`].
     pub fn machines(&self) -> &[Machine] {
-        &self.machines
+        &self.parts.machines
     }
 
     /// Looks up a machine.
     pub fn machine(&self, id: MachineId) -> &Machine {
-        &self.machines[id.index()]
+        &self.parts.machines[id.index()]
     }
 
     /// Machines of one kind.
     pub fn machines_of_kind(&self, kind: MachineKind) -> impl Iterator<Item = &Machine> {
-        self.machines.iter().filter(move |m| m.kind() == kind)
+        self.parts.machines.iter().filter(move |m| m.kind() == kind)
     }
 
     /// Number of machines of `kind` in `subsystem`.
     pub fn population(&self, kind: MachineKind, subsystem: Option<SubsystemId>) -> usize {
-        self.machines
+        self.parts
+            .machines
             .iter()
             .filter(|m| m.kind() == kind && subsystem.is_none_or(|s| m.subsystem() == s))
             .count()
@@ -670,39 +604,39 @@ impl FailureDataset {
 
     /// Datacenter topology.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.parts.topology
     }
 
     /// All incidents, dense by [`IncidentId`].
     pub fn incidents(&self) -> &[Incident] {
-        &self.incidents
+        &self.parts.incidents
     }
 
     /// Looks up an incident.
     pub fn incident(&self, id: IncidentId) -> &Incident {
-        &self.incidents[id.index()]
+        &self.parts.incidents[id.index()]
     }
 
     /// All tickets (crash and non-crash), dense by [`TicketId`].
     pub fn tickets(&self) -> &[Ticket] {
-        &self.tickets
+        &self.parts.tickets
     }
 
     /// The ticket text table: [`TextTable::get`] reads a ticket's
     /// [`description`](Ticket::description) and
     /// [`resolution`](Ticket::resolution), and resolves every ticket's ids.
     pub fn texts(&self) -> &Arc<TextTable> {
-        &self.texts
+        &self.parts.texts
     }
 
     /// Looks up a ticket.
     pub fn ticket(&self, id: TicketId) -> &Ticket {
-        &self.tickets[id.index()]
+        &self.parts.tickets[id.index()]
     }
 
     /// All crash events, sorted by time.
     pub fn events(&self) -> &[FailureEvent] {
-        &self.events
+        &self.parts.events
     }
 
     /// Crash events of one machine, in time order. Unknown machine ids
@@ -710,7 +644,7 @@ impl FailureDataset {
     pub fn events_for(&self, machine: MachineId) -> impl Iterator<Item = &FailureEvent> {
         csr_row(&self.event_offsets, &self.event_index, machine.index())
             .iter()
-            .map(|&i| &self.events[i])
+            .map(|&i| &self.parts.events[i])
     }
 
     /// Crash events of one incident, in time order. Unknown incident ids
@@ -722,7 +656,7 @@ impl FailureDataset {
             incident.index(),
         )
         .iter()
-        .map(|&i| &self.events[i])
+        .map(|&i| &self.parts.events[i])
     }
 
     /// Machines that failed at least once (ascending id), with their event
@@ -733,13 +667,13 @@ impl FailureDataset {
             .enumerate()
             .filter_map(|(i, w)| {
                 let count = w[1] - w[0];
-                (count > 0).then(|| (self.machines[i].id(), count))
+                (count > 0).then(|| (self.parts.machines[i].id(), count))
             })
     }
 
     /// Telemetry store.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.parts.telemetry
     }
 
     /// Replaces every event's reported class using `f` (used after running a
@@ -748,18 +682,18 @@ impl FailureDataset {
         &mut self,
         mut f: impl FnMut(&FailureEvent) -> crate::failure::FailureClass,
     ) {
-        for ev in &mut self.events {
+        for ev in &mut self.parts.events {
             *ev = ev.with_reported_class(f(ev));
         }
     }
 
     /// Per-subsystem dataset statistics (the paper's Table II).
     pub fn subsystem_stats(&self) -> Vec<SubsystemStats> {
-        let num_sys = self.topology.subsystems().len();
+        let num_sys = self.parts.topology.subsystems().len();
         let mut stats: Vec<SubsystemStats> = (0..num_sys)
             .map(|i| SubsystemStats {
                 subsystem: SubsystemId::new(i as u32),
-                name: self.topology.subsystems()[i].name().to_string(),
+                name: self.parts.topology.subsystems()[i].name().to_string(),
                 pms: 0,
                 vms: 0,
                 all_tickets: 0,
@@ -768,14 +702,14 @@ impl FailureDataset {
                 crash_tickets_vm: 0,
             })
             .collect();
-        for m in &self.machines {
+        for m in &self.parts.machines {
             let s = &mut stats[m.subsystem().index()];
             match m.kind() {
                 MachineKind::Pm => s.pms += 1,
                 MachineKind::Vm => s.vms += 1,
             }
         }
-        for t in &self.tickets {
+        for t in &self.parts.tickets {
             let m = self.machine(t.machine());
             let s = &mut stats[m.subsystem().index()];
             s.all_tickets += 1;
@@ -841,139 +775,6 @@ impl SubsystemStats {
     }
 }
 
-/// Incremental builder for a [`FailureDataset`].
-///
-/// Validates cross-references at [`DatasetBuilder::build`] so that a dataset,
-/// once constructed, is internally consistent.
-#[derive(Debug, Default)]
-pub struct DatasetBuilder {
-    horizon: Option<Horizon>,
-    machines: Vec<Machine>,
-    topology: Topology,
-    incidents: Vec<Incident>,
-    tickets: Vec<Ticket>,
-    texts: Arc<TextTable>,
-    events: Vec<FailureEvent>,
-    telemetry: Telemetry,
-}
-
-impl DatasetBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the observation window (defaults to one year from `t = 0`).
-    pub fn horizon(&mut self, horizon: Horizon) -> &mut Self {
-        self.horizon = Some(horizon);
-        self
-    }
-
-    /// Sets the topology.
-    pub fn topology(&mut self, topology: Topology) -> &mut Self {
-        self.topology = topology;
-        self
-    }
-
-    /// Adds a machine. Machines must be added in dense id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-order ids.
-    pub fn add_machine(&mut self, machine: Machine) -> &mut Self {
-        assert_eq!(
-            machine.id().index(),
-            self.machines.len(),
-            "machines must be added in dense id order"
-        );
-        self.machines.push(machine);
-        self
-    }
-
-    /// Adds an incident. Incidents must be added in dense id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-order ids.
-    pub fn add_incident(&mut self, incident: Incident) -> &mut Self {
-        assert_eq!(
-            incident.id().index(),
-            self.incidents.len(),
-            "incidents must be added in dense id order"
-        );
-        self.incidents.push(incident);
-        self
-    }
-
-    /// Sets every ticket, dense by id, and the table their text ids point
-    /// into, replacing any set before.
-    pub fn tickets(&mut self, texts: Arc<TextTable>, tickets: Vec<Ticket>) -> &mut Self {
-        self.texts = texts;
-        self.tickets = tickets;
-        self
-    }
-
-    /// Adds a crash event.
-    pub fn add_event(&mut self, event: FailureEvent) -> &mut Self {
-        self.events.push(event);
-        self
-    }
-
-    /// Sets the telemetry store.
-    pub fn telemetry(&mut self, telemetry: Telemetry) -> &mut Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Number of machines added so far.
-    pub fn num_machines(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Number of incidents added so far.
-    pub fn num_incidents(&self) -> usize {
-        self.incidents.len()
-    }
-
-    /// Finalizes the dataset, validating every cross-reference.
-    ///
-    /// Infallible construction is the builder's contract, so validation
-    /// failures panic; use [`DatasetBuilder::try_build`] to get the typed
-    /// [`DatasetError`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event or ticket references an unknown machine, incident,
-    /// subsystem or text, if an event falls outside the horizon or carries a
-    /// negative repair, or if a ticket closes before opening — a dataset must
-    /// be internally consistent.
-    pub fn build(self) -> FailureDataset {
-        match self.try_build() {
-            Ok(ds) => ds,
-            Err(e) => panic!("invalid dataset: {e}"),
-        }
-    }
-
-    /// Finalizes the dataset, returning a typed error on broken invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DatasetError`] describing the first violated invariant.
-    pub fn try_build(self) -> Result<FailureDataset, DatasetError> {
-        let raw = RawDatasetParts {
-            horizon: self.horizon.unwrap_or_default(),
-            machines: self.machines,
-            topology: self.topology,
-            incidents: self.incidents,
-            tickets: self.tickets,
-            texts: self.texts,
-            events: self.events,
-            telemetry: self.telemetry,
-        };
-        FailureDataset::try_from(raw)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -985,58 +786,65 @@ mod tests {
     use crate::topology::SubsystemMeta;
 
     fn tiny_dataset() -> FailureDataset {
-        tiny_builder().build()
+        FailureDataset::try_from(tiny_parts()).unwrap()
     }
 
-    fn tiny_builder() -> DatasetBuilder {
-        let mut topo = Topology::new();
-        topo.add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
-        let mut b = DatasetBuilder::new();
-        b.topology(topo);
-        b.add_machine(Machine::new_pm(
+    /// One PM, Sys I's only machine, with two incidents of one event each,
+    /// the second earlier than the first, and their two crash tickets.
+    fn tiny_parts() -> RawDatasetParts {
+        let mut parts = RawDatasetParts::default();
+        parts
+            .topology
+            .add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
+        parts.machines = vec![Machine::new_pm(
             MachineId::new(0),
             SubsystemId::new(0),
             PowerDomainId::new(0),
             ResourceCapacity::default(),
             None,
-        ));
-        b.add_incident(Incident::new(
-            IncidentId::new(0),
-            FailureClass::Software,
-            SimTime::from_days(5),
-            vec![MachineId::new(0)],
-        ));
-        b.add_event(FailureEvent::new(
-            MachineId::new(0),
-            IncidentId::new(0),
-            TicketId::new(0),
-            SimTime::from_days(5),
-            FailureClass::Software,
-            FailureClass::Software,
-            HOUR * 3,
-        ));
-        // Out-of-order second event to exercise sorting.
-        b.add_incident(Incident::new(
-            IncidentId::new(1),
-            FailureClass::Reboot,
-            SimTime::from_days(2),
-            vec![MachineId::new(0)],
-        ));
-        b.add_event(FailureEvent::new(
-            MachineId::new(0),
-            IncidentId::new(1),
-            TicketId::new(1),
-            SimTime::from_days(2),
-            FailureClass::Reboot,
-            FailureClass::Reboot,
-            HOUR,
-        ));
+        )];
+        parts.incidents = vec![
+            Incident::new(
+                IncidentId::new(0),
+                FailureClass::Software,
+                SimTime::from_days(5),
+                vec![MachineId::new(0)],
+            ),
+            Incident::new(
+                IncidentId::new(1),
+                FailureClass::Reboot,
+                SimTime::from_days(2),
+                vec![MachineId::new(0)],
+            ),
+        ];
+        parts.events = vec![
+            FailureEvent::new(
+                MachineId::new(0),
+                IncidentId::new(0),
+                TicketId::new(0),
+                SimTime::from_days(5),
+                FailureClass::Software,
+                FailureClass::Software,
+                HOUR * 3,
+            ),
+            // Out-of-order second event to exercise sorting.
+            FailureEvent::new(
+                MachineId::new(0),
+                IncidentId::new(1),
+                TicketId::new(1),
+                SimTime::from_days(2),
+                FailureClass::Reboot,
+                FailureClass::Reboot,
+                HOUR,
+            ),
+        ];
         let (texts, tickets) = tiny_tickets();
-        b.tickets(Arc::new(texts), tickets);
-        b
+        parts.texts = Arc::new(texts);
+        parts.tickets = tickets;
+        parts
     }
 
-    /// The two crash tickets of `tiny_builder`'s incidents, with a table
+    /// The two crash tickets of `tiny_parts`'s incidents, with a table
     /// that also holds one text no ticket uses.
     fn tiny_tickets() -> (TextTable, Vec<Ticket>) {
         let mut texts = TextTable::default();
@@ -1155,9 +963,10 @@ mod tests {
             tickets[1].resolution(),
             Some(FailureClass::Reboot),
         );
-        let mut b = tiny_builder();
-        b.tickets(Arc::new(texts), tickets);
-        assert_ne!(b.build(), ds);
+        let mut parts = tiny_parts();
+        parts.texts = Arc::new(texts);
+        parts.tickets = tickets;
+        assert_ne!(FailureDataset::try_from(parts).unwrap(), ds);
     }
 
     #[test]
@@ -1166,9 +975,10 @@ mod tests {
         let mut short = TextTable::default();
         short.push("service hang");
         short.push("restarted agent");
-        let mut b = tiny_builder();
-        b.tickets(Arc::new(short), tickets);
-        let err = b.try_build().unwrap_err();
+        let mut parts = tiny_parts();
+        parts.texts = Arc::new(short);
+        parts.tickets = tickets;
+        let err = FailureDataset::try_from(parts).unwrap_err();
         assert_eq!(
             err,
             DatasetError::UnknownTicketText {
@@ -1242,21 +1052,22 @@ mod tests {
 
     /// `tiny_dataset` plus an on/off log on m0 over days 0–56 that toggles
     /// at `days`, read through serde so that `OnOffLog::new` checks nothing.
-    fn with_onoff_log(days: &[i64]) -> DatasetBuilder {
+    fn with_onoff_log(days: &[i64]) -> RawDatasetParts {
         let window = Horizon::new(SimTime::ZERO, SimTime::from_days(56));
         let json = serde_json::to_string(&OnOffLog::always_on(window))
             .unwrap()
             .replace(&toggles_json(&[]), &toggles_json(days));
-        let mut telemetry = Telemetry::new();
-        telemetry.set_onoff(MachineId::new(0), serde_json::from_str(&json).unwrap());
-        let mut b = tiny_builder();
-        b.telemetry(telemetry);
-        b
+        let mut parts = tiny_parts();
+        parts
+            .telemetry
+            .set_onoff(MachineId::new(0), serde_json::from_str(&json).unwrap());
+        parts
     }
 
     #[test]
     fn serde_rejects_reversed_onoff_toggles() {
-        let json = serde_json::to_string(&with_onoff_log(&[10, 20]).build()).unwrap();
+        let ds = FailureDataset::try_from(with_onoff_log(&[10, 20])).unwrap();
+        let json = serde_json::to_string(&ds).unwrap();
         let bad = json.replace(&toggles_json(&[10, 20]), &toggles_json(&[20, 10]));
         assert_ne!(bad, json);
         let err = serde_json::from_str::<FailureDataset>(&bad).unwrap_err();
@@ -1268,7 +1079,8 @@ mod tests {
 
     #[test]
     fn serde_rejects_out_of_window_onoff_toggle() {
-        let json = serde_json::to_string(&with_onoff_log(&[10, 20]).build()).unwrap();
+        let ds = FailureDataset::try_from(with_onoff_log(&[10, 20])).unwrap();
+        let json = serde_json::to_string(&ds).unwrap();
         // Day 100 lies inside the horizon but past the log's window.
         let bad = json.replace(&toggles_json(&[10, 20]), &toggles_json(&[10, 100]));
         assert_ne!(bad, json);
@@ -1278,7 +1090,7 @@ mod tests {
             "{err}"
         );
         assert_eq!(
-            with_onoff_log(&[10, 100]).try_build().unwrap_err(),
+            FailureDataset::try_from(with_onoff_log(&[10, 100])).unwrap_err(),
             DatasetError::InvalidOnOffToggles {
                 machine: MachineId::new(0)
             }
@@ -1311,13 +1123,11 @@ mod tests {
                 format!("telemetry references unknown machine {machine}")
             );
         }
-        // The builder takes the same path.
-        let mut telemetry = Telemetry::new();
-        telemetry.set_usage(MachineId::new(1), weeks);
-        let mut b = tiny_builder();
-        b.telemetry(telemetry);
+        // Parts filled in afresh take the same path.
+        let mut fresh = tiny_parts();
+        fresh.telemetry.set_usage(MachineId::new(1), weeks);
         assert_eq!(
-            b.try_build().unwrap_err(),
+            FailureDataset::try_from(fresh).unwrap_err(),
             DatasetError::UnknownTelemetryMachine {
                 machine: MachineId::new(1)
             }
@@ -1350,14 +1160,14 @@ mod tests {
 
     #[test]
     fn try_build_reports_typed_error() {
-        let mut b = DatasetBuilder::new();
-        b.add_incident(Incident::new(
+        let mut parts = RawDatasetParts::default();
+        parts.incidents = vec![Incident::new(
             IncidentId::new(0),
             FailureClass::Hardware,
             SimTime::ZERO,
             vec![MachineId::new(7)],
-        ));
-        let err = b.try_build().unwrap_err();
+        )];
+        let err = FailureDataset::try_from(parts).unwrap_err();
         assert_eq!(
             err,
             DatasetError::UnknownIncidentMember {
@@ -1368,47 +1178,42 @@ mod tests {
     }
 
     #[test]
-    fn builder_counts_what_was_added() {
-        let empty = DatasetBuilder::new();
-        assert_eq!((empty.num_machines(), empty.num_incidents()), (0, 0));
-        let b = tiny_builder();
-        assert_eq!((b.num_machines(), b.num_incidents()), (1, 2));
-        let ds = b.build();
+    fn conversion_moves_the_parts_vectors() {
+        let parts = tiny_parts();
+        let machines = parts.machines.as_ptr();
+        let tickets = parts.tickets.as_ptr();
+        let events = parts.events.as_ptr();
+        let ds = FailureDataset::try_from(parts).unwrap();
         assert_eq!(ds.machines().len(), 1);
         assert_eq!(ds.incidents().len(), 2);
         assert_eq!(ds.tickets().len(), 2);
+        assert!(std::ptr::eq(ds.machines().as_ptr(), machines));
+        assert!(std::ptr::eq(ds.tickets().as_ptr(), tickets));
+        assert!(std::ptr::eq(ds.events().as_ptr(), events));
     }
 
     #[test]
-    #[should_panic(expected = "unknown machine")]
-    fn build_rejects_dangling_event() {
-        let mut topo = Topology::new();
-        topo.add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
-        let mut b = DatasetBuilder::new();
-        b.topology(topo);
-        b.add_incident(Incident::new(
+    fn a_dangling_event_is_a_typed_error() {
+        let mut parts = tiny_parts();
+        let none = TextId::new(0);
+        parts.incidents = vec![Incident::new(
             IncidentId::new(0),
             FailureClass::Hardware,
             SimTime::ZERO,
-            vec![MachineId::new(7)],
-        ));
-        let mut texts = TextTable::default();
-        let none = texts.push("");
-        b.tickets(
-            Arc::new(texts),
-            vec![Ticket::new(
-                TicketId::new(0),
-                MachineId::new(0),
-                crate::ticket::TicketKind::Crash,
-                Some(IncidentId::new(0)),
-                SimTime::ZERO,
-                SimTime::ZERO + SimDuration::from_hours(1),
-                none,
-                none,
-                None,
-            )],
-        );
-        b.add_event(FailureEvent::new(
+            vec![MachineId::new(0)],
+        )];
+        parts.tickets = vec![Ticket::new(
+            TicketId::new(0),
+            MachineId::new(0),
+            crate::ticket::TicketKind::Crash,
+            Some(IncidentId::new(0)),
+            SimTime::ZERO,
+            SimTime::ZERO + SimDuration::from_hours(1),
+            none,
+            none,
+            None,
+        )];
+        parts.events = vec![FailureEvent::new(
             MachineId::new(7),
             IncidentId::new(0),
             TicketId::new(0),
@@ -1416,20 +1221,59 @@ mod tests {
             FailureClass::Hardware,
             FailureClass::Hardware,
             SimDuration::from_hours(1),
-        ));
-        let _ = b.build();
+        )];
+        let err = FailureDataset::try_from(parts).unwrap_err();
+        let machine = MachineId::new(7);
+        assert_eq!(err, DatasetError::UnknownEventMachine { machine });
+        assert!(err.to_string().contains("unknown machine"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "dense id order")]
-    fn out_of_order_machine_rejected() {
-        let mut b = DatasetBuilder::new();
-        b.add_machine(Machine::new_pm(
-            MachineId::new(5),
-            SubsystemId::new(0),
-            PowerDomainId::new(0),
-            ResourceCapacity::default(),
-            None,
-        ));
+    fn non_dense_ids_are_typed_errors() {
+        let pm = |id| {
+            Machine::new_pm(
+                MachineId::new(id),
+                SubsystemId::new(0),
+                PowerDomainId::new(0),
+                ResourceCapacity::default(),
+                None,
+            )
+        };
+        // Each family breaks at the reported position and nowhere before.
+        let mut first_machine = tiny_parts();
+        first_machine.machines[0] = pm(5);
+        let mut second_machine = tiny_parts();
+        second_machine.machines.push(pm(2));
+        let mut incidents = tiny_parts();
+        let twice = incidents.incidents[0].clone();
+        incidents.incidents[1] = twice;
+        let mut tickets = tiny_parts();
+        tickets.tickets[1] = tickets.tickets[1].with_id(TicketId::new(3));
+        for (parts, error, message) in [
+            (
+                first_machine,
+                DatasetError::NonDenseMachineIds { index: 0 },
+                "machine ids are not dense at position 0",
+            ),
+            (
+                second_machine,
+                DatasetError::NonDenseMachineIds { index: 1 },
+                "machine ids are not dense at position 1",
+            ),
+            (
+                incidents,
+                DatasetError::NonDenseIncidentIds { index: 1 },
+                "incident ids are not dense at position 1",
+            ),
+            (
+                tickets,
+                DatasetError::NonDenseTicketIds { index: 1 },
+                "ticket ids are not dense at position 1",
+            ),
+        ] {
+            let err = FailureDataset::try_from(parts).unwrap_err();
+            assert_eq!(err, error);
+            assert_eq!(err.to_string(), message);
+        }
     }
 }

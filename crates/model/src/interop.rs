@@ -14,10 +14,11 @@
 //! Event CSV columns:
 //! `machine,incident,at_minutes,class,repair_minutes`.
 
-use crate::dataset::{DatasetBuilder, FailureDataset};
+use crate::dataset::{FailureDataset, RawDatasetParts};
 use crate::failure::{FailureClass, FailureEvent, Incident};
 use crate::ids::{BoxId, IncidentId, MachineId, PowerDomainId, SubsystemId, TicketId};
 use crate::machine::{Machine, ResourceCapacity};
+use crate::telemetry::Telemetry;
 use crate::ticket::{TextTable, Ticket, TicketKind};
 use crate::time::{Horizon, SimDuration, SimTime};
 use crate::topology::{HostBox, SubsystemMeta, Topology};
@@ -204,11 +205,6 @@ fn assemble(
         incident_map.entry(row.incident).or_insert(next);
     }
 
-    let mut builder = DatasetBuilder::new();
-    builder.horizon(horizon).topology(topology);
-    for m in machines {
-        builder.add_machine(m);
-    }
     // Incidents: gather members and earliest time.
     let mut incident_members: Vec<(Option<SimTime>, FailureClass, Vec<MachineId>)> =
         vec![(None, FailureClass::Other, Vec::new()); incident_map.len()];
@@ -218,14 +214,19 @@ fn assemble(
         slot.1 = row.class;
         slot.2.push(row.machine);
     }
-    for (i, (at, class, members)) in incident_members.into_iter().enumerate() {
-        let at = at.unwrap_or(horizon.start());
-        builder.add_incident(Incident::new(IncidentId::new(i as u32), class, at, members));
-    }
+    let incidents = incident_members
+        .into_iter()
+        .enumerate()
+        .map(|(i, (at, class, members))| {
+            let at = at.unwrap_or(horizon.start());
+            Incident::new(IncidentId::new(i as u32), class, at, members)
+        })
+        .collect();
     // An event log carries no ticket text: every ticket names one empty text.
     let mut texts = TextTable::default();
     let no_text = texts.push("");
     let mut tickets = Vec::with_capacity(rows.len());
+    let mut events = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
         let ticket = TicketId::new(i as u32);
         let incident = IncidentId::new(incident_map[&row.incident]);
@@ -240,7 +241,7 @@ fn assemble(
             no_text,
             Some(row.class),
         ));
-        builder.add_event(FailureEvent::new(
+        events.push(FailureEvent::new(
             row.machine,
             incident,
             ticket,
@@ -250,8 +251,17 @@ fn assemble(
             row.repair,
         ));
     }
-    builder.tickets(Arc::new(texts), tickets);
-    builder.try_build().map_err(|e| err(0, e.to_string()))
+    let parts = RawDatasetParts {
+        horizon,
+        machines,
+        topology,
+        incidents,
+        tickets,
+        texts: Arc::new(texts),
+        events,
+        telemetry: Telemetry::new(),
+    };
+    FailureDataset::try_from(parts).map_err(|e| err(0, e.to_string()))
 }
 
 /// One machine-inventory row past its id, with ids as written. `host` is

@@ -21,7 +21,8 @@
 //!   affecting one or more machines, and its per-machine projection.
 //! * [`ticket::Ticket`] — a problem ticket with its repair window; its free
 //!   text lives once per dataset in a [`ticket::TextTable`].
-//! * [`dataset::FailureDataset`] — the assembled study input.
+//! * [`dataset::FailureDataset`] — the assembled study input: its
+//!   [`dataset::RawDatasetParts`], validated, plus the event indexes.
 //! * [`interop`] — flat-CSV import/export so external failure traces can be
 //!   analyzed with the same toolkit.
 //!
@@ -49,7 +50,7 @@ pub mod topology;
 
 /// Convenient glob import of the most frequently used model types.
 pub mod prelude {
-    pub use crate::dataset::{DatasetBuilder, DatasetError, FailureDataset, SubsystemStats};
+    pub use crate::dataset::{DatasetError, FailureDataset, RawDatasetParts, SubsystemStats};
     pub use crate::failure::{FailureClass, FailureEvent, Incident};
     pub use crate::ids::{
         BoxId, ClusterId, IncidentId, MachineId, PowerDomainId, SubsystemId, TextId, TicketId,

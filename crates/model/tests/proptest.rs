@@ -2,7 +2,6 @@
 
 #![allow(clippy::unwrap_used)]
 
-use dcfail_model::dataset::RawDatasetParts;
 use dcfail_model::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -28,20 +27,20 @@ const FRAGMENTS: [&str; 12] = [
 /// indexes into `texts`, which the table holds as given: equal texts get
 /// separate ids.
 fn dataset_with_texts(texts: &[String], pairs: &[(usize, usize)]) -> FailureDataset {
-    let mut topology = Topology::new();
-    topology.add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
-    let mut b = DatasetBuilder::new();
-    b.topology(topology);
-    b.add_machine(Machine::new_pm(
+    let mut parts = RawDatasetParts::default();
+    parts
+        .topology
+        .add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
+    parts.machines = vec![Machine::new_pm(
         MachineId::new(0),
         SubsystemId::new(0),
         PowerDomainId::new(0),
         ResourceCapacity::default(),
         None,
-    ));
+    )];
     let mut table = TextTable::default();
     let ids: Vec<TextId> = texts.iter().map(|t| table.push(t.as_str())).collect();
-    let tickets = pairs
+    parts.tickets = pairs
         .iter()
         .enumerate()
         .map(|(i, &(d, r))| {
@@ -59,8 +58,8 @@ fn dataset_with_texts(texts: &[String], pairs: &[(usize, usize)]) -> FailureData
             )
         })
         .collect();
-    b.tickets(Arc::new(table), tickets);
-    b.build()
+    parts.texts = Arc::new(table);
+    FailureDataset::try_from(parts).unwrap()
 }
 
 proptest! {

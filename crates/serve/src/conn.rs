@@ -7,10 +7,13 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Per-connection read/write timeout: a stalled peer costs a worker at most
-/// this long before the connection is dropped.
+/// How long a whole request may take to arrive, however its bytes trickle
+/// in, and how long [`Conn::refuse`]'s drain may run; also each write's
+/// timeout. A stalled or trickling peer costs a worker, or the acceptor
+/// for a shed connection, at most this long per phase before the
+/// connection is dropped.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Hard cap on a request (start line + headers + body). Anything larger is
@@ -67,18 +70,72 @@ impl Listener {
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
+    /// The read timeout last set on the socket.
+    read_timeout: Duration,
+}
+
+/// One time budget for a run of reads: a request, or a refusal's drain.
+/// It starts at the run's first read.
+struct Deadline {
+    limit: Duration,
+    started: Option<Instant>,
+}
+
+impl Deadline {
+    fn new(limit: Duration) -> Self {
+        Deadline {
+            limit,
+            started: None,
+        }
+    }
+
+    /// The time left for the next read: all of it for the first.
+    fn left(&mut self) -> Duration {
+        if let Some(started) = self.started {
+            return self.limit.saturating_sub(started.elapsed());
+        }
+        self.started = Some(Instant::now());
+        self.limit
+    }
 }
 
 impl Conn {
     fn adopt(stream: TcpStream) -> io::Result<Conn> {
         stream.set_read_timeout(Some(IO_TIMEOUT))?;
         stream.set_write_timeout(Some(IO_TIMEOUT))?;
-        Ok(Conn { stream })
+        Ok(Conn {
+            stream,
+            read_timeout: IO_TIMEOUT,
+        })
+    }
+
+    /// One read of a run bounded by `deadline`. The socket's read timeout
+    /// is re-armed with the time left only when it differs, so the first
+    /// read of an [`IO_TIMEOUT`] run, which a request that arrives whole
+    /// needs alone, makes no extra syscall.
+    fn read_by(&mut self, deadline: &mut Deadline, chunk: &mut [u8]) -> io::Result<usize> {
+        let left = deadline.left();
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "deadline passed"));
+        }
+        if left != self.read_timeout {
+            self.stream.set_read_timeout(Some(left))?;
+            self.read_timeout = left;
+        }
+        self.stream.read(chunk)
     }
 
     /// Reads one HTTP request's bytes: everything through the blank line,
-    /// plus a `Content-Length` body when the headers announce one.
+    /// plus a `Content-Length` body when the headers announce one. The
+    /// whole request gets 10 s (`IO_TIMEOUT`), not each read.
     pub fn read_request(&mut self) -> Result<Vec<u8>, ReadError> {
+        self.read_request_within(IO_TIMEOUT)
+    }
+
+    /// [`Conn::read_request`] with `limit` for the whole request. A head
+    /// never grows past [`MAX_REQUEST_BYTES`].
+    fn read_request_within(&mut self, limit: Duration) -> Result<Vec<u8>, ReadError> {
+        let mut deadline = Deadline::new(limit);
         let mut buf = Vec::with_capacity(512);
         let mut chunk = [0u8; 2048];
         // Bytes of `buf` already scanned without finding the terminator.
@@ -87,11 +144,12 @@ impl Conn {
             if let Some(end) = header_end_after(&buf, scanned) {
                 break end;
             }
-            if buf.len() >= MAX_REQUEST_BYTES {
+            let room = MAX_REQUEST_BYTES - buf.len();
+            if room == 0 {
                 return Err(ReadError::HeadersTooLarge);
             }
             scanned = buf.len();
-            let n = self.stream.read(&mut chunk)?;
+            let n = self.read_by(&mut deadline, &mut chunk[..room.min(2048)])?;
             if n == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -107,7 +165,7 @@ impl Conn {
             return Err(ReadError::ContentTooLarge);
         }
         while buf.len() < total {
-            let n = self.stream.read(&mut chunk)?;
+            let n = self.read_by(&mut deadline, &mut chunk)?;
             if n == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -132,14 +190,20 @@ impl Conn {
     /// left unread, and closing a socket with unread bytes sends a TCP RST
     /// that can destroy the answer before the client reads it. So the
     /// write side shuts first and up to 1 MiB more are read and dropped,
-    /// until the peer closes.
-    pub fn refuse(mut self, bytes: &[u8]) -> io::Result<()> {
+    /// until the peer closes or 10 s (`IO_TIMEOUT`) have passed.
+    pub fn refuse(self, bytes: &[u8]) -> io::Result<()> {
+        self.refuse_within(bytes, IO_TIMEOUT)
+    }
+
+    /// [`Conn::refuse`] with `limit` for the drain.
+    fn refuse_within(mut self, bytes: &[u8], limit: Duration) -> io::Result<()> {
         self.write_response(bytes)?;
         self.stream.shutdown(Shutdown::Write)?;
+        let mut deadline = Deadline::new(limit);
         let mut chunk = [0u8; 2048];
         let mut drained = 0;
         while drained < LINGER_BYTES {
-            match self.stream.read(&mut chunk) {
+            match self.read_by(&mut deadline, &mut chunk) {
                 Ok(0) | Err(_) => break,
                 Ok(n) => drained += n,
             }
@@ -453,24 +517,137 @@ mod tests {
         }
     }
 
-    /// Accepts one connection on an ephemeral port and reads one request
-    /// from it while `client` writes to the other end.
-    fn read_one(client: impl FnOnce(TcpStream) + Send) -> Result<Vec<u8>, ReadError> {
+    /// Accepts one connection on an ephemeral port and runs `server` on it
+    /// while `client` writes to the other end.
+    fn on_loopback<T>(client: impl FnOnce(TcpStream) + Send, server: impl FnOnce(Conn) -> T) -> T {
         let listener = Listener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::scope(|scope| {
             scope.spawn(move || client(TcpStream::connect(addr).unwrap()));
-            listener.accept().unwrap().read_request()
+            server(listener.accept().unwrap())
         })
+    }
+
+    /// Reads one request while `client` writes to the other end.
+    fn read_one(client: impl FnOnce(TcpStream) + Send) -> Result<Vec<u8>, ReadError> {
+        on_loopback(client, |mut conn| conn.read_request())
+    }
+
+    /// Writes `head`, then more, one byte every 20 ms for 5 s or until the
+    /// server hangs up: each read gets a byte long before any per-read
+    /// timeout.
+    fn trickle(mut stream: TcpStream, head: &[u8]) {
+        for &byte in head.iter().chain(std::iter::repeat(&b'a')).take(250) {
+            if stream.write_all(&[byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    /// How long `run` takes, with what it returns.
+    fn timed<T>(run: impl FnOnce() -> T) -> (T, Duration) {
+        let started = Instant::now();
+        let got = run();
+        (got, started.elapsed())
+    }
+
+    #[test]
+    fn a_request_in_one_read_keeps_the_armed_timeout() {
+        let raw = get_request("/registry");
+        let sent = raw.clone();
+        let (got, read_timeout) = on_loopback(
+            move |mut stream| stream.write_all(&sent).unwrap(),
+            |mut conn| (conn.read_request().unwrap(), conn.read_timeout),
+        );
+        assert_eq!(got, raw);
+        assert_eq!(read_timeout, IO_TIMEOUT, "the socket was re-armed");
+    }
+
+    /// Reads one request within `limit` while `client` writes, and fails
+    /// unless the read timed out at the deadline.
+    fn assert_cut_off(client: impl FnOnce(TcpStream) + Send) {
+        let limit = Duration::from_millis(300);
+        let (got, took) = on_loopback(client, |mut conn| timed(|| conn.read_request_within(limit)));
+        match got {
+            Err(ReadError::Io(e)) => assert!(
+                matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
+                "{e}"
+            ),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+        assert!(took >= limit && took < limit * 10, "cut off after {took:?}");
+    }
+
+    #[test]
+    fn a_trickling_peer_is_cut_off_at_the_deadline() {
+        assert_cut_off(|stream| trickle(stream, b"GET / HTTP/1.1\r\nX-Slow: "));
+    }
+
+    #[test]
+    fn a_stalled_peer_is_cut_off_at_the_deadline() {
+        // Half a head, then silence until the server hangs up (at most
+        // 5 s): the read that waits must end at the deadline.
+        assert_cut_off(|mut stream| {
+            stream.write_all(b"GET / HTTP/1.1\r\n").unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let _ = stream.read(&mut [0u8]);
+        });
+    }
+
+    #[test]
+    fn a_trickling_peer_is_cut_off_while_a_refusal_drains() {
+        let limit = Duration::from_millis(300);
+        let (done, took) = on_loopback(
+            |stream| trickle(stream, b""),
+            |conn| timed(|| conn.refuse_within(b"HTTP/1.1 431 \r\n\r\n", limit)),
+        );
+        done.unwrap();
+        assert!(took >= limit && took < limit * 10, "drained for {took:?}");
+    }
+
+    #[test]
+    fn an_endless_head_is_refused_at_the_cap() {
+        // Bytes counting up mod 251 never hold a blank line, and the first
+        // byte the reader left tells how many it took. Paced blocks of 1 kB
+        // arrive in reads that do not end on the cap.
+        let block: Vec<u8> = (0..251 * 4).map(|i| (i % 251) as u8).collect();
+        let (got, next) = on_loopback(
+            move |mut stream| {
+                while stream.write_all(&block).is_ok() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            },
+            |mut conn| {
+                let got = conn.read_request();
+                let mut next = [0u8];
+                conn.stream.read_exact(&mut next).unwrap();
+                (got, next[0])
+            },
+        );
+        assert!(matches!(got, Err(ReadError::HeadersTooLarge)), "{got:?}");
+        assert_eq!(usize::from(next), MAX_REQUEST_BYTES % 251);
     }
 
     #[test]
     fn a_trickled_request_is_read_whole_and_no_further() {
         let raw = post_request("/whatif", "{}");
-        let sent = [raw.as_slice(), b"GET / HTTP/1.1\r\n\r\n"].concat();
+        let sent = raw.clone();
         let got = read_one(move |mut stream| {
             for byte in sent {
                 stream.write_all(&[byte]).unwrap();
+            }
+            // The server may hang up once the request is whole, so these
+            // writes may fail.
+            for &byte in b"GET / HTTP/1.1\r\n\r\n" {
+                if stream.write_all(&[byte]).is_err() {
+                    break;
+                }
             }
         })
         .unwrap();

@@ -164,23 +164,13 @@ pub fn assemble_dataset(
     specs: &[IncidentSpec],
     rng: &StreamRng,
 ) -> FailureDataset {
-    let mut builder = DatasetBuilder::new();
-    builder.horizon(config.horizon);
-
-    // Lookup tables needed after the machines move into the builder.
+    // Each subsystem's machines, which the haystack draws from.
     let num_sys = pop.topology.subsystems().len();
     let mut sys_members: Vec<Vec<MachineId>> = vec![Vec::new(); num_sys];
-    let mut kinds: Vec<MachineKind> = Vec::with_capacity(pop.machines.len());
-    let mut sys_of: Vec<usize> = Vec::with_capacity(pop.machines.len());
     for m in &pop.machines {
         sys_members[m.subsystem().index()].push(m.id());
-        kinds.push(m.kind());
-        sys_of.push(m.subsystem().index());
     }
-    builder.topology(pop.topology);
-    for m in pop.machines {
-        builder.add_machine(m);
-    }
+    let machine = |id: MachineId| &pop.machines[id.index()];
 
     // Crash tickets + events from incident specs. Equal ticket texts share
     // one id into the dataset's text table (see `TicketTexts`).
@@ -188,7 +178,7 @@ pub fn assemble_dataset(
     let mut texts = tickets_gen::TicketTexts::new();
     let mut crash_per_sys = vec![0usize; num_sys];
     for m in specs.iter().flat_map(|spec| &spec.machines) {
-        crash_per_sys[sys_of[m.index()]] += 1;
+        crash_per_sys[machine(*m).subsystem().index()] += 1;
     }
     // Reserve for every crash ticket plus the haystack that tops each
     // subsystem with machines up to its Table II target.
@@ -197,13 +187,15 @@ pub fn assemble_dataset(
         .filter(|&sys| !sys_members[sys].is_empty())
         .map(|sys| target(sys).saturating_sub(crash_per_sys[sys]))
         .sum();
-    let mut tickets: Vec<Ticket> =
-        Vec::with_capacity(crash_per_sys.iter().sum::<usize>() + haystack);
+    let crash_tickets: usize = crash_per_sys.iter().sum();
+    let mut tickets: Vec<Ticket> = Vec::with_capacity(crash_tickets + haystack);
+    let mut incidents = Vec::with_capacity(specs.len());
+    let mut events = Vec::with_capacity(crash_tickets);
     let mut rng_text = rng.fork("tickets.text");
     let mut rng_repair = rng.fork("tickets.repair");
     for (inc_idx, spec) in specs.iter().enumerate() {
         let incident_id = IncidentId::new(inc_idx as u32);
-        builder.add_incident(Incident::new(
+        incidents.push(Incident::new(
             incident_id,
             spec.class,
             spec.at,
@@ -211,7 +203,7 @@ pub fn assemble_dataset(
         ));
         for &machine_id in &spec.machines {
             let ticket_id = TicketId::new(tickets.len() as u32);
-            let machine_kind = kinds[machine_id.index()];
+            let machine_kind = machine(machine_id).kind();
             let repair = tickets_gen::sample_repair(&mut rng_repair, spec.class, machine_kind);
             let text = texts.crash_text(&mut rng_text, spec.class, config.degraded_text_fraction);
             tickets.push(Ticket::new(
@@ -225,7 +217,7 @@ pub fn assemble_dataset(
                 text.resolution,
                 Some(spec.class),
             ));
-            builder.add_event(FailureEvent::new(
+            events.push(FailureEvent::new(
                 machine_id,
                 incident_id,
                 ticket_id,
@@ -270,9 +262,17 @@ pub fn assemble_dataset(
 
     drop(haystack_span);
     drop(tickets_span);
-    builder.tickets(Arc::new(texts.into_table()), tickets);
-    builder.telemetry(telemetry);
-    builder.build()
+    let parts = RawDatasetParts {
+        horizon: config.horizon,
+        machines: pop.machines,
+        topology: pop.topology,
+        incidents,
+        tickets,
+        texts: Arc::new(texts.into_table()),
+        events,
+        telemetry,
+    };
+    FailureDataset::try_from(parts).unwrap_or_else(|e| panic!("invalid dataset: {e}"))
 }
 
 #[cfg(test)]

@@ -543,17 +543,17 @@ mod tests {
     fn a_dataset_without_crash_tickets_is_left_as_it_is() {
         let mut texts = TextTable::default();
         let note = texts.push("backup job failed needs rerun");
-        let mut b = DatasetBuilder::new();
-        let mut topology = Topology::new();
-        topology.add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
-        b.topology(topology);
-        b.add_machine(Machine::new_pm(
+        let mut parts = RawDatasetParts::default();
+        parts
+            .topology
+            .add_subsystem(SubsystemMeta::new(SubsystemId::new(0), "Sys I"));
+        parts.machines = vec![Machine::new_pm(
             MachineId::new(0),
             SubsystemId::new(0),
             PowerDomainId::new(0),
             ResourceCapacity::default(),
             None,
-        ));
+        )];
         let routine = Ticket::new(
             TicketId::new(0),
             MachineId::new(0),
@@ -565,8 +565,9 @@ mod tests {
             note,
             None,
         );
-        b.tickets(std::sync::Arc::new(texts), vec![routine]);
-        let mut dataset = b.build();
+        parts.texts = std::sync::Arc::new(texts);
+        parts.tickets = vec![routine];
+        let mut dataset = FailureDataset::try_from(parts).unwrap();
         let before = dataset.clone();
         let c = apply_to_dataset(
             &mut dataset,
