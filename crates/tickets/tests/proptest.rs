@@ -8,8 +8,12 @@ use dcfail_tickets::store::TicketStore;
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// Text over ASCII letters, digits and punctuation, and letters whose
+/// UTF-8 is longer than one byte or whose lowercase is not one letter:
+/// `é`, `ß`, `İ` (lowercase `i` and a combining dot), `Σ` (final `ς`) and
+/// `中`.
 fn arbitrary_text() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[a-zA-Z0-9 .,;:()_-]{0,120}").expect("valid regex")
+    proptest::string::string_regex("[a-zA-Z0-9 .,;:()_éßİΣ中-]{0,120}").expect("valid regex")
 }
 
 fn ticket(id: u32, machine: u32, minute: i64, crash: bool) -> Ticket {
@@ -39,19 +43,24 @@ fn store(tickets: Vec<Ticket>) -> TicketStore {
 }
 
 proptest! {
-    /// The tokenizer never produces empty or single-character tokens and is
-    /// idempotent under re-joining.
+    /// The tokenizer never produces empty or single-character tokens, each
+    /// token is its own lowercase, it is idempotent under re-joining, and
+    /// two texts joined by a space tokenize as the first's tokens followed
+    /// by the second's (the per-text classifier relies on that).
     #[test]
-    fn tokenizer_properties(text in arbitrary_text()) {
+    fn tokenizer_properties(text in arbitrary_text(), other in arbitrary_text()) {
         let tokens = tokenize(&text);
         for t in &tokens {
-            prop_assert!(t.len() > 1);
+            prop_assert!(t.chars().count() > 1);
             prop_assert!(t.chars().all(char::is_alphanumeric));
             prop_assert_eq!(t.to_lowercase(), t.clone());
         }
         // Tokenizing the joined tokens yields the same tokens.
         let rejoined = tokens.join(" ");
-        prop_assert_eq!(tokenize(&rejoined), tokens);
+        prop_assert_eq!(tokenize(&rejoined), tokens.clone());
+        let mut both = tokens;
+        both.extend(tokenize(&other));
+        prop_assert_eq!(tokenize(&format!("{text} {other}")), both);
     }
 
     /// `manual_label` is total and deterministic on arbitrary text.
