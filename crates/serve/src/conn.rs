@@ -10,10 +10,11 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// How long a whole request may take to arrive, however its bytes trickle
-/// in, and how long [`Conn::refuse`]'s drain may run; also each write's
-/// timeout. A stalled or trickling peer costs a worker, or the acceptor
-/// for a shed connection, at most this long per phase before the
-/// connection is dropped.
+/// in, how long a whole response may take to leave, however slowly the
+/// peer reads it, and how long [`Conn::refuse`]'s drain may run. A stalled,
+/// trickling or slow-reading peer costs a worker, or the acceptor for a
+/// shed connection, at most this long per phase before the connection is
+/// dropped.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Hard cap on a request (start line + headers + body). Anything larger is
@@ -72,10 +73,12 @@ pub struct Conn {
     stream: TcpStream,
     /// The read timeout last set on the socket.
     read_timeout: Duration,
+    /// The write timeout last set on the socket.
+    write_timeout: Duration,
 }
 
-/// One time budget for a run of reads: a request, or a refusal's drain.
-/// It starts at the run's first read.
+/// One time budget for a run of reads or writes: a request, a response, or
+/// a refusal's drain. It starts at the run's first read or write.
 struct Deadline {
     limit: Duration,
     started: Option<Instant>,
@@ -89,7 +92,7 @@ impl Deadline {
         }
     }
 
-    /// The time left for the next read: all of it for the first.
+    /// The time left for the next read or write: all of it for the first.
     fn left(&mut self) -> Duration {
         if let Some(started) = self.started {
             return self.limit.saturating_sub(started.elapsed());
@@ -106,6 +109,7 @@ impl Conn {
         Ok(Conn {
             stream,
             read_timeout: IO_TIMEOUT,
+            write_timeout: IO_TIMEOUT,
         })
     }
 
@@ -179,9 +183,39 @@ impl Conn {
         Ok(buf)
     }
 
-    /// Writes a full response and flushes it.
+    /// One write of a run bounded by `deadline`, re-arming the socket's
+    /// write timeout as [`Conn::read_by`] does its read timeout: a response
+    /// that goes out in one write makes no extra syscall.
+    fn write_by(&mut self, deadline: &mut Deadline, bytes: &[u8]) -> io::Result<usize> {
+        let left = deadline.left();
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "deadline passed"));
+        }
+        if left != self.write_timeout {
+            self.stream.set_write_timeout(Some(left))?;
+            self.write_timeout = left;
+        }
+        self.stream.write(bytes)
+    }
+
+    /// Writes a full response and flushes it. The whole response gets 10 s
+    /// (`IO_TIMEOUT`), not each write, so a peer that reads a little now
+    /// and then cannot hold the worker longer.
     pub fn write_response(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.stream.write_all(bytes)?;
+        self.write_response_within(bytes, IO_TIMEOUT)
+    }
+
+    /// [`Conn::write_response`] with `limit` for the whole response.
+    fn write_response_within(&mut self, mut bytes: &[u8], limit: Duration) -> io::Result<()> {
+        let mut deadline = Deadline::new(limit);
+        while !bytes.is_empty() {
+            match self.write_by(&mut deadline, bytes) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => bytes = &bytes[n..],
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         self.stream.flush()
     }
 
@@ -348,6 +382,7 @@ mod tests {
     use super::*;
     use crate::http::parse_request;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Request fragments, `|`-separated, that the fragment fuzz strings
     /// together, so random input reaches the framing logic instead of
@@ -598,6 +633,61 @@ mod tests {
                 .unwrap();
             let _ = stream.read(&mut [0u8]);
         });
+    }
+
+    #[test]
+    fn a_response_in_one_write_keeps_the_armed_timeout() {
+        let write_timeout = on_loopback(
+            |mut stream| drop(stream.read_to_end(&mut Vec::new())),
+            |mut conn| {
+                conn.write_response(b"HTTP/1.1 200 OK\r\n\r\n").unwrap();
+                conn.write_timeout
+            },
+        );
+        assert_eq!(write_timeout, IO_TIMEOUT, "the socket was re-armed");
+    }
+
+    #[test]
+    fn a_slow_reader_is_cut_off_at_the_response_deadline() {
+        // 32 MiB is far more than the loopback socket buffers hold, and the
+        // peer takes 4 KiB every 20 ms, so each write makes progress long
+        // before any per-write timeout while the whole response would take
+        // minutes.
+        let limit = Duration::from_millis(300);
+        let response = vec![b'x'; 32 << 20];
+        let written = AtomicBool::new(false);
+        let (got, took) = on_loopback(
+            |mut stream| {
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                let mut chunk = [0u8; 4096];
+                let started = Instant::now();
+                while !written.load(Ordering::Relaxed) && started.elapsed() < Duration::from_secs(5)
+                {
+                    if stream.read(&mut chunk).map_or(true, |n| n == 0) {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            },
+            |mut conn| {
+                let got = timed(|| conn.write_response_within(&response, limit));
+                written.store(true, Ordering::Relaxed);
+                got
+            },
+        );
+        match got {
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
+                "{e}"
+            ),
+            Ok(()) => panic!("a 32 MiB response went out to a slow reader"),
+        }
+        assert!(took >= limit && took < limit * 10, "cut off after {took:?}");
     }
 
     #[test]
