@@ -42,8 +42,8 @@
 //!   and print the aggregated tree (`--json`: the schema-versioned export).
 //!   `--smoke` gates on the check (schema version, every stage span,
 //!   nonzero `par.jobs`, `synth.individual.hazard_evals`,
-//!   `panel.values_binned` and `kmeans.iterations` counters, disabled-path
-//!   overhead under 2%).
+//!   `panel.values_binned`, `classify.texts` and `kmeans.iterations`
+//!   counters, disabled-path overhead under 2%).
 //! * `bench` — run the same traced pipeline and read its spans; a 16-shard
 //!   out-of-core build runs first, outside the window, to probe the sharded
 //!   peak RSS. Writes `BENCH_<git-short-sha>.json`. `--record` appends the

@@ -109,13 +109,15 @@ const REQUIRED_STAGES: &str = "synth.build population placement telemetry incide
     manual_label stats.bootstrap report.run_all";
 
 /// Counters every traced run must record, and nonzero: the parallel
-/// runtime's jobs and three exact work counts, the hazard evaluations of
-/// the individual-failure walk, the values the panel kernel binned and the
-/// k-means Lloyd iterations.
-const REQUIRED_COUNTERS: [&str; 4] = [
+/// runtime's jobs and four exact work counts, the hazard evaluations of
+/// the individual-failure walk, the values the panel kernel binned, the
+/// distinct texts the classifier tokenized and the k-means Lloyd
+/// iterations.
+const REQUIRED_COUNTERS: [&str; 5] = [
     "par.jobs",
     "synth.individual.hazard_evals",
     "panel.values_binned",
+    "classify.texts",
     "kmeans.iterations",
 ];
 
@@ -152,8 +154,8 @@ pub struct ExportCheck {
     /// The first broken rule of the export contract (schema version, every
     /// stage span, on Linux a minor-fault count on every root stage, a
     /// nonzero `par.jobs`, `synth.individual.hazard_evals`,
-    /// `panel.values_binned` and `kmeans.iterations` count, disabled
-    /// overhead under 2%); `None` when it holds.
+    /// `panel.values_binned`, `classify.texts` and `kmeans.iterations`
+    /// count, disabled overhead under 2%); `None` when it holds.
     pub failure: Option<String>,
 }
 

@@ -205,7 +205,13 @@ fn work_counters_read_the_same_at_any_thread_count() {
         });
         assert_eq!(figures, [batch], "{threads} threads: the figure runners");
         assert_eq!(stream, [batch], "{threads} threads: the stream replay");
-        let kmeans = counted(&["kmeans.iterations", "kmeans.distance_evals"], || {
+        let classify = [
+            "classify.texts",
+            "kmeans.iterations",
+            "kmeans.distance_evals",
+            "kmeans.rows",
+        ];
+        let kmeans = counted(&classify, || {
             let mut rng = dcfail::stats::rng::StreamRng::new(11);
             apply_to_dataset(&mut dataset.clone(), PipelineConfig::default(), &mut rng);
         });
