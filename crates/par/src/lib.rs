@@ -1,10 +1,9 @@
 //! Deterministic parallel map/reduce on `std::thread::scope`.
 //!
 //! The workspace's hot paths — per-machine hazard simulation, bootstrap
-//! resampling, k-means assignment, report fan-out — are embarrassingly
-//! parallel, but every result must be **bit-identical** regardless of how
-//! many threads run it. This crate provides the one primitive that makes
-//! that safe:
+//! resampling, report fan-out — are embarrassingly parallel, but every
+//! result must be **bit-identical** regardless of how many threads run
+//! it. This crate provides the one primitive that makes that safe:
 //!
 //! * work is pre-partitioned into *indexed* chunks;
 //! * each chunk is claimed dynamically but its results are written back
