@@ -1,13 +1,15 @@
-//! Audited trace import: load, lint, and reject on Error-level findings.
+//! Audited trace import: load, lint, and reject on Error-level findings or
+//! recover, one function per format under a [`RecoveryMode`].
 //!
-//! These wrappers put the audit pass directly on the untrusted-input
+//! These functions put the audit pass directly on the untrusted-input
 //! boundary. The CSV path parses through `dcfail_model::interop` and then
 //! audits the assembled dataset; the JSON path first deserializes into
 //! [`RawDatasetParts`] (which accepts anything shape-valid) so the audit sees
 //! the file exactly as written, and only then converts to a validated
-//! [`FailureDataset`]. Either way, a trace with Error-level findings is
-//! refused and the full [`AuditReport`] is returned as the error — callers
-//! get every defect at once instead of the first one a strict parser hits.
+//! [`FailureDataset`]. Either way, a strict import refuses a trace with
+//! Error-level findings and returns the full [`AuditReport`] as the error —
+//! callers get every defect at once instead of the first one a strict
+//! parser hits — and a lenient one recovers it.
 
 use crate::recover::{recover_raw, DegradationReport, RecoveryMode, RepairRule};
 use crate::{audit_dataset, audit_raw, AuditReport, RawDatasetParts};
@@ -42,56 +44,6 @@ impl fmt::Display for ImportError {
 
 impl std::error::Error for ImportError {}
 
-/// Imports a machine-inventory + event-log CSV pair and audits the result.
-///
-/// On success the returned report still carries any Warn/Info findings so
-/// callers can surface data-quality concerns that are not fatal.
-///
-/// # Errors
-///
-/// Returns [`ImportError::Parse`] on malformed CSV and
-/// [`ImportError::Rejected`] when the assembled dataset has Error-level
-/// audit findings.
-pub fn dataset_from_csv(
-    machines_csv: &str,
-    events_csv: &str,
-    horizon: Horizon,
-) -> Result<(FailureDataset, AuditReport), ImportError> {
-    let dataset = dcfail_model::interop::dataset_from_csv(machines_csv, events_csv, horizon)
-        .map_err(|e| ImportError::Parse(e.to_string()))?;
-    let report = audit_dataset(&dataset);
-    if report.is_clean() {
-        Ok((dataset, report))
-    } else {
-        Err(ImportError::Rejected(report))
-    }
-}
-
-/// Imports a JSON trace and audits it *before* validation.
-///
-/// The file is parsed once, as [`RawDatasetParts`], so the audit evaluates
-/// the input exactly as written (unsorted events, dangling ids and reversed
-/// windows all stay visible); only a clean trace is then converted into a
-/// canonical [`FailureDataset`].
-///
-/// # Errors
-///
-/// Returns [`ImportError::Parse`] on malformed JSON and
-/// [`ImportError::Rejected`] when the raw parts have Error-level audit
-/// findings.
-pub fn dataset_from_json(json: &str) -> Result<(FailureDataset, AuditReport), ImportError> {
-    let raw: RawDatasetParts =
-        serde_json::from_str(json).map_err(|e| ImportError::Parse(e.to_string()))?;
-    let report = audit_raw(&raw);
-    if !report.is_clean() {
-        return Err(ImportError::Rejected(report));
-    }
-    // A clean raw trace satisfies a superset of the dataset invariants, so
-    // the conversion validates and canonicalizes the parts already parsed.
-    let dataset = FailureDataset::try_from(raw).map_err(|e| ImportError::Parse(e.to_string()))?;
-    Ok((dataset, report))
-}
-
 /// Folds the CSV parser's row/field-level recovery counts into a
 /// [`DegradationReport`] so both ingest layers report through one channel.
 fn fold_csv_recovery(report: &mut DegradationReport, csv: &CsvRecovery) {
@@ -116,29 +68,42 @@ fn count_ingest_mode(mode: RecoveryMode) {
 
 /// Imports a JSON trace under the given [`RecoveryMode`].
 ///
-/// `Strict` behaves exactly like [`dataset_from_json`] (with an empty
-/// [`DegradationReport`]); `Lenient` quarantines unrepairable records,
+/// The file is parsed once, as [`RawDatasetParts`], which accepts anything
+/// shape-valid. `Strict` audits those parts *before* validation, so the
+/// audit sees the input exactly as written (unsorted events, dangling ids
+/// and reversed windows all stay visible); only a clean trace is then
+/// converted into a canonical [`FailureDataset`], with an empty
+/// [`DegradationReport`]. `Lenient` quarantines unrepairable records,
 /// repairs the rest and returns the best-effort dataset together with the
 /// degradation account. The lenient path never rejects a shape-valid trace:
-/// the recovered dataset re-audits with zero Error-level findings.
+/// the recovered dataset re-audits with zero Error-level findings. Either
+/// way the returned report still carries any Warn/Info findings.
 ///
 /// # Errors
 ///
 /// Returns [`ImportError::Parse`] on malformed JSON; under `Strict` also
 /// [`ImportError::Rejected`] on Error-level audit findings.
-pub fn dataset_from_json_with(
+pub fn dataset_from_json(
     json: &str,
     mode: RecoveryMode,
 ) -> Result<(FailureDataset, AuditReport, DegradationReport), ImportError> {
     count_ingest_mode(mode);
+    let raw: RawDatasetParts =
+        serde_json::from_str(json).map_err(|e| ImportError::Parse(e.to_string()))?;
     match mode {
         RecoveryMode::Strict => {
-            let (dataset, report) = dataset_from_json(json)?;
+            let report = audit_raw(&raw);
+            if !report.is_clean() {
+                return Err(ImportError::Rejected(report));
+            }
+            // A clean raw trace satisfies a superset of the dataset
+            // invariants, so the conversion validates and canonicalizes the
+            // parts already parsed.
+            let dataset =
+                FailureDataset::try_from(raw).map_err(|e| ImportError::Parse(e.to_string()))?;
             Ok((dataset, report, DegradationReport::default()))
         }
         RecoveryMode::Lenient => {
-            let raw: RawDatasetParts =
-                serde_json::from_str(json).map_err(|e| ImportError::Parse(e.to_string()))?;
             let recovered = recover_raw(&raw).map_err(|e| ImportError::Parse(e.to_string()))?;
             let report = audit_dataset(&recovered.dataset);
             Ok((recovered.dataset, report, recovered.report))
@@ -146,20 +111,24 @@ pub fn dataset_from_json_with(
     }
 }
 
-/// Imports a CSV trace pair under the given [`RecoveryMode`].
+/// Imports a machine-inventory + event-log CSV pair under the given
+/// [`RecoveryMode`].
 ///
-/// `Strict` behaves exactly like [`dataset_from_csv`]; `Lenient` skips
-/// unsalvageable rows, clamps fixable field values, re-maps sparse ids and —
-/// should the salvaged dataset still carry Error-level findings — runs the
-/// full quarantine-and-recover pass over it, so the returned dataset always
-/// re-audits clean.
+/// `Strict` parses through `dcfail_model::interop`, audits the assembled
+/// dataset and refuses it on Error-level findings, with an empty
+/// [`DegradationReport`]; `Lenient` skips unsalvageable rows, clamps
+/// fixable field values, re-maps sparse ids and — should the salvaged
+/// dataset still carry Error-level findings — runs the full
+/// quarantine-and-recover pass over it, so the returned dataset always
+/// re-audits clean. Either way the returned report still carries any
+/// Warn/Info findings.
 ///
 /// # Errors
 ///
-/// Returns [`ImportError::Parse`] when even lenient parsing cannot salvage a
-/// dataset; under `Strict` also [`ImportError::Rejected`] on Error-level
-/// audit findings.
-pub fn dataset_from_csv_with(
+/// Returns [`ImportError::Parse`] on malformed CSV (under `Lenient`, when
+/// even lenient parsing cannot salvage a dataset); under `Strict` also
+/// [`ImportError::Rejected`] on Error-level audit findings.
+pub fn dataset_from_csv(
     machines_csv: &str,
     events_csv: &str,
     horizon: Horizon,
@@ -168,7 +137,13 @@ pub fn dataset_from_csv_with(
     count_ingest_mode(mode);
     match mode {
         RecoveryMode::Strict => {
-            let (dataset, report) = dataset_from_csv(machines_csv, events_csv, horizon)?;
+            let dataset =
+                dcfail_model::interop::dataset_from_csv(machines_csv, events_csv, horizon)
+                    .map_err(|e| ImportError::Parse(e.to_string()))?;
+            let report = audit_dataset(&dataset);
+            if !report.is_clean() {
+                return Err(ImportError::Rejected(report));
+            }
             Ok((dataset, report, DegradationReport::default()))
         }
         RecoveryMode::Lenient => {

@@ -537,10 +537,11 @@ fn degenerate_class_mix_is_flagged() {
 #[test]
 fn audited_json_import_rejects_broken_traces() {
     use dcfail_audit::import::{dataset_from_json, ImportError};
+    use dcfail_audit::RecoveryMode::Strict;
 
     // A pristine trace imports, returning an empty report.
     let good = serde_json::to_string(&fixture()).unwrap();
-    let (ds, report) = dataset_from_json(&good).unwrap();
+    let (ds, report, _) = dataset_from_json(&good, Strict).unwrap();
     assert_eq!(ds, fixture());
     assert!(report.is_empty());
 
@@ -548,7 +549,7 @@ fn audited_json_import_rejects_broken_traces() {
     let mut value = fixture_value();
     set_int(field(record(&mut value, "events", 0), "machine"), 99);
     let bad = serde_json::to_string(&value).unwrap();
-    match dataset_from_json(&bad).unwrap_err() {
+    match dataset_from_json(&bad, Strict).unwrap_err() {
         ImportError::Rejected(report) => {
             assert!(report.find(RuleId::EventMachineDangling).is_some());
             assert!(report.error_count() > 0);
@@ -558,7 +559,7 @@ fn audited_json_import_rejects_broken_traces() {
 
     // Garbage is a parse error, not a rejection.
     assert!(matches!(
-        dataset_from_json("not json").unwrap_err(),
+        dataset_from_json("not json", Strict).unwrap_err(),
         ImportError::Parse(_)
     ));
 }
@@ -566,11 +567,12 @@ fn audited_json_import_rejects_broken_traces() {
 #[test]
 fn audited_csv_import_runs_the_catalog() {
     use dcfail_audit::import::dataset_from_csv;
+    use dcfail_audit::RecoveryMode::Strict;
 
     let ds = fixture();
     let machines = dcfail_model::interop::machines_to_csv(&ds);
     let events = dcfail_model::interop::events_to_csv(&ds);
-    let (back, report) = dataset_from_csv(&machines, &events, ds.horizon()).unwrap();
+    let (back, report, _) = dataset_from_csv(&machines, &events, ds.horizon(), Strict).unwrap();
     assert_eq!(back.machines(), ds.machines());
     assert!(report.is_clean(), "{report}");
 }

@@ -568,10 +568,10 @@ fn run_audit(args: &Args) -> Result<ExitCode, String> {
     // A strict import audits the trace as written, before validation, and
     // refuses a dirty one with its report: that report is the finding.
     let imported = if let Some(path) = &dataset {
-        import::dataset_from_json_with(&read_file(path)?, mode)
+        import::dataset_from_json(&read_file(path)?, mode)
     } else if let Some((machines, events)) = &csv {
         let horizon = Horizon::observation_year();
-        import::dataset_from_csv_with(&read_file(machines)?, &read_file(events)?, horizon, mode)
+        import::dataset_from_csv(&read_file(machines)?, &read_file(events)?, horizon, mode)
     } else {
         let (seed, scale) = (args.seed(), args.scale());
         eprintln!("auditing generated paper scenario (seed {seed}, scale {scale}) ...");

@@ -1,9 +1,10 @@
 //! The one traced pipeline behind `repro metrics` and `repro bench`.
 //!
-//! [`run`] drives every stage once: synth and audit, chaos injection and
-//! recovery, ticket classification, every report runner, then a streamed
-//! replay of the same dataset. It returns the run's settings and sizes and
-//! nothing else. Every duration lives in the `dcfail-obs` spans the stages
+//! [`run`] drives every stage once, in the benchmark's order: synth and
+//! audit, chaos injection and recovery, then classification, every report
+//! runner through the artifact cache and a streamed replay of the
+//! recovered dataset. It returns the run's settings and sizes and nothing
+//! else. Every duration lives in the `dcfail-obs` spans the stages
 //! record, so the caller opens the collection window and reads its numbers
 //! from the window's `MetricsReport`. Printing, exporting and gating all
 //! read the same spans.
@@ -15,7 +16,7 @@
 use dcfail_audit::recover::recover_raw;
 use dcfail_chaos::{inject, InjectionPlan};
 use dcfail_obs::MetricsReport;
-use dcfail_report::experiments::{run_all, ExperimentId, RunConfig};
+use dcfail_report::{ExperimentId, RunConfig, Toolkit};
 use dcfail_stats::rng::StreamRng;
 use dcfail_stream::{StreamConfig, StreamEngine};
 use dcfail_synth::feed::dataset_feed;
@@ -51,28 +52,38 @@ pub struct PipelineRun {
 }
 
 /// Runs the whole pipeline once for the paper scenario at `seed`/`scale`,
-/// corrupting a copy of the trace at `rate` for the recovery stage.
+/// corrupting a copy of the trace at `rate` for the recovery stage. Each
+/// copy of the trace drops as soon as the next exists, as in the
+/// benchmark's `paper_batch`.
 pub fn run(seed: u64, scale: f64, rate: f64) -> Result<PipelineRun, String> {
-    let mut dataset = Scenario::paper()
+    let dataset = Scenario::paper()
         .seed(seed)
         .scale(scale)
         .build()
         .into_dataset();
+    let (machines, events) = (dataset.machines().len(), dataset.events().len());
+    let (incidents, tickets) = (dataset.incidents().len(), dataset.tickets().len());
     if !dcfail_audit::audit_dataset(&dataset).is_clean() {
         return Err("generated dataset failed audit".into());
     }
 
-    // Chaos + quarantine-and-recover, on a copy of the trace.
+    // Chaos + quarantine-and-recover: the recovered dataset goes on.
     let (parts, _log) = inject(&dataset, &InjectionPlan::uniform(seed, rate));
-    recover_raw(&parts).map_err(|e| format!("recovery failed: {e}"))?;
+    drop(dataset);
+    let recovered = recover_raw(&parts).map_err(|e| format!("recovery failed: {e}"))?;
+    drop(parts);
+    let mut dataset = recovered.dataset;
 
     let mut rng = StreamRng::new(seed ^ 0x7ea).fork("repro.classify");
     apply_to_dataset(&mut dataset, PipelineConfig::default(), &mut rng);
 
-    // Every report runner: paper artifacts + extension reports.
-    run_all(&dataset, &RunConfig::with_seed(seed));
+    // Every report runner, through the artifact cache: paper artifacts +
+    // extension reports.
+    let toolkit = Toolkit::from_dataset(dataset, RunConfig::with_seed(seed));
+    toolkit.render_all();
+    let dataset = toolkit.snapshot().dataset();
 
-    let feed = dataset_feed(&dataset);
+    let feed = dataset_feed(dataset);
     let feed_events = feed.len() as u64;
     let mut engine = StreamEngine::new(dataset.horizon(), StreamConfig::default());
     // The span closes before the replay's output drops.
@@ -90,10 +101,10 @@ pub fn run(seed: u64, scale: f64, rate: f64) -> Result<PipelineRun, String> {
         seed,
         scale,
         threads: dcfail_par::thread_count(),
-        machines: dataset.machines().len(),
-        events: dataset.events().len(),
-        incidents: dataset.incidents().len(),
-        tickets: dataset.tickets().len(),
+        machines,
+        events,
+        incidents,
+        tickets,
         feed_events,
     })
 }

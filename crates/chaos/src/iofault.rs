@@ -158,11 +158,6 @@ impl IoFaultInjector {
     pub fn transients(&self) -> u64 {
         self.transients
     }
-
-    /// Whether the kill already fired.
-    pub fn killed(&self) -> bool {
-        self.killed
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +171,7 @@ mod tests {
             assert_eq!(inj.decide(Some(64)), None);
         }
         assert_eq!(inj.ops(), 1000);
-        assert!(!inj.killed());
+        assert!(!inj.killed);
     }
 
     #[test]
@@ -216,7 +211,7 @@ mod tests {
                 torn_keep_bytes: None
             })
         ));
-        assert!(inj.killed());
+        assert!(inj.killed);
     }
 
     #[test]

@@ -77,7 +77,7 @@ proptest! {
         let plan = InjectionPlan::uniform(seed, 0.0).with(Corruption::GarbleCsvRow, rate);
         let (dirty_machines, _) = garble_csv(&machines_csv, &plan);
         let (dirty_events, _) = garble_csv(&events_csv, &plan);
-        let imported = import::dataset_from_csv_with(
+        let imported = import::dataset_from_csv(
             &dirty_machines,
             &dirty_events,
             clean.horizon(),
@@ -112,7 +112,7 @@ proptest! {
             nested,
         ] {
             for mode in [RecoveryMode::Strict, RecoveryMode::Lenient] {
-                if let Ok((_, report, _)) = import::dataset_from_json_with(&json, mode) {
+                if let Ok((_, report, _)) = import::dataset_from_json(&json, mode) {
                     prop_assert!(report.is_clean(), "{mode:?} import of garbled JSON is dirty");
                 }
             }
@@ -153,11 +153,11 @@ fn strict_import_rejects_what_lenient_recovers() {
     let dirty = serde_json::to_string(&parts).expect("serialize");
     assert!(log.orphaned_vms > 0, "half the VMs should be orphaned");
 
-    let strict = import::dataset_from_json(&dirty);
+    let strict = import::dataset_from_json(&dirty, RecoveryMode::Strict);
     assert!(matches!(strict, Err(import::ImportError::Rejected(_))));
 
     let (dataset, report, degradation) =
-        import::dataset_from_json_with(&dirty, RecoveryMode::Lenient).expect("lenient succeeds");
+        import::dataset_from_json(&dirty, RecoveryMode::Lenient).expect("lenient succeeds");
     assert!(report.is_clean(), "{}", report.render_text());
     assert!(!degradation.is_empty());
     assert_eq!(dataset.machines().len(), clean.machines().len());

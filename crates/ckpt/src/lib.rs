@@ -52,7 +52,7 @@ mod store;
 pub use fs::{ChaosFs, FaultFs, FsError, FsErrorKind, MemFs, RealFs};
 pub use manifest::{Manifest, SegmentMeta, MANIFEST_VERSION};
 pub use retry::RetryPolicy;
-pub use segment::{decode_segment, encode_segment, fnv64, SegmentError, SEGMENT_VERSION};
+pub use segment::{decode_segment, encode_segment, SegmentError, SEGMENT_VERSION};
 pub use store::{CheckpointStore, MANIFEST_FILE};
 
 use std::fmt;

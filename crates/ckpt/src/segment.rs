@@ -14,6 +14,7 @@
 //! partial overwrites. [`decode_segment`] distinguishes the failure shapes
 //! so callers can report *why* a segment was discarded.
 
+use dcfail_stats::digest::fnv1a;
 use std::fmt;
 
 /// Magic prefix of every segment file.
@@ -23,16 +24,6 @@ pub const SEGMENT_MAGIC: [u8; 8] = *b"DCFAILCK";
 pub const SEGMENT_VERSION: u32 = 1;
 
 const HEADER_LEN: usize = 28;
-
-/// FNV-1a 64-bit digest — the same digest the golden-report tests use.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Why a segment failed validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +77,7 @@ pub fn encode_segment(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&SEGMENT_MAGIC);
     out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv64(payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a([payload]).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -119,7 +110,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<&[u8], SegmentError> {
             actual: payload.len() as u64,
         });
     }
-    let actual_digest = fnv64(payload);
+    let actual_digest = fnv1a([payload]);
     if actual_digest != expected_digest {
         return Err(SegmentError::ChecksumMismatch {
             expected: expected_digest,
@@ -227,7 +218,7 @@ mod tests {
     fn fnv_matches_reference_vector() {
         // FNV-1a 64 of the empty string is the offset basis; "a" is the
         // published reference vector.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a([b""]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a([b"a"]), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -3,8 +3,9 @@
 use crate::fs::{FaultFs, FsErrorKind};
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_VERSION};
 use crate::retry::RetryPolicy;
-use crate::segment::{decode_segment, encode_segment, fnv64};
+use crate::segment::{decode_segment, encode_segment};
 use crate::CkptError;
+use dcfail_stats::digest::fnv1a;
 use serde::{Deserialize, Value};
 
 /// File name of the manifest inside the checkpoint directory.
@@ -32,11 +33,6 @@ impl CheckpointStore {
             dir: dir.into(),
             retry: RetryPolicy::default(),
         }
-    }
-
-    /// The directory this store writes into.
-    pub fn dir(&self) -> &str {
-        &self.dir
     }
 
     fn path(&self, name: &str) -> String {
@@ -136,7 +132,7 @@ impl CheckpointStore {
         };
         let reason = if bytes.len() as u64 == meta.len {
             match decode_segment(&bytes) {
-                Ok(payload) if fnv64(payload) == meta.checksum => {
+                Ok(payload) if fnv1a([payload]) == meta.checksum => {
                     if dcfail_obs::enabled() {
                         dcfail_obs::add("ckpt.segments_loaded", 1);
                     }
@@ -189,7 +185,7 @@ impl CheckpointStore {
             name.to_string(),
             SegmentMeta {
                 len: bytes.len() as u64,
-                checksum: fnv64(payload),
+                checksum: fnv1a([payload]),
             },
         );
         self.write_manifest(manifest)?;

@@ -611,26 +611,30 @@ pub fn lint_absorb_coverage(files: &[ScannedFile], findings: &mut Vec<RawFinding
 ///
 /// A function without a `self` receiver inside `impl Type` is called by
 /// path, so only `Type::name` (or `Self::name` inside an impl of `Type`)
-/// counts as its caller. Everything else matches by name, not by resolved
-/// path: a line scanner cannot see a method call's receiver type, so a use
-/// of any same-named function counts, while another definition of the name
-/// does not. A definition under a `#[cfg(test)]` attribute is test code and
-/// is not checked.
+/// counts as its caller. A method (a `self` receiver) is called by call
+/// syntax: a `.name(` call, turbofish allowed, or that path. A line scanner
+/// cannot see a call's receiver type, so a call of any same-named method
+/// counts, but a field, local or free function of the name does not. A free
+/// function matches by name: any use other than another definition counts.
+/// A definition under a `#[cfg(test)]` attribute is test code and is not
+/// checked.
 pub fn lint_test_only_api(
     files: &[ScannedFile],
     callers: &[ScannedFile],
     findings: &mut Vec<RawFinding>,
 ) {
     // Identifiers some code line uses; the name after `fn` defines and
-    // does not count. And every `Type::name` path, `Self` resolved to the
-    // impl a line sits in.
+    // does not count. Every `.name(` method call. And every `Type::name`
+    // path, `Self` resolved to the impl a line sits in.
     let mut used: BTreeSet<&str> = BTreeSet::new();
+    let mut calls: BTreeSet<&str> = BTreeSet::new();
     let mut paths: BTreeSet<String> = BTreeSet::new();
     let impls: Vec<_> = files.iter().chain(callers).map(impl_types).collect();
     for (file, impls) in files.iter().chain(callers).zip(&impls) {
         for (idx, line) in code_lines(file) {
             let mut prev = "";
             used.extend(idents(line).filter(|&ident| std::mem::replace(&mut prev, ident) != "fn"));
+            calls.extend(method_calls(line));
             for (ty, name) in path_pairs(line) {
                 let ty = impls[idx].as_deref().filter(|_| ty == "Self").unwrap_or(ty);
                 paths.insert(format!("{ty}::{name}"));
@@ -651,11 +655,15 @@ pub fn lint_test_only_api(
                         .chars()
                         .take_while(|&c| is_ident(c))
                         .collect();
-                    let called = match &impls[idx] {
-                        Some(ty) if !has_receiver(file, idx, pos) => {
-                            paths.contains(&format!("{ty}::{name}"))
+                    let by_path = impls[idx]
+                        .as_ref()
+                        .map(|ty| paths.contains(&format!("{ty}::{name}")));
+                    let called = match by_path {
+                        Some(by_path) if has_receiver(file, idx, pos) => {
+                            by_path || calls.contains(name.as_str())
                         }
-                        _ => used.contains(name.as_str()),
+                        Some(by_path) => by_path,
+                        None => used.contains(name.as_str()),
                     };
                     if name.is_empty() || called || under_cfg_test(file, idx) {
                         continue;
@@ -750,6 +758,19 @@ fn path_pairs(line: &str) -> impl Iterator<Item = (&str, &str)> {
         let left = line[..at].rsplit(|c: char| !is_ident(c)).next()?;
         let right = line[at + 2..].split(|c: char| !is_ident(c)).next()?;
         (!left.is_empty() && !right.is_empty()).then_some((left, right))
+    })
+}
+
+/// The method name of every `.name(` call on a blanked line, turbofish
+/// allowed; a range's `..` is no call.
+fn method_calls(line: &str) -> impl Iterator<Item = &str> {
+    line.match_indices('.').filter_map(move |(at, _)| {
+        let rest = &line[at + 1..];
+        let name = &rest[..rest.find(|c: char| !is_ident(c)).unwrap_or(rest.len())];
+        let args = &rest[name.len()..];
+        let args = args.strip_prefix("::").map_or(args, skip_generics);
+        let called = args.starts_with('(') && !line[..at].ends_with('.');
+        (called && name.starts_with(|c: char| !c.is_ascii_digit())).then_some(name)
     })
 }
 

@@ -138,6 +138,12 @@ const CASES: &[Case] = &[
         fire: include_str!("fixtures/d17_path_fire.rs"),
         suppressed: include_str!("fixtures/d17_path_suppressed.rs"),
     },
+    Case {
+        rule: LintRule::D17,
+        virtual_path: "crates/stats/src/fixture.rs",
+        fire: include_str!("fixtures/d17_method_fire.rs"),
+        suppressed: include_str!("fixtures/d17_method_suppressed.rs"),
+    },
 ];
 
 #[test]

@@ -1,9 +1,11 @@
 //! Experiment registry: every table and figure of the paper plus the
-//! extension reports, addressable by id, with a single dispatch entry point
-//! (`run`/`run_all`) used by the `repro` harness and the shard coordinator.
+//! extension reports, declared once in the `REGISTRY` table and
+//! addressable by id, with the entry points (`run`/`run_all`/[`fan_out`])
+//! every front door renders through.
 
 use crate::extras;
-use crate::runners::{self, Rendered};
+use crate::runners::{self, Figure, Rendered};
+use dcfail_core::panel::{Panel, PanelCurve, PANELS};
 use dcfail_model::dataset::FailureDataset;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -12,34 +14,35 @@ use std::str::FromStr;
 /// Identifier of a reproducible artifact: the paper's tables and figures
 /// plus the `extras::*` extension reports.
 ///
-/// Ordered by declaration (paper order, then extras) so ids can key sorted
-/// containers such as the [`crate::toolkit::Toolkit`] artifact cache.
+/// Declared in paper order, then the extras, so that an id's discriminant
+/// is its row in the `REGISTRY` table. The derived `Ord` only keys maps
+/// looked up by id, such as the [`crate::toolkit::Toolkit`] artifact cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ExperimentId {
     /// Table I — related-work scope comparison (static).
     Table1,
     /// Table II — dataset statistics.
     Table2,
-    /// Table III — inter-failure times by class.
-    Table3,
-    /// Table IV — repair times by class.
-    Table4,
-    /// Table V — random vs recurrent failures.
-    Table5,
-    /// Table VI — incident footprint census.
-    Table6,
-    /// Table VII — incident footprint by class.
-    Table7,
     /// Fig. 1 — ticket class distribution.
     Fig1,
     /// Fig. 2 — weekly failure rates.
     Fig2,
     /// Fig. 3 — inter-failure CDFs and fits.
     Fig3,
+    /// Table III — inter-failure times by class.
+    Table3,
     /// Fig. 4 — repair-time CDFs and fits.
     Fig4,
+    /// Table IV — repair times by class.
+    Table4,
     /// Fig. 5 — recurrence probabilities.
     Fig5,
+    /// Table V — random vs recurrent failures.
+    Table5,
+    /// Table VI — incident footprint census.
+    Table6,
+    /// Table VII — incident footprint by class.
+    Table7,
     /// Fig. 6 — VM failures vs age.
     Fig6,
     /// Fig. 7 — rate vs capacity.
@@ -66,109 +69,150 @@ pub enum ExperimentId {
     Temporal,
 }
 
+/// How an artifact renders.
+#[derive(Clone, Copy)]
+enum Render {
+    /// From the dataset.
+    Dataset(fn(&FailureDataset) -> Rendered),
+    /// From the dataset and the config's seed.
+    Seeded(fn(&FailureDataset, u64) -> Rendered),
+    /// A Fig. 7–10 figure, from its finalized panels.
+    Panels(Figure),
+}
+
+/// One registry row: an artifact's id, its key and its renderer.
+struct Artifact {
+    id: ExperimentId,
+    key: &'static str,
+    render: Render,
+}
+
+const fn row(id: ExperimentId, key: &'static str, render: Render) -> Artifact {
+    Artifact { id, key, render }
+}
+
+/// Every artifact, one row per id at its discriminant: the paper's in
+/// paper order, then the extras.
+const REGISTRY: [Artifact; 24] = {
+    use ExperimentId as E;
+    use Render::{Dataset, Panels, Seeded};
+    [
+        row(E::Table1, "table1", Dataset(|_| runners::table1_impl())),
+        row(E::Table2, "table2", Dataset(runners::table2_impl)),
+        row(E::Fig1, "fig1", Dataset(runners::fig1_impl)),
+        row(E::Fig2, "fig2", Dataset(runners::fig2_impl)),
+        row(E::Fig3, "fig3", Dataset(runners::fig3_impl)),
+        row(E::Table3, "table3", Dataset(runners::table3_impl)),
+        row(E::Fig4, "fig4", Dataset(runners::fig4_impl)),
+        row(E::Table4, "table4", Dataset(runners::table4_impl)),
+        row(E::Fig5, "fig5", Dataset(runners::fig5_impl)),
+        row(E::Table5, "table5", Dataset(runners::table5_impl)),
+        row(E::Table6, "table6", Dataset(runners::table6_impl)),
+        row(E::Table7, "table7", Dataset(runners::table7_impl)),
+        row(E::Fig6, "fig6", Dataset(runners::fig6_impl)),
+        row(
+            E::Fig7,
+            "fig7",
+            Panels(Figure {
+                number: 7,
+                title: "Fig. 7 — weekly failure rate vs resource capacity",
+                share_label: "",
+                reference: "paper reference: PM cpu peaks at 24 (5.5x) then drops at 32/64; \
+                            VM cpu 2.5x; memory bathtub; disk count 10x, disk capacity flat >= 32 GB\n",
+            }),
+        ),
+        row(
+            E::Fig8,
+            "fig8",
+            Panels(Figure {
+                number: 8,
+                title: "Fig. 8 — weekly failure rate vs resource usage",
+                share_label: "",
+                reference: "paper reference: VM rate rises with cpu util, PM falls (0-30%); \
+                            memory inverted bathtub (PM strongest); disk mild rise; network peaks at 64 Kbps\n",
+            }),
+        ),
+        row(
+            E::Fig9,
+            "fig9",
+            Panels(Figure {
+                number: 9,
+                title: "Fig. 9 — weekly failure rate vs VM consolidation",
+                share_label: "VM share per level: ",
+                reference: "\npaper reference: rate decreases significantly with consolidation; \
+                            population skews to levels 16-32\n",
+            }),
+        ),
+        row(
+            E::Fig10,
+            "fig10",
+            Panels(Figure {
+                number: 10,
+                title: "Fig. 10 — weekly failure rate vs on/off frequency",
+                share_label: "VM share per bucket: ",
+                reference: "\npaper reference: rate rises from 0 to ~2 cycles/month, no clear trend beyond; \
+                            60% of VMs cycle at most once a month\n",
+            }),
+        ),
+        row(E::Availability, "availability", Dataset(extras::availability_impl)),
+        row(
+            E::CensoredInterfailure,
+            "censored_interfailure",
+            Dataset(extras::censored_interfailure_impl),
+        ),
+        row(E::RateConfidence, "rate_confidence", Seeded(extras::rate_confidence_impl)),
+        row(E::Prediction, "prediction", Dataset(extras::prediction_impl)),
+        row(E::Whatif, "whatif", Dataset(extras::whatif_impl)),
+        row(E::Followon, "followon", Dataset(extras::followon_impl)),
+        row(E::Temporal, "temporal", Dataset(extras::temporal_impl)),
+    ]
+};
+
+/// The ids of `N` registry rows from row `from`, checking at compile time
+/// that each row sits at its id's discriminant.
+const fn ids<const N: usize>(from: usize) -> [ExperimentId; N] {
+    let mut ids = [ExperimentId::Table1; N];
+    let mut i = 0;
+    while i < N {
+        let id = REGISTRY[from + i].id;
+        assert!(
+            id as usize == from + i,
+            "a registry row is out of declaration order"
+        );
+        ids[i] = id;
+        i += 1;
+    }
+    ids
+}
+
 impl ExperimentId {
     /// The paper's artifacts in paper order.
-    pub const PAPER: [ExperimentId; 17] = [
-        ExperimentId::Table1,
-        ExperimentId::Table2,
-        ExperimentId::Fig1,
-        ExperimentId::Fig2,
-        ExperimentId::Fig3,
-        ExperimentId::Table3,
-        ExperimentId::Fig4,
-        ExperimentId::Table4,
-        ExperimentId::Fig5,
-        ExperimentId::Table5,
-        ExperimentId::Table6,
-        ExperimentId::Table7,
-        ExperimentId::Fig6,
-        ExperimentId::Fig7,
-        ExperimentId::Fig8,
-        ExperimentId::Fig9,
-        ExperimentId::Fig10,
-    ];
+    pub const PAPER: [ExperimentId; 17] = ids(0);
 
     /// The extension reports, in their fixed runner order.
-    pub const EXTRAS: [ExperimentId; 7] = [
-        ExperimentId::Availability,
-        ExperimentId::CensoredInterfailure,
-        ExperimentId::RateConfidence,
-        ExperimentId::Prediction,
-        ExperimentId::Whatif,
-        ExperimentId::Followon,
-        ExperimentId::Temporal,
-    ];
+    pub const EXTRAS: [ExperimentId; 7] = ids(Self::PAPER.len());
 
     /// Every artifact: the paper set in paper order, then the extras.
-    pub const ALL: [ExperimentId; 24] = [
-        ExperimentId::Table1,
-        ExperimentId::Table2,
-        ExperimentId::Fig1,
-        ExperimentId::Fig2,
-        ExperimentId::Fig3,
-        ExperimentId::Table3,
-        ExperimentId::Fig4,
-        ExperimentId::Table4,
-        ExperimentId::Fig5,
-        ExperimentId::Table5,
-        ExperimentId::Table6,
-        ExperimentId::Table7,
-        ExperimentId::Fig6,
-        ExperimentId::Fig7,
-        ExperimentId::Fig8,
-        ExperimentId::Fig9,
-        ExperimentId::Fig10,
-        ExperimentId::Availability,
-        ExperimentId::CensoredInterfailure,
-        ExperimentId::RateConfidence,
-        ExperimentId::Prediction,
-        ExperimentId::Whatif,
-        ExperimentId::Followon,
-        ExperimentId::Temporal,
-    ];
+    pub const ALL: [ExperimentId; 24] = ids(0);
 
     /// Short id string (`"table5"`, `"fig7"`, `"availability"`).
     pub const fn key(self) -> &'static str {
-        match self {
-            ExperimentId::Table1 => "table1",
-            ExperimentId::Table2 => "table2",
-            ExperimentId::Table3 => "table3",
-            ExperimentId::Table4 => "table4",
-            ExperimentId::Table5 => "table5",
-            ExperimentId::Table6 => "table6",
-            ExperimentId::Table7 => "table7",
-            ExperimentId::Fig1 => "fig1",
-            ExperimentId::Fig2 => "fig2",
-            ExperimentId::Fig3 => "fig3",
-            ExperimentId::Fig4 => "fig4",
-            ExperimentId::Fig5 => "fig5",
-            ExperimentId::Fig6 => "fig6",
-            ExperimentId::Fig7 => "fig7",
-            ExperimentId::Fig8 => "fig8",
-            ExperimentId::Fig9 => "fig9",
-            ExperimentId::Fig10 => "fig10",
-            ExperimentId::Availability => "availability",
-            ExperimentId::CensoredInterfailure => "censored_interfailure",
-            ExperimentId::RateConfidence => "rate_confidence",
-            ExperimentId::Prediction => "prediction",
-            ExperimentId::Whatif => "whatif",
-            ExperimentId::Followon => "followon",
-            ExperimentId::Temporal => "temporal",
-        }
+        REGISTRY[self as usize].key
     }
 
     /// Whether this id is an extension report rather than a paper artifact.
     pub const fn is_extra(self) -> bool {
-        matches!(
-            self,
-            ExperimentId::Availability
-                | ExperimentId::CensoredInterfailure
-                | ExperimentId::RateConfidence
-                | ExperimentId::Prediction
-                | ExperimentId::Whatif
-                | ExperimentId::Followon
-                | ExperimentId::Temporal
-        )
+        self as usize >= Self::PAPER.len()
+    }
+
+    /// The Fig. 7–10 panels the artifact draws, in table order; none for
+    /// any other artifact.
+    pub fn panels(self) -> impl Iterator<Item = &'static Panel> {
+        let figure = match REGISTRY[self as usize].render {
+            Render::Panels(figure) => Some(figure.number),
+            Render::Dataset(_) | Render::Seeded(_) => None,
+        };
+        PANELS.iter().filter(move |p| Some(p.figure) == figure)
     }
 }
 
@@ -248,25 +292,20 @@ impl RunConfig {
     /// fragment the [`crate::toolkit::Toolkit`] artifact cache.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf29ce484222325;
-        for byte in self.seed.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-        hash
+        dcfail_stats::digest::fnv1a([self.seed.to_le_bytes()])
     }
 }
 
 /// Scoped `dcfail_par` thread override: installs on construction, restores
 /// the previous override on drop.
-pub struct ThreadGuard {
+struct ThreadGuard {
     prev: Option<usize>,
 }
 
 impl ThreadGuard {
     /// Installs `threads` as the override until the guard drops; `None`
     /// leaves the current override alone and returns no guard.
-    pub fn install(threads: Option<NonZeroUsize>) -> Option<Self> {
+    fn install(threads: Option<NonZeroUsize>) -> Option<Self> {
         let t = threads?;
         let prev = dcfail_par::thread_override();
         dcfail_par::set_thread_override(Some(t.get()));
@@ -367,40 +406,59 @@ impl FromStr for ExperimentId {
     }
 }
 
-fn dispatch(id: ExperimentId, dataset: &FailureDataset, config: &RunConfig) -> Rendered {
-    match id {
-        ExperimentId::Table1 => runners::table1_impl(),
-        ExperimentId::Table2 => runners::table2_impl(dataset),
-        ExperimentId::Table3 => runners::table3_impl(dataset),
-        ExperimentId::Table4 => runners::table4_impl(dataset),
-        ExperimentId::Table5 => runners::table5_impl(dataset),
-        ExperimentId::Table6 => runners::table6_impl(dataset),
-        ExperimentId::Table7 => runners::table7_impl(dataset),
-        ExperimentId::Fig1 => runners::fig1_impl(dataset),
-        ExperimentId::Fig2 => runners::fig2_impl(dataset),
-        ExperimentId::Fig3 => runners::fig3_impl(dataset),
-        ExperimentId::Fig4 => runners::fig4_impl(dataset),
-        ExperimentId::Fig5 => runners::fig5_impl(dataset),
-        ExperimentId::Fig6 => runners::fig6_impl(dataset),
-        ExperimentId::Fig7 => runners::fig7_impl(dataset),
-        ExperimentId::Fig8 => runners::fig8_impl(dataset),
-        ExperimentId::Fig9 => runners::fig9_impl(dataset),
-        ExperimentId::Fig10 => runners::fig10_impl(dataset),
-        ExperimentId::Availability => extras::availability_impl(dataset),
-        ExperimentId::CensoredInterfailure => extras::censored_interfailure_impl(dataset),
-        ExperimentId::RateConfidence => extras::rate_confidence_impl(dataset, config.seed),
-        ExperimentId::Prediction => extras::prediction_impl(dataset),
-        ExperimentId::Whatif => extras::whatif_impl(dataset),
-        ExperimentId::Followon => extras::followon_impl(dataset),
-        ExperimentId::Temporal => extras::temporal_impl(dataset),
-    }
-}
-
 /// Runs one experiment against a dataset.
 pub fn run(id: ExperimentId, dataset: &FailureDataset, config: &RunConfig) -> Rendered {
+    run_with_panels(id, dataset, &[], config)
+}
+
+/// Runs one experiment like [`run`], except that a Fig. 7–10 figure whose
+/// panels `panels` holds renders from them: the merged counts of a sharded
+/// build, whose dataset carries no telemetry.
+pub fn run_with_panels(
+    id: ExperimentId,
+    dataset: &FailureDataset,
+    panels: &[PanelCurve],
+    config: &RunConfig,
+) -> Rendered {
     let _threads = ThreadGuard::install(config.threads);
     let _span = dcfail_obs::span_labeled("report", id.key());
-    dispatch(id, dataset, config)
+    render_panels(id, panels).unwrap_or_else(|| match REGISTRY[id as usize].render {
+        Render::Dataset(render) => render(dataset),
+        Render::Seeded(render) => render(dataset, config.seed),
+        Render::Panels(figure) => runners::render_figure(&figure, &figure.count(dataset)),
+    })
+}
+
+/// `id` rendered from finalized panels, when it is a Fig. 7–10 figure and
+/// `panels` holds its panels (a sharded or streamed run's merged counts);
+/// `None` otherwise.
+pub fn render_panels(id: ExperimentId, panels: &[PanelCurve]) -> Option<Rendered> {
+    let Render::Panels(figure) = REGISTRY[id as usize].render else {
+        return None;
+    };
+    panels
+        .iter()
+        .any(|c| c.panel.figure == figure.number)
+        .then(|| runners::render_figure(&figure, panels))
+}
+
+/// Renders each of `ids` with `render`, fanned out across `dcfail-par`
+/// workers, in `ids` order whatever the schedule, under one
+/// `report.run_all` span. `config`'s thread override holds for the whole
+/// call, so each render gets `config` without it: the fan-out's workers
+/// must not re-install it. Every front door's fan-out runs through here.
+pub fn fan_out<R: Send>(
+    ids: &[ExperimentId],
+    config: &RunConfig,
+    render: impl Fn(ExperimentId, &RunConfig) -> R + Sync,
+) -> Vec<(ExperimentId, R)> {
+    let _threads = ThreadGuard::install(config.threads);
+    let _span = dcfail_obs::span("report.run_all");
+    let inner = RunConfig {
+        threads: None,
+        ..config.clone()
+    };
+    dcfail_par::par_map(ids, |_, &id| (id, render(id, &inner)))
 }
 
 /// Runs every experiment (paper artifacts then extras). The runners are
@@ -408,13 +466,9 @@ pub fn run(id: ExperimentId, dataset: &FailureDataset, config: &RunConfig) -> Re
 /// threads; the result vector follows [`ExperimentId::ALL`] regardless of
 /// schedule.
 pub fn run_all(dataset: &FailureDataset, config: &RunConfig) -> Vec<(ExperimentId, Rendered)> {
-    let _threads = ThreadGuard::install(config.threads);
-    let _span = dcfail_obs::span("report.run_all");
-    let inner = RunConfig {
-        threads: None,
-        ..config.clone()
-    };
-    dcfail_par::par_map(&ExperimentId::ALL, |_, &id| (id, run(id, dataset, &inner)))
+    fan_out(&ExperimentId::ALL, config, |id, config| {
+        run(id, dataset, config)
+    })
 }
 
 #[cfg(test)]
@@ -459,6 +513,16 @@ mod tests {
         ));
         fn assert_err<E: std::error::Error>() {}
         assert_err::<ParseExperimentError>();
+    }
+
+    #[test]
+    fn the_registry_has_one_row_per_id_with_unique_keys() {
+        for (i, row) in REGISTRY.iter().enumerate() {
+            assert_eq!(row.id as usize, i, "{}", row.key);
+            assert_eq!(ExperimentId::ALL[i], row.id);
+        }
+        let keys: std::collections::BTreeSet<&str> = REGISTRY.iter().map(|r| r.key).collect();
+        assert_eq!(keys.len(), REGISTRY.len(), "two rows share a key");
     }
 
     #[test]

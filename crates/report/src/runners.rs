@@ -9,6 +9,7 @@ use dcfail_core::curve::AttributeCurve;
 use dcfail_core::panel::{self, PanelCurve};
 use dcfail_core::{age, class_mix, interfailure, rates, recurrence, repair, spatial, ClassSource};
 use dcfail_model::prelude::*;
+use dcfail_stats::digest::fnv1a;
 use dcfail_stats::merge::Mergeable;
 use std::fmt::Write as _;
 
@@ -31,14 +32,11 @@ pub struct Rendered {
 /// `tests/golden_report.rs` pins, so sharded, resumed and streamed digests
 /// compare byte for byte with batch ones.
 pub fn reports_digest<D: std::fmt::Display>(reports: &[(D, Rendered)]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for (id, rendered) in reports {
-        for byte in format!("{id}:{}\n{:?}\n", rendered.text, rendered.csv).bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    fnv1a(
+        reports
+            .iter()
+            .map(|(id, rendered)| format!("{id}:{}\n{:?}\n", rendered.text, rendered.csv)),
+    )
 }
 
 /// Table I: scope comparison with related work (static, from the paper).
@@ -510,107 +508,58 @@ fn curves_csv(curves: &[(&str, &AttributeCurve)]) -> String {
     t.to_csv()
 }
 
-/// Renders figure `figure` from finalized panels (any set holding its
-/// panels): the curve tables, then the population shares of a share panel
-/// after `share_label`, then the paper reference.
-fn render_figure(
-    panels: &[PanelCurve],
-    figure: u8,
-    title: &str,
-    share_label: &str,
-    reference: &str,
-) -> Rendered {
-    let panels: Vec<&PanelCurve> = panels.iter().filter(|p| p.panel.figure == figure).collect();
+/// A Fig. 7–10 figure: the number its panels carry, and the text around
+/// their curves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Figure {
+    /// The [`Panel::figure`](dcfail_core::panel::Panel::figure) of the
+    /// figure's panels.
+    pub(crate) number: u8,
+    pub(crate) title: &'static str,
+    /// Printed before a share panel's population shares.
+    pub(crate) share_label: &'static str,
+    /// The paper reference, printed last.
+    pub(crate) reference: &'static str,
+}
+
+impl Figure {
+    /// The figure's finalized panels, counted over `dataset` by the panel
+    /// kernel (`panel::observe_dataset`).
+    pub(crate) fn count(&self, dataset: &FailureDataset) -> Vec<PanelCurve> {
+        let (counts, binned) = panel::observe_dataset(dataset, |p| p.figure == self.number);
+        dcfail_obs::add("panel.values_binned", binned);
+        counts.finalize()
+    }
+}
+
+/// Renders `figure` from finalized panels (any set holding its panels):
+/// the curve tables, then the population shares of a share panel after its
+/// share label, then the paper reference. Every front door renders Figs.
+/// 7–10 through here.
+pub(crate) fn render_figure(figure: &Figure, panels: &[PanelCurve]) -> Rendered {
+    let panels: Vec<&PanelCurve> = panels
+        .iter()
+        .filter(|p| p.panel.figure == figure.number)
+        .collect();
     let curves: Vec<(&str, &AttributeCurve)> =
         panels.iter().map(|p| (p.panel.name, &p.curve)).collect();
     let mut text = curve_table(&curves);
-    text.push_str(share_label);
+    text.push_str(figure.share_label);
     for (label, share) in panels.iter().flat_map(|p| &p.shares) {
         let _ = write!(text, "{label}: {:.1}%  ", 100.0 * share);
     }
-    text.push_str(reference);
+    text.push_str(figure.reference);
     Rendered {
-        title: title.into(),
+        title: figure.title.into(),
         csv: Some(curves_csv(&curves)),
         text,
     }
 }
 
-/// The finalized `figure` panels of `dataset`.
-fn figure_panels(dataset: &FailureDataset, figure: u8) -> Vec<PanelCurve> {
-    let (counts, binned) = panel::observe_dataset(dataset, |p| p.figure == figure);
-    dcfail_obs::add("panel.values_binned", binned);
-    counts.finalize()
-}
-
-/// Fig. 7: failure rate vs resource capacity (four panels).
-pub(crate) fn fig7_impl(dataset: &FailureDataset) -> Rendered {
-    render_figure(
-        &figure_panels(dataset, 7),
-        7,
-        "Fig. 7 — weekly failure rate vs resource capacity",
-        "",
-        "paper reference: PM cpu peaks at 24 (5.5x) then drops at 32/64; \
-         VM cpu 2.5x; memory bathtub; disk count 10x, disk capacity flat >= 32 GB\n",
-    )
-}
-
-/// Renders Fig. 8 from finalized panels (any set holding the Fig. 8 ones) —
-/// the path shard and stream runs take after counting the panels
-/// themselves.
-pub fn render_fig8(panels: &[PanelCurve]) -> Rendered {
-    render_figure(
-        panels,
-        8,
-        "Fig. 8 — weekly failure rate vs resource usage",
-        "",
-        "paper reference: VM rate rises with cpu util, PM falls (0-30%); \
-         memory inverted bathtub (PM strongest); disk mild rise; network peaks at 64 Kbps\n",
-    )
-}
-
-/// Fig. 8: failure rate vs resource usage (four panels).
-pub(crate) fn fig8_impl(dataset: &FailureDataset) -> Rendered {
-    render_fig8(&figure_panels(dataset, 8))
-}
-
-/// Renders Fig. 9 from finalized panels (any set holding the Fig. 9 one).
-pub fn render_fig9(panels: &[PanelCurve]) -> Rendered {
-    render_figure(
-        panels,
-        9,
-        "Fig. 9 — weekly failure rate vs VM consolidation",
-        "VM share per level: ",
-        "\npaper reference: rate decreases significantly with consolidation; \
-         population skews to levels 16-32\n",
-    )
-}
-
-/// Fig. 9: failure rate vs consolidation level.
-pub(crate) fn fig9_impl(dataset: &FailureDataset) -> Rendered {
-    render_fig9(&figure_panels(dataset, 9))
-}
-
-/// Renders Fig. 10 from finalized panels (any set holding the Fig. 10 one).
-pub fn render_fig10(panels: &[PanelCurve]) -> Rendered {
-    render_figure(
-        panels,
-        10,
-        "Fig. 10 — weekly failure rate vs on/off frequency",
-        "VM share per bucket: ",
-        "\npaper reference: rate rises from 0 to ~2 cycles/month, no clear trend beyond; \
-         60% of VMs cycle at most once a month\n",
-    )
-}
-
-/// Fig. 10: failure rate vs on/off frequency.
-pub(crate) fn fig10_impl(dataset: &FailureDataset) -> Rendered {
-    render_fig10(&figure_panels(dataset, 10))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExperimentId, RunConfig};
     use dcfail_synth::Scenario;
     use std::sync::OnceLock;
 
@@ -622,26 +571,9 @@ mod tests {
     #[test]
     fn every_runner_produces_text_and_csv() {
         let ds = dataset();
-        let rendered = [
-            table1_impl(),
-            table2_impl(ds),
-            fig1_impl(ds),
-            fig2_impl(ds),
-            fig3_impl(ds),
-            table3_impl(ds),
-            fig4_impl(ds),
-            table4_impl(ds),
-            fig5_impl(ds),
-            table5_impl(ds),
-            table6_impl(ds),
-            table7_impl(ds),
-            fig6_impl(ds),
-            fig7_impl(ds),
-            fig8_impl(ds),
-            fig9_impl(ds),
-            fig10_impl(ds),
-        ];
-        for r in &rendered {
+        let config = RunConfig::default();
+        let rendered = ExperimentId::PAPER.map(|id| crate::run(id, ds, &config));
+        for r in rendered {
             assert!(!r.title.is_empty());
             assert!(r.text.len() > 50, "{}: text too short", r.title);
             if let Some(csv) = &r.csv {
@@ -734,7 +666,7 @@ mod tests {
 
     #[test]
     fn fig7_reports_all_panels() {
-        let r = fig7_impl(dataset());
+        let r = crate::run(ExperimentId::Fig7, dataset(), &RunConfig::default());
         for panel in [
             "7a PM cpu",
             "7a VM cpu",

@@ -12,7 +12,7 @@
 //! atomically — the old Toolkit's cache simply goes away with it.
 
 use crate::envelope::Envelope;
-use crate::experiments::{run, ExperimentId, RunConfig, ThreadGuard};
+use crate::experiments::{fan_out, run, ExperimentId, RunConfig};
 use crate::runners::Rendered;
 use dcfail_model::dataset::FailureDataset;
 use std::collections::{BTreeMap, VecDeque};
@@ -148,19 +148,12 @@ impl Toolkit {
         self.rendered(&self.slot(id, config), id, config)
     }
 
-    /// Renders every artifact (paper order then extras), fanning out across
-    /// threads like [`crate::run_all`] and filling the cache as it goes.
+    /// Renders every artifact (paper order then extras) through the
+    /// registry's [`fan_out`], like [`crate::run_all`], filling the cache as
+    /// it goes.
     pub fn render_all(&self) -> Vec<(ExperimentId, Arc<Rendered>)> {
-        let _threads = ThreadGuard::install(self.config.threads);
-        let _span = dcfail_obs::span("toolkit.render_all");
-        // Same shape as run_all: the outer guard owns the thread override,
-        // the per-render config must not re-install it mid-fan-out.
-        let inner = RunConfig {
-            threads: None,
-            ..self.config.clone()
-        };
-        dcfail_par::par_map(&ExperimentId::ALL, |_, &id| {
-            (id, self.render_with(id, &inner))
+        fan_out(&ExperimentId::ALL, &self.config, |id, config| {
+            self.render_with(id, config)
         })
     }
 

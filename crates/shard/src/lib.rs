@@ -67,8 +67,8 @@ pub use resume::{config_digest, resume_sharded};
 use dcfail_ckpt::{CheckpointStore, CkptError};
 use dcfail_core::panel::{self, Panel, PanelCounts, PanelCurve};
 use dcfail_model::prelude::*;
-use dcfail_report::experiments::{self, ExperimentId, RunConfig, ThreadGuard};
-use dcfail_report::runners::{render_fig10, render_fig8, render_fig9, Rendered};
+use dcfail_report::experiments::{self, ExperimentId, RunConfig};
+use dcfail_report::runners::Rendered;
 use dcfail_stats::merge::Mergeable;
 use dcfail_stats::rng::StreamRng;
 use dcfail_synth::hazard::{HazardModel, NormAccum};
@@ -89,7 +89,6 @@ pub(crate) struct ShardYield {
 /// the merged Fig. 8–10 panels.
 pub struct ShardedOutput {
     config: ScenarioConfig,
-    num_shards: usize,
     dataset: FailureDataset,
     panels: Vec<PanelCurve>,
 }
@@ -279,7 +278,6 @@ fn merge_and_assemble(
 
     ShardedOutput {
         config: config.clone(),
-        num_shards,
         dataset,
         panels: panels.finalize(),
     }
@@ -296,51 +294,32 @@ impl ShardedOutput {
         &self.config
     }
 
-    /// How many shards the build used.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
     /// Runs one experiment against the sharded results.
     ///
     /// Figures 8–10 render from the merged panel counts; every other
-    /// experiment delegates to
-    /// [`report::run`](dcfail_report::experiments::run) on the merged
-    /// dataset. Output is byte-identical to the monolithic path for every
-    /// paper experiment and every extra except [`ExperimentId::Whatif`].
+    /// experiment renders from the merged dataset, through
+    /// [`run_with_panels`](experiments::run_with_panels) either way. Output
+    /// is byte-identical to the monolithic path for every paper experiment
+    /// and every extra except [`ExperimentId::Whatif`].
     ///
     /// # Panics
     ///
     /// Panics on [`ExperimentId::Whatif`]: the what-if resampler needs the
     /// full telemetry store, which a sharded build never materializes.
     pub fn report(&self, id: ExperimentId, config: &RunConfig) -> Rendered {
-        match id {
-            ExperimentId::Fig8 | ExperimentId::Fig9 | ExperimentId::Fig10 => {
-                let _threads = ThreadGuard::install(config.threads);
-                let _span = dcfail_obs::span_labeled("report", id.key());
-                match id {
-                    ExperimentId::Fig8 => render_fig8(&self.panels),
-                    ExperimentId::Fig9 => render_fig9(&self.panels),
-                    _ => render_fig10(&self.panels),
-                }
-            }
-            ExperimentId::Whatif => {
-                panic!("what-if resampling needs full telemetry; use the monolithic path")
-            }
-            _ => experiments::run(id, &self.dataset, config),
-        }
+        assert!(
+            id != ExperimentId::Whatif,
+            "what-if resampling needs full telemetry; use the monolithic path"
+        );
+        experiments::run_with_panels(id, &self.dataset, &self.panels, config)
     }
 
-    /// Runs every paper experiment (Tables 1–7, Figs. 1–10), fanned out via
-    /// `dcfail-par`, in registry order.
+    /// Runs every paper experiment (Tables 1–7, Figs. 1–10) through the
+    /// registry's [`fan_out`](experiments::fan_out), in registry order.
     pub fn paper_reports(&self, config: &RunConfig) -> Vec<(ExperimentId, Rendered)> {
-        let _threads = ThreadGuard::install(config.threads);
-        let _span = dcfail_obs::span("report.run_all");
-        let inner = RunConfig {
-            threads: None,
-            ..config.clone()
-        };
-        dcfail_par::par_map(&ExperimentId::PAPER, |_, &id| (id, self.report(id, &inner)))
+        experiments::fan_out(&ExperimentId::PAPER, config, |id, config| {
+            self.report(id, config)
+        })
     }
 }
 
@@ -357,10 +336,9 @@ mod tests {
     }
 
     #[test]
-    fn a_build_keeps_its_config_and_shard_count() {
+    fn a_build_keeps_its_config() {
         let config = Scenario::paper().seed(3).scale(0.002).config().clone();
         let out = build_sharded(&config, 3);
-        assert_eq!(out.num_shards(), 3);
         assert_eq!(out.config(), &config);
         assert!(
             out.dataset().telemetry().usage_series().next().is_none(),

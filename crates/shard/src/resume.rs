@@ -33,9 +33,10 @@
 //! [`NormAccum`]: dcfail_synth::hazard::NormAccum
 
 use crate::ShardedOutput;
-use dcfail_ckpt::{fnv64, CheckpointStore, CkptError, Manifest};
+use dcfail_ckpt::{CheckpointStore, CkptError, Manifest};
 use dcfail_report::experiments::RunConfig;
 use dcfail_report::runners::reports_digest;
+use dcfail_stats::digest::fnv1a;
 use dcfail_synth::ScenarioConfig;
 use serde::{Deserialize, Serialize};
 
@@ -49,7 +50,7 @@ use serde::{Deserialize, Serialize};
 pub fn config_digest(config: &ScenarioConfig) -> u64 {
     let json = serde_json::to_string(config)
         .expect("ScenarioConfig is a closed tree of serializable fields");
-    fnv64(json.as_bytes())
+    fnv1a([json])
 }
 
 fn segment_name(stage: &str, shard: usize) -> String {

@@ -9,9 +9,10 @@
 
 #![allow(clippy::unwrap_used)]
 
-use dcfail_ckpt::{encode_segment, fnv64, CheckpointStore, CkptError, FaultFs, MemFs};
+use dcfail_ckpt::{encode_segment, CheckpointStore, CkptError, FaultFs, MemFs};
 use dcfail_report::experiments::RunConfig;
 use dcfail_shard::{crash_matrix, resume_sharded};
+use dcfail_stats::digest::fnv1a;
 use dcfail_synth::{Scenario, ScenarioConfig};
 
 const DIR: &str = "ckpt";
@@ -72,7 +73,7 @@ fn segment_bytes_are_pinned() {
         .iter()
         .map(|&(name, _)| {
             let bytes = mem.snapshot(&format!("{DIR}/{name}")).unwrap();
-            (name, fnv64(&bytes))
+            (name, fnv1a([bytes]))
         })
         .collect();
     assert_eq!(got, PINNED);

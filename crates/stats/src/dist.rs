@@ -362,16 +362,6 @@ impl Uniform {
         }
         Ok(Self { lo, hi })
     }
-
-    /// Lower bound.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper bound.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
 }
 
 impl ContinuousDist for Uniform {
@@ -423,16 +413,6 @@ impl Pareto {
             xm: check_positive("xm", xm)?,
             alpha: check_positive("alpha", alpha)?,
         })
-    }
-
-    /// The minimum value xm.
-    pub fn xm(&self) -> f64 {
-        self.xm
-    }
-
-    /// The tail index α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 }
 
@@ -613,8 +593,8 @@ mod tests {
     #[test]
     fn uniform_behaves() {
         let d = Uniform::new(2.0, 6.0).unwrap();
-        assert_eq!(d.lo(), 2.0);
-        assert_eq!(d.hi(), 6.0);
+        assert_eq!(d.lo, 2.0);
+        assert_eq!(d.hi, 6.0);
         assert_eq!(d.mean(), 4.0);
         assert!((d.variance() - 16.0 / 12.0).abs() < 1e-12);
         check_sampling_matches_moments(&d, 0.01);
@@ -628,8 +608,8 @@ mod tests {
     #[test]
     fn pareto_behaves() {
         let d = Pareto::new(1.0, 3.0).unwrap();
-        assert_eq!(d.xm(), 1.0);
-        assert_eq!(d.alpha(), 3.0);
+        assert_eq!(d.xm, 1.0);
+        assert_eq!(d.alpha, 3.0);
         assert!((d.mean() - 1.5).abs() < 1e-12);
         check_sampling_matches_moments(&d, 0.05);
         check_cdf_matches_sampling(&d, 2.0);

@@ -152,25 +152,9 @@ impl Ecdf {
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
+    // dlint::allow(D17): tests/proptests.rs `ecdf_invariants` pins it against the free `quantile`
     pub fn quantile(&self, q: f64) -> f64 {
         quantile_sorted(&self.sorted, q)
-    }
-
-    /// Evenly spaced (x, F̂(x)) points for plotting, `points` of them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points < 2`.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "curve needs at least 2 points");
-        let lo = self.sorted[0];
-        let hi = self.sorted[self.sorted.len() - 1];
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.eval(x))
-            })
-            .collect()
     }
 }
 
@@ -246,11 +230,6 @@ impl Histogram {
     /// In-range observations.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Out-of-range observations.
-    pub fn outliers(&self) -> u64 {
-        self.outliers
     }
 
     /// Center of bin `i`.
@@ -411,7 +390,13 @@ mod tests {
     fn ecdf_curve_is_monotone() {
         let data: Vec<f64> = (0..100).map(|i| (i as f64 * 7.3) % 13.0).collect();
         let e = Ecdf::new(&data);
-        let curve = e.curve(50);
+        let (lo, hi) = (e.sorted[0], e.sorted[e.sorted.len() - 1]);
+        let curve: Vec<(f64, f64)> = (0..50)
+            .map(|i| {
+                let x = lo + (hi - lo) * f64::from(i) / 49.0;
+                (x, e.eval(x))
+            })
+            .collect();
         assert_eq!(curve.len(), 50);
         for pair in curve.windows(2) {
             assert!(pair[0].1 <= pair[1].1);
@@ -425,7 +410,7 @@ mod tests {
         let mut h = Histogram::new(0.0, 10.0, 5);
         h.extend([0.5, 1.0, 2.5, 9.9, 10.0, -0.1, f64::NAN]);
         assert_eq!(h.total(), 4);
-        assert_eq!(h.outliers(), 3);
+        assert_eq!(h.outliers, 3);
         assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
         assert_eq!(h.bin_center(0), 1.0);
         let dens = h.density();
@@ -441,7 +426,7 @@ mod tests {
         h.add_right_closed(10.1); // still an outlier
         h.add_right_closed(f64::NAN); // still an outlier
         assert_eq!(h.counts(), &[0, 0, 0, 0, 2]);
-        assert_eq!(h.outliers(), 2);
+        assert_eq!(h.outliers, 2);
     }
 
     #[test]

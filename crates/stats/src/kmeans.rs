@@ -134,34 +134,15 @@ impl KMeans {
         }
     }
 
-    /// Cluster centroids.
-    pub fn centroids(&self) -> &[Vec<f32>] {
-        &self.centroids
-    }
-
     /// Per-point cluster assignments, parallel to the training input.
     pub fn assignments(&self) -> &[usize] {
         &self.assignments
     }
 
-    /// Final within-cluster sum of squared distances.
-    pub fn inertia(&self) -> f64 {
-        self.inertia
-    }
-
-    /// Lloyd iterations performed in the winning restart.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.centroids.len()
-    }
-
     /// Predicts the cluster of a new point.
-    pub fn predict(&self, point: &[f32]) -> usize {
-        nearest(&self.centroids, point).0
+    #[cfg(test)]
+    fn predict(&self, point: &[f32]) -> usize {
+        oracle::nearest(&self.centroids, point).0
     }
 }
 
@@ -212,21 +193,6 @@ fn update_centroids(
             c.clone_from(&points[rng.below(points.len())]);
         }
     }
-}
-
-fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
-}
-
-fn nearest(centroids: &[Vec<f32>], p: &[f32]) -> (usize, f32) {
-    let mut best = (0usize, f32::INFINITY);
-    for (i, c) in centroids.iter().enumerate() {
-        let d = sq_dist(c, p);
-        if d < best.1 {
-            best = (i, d);
-        }
-    }
-    best
 }
 
 /// Vectors per block of the lane kernel: one independent f32 add chain per
@@ -470,8 +436,25 @@ fn kmeans_plus_plus(
 /// and every coordinate of every point summed.
 #[cfg(test)]
 mod oracle {
-    use super::{nearest, sq_dist, KMeans, KMeansConfig};
+    use super::{KMeans, KMeansConfig};
     use crate::rng::StreamRng;
+
+    pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
+        a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
+    }
+
+    /// The index of the centroid nearest `p`, the lowest on a tie, and its
+    /// squared distance.
+    pub fn nearest(centroids: &[Vec<f32>], p: &[f32]) -> (usize, f32) {
+        let mut best = (0usize, f32::INFINITY);
+        for (i, c) in centroids.iter().enumerate() {
+            let d = sq_dist(c, p);
+            if d < best.1 {
+                best = (i, d);
+            }
+        }
+        best
+    }
 
     /// The dense update step: each centroid moves to its members' mean,
     /// every coordinate summed in f64 in point order; an empty cluster is
@@ -576,6 +559,7 @@ mod oracle {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{nearest, sq_dist};
     use super::*;
     use proptest::prelude::*;
 
@@ -619,15 +603,15 @@ mod tests {
     /// Bit-level equality: `KMeans`' `PartialEq` would equate 0.0 and -0.0.
     fn assert_same_fit(got: &KMeans, want: &KMeans) {
         let bits = |km: &KMeans| -> Vec<Vec<u32>> {
-            km.centroids()
+            km.centroids
                 .iter()
                 .map(|c| c.iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
         assert_eq!(bits(got), bits(want));
         assert_eq!(got.assignments(), want.assignments());
-        assert_eq!(got.inertia().to_bits(), want.inertia().to_bits());
-        assert_eq!(got.iterations(), want.iterations());
+        assert_eq!(got.inertia.to_bits(), want.inertia.to_bits());
+        assert_eq!(got.iterations, want.iterations);
     }
 
     /// `fit` equals the scalar oracle on every point, RNG state included.
@@ -704,6 +688,25 @@ mod tests {
                 let pairs = (reps.blocks * (k + 2)) as u64;
                 prop_assert!(work.rows <= pairs * dim as u64);
             }
+        }
+    }
+
+    proptest! {
+        /// Every point is assigned to its nearest centroid, and inertia is
+        /// nonnegative and reproducible.
+        fn kmeans_invariants(seed in 0u64..200, k in 1usize..5) {
+            let mut data_rng = StreamRng::new(seed);
+            let points: Vec<Vec<f32>> = (0..40)
+                .map(|_| (0..3).map(|_| data_rng.standard_normal() as f32).collect())
+                .collect();
+            let km = KMeans::fit(&points, KMeansConfig::new(k), &mut StreamRng::new(seed)).unwrap();
+            prop_assert!(km.inertia >= 0.0);
+            prop_assert_eq!(km.assignments().len(), points.len());
+            for (p, &a) in points.iter().zip(km.assignments()) {
+                prop_assert_eq!(km.predict(p), a);
+            }
+            let km2 = KMeans::fit(&points, KMeansConfig::new(k), &mut StreamRng::new(seed)).unwrap();
+            prop_assert_eq!(km.assignments(), km2.assignments());
         }
     }
 
@@ -828,7 +831,7 @@ mod tests {
         let pts = blobs();
         let mut rng = StreamRng::new(1);
         let km = KMeans::fit(&pts, KMeansConfig::new(3), &mut rng).unwrap();
-        assert_eq!(km.k(), 3);
+        assert_eq!(km.centroids.len(), 3);
         assert_eq!(km.assignments().len(), 90);
         // Each blob should map to exactly one cluster.
         for blob in 0..3 {
@@ -840,8 +843,8 @@ mod tests {
         firsts.sort_unstable();
         firsts.dedup();
         assert_eq!(firsts.len(), 3);
-        assert!(km.inertia() < 150.0, "inertia {}", km.inertia());
-        assert!(km.iterations() >= 1);
+        assert!(km.inertia < 150.0, "inertia {}", km.inertia);
+        assert!(km.iterations >= 1);
     }
 
     #[test]
@@ -868,8 +871,8 @@ mod tests {
         let mut rng = StreamRng::new(4);
         let km = KMeans::fit(&pts, KMeansConfig::new(3), &mut rng).unwrap();
         for (p, &a) in pts.iter().zip(km.assignments()) {
-            let assigned = sq_dist(p, &km.centroids()[a]);
-            for c in km.centroids() {
+            let assigned = sq_dist(p, &km.centroids[a]);
+            for c in &km.centroids {
                 assert!(assigned <= sq_dist(p, c) + 1e-4);
             }
         }
@@ -891,8 +894,8 @@ mod tests {
         let pts = vec![vec![1.0f32, 0.0], vec![0.0, 1.0]];
         let mut rng = StreamRng::new(5);
         let km = KMeans::fit(&pts, KMeansConfig::new(2), &mut rng).unwrap();
-        assert_eq!(km.k(), 2);
-        assert!(km.inertia() < 1e-9);
+        assert_eq!(km.centroids.len(), 2);
+        assert!(km.inertia < 1e-9);
     }
 
     #[test]
@@ -900,7 +903,7 @@ mod tests {
         let pts = vec![vec![1.0f32, 1.0]; 10];
         let mut rng = StreamRng::new(6);
         let km = KMeans::fit(&pts, KMeansConfig::new(3), &mut rng).unwrap();
-        assert!(km.inertia() < 1e-9);
+        assert!(km.inertia < 1e-9);
     }
 
     #[test]

@@ -44,6 +44,7 @@
 pub mod binning;
 pub mod bootstrap;
 pub mod corr;
+pub mod digest;
 pub mod dist;
 pub mod empirical;
 pub mod fit;

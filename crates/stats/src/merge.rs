@@ -155,11 +155,6 @@ impl CountMatrix {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Number of columns.
     pub fn cols(&self) -> usize {
         self.cols
@@ -363,7 +358,7 @@ mod tests {
             cells.add(1, col, 7);
         }
         assert_eq!(bulk, cells);
-        assert_eq!((bulk.rows(), bulk.cols()), (3, 4));
+        assert_eq!((bulk.rows, bulk.cols()), (3, 4));
         assert_eq!(bulk.get(0, 0) + bulk.get(2, 3), 0, "other rows untouched");
     }
 

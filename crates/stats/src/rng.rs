@@ -5,6 +5,7 @@
 //! never perturbs the draws of existing ones, and every experiment is
 //! reproducible bit-for-bit from `(seed, stream name)`.
 
+use crate::digest::fnv1a;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -34,7 +35,7 @@ impl StreamRng {
     /// never on how much the parent has been consumed.
     #[must_use]
     pub fn fork(&self, label: &str) -> StreamRng {
-        let child_seed = splitmix(self.seed ^ fnv1a(label.as_bytes()));
+        let child_seed = splitmix(self.seed ^ fnv1a([label]));
         StreamRng {
             seed: child_seed,
             inner: SmallRng::seed_from_u64(child_seed),
@@ -45,7 +46,7 @@ impl StreamRng {
     /// per-entity streams (e.g. one per machine).
     #[must_use]
     pub fn fork_index(&self, label: &str, index: u64) -> StreamRng {
-        let child_seed = splitmix(self.seed ^ fnv1a(label.as_bytes()) ^ splitmix(index));
+        let child_seed = splitmix(self.seed ^ fnv1a([label]) ^ splitmix(index));
         StreamRng {
             seed: child_seed,
             inner: SmallRng::seed_from_u64(child_seed),
@@ -177,15 +178,6 @@ impl RngCore for StreamRng {
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> std::result::Result<(), rand::Error> {
         self.inner.try_fill_bytes(dest)
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 fn splitmix(mut x: u64) -> u64 {

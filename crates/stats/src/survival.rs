@@ -135,14 +135,6 @@ impl KaplanMeier {
             .map(|(&t, _)| t)
     }
 
-    /// The curve as `(time, survival)` steps.
-    pub fn curve(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.times
-            .iter()
-            .copied()
-            .zip(self.survival.iter().copied())
-    }
-
     /// Number of observations fitted.
     pub fn n(&self) -> usize {
         self.n
@@ -245,7 +237,7 @@ mod tests {
         obs.extend((0..10).map(|i| Observation::censored(i as f64 + 0.5)));
         let km = KaplanMeier::fit(&obs).unwrap();
         let mut prev = 1.0;
-        for (_, s) in km.curve() {
+        for &s in &km.survival {
             assert!(s <= prev + 1e-12);
             assert!((0.0..=1.0).contains(&s));
             prev = s;

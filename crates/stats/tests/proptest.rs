@@ -5,7 +5,6 @@
 use dcfail_stats::binning::Bins;
 use dcfail_stats::dist::{ContinuousDist, Exponential, Gamma, LogNormal, Pareto, Uniform, Weibull};
 use dcfail_stats::empirical::{quantile, Ecdf, Summary};
-use dcfail_stats::kmeans::{KMeans, KMeansConfig};
 use dcfail_stats::rng::StreamRng;
 use dcfail_stats::special::{digamma, ln_gamma, reg_lower_gamma, trigamma};
 use dcfail_stats::survival::{KaplanMeier, Observation};
@@ -122,24 +121,6 @@ proptest! {
                 prop_assert!(x < edges[0] || x > *edges.last().unwrap());
             }
         }
-    }
-
-    /// K-means: every point is assigned to its nearest centroid, and
-    /// inertia is nonnegative and reproducible.
-    #[test]
-    fn kmeans_invariants(seed in 0u64..200, k in 1usize..5) {
-        let mut data_rng = StreamRng::new(seed);
-        let points: Vec<Vec<f32>> = (0..40)
-            .map(|_| (0..3).map(|_| data_rng.standard_normal() as f32).collect())
-            .collect();
-        let km = KMeans::fit(&points, KMeansConfig::new(k), &mut StreamRng::new(seed)).unwrap();
-        prop_assert!(km.inertia() >= 0.0);
-        prop_assert_eq!(km.assignments().len(), points.len());
-        for (p, &a) in points.iter().zip(km.assignments()) {
-            prop_assert_eq!(km.predict(p), a);
-        }
-        let km2 = KMeans::fit(&points, KMeansConfig::new(k), &mut StreamRng::new(seed)).unwrap();
-        prop_assert_eq!(km.assignments(), km2.assignments());
     }
 
     /// Kaplan–Meier survival is monotone nonincreasing in [0, 1], and with

@@ -19,7 +19,7 @@ use crate::detect::{Alert, BurstDetector, DetectorConfig};
 use dcfail_core::panel::{Constant, Panel, PanelCounts, PanelCurve, Slots, Usage, NO_BIN};
 use dcfail_model::prelude::*;
 use dcfail_report::experiments::{self, ExperimentId, RunConfig};
-use dcfail_report::runners::{render_fig10, render_fig8, render_fig9, reports_digest, Rendered};
+use dcfail_report::runners::{reports_digest, Rendered};
 use dcfail_stats::merge::Mergeable;
 use dcfail_synth::feed::{FeedEvent, FeedPayload};
 use serde::Serialize;
@@ -359,14 +359,14 @@ pub struct StreamOutput {
 }
 
 impl StreamOutput {
-    /// Renders the streamed figures with the same renderers the batch
-    /// pipeline uses, keyed like the experiment registry.
-    pub fn rendered(&self) -> [(&'static str, Rendered); 3] {
-        [
-            ("fig8", render_fig8(&self.panels)),
-            ("fig9", render_fig9(&self.panels)),
-            ("fig10", render_fig10(&self.panels)),
-        ]
+    /// Renders each figure whose panels the run counted, with the batch
+    /// pipeline's figure renderer, keyed like the experiment registry and
+    /// in its order.
+    pub fn rendered(&self) -> Vec<(&'static str, Rendered)> {
+        ExperimentId::ALL
+            .into_iter()
+            .filter_map(|id| Some((id.key(), experiments::render_panels(id, &self.panels)?)))
+            .collect()
     }
 
     /// [`reports_digest`] over the rendered figures, byte-compatible with
@@ -376,27 +376,18 @@ impl StreamOutput {
     }
 }
 
-/// The batch pipeline's Fig. 8/9/10 renders for `dataset`, keyed like
-/// [`StreamOutput::rendered`] — the comparison target of the stream==batch
-/// determinism contract. Computed by the batch runners over the dataset,
-/// never through the engine.
-pub fn batch_rendered(dataset: &FailureDataset) -> [(&'static str, Rendered); 3] {
-    let run = |id: ExperimentId| {
-        (
-            id.key(),
-            experiments::run(id, dataset, &RunConfig::default()),
-        )
-    };
-    [
-        run(ExperimentId::Fig8),
-        run(ExperimentId::Fig9),
-        run(ExperimentId::Fig10),
-    ]
-}
-
-/// [`reports_digest`] of [`batch_rendered`].
+/// [`reports_digest`] of the batch pipeline's renders of the figures a
+/// streamed run renders (those whose panels read telemetry) — the
+/// comparison target of the stream==batch determinism contract. Computed
+/// by the batch runners over the dataset, never through the engine.
 pub fn batch_digest(dataset: &FailureDataset) -> u64 {
-    reports_digest(&batch_rendered(dataset))
+    let config = RunConfig::default();
+    let batch: Vec<(ExperimentId, Rendered)> = ExperimentId::ALL
+        .into_iter()
+        .filter(|id| id.panels().any(Panel::reads_telemetry))
+        .map(|id| (id, experiments::run(id, dataset, &config)))
+        .collect();
+    reports_digest(&batch)
 }
 
 /// Streaming ingest engine over one observation horizon.
@@ -462,7 +453,8 @@ impl StreamEngine {
     }
 
     /// Ingest counters so far.
-    pub fn stats(&self) -> &StreamStats {
+    #[cfg(test)]
+    fn stats(&self) -> &StreamStats {
         &self.est.stats
     }
 

@@ -68,6 +68,5 @@ pub use check::{replay_check, ReplayCheck};
 pub use dcfail_synth::feed::{FeedEvent, FeedPayload};
 pub use detect::{Alert, BurstDetector, DetectorConfig};
 pub use engine::{
-    batch_digest, batch_rendered, StreamConfig, StreamEngine, StreamError, StreamOutput,
-    StreamStats,
+    batch_digest, StreamConfig, StreamEngine, StreamError, StreamOutput, StreamStats,
 };

@@ -108,8 +108,9 @@ fn genuinely_late_events_are_rejected_and_counted() {
     let err = engine.ingest(events[0]).unwrap_err();
     assert!(matches!(err, StreamError::LateEvent { .. }));
     assert!(err.to_string().contains("late event"));
-    assert_eq!(engine.stats().late_events, 1);
-    assert_accounted(&engine.finish().stats);
+    let stats = engine.finish().stats;
+    assert_eq!(stats.late_events, 1);
+    assert_accounted(&stats);
 }
 
 #[test]

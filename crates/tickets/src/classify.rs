@@ -216,6 +216,7 @@ impl Classification {
     }
 
     /// How many clusters were assigned to each class.
+    // dlint::allow(D17): crates/tickets/tests/golden_classify.rs pins it
     pub fn clusters_per_class(&self) -> &BTreeMap<FailureClass, usize> {
         &self.clusters_per_class
     }
