@@ -120,16 +120,17 @@ const REQUIRED_STAGES: &str = "synth.build population placement telemetry incide
     manual_label stats.bootstrap report.run_all";
 
 /// Counters every traced run must record, and nonzero: the parallel
-/// runtime's jobs and four exact work counts, the hazard evaluations of
+/// runtime's jobs and five exact work counts, the hazard evaluations of
 /// the individual-failure walk, the values the panel kernel binned, the
-/// distinct texts the classifier tokenized and the k-means Lloyd
-/// iterations.
-const REQUIRED_COUNTERS: [&str; 5] = [
+/// distinct texts the classifier tokenized, the k-means Lloyd iterations
+/// and the machine-weeks the prediction sweep scored.
+const REQUIRED_COUNTERS: [&str; 6] = [
     "par.jobs",
     "synth.individual.hazard_evals",
     "panel.values_binned",
     "classify.texts",
     "kmeans.iterations",
+    "prediction.machine_weeks",
 ];
 
 /// The stages [`run`] opens on its own thread, at the root of the span

@@ -4,6 +4,20 @@
 
 use dcfail_bench::pipeline::{export_check, REPLAY_SPAN};
 
+/// The exact work counters of `export_check(7, 0.02, 0.05)`: 187 machines,
+/// scored over the 44 weeks from week 8.
+const WORK: [(&str, u64); 9] = [
+    ("synth.individual.draws", 67_704),
+    ("synth.individual.hazard_evals", 19_928),
+    ("panel.values_binned", 50_384),
+    ("classify.texts", 41),
+    ("kmeans.iterations", 14),
+    ("kmeans.distance_evals", 5_580),
+    ("kmeans.rows", 15_998),
+    ("prediction.machine_weeks", 8_228),
+    ("stream.events_applied", 11_180),
+];
+
 #[test]
 fn export_check_holds_and_refuses_a_window_it_does_not_own() {
     let other = dcfail_obs::ObsHandle::install().expect("no window is open yet");
@@ -19,15 +33,11 @@ fn export_check_holds_and_refuses_a_window_it_does_not_own() {
     assert_eq!(check.report.schema_version, dcfail_obs::SCHEMA_VERSION);
     assert!(check.report.has_stage(REPLAY_SPAN));
     assert!(check.report.has_stage("report.fig8"));
-    for counter in [
-        "par.jobs",
-        "synth.individual.draws",
-        "synth.individual.hazard_evals",
-        "panel.values_binned",
-        "kmeans.iterations",
-        "prediction.machine_weeks",
-    ] {
-        assert!(check.report.counter(counter).unwrap_or(0) > 0, "{counter}");
+    assert!(check.report.counter("par.jobs").unwrap_or(0) > 0);
+    // The work counters count work, so they read the same on any host and
+    // at any thread count; a change that moves one on purpose re-records it.
+    for (counter, want) in WORK {
+        assert_eq!(check.report.counter(counter), Some(want), "{counter}");
     }
     assert!(check.report.has_stage("kmeans.update"));
     assert!(check.instrumented_calls > 0 && check.per_call_ns > 0.0);

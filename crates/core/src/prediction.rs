@@ -15,10 +15,12 @@
 //! * **base rate** — kind × subsystem skews (Fig. 2).
 //!
 //! [`evaluate`] is one forward sweep over the time-sorted events: the
-//! per-machine history advances week by week, and the decile recall and
-//! AUC are counted over the few thousand distinct score values instead of
-//! sorting every machine-week — O(events + machines × weeks), with the
-//! same bits as scoring, sorting and ranking every machine-week.
+//! per-machine history advances week by week, each week scores its few
+//! machine classes (group × capped failure count × recency state) once and
+//! counts its machines per class, and the decile recall and AUC are
+//! counted over the few thousand distinct score values instead of sorting
+//! every machine-week — O(events + machines × weeks), with the same bits
+//! as scoring, sorting and ranking every machine-week.
 
 use dcfail_model::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -70,13 +72,40 @@ pub struct PredictionReport {
     pub auc: f64,
 }
 
+/// Prior failures count toward a score up to this many.
+const FAILURE_CAP: usize = 5;
+
+/// A machine's recency states at a week's start: its latest failure at most
+/// 7 days before, at most 28 days before, or neither (or no failure yet).
+const RECENCY_STATES: usize = 3;
+
+/// A machine's week-ahead score from its class: its recency state, its
+/// capped failure count and its group's base rate. The one scoring
+/// expression behind [`score_week`] and [`evaluate`].
+fn score(weights: &PredictorWeights, recency: usize, failures: usize, rate: f64) -> f64 {
+    let mut score = 0.0;
+    if recency == 0 {
+        score += weights.recency_1w;
+    }
+    if recency <= 1 {
+        score += weights.recency_4w;
+    }
+    score += weights.per_prior_failure * failures as f64;
+    score += weights.base_rate * rate;
+    score
+}
+
 /// Walk-forward history: every event before the current week's start,
-/// applied in event order. [`score_week`] and [`evaluate`] both score
-/// through it, so there is one scoring path.
+/// applied in event order. A machine's score depends only on its class:
+/// its `(kind, subsystem)` group, its capped failure count and its recency
+/// state, so a week scores each class once. [`score_week`] and
+/// [`evaluate`] both score through it, so there is one scoring path.
 struct Sweep<'a> {
     dataset: &'a FailureDataset,
     /// First event not yet applied.
     next_event: usize,
+    /// Start of the current week.
+    week_start: SimTime,
     /// Per machine (dense by id): time of its latest applied failure.
     last_failure: Vec<Option<SimTime>>,
     /// Per machine: applied failures.
@@ -87,6 +116,8 @@ struct Sweep<'a> {
     population: Vec<usize>,
     /// Per group: applied failures.
     group_events: Vec<usize>,
+    /// Per group: its base rate at the current week.
+    rates: Vec<f64>,
 }
 
 impl<'a> Sweep<'a> {
@@ -108,23 +139,25 @@ impl<'a> Sweep<'a> {
         Sweep {
             dataset,
             next_event: 0,
+            week_start: dataset.horizon().start(),
             last_failure: vec![None; machines],
             failures: vec![0; machines],
             group_of,
             population,
             group_events: vec![0; groups.len()],
+            rates: vec![0.0; groups.len()],
         }
     }
 
-    /// Applies every event before the start of `week` and returns each
-    /// machine's score, in machine order. Weeks must not go backwards.
-    fn scores(&mut self, week: usize, weights: PredictorWeights) -> impl Iterator<Item = f64> + '_ {
-        let week_start = self.dataset.horizon().start() + WEEK * week as i64;
+    /// Applies every event before the start of `week` and takes each
+    /// group's base rate. Weeks must not go backwards.
+    fn advance(&mut self, week: usize) {
+        self.week_start = self.dataset.horizon().start() + WEEK * week as i64;
         let events = self.dataset.events();
         // Events are time-sorted, so the history is a prefix: never peek ahead.
         while let Some(ev) = events
             .get(self.next_event)
-            .filter(|ev| ev.at() < week_start)
+            .filter(|ev| ev.at() < self.week_start)
         {
             let m = ev.machine().index();
             self.last_failure[m] = Some(ev.at());
@@ -134,28 +167,40 @@ impl<'a> Sweep<'a> {
         }
         // Group base rates per machine-week observed so far.
         let weeks_so_far = week.max(1) as f64;
-        let rates: Vec<f64> = self
-            .group_events
-            .iter()
+        for ((rate, &events), &population) in self
+            .rates
+            .iter_mut()
+            .zip(&self.group_events)
             .zip(&self.population)
-            .map(|(&events, &population)| events as f64 / population.max(1) as f64 / weeks_so_far)
-            .collect();
-        let this = &*self;
-        (0..this.group_of.len()).map(move |m| {
-            let mut score = 0.0;
-            if let Some(last) = this.last_failure[m] {
-                let days = (week_start - last).as_days();
-                if days <= 7.0 {
-                    score += weights.recency_1w;
-                }
-                if days <= 28.0 {
-                    score += weights.recency_4w;
+        {
+            *rate = events as f64 / population.max(1) as f64 / weeks_so_far;
+        }
+    }
+
+    /// Machine `m`'s class at the current week: an index into
+    /// [`Sweep::class_scores`].
+    fn class_of(&self, m: usize) -> usize {
+        // Whole minutes, so `since <= DAY * 7` is `since.as_days() <= 7.0`.
+        let recency = match self.last_failure[m].map(|last| self.week_start - last) {
+            Some(since) if since <= DAY * 7 => 0,
+            Some(since) if since <= MONTH => 1,
+            _ => 2,
+        };
+        let failures = self.failures[m].min(FAILURE_CAP);
+        (self.group_of[m] * (FAILURE_CAP + 1) + failures) * RECENCY_STATES + recency
+    }
+
+    /// Every class's score at the current week, in class order.
+    fn class_scores(&self, weights: &PredictorWeights) -> Vec<f64> {
+        let mut scores = Vec::with_capacity(self.rates.len() * (FAILURE_CAP + 1) * RECENCY_STATES);
+        for &rate in &self.rates {
+            for failures in 0..=FAILURE_CAP {
+                for recency in 0..RECENCY_STATES {
+                    scores.push(score(weights, recency, failures, rate));
                 }
             }
-            score += weights.per_prior_failure * this.failures[m].min(5) as f64;
-            score += weights.base_rate * rates[this.group_of[m]];
-            score
-        })
+        }
+        scores
     }
 }
 
@@ -173,8 +218,12 @@ pub fn score_week(
     week: usize,
     weights: &PredictorWeights,
 ) -> Vec<(MachineId, f64)> {
-    let ids = dataset.machines().iter().map(Machine::id);
-    ids.zip(Sweep::new(dataset).scores(week, *weights))
+    let mut sweep = Sweep::new(dataset);
+    sweep.advance(week);
+    let scores = sweep.class_scores(weights);
+    let machines = dataset.machines().iter().enumerate();
+    machines
+        .map(|(m, machine)| (machine.id(), scores[sweep.class_of(m)]))
         .collect()
 }
 
@@ -209,20 +258,48 @@ pub fn evaluate(
     let mut fails = vec![false; dataset.machines().len()];
     let mut sweep = Sweep::new(dataset);
     for (week, failing) in (start_week..weeks).zip(&failing) {
+        sweep.advance(week);
+        // This week's distinct scores in key order, and each class's index
+        // among them: classes with equal scores share one tally.
+        let class_keys: Vec<i64> = sweep
+            .class_scores(weights)
+            .into_iter()
+            .map(total_order_key)
+            .collect();
+        let mut keys = class_keys.clone();
+        keys.sort_unstable();
+        keys.dedup();
+        let tally_of: Vec<usize> = class_keys
+            .iter()
+            .map(|key| keys.partition_point(|k| k < key))
+            .collect();
+        // Per distinct score: machine-weeks in earlier weeks, this week's
+        // machines so far, and this week's positives.
+        let mut tallies: Vec<(usize, usize, usize)> = keys
+            .iter()
+            .map(|key| (groups.get(key).map_or(0, |g| g.0), 0, 0))
+            .collect();
         for &m in failing {
             fails[m] = true;
         }
-        for (score, &positive) in sweep.scores(week, *weights).zip(&fails) {
-            let key = total_order_key(score);
-            let group = groups.entry(key).or_default();
+        for (m, &positive) in fails.iter().enumerate() {
+            let t = tally_of[sweep.class_of(m)];
+            let (earlier, n, pos) = &mut tallies[t];
             if positive {
-                positive_at.push((key, group.0));
-                group.1 += 1;
+                positive_at.push((keys[t], *earlier + *n));
+                *pos += 1;
             }
-            group.0 += 1;
+            *n += 1;
         }
         for &m in failing {
             fails[m] = false;
+        }
+        for (&key, &(_, n, pos)) in keys.iter().zip(&tallies) {
+            if n > 0 {
+                let group = groups.entry(key).or_default();
+                group.0 += n;
+                group.1 += pos;
+            }
         }
     }
     let observations: usize = groups.values().map(|&(n, _)| n).sum();

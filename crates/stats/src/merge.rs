@@ -115,6 +115,89 @@ impl ExactSum {
     }
 }
 
+/// Binades in one [`ExactSum::extend`] window, centred on the first binned
+/// value's binade: one `i64` bin each.
+const BIN_WINDOW: u64 = 64;
+
+/// Binned values between flushes. 1,024 signed 53-bit significands sum to
+/// less than 2^63 in magnitude, so no bin overflows.
+const FLUSH_EVERY: usize = 1024;
+
+/// The highest biased exponent that bins: a bin of that binade still
+/// splits into two finite doubles.
+const MAX_BINNED_EXPONENT: u64 = 2035;
+
+/// `2^k` for `k` in `-1074..=1023`, subnormal below `-1022`.
+fn pow2(k: i64) -> f64 {
+    if k >= -1022 {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    } else {
+        f64::from_bits(1 << (k + 1074))
+    }
+}
+
+impl Extend<f64> for ExactSum {
+    /// Adds every value exactly: the exact sum, and so
+    /// [`ExactSum::value`], is what one [`ExactSum::push`] per value gives.
+    ///
+    /// A finite normal value whose binade lies in the window adds its
+    /// signed significand to its binade's integer bin. Every 1,024 binned
+    /// values, and at the end, each touched bin goes into the expansion as
+    /// two exact doubles, zero bins included, so a zero sum rounds as `push`
+    /// rounds it. Every other value (±0.0, subnormal, non-finite, or outside
+    /// the window) takes `push`.
+    fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
+        let mut bins = [0i64; BIN_WINDOW as usize];
+        let mut touched = 0u64;
+        // The window's lowest biased exponent; 0 until a value bins.
+        let mut low = 0;
+        let mut pending = 0;
+        for x in values {
+            let bits = x.to_bits();
+            let exponent = (bits >> 52) & 0x7ff;
+            let binnable = exponent != 0 && exponent <= MAX_BINNED_EXPONENT;
+            if binnable && low == 0 {
+                low = exponent.saturating_sub(BIN_WINDOW / 2).max(1);
+            }
+            let slot = exponent.wrapping_sub(low);
+            if !binnable || slot >= BIN_WINDOW {
+                self.push(x);
+                continue;
+            }
+            let significand = ((bits & ((1 << 52) - 1)) | (1 << 52)) as i64;
+            bins[slot as usize] += if bits >> 63 == 0 {
+                significand
+            } else {
+                -significand
+            };
+            touched |= 1 << slot;
+            pending += 1;
+            if pending == FLUSH_EVERY {
+                self.flush(&mut bins, &mut touched, low);
+                pending = 0;
+            }
+        }
+        self.flush(&mut bins, &mut touched, low);
+    }
+}
+
+impl ExactSum {
+    /// Pushes each touched bin of a window starting at biased exponent
+    /// `low`, as its high and low 32 bits scaled to its binade, both exact,
+    /// and clears it.
+    fn flush(&mut self, bins: &mut [i64], touched: &mut u64, low: u64) {
+        while *touched != 0 {
+            let slot = touched.trailing_zeros() as usize;
+            *touched &= *touched - 1;
+            let bin = std::mem::take(&mut bins[slot]);
+            // The bin counts units of 2^(exponent - 1075).
+            let unit = (low + slot as u64) as i64 - 1075;
+            self.push((bin >> 32) as f64 * pow2(unit + 32));
+            self.push((bin & 0xffff_ffff) as f64 * pow2(unit));
+        }
+    }
+}
+
 impl Mergeable for ExactSum {
     type Output = f64;
 
@@ -331,6 +414,134 @@ mod tests {
         assert_eq!(s.value(), 1.0);
         assert_ne!(naive, 1.0);
         assert_eq!(ExactSum::new().value(), 0.0);
+    }
+
+    /// One sum per value, the reference [`ExactSum::extend`] is held to.
+    fn pushed(values: &[f64]) -> ExactSum {
+        let mut sum = ExactSum::new();
+        for &v in values {
+            sum.push(v);
+        }
+        sum
+    }
+
+    fn extended(values: &[f64]) -> ExactSum {
+        let mut sum = ExactSum::new();
+        sum.extend(values.iter().copied());
+        sum
+    }
+
+    /// Same bits, or both NaN: which NaN an arithmetic step yields is the
+    /// hardware's choice.
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Finite values drawn from random words, most in a crowded run of
+    /// binades near 1 so that they bin and flush, the rest the cases the
+    /// batched add must leave to `push` or cancel exactly: ±0.0,
+    /// subnormals, all-ones significands, the negation of an earlier value,
+    /// and binades across the whole exponent range, up to four above the
+    /// binned ones. Fewer than 2^12 values stay under 2^1020 in sum, so no
+    /// partial sum overflows.
+    fn draw(words: &[u64]) -> Vec<f64> {
+        let mut values: Vec<f64> = Vec::with_capacity(words.len());
+        let mut huge = 0;
+        for &w in words {
+            let sign = w & (1 << 63);
+            let mantissa = (w >> 8) & ((1 << 52) - 1);
+            let pick = w >> 4;
+            let bits = match w % 16 {
+                0 => sign,
+                1 => sign | mantissa,
+                2 if !values.is_empty() => {
+                    let earlier = values[pick as usize % values.len()];
+                    (-earlier).to_bits()
+                }
+                3 => sign | (1023 << 52) | ((1 << 52) - 1),
+                5 if huge < 4 => {
+                    huge += 1;
+                    sign | ((2036 + pick % 3) << 52) | mantissa
+                }
+                4 | 5 => sign | ((1 + pick % 2030) << 52) | mantissa,
+                _ => sign | ((1020 + pick % 8) << 52) | mantissa,
+            };
+            values.push(f64::from_bits(bits));
+        }
+        values
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The batched add gives `push`'s bits over the whole exponent
+        /// range, whole or split at a random point and absorbed.
+        fn extend_matches_push(
+            words in prop::collection::vec(any::<u64>(), 0..2600),
+            cut in any::<u64>(),
+        ) {
+            let values = draw(&words);
+            let want = pushed(&values).value();
+            let got = extended(&values).value();
+            prop_assert!(same(got, want), "{got:e} != {want:e} over {} values", values.len());
+            let (a, b) = values.split_at(cut as usize % (values.len() + 1));
+            let mut split = extended(a);
+            split.absorb(&extended(b));
+            let got = split.value();
+            prop_assert!(same(got, want), "split at {}: {got:e} != {want:e}", a.len());
+        }
+    }
+
+    #[test]
+    fn extend_rounds_a_zero_sum_as_push_does() {
+        for values in [
+            &[][..],
+            &[-0.0],
+            &[-0.0, -0.0],
+            &[0.0, -0.0],
+            &[-0.0, 5.0, -5.0],
+            &[5.0, -0.0, -5.0],
+            &[1e-310, -0.0, -1e-310],
+        ] {
+            let (got, want) = (extended(values).value(), pushed(values).value());
+            assert_eq!(got.to_bits(), want.to_bits(), "{values:?}: {got} != {want}");
+        }
+        assert_eq!(
+            extended(&[-0.0, 5.0, -5.0]).value().to_bits(),
+            0.0f64.to_bits()
+        );
+    }
+
+    #[test]
+    fn extend_flushes_before_a_bin_overflows() {
+        // 2^53 − 1 units per value: 1,024 fit an `i64` bin, 2,048 do not.
+        let all_ones = f64::from_bits((1023 << 52) | ((1 << 52) - 1));
+        for (n, sign) in [(1025, 1.0), (3000, 1.0), (3000, -1.0)] {
+            let values = vec![sign * all_ones; n];
+            let (got, want) = (extended(&values).value(), pushed(&values).value());
+            assert_eq!(got.to_bits(), want.to_bits(), "{n} x {}", sign * all_ones);
+        }
+    }
+
+    #[test]
+    fn extend_meets_nan_and_infinities_as_push_does() {
+        let inf = f64::INFINITY;
+        for values in [
+            &[inf][..],
+            &[-inf],
+            &[f64::NAN],
+            &[1.0, inf],
+            &[inf, 1.0],
+            &[inf, -inf],
+            &[-inf, -inf],
+            &[5.0, -5.0, inf],
+            &[inf, 5.0, -5.0],
+            &[-0.0, -inf],
+            &[1e-310, inf],
+            &[1.5, f64::NAN, 2.5],
+        ] {
+            let (got, want) = (extended(values).value(), pushed(values).value());
+            assert!(same(got, want), "{values:?}: {got} != {want}");
+        }
     }
 
     #[test]

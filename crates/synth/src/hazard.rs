@@ -77,19 +77,37 @@ pub struct NormAccum {
 
 impl NormAccum {
     /// Folds one machine's raw multipliers into the sums.
+    ///
+    /// One [`ExactSum::push`] per value, so a checkpointed accumulator keeps
+    /// its expansion's bytes.
     pub fn accumulate(&mut self, config: &ScenarioConfig, m: &Machine, telemetry: &Telemetry) {
         let (static_raw, usage_raw) = raw_row(config, m, telemetry);
-        self.fold(m.kind(), static_raw, usage_raw);
-    }
-
-    /// Folds one machine's already evaluated raw multipliers into the sums.
-    fn fold(&mut self, kind: MachineKind, static_raw: f64, usage_raw: impl Iterator<Item = f64>) {
-        let k = kind_slot(kind);
+        let k = kind_slot(m.kind());
         self.static_sum[k].push(static_raw);
         self.static_n[k] += 1;
         for u in usage_raw {
             self.usage_sum[k].push(u);
             self.usage_n[k] += 1;
+        }
+    }
+
+    /// Folds a run of machines' already evaluated raw multipliers, `weeks`
+    /// usage values per machine, into the sums: one batched
+    /// [`ExactSum`] extend per kind and family, with the exact sums of
+    /// [`NormAccum::accumulate`].
+    fn fold_run(&mut self, machines: &[Machine], statics: &[f64], usage: &[f64], weeks: usize) {
+        for kind in [MachineKind::Pm, MachineKind::Vm] {
+            let k = kind_slot(kind);
+            let rows = || (0..machines.len()).filter(move |&i| machines[i].kind() == kind);
+            self.static_sum[k].extend(rows().map(|i| statics[i]));
+            self.usage_sum[k].extend(
+                rows()
+                    .flat_map(|i| &usage[i * weeks..(i + 1) * weeks])
+                    .copied(),
+            );
+            let n = rows().count() as u64;
+            self.static_n[k] += n;
+            self.usage_n[k] += n * weeks as u64;
         }
     }
 }
@@ -271,7 +289,8 @@ impl HazardModel {
     /// One pass over fixed chunks of machines on `dcfail-par`: each chunk
     /// writes its machines' raw multipliers, evaluated once, straight into
     /// its rows of the model's arrays and folds them into a chunk
-    /// [`NormAccum`]. The chunk accumulators absorb in chunk order, and
+    /// [`NormAccum`], one batched exact add per kind and family. The chunk
+    /// accumulators absorb in chunk order, and
     /// their exact sums give the divisors of a serial fold over the fleet
     /// bit for bit. The kept values are then divided in place, as
     /// [`HazardModel::for_range`] divides them.
@@ -289,10 +308,7 @@ impl HazardModel {
                 let chunk = &machines[c * CHUNK_MACHINES..][..statics.len()];
                 write_raw(config, chunk, telemetry, statics, usage);
                 let mut accum = NormAccum::identity();
-                for (i, m) in chunk.iter().enumerate() {
-                    let row = usage[i * weeks..(i + 1) * weeks].iter().copied();
-                    accum.fold(m.kind(), statics[i], row);
-                }
+                accum.fold_run(chunk, statics, usage, weeks);
                 accum
             })
         };

@@ -133,6 +133,47 @@ fn counted(names: &[&str], work: impl FnOnce()) -> Vec<u64> {
         .collect()
 }
 
+/// The reorder buffer's drain counters over one replay of `feed` jittered
+/// within 6 h, its `seq`s spread threefold as a feed thinned upstream would
+/// have them: a bucket of one or two arrivals is placed by offset, a larger
+/// one spans too many offsets and is sorted.
+fn jittered_drains(
+    dataset: &dcfail::model::dataset::FailureDataset,
+    feed: &[dcfail::synth::feed::FeedEvent],
+) -> Vec<u64> {
+    use dcfail::stream::{StreamConfig, StreamEngine};
+    use dcfail::synth::feed::{reorder_within_slack, FeedEvent};
+
+    let slack = dcfail::model::time::SimDuration::from_hours(6);
+    let spread: Vec<FeedEvent> = (feed.iter())
+        .map(|&ev| FeedEvent {
+            seq: ev.seq * 3,
+            ..ev
+        })
+        .collect();
+    let mut rng = dcfail::stats::rng::StreamRng::new(11);
+    let jittered = reorder_within_slack(&spread, slack, &mut rng);
+    let drains = [
+        "stream.buckets_placed",
+        "stream.buckets_sorted",
+        "stream.arrivals_placed",
+        "stream.arrivals_sorted",
+    ];
+    counted(&drains, || {
+        let config = StreamConfig {
+            slack,
+            ..StreamConfig::default()
+        };
+        let mut engine = StreamEngine::new(dataset.horizon(), config);
+        for &ev in &jittered {
+            engine
+                .ingest(ev)
+                .expect("a jittered feed arrives within its slack");
+        }
+        engine.finish();
+    })
+}
+
 /// The exact work counters count work, not scheduling: each reads the same
 /// at 1, 2 and 3 threads. The panel kernel bins the same values whether the
 /// Fig. 8–10 panels are counted over the whole fleet, shard by shard, or
@@ -140,7 +181,9 @@ fn counted(names: &[&str], work: impl FnOnce()) -> Vec<u64> {
 /// walk counts the same draws and hazard evaluations over the whole fleet
 /// and summed over shards, and its draws are the per-day walk's: one per
 /// machine-day with a positive hazard, which in the paper's model is every
-/// day of a machine with a positive base rate.
+/// day of a machine with a positive base rate. The prediction sweep scores
+/// every machine in every week from week 8, and a jittered replay puts its
+/// buckets in order by offset and by sort.
 #[test]
 fn work_counters_read_the_same_at_any_thread_count() {
     use dcfail::analysis::panel::{self, Panel};
@@ -153,6 +196,7 @@ fn work_counters_read_the_same_at_any_thread_count() {
     let config = Scenario::paper().seed(11).scale(0.03).config().clone();
     let dataset = Scenario::from_config(config.clone()).build().into_dataset();
     let feed = dcfail::synth::feed::dataset_feed(&dataset);
+    let machine_weeks = dataset.machines().len() * (dataset.horizon().num_weeks() - 8);
     let (_, batch) = panel::observe_dataset(&dataset, Panel::reads_telemetry);
     let positive_rate = dataset
         .machines()
@@ -195,7 +239,11 @@ fn work_counters_read_the_same_at_any_thread_count() {
         let prediction = counted(&["prediction.machine_weeks"], || {
             experiments::run(ExperimentId::Prediction, &dataset, &RunConfig::default());
         });
-        assert!(prediction[0] > 0, "{threads} threads: {prediction:?}");
+        assert_eq!(
+            prediction,
+            [machine_weeks as u64],
+            "{threads} threads: every machine-week from week 8"
+        );
         let stream = counted(&values, || {
             let mut engine = StreamEngine::new(dataset.horizon(), StreamConfig::default());
             for &ev in &feed {
@@ -205,6 +253,11 @@ fn work_counters_read_the_same_at_any_thread_count() {
         });
         assert_eq!(figures, [batch], "{threads} threads: the figure runners");
         assert_eq!(stream, [batch], "{threads} threads: the stream replay");
+        let drained = jittered_drains(&dataset, &feed);
+        assert!(
+            drained.iter().all(|&n| n > 0),
+            "{threads} threads: {drained:?}"
+        );
         let classify = [
             "classify.texts",
             "kmeans.iterations",
@@ -216,7 +269,7 @@ fn work_counters_read_the_same_at_any_thread_count() {
             apply_to_dataset(&mut dataset.clone(), PipelineConfig::default(), &mut rng);
         });
         assert!(kmeans.iter().all(|&n| n > 0), "{kmeans:?}");
-        readings.push([fleet, prediction, kmeans].concat());
+        readings.push([fleet, prediction, drained, kmeans].concat());
     }
     par::set_thread_override(None);
     assert!(batch > 0);
